@@ -52,9 +52,7 @@ from .pareto import (
 from .augmented import (
     AugmentedDesign,
     design,
-    design_max,
     design_max_for_target,
-    design_min,
     design_min_for_target,
     interval_ratios,
     prediction_ratio,
@@ -81,7 +79,6 @@ from .learner import (
     LambdaLearner,
     RegretRecord,
     make_learner,
-    observe_round,
     regret_curve,
     round_ratios,
     run_learning,
@@ -134,9 +131,7 @@ __all__ = [
     "apply_rho_hard",
     "build_cells",
     "design",
-    "design_max",
     "design_max_for_target",
-    "design_min",
     "design_min_for_target",
     "empirical_ratio",
     "evaluate_windows",
@@ -150,7 +145,6 @@ __all__ = [
     "lower_bound_max",
     "lower_bound_min",
     "make_learner",
-    "observe_round",
     "offline_opt",
     "ota_total",
     "prediction_ratio",

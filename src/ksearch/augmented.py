@@ -16,9 +16,18 @@ extreme price P, the schedule is stitched together from up to three pieces:
 Which pieces appear depends on where P falls relative to the two boundary
 prices p~1 (end of the flat-free region) and p~2 (where the robustness
 prefix becomes necessary): cases I/II/III for max-search and IV/V/VI for
-min-search.  Every constructed schedule is re-verified numerically; a
-verification failure raises ConstructionError and indicates an infeasible
-target rather than a tolerable degradation.
+min-search.
+
+Both kinds share one construction skeleton.  Every threshold has the form
+``near + lead * growth**n``, where ``near`` is the schedule's start sentinel
+(p_min for max-search, p_max for min-search): the prefix grows at the gamma
+rate, the block past the pivot at the eta rate, and the tail closes onto the
+far sentinel at the gamma rate.  Only the growth rates and leads, the case
+boundaries, the prefix length j*, the flat-block end m*, the pivot and the
+robustness test of the i* scan differ between the kinds.  Every constructed
+schedule is re-verified numerically; a verification failure raises
+ConstructionError and indicates an infeasible target rather than a
+tolerable degradation.
 """
 
 from __future__ import annotations
@@ -57,24 +66,21 @@ def ratio_alpha(schedule: ThresholdSchedule, i: int) -> float:
     """
     if not schedule.kind.is_max:
         raise InvalidInputError("ratio_alpha needs a max-search schedule")
-    k = schedule.k
-    if not 1 <= i <= k + 1:
-        raise DomainError(f"interval index {i} outside [1, {k + 1}]")
-    banked = sum(schedule.values[: i - 1])
-    denom = banked + (k - i + 1) * schedule.bounds.p_min
-    return k * schedule.value_at(i) / denom
+    return _interval_ratio(schedule, i)
 
 
 def ratio_beta(schedule: ThresholdSchedule, i: int) -> float:
     """Min-search mirror of ratio_alpha (Psi_{k+1} read as p_min)."""
     if schedule.kind.is_max:
         raise InvalidInputError("ratio_beta needs a min-search schedule")
+    return _interval_ratio(schedule, i)
+
+
+def _interval_ratio(schedule: ThresholdSchedule, i: int) -> float:
     k = schedule.k
     if not 1 <= i <= k + 1:
         raise DomainError(f"interval index {i} outside [1, {k + 1}]")
-    banked = sum(schedule.values[: i - 1])
-    numer = banked + (k - i + 1) * schedule.bounds.p_max
-    return numer / (k * schedule.value_at(i))
+    return float(interval_ratios(schedule)[i - 1])
 
 
 def interval_ratios(schedule: ThresholdSchedule) -> np.ndarray:
@@ -155,7 +161,7 @@ class AugmentedDesign:
 
 @functools.lru_cache(maxsize=256)
 def _frontier(bounds: PriceBounds, k: int, kind: ProblemKind) -> FrontierSpec:
-    return FrontierSpec.solve(bounds, k, kind)
+    return FrontierSpec(bounds, k, kind)
 
 
 def _snap_monotone(values: list[float], ascending: bool, scale: float) -> list[float]:
@@ -227,15 +233,8 @@ def _snap_prediction(prediction: float, bounds: PriceBounds) -> float:
     return prediction
 
 
-def _resolve_target(
-    prediction: float, lam: float, bounds: PriceBounds, k: int, kind: ProblemKind
-) -> ParetoPoint:
-    _snap_prediction(prediction, bounds)
-    return target_point(lam, _frontier(bounds, k, kind))
-
-
 # --------------------------------------------------------------------------
-# max-search construction (cases I-III)
+# consistency block length sigma*
 
 
 def _junction_slack(gamma: float, k: int, sigma: int) -> float:
@@ -276,119 +275,6 @@ def sigma_star_max(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
     )
 
 
-def design_max_for_target(
-    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int
-) -> AugmentedDesign:
-    """Build and verify the max-search schedule for an explicit (eta, gamma)."""
-    prediction = _snap_prediction(prediction, bounds)
-    p_min, p_max = bounds.p_min, bounds.p_max
-    eta, gamma = target.eta, target.gamma
-
-    # Degenerate span: when theta - 1 is at or below the verification
-    # tolerance every case boundary collapses to within float noise, and the
-    # flat schedule already meets every bound (no ratio can exceed theta).
-    if p_max <= p_min * (1.0 + _RATIO_TOL):
-        schedule = ThresholdSchedule(ProblemKind.MAX, (p_min,) * k, bounds)
-        design = AugmentedDesign(
-            schedule, "I", 0, 0, k, k, p_min, p_min, target, prediction
-        )
-        return _verify(design)
-
-    sigma = sigma_star_max(target, bounds, k)
-    grow_eta = 1.0 + eta / k
-    grow_gamma = 1.0 + gamma / k
-    tilde_1 = p_min + p_min * (eta - 1.0) * grow_eta ** (sigma - 1)
-    tilde_2 = max(tilde_1, gamma * p_min)
-
-    def tail(i: int) -> float:
-        # reserve thresholds so interval ratios decay onto gamma at the top
-        return p_min + (p_max - p_min) / grow_gamma ** (k - i + 1)
-
-    if prediction <= tilde_1:
-        label, j_star, m_star = "I", 0, 0
-        i_star = sigma
-        values = [
-            p_min + p_min * (eta - 1.0) * grow_eta ** (i - 1) for i in range(1, sigma + 1)
-        ]
-        values += [tail(i) for i in range(sigma + 1, k + 1)]
-    else:
-        if prediction <= tilde_2:
-            label, j_star = "II", 0
-            prefix: list[float] = []
-        else:
-            label = "III"
-            raw = math.log((prediction / p_min - 1.0) / (gamma - 1.0)) / math.log1p(
-                gamma / k
-            )
-            j_star = min(k, max(1, math.ceil(raw - _CROSS_EPS)))
-            prefix = [
-                p_min + p_min * (gamma - 1.0) * grow_gamma ** (i - 1)
-                for i in range(1, j_star + 1)
-            ]
-        prefix_sum = sum(prefix)
-        if label == "II":
-            span = k * prediction / eta - k * p_min
-        else:
-            # the display folds the prefix sum into closed form via the
-            # extended z value at j*+1; both agree by the balancing identity
-            z_next = p_min * (1.0 + (gamma - 1.0) * grow_gamma**j_star)
-            span = k * prediction / eta - k * z_next / gamma
-        m_star = j_star + math.ceil(span / (prediction - p_min))
-        m_star = min(max(m_star, j_star), k)
-
-        pivot = eta * (prefix_sum + (m_star - j_star) * prediction + (k - m_star) * p_min) / k
-        if pivot < prediction:
-            if pivot < prediction * (1.0 - 1e-9):
-                raise ConstructionError(
-                    f"pivot {pivot} fell below the prediction {prediction}"
-                )
-            pivot = prediction
-
-        def block(i: int) -> float:
-            if i <= m_star:
-                return prediction
-            return p_min + (pivot - p_min) * grow_eta ** (i - m_star - 1)
-
-        # largest i whose successor ratio still meets the robustness budget
-        i_star = -1
-        running = prefix_sum
-        block_values: list[float] = []
-        for i in range(j_star, k + 1):
-            succ = p_max if i == k else tail(i + 1)
-            if k * succ <= (gamma + _RATIO_TOL / 2) * (running + (k - i) * p_min):
-                i_star = i
-            if i < k:
-                nxt = block(i + 1)
-                block_values.append(nxt)
-                running += nxt
-        if i_star < j_star:
-            raise ConstructionError(
-                f"no feasible consistency endpoint for eta={eta}, gamma={gamma}, "
-                f"P={prediction}"
-            )
-        m_star = min(m_star, i_star)
-        values = prefix + block_values[: i_star - j_star]
-        values += [tail(i) for i in range(i_star + 1, k + 1)]
-
-    clipped = [bounds.clip(v) for v in values]
-    clipped = _snap_monotone(clipped, ascending=True, scale=p_max)
-    schedule = ThresholdSchedule(ProblemKind.MAX, tuple(clipped), bounds)
-    design = AugmentedDesign(
-        schedule, label, j_star, m_star, i_star, sigma, tilde_1, tilde_2, target, prediction
-    )
-    return _verify(design)
-
-
-def design_max(prediction: float, lam: float, bounds: PriceBounds, k: int) -> AugmentedDesign:
-    """Max-search design at the Pareto target implied by confidence lam."""
-    target = _resolve_target(prediction, lam, bounds, k, ProblemKind.MAX)
-    return design_max_for_target(prediction, target, bounds, k)
-
-
-# --------------------------------------------------------------------------
-# min-search construction (cases IV-VI)
-
-
 def sigma_star_min(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
     """Min-search mirror of sigma_star_max."""
     eta, gamma = target.eta, target.gamma
@@ -413,90 +299,118 @@ def sigma_star_min(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
     )
 
 
-def design_min_for_target(
-    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int
+# --------------------------------------------------------------------------
+# the case I-VI construction
+
+
+def _construct(
+    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> AugmentedDesign:
-    """Build and verify the min-search schedule for an explicit (eta, gamma)."""
+    """Build and verify the schedule of either kind for an explicit (eta, gamma)."""
     prediction = _snap_prediction(prediction, bounds)
     p_min, p_max = bounds.p_min, bounds.p_max
     eta, gamma = target.eta, target.gamma
+    is_max = kind.is_max
+    labels = ("I", "II", "III") if is_max else ("IV", "V", "VI")
+    near, far = (p_min, p_max) if is_max else (p_max, p_min)
 
+    # Degenerate span: when theta - 1 is at or below the verification
+    # tolerance every case boundary collapses to within float noise, and the
+    # flat schedule already meets every bound (no ratio can exceed theta).
     if p_max <= p_min * (1.0 + _RATIO_TOL):
-        schedule = ThresholdSchedule(ProblemKind.MIN, (p_max,) * k, bounds)
-        design = AugmentedDesign(
-            schedule, "IV", 0, 0, k, k, p_max, p_max, target, prediction
+        schedule = ThresholdSchedule(kind, (near,) * k, bounds)
+        return _verify(
+            AugmentedDesign(schedule, labels[0], 0, 0, k, k, near, near, target, prediction)
         )
-        return _verify(design)
 
-    sigma = sigma_star_min(target, bounds, k)
-    grow_eta = 1.0 + 1.0 / (eta * k)
-    grow_gamma = 1.0 + 1.0 / (gamma * k)
-    tilde_1 = p_max - p_max * (1.0 - 1.0 / eta) * grow_eta ** (sigma - 1)
-    tilde_2 = min(tilde_1, p_max / gamma)
+    # Min-search leads are negative: p_max + (-x) rounds exactly like
+    # p_max - x, so both kinds share every threshold formula below.
+    if is_max:
+        sigma = sigma_star_max(target, bounds, k)
+        grow_eta, grow_gamma = 1.0 + eta / k, 1.0 + gamma / k
+        lead_eta, lead_gamma = p_min * (eta - 1.0), p_min * (gamma - 1.0)
+    else:
+        sigma = sigma_star_min(target, bounds, k)
+        grow_eta, grow_gamma = 1.0 + 1.0 / (eta * k), 1.0 + 1.0 / (gamma * k)
+        lead_eta = -(p_max * (1.0 - 1.0 / eta))
+        lead_gamma = -(p_max * (1.0 - 1.0 / gamma))
+    tilde_1 = near + lead_eta * grow_eta ** (sigma - 1)
+    tilde_2 = max(tilde_1, gamma * p_min) if is_max else min(tilde_1, p_max / gamma)
 
     def tail(i: int) -> float:
-        return p_max - (p_max - p_min) / grow_gamma ** (k - i + 1)
+        # reserve thresholds so interval ratios decay onto gamma at the far end
+        return near + (far - near) / grow_gamma ** (k - i + 1)
 
-    if prediction > tilde_1:
-        label, j_star, m_star = "IV", 0, 0
-        i_star = sigma
-        values = [
-            p_max - p_max * (1.0 - 1.0 / eta) * grow_eta ** (i - 1)
-            for i in range(1, sigma + 1)
-        ]
+    # a prediction on a case boundary takes the near-side case for
+    # max-search and the far-side case for min-search
+    if (prediction <= tilde_1) if is_max else (prediction > tilde_1):
+        label, j_star, m_star, i_star = labels[0], 0, 0, sigma
+        values = [near + lead_eta * grow_eta ** (i - 1) for i in range(1, sigma + 1)]
         values += [tail(i) for i in range(sigma + 1, k + 1)]
     else:
-        if prediction > tilde_2:
-            label, j_star = "V", 0
-            prefix: list[float] = []
+        if (prediction <= tilde_2) if is_max else (prediction > tilde_2):
+            label, j_star = labels[1], 0
         else:
-            label = "VI"
-            ratio = (1.0 - prediction / p_max) / (1.0 - 1.0 / gamma)
-            if ratio <= 1.0:
-                j_star = 0
-            else:
-                raw = math.log(ratio) / math.log1p(1.0 / (gamma * k))
-                j_star = min(k, max(0, math.ceil(raw - _CROSS_EPS)))
-            prefix = [
-                p_max - p_max * (1.0 - 1.0 / gamma) * grow_gamma ** (i - 1)
-                for i in range(1, j_star + 1)
-            ]
+            label, j_star = labels[2], _prefix_length(prediction, gamma, bounds, k, kind)
+        prefix = [near + lead_gamma * grow_gamma ** (i - 1) for i in range(1, j_star + 1)]
         prefix_sum = sum(prefix)
-        # smallest flat-block end making the pivot drop to the prediction:
-        # the closed form for case V is division-degenerate at P=p_max, and
-        # the case VI display is garbled, so both use the defining property
-        m_star = -1
-        for m in range(j_star, k + 1):
-            lhs = prefix_sum + (m - j_star) * prediction + (k - m) * p_max
-            if lhs <= eta * k * prediction * (1.0 + _SCAN_SLACK):
-                m_star = m
-                break
-        if m_star < 0:
-            raise ConstructionError(
-                f"no feasible flat block for eta={eta}, gamma={gamma}, P={prediction}"
-            )
+        # m*: the smallest flat-block end that lets the pivot reach P
+        if is_max:
+            if label == "II":
+                span = k * prediction / eta - k * p_min
+            else:
+                # the display folds the prefix sum into closed form via the
+                # extended z value at j*+1; both agree by the balancing identity
+                z_next = p_min * (1.0 + (gamma - 1.0) * grow_gamma**j_star)
+                span = k * prediction / eta - k * z_next / gamma
+            m_star = j_star + math.ceil(span / (prediction - p_min))
+            m_star = min(max(m_star, j_star), k)
+        else:
+            # the closed form for case V is division-degenerate at P=p_max,
+            # and the case VI display is garbled, so min-search scans the
+            # defining property
+            m_star = -1
+            for m in range(j_star, k + 1):
+                lhs = prefix_sum + (m - j_star) * prediction + (k - m) * p_max
+                if lhs <= eta * k * prediction * (1.0 + _SCAN_SLACK):
+                    m_star = m
+                    break
+            if m_star < 0:
+                raise ConstructionError(
+                    f"no feasible flat block for eta={eta}, gamma={gamma}, P={prediction}"
+                )
 
-        pivot = (prefix_sum + (m_star - j_star) * prediction + (k - m_star) * p_max) / (
-            eta * k
-        )
-        if pivot > prediction:
+        flat_sum = prefix_sum + (m_star - j_star) * prediction + (k - m_star) * near
+        if is_max:
+            pivot = eta * flat_sum / k
+            if pivot < prediction * (1.0 - 1e-9):
+                raise ConstructionError(
+                    f"pivot {pivot} fell below the prediction {prediction}"
+                )
+        else:
+            pivot = flat_sum / (eta * k)
             if pivot > prediction * (1.0 + 1e-9):
                 raise ConstructionError(
                     f"pivot {pivot} rose above the prediction {prediction}"
                 )
-            pivot = prediction
+        if (pivot < prediction) if is_max else (pivot > prediction):
+            pivot = prediction  # float noise on the near side of P
 
         def block(i: int) -> float:
             if i <= m_star:
                 return prediction
-            return p_max - (p_max - pivot) * grow_eta ** (i - m_star - 1)
+            return near + (pivot - near) * grow_eta ** (i - m_star - 1)
 
+        # largest i whose successor ratio still meets the robustness budget
+        budget = gamma + _RATIO_TOL / 2
         i_star = -1
         running = prefix_sum
         block_values: list[float] = []
         for i in range(j_star, k + 1):
-            succ = p_min if i == k else tail(i + 1)
-            if running + (k - i) * p_max <= (gamma + _RATIO_TOL / 2) * k * succ:
+            succ = far if i == k else tail(i + 1)
+            banked = running + (k - i) * near
+            fits = k * succ <= budget * banked if is_max else banked <= budget * k * succ
+            if fits:
                 i_star = i
             if i < k:
                 nxt = block(i + 1)
@@ -512,96 +426,53 @@ def design_min_for_target(
         values += [tail(i) for i in range(i_star + 1, k + 1)]
 
     clipped = [bounds.clip(v) for v in values]
-    clipped = _snap_monotone(clipped, ascending=False, scale=p_max)
-    schedule = ThresholdSchedule(ProblemKind.MIN, tuple(clipped), bounds)
-    design = AugmentedDesign(
-        schedule, label, j_star, m_star, i_star, sigma, tilde_1, tilde_2, target, prediction
+    clipped = _snap_monotone(clipped, ascending=is_max, scale=p_max)
+    schedule = ThresholdSchedule(kind, tuple(clipped), bounds)
+    return _verify(
+        AugmentedDesign(
+            schedule, label, j_star, m_star, i_star, sigma, tilde_1, tilde_2, target, prediction
+        )
     )
-    return _verify(design)
 
 
-def design_min(prediction: float, lam: float, bounds: PriceBounds, k: int) -> AugmentedDesign:
-    """Min-search design at the Pareto target implied by confidence lam."""
-    target = _resolve_target(prediction, lam, bounds, k, ProblemKind.MIN)
-    return design_min_for_target(prediction, target, bounds, k)
+def _prefix_length(
+    prediction: float, gamma: float, bounds: PriceBounds, k: int, kind: ProblemKind
+) -> int:
+    """j*: how many gamma-balanced prefix thresholds precede the prediction."""
+    if kind.is_max:
+        raw = math.log((prediction / bounds.p_min - 1.0) / (gamma - 1.0)) / math.log1p(
+            gamma / k
+        )
+        return min(k, max(1, math.ceil(raw - _CROSS_EPS)))
+    ratio = (1.0 - prediction / bounds.p_max) / (1.0 - 1.0 / gamma)
+    if ratio <= 1.0:
+        return 0
+    raw = math.log(ratio) / math.log1p(1.0 / (gamma * k))
+    return min(k, max(0, math.ceil(raw - _CROSS_EPS)))
+
+
+# --------------------------------------------------------------------------
+# entry points
+
+
+def design_max_for_target(
+    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int
+) -> AugmentedDesign:
+    """Build and verify the max-search schedule for an explicit (eta, gamma)."""
+    return _construct(prediction, target, bounds, k, ProblemKind.MAX)
+
+
+def design_min_for_target(
+    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int
+) -> AugmentedDesign:
+    """Build and verify the min-search schedule for an explicit (eta, gamma)."""
+    return _construct(prediction, target, bounds, k, ProblemKind.MIN)
 
 
 def design(
     prediction: float, lam: float, bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> AugmentedDesign:
-    """Kind-dispatching entry point used by the harness and CLI."""
-    if kind.is_max:
-        return design_max(prediction, lam, bounds, k)
-    return design_min(prediction, lam, bounds, k)
-
-
-# --------------------------------------------------------------------------
-# proposition predicates (internal verification helpers)
-
-
-def check_prop_end_max(schedule: ThresholdSchedule, i_star: int) -> bool:
-    """Do all ratios after a reserve tail stay within the tail's own budget?
-
-    The tail shape pins its robustness parameter (recoverable from the last
-    threshold), and the chained-inequality argument says every ratio past
-    i*+1 stays below it whenever the ratio at i*+1 does.
-    """
-    if not schedule.kind.is_max:
-        raise InvalidInputError("check_prop_end_max needs a max-search schedule")
-    k = schedule.k
-    if not 0 <= i_star <= k:
-        raise DomainError(f"i_star {i_star} outside [0, {k}]")
-    if i_star >= k or schedule.bounds.theta == 1.0:
-        return True
-    p_min, p_max = schedule.bounds.p_min, schedule.bounds.p_max
-    last = schedule.values[-1]
-    if last <= p_min:
-        return True
-    gamma = k * ((p_max - p_min) / (last - p_min) - 1.0)
-    budget = gamma * (1.0 + 1e-9) + _RATIO_TOL
-    return all(
-        ratio_alpha(schedule, i) <= budget for i in range(i_star + 2, k + 2)
-    )
-
-
-def check_prop_beg_max(schedule: ThresholdSchedule) -> bool:
-    """Does a geometric prefix keep every ratio within its implied budget?
-
-    A prefix of the standard robustness shape starts at gamma*p_min, so the
-    first threshold reveals gamma; the recurrence then caps every later
-    ratio at gamma as long as the shape is respected.
-    """
-    if not schedule.kind.is_max:
-        raise InvalidInputError("check_prop_beg_max needs a max-search schedule")
-    gamma = schedule.values[0] / schedule.bounds.p_min
-    budget = gamma * (1.0 + 1e-9) + _RATIO_TOL
-    return all(ratio_alpha(schedule, i) <= budget for i in range(1, schedule.k + 1))
-
-
-def check_prop_end_min(schedule: ThresholdSchedule, i_star: int) -> bool:
-    """Min-search mirror of check_prop_end_max."""
-    if schedule.kind.is_max:
-        raise InvalidInputError("check_prop_end_min needs a min-search schedule")
-    k = schedule.k
-    if not 0 <= i_star <= k:
-        raise DomainError(f"i_star {i_star} outside [0, {k}]")
-    if i_star >= k or schedule.bounds.theta == 1.0:
-        return True
-    p_min, p_max = schedule.bounds.p_min, schedule.bounds.p_max
-    last = schedule.values[-1]
-    if last >= p_max or last <= p_min:
-        return True
-    gamma = 1.0 / (k * ((p_max - p_min) / (p_max - last) - 1.0))
-    budget = gamma * (1.0 + 1e-9) + _RATIO_TOL
-    return all(
-        ratio_beta(schedule, i) <= budget for i in range(i_star + 2, k + 2)
-    )
-
-
-def check_prop_beg_min(schedule: ThresholdSchedule) -> bool:
-    """Min-search mirror of check_prop_beg_max (gamma read off psi_1)."""
-    if schedule.kind.is_max:
-        raise InvalidInputError("check_prop_beg_min needs a min-search schedule")
-    gamma = schedule.bounds.p_max / schedule.values[0]
-    budget = gamma * (1.0 + 1e-9) + _RATIO_TOL
-    return all(ratio_beta(schedule, i) <= budget for i in range(1, schedule.k + 1))
+    """Design at the Pareto target implied by confidence lam (harness and CLI entry)."""
+    _snap_prediction(prediction, bounds)  # reject a bad prediction before solving
+    target = target_point(lam, _frontier(bounds, k, kind))
+    return _construct(prediction, target, bounds, k, kind)

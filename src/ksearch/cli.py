@@ -201,6 +201,12 @@ def _config_from_args(args: argparse.Namespace, argv) -> CliConfig:
     for name, val in (("--window", window_len), ("--stride", stride)):
         if val < 1:
             raise KSearchError(f"{name} must be positive, got {val}")
+    if hasattr(args, "window"):
+        for budget in (k, *k_list):
+            if budget > window_len:
+                raise KSearchError(
+                    f"budget k={budget} exceeds the {window_len} samples of --window"
+                )
 
     rhos = tuple(getattr(args, "rhos", (0.0,)))
     error_levels = tuple(getattr(args, "error_levels", (1.0,)))
@@ -287,7 +293,7 @@ def _load_series(cfg: CliConfig) -> tuple[PriceSeries, str]:
 
 
 def cmd_pareto(cfg: CliConfig) -> int:
-    spec = FrontierSpec.solve(cfg.bounds, cfg.k, cfg.kind)
+    spec = FrontierSpec(cfg.bounds, cfg.k, cfg.kind)
     curve = frontier_curve(spec, cfg.points)
     comments = [
         f"kind={cfg.kind.value} pmin={cfg.bounds.p_min!r} pmax={cfg.bounds.p_max!r} "

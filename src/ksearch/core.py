@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import ConstructionError, InvalidInputError
 
 
 class ProblemKind(enum.Enum):
@@ -209,7 +209,10 @@ def run_ota(schedule: ThresholdSchedule, instance: SearchInstance) -> RunTrace:
             m += 1
             total += price
         decisions.append(Decision(selected, price, forced))
-    assert m == k, "compulsory rule guarantees a full budget"
+    if m != k:
+        raise ConstructionError(
+            f"run ended with {m} of {k} selections despite the compulsory rule"
+        )
     return RunTrace(tuple(decisions), total, m)
 
 
@@ -259,7 +262,10 @@ def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, i
             break
 
     if comp_start < 0:
-        assert n_vol == k, "no compulsion implies the budget filled voluntarily"
+        if n_vol != k:
+            raise ConstructionError(
+                f"replay ended with {n_vol} of {k} selections and no compulsory fill"
+            )
         total = float(arr[sel_times].sum())
         voluntary = k
     else:

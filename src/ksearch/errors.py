@@ -27,8 +27,10 @@ class DataFormatError(KSearchError):
 
 
 class ConstructionError(KSearchError):
-    """A designed threshold schedule failed its own verification.
+    """A designed schedule, or a computation behind one, failed its own verification.
 
-    This should never fire for parameters inside the feasible region; it
+    Besides the schedule checks this covers the worst-case solvers' bracket
+    and residual checks and the replay engine's full-budget invariant.  It
+    should never fire for parameters inside the feasible region; it
     indicates either an infeasible (eta, gamma) target or an internal bug.
     """

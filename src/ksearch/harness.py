@@ -46,7 +46,7 @@ from .instances import (
     scale_theta,
     sliding_windows,
 )
-from .learner import DEFAULT_GRID_SIZE, round_ratios, run_learning
+from .learner import _learn
 from .worstcase import worst_case_thresholds
 
 ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
@@ -55,10 +55,6 @@ ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
 # per-round selection draws (seed * 2^20 + t with t < 2^20), so they live
 # in a disjoint key range.
 _HARDEN_KEY_OFFSET = 1 << 63
-
-
-def _default_grid() -> tuple[float, ...]:
-    return tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
 
 
 @dataclass(frozen=True)
@@ -137,21 +133,23 @@ def evaluate_windows(
 ) -> tuple[WindowResult, ...]:
     """Run the three policies over a window stream.
 
-    The worst-case guarantee is re-checked on every window: the confidence-1
-    schedule must stay within its competitive ratio, and the hindsight-best
-    grid confidence can never lose to it (the grid contains 1).  A violation
-    means a designed schedule is wrong, so it raises ConstructionError.
+    The hindsight policy reads each window's best grid confidence from the
+    ratios the learner observed, so every (window, confidence) pair is
+    replayed once.  The worst-case guarantee is re-checked on every window:
+    the confidence-1 schedule must stay within its competitive ratio, and the
+    hindsight-best grid confidence can never lose to it (the grid contains 1).
+    A violation means a designed schedule is wrong, so it raises
+    ConstructionError.
     """
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("evaluate_windows needs at least one window")
-    if grid is None:
-        grid = _default_grid()
     solution = worst_case_thresholds(bounds, k, kind)
-    _, history = run_learning(windows, kind, bounds, k, seed, grid=grid)
+    learner, history, matrix = _learn(windows, kind, bounds, k, seed, grid, None)
+    grid = learner.grid
 
     results = []
-    for idx, (window, record) in enumerate(zip(windows, history)):
+    for idx, (window, record, ratios) in enumerate(zip(windows, history, matrix)):
         prices = np.asarray(window.instance.prices)
         opt = offline_opt(window.instance, kind)
         total, _ = ota_total(solution.schedule, prices)
@@ -161,7 +159,6 @@ def evaluate_windows(
                 f"worst-case guarantee violated on window {idx}: "
                 f"ratio {on_ratio} > {solution.cr} + 1e-6"
             )
-        ratios = round_ratios(window, kind, bounds, k, grid)
         best = min(range(len(grid)), key=lambda j: (ratios[j], j))
         if ratios[best] > on_ratio * (1.0 + 1e-12):
             raise ConstructionError(

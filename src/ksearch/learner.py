@@ -163,17 +163,6 @@ def _updated(learner: LambdaLearner, ratios: tuple[float, ...]) -> LambdaLearner
     )
 
 
-def observe_round(
-    learner: LambdaLearner,
-    window: ExperimentWindow,
-    kind: ProblemKind,
-    bounds: PriceBounds,
-    k: int,
-) -> LambdaLearner:
-    """Full-information update: replay the window under every grid confidence."""
-    return _updated(learner, round_ratios(window, kind, bounds, k, learner.grid))
-
-
 def run_learning(
     windows,
     kind: ProblemKind,
@@ -191,6 +180,20 @@ def run_learning(
     smallest total ratio over the whole stream; each record's
     best_fixed_ratio is that point's ratio in that round.
     """
+    learner, records, _ = _learn(windows, kind, bounds, k, seed, grid, learning_rate)
+    return learner, records
+
+
+def _learn(
+    windows,
+    kind: ProblemKind,
+    bounds: PriceBounds,
+    k: int,
+    seed: int,
+    grid: tuple[float, ...] | None,
+    learning_rate: float | None,
+) -> tuple[LambdaLearner, tuple[RegretRecord, ...], list[tuple[float, ...]]]:
+    """run_learning plus the per-round ratios of every grid confidence."""
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("run_learning needs at least one window")
@@ -214,7 +217,7 @@ def run_learning(
         best = ratios[best_idx]
         cum += ratio - best
         records.append(RegretRecord(t, lam, ratio, best, cum))
-    return learner, tuple(records)
+    return learner, tuple(records), matrix
 
 
 def regret_curve(history) -> tuple[tuple[int, float], ...]:

@@ -13,15 +13,17 @@ exhausted.  The k-min mirror is
     Lambda(gamma) = theta[gamma - (gamma-1)(1+1/(gamma k))^zeta]
                     - (theta-1)(1 - zeta/k),
 
-with zeta the floor analogue.  A confidence lam in [0,1] is mapped linearly
-onto gamma in [cr*, theta] and the frontier then fixes eta; lam=1 recovers
-the worst-case optimum (cr*, cr*), lam=0 full trust (1, theta).
+with zeta the ceiling count of the reserve thresholds a gamma-robust
+min-search schedule must keep above p_min.  A confidence lam in [0,1] is
+mapped linearly onto gamma in [cr*, theta] and the frontier then fixes eta;
+lam=1 recovers the worst-case optimum (cr*, cr*), lam=0 full trust
+(1, theta).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .core import ParetoPoint, PriceBounds, ProblemKind
 from .errors import DomainError, InvalidInputError
@@ -38,25 +40,16 @@ _CUT_EPS = 1e-11
 
 @dataclass(frozen=True)
 class FrontierSpec:
-    """Frozen parameters of one frontier: bounds, budget, kind, and cr*."""
+    """Frozen parameters of one frontier: bounds, budget, kind, and the solved cr*."""
 
     bounds: PriceBounds
     k: int
     kind: ProblemKind
-    cr_star: float
+    cr_star: float = field(init=False)
 
     def __post_init__(self):
-        if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 1:
-            raise InvalidInputError(f"k must be a positive integer, got {self.k!r}")
-        reference = solve_cr(self.bounds, self.k, self.kind)
-        if abs(reference - self.cr_star) > 1e-9:
-            raise InvalidInputError(
-                f"cr_star={self.cr_star} does not match the solved ratio {reference}"
-            )
-
-    @classmethod
-    def solve(cls, bounds: PriceBounds, k: int, kind: ProblemKind) -> "FrontierSpec":
-        return cls(bounds, k, kind, solve_cr(bounds, k, kind))
+        # solve_cr validates k
+        object.__setattr__(self, "cr_star", solve_cr(self.bounds, self.k, self.kind))
 
     @property
     def theta(self) -> float:
@@ -104,39 +97,34 @@ def lower_bound_max(gamma: float, spec: FrontierSpec) -> float:
 
 
 def zeta_star(gamma: float, spec: FrontierSpec) -> int:
-    """Min-search analogue of xi_star (floor instead of ceiling)."""
+    """Number of reserve thresholds a gamma-robust min-search schedule keeps above p_min.
+
+    The count is the ceiling of the log ratio.  The floor form under-counts
+    by one whenever the crossing is not exactly integral, and the resulting
+    consistency value is unattainable: with gamma < theta the first threshold
+    alone already sits at p_max/gamma > p_min.
+    """
     _require(spec, ProblemKind.MIN)
     gamma = _checked_gamma(gamma, spec)
     theta, k = spec.theta, spec.k
     if theta == 1.0 or gamma >= theta:
         return 0
     raw = math.log((theta - 1.0) / (theta - theta / gamma)) / math.log1p(1.0 / (gamma * k))
-    return min(k, max(0, math.floor(raw + _CUT_EPS)))
+    return min(k, max(0, math.ceil(raw - _CUT_EPS)))
 
 
 def lower_bound_min(gamma: float, spec: FrontierSpec) -> float:
     """Best consistency any gamma-robust deterministic k-min algorithm can reach.
 
-    The bound counts how many reserve thresholds a gamma-robust schedule is
-    forced to keep strictly above p_min; that count is the ceiling of the
-    log ratio (the floor form of zeta_star under-counts by one whenever the
-    crossing is not exactly integral, and the resulting consistency value is
-    unattainable: with gamma < theta the first threshold alone already sits
-    at p_max/gamma > p_min).  Evaluating at the ceiling makes the bound both
-    valid and achieved exactly by the case-VI construction.
+    Evaluating at the ceiling count zeta_star makes the bound both valid and
+    achieved exactly by the case-VI construction.
     """
     _require(spec, ProblemKind.MIN)
     gamma = _checked_gamma(gamma, spec)
     theta, k = spec.theta, spec.k
     if theta == 1.0:
         return 1.0
-    if gamma >= theta:
-        zeta = 0
-    else:
-        raw = math.log((theta - 1.0) / (theta - theta / gamma)) / math.log1p(
-            1.0 / (gamma * k)
-        )
-        zeta = min(k, max(0, math.ceil(raw - _CUT_EPS)))
+    zeta = zeta_star(gamma, spec)
     # gamma - (gamma-1)*(1+1/(gamma*k))**zeta rewritten so the near-total
     # cancellation between the two terms (their difference can be ~1/gamma
     # of either operand) happens between exactly-computed quantities;

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .core import PriceBounds, ProblemKind, ThresholdSchedule
-from .errors import InvalidInputError
+from .errors import ConstructionError, InvalidInputError
 
 _BISECT_ITERS = 200
 _RESIDUAL_TOL = 1e-10
@@ -47,7 +47,8 @@ def _bisect(f, lo: float, hi: float) -> float:
         return lo
     if fhi == 0.0:
         return hi
-    assert flo * fhi < 0, "bisection bracket must straddle the root"
+    if not flo * fhi < 0:
+        raise ConstructionError(f"bisection bracket [{lo}, {hi}] does not straddle the root")
     for _ in range(_BISECT_ITERS):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
@@ -60,6 +61,16 @@ def _bisect(f, lo: float, hi: float) -> float:
         if hi - lo <= 1e-15 * max(1.0, abs(hi)):
             break
     return 0.5 * (lo + hi)
+
+
+def _root_above_one(f, theta: float) -> float:
+    """Root on (1, theta] of an increasing f with f(1) < 0."""
+    lo = 1.0 + 1e-12
+    if f(lo) > 0.0:
+        # near-degenerate bands (theta - 1 below a few 1e-12) put the root
+        # under 1 + 1e-12, so it is bracketed from 1 instead
+        return _bisect(f, 1.0, lo)
+    return _bisect(f, lo, theta)
 
 
 def solve_alpha_star(bounds: PriceBounds, k: int) -> float:
@@ -75,9 +86,10 @@ def solve_alpha_star(bounds: PriceBounds, k: int) -> float:
         # meaningful over the whole domain
         return (a - 1.0) * (1.0 + a / k) ** k - (theta - 1.0)
 
-    root = _bisect(f, 1.0 + 1e-12, theta)
+    root = _root_above_one(f, theta)
     residual = abs((root - 1.0) * (1.0 + root / k) ** k - (theta - 1.0))
-    assert residual < _RESIDUAL_TOL * max(1.0, theta - 1.0)
+    if not residual < _RESIDUAL_TOL * max(1.0, theta - 1.0):
+        raise ConstructionError(f"alpha*={root} leaves balance residual {residual}")
     return root
 
 
@@ -94,29 +106,25 @@ def solve_phi_star(bounds: PriceBounds, k: int) -> float:
         # strictly increasing in p, so the bracket (1, theta) works directly
         return (1.0 - 1.0 / p) * (1.0 + 1.0 / (k * p)) ** k - target
 
-    root = _bisect(f, 1.0 + 1e-12, theta)
+    root = _root_above_one(f, theta)
     residual = abs((1.0 - 1.0 / root) * (1.0 + 1.0 / (k * root)) ** k - target)
-    assert residual < _RESIDUAL_TOL
+    if not residual < _RESIDUAL_TOL:
+        raise ConstructionError(f"phi*={root} leaves balance residual {residual}")
     return root
 
 
 def worst_case_thresholds(bounds: PriceBounds, k: int, kind: ProblemKind) -> WorstCaseSolution:
     """Schedule whose k+1 per-interval worst-case ratios all equal cr."""
     _check_k(k)
+    # thresholds grow away from the start sentinel; min-search's negative
+    # lead rounds exactly like the subtraction 1 - (1 - 1/cr) * growth**n
     if kind.is_max:
         cr = solve_alpha_star(bounds, k)
-        growth = 1.0 + cr / k
-        values = [
-            bounds.clip(bounds.p_min * (1.0 + (cr - 1.0) * growth ** (i - 1)))
-            for i in range(1, k + 1)
-        ]
+        near, lead, growth = bounds.p_min, cr - 1.0, 1.0 + cr / k
     else:
         cr = solve_phi_star(bounds, k)
-        growth = 1.0 + 1.0 / (k * cr)
-        values = [
-            bounds.clip(bounds.p_max * (1.0 - (1.0 - 1.0 / cr) * growth ** (i - 1)))
-            for i in range(1, k + 1)
-        ]
+        near, lead, growth = bounds.p_max, -(1.0 - 1.0 / cr), 1.0 + 1.0 / (k * cr)
+    values = [bounds.clip(near * (1.0 + lead * growth ** (i - 1))) for i in range(1, k + 1)]
     schedule = ThresholdSchedule(kind, tuple(values), bounds)
     return WorstCaseSolution(kind, cr, schedule)
 

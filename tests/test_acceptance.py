@@ -75,7 +75,7 @@ def test_criterion_01_alpha_star_value_under_1ms():
 
 
 def test_criterion_02_frontier_anchor_under_1ms():
-    spec = FrontierSpec.solve(PriceBounds(1.0, 10.0), 20, MAX)
+    spec = FrontierSpec(PriceBounds(1.0, 10.0), 20, MAX)
     value = lower_bound_max(2.63, spec)
     assert 1.51 <= value <= 1.53
     assert _best_of(lambda: lower_bound_max(2.63, spec)) < 1e-3
@@ -84,10 +84,10 @@ def test_criterion_02_frontier_anchor_under_1ms():
 def test_criterion_03_frontier_endpoint_identities():
     for theta, k in itertools.product(THETA_GRID, K_GRID):
         bounds = PriceBounds(1.0, theta)
-        smax = FrontierSpec.solve(bounds, k, MAX)
+        smax = FrontierSpec(bounds, k, MAX)
         assert abs(lower_bound_max(smax.cr_star, smax) - smax.cr_star) <= 1e-8
         assert abs(lower_bound_max(theta, smax) - 1.0) <= 1e-8
-        smin = FrontierSpec.solve(bounds, k, MIN)
+        smin = FrontierSpec(bounds, k, MIN)
         assert abs(lower_bound_min(smin.cr_star, smin) - smin.cr_star) <= 1e-8
         assert abs(lower_bound_min(theta, smin) - 1.0) <= 1e-8
 
@@ -211,12 +211,12 @@ def test_criterion_08_brute_force_oracle_under_120s():
 def test_criterion_09_reserved_threshold_count_limits():
     for theta in THETA_GRID:
         bounds = PriceBounds(1.0, theta)
-        spec = FrontierSpec.solve(bounds, 1, MAX)
+        spec = FrontierSpec(bounds, 1, MAX)
         gammas = spec.cr_star + (theta - spec.cr_star) * np.arange(40) / 40.0
         assert {xi_star(float(g), spec) for g in gammas} == {1}
 
         k = 10 ** 4
-        spec = FrontierSpec.solve(bounds, k, MAX)
+        spec = FrontierSpec(bounds, k, MAX)
         gamma = 0.5 * (spec.cr_star + theta)
         limit = math.log((theta - 1.0) / (gamma - 1.0)) / gamma
         assert abs(xi_star(gamma, spec) / k - limit) <= 10.0 / k

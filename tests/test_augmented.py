@@ -1,4 +1,6 @@
-"""Prediction-aware threshold designs: ratios, cases I-VI, and predicates."""
+"""Prediction-aware threshold designs: ratios, cases I-VI, and tail/prefix robustness."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,8 +17,6 @@ from ksearch import (
     SearchInstance,
     ThresholdSchedule,
     design,
-    design_max,
-    design_min,
     interval_ratios,
     prediction_ratio,
     ratio_alpha,
@@ -25,10 +25,7 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch.augmented import (
-    check_prop_beg_max,
-    check_prop_beg_min,
-    check_prop_end_max,
-    check_prop_end_min,
+    _verify,
     design_max_for_target,
     design_min_for_target,
     sigma_star_max,
@@ -80,12 +77,17 @@ def test_interval_ratios_matches_scalar_ops():
 
 def test_ratio_kind_and_index_errors():
     wmax = worst_case_thresholds(BOUNDS, K, ProblemKind.MAX).schedule
+    wmin = worst_case_thresholds(BOUNDS, K, ProblemKind.MIN).schedule
     with pytest.raises(InvalidInputError):
         ratio_beta(wmax, 1)
+    with pytest.raises(InvalidInputError):
+        ratio_alpha(wmin, 1)
     with pytest.raises(DomainError):
         ratio_alpha(wmax, 0)
     with pytest.raises(DomainError):
         ratio_alpha(wmax, K + 2)
+    with pytest.raises(DomainError):
+        ratio_beta(wmin, K + 2)
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +165,10 @@ def test_anchor_segment_structure():
 
 
 def test_min_case_labels_move_with_prediction():
-    seen = [design_min(float(P), 0.5, BOUNDS, K).case_label for P in np.linspace(5, 50, 21)]
+    seen = [
+        design(float(P), 0.5, BOUNDS, K, ProblemKind.MIN).case_label
+        for P in np.linspace(5, 50, 21)
+    ]
     order = {"VI": 0, "V": 1, "IV": 2}
     assert seen[0] == "VI" and seen[-1] == "IV"
     assert all(order[a] <= order[b] for a, b in zip(seen, seen[1:]))
@@ -215,15 +220,27 @@ def test_degenerate_equal_bounds():
         assert max(interval_ratios(d.schedule)) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("k", [1, 5, 100])
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("excess", [5e-13, 1e-12, 2e-12, 1e-11])
+def test_near_degenerate_band_reproduces_worst_case(excess, kind, k):
+    # theta - 1 below ~3e-12 puts the worst-case root under 1 + 1e-12
+    bounds = PriceBounds(1.0, 1.0 + excess)
+    reference = np.asarray(worst_case_thresholds(bounds, k, kind).schedule.values)
+    for prediction in (bounds.p_min, bounds.p_max):
+        d = design(prediction, 1.0, bounds, k, kind)
+        assert np.all(np.abs(np.asarray(d.schedule.values) - reference) <= 1e-9 * reference)
+
+
 def test_input_validation():
     with pytest.raises(InvalidInputError):
-        design_max(4.0, 0.5, BOUNDS, K)  # prediction below p_min
+        design(4.0, 0.5, BOUNDS, K, ProblemKind.MAX)  # prediction below p_min
     with pytest.raises(InvalidInputError):
-        design_min(51.0, 0.5, BOUNDS, K)
+        design(51.0, 0.5, BOUNDS, K, ProblemKind.MIN)
     with pytest.raises(DomainError):
-        design_max(10.0, 1.5, BOUNDS, K)  # lambda outside [0, 1]
+        design(10.0, 1.5, BOUNDS, K, ProblemKind.MAX)  # lambda outside [0, 1]
     with pytest.raises(DomainError):
-        design_min(10.0, -0.1, BOUNDS, K)
+        design(10.0, -0.1, BOUNDS, K, ProblemKind.MIN)
 
 
 def test_design_dispatch_matches_kind():
@@ -256,7 +273,7 @@ def test_sigma_star_max_is_largest_feasible():
 def test_sigma_star_min_in_range_and_boundary():
     from ksearch import FrontierSpec, target_point
 
-    target = target_point(0.5, FrontierSpec.solve(BOUNDS, K, ProblemKind.MIN))
+    target = target_point(0.5, FrontierSpec(BOUNDS, K, ProblemKind.MIN))
     sigma = sigma_star_min(target, BOUNDS, K)
     assert 1 <= sigma <= K
     d = design_min_for_target(5.0, target, BOUNDS, K)
@@ -273,21 +290,36 @@ def test_infeasible_target_raises_construction_error():
 
 
 # --------------------------------------------------------------------------
-# proposition predicates
+# robustness of prefixes and tails: interval ratios stay within gamma, and
+# _verify rejects a schedule whose prefix or tail is mutated past it
+
+
+def prefix_budget(schedule: ThresholdSchedule) -> float:
+    """The gamma a standard robustness prefix implies, read off threshold 1."""
+    if schedule.kind.is_max:
+        gamma = schedule.values[0] / schedule.bounds.p_min
+    else:
+        gamma = schedule.bounds.p_max / schedule.values[0]
+    return gamma * (1.0 + 1e-9) + 1e-9
+
+
+def tail_ratios(d: AugmentedDesign) -> np.ndarray:
+    """Interval ratios i*+2 .. k+1, the ones a reserve tail must keep within gamma."""
+    return interval_ratios(d.schedule)[d.i_star + 1 :]
 
 
 def test_beg_predicates_hold_on_worst_case_schedules():
-    wmax = worst_case_thresholds(BOUNDS, K, ProblemKind.MAX).schedule
-    wmin = worst_case_thresholds(BOUNDS, K, ProblemKind.MIN).schedule
-    assert check_prop_beg_max(wmax)
-    assert check_prop_beg_min(wmin)
+    for kind in ProblemKind:
+        sched = worst_case_thresholds(BOUNDS, K, kind).schedule
+        assert max(interval_ratios(sched)[:K]) <= prefix_budget(sched)
 
 
 def test_end_predicates_hold_on_designed_tails():
     d = design_max_for_target(15.0, FIG_TARGET, BOUNDS, K)
-    assert check_prop_end_max(d.schedule, d.i_star)
-    dm = design_min(15.0, 0.5, BOUNDS, K)
-    assert check_prop_end_min(dm.schedule, dm.i_star)
+    dm = design(15.0, 0.5, BOUNDS, K, ProblemKind.MIN)
+    assert d.i_star < K  # a non-empty max-search tail; the min one may be empty
+    for built in (d, dm):
+        assert np.all(tail_ratios(built) <= built.target.gamma * (1.0 + 1e-9) + 1e-9)
 
 
 def test_end_max_predicate_flips_under_tail_mutation():
@@ -297,8 +329,10 @@ def test_end_max_predicate_flips_under_tail_mutation():
     bump = i_star + 2  # 1-based interval in the checked range
     values[bump - 1] = min(BOUNDS.p_max, values[bump - 1] * 1.05)
     values = tuple(sorted(values))
-    mutated = ThresholdSchedule(ProblemKind.MAX, values, BOUNDS)
-    assert not check_prop_end_max(mutated, i_star)
+    mutated = replace(d, schedule=ThresholdSchedule(ProblemKind.MAX, values, BOUNDS))
+    assert max(tail_ratios(mutated)) > d.target.gamma + 1e-9
+    with pytest.raises(ConstructionError, match="robustness violated"):
+        _verify(mutated)
 
 
 def test_beg_max_predicate_flips_under_prefix_mutation():
@@ -306,19 +340,21 @@ def test_beg_max_predicate_flips_under_prefix_mutation():
     values = list(wmax.values)
     values[1] *= 1.02  # second threshold too greedy for the implied budget
     mutated = ThresholdSchedule(ProblemKind.MAX, tuple(sorted(values)), BOUNDS)
-    assert not check_prop_beg_max(mutated)
+    assert max(interval_ratios(mutated)[:K]) > prefix_budget(mutated)
 
 
 def test_end_min_predicate_flips_under_tail_mutation():
-    dm = design_min(35.0, 0.6, BOUNDS, K)
+    dm = design(35.0, 0.6, BOUNDS, K, ProblemKind.MIN)
     i_star = dm.i_star
     assert i_star < K - 1  # this target leaves a tail interval to mutate
     values = list(dm.schedule.values)
     bump = i_star + 2
     values[bump - 1] = max(BOUNDS.p_min, values[bump - 1] * 0.95)
     values = tuple(sorted(values, reverse=True))
-    mutated = ThresholdSchedule(ProblemKind.MIN, values, BOUNDS)
-    assert not check_prop_end_min(mutated, i_star)
+    mutated = replace(dm, schedule=ThresholdSchedule(ProblemKind.MIN, values, BOUNDS))
+    assert max(tail_ratios(mutated)) > dm.target.gamma + 1e-9
+    with pytest.raises(ConstructionError, match="robustness violated"):
+        _verify(mutated)
 
 
 def test_beg_min_predicate_flips_under_prefix_mutation():
@@ -326,19 +362,7 @@ def test_beg_min_predicate_flips_under_prefix_mutation():
     values = list(wmin.values)
     values[1] *= 0.98
     mutated = ThresholdSchedule(ProblemKind.MIN, tuple(sorted(values, reverse=True)), BOUNDS)
-    assert not check_prop_beg_min(mutated)
-
-
-def test_predicate_kind_and_index_checks():
-    wmax = worst_case_thresholds(BOUNDS, K, ProblemKind.MAX).schedule
-    wmin = worst_case_thresholds(BOUNDS, K, ProblemKind.MIN).schedule
-    with pytest.raises(InvalidInputError):
-        check_prop_end_max(wmin, 3)
-    with pytest.raises(InvalidInputError):
-        check_prop_beg_min(wmax)
-    with pytest.raises(DomainError):
-        check_prop_end_max(wmax, K + 1)
-    assert check_prop_end_max(wmax, K)  # empty check range is vacuously true
+    assert max(interval_ratios(mutated)[:K]) > prefix_budget(mutated)
 
 
 # --------------------------------------------------------------------------

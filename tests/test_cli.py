@@ -66,6 +66,10 @@ class TestValidation:
         ["experiment", *BOUNDS, "--theta-mult", "0.5"],
         ["experiment", *BOUNDS, "--workers", "0"],
         ["experiment", *BOUNDS, "--k", "0"],
+        # a budget larger than the window can never be filled
+        ["simulate", *BOUNDS, "--k", "5000"],
+        ["learn", *BOUNDS, "--k", "500", "--window", "288"],
+        ["experiment", *BOUNDS, "--k", "5,4000"],
     ])
     def test_invalid_usage_exits_2(self, argv, capsys):
         assert main(argv) == 2
@@ -105,6 +109,14 @@ class TestDataErrors:
                      "--window", "200", "--stride", "200", "--k", "10"])
         assert code == 4
         assert "verification failure" in capsys.readouterr().err
+
+    def test_solver_residual_failure_exits_4(self, monkeypatch, capsys):
+        import ksearch.worstcase as worstcase_mod
+
+        monkeypatch.setattr(worstcase_mod, "_RESIDUAL_TOL", 0.0)
+        assert main(["pareto", *BOUNDS, "--k", "7"]) == 4
+        err = capsys.readouterr().err
+        assert "verification failure" in err and "residual" in err
 
 
 class TestPareto:
@@ -289,6 +301,13 @@ class TestLearn:
             assert code == 0
             picks[seed] = [r[2] for r in read_csv(out)[2]]
         assert picks["7"] != picks["8"]
+
+
+def test_near_degenerate_band_designs(capsys):
+    argv = ["thresholds", "--pmin", "1", "--pmax", "1.000000000001",
+            "--k", "5", "--prediction", "1"]
+    assert main(argv) == 0
+    assert "case=I" in capsys.readouterr().out
 
 
 def test_stdout_when_no_output_path(capsys):

@@ -1,11 +1,14 @@
 """Core engine tests: trace semantics, offline oracle, ratio arithmetic."""
 
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import ksearch
 from conftest import schedule_and_instance
 from ksearch import (
     InvalidInputError,
@@ -193,3 +196,15 @@ class TestTypeInvariants:
             ParetoPoint(0.5, 2.5, 1.5)
         with pytest.raises(InvalidInputError):
             ParetoPoint(1.5, 1.5, 2.5)
+
+
+def test_library_has_no_assert_statements():
+    """Invariants raise typed errors, so they still hold under python -O."""
+    package = pathlib.Path(ksearch.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

@@ -19,7 +19,6 @@ from ksearch import (
     gen_p_instance,
     gen_synthetic_series,
     make_learner,
-    observe_round,
     regret_curve,
     round_ratios,
     run_learning,
@@ -115,13 +114,18 @@ class TestSelectLambda:
 
 
 class TestObserveRound:
+    """One full-information round: replay the window under every grid
+    confidence, then apply the Hedge update."""
+
     def test_equal_losses_leave_weights_uniform(self):
         # degenerate bounds: every design is flat, every ratio is exactly 1
         bounds = PriceBounds(5.0, 5.0)
         inst = SearchInstance((5.0,) * 10, 2, bounds)
         window = ExperimentWindow(inst, 5.0, 5.0)
         learner = make_learner(horizon=10)
-        updated = observe_round(learner, window, ProblemKind.MAX, bounds, 2)
+        updated = _updated(
+            learner, round_ratios(window, ProblemKind.MAX, bounds, 2, learner.grid)
+        )
         assert updated.rounds_seen == 1
         assert all(
             w == pytest.approx(1.0 / 33, rel=1e-12) for w in updated.weights
@@ -137,7 +141,9 @@ class TestObserveRound:
         windows, bounds = _adversarial_stream(200, k=8)
         learner = make_learner(horizon=200)
         for window in windows:
-            learner = observe_round(learner, window, ProblemKind.MAX, bounds, 8)
+            learner = _updated(
+                learner, round_ratios(window, ProblemKind.MAX, bounds, 8, learner.grid)
+            )
         assert learner.rounds_seen == 200
         best = max(range(33), key=lambda i: learner.weights[i])
         # the extreme is held for k arrivals, so full trust is exactly optimal
@@ -147,7 +153,9 @@ class TestObserveRound:
         windows, bounds = _stream(198, k=8)
         learner = make_learner(horizon=198)
         for window in windows:
-            learner = observe_round(learner, window, ProblemKind.MAX, bounds, 8)
+            learner = _updated(
+                learner, round_ratios(window, ProblemKind.MAX, bounds, 8, learner.grid)
+            )
         # the heaviest weight sits on the grid point with the lowest total loss
         totals = [0.0] * len(learner.grid)
         for window in windows:
@@ -163,15 +171,17 @@ class TestObserveRound:
         windows, bounds = _stream(1, k=8)
         learner = make_learner(horizon=10)
         with pytest.raises(InvalidInputError):
-            observe_round(learner, windows[0], ProblemKind.MAX, bounds, 9)
+            round_ratios(windows[0], ProblemKind.MAX, bounds, 9, learner.grid)
         with pytest.raises(InvalidInputError):
-            observe_round(learner, windows[0], ProblemKind.MAX, BOUNDS, 8)
+            round_ratios(windows[0], ProblemKind.MAX, BOUNDS, 8, learner.grid)
 
     def test_weights_stay_positive_and_finite(self):
         windows, bounds = _stream(120, k=5, perfect=False)
         learner = make_learner(horizon=120)
         for window in windows:
-            learner = observe_round(learner, window, ProblemKind.MAX, bounds, 5)
+            learner = _updated(
+                learner, round_ratios(window, ProblemKind.MAX, bounds, 5, learner.grid)
+            )
             assert all(w > 0 and math.isfinite(w) for w in learner.weights)
 
 

@@ -17,6 +17,7 @@ from ksearch import (
     lower_bound,
     lower_bound_max,
     lower_bound_min,
+    solve_cr,
     target_point,
     xi_star,
     zeta_star,
@@ -33,8 +34,8 @@ THETA_K_GRID = [
 def specs_for(theta: float, k: int):
     b = PriceBounds(1.0, theta)
     return (
-        FrontierSpec.solve(b, k, ProblemKind.MAX),
-        FrontierSpec.solve(b, k, ProblemKind.MIN),
+        FrontierSpec(b, k, ProblemKind.MAX),
+        FrontierSpec(b, k, ProblemKind.MIN),
     )
 
 
@@ -51,11 +52,10 @@ def xi_scan(gamma: float, theta: float, k: int) -> int:
 
 
 def zeta_scan(gamma: float, theta: float, k: int) -> int:
-    best = 0
     for zeta in range(0, k + 1):
-        if (1.0 - 1.0 / gamma) * (1.0 + 1.0 / (gamma * k)) ** zeta <= 1.0 - 1.0 / theta:
-            best = zeta
-    return best
+        if (1.0 - 1.0 / gamma) * (1.0 + 1.0 / (gamma * k)) ** zeta >= 1.0 - 1.0 / theta:
+            return zeta
+    return k
 
 
 def test_anchor_values():
@@ -64,7 +64,7 @@ def test_anchor_values():
     gamma_val = lower_bound_max(2.63, smax)
     assert 1.51 <= gamma_val <= 1.53
     assert gamma_val == pytest.approx(1.5209556551699634, abs=1e-12)
-    assert zeta_star(5.0, smin) == 11
+    assert zeta_star(5.0, smin) == 12
     assert lower_bound_min(5.0, smin) == pytest.approx(1.326998794721209, abs=1e-12)
 
 
@@ -76,7 +76,9 @@ def test_min_bound_uses_achievable_crossing():
     """
     _, smin = specs_for(10.0, 20)
     theta, k, gamma = 10.0, 20, 5.0
-    floor_zeta = zeta_star(gamma, smin)
+    raw = math.log((theta - 1.0) / (theta - theta / gamma)) / math.log1p(1.0 / (gamma * k))
+    floor_zeta = math.floor(raw)
+    assert floor_zeta < zeta_star(gamma, smin)  # the crossing is not integral
     floor_value = theta * (
         gamma - (gamma - 1.0) * (1.0 + 1.0 / (gamma * k)) ** floor_zeta
     ) - (theta - 1.0) * (1.0 - floor_zeta / k)
@@ -125,7 +127,7 @@ def test_bounds_stay_between_one_and_cr_star(theta, k):
 def test_min_bound_achievable_at_lower_boundary():
     """A schedule meeting (eta, gamma) exists with P = p_min for every gamma."""
     b = PriceBounds(5.0, 50.0)
-    smin = FrontierSpec.solve(b, 20, ProblemKind.MIN)
+    smin = FrontierSpec(b, 20, ProblemKind.MIN)
     for gamma in np.linspace(smin.cr_star, 10.0, 25):
         gamma = float(gamma)
         eta = lower_bound_min(gamma, smin)
@@ -183,7 +185,7 @@ def test_target_point_endpoints_and_domain():
 
 @pytest.mark.parametrize("kind", list(ProblemKind))
 def test_monotone_tradeoff_on_lambda_grid(kind):
-    spec = FrontierSpec.solve(PriceBounds(1.0, 10.0), 20, kind)
+    spec = FrontierSpec(PriceBounds(1.0, 10.0), 20, kind)
     points = [target_point(float(lam), spec) for lam in np.linspace(0.0, 1.0, 41)]
     gammas = [p.gamma for p in points]
     etas = [p.eta for p in points]
@@ -225,10 +227,12 @@ def test_large_k_crossing_asymptotics():
         assert abs(xi / k - limit) <= 10.0 / k
 
 
-def test_spec_validates_cr_star():
+def test_spec_solves_its_cr_star():
     b = PriceBounds(1.0, 10.0)
+    assert FrontierSpec(b, 20, ProblemKind.MAX).cr_star == solve_cr(b, 20, ProblemKind.MAX)
+    assert FrontierSpec(b, 20, ProblemKind.MIN).cr_star == solve_cr(b, 20, ProblemKind.MIN)
     with pytest.raises(InvalidInputError):
-        FrontierSpec(b, 20, ProblemKind.MAX, 3.3)
+        FrontierSpec(b, 0, ProblemKind.MAX)
 
 
 @settings(max_examples=50, deadline=None)
@@ -239,7 +243,7 @@ def test_spec_validates_cr_star():
     kind=st.sampled_from(list(ProblemKind)),
 )
 def test_target_point_always_valid(theta, k, lam, kind):
-    spec = FrontierSpec.solve(PriceBounds(2.0, 2.0 * theta), k, kind)
+    spec = FrontierSpec(PriceBounds(2.0, 2.0 * theta), k, kind)
     point = target_point(lam, spec)
     assert spec.cr_star - 1e-9 <= point.gamma <= theta + 1e-9
     assert 1.0 - 1e-9 <= point.eta <= point.gamma + 1e-9

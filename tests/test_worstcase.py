@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ksearch import (
+    ConstructionError,
     InvalidInputError,
     PriceBounds,
     ProblemKind,
@@ -16,6 +17,7 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch.augmented import interval_ratios
+from ksearch.worstcase import _bisect
 
 GRID = [
     (theta, k)
@@ -127,6 +129,21 @@ def test_degenerate_theta_one():
         sol = worst_case_thresholds(b, 4, kind)
         assert sol.cr == 1.0
         assert set(sol.schedule.values) == {7.0}
+
+
+@pytest.mark.parametrize("excess", [5e-13, 1e-12, 2e-12, 1e-11])
+def test_near_degenerate_band_root_above_one(excess):
+    # theta - 1 below ~3e-12 puts the root under 1 + 1e-12
+    b = PriceBounds(1.0, 1.0 + excess)
+    for k in (1, 5, 100):
+        for solver in (solve_alpha_star, solve_phi_star):
+            value = solver(b, k)
+            assert 1.0 < value <= b.theta
+
+
+def test_bisect_rejects_a_bracket_without_a_sign_change():
+    with pytest.raises(ConstructionError, match="straddle"):
+        _bisect(lambda x: x + 1.0, 0.0, 1.0)
 
 
 def test_monotone_in_theta_and_k():
