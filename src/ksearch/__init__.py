@@ -52,8 +52,7 @@ from .pareto import (
 from .augmented import (
     AugmentedDesign,
     design,
-    design_max_for_target,
-    design_min_for_target,
+    design_for_target,
     interval_ratios,
     prediction_ratio,
     ratio_alpha,
@@ -131,8 +130,7 @@ __all__ = [
     "apply_rho_hard",
     "build_cells",
     "design",
-    "design_max_for_target",
-    "design_min_for_target",
+    "design_for_target",
     "empirical_ratio",
     "evaluate_windows",
     "frontier_curve",

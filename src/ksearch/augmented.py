@@ -303,7 +303,7 @@ def sigma_star_min(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
 # the case I-VI construction
 
 
-def _construct(
+def design_for_target(
     prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> AugmentedDesign:
     """Build and verify the schedule of either kind for an explicit (eta, gamma)."""
@@ -455,24 +455,10 @@ def _prefix_length(
 # entry points
 
 
-def design_max_for_target(
-    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int
-) -> AugmentedDesign:
-    """Build and verify the max-search schedule for an explicit (eta, gamma)."""
-    return _construct(prediction, target, bounds, k, ProblemKind.MAX)
-
-
-def design_min_for_target(
-    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int
-) -> AugmentedDesign:
-    """Build and verify the min-search schedule for an explicit (eta, gamma)."""
-    return _construct(prediction, target, bounds, k, ProblemKind.MIN)
-
-
 def design(
     prediction: float, lam: float, bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> AugmentedDesign:
     """Design at the Pareto target implied by confidence lam (harness and CLI entry)."""
     _snap_prediction(prediction, bounds)  # reject a bad prediction before solving
     target = target_point(lam, _frontier(bounds, k, kind))
-    return _construct(prediction, target, bounds, k, kind)
+    return design_for_target(prediction, target, bounds, k, kind)

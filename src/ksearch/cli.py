@@ -16,16 +16,20 @@ regardless of worker count.
 
 Exit codes: 0 success, 2 invalid flags or parameters, 3 input-data problems,
 4 failed internal verification of a designed schedule (indicates a bug, not
-a usage error).
+a usage error).  Each flag checks its own range when it is parsed, so a
+single bad value (``--k 0``, ``--lambda 1.5``) prints argparse's usage line
+and an error naming the flag; checks that span several flags (the price
+bounds, ``--prediction`` within them, budgets within ``--window``, an
+existing ``--input``) print ``ksearch: error: ...``.  Both exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import shlex
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .augmented import design, interval_ratios
@@ -51,39 +55,32 @@ from .learner import DEFAULT_GRID_SIZE, run_learning
 from .pareto import FrontierSpec, frontier_curve
 from .worstcase import worst_case_thresholds
 
-_COMMANDS = ("pareto", "thresholds", "simulate", "experiment", "learn")
+
+def _flag_type(parse, accept, domain: str):
+    """An argparse ``type=`` that parses a value and requires it to be ``domain``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+
+    return convert
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated parameters of one invocation."""
-
-    command: str
-    kind: ProblemKind | None  # None = run both kinds (learn only)
-    bounds: PriceBounds
-    k: int
-    k_list: tuple[int, ...]
-    lam: float
-    prediction: float | None
-    input_path: str | None
-    output_path: str | None
-    seed: int
-    rhos: tuple[float, ...]
-    error_levels: tuple[float, ...]
-    theta_mults: tuple[float, ...]
-    points: int
-    workers: int
-    window_len: int
-    stride: int
-    argv: tuple[str, ...]
+def _comma_list(item):
+    """The ``type=`` of a comma-separated list of ``item`` values."""
+    return lambda text: tuple(item(part) for part in text.split(","))
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(","))
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(","))
+_positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_grid_points = _flag_type(int, lambda v: v >= 2, "an integer >= 2")
+_u64 = _flag_type(int, lambda v: 0 <= v < 1 << 64, "an unsigned 64-bit integer")
+_unit_float = _flag_type(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_theta_mult = _flag_type(float, lambda v: 1.0 <= v < math.inf, "a finite number >= 1")
 
 
 def _add_common(parser: argparse.ArgumentParser, kinds=("max", "min")) -> None:
@@ -93,7 +90,7 @@ def _add_common(parser: argparse.ArgumentParser, kinds=("max", "min")) -> None:
                         help="lower price bound (default: %(default)s)")
     parser.add_argument("--pmax", type=float, default=50.0,
                         help="upper price bound (default: %(default)s)")
-    parser.add_argument("--seed", type=int, default=0, metavar="U64",
+    parser.add_argument("--seed", type=_u64, default=0, metavar="U64",
                         help="seed for every random draw (default: %(default)s)")
     parser.add_argument("--output", metavar="CSV", default=None,
                         help="output path (default: stdout)")
@@ -103,10 +100,10 @@ def _add_feed(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", metavar="CSV", default=None,
                         help="price feed with a 'price' column and optional "
                              "'timestamp'; omitted = seeded synthetic feed")
-    parser.add_argument("--window", type=int, default=WINDOW_SAMPLES,
+    parser.add_argument("--window", type=_positive_int, default=WINDOW_SAMPLES,
                         metavar="N", help="samples per trading window "
                         "(default: %(default)s = three weeks at 10 minutes)")
-    parser.add_argument("--stride", type=int, default=STRIDE_SAMPLES,
+    parser.add_argument("--stride", type=_positive_int, default=STRIDE_SAMPLES,
                         metavar="N", help="samples between window starts "
                         "(default: %(default)s = three days)")
 
@@ -121,170 +118,119 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pareto", help="emit the consistency-robustness frontier")
+    p.set_defaults(func=cmd_pareto)
     _add_common(p)
-    p.add_argument("--k", type=int, default=100, help="budget (default: %(default)s)")
-    p.add_argument("--points", type=int, default=101,
+    p.add_argument("--k", type=_positive_int, default=100,
+                   help="budget (default: %(default)s)")
+    p.add_argument("--points", type=_grid_points, default=101,
                    help="number of confidence grid points (default: %(default)s)")
 
     p = sub.add_parser("thresholds", help="emit one designed threshold schedule")
+    p.set_defaults(func=cmd_thresholds)
     _add_common(p)
-    p.add_argument("--k", type=int, default=100, help="budget (default: %(default)s)")
-    p.add_argument("--lambda", dest="lam", type=float, default=0.5,
+    p.add_argument("--k", type=_positive_int, default=100,
+                   help="budget (default: %(default)s)")
+    p.add_argument("--lambda", dest="lam", type=_unit_float, default=0.5,
                    help="confidence in the worst-case fallback, 0..1 "
                         "(default: %(default)s)")
     p.add_argument("--prediction", type=float, required=True,
                    help="predicted extreme price within the bounds")
 
     p = sub.add_parser("simulate", help="replay three policies over a price feed")
+    p.set_defaults(func=cmd_simulate)
     _add_common(p)
     _add_feed(p)
-    p.add_argument("--k", type=int, default=100, help="budget (default: %(default)s)")
-    p.add_argument("--error-level", dest="error_levels", type=_float_list,
+    p.add_argument("--k", type=_positive_int, default=100,
+                   help="budget (default: %(default)s)")
+    p.add_argument("--error-level", dest="error_levels", type=_comma_list(_unit_float),
                    default=(1.0,), metavar="L1,L2,...",
                    help="prediction error levels in [0,1]; 0 = perfect, "
                         "1 = raw look-back (default: 1.0)")
 
     p = sub.add_parser("experiment", help="stress sweep over a parameter grid")
+    p.set_defaults(func=cmd_experiment)
     _add_common(p)
     _add_feed(p)
-    p.add_argument("--k", dest="k_list", type=_int_list, default=(100,),
+    p.add_argument("--k", dest="k_list", type=_comma_list(_positive_int), default=(100,),
                    metavar="K1,K2,...", help="budgets to sweep (default: 100)")
-    p.add_argument("--rho", dest="rhos", type=_float_list, default=(0.0,),
+    p.add_argument("--rho", dest="rhos", type=_comma_list(_unit_float), default=(0.0,),
                    metavar="R1,R2,...",
                    help="tail-hardening probabilities in [0,1] (default: 0.0)")
-    p.add_argument("--error-level", dest="error_levels", type=_float_list,
+    p.add_argument("--error-level", dest="error_levels", type=_comma_list(_unit_float),
                    default=(1.0,), metavar="L1,L2,...",
                    help="prediction error levels in [0,1] (default: 1.0)")
-    p.add_argument("--theta-mult", dest="theta_mults", type=_float_list,
+    p.add_argument("--theta-mult", dest="theta_mults", type=_comma_list(_theta_mult),
                    default=(1.0,), metavar="M1,M2,...",
                    help="fluctuation-ratio multipliers >= 1 (default: 1.0)")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="process count for sweep cells (default: %(default)s)")
 
     p = sub.add_parser("learn", help="run the confidence learner over a feed")
+    p.set_defaults(func=cmd_learn)
     _add_common(p, kinds=("both", "max", "min"))
     _add_feed(p)
-    p.add_argument("--k", type=int, default=100, help="budget (default: %(default)s)")
+    p.add_argument("--k", type=_positive_int, default=100,
+                   help="budget (default: %(default)s)")
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace, argv) -> CliConfig:
+def _check_across_flags(args: argparse.Namespace) -> PriceBounds:
+    """Checks that span several flags; returns the validated price bounds."""
     bounds = PriceBounds(args.pmin, args.pmax)  # validates 0 < pmin <= pmax
-    if not 0 <= args.seed < 1 << 64:
-        raise KSearchError(f"seed must be an unsigned 64-bit integer, got {args.seed}")
-
-    kind = None if getattr(args, "kind", "max") == "both" else ProblemKind(args.kind)
-    k_list = tuple(getattr(args, "k_list", ()) or ())
-    k = getattr(args, "k", 0) or (k_list[0] if k_list else 0)
-    for budget in (k, *k_list):
-        if not budget >= 1:
-            raise KSearchError(f"budget k must be a positive integer, got {budget}")
-
-    lam = getattr(args, "lam", 1.0)
-    if not 0.0 <= lam <= 1.0:
-        raise KSearchError(f"--lambda must lie in [0, 1], got {lam}")
     prediction = getattr(args, "prediction", None)
     if prediction is not None and not bounds.contains(prediction):
         raise KSearchError(
             f"--prediction {prediction} outside bounds [{bounds.p_min}, {bounds.p_max}]"
         )
-
-    points = getattr(args, "points", 2)
-    if points < 2:
-        raise KSearchError(f"--points must be at least 2, got {points}")
-    workers = getattr(args, "workers", 1)
-    if workers < 1:
-        raise KSearchError(f"--workers must be positive, got {workers}")
-    window_len = getattr(args, "window", WINDOW_SAMPLES)
-    stride = getattr(args, "stride", STRIDE_SAMPLES)
-    for name, val in (("--window", window_len), ("--stride", stride)):
-        if val < 1:
-            raise KSearchError(f"{name} must be positive, got {val}")
-    if hasattr(args, "window"):
-        for budget in (k, *k_list):
-            if budget > window_len:
+    if hasattr(args, "window"):  # the feed commands: simulate, experiment, learn
+        for budget in getattr(args, "k_list", None) or (args.k,):
+            if budget > args.window:
                 raise KSearchError(
-                    f"budget k={budget} exceeds the {window_len} samples of --window"
+                    f"budget k={budget} exceeds the {args.window} samples of --window"
                 )
-
-    rhos = tuple(getattr(args, "rhos", (0.0,)))
-    error_levels = tuple(getattr(args, "error_levels", (1.0,)))
-    theta_mults = tuple(getattr(args, "theta_mults", (1.0,)))
-    for name, vals, lo, hi in (
-        ("--rho", rhos, 0.0, 1.0),
-        ("--error-level", error_levels, 0.0, 1.0),
-        ("--theta-mult", theta_mults, 1.0, float("inf")),
-    ):
-        if not vals:
-            raise KSearchError(f"{name} needs at least one value")
-        for v in vals:
-            if not lo <= v <= hi:
-                raise KSearchError(f"{name} values must lie in [{lo}, {hi}], got {v}")
-
-    input_path = getattr(args, "input", None)
-    if input_path is not None and not os.path.isfile(input_path):
-        raise KSearchError(f"--input file not found: {input_path}")
-
-    return CliConfig(
-        command=args.command,
-        kind=kind,
-        bounds=bounds,
-        k=k,
-        k_list=k_list or (k,),
-        lam=lam,
-        prediction=prediction,
-        input_path=input_path,
-        output_path=args.output,
-        seed=args.seed,
-        rhos=rhos,
-        error_levels=error_levels,
-        theta_mults=theta_mults,
-        points=points,
-        workers=workers,
-        window_len=window_len,
-        stride=stride,
-        argv=tuple(argv),
-    )
+        if args.input is not None and not os.path.isfile(args.input):
+            raise KSearchError(f"--input file not found: {args.input}")
+    return bounds
 
 
 # --------------------------------------------------------------------------
 # output plumbing
 
 
-def _stamp(cfg: CliConfig) -> str:
+def _stamp(args: argparse.Namespace) -> str:
     # --workers never affects the rows, so it is excluded from the stamp to
     # keep outputs byte-identical across worker counts
-    argv = list(cfg.argv)
+    argv = list(args.argv)
     if "--workers" in argv:
         at = argv.index("--workers")
         del argv[at : at + 2]
     argv = [arg for arg in argv if not arg.startswith("--workers=")]
     command_line = shlex.join(["ksearch", *argv])
-    return f"ksearch {__version__} | command: {command_line} | seed: {cfg.seed}"
+    return f"ksearch {__version__} | command: {command_line} | seed: {args.seed}"
 
 
-def _write_csv(cfg: CliConfig, comments, header, rows) -> None:
-    lines = [f"# {line}" for line in (_stamp(cfg), *comments)]
+def _write_csv(args: argparse.Namespace, comments, header, rows) -> None:
+    lines = [f"# {line}" for line in (_stamp(args), *comments)]
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join("" if cell is None else repr(cell)
                               if isinstance(cell, float) else str(cell)
                               for cell in row))
     text = "\n".join(lines) + "\n"
-    if cfg.output_path is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
+        with open(args.output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
 
 
-def _load_series(cfg: CliConfig) -> tuple[PriceSeries, str]:
-    if cfg.input_path is not None:
-        return ingest_csv(cfg.input_path), cfg.input_path
+def _load_series(args: argparse.Namespace, bounds: PriceBounds) -> tuple[PriceSeries, str]:
+    if args.input is not None:
+        return ingest_csv(args.input), args.input
     return (
-        gen_synthetic_series(seed=cfg.seed, bounds=cfg.bounds),
-        f"synthetic(seed={cfg.seed})",
+        gen_synthetic_series(seed=args.seed, bounds=bounds),
+        f"synthetic(seed={args.seed})",
     )
 
 
@@ -292,26 +238,27 @@ def _load_series(cfg: CliConfig) -> tuple[PriceSeries, str]:
 # subcommands
 
 
-def cmd_pareto(cfg: CliConfig) -> int:
-    spec = FrontierSpec(cfg.bounds, cfg.k, cfg.kind)
-    curve = frontier_curve(spec, cfg.points)
+def cmd_pareto(args: argparse.Namespace, bounds: PriceBounds) -> int:
+    spec = FrontierSpec(bounds, args.k, ProblemKind(args.kind))
+    curve = frontier_curve(spec, args.points)
     comments = [
-        f"kind={cfg.kind.value} pmin={cfg.bounds.p_min!r} pmax={cfg.bounds.p_max!r} "
-        f"k={cfg.k} theta={spec.theta!r} cr_star={spec.cr_star!r}",
+        f"kind={args.kind} pmin={bounds.p_min!r} pmax={bounds.p_max!r} "
+        f"k={args.k} theta={spec.theta!r} cr_star={spec.cr_star!r}",
     ]
     rows = [(pt.lam, pt.gamma, pt.eta) for pt in curve]
-    _write_csv(cfg, comments, ("lambda", "gamma", "eta"), rows)
+    _write_csv(args, comments, ("lambda", "gamma", "eta"), rows)
     return 0
 
 
-def cmd_thresholds(cfg: CliConfig) -> int:
-    result = design(cfg.prediction, cfg.lam, cfg.bounds, cfg.k, cfg.kind)
-    solution = worst_case_thresholds(cfg.bounds, cfg.k, cfg.kind)
+def cmd_thresholds(args: argparse.Namespace, bounds: PriceBounds) -> int:
+    kind = ProblemKind(args.kind)
+    result = design(args.prediction, args.lam, bounds, args.k, kind)
+    solution = worst_case_thresholds(bounds, args.k, kind)
     max_ratio = float(max(interval_ratios(result.schedule)))
     equivalent = max_ratio <= solution.cr + 1e-6
     comments = [
-        f"kind={cfg.kind.value} pmin={cfg.bounds.p_min!r} pmax={cfg.bounds.p_max!r} "
-        f"k={cfg.k} lambda={cfg.lam!r} prediction={result.prediction!r}",
+        f"kind={args.kind} pmin={bounds.p_min!r} pmax={bounds.p_max!r} "
+        f"k={args.k} lambda={args.lam!r} prediction={result.prediction!r}",
         f"case={result.case_label} j_star={result.j_star} m_star={result.m_star} "
         f"i_star={result.i_star} sigma_star={result.sigma_star} "
         f"p_tilde_1={result.p_tilde_1!r} p_tilde_2={result.p_tilde_2!r}",
@@ -326,7 +273,7 @@ def cmd_thresholds(cfg: CliConfig) -> int:
             zip(result.schedule.values, labels), start=1
         )
     ]
-    _write_csv(cfg, comments, ("index", "value", "segment"), rows)
+    _write_csv(args, comments, ("index", "value", "segment"), rows)
     return 0
 
 
@@ -337,21 +284,22 @@ def _grid_comment() -> str:
     )
 
 
-def cmd_simulate(cfg: CliConfig) -> int:
-    series, source = _load_series(cfg)
-    windows = sliding_windows(series, cfg.window_len, cfg.stride, cfg.k, cfg.kind)
+def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
+    kind = ProblemKind(args.kind)
+    series, source = _load_series(args, bounds)
+    windows = sliding_windows(series, args.window, args.stride, args.k, kind)
     bounds = windows[0].instance.bounds
     comments = [
-        f"kind={cfg.kind.value} k={cfg.k} window={cfg.window_len} "
-        f"stride={cfg.stride} windows={len(windows)} source={source}",
+        f"kind={args.kind} k={args.k} window={args.window} "
+        f"stride={args.stride} windows={len(windows)} source={source}",
         f"bounds=[{bounds.p_min!r},{bounds.p_max!r}] "
-        f"error_levels={','.join(repr(v) for v in cfg.error_levels)}",
+        f"error_levels={','.join(repr(v) for v in args.error_levels)}",
         _grid_comment(),
     ]
     rows = []
-    for level in cfg.error_levels:
-        stressed = stress_windows(windows, cfg.kind, 0.0, level, cfg.seed)
-        results = evaluate_windows(stressed, cfg.kind, bounds, cfg.k, cfg.seed)
+    for level in args.error_levels:
+        stressed = stress_windows(windows, kind, 0.0, level, args.seed)
+        results = evaluate_windows(stressed, kind, bounds, args.k, args.seed)
         for algorithm in ALGORITHMS:
             for res in results:
                 rows.append((
@@ -363,18 +311,17 @@ def cmd_simulate(cfg: CliConfig) -> int:
                                 ("q1", q1), ("q3", q3)):
                 rows.append((stat, level, None, algorithm, None, value))
     header = ("record", "error_level", "window", "algorithm", "lambda", "value")
-    _write_csv(cfg, comments, header, rows)
+    _write_csv(args, comments, header, rows)
     return 0
 
 
-def cmd_experiment(cfg: CliConfig) -> int:
-    series, source = _load_series(cfg)
-    cells = build_cells(cfg.rhos, cfg.error_levels, cfg.k_list, cfg.theta_mults)
-    summaries = run_sweep(
-        series, cells, cfg.kind, cfg.seed, cfg.window_len, cfg.stride, cfg.workers
-    )
+def cmd_experiment(args: argparse.Namespace, bounds: PriceBounds) -> int:
+    series, source = _load_series(args, bounds)
+    cells = build_cells(args.rhos, args.error_levels, args.k_list, args.theta_mults)
+    summaries = run_sweep(series, cells, ProblemKind(args.kind), args.seed,
+                          args.window, args.stride, args.workers)
     comments = [
-        f"kind={cfg.kind.value} window={cfg.window_len} stride={cfg.stride} "
+        f"kind={args.kind} window={args.window} stride={args.stride} "
         f"cells={len(cells)} source={source}",
         _grid_comment(),
     ]
@@ -387,23 +334,23 @@ def cmd_experiment(cfg: CliConfig) -> int:
     ]
     header = ("rho", "error_level", "k", "theta_mult", "algorithm",
               "windows", "mean", "median", "q1", "q3")
-    _write_csv(cfg, comments, header, rows)
+    _write_csv(args, comments, header, rows)
     return 0
 
 
-def cmd_learn(cfg: CliConfig) -> int:
-    series, source = _load_series(cfg)
-    kinds = (ProblemKind.MAX, ProblemKind.MIN) if cfg.kind is None else (cfg.kind,)
+def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
+    series, source = _load_series(args, bounds)
+    kinds = tuple(ProblemKind) if args.kind == "both" else (ProblemKind(args.kind),)
     comments = [
-        f"kinds={'+'.join(kd.value for kd in kinds)} k={cfg.k} "
-        f"window={cfg.window_len} stride={cfg.stride} source={source}",
+        f"kinds={'+'.join(kd.value for kd in kinds)} k={args.k} "
+        f"window={args.window} stride={args.stride} source={source}",
         _grid_comment(),
     ]
     rows = []
     for kd in kinds:
-        windows = sliding_windows(series, cfg.window_len, cfg.stride, cfg.k, kd)
+        windows = sliding_windows(series, args.window, args.stride, args.k, kd)
         bounds = windows[0].instance.bounds
-        learner, history = run_learning(windows, kd, bounds, cfg.k, cfg.seed)
+        learner, history = run_learning(windows, kd, bounds, args.k, args.seed)
         for rec in history:
             rows.append((
                 kd.value, rec.round, rec.chosen_lambda, rec.chosen_ratio,
@@ -415,33 +362,24 @@ def cmd_learn(cfg: CliConfig) -> int:
         comments.append(f"final_weights[{kd.value}]: {weights}")
     header = ("kind", "round", "chosen_lambda", "chosen_ratio",
               "best_fixed_ratio", "cum_regret")
-    _write_csv(cfg, comments, header, rows)
+    _write_csv(args, comments, header, rows)
     return 0
-
-
-_DISPATCH = {
-    "pareto": cmd_pareto,
-    "thresholds": cmd_thresholds,
-    "simulate": cmd_simulate,
-    "experiment": cmd_experiment,
-    "learn": cmd_learn,
-}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles --help (0) and bad flags (2)
         return int(exc.code or 0)
+    args.argv = argv
     try:
-        cfg = _config_from_args(args, argv)
+        bounds = _check_across_flags(args)
     except KSearchError as exc:
         print(f"ksearch: error: {exc}", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[cfg.command](cfg)
+        return args.func(args, bounds)
     except ConstructionError as exc:
         print(f"ksearch: verification failure: {exc}", file=sys.stderr)
         return 4

@@ -278,8 +278,14 @@ def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, i
 
 def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
     """Clairvoyant optimum: sum of the k largest (max) or smallest (min) prices."""
-    ordered = sorted(instance.prices, reverse=kind.is_max)
-    return float(sum(ordered[: instance.k]))
+    # select the k extremes without a full sort, then add them in sorted order
+    # (descending for max) so the total matches summing the sorted prices
+    prices, k = np.asarray(instance.prices), instance.k
+    if kind.is_max:
+        chosen = np.partition(prices, prices.size - k)[prices.size - k :]
+    else:
+        chosen = np.partition(prices, k - 1)[:k]
+    return float(sum(sorted(chosen.tolist(), reverse=kind.is_max)))
 
 
 def empirical_ratio(trace: RunTrace, opt: float, kind: ProblemKind) -> float:

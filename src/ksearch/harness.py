@@ -62,8 +62,6 @@ class WindowResult:
     """The three policies' empirical ratios on one window."""
 
     index: int
-    prediction: float
-    actual_extreme: float
     on_ratio: float
     hindsight_ratio: float
     hindsight_lambda: float
@@ -168,8 +166,6 @@ def evaluate_windows(
         results.append(
             WindowResult(
                 index=idx,
-                prediction=window.prediction,
-                actual_extreme=window.actual_extreme,
                 on_ratio=on_ratio,
                 hindsight_ratio=ratios[best],
                 hindsight_lambda=grid[best],

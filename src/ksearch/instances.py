@@ -369,7 +369,6 @@ def gen_synthetic_series(
     num_samples: int = FIVE_YEAR_SAMPLES,
     seed: int = 0,
     bounds: PriceBounds = PriceBounds(5.0, 50.0),
-    sample_seconds: int = 600,
 ) -> PriceSeries:
     """Seeded mean-reverting synthetic price feed inside fixed bounds.
 
@@ -393,5 +392,5 @@ def gen_synthetic_series(
         x = mid + decay * (x - mid) + e
         logs.append(x)
     prices = np.exp(np.clip(np.asarray(logs), log_lo, log_hi))
-    timestamps = tuple(range(0, num_samples * sample_seconds, sample_seconds))
+    timestamps = tuple(range(0, num_samples * 600, 600))  # ten-minute samples
     return PriceSeries(tuple(prices.tolist()), timestamps)

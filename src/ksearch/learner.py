@@ -82,14 +82,12 @@ class RegretRecord:
 def make_learner(
     grid: tuple[float, ...] | None = None,
     horizon: int | None = None,
-    theta: float | None = None,
     learning_rate: float | None = None,
 ) -> LambdaLearner:
     """Fresh learner with uniform weights over a [0,1] confidence grid.
 
-    The default grid is 33 uniform points including both endpoints.  The
-    default rate is sqrt(8*ln(grid size)/horizon) when the horizon is known,
-    else 0.1/theta (losses are bounded by theta - 1).
+    The default grid is 33 uniform points including both endpoints.  Without
+    an explicit learning rate the rate is sqrt(8*ln(grid size)/horizon).
     """
     if grid is None:
         grid = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
@@ -99,18 +97,11 @@ def make_learner(
             f"a learner grid must include both endpoints 0 and 1, got {grid}"
         )
     if learning_rate is None:
-        if horizon is not None:
-            if horizon < 1:
-                raise InvalidInputError(f"horizon must be positive, got {horizon}")
-            learning_rate = math.sqrt(8.0 * math.log(len(grid)) / horizon)
-        elif theta is not None:
-            if theta <= 1.0:
-                raise InvalidInputError(f"theta must exceed 1, got {theta}")
-            learning_rate = 0.1 / theta
-        else:
-            raise InvalidInputError(
-                "make_learner needs a learning_rate, a horizon, or a theta"
-            )
+        if horizon is None:
+            raise InvalidInputError("make_learner needs a learning_rate or a horizon")
+        if horizon < 1:
+            raise InvalidInputError(f"horizon must be positive, got {horizon}")
+        learning_rate = math.sqrt(8.0 * math.log(len(grid)) / horizon)
     return LambdaLearner(grid, (1.0,) * len(grid), learning_rate, 0)
 
 

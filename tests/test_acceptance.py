@@ -28,7 +28,7 @@ from ksearch import (
     SearchInstance,
     build_cells,
     design,
-    design_max_for_target,
+    design_for_target,
     gen_p_instance,
     gen_synthetic_series,
     interval_ratios,
@@ -128,7 +128,7 @@ def test_criterion_06_case_classification():
     lam = 1.0 - (2.63 - cr) / (10.0 - cr)
     target = ParetoPoint(lam, 1.52, 2.63)
     for prediction, case in ((8.0, "I"), (12.0, "II"), (15.0, "III"), (25.0, "III")):
-        assert design_max_for_target(prediction, target, BAND, 20).case_label == case
+        assert design_for_target(prediction, target, BAND, 20, MAX).case_label == case
 
 
 def test_criterion_07_adversarial_replay_under_60s():

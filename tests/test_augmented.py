@@ -26,8 +26,7 @@ from ksearch import (
 )
 from ksearch.augmented import (
     _verify,
-    design_max_for_target,
-    design_min_for_target,
+    design_for_target,
     sigma_star_max,
     sigma_star_min,
 )
@@ -136,25 +135,25 @@ def test_prediction_ratio_rejects_out_of_bounds():
 def test_case_classification_anchor():
     expected = {8.0: "I", 12.0: "II", 15.0: "III", 25.0: "III"}
     for P, label in expected.items():
-        d = design_max_for_target(P, FIG_TARGET, BOUNDS, K)
+        d = design_for_target(P, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
         assert d.case_label == label, (P, d.case_label)
 
 
 def test_anchor_structural_indices():
-    d8 = design_max_for_target(8.0, FIG_TARGET, BOUNDS, K)
+    d8 = design_for_target(8.0, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
     assert (d8.j_star, d8.m_star, d8.i_star, d8.sigma_star) == (0, 0, 9, 9)
     assert d8.p_tilde_1 == pytest.approx(9.671663130195487, rel=1e-9)
     assert d8.p_tilde_2 == pytest.approx(13.15, rel=1e-12)
-    d12 = design_max_for_target(12.0, FIG_TARGET, BOUNDS, K)
+    d12 = design_for_target(12.0, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
     assert (d12.j_star, d12.m_star, d12.i_star) == (0, 9, 14)
-    d15 = design_max_for_target(15.0, FIG_TARGET, BOUNDS, K)
+    d15 = design_for_target(15.0, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
     assert (d15.j_star, d15.m_star, d15.i_star) == (2, 10, 17)
-    d25 = design_max_for_target(25.0, FIG_TARGET, BOUNDS, K)
+    d25 = design_for_target(25.0, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
     assert (d25.j_star, d25.m_star, d25.i_star) == (8, 15, 20)
 
 
 def test_anchor_segment_structure():
-    d15 = design_max_for_target(15.0, FIG_TARGET, BOUNDS, K)
+    d15 = design_for_target(15.0, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
     labels = d15.segment_labels()
     assert labels[: d15.j_star] == ("z",) * d15.j_star
     assert labels[d15.j_star : d15.i_star] == ("c",) * (d15.i_star - d15.j_star)
@@ -175,9 +174,13 @@ def test_min_case_labels_move_with_prediction():
 
 
 def test_case_boundary_flip_at_p_tilde_1():
-    d = design_max_for_target(8.0, FIG_TARGET, BOUNDS, K)
-    below = design_max_for_target(d.p_tilde_1 * (1 - 1e-9), FIG_TARGET, BOUNDS, K)
-    above = design_max_for_target(d.p_tilde_1 * (1 + 1e-6), FIG_TARGET, BOUNDS, K)
+    d = design_for_target(8.0, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
+    below = design_for_target(
+        d.p_tilde_1 * (1 - 1e-9), FIG_TARGET, BOUNDS, K, ProblemKind.MAX
+    )
+    above = design_for_target(
+        d.p_tilde_1 * (1 + 1e-6), FIG_TARGET, BOUNDS, K, ProblemKind.MAX
+    )
     assert below.case_label == "I"
     assert above.case_label == "II"
 
@@ -276,7 +279,7 @@ def test_sigma_star_min_in_range_and_boundary():
     target = target_point(0.5, FrontierSpec(BOUNDS, K, ProblemKind.MIN))
     sigma = sigma_star_min(target, BOUNDS, K)
     assert 1 <= sigma <= K
-    d = design_min_for_target(5.0, target, BOUNDS, K)
+    d = design_for_target(5.0, target, BOUNDS, K, ProblemKind.MIN)
     assert d.sigma_star == sigma
 
 
@@ -284,9 +287,9 @@ def test_infeasible_target_raises_construction_error():
     # eta=1 at an interior gamma sits below the achievable frontier: the
     # flat block needed for perfect consistency would break robustness
     with pytest.raises(ConstructionError):
-        design_max_for_target(50.0, ParetoPoint(0.5, 1.0, 2.63), BOUNDS, K)
+        design_for_target(50.0, ParetoPoint(0.5, 1.0, 2.63), BOUNDS, K, ProblemKind.MAX)
     with pytest.raises(ConstructionError):
-        design_min_for_target(5.0, ParetoPoint(0.5, 1.0, 5.0), BOUNDS, K)
+        design_for_target(5.0, ParetoPoint(0.5, 1.0, 5.0), BOUNDS, K, ProblemKind.MIN)
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +318,7 @@ def test_beg_predicates_hold_on_worst_case_schedules():
 
 
 def test_end_predicates_hold_on_designed_tails():
-    d = design_max_for_target(15.0, FIG_TARGET, BOUNDS, K)
+    d = design_for_target(15.0, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
     dm = design(15.0, 0.5, BOUNDS, K, ProblemKind.MIN)
     assert d.i_star < K  # a non-empty max-search tail; the min one may be empty
     for built in (d, dm):
@@ -323,7 +326,7 @@ def test_end_predicates_hold_on_designed_tails():
 
 
 def test_end_max_predicate_flips_under_tail_mutation():
-    d = design_max_for_target(12.0, FIG_TARGET, BOUNDS, K)
+    d = design_for_target(12.0, FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
     i_star = d.i_star  # 14: tail occupies indices 15..20
     values = list(d.schedule.values)
     bump = i_star + 2  # 1-based interval in the checked range

@@ -70,12 +70,31 @@ class TestValidation:
         ["simulate", *BOUNDS, "--k", "5000"],
         ["learn", *BOUNDS, "--k", "500", "--window", "288"],
         ["experiment", *BOUNDS, "--k", "5,4000"],
+        # a fluctuation-ratio multiplier must be finite
+        ["experiment", *BOUNDS, "--theta-mult", "inf"],
     ])
     def test_invalid_usage_exits_2(self, argv, capsys):
         assert main(argv) == 2
         capsys.readouterr()
 
-    @pytest.mark.parametrize("argv", [["--help"], ["pareto", "--help"]])
+    @pytest.mark.parametrize("argv,flag", [
+        (["pareto", *BOUNDS, "--k", "0"], "--k"),
+        (["pareto", *BOUNDS, "--seed", "-1"], "--seed"),
+        (["pareto", *BOUNDS, "--points", "1"], "--points"),
+        (["experiment", *BOUNDS, "--workers", "0"], "--workers"),
+        (["thresholds", *BOUNDS, "--prediction", "20", "--lambda", "1.5"], "--lambda"),
+        (["experiment", *BOUNDS, "--theta-mult", "inf"], "--theta-mult"),
+    ])
+    def test_single_flag_error_names_the_flag(self, argv, flag, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ksearch ")
+        assert f"error: argument {flag}: " in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["pareto", "--help"], ["thresholds", "--help"],
+        ["simulate", "--help"], ["experiment", "--help"], ["learn", "--help"],
+    ])
     def test_help_exits_0(self, argv, capsys):
         assert main(argv) == 0
         capsys.readouterr()

@@ -132,6 +132,19 @@ class TestOfflineOpt:
             assert offline_opt(inst, ProblemKind.MAX) == pytest.approx(best_max)
             assert offline_opt(inst, ProblemKind.MIN) == pytest.approx(best_min)
 
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_bit_identical_to_sorted_sum_with_ties(self, kind):
+        rng = np.random.default_rng(11)
+        windows = [(12.5,), (12.5,) * 9, (5.0, 50.0, 5.0, 50.0, 20.0)]
+        # one decimal over [5, 50] gives many tied prices in the longer windows
+        windows += [tuple(rng.uniform(5.0, 50.0, T).round(1).tolist())
+                    for T in (7, 64, 3024)]
+        for prices in windows:
+            for k in sorted({1, max(1, len(prices) // 3), len(prices)}):
+                inst = SearchInstance(prices, k, B)
+                expected = float(sum(sorted(prices, reverse=kind.is_max)[:k]))
+                assert offline_opt(inst, kind) == expected
+
 
 @given(schedule_and_instance())
 @settings(max_examples=150)

@@ -63,11 +63,9 @@ class TestLearnerType:
         )
         assert learner.rounds_seen == 0
 
-    def test_theta_fallback_rate(self):
-        learner = make_learner(theta=10.0)
-        assert learner.learning_rate == pytest.approx(0.01)
+    def test_factory_needs_a_rate_or_horizon(self):
         with pytest.raises(InvalidInputError):
-            make_learner()  # neither horizon nor theta nor rate
+            make_learner()
 
     def test_factory_requires_endpoints(self):
         with pytest.raises(InvalidInputError):

@@ -22,7 +22,7 @@ from ksearch import (
     xi_star,
     zeta_star,
 )
-from ksearch.augmented import design_min_for_target, prediction_ratio
+from ksearch.augmented import design_for_target, prediction_ratio
 
 THETA_K_GRID = [
     (theta, k)
@@ -131,8 +131,8 @@ def test_min_bound_achievable_at_lower_boundary():
     for gamma in np.linspace(smin.cr_star, 10.0, 25):
         gamma = float(gamma)
         eta = lower_bound_min(gamma, smin)
-        design = design_min_for_target(
-            5.0, ParetoPoint(0.5, eta, gamma), b, 20
+        design = design_for_target(
+            5.0, ParetoPoint(0.5, eta, gamma), b, 20, ProblemKind.MIN
         )
         assert prediction_ratio(design.schedule, 5.0) <= eta + 1e-9
 
