@@ -23,6 +23,7 @@ from .core import (
     empirical_ratio,
     offline_opt,
     ota_total,
+    ota_totals,
     run_ota,
 )
 from .errors import (
@@ -145,6 +146,7 @@ __all__ = [
     "make_learner",
     "offline_opt",
     "ota_total",
+    "ota_totals",
     "prediction_ratio",
     "ratio_alpha",
     "ratio_beta",

@@ -20,7 +20,9 @@ a usage error).  Each flag checks its own range when it is parsed, so a
 single bad value (``--k 0``, ``--lambda 1.5``) prints argparse's usage line
 and an error naming the flag; checks that span several flags (the price
 bounds, ``--prediction`` within them, budgets within ``--window``, an
-existing ``--input``) print ``ksearch: error: ...``.  Both exit 2.
+existing ``--input``, and no ``--pmin``/``--pmax`` next to ``--input``,
+whose bounds come from the feed) print ``ksearch: error: ...``.  Both
+exit 2.
 """
 
 from __future__ import annotations
@@ -83,13 +85,17 @@ _unit_float = _flag_type(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
 _theta_mult = _flag_type(float, lambda v: 1.0 <= v < math.inf, "a finite number >= 1")
 
 
+_DEFAULT_BAND = (5.0, 50.0)
+
+
 def _add_common(parser: argparse.ArgumentParser, kinds=("max", "min")) -> None:
     parser.add_argument("--kind", choices=kinds, default=kinds[0],
                         help="search direction (default: %(default)s)")
-    parser.add_argument("--pmin", type=float, default=5.0,
-                        help="lower price bound (default: %(default)s)")
-    parser.add_argument("--pmax", type=float, default=50.0,
-                        help="upper price bound (default: %(default)s)")
+    # None marks a flag left out: the feed commands reject either with --input
+    parser.add_argument("--pmin", type=float, default=None,
+                        help=f"lower price bound (default: {_DEFAULT_BAND[0]})")
+    parser.add_argument("--pmax", type=float, default=None,
+                        help=f"upper price bound (default: {_DEFAULT_BAND[1]})")
     parser.add_argument("--seed", type=_u64, default=0, metavar="U64",
                         help="seed for every random draw (default: %(default)s)")
     parser.add_argument("--output", metavar="CSV", default=None,
@@ -177,7 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_across_flags(args: argparse.Namespace) -> PriceBounds:
     """Checks that span several flags; returns the validated price bounds."""
-    bounds = PriceBounds(args.pmin, args.pmax)  # validates 0 < pmin <= pmax
+    if getattr(args, "input", None) is not None and (args.pmin, args.pmax) != (None, None):
+        raise KSearchError(
+            "--pmin/--pmax only set the synthetic feed's band; "
+            "with --input the bounds come from the feed"
+        )
+    pmin = _DEFAULT_BAND[0] if args.pmin is None else args.pmin
+    pmax = _DEFAULT_BAND[1] if args.pmax is None else args.pmax
+    bounds = PriceBounds(pmin, pmax)  # validates 0 < pmin <= pmax
     prediction = getattr(args, "prediction", None)
     if prediction is not None and not bounds.contains(prediction):
         raise KSearchError(

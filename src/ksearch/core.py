@@ -8,6 +8,12 @@ schedule of k reservation prices and accepts the t-th arrival whenever it
 meets the threshold indexed by the number of items already taken.  Once the
 number of remaining arrivals equals the remaining budget, selection becomes
 compulsory regardless of the schedule.
+
+Three replays share these rules.  ``run_ota`` records every decision and
+``ota_total`` returns one run's total; both are the oracles for
+``ota_totals``, the batched kernel the learner and the harness use, which
+replays a block of windows under many schedules in lockstep and returns
+bit-identical totals.
 """
 
 from __future__ import annotations
@@ -68,7 +74,7 @@ class SearchInstance:
     bounds: PriceBounds
 
     def __post_init__(self):
-        prices = tuple(float(p) for p in self.prices)
+        prices = tuple(map(float, self.prices))
         object.__setattr__(self, "prices", prices)
         if not prices:
             raise InvalidInputError("instance needs at least one price")
@@ -103,7 +109,7 @@ class ThresholdSchedule:
     bounds: PriceBounds
 
     def __post_init__(self):
-        values = tuple(float(v) for v in self.values)
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if not values:
             raise InvalidInputError("schedule needs at least one threshold")
@@ -274,6 +280,83 @@ def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, i
     if not schedule.kind.is_max:
         total = -total
     return total, voluntary
+
+
+def ota_totals(
+    thresholds: np.ndarray, prices: np.ndarray, rows: np.ndarray, kind: ProblemKind
+) -> tuple[np.ndarray, np.ndarray]:
+    """``ota_total`` of many runs at once: run r replays window ``rows[r]``.
+
+    ``thresholds`` is (R, k), one schedule per run, and ``prices`` is (B, T),
+    one window per row; both may be nested sequences, which the kernel then
+    converts and frees itself.  All runs advance in lockstep through the T
+    steps: each step gathers every run's current price and its next
+    threshold (slot k holds +inf, so a run stops selecting once it has k
+    items).  The start of the compulsory fill follows afterwards from the
+    selection times: it fires once a run has passed over T - k prices.
+    Totals add the same gathered prices with the same numpy reductions as
+    ``ota_total``, one group of runs with equal voluntary counts at a time,
+    so every total is bit-identical to ``ota_total`` (property-tested).
+    Returns (totals, voluntary counts).
+    """
+    # converted one at a time, each freed once copied, so that at most one
+    # conversion is alive next to the kernel's own arrays
+    arr = np.asarray(prices, dtype=float)
+    if arr.ndim != 2:
+        raise InvalidInputError(f"need (B, T) prices, got shape {arr.shape}")
+    B, T = arr.shape
+    sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
+    by_step = np.empty((T, B))  # one row per step
+    np.multiply(arr.T, sign, out=by_step)
+    del arr
+    thr = np.asarray(thresholds, dtype=float)
+    rows = np.asarray(rows, dtype=np.intp)
+    if thr.ndim != 2 or rows.shape != thr.shape[:1]:
+        raise InvalidInputError(
+            f"need (R, k) thresholds and R rows, got {thr.shape} and {rows.shape}"
+        )
+    runs, k = thr.shape
+    if not 1 <= k <= T:
+        raise InvalidInputError(f"budget {k} must lie in [1, horizon {T}]")
+    if rows.size and not 0 <= rows.min() <= rows.max() < B:
+        raise InvalidInputError(f"run rows must index the {B} windows")
+    padded = np.full((runs, k + 1), np.inf)
+    np.multiply(thr, sign, out=padded[:, :k])
+    del thr
+    padded = padded.ravel()
+    # pos[r] is the flat slot of run r's next threshold; sel[pos] records the
+    # step, and stays put once the step selects and pos moves on
+    pos = np.arange(0, runs * (k + 1), k + 1, dtype=np.intp)
+    start = pos.copy()
+    sel = np.empty(runs * (k + 1), dtype=np.int32)
+    price = np.empty(runs)
+    bar = np.empty(runs)
+    hit = np.empty(runs, dtype=bool)
+    for t in range(T):
+        by_step[t].take(rows, out=price, mode="clip")  # mode="raise" buffers out=
+        padded.take(pos, out=bar, mode="clip")
+        np.greater_equal(price, bar, out=hit)
+        sel[pos] = t
+        pos += hit
+    del padded
+    voluntary = pos - start
+    sel = sel.reshape(runs, k + 1)[:, :k]
+    slot = np.arange(k, dtype=np.int32)
+    sel[slot >= voluntary[:, None]] = T  # slots never filled
+    # selection m happens after sel[m] - m passed-over prices; the fill starts
+    # once T - k are passed over, i.e. after the selections made before that
+    voluntary = np.count_nonzero(sel - slot < T - k, axis=1)
+
+    totals = np.empty(runs)
+    # the counts that occur (np.unique would import numpy.ma, ~0.6 MB)
+    for m in np.flatnonzero(np.bincount(voluntary)).tolist():
+        group = np.flatnonzero(voluntary == m)
+        cols = rows[group][:, None]
+        total = by_step[sel[group, :m], cols].sum(axis=1)
+        if m < k:
+            total += by_step[np.arange(T - k + m, T), cols].sum(axis=1)
+        totals[group] = total
+    return sign * totals, voluntary
 
 
 def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:

@@ -28,15 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
-from .core import (
-    PriceBounds,
-    ProblemKind,
-    SearchInstance,
-    offline_opt,
-    ota_total,
-)
+from .core import PriceBounds, ProblemKind
 from .errors import ConstructionError, InvalidInputError
 from .instances import (
     ExperimentWindow,
@@ -132,26 +124,27 @@ def evaluate_windows(
     """Run the three policies over a window stream.
 
     The hindsight policy reads each window's best grid confidence from the
-    ratios the learner observed, so every (window, confidence) pair is
-    replayed once.  The worst-case guarantee is re-checked on every window:
-    the confidence-1 schedule must stay within its competitive ratio, and the
-    hindsight-best grid confidence can never lose to it (the grid contains 1).
-    A violation means a designed schedule is wrong, so it raises
-    ConstructionError.
+    ratios the learner observed, and the worst-case schedule is one more run
+    per window in the same block replay, so every (window, schedule) pair is
+    replayed once and every window's offline optimum is computed once.  The
+    worst-case guarantee is re-checked on every window: the confidence-1
+    schedule must stay within its competitive ratio, and the hindsight-best
+    grid confidence can never lose to it (the grid contains 1).  A violation
+    means a designed schedule is wrong, so it raises ConstructionError.
     """
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("evaluate_windows needs at least one window")
     solution = worst_case_thresholds(bounds, k, kind)
-    learner, history, matrix = _learn(windows, kind, bounds, k, seed, grid, None)
+    learner, history, matrix = _learn(
+        windows, kind, bounds, k, seed, grid, None, extra=(solution.schedule,)
+    )
     grid = learner.grid
 
     results = []
-    for idx, (window, record, ratios) in enumerate(zip(windows, history, matrix)):
-        prices = np.asarray(window.instance.prices)
-        opt = offline_opt(window.instance, kind)
-        total, _ = ota_total(solution.schedule, prices)
-        on_ratio = opt / total if kind.is_max else total / opt
+    for idx, (record, row) in enumerate(zip(history, matrix)):
+        ratios = row.tolist()
+        on_ratio = ratios[len(grid)]  # the worst-case schedule's column
         if on_ratio > solution.cr + 1e-6:
             raise ConstructionError(
                 f"worst-case guarantee violated on window {idx}: "

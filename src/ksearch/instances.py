@@ -172,26 +172,35 @@ def apply_rho_hard(
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """An ordered price sequence, optionally timestamped 1:1."""
+    """An ordered price sequence, optionally timestamped 1:1.
+
+    Timestamps are a tuple, or a ``range`` with a positive step, which is kept
+    as it is (a regularly sampled feed needs no tuple of its stamps).
+    """
 
     prices: tuple[float, ...]
-    timestamps: tuple[int, ...] | None = None
+    timestamps: tuple[int, ...] | range | None = None
 
     def __post_init__(self):
-        prices = tuple(float(p) for p in self.prices)
+        prices = tuple(map(float, self.prices))
         object.__setattr__(self, "prices", prices)
         if not prices:
             raise InvalidInputError("price series needs at least one price")
         if any(not (p > 0 and math.isfinite(p)) for p in prices):
             raise InvalidInputError("prices must be strictly positive and finite")
         if self.timestamps is not None:
-            ts = tuple(self.timestamps)
-            object.__setattr__(self, "timestamps", ts)
+            ts = self.timestamps
+            if isinstance(ts, range):
+                increasing = ts.step > 0
+            else:
+                ts = tuple(ts)
+                object.__setattr__(self, "timestamps", ts)
+                increasing = not any(b <= a for a, b in zip(ts, ts[1:]))
             if len(ts) != len(prices):
                 raise InvalidInputError(
                     f"{len(ts)} timestamps for {len(prices)} prices"
                 )
-            if any(b <= a for a, b in zip(ts, ts[1:])):
+            if not increasing:
                 raise InvalidInputError("timestamps must be strictly increasing")
 
     def __len__(self) -> int:
@@ -392,5 +401,5 @@ def gen_synthetic_series(
         x = mid + decay * (x - mid) + e
         logs.append(x)
     prices = np.exp(np.clip(np.asarray(logs), log_lo, log_hi))
-    timestamps = tuple(range(0, num_samples * 600, 600))  # ten-minute samples
+    timestamps = range(0, num_samples * 600, 600)  # ten-minute samples
     return PriceSeries(tuple(prices.tolist()), timestamps)

@@ -7,6 +7,12 @@ threshold design.  The learner keeps exponential (Hedge) weights over a
 fixed grid of confidence values, samples proportionally to the weights,
 and updates with loss = ratio - 1 so a perfect round costs nothing.
 
+The counterfactual ratios do not depend on the learner's state, so the
+whole (window x confidence) ratio matrix is replayed first, a block of
+windows at a time through the batched kernel ``core.ota_totals``, and the
+Hedge loop then runs over its rows.  ``round_ratios`` is the same block
+replay for one window.
+
 Regret is reported against the best fixed grid point in hindsight.
 """
 
@@ -19,11 +25,13 @@ from functools import lru_cache
 import numpy as np
 
 from .augmented import design
-from .core import PriceBounds, ProblemKind, offline_opt, ota_total
+from .core import PriceBounds, ProblemKind, ThresholdSchedule, offline_opt, ota_totals
 from .errors import InvalidInputError
 from .instances import ExperimentWindow
 
 DEFAULT_GRID_SIZE = 33
+# the replay kernel's arrays for one block of windows stay under this size
+_REPLAY_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -123,19 +131,69 @@ def round_ratios(
     grid: tuple[float, ...],
 ) -> tuple[float, ...]:
     """Counterfactual empirical ratio of every grid confidence on one window."""
-    inst = window.instance
-    if inst.k != k:
-        raise InvalidInputError(f"window budget {inst.k} != learner budget {k}")
-    if inst.bounds != bounds:
-        raise InvalidInputError("window and learner disagree on price bounds")
-    opt = offline_opt(inst, kind)
-    prices = np.asarray(inst.prices)
-    out = []
-    for lam in grid:
-        schedule = _cached_design(window.prediction, lam, bounds, k, kind).schedule
-        total, _ = ota_total(schedule, prices)
-        out.append(opt / total if kind.is_max else total / opt)
-    return tuple(out)
+    return tuple(_replay_ratios((window,), kind, bounds, k, grid)[0].tolist())
+
+
+def _replay_ratios(
+    windows: tuple[ExperimentWindow, ...], kind: ProblemKind, bounds: PriceBounds,
+    k: int, grid: tuple[float, ...], extra: tuple[ThresholdSchedule, ...] = (),
+) -> np.ndarray:
+    """(W, G + E) ratios: each window under every grid design, then each extra.
+
+    Windows are replayed a block at a time by ``core.ota_totals``: a block is
+    a run of consecutive windows of one horizon, as many as keep the kernel's
+    arrays within ``_REPLAY_BLOCK_BYTES``.  Designs are looked up window by
+    window, confidence by confidence, and each window's offline optimum is
+    computed once.
+    """
+    runs = len(grid) + len(extra)
+    ratios = np.empty((len(windows), runs))
+    for start, stop in _blocks(windows, k, runs):
+        block = windows[start:stop]
+        opts, thresholds = [], []
+        for window in block:
+            inst = window.instance
+            if inst.k != k:
+                raise InvalidInputError(f"window budget {inst.k} != learner budget {k}")
+            if inst.bounds != bounds:
+                raise InvalidInputError("window and learner disagree on price bounds")
+            opts.append(offline_opt(inst, kind))
+            for lam in grid:
+                thresholds.append(
+                    _cached_design(window.prediction, lam, bounds, k, kind).schedule.values
+                )
+            thresholds.extend(schedule.values for schedule in extra)
+        prices = [window.instance.prices for window in block]
+        rows = np.repeat(np.arange(len(block)), runs)
+        totals, _ = ota_totals(thresholds, prices, rows, kind)
+        totals = totals.reshape(len(block), runs)
+        opts = np.array(opts)[:, None]
+        ratios[start:stop] = opts / totals if kind.is_max else totals / opts
+    return ratios
+
+
+def _blocks(windows: tuple[ExperimentWindow, ...], k: int, runs: int):
+    """(start, stop) of each block: consecutive windows of one horizon."""
+    start = 0
+    while start < len(windows):
+        horizon = windows[start].instance.horizon
+        size = max(1, _REPLAY_BLOCK_BYTES // _replay_window_bytes(horizon, k, runs))
+        stop = start + 1
+        while (stop < len(windows) and stop - start < size
+               and windows[stop].instance.horizon == horizon):
+            stop += 1
+        yield start, stop
+        start = stop
+
+
+def _replay_window_bytes(horizon: int, k: int, runs: int) -> int:
+    """The most ``core.ota_totals`` holds per window of a block, in bytes.
+
+    A float copy of the window's prices and, per run, the float thresholds
+    next to their +inf-padded copy; the int32 selection slots and masks that
+    replace them later take less.
+    """
+    return 8 * horizon + 16 * runs * (k + 1)
 
 
 def _updated(learner: LambdaLearner, ratios: tuple[float, ...]) -> LambdaLearner:
@@ -183,29 +241,35 @@ def _learn(
     seed: int,
     grid: tuple[float, ...] | None,
     learning_rate: float | None,
-) -> tuple[LambdaLearner, tuple[RegretRecord, ...], list[tuple[float, ...]]]:
-    """run_learning plus the per-round ratios of every grid confidence."""
+    extra: tuple[ThresholdSchedule, ...] = (),
+) -> tuple[LambdaLearner, tuple[RegretRecord, ...], np.ndarray]:
+    """run_learning plus its (W, G + E) ratio matrix: a column per extra schedule.
+
+    The ratios do not depend on the learner's state, so the whole matrix is
+    replayed first and the Hedge loop then runs over its rows, each turned
+    into Python floats only for its own round.
+    """
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("run_learning needs at least one window")
     if len(windows) >= 1 << 20:
         raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
     learner = make_learner(grid=grid, horizon=len(windows), learning_rate=learning_rate)
+    matrix = _replay_ratios(windows, kind, bounds, k, learner.grid, extra)
+    by_round = matrix[:, : len(learner.grid)]
     chosen: list[tuple[float, float]] = []  # (lambda, ratio) per round
-    matrix: list[tuple[float, ...]] = []
-    for t, window in enumerate(windows):
+    for t, row in enumerate(by_round):
+        ratios = row.tolist()
         lam = select_lambda(learner, seed * (1 << 20) + t)
-        ratios = round_ratios(window, kind, bounds, k, learner.grid)
         chosen.append((lam, ratios[learner.grid.index(lam)]))
-        matrix.append(ratios)
         learner = _updated(learner, ratios)
 
-    totals = [math.fsum(col) for col in zip(*matrix)]
+    totals = [math.fsum(col.tolist()) for col in by_round.T]
     best_idx = int(np.argmin(totals))
     records = []
     cum = 0.0
-    for t, ((lam, ratio), ratios) in enumerate(zip(chosen, matrix), start=1):
-        best = ratios[best_idx]
+    best_ratios = by_round[:, best_idx].tolist()
+    for t, ((lam, ratio), best) in enumerate(zip(chosen, best_ratios), start=1):
         cum += ratio - best
         records.append(RegretRecord(t, lam, ratio, best, cum))
     return learner, tuple(records), matrix

@@ -61,7 +61,7 @@ class TestValidation:
         ["thresholds", *BOUNDS, "--prediction", "200"],
         ["simulate", *BOUNDS, "--error-level", "1.5"],
         ["simulate", *BOUNDS, "--window", "0"],
-        ["simulate", *BOUNDS, "--input", "/nonexistent/feed.csv"],
+        ["simulate", "--input", "/nonexistent/feed.csv"],
         ["experiment", *BOUNDS, "--rho", "0.0,1.5"],
         ["experiment", *BOUNDS, "--theta-mult", "0.5"],
         ["experiment", *BOUNDS, "--workers", "0"],
@@ -104,7 +104,7 @@ class TestDataErrors:
     def test_malformed_price_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("price\n12.5\nabc\n14.0\n")
-        code = main(["simulate", *BOUNDS, "--input", str(bad),
+        code = main(["simulate", "--input", str(bad),
                      "--window", "1", "--stride", "1", "--k", "1"])
         assert code == 3
         assert "row 2" in capsys.readouterr().err
@@ -112,7 +112,7 @@ class TestDataErrors:
     def test_feed_too_short_exits_3(self, tmp_path, capsys):
         short = tmp_path / "short.csv"
         short.write_text("price\n" + "\n".join(["12.5"] * 50) + "\n")
-        code = main(["simulate", *BOUNDS, "--input", str(short),
+        code = main(["simulate", "--input", str(short),
                      "--window", "200", "--stride", "200", "--k", "10"])
         assert code == 3
         capsys.readouterr()
@@ -124,10 +124,33 @@ class TestDataErrors:
             raise ConstructionError("guarantee violated")
 
         monkeypatch.setattr(cli_mod, "evaluate_windows", boom)
-        code = main(["simulate", *BOUNDS, "--input", feed_csv,
+        code = main(["simulate", "--input", feed_csv,
                      "--window", "200", "--stride", "200", "--k", "10"])
         assert code == 4
         assert "verification failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "experiment", "learn"])
+    @pytest.mark.parametrize("band", [
+        ("--pmin", "1000", "--pmax", "2000"),  # a valid band the feed would ignore
+        ("--pmin", "50", "--pmax", "5"),
+        ("--pmin", "1000"),
+        ("--pmax", "2000"),
+    ])
+    def test_band_flags_with_a_feed_exit_2(self, command, band, feed_csv, capsys):
+        code = main([command, "--input", feed_csv, *band,
+                     "--window", "200", "--stride", "200", "--k", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ksearch: error: --pmin/--pmax only set the synthetic feed")
+
+    def test_feed_without_band_flags_takes_its_own_bounds(self, tmp_path, feed_csv):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--input", feed_csv, "--window", "200",
+                     "--stride", "200", "--k", "10", "--output", str(out)]) == 0
+        series = ingest_csv(feed_csv)
+        comments, _, _ = read_csv(out)
+        expected = f"bounds=[{min(series.prices)!r},{max(series.prices)!r}]"
+        assert any(comment.startswith(expected) for comment in comments)
 
     def test_solver_residual_failure_exits_4(self, monkeypatch, capsys):
         import ksearch.worstcase as worstcase_mod
@@ -215,7 +238,7 @@ SIM_ARGS = ["--window", "200", "--stride", "200", "--k", "10", "--seed", "7"]
 class TestSimulate:
     def test_three_policies_and_guarantees(self, tmp_path, feed_csv):
         out = tmp_path / "sim.csv"
-        code = main(["simulate", "--kind", "max", *BOUNDS, "--input", feed_csv,
+        code = main(["simulate", "--kind", "max", "--input", feed_csv,
                      *SIM_ARGS, "--error-level", "0.0,1.0", "--output", str(out)])
         assert code == 0
         comments, header, rows = read_csv(out)
@@ -244,7 +267,7 @@ class TestSimulate:
 
     def test_byte_reproducible(self, tmp_path, feed_csv):
         out = tmp_path / "sim.csv"
-        argv = ["simulate", *BOUNDS, "--input", feed_csv, *SIM_ARGS,
+        argv = ["simulate", "--input", feed_csv, *SIM_ARGS,
                 "--output", str(out)]
         assert main(argv) == 0
         first = out.read_bytes()
@@ -255,7 +278,7 @@ class TestSimulate:
 class TestExperiment:
     def test_worker_count_never_changes_the_bytes(self, tmp_path, feed_csv):
         out = tmp_path / "exp.csv"
-        base = ["experiment", *BOUNDS, "--input", feed_csv,
+        base = ["experiment", "--input", feed_csv,
                 "--window", "200", "--stride", "200", "--seed", "7",
                 "--k", "5,10", "--rho", "0.0,0.3", "--output", str(out)]
         assert main([*base, "--workers", "1"]) == 0
@@ -265,7 +288,7 @@ class TestExperiment:
 
     def test_rows_sorted_by_cell_then_algorithm(self, tmp_path, feed_csv):
         out = tmp_path / "exp.csv"
-        code = main(["experiment", *BOUNDS, "--input", feed_csv,
+        code = main(["experiment", "--input", feed_csv,
                      "--window", "200", "--stride", "200", "--seed", "7",
                      "--k", "10,5", "--rho", "0.3,0.0", "--error-level", "1.0",
                      "--theta-mult", "1.0", "--output", str(out)])
@@ -283,7 +306,7 @@ class TestExperiment:
 class TestLearn:
     def test_both_kinds_with_consistent_regret(self, tmp_path, feed_csv):
         out = tmp_path / "learn.csv"
-        code = main(["learn", "--kind", "both", *BOUNDS, "--input", feed_csv,
+        code = main(["learn", "--kind", "both", "--input", feed_csv,
                      *SIM_ARGS, "--output", str(out)])
         assert code == 0
         comments, header, rows = read_csv(out)
@@ -302,7 +325,7 @@ class TestLearn:
 
     def test_single_kind_and_seed_determinism(self, tmp_path, feed_csv):
         out = tmp_path / "learn.csv"
-        argv = ["learn", "--kind", "max", *BOUNDS, "--input", feed_csv, *SIM_ARGS,
+        argv = ["learn", "--kind", "max", "--input", feed_csv, *SIM_ARGS,
                 "--output", str(out)]
         assert main(argv) == 0
         first = read_csv(out)
@@ -314,7 +337,7 @@ class TestLearn:
         picks = {}
         for seed in ("7", "8"):
             out = tmp_path / f"learn{seed}.csv"
-            code = main(["learn", "--kind", "max", *BOUNDS, "--input", feed_csv,
+            code = main(["learn", "--kind", "max", "--input", feed_csv,
                          "--window", "200", "--stride", "50", "--k", "10",
                          "--seed", seed, "--output", str(out)])
             assert code == 0

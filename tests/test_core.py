@@ -4,12 +4,13 @@ import ast
 import itertools
 import pathlib
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import ksearch
-from conftest import schedule_and_instance
+from conftest import kinds, price_bounds, schedule_and_instance
 from ksearch import (
     InvalidInputError,
     ParetoPoint,
@@ -20,6 +21,7 @@ from ksearch import (
     empirical_ratio,
     offline_opt,
     ota_total,
+    ota_totals,
     run_ota,
 )
 
@@ -110,6 +112,88 @@ def test_fast_total_matches_trace(case):
     assert voluntary == trace.num_selected - trace.num_compulsory
 
 
+@st.composite
+def replay_blocks(draw, max_k=6, max_horizon=30):
+    """(kind, bounds, (R, k) thresholds, (B, T) prices, R rows) of one block.
+
+    Prices and thresholds are drawn from a few shared levels as often as
+    from the whole band, so prices meeting a threshold exactly are common;
+    some windows end in a hardened tail of k boundary prices.
+    """
+    kind = draw(kinds)
+    bounds = draw(price_bounds())
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    horizon = draw(st.integers(min_value=k, max_value=max_horizon))
+    in_range = st.floats(min_value=bounds.p_min, max_value=bounds.p_max)
+    levels = draw(st.lists(in_range, min_size=1, max_size=4))
+    value = st.one_of(st.sampled_from(levels), in_range)
+    prices = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        window = draw(st.lists(value, min_size=horizon, max_size=horizon))
+        if draw(st.booleans()):
+            tail = bounds.p_min if kind.is_max else bounds.p_max
+            window[horizon - k :] = [tail] * k
+        prices.append(window)
+    runs = draw(st.integers(min_value=1, max_value=8))
+    thresholds = [
+        sorted(draw(st.lists(value, min_size=k, max_size=k)), reverse=not kind.is_max)
+        for _ in range(runs)
+    ]
+    rows = draw(st.lists(st.integers(min_value=0, max_value=len(prices) - 1),
+                         min_size=runs, max_size=runs))
+    return kind, bounds, thresholds, prices, rows
+
+
+@given(replay_blocks())
+@settings(max_examples=200)
+def test_batched_replay_equals_ota_total(case):
+    kind, bounds, thresholds, prices, rows = case
+    totals, voluntary = ota_totals(np.array(thresholds), np.array(prices), rows, kind)
+    for r, row in enumerate(rows):
+        schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
+        total, vol = ota_total(schedule, np.asarray(prices[row]))
+        assert totals[r] == total
+        assert voluntary[r] == vol
+
+
+class TestBatchedReplay:
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("horizon,k", [(7, 3), (5, 5), (1, 1), (9, 1), (12, 4)])
+    def test_fill_starts_after_every_voluntary_count(self, kind, horizon, k):
+        # window m takes m prices above the (flat) schedule, then only prices
+        # below it, so the compulsory fill starts after m voluntary picks;
+        # when k = T the fill starts at once
+        good, bad = (45.0, 10.0) if kind.is_max else (10.0, 45.0)
+        prices = [[good] * m + [bad] * (horizon - m) for m in range(k + 1)]
+        rows = list(range(k + 1))
+        thresholds = np.full((k + 1, k), 30.0)
+        totals, voluntary = ota_totals(thresholds, prices, rows, kind)
+        schedule = ThresholdSchedule(kind, (30.0,) * k, B)
+        for m in rows:
+            total, vol = ota_total(schedule, np.asarray(prices[m]))
+            assert (totals[m], voluntary[m]) == (total, vol)
+            assert vol == (0 if k == horizon else m)
+
+    def test_accepts_nested_sequences(self):
+        thresholds = [(20.0, 30.0), (10.0, 40.0)]
+        prices = [(5.0, 25.0, 35.0, 5.0), (45.0, 5.0, 5.0, 50.0)]
+        totals, voluntary = ota_totals(thresholds, prices, [1, 0], ProblemKind.MAX)
+        expected = [ota_total(ThresholdSchedule(ProblemKind.MAX, t, B), np.asarray(prices[r]))
+                    for t, r in zip(thresholds, (1, 0))]
+        assert list(zip(totals.tolist(), voluntary.tolist())) == expected
+
+    @pytest.mark.parametrize("thresholds,prices,rows", [
+        (np.full((2, 3), 20.0), np.full((1, 2), 20.0), [0, 0]),  # k > T
+        (np.full((2, 2), 20.0), np.full((1, 4), 20.0), [0]),  # one row for two runs
+        (np.full((2, 2), 20.0), np.full((1, 4), 20.0), [0, 1]),  # no window 1
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [0, 0]),  # prices not (B, T)
+        (np.full((2, 0), 20.0), np.full((1, 4), 20.0), [0, 0]),  # k = 0
+    ])
+    def test_rejects_inconsistent_shapes(self, thresholds, prices, rows):
+        with pytest.raises(InvalidInputError):
+            ota_totals(thresholds, prices, rows, ProblemKind.MAX)
+
+
 class TestOfflineOpt:
     def test_examples(self):
         inst = SearchInstance((5, 10, 25, 5, 5), 2, B)
@@ -179,6 +263,14 @@ class TestTypeInvariants:
 
     def test_theta_is_derived(self):
         assert PriceBounds(5.0, 50.0).theta == 10.0
+
+    def test_prices_and_thresholds_become_python_floats(self):
+        inst = SearchInstance((5, np.float64(6.5), "7"), 1, B)
+        sched = ThresholdSchedule(ProblemKind.MAX, (np.float32(10.0), 20), B)
+        assert inst.prices == (5.0, 6.5, 7.0) and sched.values == (10.0, 20.0)
+        assert {type(v) for v in inst.prices + sched.values} == {float}
+        with pytest.raises(ValueError):
+            SearchInstance((5.0, "abc"), 1, B)
 
     def test_out_of_bounds_price_rejected(self):
         with pytest.raises(InvalidInputError):

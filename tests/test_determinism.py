@@ -1,0 +1,63 @@
+"""Determinism guard: the CSV bytes of the feed commands are pinned by digest.
+
+Each case runs the CLI in-process on a small seeded feed and hashes every
+output line except the stamp (the first comment line, which names the
+command line).  The digests were recorded before the batched replay kernel
+replaced the per-schedule replay loop, so a change in any ratio, summary or
+learner weight, down to the last bit of a ``repr``, fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from ksearch import gen_synthetic_series
+from ksearch.cli import main
+
+FEED = "feed.csv"
+FEED_SAMPLES, FEED_SEED = 4000, 11
+WINDOWS = ("--window", "288", "--stride", "48")
+
+CASES = {
+    "experiment-max": (
+        ["experiment", "--kind", "max", "--k", "5,20", "--rho", "0.0,0.2",
+         "--error-level", "0.0,1.0", *WINDOWS],
+        "9d90ccc06867a9f0695e822b4146e852311107bb762c283e1cb34375d5e46299",
+    ),
+    "experiment-min": (
+        ["experiment", "--kind", "min", "--k", "5,20", "--rho", "0.0,0.2",
+         "--error-level", "0.0,1.0", *WINDOWS],
+        "60d549a0634bf0d1db3bb14cad96ccedd6c2c3672b5ac9f5a011a68424be92a8",
+    ),
+    "learn-both": (
+        ["learn", "--kind", "both", "--k", "10", "--window", "288", "--stride", "24"],
+        "fc752633162a9541099960fd5531f72c12ad19d3c053de04872495b54edabd50",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def feed_dir(tmp_path_factory):
+    series = gen_synthetic_series(num_samples=FEED_SAMPLES, seed=FEED_SEED)
+    path = tmp_path_factory.mktemp("determinism")
+    lines = (f"{t},{p!r}\n" for t, p in zip(series.timestamps, series.prices))
+    (path / FEED).write_text("timestamp,price\n" + "".join(lines))
+    return path
+
+
+def rows_digest(text: str) -> str:
+    stamp, rest = text.split("\n", 1)
+    if not stamp.startswith("# ksearch "):
+        raise ValueError(f"first line is not a stamp: {stamp!r}")
+    return hashlib.sha256(rest.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_csv_rows_match_recorded_digest(case, feed_dir, monkeypatch):
+    argv, expected = CASES[case]
+    monkeypatch.chdir(feed_dir)  # relative paths keep the source= comment stable
+    out = f"{case}.csv"
+    assert main([*argv, "--seed", "5", "--input", FEED, "--output", out]) == 0
+    assert rows_digest((feed_dir / out).read_text(encoding="utf-8")) == expected

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -450,6 +451,18 @@ class TestSyntheticSeries:
         assert all(5.0 <= p <= 50.0 for p in series.prices)
         assert series.timestamps[1] - series.timestamps[0] == 600
 
+    def test_timestamps_are_ten_minute_range(self):
+        series = gen_synthetic_series(num_samples=700, seed=4)
+        assert tuple(series.timestamps) == tuple(range(0, 700 * 600, 600))
+        assert isinstance(series.timestamps, range)  # not a tuple of 700 ints
+        assert scale_theta(series, 2.0).timestamps == series.timestamps
+
+    def test_pickle_round_trips(self):
+        series = gen_synthetic_series(num_samples=300, seed=4)
+        again = pickle.loads(pickle.dumps(series))
+        assert again == series
+        assert again.timestamps == range(0, 300 * 600, 600)
+
     def test_explores_the_band(self):
         series = gen_synthetic_series(num_samples=WINDOW_SAMPLES * 2, seed=2)
         assert max(series.prices) / min(series.prices) > 2.0
@@ -475,3 +488,13 @@ class TestPriceSeries:
             PriceSeries((5.0, 6.0), (1,))
         with pytest.raises(InvalidInputError):
             PriceSeries((5.0, 6.0), (2, 1))
+
+    def test_range_timestamps(self):
+        assert PriceSeries((5.0, 6.0), range(10, 30, 10)).timestamps == range(10, 30, 10)
+        assert PriceSeries((5.0, 6.0), [1, 2]).timestamps == (1, 2)
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            PriceSeries((5.0, 6.0), range(30, 10, -10))
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            PriceSeries((5.0,), range(30, 20, -10))  # one stamp, but a falling range
+        with pytest.raises(InvalidInputError):
+            PriceSeries((5.0, 6.0), range(0, 30, 10))

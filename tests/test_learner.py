@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from ksearch import (
@@ -16,16 +17,21 @@ from ksearch import (
     RegretRecord,
     SearchInstance,
     adjust_error,
+    design,
     gen_p_instance,
     gen_synthetic_series,
     make_learner,
+    offline_opt,
+    ota_total,
     regret_curve,
     round_ratios,
     run_learning,
     select_lambda,
     sliding_windows,
+    worst_case_thresholds,
 )
-from ksearch.learner import _updated
+from ksearch import learner as learner_mod
+from ksearch.learner import _replay_ratios, _replay_window_bytes, _updated
 
 BOUNDS = PriceBounds(5.0, 50.0)
 
@@ -216,6 +222,89 @@ class TestRoundRatios:
             assert prediction_ratio(target.schedule, window.prediction) <= 1.0 + 1e-9
             empirical.extend(round_ratios(window, ProblemKind.MAX, bounds, 8, (0.0,)))
         assert max(empirical) > 1.0 + 1e-6
+
+
+def _oracle_ratios(window, kind, bounds, k, schedules):
+    """Per-schedule ota_total ratios: the replay the block kernel replaces."""
+    opt = offline_opt(window.instance, kind)
+    prices = np.asarray(window.instance.prices)
+    out = []
+    for schedule in schedules:
+        total, _ = ota_total(schedule, prices)
+        out.append(opt / total if kind.is_max else total / opt)
+    return out
+
+
+def _grid_schedules(window, kind, bounds, k, grid):
+    return [design(window.prediction, lam, bounds, k, kind).schedule for lam in grid]
+
+
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The window count of every block the learner hands to the kernel."""
+    sizes = []
+    kernel = learner_mod.ota_totals
+
+    def spy(thresholds, prices, rows, kind):
+        sizes.append(len(prices))
+        return kernel(thresholds, prices, rows, kind)
+
+    monkeypatch.setattr(learner_mod, "ota_totals", spy)
+    return sizes
+
+
+class TestBlockReplay:
+    GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_round_ratios_equal_per_schedule_replay(self, kind):
+        windows, bounds = _stream(8, k=6, kind=kind, perfect=False)
+        grid = make_learner(horizon=1).grid
+        for window in windows:
+            expected = _oracle_ratios(
+                window, kind, bounds, 6, _grid_schedules(window, kind, bounds, 6, grid))
+            assert list(round_ratios(window, kind, bounds, 6, grid)) == expected
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("per_block,budget_offset,sizes", [
+        (1, -1, [1] * 7),  # a budget below one window still replays one
+        (1, 0, [1] * 7),
+        (3, 0, [3, 3, 1]),  # a partial last block
+        (3, -1, [2, 2, 2, 1]),
+        (7, 0, [7]),
+        (50, 0, [7]),
+    ])
+    def test_blocks_cut_at_the_budget(self, kind, per_block, budget_offset, sizes,
+                                      block_sizes, monkeypatch):
+        windows, bounds = _stream(7, k=5, kind=kind, perfect=False)
+        extra = (worst_case_thresholds(bounds, 5, kind).schedule,)
+        runs = len(self.GRID) + len(extra)
+        budget = per_block * _replay_window_bytes(windows[0].instance.horizon, 5, runs)
+        monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget + budget_offset)
+        ratios = _replay_ratios(tuple(windows), kind, bounds, 5, self.GRID, extra)
+        assert block_sizes == sizes
+        for window, row in zip(windows, ratios.tolist()):
+            schedules = _grid_schedules(window, kind, bounds, 5, self.GRID) + list(extra)
+            assert row == _oracle_ratios(window, kind, bounds, 5, schedules)
+
+    def test_blocks_cut_where_the_horizon_changes(self, block_sizes):
+        windows = []
+        for horizon in (20, 20, 30, 20, 20):
+            spec = PInstanceSpec(ProblemKind.MAX, p=20.0, bounds=BOUNDS, k=4, step=0.5)
+            prices = gen_p_instance(spec).prices
+            inst = SearchInstance((prices * 3)[:horizon], 4, BOUNDS)
+            windows.append(ExperimentWindow(inst, 20.0, max(inst.prices)))
+        ratios = _replay_ratios(tuple(windows), ProblemKind.MAX, BOUNDS, 4, self.GRID)
+        assert block_sizes == [2, 1, 2]
+        for window, row in zip(windows, ratios.tolist()):
+            schedules = _grid_schedules(window, ProblemKind.MAX, BOUNDS, 4, self.GRID)
+            assert row == _oracle_ratios(window, ProblemKind.MAX, BOUNDS, 4, schedules)
+
+    def test_every_window_is_checked(self):
+        windows, bounds = _stream(3, k=8)
+        other, _ = _stream(1, k=9)
+        with pytest.raises(InvalidInputError):
+            _replay_ratios((*windows, other[0]), ProblemKind.MAX, bounds, 8, self.GRID)
 
 
 class TestRunLearningAndRegret:
