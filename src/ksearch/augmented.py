@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule
+from .core import ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, left_sum
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .pareto import FrontierSpec, target_point
 
@@ -109,11 +109,11 @@ def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:
     prediction = _snap_prediction(prediction, bounds)
     if schedule.kind.is_max:
         reached = bisect.bisect_right(schedule.values, prediction)
-        banked = sum(schedule.values[:reached]) + (k - reached) * bounds.p_min
+        banked = left_sum(schedule.values[:reached]) + (k - reached) * bounds.p_min
         return k * prediction / banked
     descending = [-v for v in schedule.values]
     reached = bisect.bisect_right(descending, -prediction)
-    banked = sum(schedule.values[:reached]) + (k - reached) * bounds.p_max
+    banked = left_sum(schedule.values[:reached]) + (k - reached) * bounds.p_max
     return banked / (k * prediction)
 
 
@@ -353,7 +353,7 @@ def design_for_target(
         else:
             label, j_star = labels[2], _prefix_length(prediction, gamma, bounds, k, kind)
         prefix = [near + lead_gamma * grow_gamma ** (i - 1) for i in range(1, j_star + 1)]
-        prefix_sum = sum(prefix)
+        prefix_sum = left_sum(prefix)
         # m*: the smallest flat-block end that lets the pivot reach P
         if is_max:
             if label == "II":

@@ -20,9 +20,9 @@ a usage error).  Each flag checks its own range when it is parsed, so a
 single bad value (``--k 0``, ``--lambda 1.5``) prints argparse's usage line
 and an error naming the flag; checks that span several flags (the price
 bounds, ``--prediction`` within them, budgets within ``--window``, an
-existing ``--input``, and no ``--pmin``/``--pmax`` next to ``--input``,
-whose bounds come from the feed) print ``ksearch: error: ...``.  Both
-exit 2.
+existing ``--input``, no ``--pmin``/``--pmax`` next to ``--input``, whose
+bounds come from the feed, and without it a ``--window`` that fits twice in
+the synthetic feed) print ``ksearch: error: ...``.  Both exit 2.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from .harness import (
     summarize,
 )
 from .instances import (
+    FIVE_YEAR_SAMPLES,
     STRIDE_SAMPLES,
     WINDOW_SAMPLES,
     PriceSeries,
@@ -204,6 +205,9 @@ def _check_across_flags(args: argparse.Namespace) -> PriceBounds:
                 )
         if args.input is not None and not os.path.isfile(args.input):
             raise KSearchError(f"--input file not found: {args.input}")
+        if args.input is None and 2 * args.window > FIVE_YEAR_SAMPLES:
+            raise KSearchError(f"--window {args.window} needs {2 * args.window} samples "
+                               f"with its look-back; the synthetic feed has {FIVE_YEAR_SAMPLES}")
     return bounds
 
 

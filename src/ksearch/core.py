@@ -19,7 +19,9 @@ bit-identical totals.
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -359,6 +361,12 @@ def ota_totals(
     return sign * totals, voluntary
 
 
+def left_sum(values) -> float:
+    """Float sum rounded after each addition, left to right, on any Python
+    (the built-in ``sum`` compensates the rounding from Python 3.12 on)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
     """Clairvoyant optimum: sum of the k largest (max) or smallest (min) prices."""
     # select the k extremes without a full sort, then add them in sorted order
@@ -368,7 +376,7 @@ def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
         chosen = np.partition(prices, prices.size - k)[prices.size - k :]
     else:
         chosen = np.partition(prices, k - 1)[:k]
-    return float(sum(sorted(chosen.tolist(), reverse=kind.is_max)))
+    return left_sum(sorted(chosen.tolist(), reverse=kind.is_max))
 
 
 def empirical_ratio(trace: RunTrace, opt: float, kind: ProblemKind) -> float:

@@ -180,21 +180,16 @@ def stress_windows(
 
     The error level is applied first: hardening models corruption that
     arrives after the forecast is made, so a "perfect" prediction stays
-    anchored to the pre-corruption extreme.  Hardening can move a window's
-    realized extreme, so it is recomputed afterwards.
+    anchored to the pre-corruption extreme, and a hardened window keeps the
+    prediction it was given.
     """
-    pick = max if kind.is_max else min
     out = []
     for idx, window in enumerate(windows):
         window = adjust_error(window, error_level, kind)
         hardened = apply_rho_hard(
             window.instance, rho, seed * (1 << 20) + idx + _HARDEN_KEY_OFFSET, kind
         )
-        if hardened is not window.instance:
-            window = ExperimentWindow(
-                hardened, window.prediction, pick(hardened.prices)
-            )
-        out.append(window)
+        out.append(ExperimentWindow(hardened, window.prediction))
     return tuple(out)
 
 

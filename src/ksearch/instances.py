@@ -18,6 +18,7 @@ counter-based generator, so every experiment is bit-reproducible.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -209,23 +210,19 @@ class PriceSeries:
 
 @dataclass(frozen=True)
 class ExperimentWindow:
-    """One trading window plus the prediction carried in from its predecessor."""
+    """One trading window plus the prediction carried in from its predecessor.
+
+    Its actual extreme is not stored: ``adjust_error`` reads it off the prices.
+    """
 
     instance: SearchInstance
     prediction: float
-    actual_extreme: float
 
     def __post_init__(self):
         if not self.instance.bounds.contains(self.prediction):
             raise InvalidInputError(
                 f"prediction {self.prediction} outside bounds "
                 f"[{self.instance.bounds.p_min}, {self.instance.bounds.p_max}]"
-            )
-        lo, hi = min(self.instance.prices), max(self.instance.prices)
-        if self.actual_extreme not in (lo, hi):
-            raise InvalidInputError(
-                f"actual_extreme {self.actual_extreme} is neither the window "
-                f"min {lo} nor max {hi}"
             )
 
 
@@ -251,13 +248,13 @@ def ingest_csv(
 ) -> PriceSeries:
     """Parse a UTF-8 CSV with a header row into a PriceSeries.
 
-    The price column is required (positive decimals); the timestamp column
-    is optional (integer epoch seconds, strictly increasing).  Row-level
-    problems raise DataFormatError naming the offending data row (1-based);
-    an empty or header-only file, or a missing price column, is
-    InvalidInputError.
+    A leading byte-order mark is skipped.  The price column is required
+    (positive decimals); the timestamp column is optional (integer epoch
+    seconds, strictly increasing).  Row-level problems raise DataFormatError
+    naming the offending data row (1-based); an empty or header-only file, or
+    a missing price column, is InvalidInputError.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [cell.strip() for cell in next(reader)]
@@ -339,39 +336,29 @@ def sliding_windows(
     prices = series.prices
     bounds = PriceBounds(min(prices), max(prices))
     pick = max if kind.is_max else min
-    windows = []
-    for start in range(window_len, n - window_len + 1, stride):
-        chunk = prices[start : start + window_len]
-        prediction = pick(prices[start - window_len : start])
-        windows.append(
-            ExperimentWindow(
-                instance=SearchInstance(chunk, k, bounds),
-                prediction=prediction,
-                actual_extreme=pick(chunk),
-            )
+    return tuple(
+        ExperimentWindow(
+            SearchInstance(prices[start : start + window_len], k, bounds),
+            pick(prices[start - window_len : start]),
         )
-    return tuple(windows)
+        for start in range(window_len, n - window_len + 1, stride)
+    )
 
 
 def adjust_error(window: ExperimentWindow, level: float, kind: ProblemKind) -> ExperimentWindow:
     """Scale the window's prediction error to the given level in [0, 1].
 
-    With eps = |actual - prediction|, the new prediction sits at
+    The actual extreme is the kind-extreme of the window's prices.  With
+    eps = |actual - prediction|, the new prediction sits at
     actual + sign(prediction - actual) * level * eps: level 0 is a perfect
     prediction, level 1 keeps the original.
     """
     if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
         raise DomainError(f"error level must lie in [0, 1], got {level}")
-    actual = window.actual_extreme
-    pick = max if kind.is_max else min
-    if actual != pick(window.instance.prices):
-        raise InvalidInputError(
-            f"window's actual_extreme {actual} is not the {kind.value}-extreme "
-            f"of its prices"
-        )
+    actual = (max if kind.is_max else min)(window.instance.prices)
     shift = window.prediction - actual
     prediction = window.instance.bounds.clip(actual + level * shift)
-    return ExperimentWindow(window.instance, prediction, actual)
+    return ExperimentWindow(window.instance, prediction)
 
 
 def gen_synthetic_series(
@@ -393,13 +380,11 @@ def gen_synthetic_series(
     log_hi = math.log(bounds.p_max)
     mid = 0.5 * (log_lo + log_hi)
     kappa, sigma = 0.02, 0.08
-    noise = rng.normal(0.0, sigma, max(num_samples - 1, 0)).tolist()
     decay = 1.0 - kappa
-    x = mid
-    logs = [mid]
-    for e in noise:
-        x = mid + decay * (x - mid) + e
-        logs.append(x)
-    prices = np.exp(np.clip(np.asarray(logs), log_lo, log_hi))
+    # the OU recursion in Python floats; the noise list dies with the walk
+    logs = np.fromiter(itertools.accumulate(
+        rng.normal(0.0, sigma, num_samples - 1).tolist(),
+        lambda x, e: mid + decay * (x - mid) + e, initial=mid), float, num_samples)
+    prices = np.exp(np.clip(logs, log_lo, log_hi))
     timestamps = range(0, num_samples * 600, 600)  # ten-minute samples
-    return PriceSeries(tuple(prices.tolist()), timestamps)
+    return PriceSeries(prices.tolist(), timestamps)

@@ -232,8 +232,8 @@ def test_criterion_11_learner_convergence_under_120s():
     t0 = time.perf_counter()
     k = 10
     inst = gen_p_instance(PInstanceSpec(MAX, 20.0, BAND, k, step=0.5))
-    accurate = ExperimentWindow(inst, 20.0, 20.0)
-    overstated = ExperimentWindow(inst, 45.0, 20.0)
+    accurate = ExperimentWindow(inst, 20.0)
+    overstated = ExperimentWindow(inst, 45.0)
     draws = np.random.Generator(np.random.Philox(2024)).random(1000)
     windows = [accurate if d < 0.75 else overstated for d in draws]
 

@@ -72,6 +72,10 @@ class TestValidation:
         ["experiment", *BOUNDS, "--k", "5,4000"],
         # a fluctuation-ratio multiplier must be finite
         ["experiment", *BOUNDS, "--theta-mult", "inf"],
+        # the synthetic feed holds one look-back and one trading window at most
+        ["simulate", *BOUNDS, "--window", "127441", "--k", "5"],
+        ["experiment", *BOUNDS, "--window", "127441", "--k", "5"],
+        ["learn", *BOUNDS, "--window", "127441", "--k", "5"],
     ])
     def test_invalid_usage_exits_2(self, argv, capsys):
         assert main(argv) == 2
@@ -273,6 +277,16 @@ class TestSimulate:
         first = out.read_bytes()
         assert main(argv) == 0
         assert out.read_bytes() == first
+
+    def test_window_filling_the_synthetic_feed(self, tmp_path):
+        # twice the window is exactly the synthetic feed: one window fits
+        out = tmp_path / "sim.csv"
+        code = main(["simulate", *BOUNDS, "--window", "127440", "--k", "1",
+                     "--output", str(out)])
+        assert code == 0
+        comments, _, rows = read_csv(out)
+        assert comment_field(comments, "windows") == "1"
+        assert {r[2] for r in rows if r[0] == "ratio"} == {"0"}
 
 
 class TestExperiment:

@@ -229,6 +229,12 @@ class TestOfflineOpt:
                 expected = float(sum(sorted(prices, reverse=kind.is_max)[:k]))
                 assert offline_opt(inst, kind) == expected
 
+    def test_sum_rounds_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16 at each step; a compensated sum
+        # (the built-in ``sum`` from Python 3.12 on) would give 1e16 + 2
+        inst = SearchInstance((1.0, 1e16, 1.0), 3, PriceBounds(1.0, 1e16))
+        assert offline_opt(inst, ProblemKind.MAX) == 1e16
+
 
 @given(schedule_and_instance())
 @settings(max_examples=150)

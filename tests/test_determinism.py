@@ -2,9 +2,12 @@
 
 Each case runs the CLI in-process on a small seeded feed and hashes every
 output line except the stamp (the first comment line, which names the
-command line).  The digests were recorded before the batched replay kernel
-replaced the per-schedule replay loop, so a change in any ratio, summary or
-learner weight, down to the last bit of a ``repr``, fails here.
+command line).  The ``experiment`` and ``learn`` digests were recorded
+before the batched replay kernel replaced the per-schedule replay loop; the
+``simulate`` digests, which pin every per-window ratio and confidence after
+the prediction error is dialled, were recorded before windows stopped
+storing their actual extreme.  A change in any ratio, summary or learner
+weight, down to the last bit of a ``repr``, fails here.
 """
 
 from __future__ import annotations
@@ -30,6 +33,16 @@ CASES = {
         ["experiment", "--kind", "min", "--k", "5,20", "--rho", "0.0,0.2",
          "--error-level", "0.0,1.0", *WINDOWS],
         "60d549a0634bf0d1db3bb14cad96ccedd6c2c3672b5ac9f5a011a68424be92a8",
+    ),
+    "simulate-max": (
+        ["simulate", "--kind", "max", "--k", "5", "--error-level", "0.0,0.5,1.0",
+         *WINDOWS],
+        "61578963043a317dfb5b8d8821d4924555b325b97f3b26693aa5743ddc500fdc",
+    ),
+    "simulate-min": (
+        ["simulate", "--kind", "min", "--k", "5", "--error-level", "0.0,0.5,1.0",
+         *WINDOWS],
+        "ea7dfc09b04ed2b1160dca4bf7a4ff7346b6e1e5188df3bcaf5467acad911e1f",
     ),
     "learn-both": (
         ["learn", "--kind", "both", "--k", "10", "--window", "288", "--stride", "24"],

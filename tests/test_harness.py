@@ -83,7 +83,7 @@ class TestStressWindows:
         windows = _windows()
         out = stress_windows(windows, ProblemKind.MAX, 0.0, 0.0, seed=9)
         for window in out:
-            assert window.prediction == window.actual_extreme
+            assert window.prediction == max(window.instance.prices)
 
     def test_deterministic(self):
         windows = _windows()

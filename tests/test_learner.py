@@ -53,7 +53,7 @@ def _adversarial_stream(n_windows: int, k: int = 8,
     exactly k arrivals, so full trust achieves the optimum and every higher
     confidence is strictly worse -- the regime the consistency bound covers."""
     spec = PInstanceSpec(kind, p=p, bounds=BOUNDS, k=k, step=0.5)
-    window = ExperimentWindow(gen_p_instance(spec), p, p)
+    window = ExperimentWindow(gen_p_instance(spec), p)
     return [window] * n_windows, BOUNDS
 
 
@@ -125,7 +125,7 @@ class TestObserveRound:
         # degenerate bounds: every design is flat, every ratio is exactly 1
         bounds = PriceBounds(5.0, 5.0)
         inst = SearchInstance((5.0,) * 10, 2, bounds)
-        window = ExperimentWindow(inst, 5.0, 5.0)
+        window = ExperimentWindow(inst, 5.0)
         learner = make_learner(horizon=10)
         updated = _updated(
             learner, round_ratios(window, ProblemKind.MAX, bounds, 2, learner.grid)
@@ -293,7 +293,7 @@ class TestBlockReplay:
             spec = PInstanceSpec(ProblemKind.MAX, p=20.0, bounds=BOUNDS, k=4, step=0.5)
             prices = gen_p_instance(spec).prices
             inst = SearchInstance((prices * 3)[:horizon], 4, BOUNDS)
-            windows.append(ExperimentWindow(inst, 20.0, max(inst.prices)))
+            windows.append(ExperimentWindow(inst, 20.0))
         ratios = _replay_ratios(tuple(windows), ProblemKind.MAX, BOUNDS, 4, self.GRID)
         assert block_sizes == [2, 1, 2]
         for window, row in zip(windows, ratios.tolist()):
