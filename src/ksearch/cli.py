@@ -217,12 +217,16 @@ def _check_across_flags(args: argparse.Namespace) -> PriceBounds:
 
 def _stamp(args: argparse.Namespace) -> str:
     # --workers never affects the rows, so it is excluded from the stamp to
-    # keep outputs byte-identical across worker counts
-    argv = list(args.argv)
-    if "--workers" in argv:
-        at = argv.index("--workers")
-        del argv[at : at + 2]
-    argv = [arg for arg in argv if not arg.startswith("--workers=")]
+    # keep outputs byte-identical across worker counts: every occurrence,
+    # with its value, under any prefix argparse accepts for it (--wo up)
+    tokens, argv = iter(args.argv), []
+    for arg in tokens:
+        option, equals, _ = arg.partition("=")
+        if len(option) >= len("--wo") and "--workers".startswith(option):
+            if not equals:
+                next(tokens, None)
+        else:
+            argv.append(arg)
     command_line = shlex.join(["ksearch", *argv])
     return f"ksearch {__version__} | command: {command_line} | seed: {args.seed}"
 
@@ -316,7 +320,7 @@ def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
     rows = []
     for level in args.error_levels:
         stressed = stress_windows(windows, kind, 0.0, level, args.seed)
-        results = evaluate_windows(stressed, kind, bounds, args.k, args.seed)
+        results = evaluate_windows(stressed, kind, args.seed)
         for algorithm in ALGORITHMS:
             for res in results:
                 rows.append((
@@ -366,8 +370,7 @@ def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
     rows = []
     for kd in kinds:
         windows = sliding_windows(series, args.window, args.stride, args.k, kd)
-        bounds = windows[0].instance.bounds
-        learner, history = run_learning(windows, kd, bounds, args.k, args.seed)
+        learner, history, _ = run_learning(windows, kd, args.seed)
         for rec in history:
             rows.append((
                 kd.value, rec.round, rec.chosen_lambda, rec.chosen_ratio,

@@ -9,6 +9,9 @@ One evaluation compares three selection policies on the same window stream:
 - ``ota-learned``    the confidence sampled round-by-round by the
                      multiplicative-weights learner
 
+The budget k and the price band come from the windows (the first one,
+which the rest must match); the confidence grid is the learner's ``GRID``.
+
 A sweep evaluates that triple over a cross product of stress parameters
 (tail-hardening probability rho, prediction error level, budget k, and a
 fluctuation-ratio multiplier), one cell at a time.  Cells are independent,
@@ -28,7 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
-from .core import PriceBounds, ProblemKind
+from .core import ProblemKind
 from .errors import ConstructionError, InvalidInputError
 from .instances import (
     ExperimentWindow,
@@ -38,7 +41,7 @@ from .instances import (
     scale_theta,
     sliding_windows,
 )
-from .learner import _learn
+from .learner import GRID, run_learning
 from .worstcase import worst_case_thresholds
 
 ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
@@ -113,44 +116,37 @@ def summarize(values) -> tuple[float, float, float, float]:
     return statistics.fmean(vals), med, q1, q3
 
 
-def evaluate_windows(
-    windows,
-    kind: ProblemKind,
-    bounds: PriceBounds,
-    k: int,
-    seed: int,
-    grid: tuple[float, ...] | None = None,
-) -> tuple[WindowResult, ...]:
+def evaluate_windows(windows, kind: ProblemKind, seed: int) -> tuple[WindowResult, ...]:
     """Run the three policies over a window stream.
 
     The hindsight policy reads each window's best grid confidence from the
     ratios the learner observed, and the worst-case schedule is one more run
     per window in the same block replay, so every (window, schedule) pair is
     replayed once and every window's offline optimum is computed once.  The
-    worst-case guarantee is re-checked on every window: the confidence-1
-    schedule must stay within its competitive ratio, and the hindsight-best
-    grid confidence can never lose to it (the grid contains 1).  A violation
-    means a designed schedule is wrong, so it raises ConstructionError.
+    worst-case schedule is built for the first window's price band and
+    budget, which every window must share.  The worst-case guarantee is
+    re-checked on every window: the confidence-1 schedule must stay within
+    its competitive ratio, and the hindsight-best grid confidence can never
+    lose to it (the grid contains 1).  A violation means a designed schedule
+    is wrong, so it raises ConstructionError.
     """
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("evaluate_windows needs at least one window")
-    solution = worst_case_thresholds(bounds, k, kind)
-    learner, history, matrix = _learn(
-        windows, kind, bounds, k, seed, grid, None, extra=(solution.schedule,)
-    )
-    grid = learner.grid
+    first = windows[0].instance
+    solution = worst_case_thresholds(first.bounds, first.k, kind)
+    _, history, matrix = run_learning(windows, kind, seed, extra=(solution.schedule,))
 
     results = []
     for idx, (record, row) in enumerate(zip(history, matrix)):
         ratios = row.tolist()
-        on_ratio = ratios[len(grid)]  # the worst-case schedule's column
+        on_ratio = ratios[len(GRID)]  # the worst-case schedule's column
         if on_ratio > solution.cr + 1e-6:
             raise ConstructionError(
                 f"worst-case guarantee violated on window {idx}: "
                 f"ratio {on_ratio} > {solution.cr} + 1e-6"
             )
-        best = min(range(len(grid)), key=lambda j: (ratios[j], j))
+        best = min(range(len(GRID)), key=lambda j: (ratios[j], j))
         if ratios[best] > on_ratio * (1.0 + 1e-12):
             raise ConstructionError(
                 f"hindsight-best confidence lost to the worst-case schedule "
@@ -161,7 +157,7 @@ def evaluate_windows(
                 index=idx,
                 on_ratio=on_ratio,
                 hindsight_ratio=ratios[best],
-                hindsight_lambda=grid[best],
+                hindsight_lambda=GRID[best],
                 learned_ratio=record.chosen_ratio,
                 learned_lambda=record.chosen_lambda,
             )
@@ -214,8 +210,7 @@ def run_cell(
     scaled = scale_theta(series, cell.theta_mult) if cell.theta_mult != 1.0 else series
     windows = sliding_windows(scaled, window_len, stride, cell.k, kind)
     windows = stress_windows(windows, kind, cell.rho, cell.error_level, seed)
-    bounds = windows[0].instance.bounds
-    results = evaluate_windows(windows, kind, bounds, cell.k, seed)
+    results = evaluate_windows(windows, kind, seed)
     summaries = []
     for algorithm in ALGORITHMS:
         mean, median, q1, q3 = summarize(r.ratio(algorithm) for r in results)

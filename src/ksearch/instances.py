@@ -116,28 +116,21 @@ def gen_p_instance(spec: PInstanceSpec) -> SearchInstance:
     return SearchInstance(tuple(prices), k, bounds)
 
 
-def gen_worst_case_sequence(
-    schedule: ThresholdSchedule, i: int, epsilon: float | None = None
-) -> SearchInstance:
+def gen_worst_case_sequence(schedule: ThresholdSchedule, i: int) -> SearchInstance:
     """Sequence on which the schedule realizes its interval-(i+1) ratio.
 
     The first i thresholds arrive verbatim (each is selected, equality
-    selects), then k copies of the next threshold perturbed by epsilon so
-    they are all refused, then k boundary prices that only the compulsory
-    rule picks up.  As epsilon -> 0 the empirical ratio approaches the
-    interval ratio for interval i+1.
-
-    epsilon defaults to 1e-6 * p_min; levels that leave [p_min, p_max] are
-    clipped to the boundary.
+    selects), then k copies of the next threshold perturbed by
+    epsilon = 1e-6 * p_min so they are all refused, then k boundary prices
+    that only the compulsory rule picks up.  As epsilon -> 0 the empirical
+    ratio approaches the interval ratio for interval i+1.  Levels that leave
+    [p_min, p_max] are clipped to the boundary.
     """
     bounds = schedule.bounds
     k = schedule.k
     if not isinstance(i, int) or isinstance(i, bool) or not 0 <= i <= k:
         raise DomainError(f"interval index must be an integer in [0, {k}], got {i}")
-    if epsilon is None:
-        epsilon = 1e-6 * bounds.p_min
-    if not (isinstance(epsilon, (int, float)) and epsilon > 0 and math.isfinite(epsilon)):
-        raise DomainError(f"epsilon must be a positive price, got {epsilon}")
+    epsilon = 1e-6 * bounds.p_min
 
     nxt = schedule.value_at(i + 1)  # sentinel boundary value at i = k
     if schedule.kind.is_max:
@@ -243,13 +236,11 @@ def scale_theta(series: PriceSeries, multiplier: float) -> PriceSeries:
     return PriceSeries(prices, series.timestamps)
 
 
-def ingest_csv(
-    path, price_column: str = "price", timestamp_column: str = "timestamp"
-) -> PriceSeries:
+def ingest_csv(path) -> PriceSeries:
     """Parse a UTF-8 CSV with a header row into a PriceSeries.
 
-    A leading byte-order mark is skipped.  The price column is required
-    (positive decimals); the timestamp column is optional (integer epoch
+    A leading byte-order mark is skipped.  The ``price`` column is required
+    (positive decimals); the ``timestamp`` column is optional (integer epoch
     seconds, strictly increasing).  Row-level problems raise DataFormatError
     naming the offending data row (1-based); an empty or header-only file, or
     a missing price column, is InvalidInputError.
@@ -260,13 +251,12 @@ def ingest_csv(
             header = [cell.strip() for cell in next(reader)]
         except StopIteration:
             raise InvalidInputError(f"{path}: empty file") from None
-        if price_column not in header:
+        if "price" not in header:
             raise InvalidInputError(
-                f"{path}: missing required column {price_column!r} "
-                f"(header: {header})"
+                f"{path}: missing required column 'price' (header: {header})"
             )
-        p_idx = header.index(price_column)
-        t_idx = header.index(timestamp_column) if timestamp_column in header else None
+        p_idx = header.index("price")
+        t_idx = header.index("timestamp") if "timestamp" in header else None
 
         prices: list[float] = []
         stamps: list[int] = []

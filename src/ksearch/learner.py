@@ -3,14 +3,18 @@
 Repeated k-search rounds form a full-information online learning problem:
 after each round, the counterfactual ratio of *every* candidate confidence
 value is computable by replaying the round's window against that value's
-threshold design.  The learner keeps exponential (Hedge) weights over a
-fixed grid of confidence values, samples proportionally to the weights,
-and updates with loss = ratio - 1 so a perfect round costs nothing.
+threshold design.  The learner keeps exponential (Hedge) weights over the
+fixed grid ``GRID`` of 33 uniform confidence values on [0,1], samples
+proportionally to the weights, and updates with loss = ratio - 1 so a
+perfect round costs nothing.
 
-The counterfactual ratios do not depend on the learner's state, so the
-whole (window x confidence) ratio matrix is replayed first, a block of
-windows at a time through the batched kernel ``core.ota_totals``, and the
-Hedge loop then runs over its rows.  ``round_ratios`` is the same block
+Every window of a stream carries its budget k and price band; the learner
+reads both from the first window and requires the rest to agree.  The
+counterfactual ratios do not depend on the learner's state, so the whole
+(window x confidence) ratio matrix is replayed first, a block of windows
+at a time through the batched kernel ``core.ota_totals``, and the Hedge
+loop then runs over its rows.  ``run_learning`` returns that matrix with
+the learner and its regret records; ``round_ratios`` is the same block
 replay for one window.
 
 Regret is reported against the best fixed grid point in hindsight.
@@ -30,6 +34,7 @@ from .errors import InvalidInputError
 from .instances import ExperimentWindow
 
 DEFAULT_GRID_SIZE = 33
+GRID = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
 # the replay kernel's arrays for one block of windows stay under this size
 _REPLAY_BLOCK_BYTES = 2 << 20
 
@@ -87,30 +92,15 @@ class RegretRecord:
             )
 
 
-def make_learner(
-    grid: tuple[float, ...] | None = None,
-    horizon: int | None = None,
-    learning_rate: float | None = None,
-) -> LambdaLearner:
-    """Fresh learner with uniform weights over a [0,1] confidence grid.
+def make_learner(horizon: int) -> LambdaLearner:
+    """Fresh learner with uniform weights over ``GRID``.
 
-    The default grid is 33 uniform points including both endpoints.  Without
-    an explicit learning rate the rate is sqrt(8*ln(grid size)/horizon).
+    The learning rate is sqrt(8*ln(grid size)/horizon).
     """
-    if grid is None:
-        grid = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
-    grid = tuple(float(g) for g in grid)
-    if not grid or grid[0] != 0.0 or grid[-1] != 1.0:
-        raise InvalidInputError(
-            f"a learner grid must include both endpoints 0 and 1, got {grid}"
-        )
-    if learning_rate is None:
-        if horizon is None:
-            raise InvalidInputError("make_learner needs a learning_rate or a horizon")
-        if horizon < 1:
-            raise InvalidInputError(f"horizon must be positive, got {horizon}")
-        learning_rate = math.sqrt(8.0 * math.log(len(grid)) / horizon)
-    return LambdaLearner(grid, (1.0,) * len(grid), learning_rate, 0)
+    if horizon < 1:
+        raise InvalidInputError(f"horizon must be positive, got {horizon}")
+    rate = math.sqrt(8.0 * math.log(len(GRID)) / horizon)
+    return LambdaLearner(GRID, (1.0,) * len(GRID), rate, 0)
 
 
 def select_lambda(learner: LambdaLearner, seed: int) -> float:
@@ -123,22 +113,22 @@ def select_lambda(learner: LambdaLearner, seed: int) -> float:
 
 @lru_cache(maxsize=1 << 16)
 def _cached_design(prediction: float, lam: float, bounds: PriceBounds, k: int, kind: ProblemKind):
-    return design(prediction, lam, bounds, k, kind)
+    """The threshold values of one design: all the replay reads of it."""
+    return design(prediction, lam, bounds, k, kind).schedule.values
 
 
-def round_ratios(
-    window: ExperimentWindow, kind: ProblemKind, bounds: PriceBounds, k: int,
-    grid: tuple[float, ...],
-) -> tuple[float, ...]:
+def round_ratios(window: ExperimentWindow, kind: ProblemKind) -> tuple[float, ...]:
     """Counterfactual empirical ratio of every grid confidence on one window."""
-    return tuple(_replay_ratios((window,), kind, bounds, k, grid)[0].tolist())
+    return tuple(_replay_ratios((window,), kind)[0].tolist())
 
 
 def _replay_ratios(
-    windows: tuple[ExperimentWindow, ...], kind: ProblemKind, bounds: PriceBounds,
-    k: int, grid: tuple[float, ...], extra: tuple[ThresholdSchedule, ...] = (),
+    windows: tuple[ExperimentWindow, ...], kind: ProblemKind,
+    extra: tuple[ThresholdSchedule, ...] = (),
 ) -> np.ndarray:
     """(W, G + E) ratios: each window under every grid design, then each extra.
+
+    Every window must have the first window's budget and price band.
 
     Windows are replayed a block at a time by ``core.ota_totals``: a block is
     a run of consecutive windows of one horizon, as many as keep the kernel's
@@ -146,7 +136,8 @@ def _replay_ratios(
     window, confidence by confidence, and each window's offline optimum is
     computed once.
     """
-    runs = len(grid) + len(extra)
+    k, bounds = windows[0].instance.k, windows[0].instance.bounds
+    runs = len(GRID) + len(extra)
     ratios = np.empty((len(windows), runs))
     for start, stop in _blocks(windows, k, runs):
         block = windows[start:stop]
@@ -154,14 +145,12 @@ def _replay_ratios(
         for window in block:
             inst = window.instance
             if inst.k != k:
-                raise InvalidInputError(f"window budget {inst.k} != learner budget {k}")
+                raise InvalidInputError(f"window budget {inst.k} != first window's {k}")
             if inst.bounds != bounds:
-                raise InvalidInputError("window and learner disagree on price bounds")
+                raise InvalidInputError("window and first window disagree on price bounds")
             opts.append(offline_opt(inst, kind))
-            for lam in grid:
-                thresholds.append(
-                    _cached_design(window.prediction, lam, bounds, k, kind).schedule.values
-                )
+            for lam in GRID:
+                thresholds.append(_cached_design(window.prediction, lam, bounds, k, kind))
             thresholds.extend(schedule.values for schedule in extra)
         prices = [window.instance.prices for window in block]
         rows = np.repeat(np.arange(len(block)), runs)
@@ -215,12 +204,9 @@ def _updated(learner: LambdaLearner, ratios: tuple[float, ...]) -> LambdaLearner
 def run_learning(
     windows,
     kind: ProblemKind,
-    bounds: PriceBounds,
-    k: int,
     seed: int,
-    grid: tuple[float, ...] | None = None,
-    learning_rate: float | None = None,
-) -> tuple[LambdaLearner, tuple[RegretRecord, ...]]:
+    extra: tuple[ThresholdSchedule, ...] = (),
+) -> tuple[LambdaLearner, tuple[RegretRecord, ...], np.ndarray]:
     """Drive the learner over a window stream and report per-round regret.
 
     Round t samples its confidence with a per-round seed derived from
@@ -228,40 +214,26 @@ def run_learning(
     The regret baseline is fixed at the horizon: the grid point with the
     smallest total ratio over the whole stream; each record's
     best_fixed_ratio is that point's ratio in that round.
-    """
-    learner, records, _ = _learn(windows, kind, bounds, k, seed, grid, learning_rate)
-    return learner, records
 
-
-def _learn(
-    windows,
-    kind: ProblemKind,
-    bounds: PriceBounds,
-    k: int,
-    seed: int,
-    grid: tuple[float, ...] | None,
-    learning_rate: float | None,
-    extra: tuple[ThresholdSchedule, ...] = (),
-) -> tuple[LambdaLearner, tuple[RegretRecord, ...], np.ndarray]:
-    """run_learning plus its (W, G + E) ratio matrix: a column per extra schedule.
-
-    The ratios do not depend on the learner's state, so the whole matrix is
-    replayed first and the Hedge loop then runs over its rows, each turned
-    into Python floats only for its own round.
+    Also returns the (W, G + E) ratio matrix: a column per grid point, then
+    one per extra schedule.  The ratios do not depend on the learner's
+    state, so the whole matrix is replayed first and the Hedge loop then
+    runs over its rows, each turned into Python floats only for its own
+    round.
     """
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("run_learning needs at least one window")
     if len(windows) >= 1 << 20:
         raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
-    learner = make_learner(grid=grid, horizon=len(windows), learning_rate=learning_rate)
-    matrix = _replay_ratios(windows, kind, bounds, k, learner.grid, extra)
-    by_round = matrix[:, : len(learner.grid)]
+    learner = make_learner(len(windows))
+    matrix = _replay_ratios(windows, kind, extra)
+    by_round = matrix[:, : len(GRID)]
     chosen: list[tuple[float, float]] = []  # (lambda, ratio) per round
     for t, row in enumerate(by_round):
         ratios = row.tolist()
         lam = select_lambda(learner, seed * (1 << 20) + t)
-        chosen.append((lam, ratios[learner.grid.index(lam)]))
+        chosen.append((lam, ratios[GRID.index(lam)]))
         learner = _updated(learner, ratios)
 
     totals = [math.fsum(col.tolist()) for col in by_round.T]

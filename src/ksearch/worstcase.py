@@ -15,7 +15,6 @@ one of the k+1 price intervals.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .core import PriceBounds, ProblemKind, ThresholdSchedule

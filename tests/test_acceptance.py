@@ -49,7 +49,7 @@ from ksearch import (
     worst_case_thresholds,
     xi_star,
 )
-from ksearch.learner import make_learner, round_ratios
+from ksearch.learner import round_ratios
 
 MAX, MIN = ProblemKind.MAX, ProblemKind.MIN
 THETA_GRID = (2.0, 10.0, 83.092)
@@ -238,16 +238,14 @@ def test_criterion_11_learner_convergence_under_120s():
     windows = [accurate if d < 0.75 else overstated for d in draws]
 
     # the stream makes exactly one grid confidence strictly best
-    grid = make_learner(horizon=len(windows)).grid
     per_round = {
-        w: np.array(round_ratios(w, MAX, BAND, k, grid))
-        for w in (accurate, overstated)
+        w: np.array(round_ratios(w, MAX)) for w in (accurate, overstated)
     }
     totals = sum(per_round[w] for w in windows)
     best = int(np.argmin(totals))
     assert all(totals[best] < t for i, t in enumerate(totals) if i != best)
 
-    _, history = run_learning(windows, MAX, BAND, k, seed=11)
+    _, history, _ = run_learning(windows, MAX, seed=11)
     chosen = np.array([rec.chosen_ratio for rec in history])
     best_fixed = np.array([rec.best_fixed_ratio for rec in history])
     assert chosen[500:].mean() - best_fixed[500:].mean() <= 0.05

@@ -297,8 +297,11 @@ class TestExperiment:
                 "--k", "5,10", "--rho", "0.0,0.3", "--output", str(out)]
         assert main([*base, "--workers", "1"]) == 0
         serial = out.read_bytes()
-        assert main([*base, "--workers", "4"]) == 0
-        assert out.read_bytes() == serial
+        # argparse accepts any prefix down to --wo, and a repeated flag
+        for workers in (["--workers", "4"], ["--wo", "2"], ["--work=2"],
+                        ["--workers", "1", "--workers", "2"]):
+            assert main([*base, *workers]) == 0
+            assert out.read_bytes() == serial, workers
 
     def test_rows_sorted_by_cell_then_algorithm(self, tmp_path, feed_csv):
         out = tmp_path / "exp.csv"

@@ -97,7 +97,7 @@ class TestEvaluateWindows:
         windows = _windows()
         bounds = windows[0].instance.bounds
         cr = solve_cr(bounds, 10, ProblemKind.MAX)
-        results = evaluate_windows(windows, ProblemKind.MAX, bounds, 10, seed=5)
+        results = evaluate_windows(windows, ProblemKind.MAX, seed=5)
         assert len(results) == len(windows)
         for res in results:
             # the worst-case schedule honors its guarantee on every window
@@ -111,8 +111,7 @@ class TestEvaluateWindows:
 
     def test_accessors_cover_all_algorithms(self):
         windows = _windows()
-        bounds = windows[0].instance.bounds
-        res = evaluate_windows(windows, ProblemKind.MAX, bounds, 10, seed=5)[0]
+        res = evaluate_windows(windows, ProblemKind.MAX, seed=5)[0]
         assert res.ratio("ota-on") == res.on_ratio
         assert res.ratio("ota-hindsight") == res.hindsight_ratio
         assert res.ratio("ota-learned") == res.learned_ratio
@@ -121,14 +120,13 @@ class TestEvaluateWindows:
 
     def test_deterministic(self):
         windows = _windows()
-        bounds = windows[0].instance.bounds
-        a = evaluate_windows(windows, ProblemKind.MAX, bounds, 10, seed=5)
-        b = evaluate_windows(windows, ProblemKind.MAX, bounds, 10, seed=5)
+        a = evaluate_windows(windows, ProblemKind.MAX, seed=5)
+        b = evaluate_windows(windows, ProblemKind.MAX, seed=5)
         assert a == b
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            evaluate_windows((), ProblemKind.MAX, None, 10, seed=5)
+            evaluate_windows((), ProblemKind.MAX, seed=5)
 
 
 class TestCellsAndSweep:

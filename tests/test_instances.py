@@ -180,10 +180,6 @@ class TestWorstCaseSequence:
             gen_worst_case_sequence(sched, -1)
         with pytest.raises(DomainError):
             gen_worst_case_sequence(sched, 4)
-        with pytest.raises(DomainError):
-            gen_worst_case_sequence(sched, 1, epsilon=0.0)
-        with pytest.raises(DomainError):
-            gen_worst_case_sequence(sched, 1, epsilon=-1e-6)
 
 
 # --------------------------------------------------------------------------
@@ -331,12 +327,6 @@ class TestIngestCsv:
                 writer.writerow([i, repr(p)])
         series = ingest_csv(path)
         assert series.prices == prices
-
-    def test_custom_column_names(self, tmp_path):
-        path = _write(tmp_path, "t,close\n1,5.0\n")
-        series = ingest_csv(path, price_column="close", timestamp_column="t")
-        assert series.prices == (5.0,)
-        assert series.timestamps == (1,)
 
     def test_byte_order_mark_before_price_header(self, tmp_path):
         series = ingest_csv(_write(tmp_path, "\ufeffprice\n5.0\n6.0\n"))

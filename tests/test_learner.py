@@ -18,6 +18,7 @@ from ksearch import (
     SearchInstance,
     adjust_error,
     design,
+    evaluate_windows,
     gen_p_instance,
     gen_synthetic_series,
     make_learner,
@@ -31,7 +32,7 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch import learner as learner_mod
-from ksearch.learner import _replay_ratios, _replay_window_bytes, _updated
+from ksearch.learner import GRID, _replay_ratios, _replay_window_bytes, _updated
 
 BOUNDS = PriceBounds(5.0, 50.0)
 
@@ -71,13 +72,7 @@ class TestLearnerType:
 
     def test_factory_needs_a_rate_or_horizon(self):
         with pytest.raises(InvalidInputError):
-            make_learner()
-
-    def test_factory_requires_endpoints(self):
-        with pytest.raises(InvalidInputError):
-            make_learner(grid=(0.0, 0.5), horizon=10)
-        with pytest.raises(InvalidInputError):
-            make_learner(grid=(0.5, 1.0), horizon=10)
+            make_learner(0)
 
     def test_type_validation(self):
         with pytest.raises(InvalidInputError):
@@ -100,7 +95,7 @@ class TestLearnerType:
 
 class TestSelectLambda:
     def test_two_point_reproducible(self):
-        learner = make_learner(grid=(0.0, 1.0), horizon=10)
+        learner = LambdaLearner((0.0, 1.0), (1.0, 1.0), 0.1)
         picks = {select_lambda(learner, seed=s) for s in range(20)}
         assert picks <= {0.0, 1.0}
         assert select_lambda(learner, seed=3) == select_lambda(learner, seed=3)
@@ -127,9 +122,7 @@ class TestObserveRound:
         inst = SearchInstance((5.0,) * 10, 2, bounds)
         window = ExperimentWindow(inst, 5.0)
         learner = make_learner(horizon=10)
-        updated = _updated(
-            learner, round_ratios(window, ProblemKind.MAX, bounds, 2, learner.grid)
-        )
+        updated = _updated(learner, round_ratios(window, ProblemKind.MAX))
         assert updated.rounds_seen == 1
         assert all(
             w == pytest.approx(1.0 / 33, rel=1e-12) for w in updated.weights
@@ -142,70 +135,54 @@ class TestObserveRound:
         assert ratio == pytest.approx(math.e, rel=1e-12)
 
     def test_adversarial_perfect_stream_concentrates_full_trust(self):
-        windows, bounds = _adversarial_stream(200, k=8)
+        windows, _ = _adversarial_stream(200, k=8)
         learner = make_learner(horizon=200)
         for window in windows:
-            learner = _updated(
-                learner, round_ratios(window, ProblemKind.MAX, bounds, 8, learner.grid)
-            )
+            learner = _updated(learner, round_ratios(window, ProblemKind.MAX))
         assert learner.rounds_seen == 200
         best = max(range(33), key=lambda i: learner.weights[i])
         # the extreme is held for k arrivals, so full trust is exactly optimal
         assert learner.grid[best] == 0.0
 
     def test_real_stream_concentrates_on_empirically_best_lambda(self):
-        windows, bounds = _stream(198, k=8)
+        windows, _ = _stream(198, k=8)
         learner = make_learner(horizon=198)
         for window in windows:
-            learner = _updated(
-                learner, round_ratios(window, ProblemKind.MAX, bounds, 8, learner.grid)
-            )
+            learner = _updated(learner, round_ratios(window, ProblemKind.MAX))
         # the heaviest weight sits on the grid point with the lowest total loss
         totals = [0.0] * len(learner.grid)
         for window in windows:
-            for i, r in enumerate(
-                round_ratios(window, ProblemKind.MAX, bounds, 8, learner.grid)
-            ):
+            for i, r in enumerate(round_ratios(window, ProblemKind.MAX)):
                 totals[i] += r
         best_weight = max(range(33), key=lambda i: learner.weights[i])
         best_total = min(range(33), key=lambda i: totals[i])
         assert best_weight == best_total
 
-    def test_mismatched_window_rejected(self):
-        windows, bounds = _stream(1, k=8)
-        learner = make_learner(horizon=10)
-        with pytest.raises(InvalidInputError):
-            round_ratios(windows[0], ProblemKind.MAX, bounds, 9, learner.grid)
-        with pytest.raises(InvalidInputError):
-            round_ratios(windows[0], ProblemKind.MAX, BOUNDS, 8, learner.grid)
-
     def test_weights_stay_positive_and_finite(self):
-        windows, bounds = _stream(120, k=5, perfect=False)
+        windows, _ = _stream(120, k=5, perfect=False)
         learner = make_learner(horizon=120)
         for window in windows:
-            learner = _updated(
-                learner, round_ratios(window, ProblemKind.MAX, bounds, 5, learner.grid)
-            )
+            learner = _updated(learner, round_ratios(window, ProblemKind.MAX))
             assert all(w > 0 and math.isfinite(w) for w in learner.weights)
 
 
 class TestRoundRatios:
     def test_ratios_at_least_one(self):
-        windows, bounds = _stream(4, k=8, perfect=False)
+        windows, _ = _stream(4, k=8, perfect=False)
         for window in windows[:4]:
-            for r in round_ratios(window, ProblemKind.MAX, bounds, 8, (0.0, 0.5, 1.0)):
+            for r in round_ratios(window, ProblemKind.MAX):
                 assert r >= 1.0 - 1e-12
 
     def test_full_trust_is_optimal_when_extreme_is_held(self):
         # When the predicted extreme actually recurs k times, zero confidence
         # in the fallback (lambda = 0) attains the offline optimum.
         for kind in (ProblemKind.MAX, ProblemKind.MIN):
-            windows, bounds = _adversarial_stream(1, k=8, kind=kind)
-            ratios = round_ratios(windows[0], kind, bounds, 8, (0.0, 0.5, 1.0))
-            assert ratios[0] <= 1.0 + 1e-6
+            windows, _ = _adversarial_stream(1, k=8, kind=kind)
+            ratios = dict(zip(GRID, round_ratios(windows[0], kind)))
+            assert ratios[0.0] <= 1.0 + 1e-6
             # trusting less is monotonically worse on this stream
-            assert ratios[0] <= ratios[1] + 1e-12
-            assert ratios[1] <= ratios[2] + 1e-12
+            assert ratios[0.0] <= ratios[0.5] + 1e-12
+            assert ratios[0.5] <= ratios[1.0] + 1e-12
 
     def test_consistency_bounds_held_extreme_not_window_optimum(self):
         # The eta guarantee benchmarks against k copies of the predicted
@@ -220,7 +197,7 @@ class TestRoundRatios:
         for window in windows[:4]:
             target = design(window.prediction, 0.0, bounds, 8, ProblemKind.MAX)
             assert prediction_ratio(target.schedule, window.prediction) <= 1.0 + 1e-9
-            empirical.extend(round_ratios(window, ProblemKind.MAX, bounds, 8, (0.0,)))
+            empirical.append(round_ratios(window, ProblemKind.MAX)[0])
         assert max(empirical) > 1.0 + 1e-6
 
 
@@ -254,16 +231,13 @@ def block_sizes(monkeypatch):
 
 
 class TestBlockReplay:
-    GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-
     @pytest.mark.parametrize("kind", list(ProblemKind))
     def test_round_ratios_equal_per_schedule_replay(self, kind):
         windows, bounds = _stream(8, k=6, kind=kind, perfect=False)
-        grid = make_learner(horizon=1).grid
         for window in windows:
             expected = _oracle_ratios(
-                window, kind, bounds, 6, _grid_schedules(window, kind, bounds, 6, grid))
-            assert list(round_ratios(window, kind, bounds, 6, grid)) == expected
+                window, kind, bounds, 6, _grid_schedules(window, kind, bounds, 6, GRID))
+            assert list(round_ratios(window, kind)) == expected
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
     @pytest.mark.parametrize("per_block,budget_offset,sizes", [
@@ -278,13 +252,13 @@ class TestBlockReplay:
                                       block_sizes, monkeypatch):
         windows, bounds = _stream(7, k=5, kind=kind, perfect=False)
         extra = (worst_case_thresholds(bounds, 5, kind).schedule,)
-        runs = len(self.GRID) + len(extra)
+        runs = len(GRID) + len(extra)
         budget = per_block * _replay_window_bytes(windows[0].instance.horizon, 5, runs)
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget + budget_offset)
-        ratios = _replay_ratios(tuple(windows), kind, bounds, 5, self.GRID, extra)
+        ratios = _replay_ratios(tuple(windows), kind, extra)
         assert block_sizes == sizes
         for window, row in zip(windows, ratios.tolist()):
-            schedules = _grid_schedules(window, kind, bounds, 5, self.GRID) + list(extra)
+            schedules = _grid_schedules(window, kind, bounds, 5, GRID) + list(extra)
             assert row == _oracle_ratios(window, kind, bounds, 5, schedules)
 
     def test_blocks_cut_where_the_horizon_changes(self, block_sizes):
@@ -294,31 +268,41 @@ class TestBlockReplay:
             prices = gen_p_instance(spec).prices
             inst = SearchInstance((prices * 3)[:horizon], 4, BOUNDS)
             windows.append(ExperimentWindow(inst, 20.0))
-        ratios = _replay_ratios(tuple(windows), ProblemKind.MAX, BOUNDS, 4, self.GRID)
+        ratios = _replay_ratios(tuple(windows), ProblemKind.MAX)
         assert block_sizes == [2, 1, 2]
         for window, row in zip(windows, ratios.tolist()):
-            schedules = _grid_schedules(window, ProblemKind.MAX, BOUNDS, 4, self.GRID)
+            schedules = _grid_schedules(window, ProblemKind.MAX, BOUNDS, 4, GRID)
             assert row == _oracle_ratios(window, ProblemKind.MAX, BOUNDS, 4, schedules)
 
     def test_every_window_is_checked(self):
         windows, bounds = _stream(3, k=8)
-        other, _ = _stream(1, k=9)
-        with pytest.raises(InvalidInputError):
-            _replay_ratios((*windows, other[0]), ProblemKind.MAX, bounds, 8, self.GRID)
+        other_budget, _ = _stream(1, k=9)
+        first = windows[0]
+        wider = PriceBounds(bounds.p_min, 2 * bounds.p_max)
+        other_band = ExperimentWindow(
+            SearchInstance(first.instance.prices, 8, wider), first.prediction)
+        for later in (other_budget[0], other_band):
+            stream = (*windows, later)
+            with pytest.raises(InvalidInputError):
+                _replay_ratios(stream, ProblemKind.MAX)
+            with pytest.raises(InvalidInputError):
+                run_learning(stream, ProblemKind.MAX, seed=0)
+            with pytest.raises(InvalidInputError):
+                evaluate_windows(stream, ProblemKind.MAX, seed=0)
 
 
 class TestRunLearningAndRegret:
     def test_deterministic(self):
-        windows, bounds = _stream(60, k=5)
-        _, hist_a = run_learning(windows, ProblemKind.MAX, bounds, 5, seed=42)
-        _, hist_b = run_learning(windows, ProblemKind.MAX, bounds, 5, seed=42)
+        windows, _ = _stream(60, k=5)
+        _, hist_a, _ = run_learning(windows, ProblemKind.MAX, seed=42)
+        _, hist_b, _ = run_learning(windows, ProblemKind.MAX, seed=42)
         assert hist_a == hist_b
-        _, hist_c = run_learning(windows, ProblemKind.MAX, bounds, 5, seed=43)
+        _, hist_c, _ = run_learning(windows, ProblemKind.MAX, seed=43)
         assert hist_a != hist_c
 
     def test_record_invariants(self):
-        windows, bounds = _stream(50, k=5)
-        learner, hist = run_learning(windows, ProblemKind.MAX, bounds, 5, seed=1)
+        windows, _ = _stream(50, k=5)
+        learner, hist, _ = run_learning(windows, ProblemKind.MAX, seed=1)
         assert learner.rounds_seen == 50
         assert [r.round for r in hist] == list(range(1, 51))
         cum = 0.0
@@ -329,9 +313,19 @@ class TestRunLearningAndRegret:
         # achievable, so cumulative regret of the best fixed choice is zero
         assert hist[-1].cumulative_regret >= -1e-9
 
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_matrix_rows_are_round_ratios(self, kind):
+        # the stream's blocks replay to the same bits as one window at a time
+        windows, bounds = _stream(9, k=5, kind=kind, perfect=False)
+        extra = (worst_case_thresholds(bounds, 5, kind).schedule,)
+        _, _, matrix = run_learning(windows, kind, seed=3, extra=extra)
+        assert matrix.shape == (9, len(GRID) + 1)
+        for window, row in zip(windows, matrix[:, : len(GRID)].tolist()):
+            assert row == list(round_ratios(window, kind))
+
     def test_regret_curve_matches_records(self):
-        windows, bounds = _stream(40, k=5)
-        _, hist = run_learning(windows, ProblemKind.MAX, bounds, 5, seed=2)
+        windows, _ = _stream(40, k=5)
+        _, hist, _ = run_learning(windows, ProblemKind.MAX, seed=2)
         curve = regret_curve(hist)
         assert len(curve) == 40
         for (n, avg), rec in zip(curve, hist):
@@ -347,8 +341,8 @@ class TestRunLearningAndRegret:
             regret_curve([])
 
     def test_average_regret_decreasing_tail(self):
-        windows, bounds = _stream(400, k=5)
-        _, hist = run_learning(windows, ProblemKind.MAX, bounds, 5, seed=11)
+        windows, _ = _stream(400, k=5)
+        _, hist, _ = run_learning(windows, ProblemKind.MAX, seed=11)
         curve = regret_curve(hist)
         tail = [avg for _, avg in curve[-100:]]
         assert tail[-1] <= tail[0]
@@ -358,4 +352,4 @@ class TestRunLearningAndRegret:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(InvalidInputError):
-            run_learning((), ProblemKind.MAX, BOUNDS, 5, seed=0)
+            run_learning((), ProblemKind.MAX, seed=0)
