@@ -20,7 +20,6 @@ from .core import (
     RunTrace,
     SearchInstance,
     ThresholdSchedule,
-    empirical_ratio,
     offline_opt,
     ota_total,
     ota_totals,
@@ -56,8 +55,6 @@ from .augmented import (
     design_for_target,
     interval_ratios,
     prediction_ratio,
-    ratio_alpha,
-    ratio_beta,
 )
 from .instances import (
     FIVE_YEAR_SAMPLES,
@@ -76,13 +73,8 @@ from .instances import (
     sliding_windows,
 )
 from .learner import (
-    LambdaLearner,
     RegretRecord,
-    make_learner,
-    regret_curve,
-    round_ratios,
     run_learning,
-    select_lambda,
 )
 from .harness import (
     ALGORITHMS,
@@ -112,7 +104,6 @@ __all__ = [
     "FrontierSpec",
     "InvalidInputError",
     "KSearchError",
-    "LambdaLearner",
     "PInstanceSpec",
     "ParetoPoint",
     "PriceBounds",
@@ -132,7 +123,6 @@ __all__ = [
     "build_cells",
     "design",
     "design_for_target",
-    "empirical_ratio",
     "evaluate_windows",
     "frontier_curve",
     "gen_p_instance",
@@ -143,21 +133,15 @@ __all__ = [
     "lower_bound",
     "lower_bound_max",
     "lower_bound_min",
-    "make_learner",
     "offline_opt",
     "ota_total",
     "ota_totals",
     "prediction_ratio",
-    "ratio_alpha",
-    "ratio_beta",
-    "regret_curve",
-    "round_ratios",
     "run_cell",
     "run_learning",
     "run_ota",
     "run_sweep",
     "scale_theta",
-    "select_lambda",
     "sliding_windows",
     "solve_alpha_star",
     "solve_cr",

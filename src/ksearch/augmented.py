@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, left_sum
-from .errors import ConstructionError, DomainError, InvalidInputError
+from .errors import ConstructionError, InvalidInputError
 from .pareto import FrontierSpec, target_point
 
 _RATIO_TOL = 1e-9
@@ -57,34 +57,14 @@ _CROSS_EPS = 1e-11
 # per-interval worst-case ratios
 
 
-def ratio_alpha(schedule: ThresholdSchedule, i: int) -> float:
-    """Worst-case ratio of price interval i in 1..k+1 for a max-search schedule.
-
-    An adversary that sweeps prices up to just below threshold i forces the
-    algorithm to bank thresholds 1..i-1 plus compulsory p_min fills while the
-    optimum collects k prices at the top of the interval.
-    """
-    if not schedule.kind.is_max:
-        raise InvalidInputError("ratio_alpha needs a max-search schedule")
-    return _interval_ratio(schedule, i)
-
-
-def ratio_beta(schedule: ThresholdSchedule, i: int) -> float:
-    """Min-search mirror of ratio_alpha (Psi_{k+1} read as p_min)."""
-    if schedule.kind.is_max:
-        raise InvalidInputError("ratio_beta needs a min-search schedule")
-    return _interval_ratio(schedule, i)
-
-
-def _interval_ratio(schedule: ThresholdSchedule, i: int) -> float:
-    k = schedule.k
-    if not 1 <= i <= k + 1:
-        raise DomainError(f"interval index {i} outside [1, {k + 1}]")
-    return float(interval_ratios(schedule)[i - 1])
-
-
 def interval_ratios(schedule: ThresholdSchedule) -> np.ndarray:
-    """All k+1 per-interval ratios of a schedule in one vectorized sweep."""
+    """All k+1 per-interval worst-case ratios of a schedule, in one sweep.
+
+    Entry i-1 is price interval i: an adversary that sweeps prices to just
+    below threshold i makes the algorithm bank thresholds 1..i-1 plus
+    compulsory fills at the far bound, while the optimum collects k prices
+    at the interval's other end.
+    """
     k = schedule.k
     values = np.asarray(schedule.values, dtype=float)
     extended = np.append(values, schedule.value_at(k + 1))

@@ -54,7 +54,7 @@ from .instances import (
     ingest_csv,
     sliding_windows,
 )
-from .learner import DEFAULT_GRID_SIZE, run_learning
+from .learner import DEFAULT_GRID_SIZE, GRID, run_learning
 from .pareto import FrontierSpec, frontier_curve
 from .worstcase import worst_case_thresholds
 
@@ -370,16 +370,14 @@ def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
     rows = []
     for kd in kinds:
         windows = sliding_windows(series, args.window, args.stride, args.k, kd)
-        learner, history, _ = run_learning(windows, kd, args.seed)
+        weights, history, _ = run_learning(windows, kd, args.seed)
         for rec in history:
             rows.append((
                 kd.value, rec.round, rec.chosen_lambda, rec.chosen_ratio,
                 rec.best_fixed_ratio, rec.cumulative_regret,
             ))
-        weights = ";".join(
-            f"{g!r}:{w!r}" for g, w in zip(learner.grid, learner.weights)
-        )
-        comments.append(f"final_weights[{kd.value}]: {weights}")
+        final = ";".join(f"{g!r}:{w!r}" for g, w in zip(GRID, weights))
+        comments.append(f"final_weights[{kd.value}]: {final}")
     header = ("kind", "round", "chosen_lambda", "chosen_ratio",
               "best_fixed_ratio", "cum_regret")
     _write_csv(args, comments, header, rows)

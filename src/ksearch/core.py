@@ -161,10 +161,6 @@ class RunTrace:
     total_value: float
     num_selected: int
 
-    @property
-    def num_compulsory(self) -> int:
-        return sum(1 for d in self.decisions if d.compulsory)
-
 
 @dataclass(frozen=True)
 class ParetoPoint:
@@ -377,14 +373,3 @@ def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
     else:
         chosen = np.partition(prices, k - 1)[:k]
     return left_sum(sorted(chosen.tolist(), reverse=kind.is_max))
-
-
-def empirical_ratio(trace: RunTrace, opt: float, kind: ProblemKind) -> float:
-    """Per-instance performance ratio, oriented so that >= 1 means suboptimal."""
-    if opt <= 0 or trace.total_value <= 0:
-        raise InvalidInputError(
-            f"ratios need positive totals, got opt={opt}, alg={trace.total_value}"
-        )
-    if kind.is_max:
-        return opt / trace.total_value
-    return trace.total_value / opt

@@ -6,8 +6,8 @@ One evaluation compares three selection policies on the same window stream:
 - ``ota-hindsight``  the best fixed grid confidence for each window, found by
                      replaying the window against every grid design after the
                      fact
-- ``ota-learned``    the confidence sampled round-by-round by the
-                     multiplicative-weights learner
+- ``ota-learned``    the confidence sampled round-by-round by the Hedge
+                     loop of ``learner.run_learning``
 
 The budget k and the price band come from the windows (the first one,
 which the rest must match); the confidence grid is the learner's ``GRID``.

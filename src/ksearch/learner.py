@@ -13,9 +13,11 @@ reads both from the first window and requires the rest to agree.  The
 counterfactual ratios do not depend on the learner's state, so the whole
 (window x confidence) ratio matrix is replayed first, a block of windows
 at a time through the batched kernel ``core.ota_totals``, and the Hedge
-loop then runs over its rows.  ``run_learning`` returns that matrix with
-the learner and its regret records; ``round_ratios`` is the same block
-replay for one window.
+loop then runs over its rows, holding one plain list of weights.
+``run_learning`` returns the final weights, the regret records and that
+matrix.  A weight may underflow to 0 on a long or lopsided stream; it then
+stays at 0, and a round in which every weight underflows is redone in log
+space.
 
 Regret is reported against the best fixed grid point in hindsight.
 """
@@ -40,40 +42,6 @@ _REPLAY_BLOCK_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
-class LambdaLearner:
-    """Hedge state: a confidence grid with strictly positive weights."""
-
-    grid: tuple[float, ...]
-    weights: tuple[float, ...]
-    learning_rate: float
-    rounds_seen: int = 0
-
-    def __post_init__(self):
-        grid = tuple(float(g) for g in self.grid)
-        weights = tuple(float(w) for w in self.weights)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "weights", weights)
-        if not grid:
-            raise InvalidInputError("confidence grid must be non-empty")
-        if any(not 0.0 <= g <= 1.0 for g in grid):
-            raise InvalidInputError(f"grid values must lie in [0,1], got {grid}")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise InvalidInputError("grid must be strictly ascending")
-        if len(weights) != len(grid):
-            raise InvalidInputError(
-                f"{len(weights)} weights for {len(grid)} grid points"
-            )
-        if any(not (w > 0 and math.isfinite(w)) for w in weights):
-            raise InvalidInputError("weights must be strictly positive and finite")
-        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
-            raise InvalidInputError(
-                f"learning rate must be positive, got {self.learning_rate}"
-            )
-        if self.rounds_seen < 0:
-            raise InvalidInputError("rounds_seen cannot be negative")
-
-
-@dataclass(frozen=True)
 class RegretRecord:
     """One learning round relative to the hindsight-best fixed confidence."""
 
@@ -92,34 +60,10 @@ class RegretRecord:
             )
 
 
-def make_learner(horizon: int) -> LambdaLearner:
-    """Fresh learner with uniform weights over ``GRID``.
-
-    The learning rate is sqrt(8*ln(grid size)/horizon).
-    """
-    if horizon < 1:
-        raise InvalidInputError(f"horizon must be positive, got {horizon}")
-    rate = math.sqrt(8.0 * math.log(len(GRID)) / horizon)
-    return LambdaLearner(GRID, (1.0,) * len(GRID), rate, 0)
-
-
-def select_lambda(learner: LambdaLearner, seed: int) -> float:
-    """Sample a grid point with probability proportional to its weight."""
-    weights = np.asarray(learner.weights)
-    probs = weights / weights.sum()
-    rng = np.random.Generator(np.random.Philox(seed))
-    return learner.grid[int(rng.choice(len(probs), p=probs))]
-
-
 @lru_cache(maxsize=1 << 16)
 def _cached_design(prediction: float, lam: float, bounds: PriceBounds, k: int, kind: ProblemKind):
     """The threshold values of one design: all the replay reads of it."""
     return design(prediction, lam, bounds, k, kind).schedule.values
-
-
-def round_ratios(window: ExperimentWindow, kind: ProblemKind) -> tuple[float, ...]:
-    """Counterfactual empirical ratio of every grid confidence on one window."""
-    return tuple(_replay_ratios((window,), kind)[0].tolist())
 
 
 def _replay_ratios(
@@ -185,20 +129,6 @@ def _replay_window_bytes(horizon: int, k: int, runs: int) -> int:
     return 8 * horizon + 16 * runs * (k + 1)
 
 
-def _updated(learner: LambdaLearner, ratios: tuple[float, ...]) -> LambdaLearner:
-    """Hedge update: weight *= exp(-rate * (ratio - 1)), then renormalize."""
-    rate = learner.learning_rate
-    raw = [
-        w * math.exp(-rate * (r - 1.0))
-        for w, r in zip(learner.weights, ratios)
-    ]
-    total = math.fsum(raw)
-    return LambdaLearner(
-        learner.grid,
-        tuple(w / total for w in raw),
-        rate,
-        learner.rounds_seen + 1,
-    )
 
 
 def run_learning(
@@ -206,35 +136,50 @@ def run_learning(
     kind: ProblemKind,
     seed: int,
     extra: tuple[ThresholdSchedule, ...] = (),
-) -> tuple[LambdaLearner, tuple[RegretRecord, ...], np.ndarray]:
-    """Drive the learner over a window stream and report per-round regret.
+) -> tuple[tuple[float, ...], tuple[RegretRecord, ...], np.ndarray]:
+    """Run Hedge over a window stream and report per-round regret.
 
-    Round t samples its confidence with a per-round seed derived from
-    (seed, t), observes every grid point's ratio, and updates the weights.
-    The regret baseline is fixed at the horizon: the grid point with the
-    smallest total ratio over the whole stream; each record's
-    best_fixed_ratio is that point's ratio in that round.
+    Round t draws a grid index with probability proportional to its weight,
+    from a Philox stream keyed by seed * 2^20 + t, observes every grid
+    point's ratio, and multiplies each weight by exp(-rate * (ratio - 1)),
+    rate = sqrt(8 ln G / rounds), before renormalizing.  The regret baseline
+    is fixed at the horizon: the grid point with the smallest total ratio
+    over the whole stream; each record's best_fixed_ratio is that point's
+    ratio in that round.
 
-    Also returns the (W, G + E) ratio matrix: a column per grid point, then
-    one per extra schedule.  The ratios do not depend on the learner's
-    state, so the whole matrix is replayed first and the Hedge loop then
-    runs over its rows, each turned into Python floats only for its own
-    round.
+    Returns the final weights (aligned with ``GRID``), the records, and the
+    (W, G + E) ratio matrix: a column per grid point, then one per extra
+    schedule.  The ratios do not depend on the weights, so the whole matrix
+    is replayed first and the Hedge loop then runs over its rows.
     """
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("run_learning needs at least one window")
     if len(windows) >= 1 << 20:
         raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
-    learner = make_learner(len(windows))
+    rate = math.sqrt(8.0 * math.log(len(GRID)) / len(windows))
     matrix = _replay_ratios(windows, kind, extra)
     by_round = matrix[:, : len(GRID)]
+    weights = [1.0] * len(GRID)
     chosen: list[tuple[float, float]] = []  # (lambda, ratio) per round
     for t, row in enumerate(by_round):
         ratios = row.tolist()
-        lam = select_lambda(learner, seed * (1 << 20) + t)
-        chosen.append((lam, ratios[GRID.index(lam)]))
-        learner = _updated(learner, ratios)
+        probs = np.asarray(weights)
+        probs = probs / probs.sum()
+        rng = np.random.Generator(np.random.Philox(seed * (1 << 20) + t))
+        j = int(rng.choice(len(probs), p=probs))
+        chosen.append((GRID[j], ratios[j]))
+        raw = [w * math.exp(-rate * (r - 1.0)) for w, r in zip(weights, ratios)]
+        total = math.fsum(raw)
+        if total == 0.0:
+            # every weight underflowed: redo the round in log space, shifted
+            # by its largest exponent; a weight already at 0 stays at 0
+            logs = [math.log(w) - rate * (r - 1.0) if w > 0.0 else -math.inf
+                    for w, r in zip(weights, ratios)]
+            top = max(logs)
+            raw = [math.exp(x - top) for x in logs]
+            total = math.fsum(raw)
+        weights = [w / total for w in raw]
 
     totals = [math.fsum(col.tolist()) for col in by_round.T]
     best_idx = int(np.argmin(totals))
@@ -244,17 +189,4 @@ def run_learning(
     for t, ((lam, ratio), best) in enumerate(zip(chosen, best_ratios), start=1):
         cum += ratio - best
         records.append(RegretRecord(t, lam, ratio, best, cum))
-    return learner, tuple(records), matrix
-
-
-def regret_curve(history) -> tuple[tuple[int, float], ...]:
-    """Average cumulative regret after each round of a learning history."""
-    history = tuple(history)
-    if not history:
-        raise InvalidInputError("regret_curve needs a non-empty history")
-    out = []
-    cum = 0.0
-    for n, record in enumerate(history, start=1):
-        cum += record.chosen_ratio - record.best_fixed_ratio
-        out.append((record.round, cum / n))
-    return tuple(out)
+    return tuple(weights), tuple(records), matrix

@@ -37,9 +37,6 @@ from ksearch import (
     offline_opt,
     ota_total,
     prediction_ratio,
-    ratio_alpha,
-    ratio_beta,
-    regret_curve,
     run_learning,
     run_ota,
     run_sweep,
@@ -49,7 +46,7 @@ from ksearch import (
     worst_case_thresholds,
     xi_star,
 )
-from ksearch.learner import round_ratios
+from ksearch.learner import _replay_ratios
 
 MAX, MIN = ProblemKind.MAX, ProblemKind.MIN
 THETA_GRID = (2.0, 10.0, 83.092)
@@ -96,11 +93,11 @@ def test_criterion_04_schedule_balancing_identities():
     for theta, k in itertools.product(THETA_GRID, K_GRID):
         bounds = PriceBounds(1.0, theta)
         sol = worst_case_thresholds(bounds, k, MAX)
-        for i in range(1, k + 2):
-            assert abs(ratio_alpha(sol.schedule, i) / sol.cr - 1.0) <= 1e-8
+        for ratio in interval_ratios(sol.schedule).tolist():
+            assert abs(ratio / sol.cr - 1.0) <= 1e-8
         sol = worst_case_thresholds(bounds, k, MIN)
-        for i in range(1, k + 2):
-            assert abs(ratio_beta(sol.schedule, i) / sol.cr - 1.0) <= 1e-8
+        for ratio in interval_ratios(sol.schedule).tolist():
+            assert abs(ratio / sol.cr - 1.0) <= 1e-8
 
 
 def _design_grid():
@@ -239,7 +236,7 @@ def test_criterion_11_learner_convergence_under_120s():
 
     # the stream makes exactly one grid confidence strictly best
     per_round = {
-        w: np.array(round_ratios(w, MAX)) for w in (accurate, overstated)
+        w: _replay_ratios((w,), MAX)[0] for w in (accurate, overstated)
     }
     totals = sum(per_round[w] for w in windows)
     best = int(np.argmin(totals))
@@ -250,7 +247,7 @@ def test_criterion_11_learner_convergence_under_120s():
     best_fixed = np.array([rec.best_fixed_ratio for rec in history])
     assert chosen[500:].mean() - best_fixed[500:].mean() <= 0.05
 
-    curve = [value for _, value in regret_curve(history)]
+    curve = [rec.cumulative_regret / rec.round for rec in history]
     tail = curve[750:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     assert tail[-1] < tail[0]

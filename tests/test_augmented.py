@@ -19,8 +19,6 @@ from ksearch import (
     design,
     interval_ratios,
     prediction_ratio,
-    ratio_alpha,
-    ratio_beta,
     run_ota,
     worst_case_thresholds,
 )
@@ -42,51 +40,21 @@ FIG_TARGET = ParetoPoint(0.94, 1.52, 2.63)
 
 def test_ratio_alpha_flat_floor_schedule():
     sched = ThresholdSchedule(ProblemKind.MAX, (5.0,) * K, BOUNDS)
-    for i in range(1, K + 1):
-        assert ratio_alpha(sched, i) == pytest.approx(1.0)
-    assert ratio_alpha(sched, K + 1) == pytest.approx(BOUNDS.theta)
+    ratios = interval_ratios(sched)
+    assert ratios[:K].tolist() == pytest.approx([1.0] * K)
+    assert ratios[K] == pytest.approx(BOUNDS.theta)
 
 
 def test_ratio_beta_flat_ceiling_schedule():
     sched = ThresholdSchedule(ProblemKind.MIN, (50.0,) * K, BOUNDS)
-    for i in range(1, K + 1):
-        assert ratio_beta(sched, i) == pytest.approx(1.0)
-    assert ratio_beta(sched, K + 1) == pytest.approx(BOUNDS.theta)
+    ratios = interval_ratios(sched)
+    assert ratios[:K].tolist() == pytest.approx([1.0] * K)
+    assert ratios[K] == pytest.approx(BOUNDS.theta)
 
 
 def test_ratio_alpha_first_interval_is_first_threshold_over_floor():
     sched = ThresholdSchedule(ProblemKind.MAX, (7.0, 20.0, 30.0), PriceBounds(5.0, 50.0))
-    assert ratio_alpha(sched, 1) == pytest.approx(7.0 / 5.0)
-
-
-def test_interval_ratios_matches_scalar_ops():
-    wmax = worst_case_thresholds(BOUNDS, K, ProblemKind.MAX).schedule
-    wmin = worst_case_thresholds(BOUNDS, K, ProblemKind.MIN).schedule
-    np.testing.assert_allclose(
-        interval_ratios(wmax),
-        [ratio_alpha(wmax, i) for i in range(1, K + 2)],
-        rtol=1e-14,
-    )
-    np.testing.assert_allclose(
-        interval_ratios(wmin),
-        [ratio_beta(wmin, i) for i in range(1, K + 2)],
-        rtol=1e-14,
-    )
-
-
-def test_ratio_kind_and_index_errors():
-    wmax = worst_case_thresholds(BOUNDS, K, ProblemKind.MAX).schedule
-    wmin = worst_case_thresholds(BOUNDS, K, ProblemKind.MIN).schedule
-    with pytest.raises(InvalidInputError):
-        ratio_beta(wmax, 1)
-    with pytest.raises(InvalidInputError):
-        ratio_alpha(wmin, 1)
-    with pytest.raises(DomainError):
-        ratio_alpha(wmax, 0)
-    with pytest.raises(DomainError):
-        ratio_alpha(wmax, K + 2)
-    with pytest.raises(DomainError):
-        ratio_beta(wmin, K + 2)
+    assert interval_ratios(sched)[0] == pytest.approx(7.0 / 5.0)
 
 
 # --------------------------------------------------------------------------

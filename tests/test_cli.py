@@ -362,6 +362,59 @@ class TestLearn:
         assert picks["7"] != picks["8"]
 
 
+class TestWeightUnderflow:
+    """Hedge weights that underflow to 0.0 are valid learner states."""
+
+    @pytest.fixture(scope="class")
+    def one_underflows(self, tmp_path_factory):
+        # on every B window, lambda = 0 waits for the predicted 100000.0 and
+        # fills at 1.0: a ratio near 1e5 that underflows its weight to 0.0
+        block_a = ["100000.0"] + ["1.0"] * 287
+        block_b = ["99999.0"] * 10 + ["1.0"] * 278
+        path = tmp_path_factory.mktemp("feeds") / "one.csv"
+        path.write_text("\n".join(["price"] + (block_a + block_b) * 6) + "\n")
+        return str(path)
+
+    @pytest.fixture(scope="class")
+    def all_underflow(self, tmp_path_factory):
+        # one round in which every ratio is 999.0, so every weight underflows
+        prices = ["1e6"] + ["1.0"] * 9 + ["999.0"] + ["1.0"] * 9
+        path = tmp_path_factory.mktemp("feeds") / "all.csv"
+        path.write_text("\n".join(["price"] + prices) + "\n")
+        return str(path)
+
+    ONE_ARGS = ("--kind", "max", "--k", "10", "--window", "288", "--stride", "288")
+    ALL_ARGS = ("--kind", "max", "--k", "1", "--window", "10", "--stride", "10")
+
+    @pytest.mark.parametrize("command", ["learn", "simulate", "experiment"])
+    def test_every_command_exits_0(self, command, one_underflows, all_underflow,
+                                   tmp_path):
+        for feed, args in ((one_underflows, self.ONE_ARGS),
+                           (all_underflow, self.ALL_ARGS)):
+            out = tmp_path / "out.csv"
+            assert main([command, *args, "--input", feed, "--output", str(out)]) == 0
+
+    def test_an_underflowed_weight_stays_at_zero(self, one_underflows, tmp_path):
+        out = tmp_path / "learn.csv"
+        assert main(["learn", *self.ONE_ARGS, "--input", one_underflows,
+                     "--output", str(out)]) == 0
+        comments, _, _ = read_csv(out)
+        (line,) = [c for c in comments if c.startswith("final_weights[max]: ")]
+        weights = dict(pair.split(":") for pair in line.split(" ")[1].split(";"))
+        assert weights["0.0"] == "0.0"
+
+    def test_a_round_where_every_weight_underflows(self, all_underflow, tmp_path):
+        out = tmp_path / "learn.csv"
+        assert main(["learn", *self.ALL_ARGS, "--input", all_underflow,
+                     "--output", str(out)]) == 0
+        text = out.read_text()
+        assert "\nmax,1,0.0,999.0,999.0,0.0\n" in text
+        comments, _, _ = read_csv(out)
+        (line,) = [c for c in comments if c.startswith("final_weights[max]: ")]
+        weights = [pair.split(":")[1] for pair in line.split(" ")[1].split(";")]
+        assert weights == ["0.030303030303030304"] * 33
+
+
 def test_near_degenerate_band_designs(capsys):
     argv = ["thresholds", "--pmin", "1", "--pmax", "1.000000000001",
             "--k", "5", "--prediction", "1"]

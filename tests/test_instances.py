@@ -23,14 +23,12 @@ from ksearch import (
     ThresholdSchedule,
     adjust_error,
     apply_rho_hard,
-    empirical_ratio,
     gen_p_instance,
     gen_synthetic_series,
     gen_worst_case_sequence,
     ingest_csv,
+    interval_ratios,
     offline_opt,
-    ratio_alpha,
-    ratio_beta,
     run_ota,
     scale_theta,
     sliding_windows,
@@ -135,7 +133,7 @@ class TestWorstCaseSequence:
         inst = gen_worst_case_sequence(sched, 0)
         assert inst.prices == (sched.values[0] - eps,) * 4 + (5.0,) * 4
         trace = run_ota(sched, inst)
-        ratio = empirical_ratio(trace, offline_opt(inst, ProblemKind.MAX), ProblemKind.MAX)
+        ratio = offline_opt(inst, ProblemKind.MAX) / trace.total_value
         assert ratio == pytest.approx(4 * (sched.values[0] - eps) / (4 * 5.0), rel=1e-12)
 
     @pytest.mark.parametrize("kind", [ProblemKind.MAX, ProblemKind.MIN])
@@ -146,10 +144,9 @@ class TestWorstCaseSequence:
         for i in (0, 2, k):
             inst = gen_worst_case_sequence(sched, i)
             trace = run_ota(sched, inst)
-            ratio = empirical_ratio(trace, offline_opt(inst, kind), kind)
-            interval = (
-                ratio_alpha(sched, i + 1) if kind.is_max else ratio_beta(sched, i + 1)
-            )
+            opt = offline_opt(inst, kind)
+            ratio = opt / trace.total_value if kind.is_max else trace.total_value / opt
+            interval = interval_ratios(sched)[i]
             assert ratio == pytest.approx(interval, abs=1e-4)
             if cr is not None:
                 assert ratio == pytest.approx(cr, abs=1e-4)

@@ -10,9 +10,9 @@ import pytest
 from ksearch import (
     ExperimentWindow,
     InvalidInputError,
-    LambdaLearner,
     PInstanceSpec,
     PriceBounds,
+    PriceSeries,
     ProblemKind,
     RegretRecord,
     SearchInstance,
@@ -21,18 +21,14 @@ from ksearch import (
     evaluate_windows,
     gen_p_instance,
     gen_synthetic_series,
-    make_learner,
     offline_opt,
     ota_total,
-    regret_curve,
-    round_ratios,
     run_learning,
-    select_lambda,
     sliding_windows,
     worst_case_thresholds,
 )
 from ksearch import learner as learner_mod
-from ksearch.learner import GRID, _replay_ratios, _replay_window_bytes, _updated
+from ksearch.learner import GRID, _replay_ratios, _replay_window_bytes
 
 BOUNDS = PriceBounds(5.0, 50.0)
 
@@ -58,33 +54,32 @@ def _adversarial_stream(n_windows: int, k: int = 8,
     return [window] * n_windows, BOUNDS
 
 
+def _overstated_stream(n_windows: int, k: int = 8):
+    """Identical ladder windows whose prediction overstates the extreme:
+    full distrust (lambda = 1) is the unique best grid point."""
+    spec = PInstanceSpec(ProblemKind.MAX, p=20.0, bounds=BOUNDS, k=k, step=0.5)
+    return [ExperimentWindow(gen_p_instance(spec), 45.0)] * n_windows
+
+
+def _underflow_stream():
+    """Windows on which lambda = 0 loses a ratio near 1e5 in the first round,
+    so its weight underflows to 0.0 at once."""
+    block_a = [100000.0] + [1.0] * 287
+    block_b = [99999.0] * 10 + [1.0] * 278
+    series = PriceSeries((block_a + block_b) * 6)
+    return sliding_windows(series, 288, 288, 10, ProblemKind.MAX)
+
+
+def _one_round(window, kind=ProblemKind.MAX):
+    """The grid ratios of one window, as the learner's replay computes them."""
+    return _replay_ratios((window,), kind)[0].tolist()
+
+
 class TestLearnerType:
     def test_default_factory(self):
-        learner = make_learner(horizon=100)
-        assert len(learner.grid) == 33
-        assert learner.grid[0] == 0.0 and learner.grid[-1] == 1.0
-        assert all(b > a for a, b in zip(learner.grid, learner.grid[1:]))
-        assert learner.weights == (1.0,) * 33
-        assert learner.learning_rate == pytest.approx(
-            math.sqrt(8 * math.log(33) / 100)
-        )
-        assert learner.rounds_seen == 0
-
-    def test_factory_needs_a_rate_or_horizon(self):
-        with pytest.raises(InvalidInputError):
-            make_learner(0)
-
-    def test_type_validation(self):
-        with pytest.raises(InvalidInputError):
-            LambdaLearner((0.0, 1.0), (1.0, -1.0), 0.1)
-        with pytest.raises(InvalidInputError):
-            LambdaLearner((1.0, 0.0), (1.0, 1.0), 0.1)
-        with pytest.raises(InvalidInputError):
-            LambdaLearner((0.0, 1.5), (1.0, 1.0), 0.1)
-        with pytest.raises(InvalidInputError):
-            LambdaLearner((0.0, 1.0), (1.0,), 0.1)
-        with pytest.raises(InvalidInputError):
-            LambdaLearner((0.0, 1.0), (1.0, 1.0), 0.0)
+        assert len(GRID) == 33
+        assert GRID[0] == 0.0 and GRID[-1] == 1.0
+        assert all(b > a for a, b in zip(GRID, GRID[1:]))
 
     def test_regret_record_validation(self):
         with pytest.raises(InvalidInputError):
@@ -94,22 +89,29 @@ class TestLearnerType:
 
 
 class TestSelectLambda:
+    """Each round draws a grid confidence with probability proportional to
+    its weight, from a Philox stream keyed by (seed, round)."""
+
     def test_two_point_reproducible(self):
-        learner = LambdaLearner((0.0, 1.0), (1.0, 1.0), 0.1)
-        picks = {select_lambda(learner, seed=s) for s in range(20)}
-        assert picks <= {0.0, 1.0}
-        assert select_lambda(learner, seed=3) == select_lambda(learner, seed=3)
+        # two runs at one seed draw the same grid points
+        windows, _ = _stream(40, k=5, perfect=False)
+        _, hist, matrix = run_learning(windows, ProblemKind.MAX, seed=3)
+        assert run_learning(windows, ProblemKind.MAX, seed=3)[1] == hist
+        for t, rec in enumerate(hist):
+            # the recorded ratio is the drawn confidence's column of its round
+            assert rec.chosen_ratio == matrix[t, GRID.index(rec.chosen_lambda)]
 
     def test_concentrated_weights(self):
-        learner = LambdaLearner(
-            (0.0, 0.5, 1.0), (1e-5, 1.0 - 2e-5, 1e-5), 0.1
-        )
-        hits = sum(select_lambda(learner, seed=s) == 0.5 for s in range(10_000))
-        assert hits > 9_990
+        weights, hist, _ = run_learning(_overstated_stream(200), ProblemKind.MAX, seed=0)
+        assert weights[-1] > 1.0 - 1e-6
+        assert sum(rec.chosen_lambda == 1.0 for rec in hist[-100:]) >= 95
 
-    def test_single_point_grid(self):
-        learner = LambdaLearner((0.25,), (1.0,), 0.1)
-        assert all(select_lambda(learner, seed=s) == 0.25 for s in range(50))
+    def test_zero_weight_never_drawn(self):
+        windows = _underflow_stream()
+        for seed in range(20):
+            weights, hist, _ = run_learning(windows, ProblemKind.MAX, seed)
+            assert weights[0] == 0.0
+            assert all(rec.chosen_lambda != 0.0 for rec in hist[1:])
 
 
 class TestObserveRound:
@@ -121,56 +123,60 @@ class TestObserveRound:
         bounds = PriceBounds(5.0, 5.0)
         inst = SearchInstance((5.0,) * 10, 2, bounds)
         window = ExperimentWindow(inst, 5.0)
-        learner = make_learner(horizon=10)
-        updated = _updated(learner, round_ratios(window, ProblemKind.MAX))
-        assert updated.rounds_seen == 1
-        assert all(
-            w == pytest.approx(1.0 / 33, rel=1e-12) for w in updated.weights
-        )
+        weights, _, _ = run_learning([window] * 10, ProblemKind.MAX, seed=0)
+        assert all(w == pytest.approx(1.0 / 33, rel=1e-12) for w in weights)
 
     def test_unit_loss_gap_grows_weight_by_e(self):
-        learner = LambdaLearner((0.0, 1.0), (1.0, 1.0), 1.0)
-        updated = _updated(learner, (1.0, 2.0))  # losses 0 and 1, rate 1
-        ratio = updated.weights[0] / updated.weights[1]
-        assert ratio == pytest.approx(math.e, rel=1e-12)
+        # each unit of rate * loss gap is a factor e between two weights:
+        # w_0 / w_j = exp(rate * (r_j - r_0)), rate = sqrt(8 ln 33 / rounds)
+        windows, _ = _stream(1, k=8, perfect=False)
+        weights, _, matrix = run_learning(windows, ProblemKind.MAX, seed=0)
+        rate = math.sqrt(8 * math.log(33) / 1)
+        ratios = matrix[0].tolist()
+        assert len(set(ratios)) > 2
+        for w, r in zip(weights, ratios):
+            assert w / weights[0] == pytest.approx(
+                math.exp(-rate * (r - ratios[0])), rel=1e-12)
+
+    def test_zero_weights_stay_zero_when_every_weight_underflows(self):
+        # round 1 zeroes every confidence that waits past 5e5; in round 2
+        # every design waits past 999.0, so every weight underflows at once
+        bounds = PriceBounds(1.0, 1e6)
+        windows = [ExperimentWindow(SearchInstance((p,) + (1.0,) * 9, 1, bounds), 1e6)
+                   for p in (5e5, 999.0)]
+        weights, _, matrix = run_learning(windows, ProblemKind.MAX, seed=0)
+        survivors = [r < 2.0 for r in matrix[0].tolist()]
+        assert 0 < sum(survivors) < 33
+        assert weights == tuple(1.0 / sum(survivors) if s else 0.0 for s in survivors)
 
     def test_adversarial_perfect_stream_concentrates_full_trust(self):
         windows, _ = _adversarial_stream(200, k=8)
-        learner = make_learner(horizon=200)
-        for window in windows:
-            learner = _updated(learner, round_ratios(window, ProblemKind.MAX))
-        assert learner.rounds_seen == 200
-        best = max(range(33), key=lambda i: learner.weights[i])
+        weights, _, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        best = max(range(33), key=lambda i: weights[i])
         # the extreme is held for k arrivals, so full trust is exactly optimal
-        assert learner.grid[best] == 0.0
+        assert GRID[best] == 0.0
 
     def test_real_stream_concentrates_on_empirically_best_lambda(self):
         windows, _ = _stream(198, k=8)
-        learner = make_learner(horizon=198)
-        for window in windows:
-            learner = _updated(learner, round_ratios(window, ProblemKind.MAX))
+        weights, _, matrix = run_learning(windows, ProblemKind.MAX, seed=0)
         # the heaviest weight sits on the grid point with the lowest total loss
-        totals = [0.0] * len(learner.grid)
-        for window in windows:
-            for i, r in enumerate(round_ratios(window, ProblemKind.MAX)):
-                totals[i] += r
-        best_weight = max(range(33), key=lambda i: learner.weights[i])
+        totals = matrix.sum(axis=0).tolist()
+        best_weight = max(range(33), key=lambda i: weights[i])
         best_total = min(range(33), key=lambda i: totals[i])
         assert best_weight == best_total
 
     def test_weights_stay_positive_and_finite(self):
         windows, _ = _stream(120, k=5, perfect=False)
-        learner = make_learner(horizon=120)
-        for window in windows:
-            learner = _updated(learner, round_ratios(window, ProblemKind.MAX))
-            assert all(w > 0 and math.isfinite(w) for w in learner.weights)
+        weights, _, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        assert all(w > 0 and math.isfinite(w) for w in weights)
+        assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestRoundRatios:
     def test_ratios_at_least_one(self):
         windows, _ = _stream(4, k=8, perfect=False)
         for window in windows[:4]:
-            for r in round_ratios(window, ProblemKind.MAX):
+            for r in _one_round(window):
                 assert r >= 1.0 - 1e-12
 
     def test_full_trust_is_optimal_when_extreme_is_held(self):
@@ -178,7 +184,7 @@ class TestRoundRatios:
         # in the fallback (lambda = 0) attains the offline optimum.
         for kind in (ProblemKind.MAX, ProblemKind.MIN):
             windows, _ = _adversarial_stream(1, k=8, kind=kind)
-            ratios = dict(zip(GRID, round_ratios(windows[0], kind)))
+            ratios = dict(zip(GRID, _one_round(windows[0], kind)))
             assert ratios[0.0] <= 1.0 + 1e-6
             # trusting less is monotonically worse on this stream
             assert ratios[0.0] <= ratios[0.5] + 1e-12
@@ -197,7 +203,7 @@ class TestRoundRatios:
         for window in windows[:4]:
             target = design(window.prediction, 0.0, bounds, 8, ProblemKind.MAX)
             assert prediction_ratio(target.schedule, window.prediction) <= 1.0 + 1e-9
-            empirical.append(round_ratios(window, ProblemKind.MAX)[0])
+            empirical.append(_one_round(window)[0])
         assert max(empirical) > 1.0 + 1e-6
 
 
@@ -237,7 +243,7 @@ class TestBlockReplay:
         for window in windows:
             expected = _oracle_ratios(
                 window, kind, bounds, 6, _grid_schedules(window, kind, bounds, 6, GRID))
-            assert list(round_ratios(window, kind)) == expected
+            assert _one_round(window, kind) == expected
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
     @pytest.mark.parametrize("per_block,budget_offset,sizes", [
@@ -302,8 +308,8 @@ class TestRunLearningAndRegret:
 
     def test_record_invariants(self):
         windows, _ = _stream(50, k=5)
-        learner, hist, _ = run_learning(windows, ProblemKind.MAX, seed=1)
-        assert learner.rounds_seen == 50
+        weights, hist, _ = run_learning(windows, ProblemKind.MAX, seed=1)
+        assert len(weights) == len(GRID)
         assert [r.round for r in hist] == list(range(1, 51))
         cum = 0.0
         for rec in hist:
@@ -321,30 +327,29 @@ class TestRunLearningAndRegret:
         _, _, matrix = run_learning(windows, kind, seed=3, extra=extra)
         assert matrix.shape == (9, len(GRID) + 1)
         for window, row in zip(windows, matrix[:, : len(GRID)].tolist()):
-            assert row == list(round_ratios(window, kind))
+            assert row == _one_round(window, kind)
 
     def test_regret_curve_matches_records(self):
+        # the average regret after round n is the mean of the first n gaps
         windows, _ = _stream(40, k=5)
         _, hist, _ = run_learning(windows, ProblemKind.MAX, seed=2)
-        curve = regret_curve(hist)
-        assert len(curve) == 40
-        for (n, avg), rec in zip(curve, hist):
-            assert n == rec.round
-            assert avg == pytest.approx(rec.cumulative_regret / rec.round, abs=1e-12)
+        gaps = [rec.chosen_ratio - rec.best_fixed_ratio for rec in hist]
+        for n, rec in enumerate(hist, start=1):
+            assert rec.cumulative_regret / rec.round == pytest.approx(
+                math.fsum(gaps[:n]) / n, abs=1e-12)
 
     def test_regret_curve_trivial_cases(self):
-        rec = RegretRecord(1, 0.0, 1.3, 1.3, 0.0)
-        assert regret_curve([rec]) == ((1, 0.0),)
-        hist = [RegretRecord(i, 0.0, 1.2, 1.2, 0.0) for i in range(1, 6)]
-        assert all(avg == 0.0 for _, avg in regret_curve(hist))
-        with pytest.raises(InvalidInputError):
-            regret_curve([])
+        # a stream on which every grid point ties has no regret at all
+        inst = SearchInstance((5.0,) * 10, 2, PriceBounds(5.0, 5.0))
+        window = ExperimentWindow(inst, 5.0)
+        for n in (1, 5):
+            _, hist, _ = run_learning([window] * n, ProblemKind.MAX, seed=0)
+            assert [rec.cumulative_regret for rec in hist] == [0.0] * n
 
     def test_average_regret_decreasing_tail(self):
         windows, _ = _stream(400, k=5)
         _, hist, _ = run_learning(windows, ProblemKind.MAX, seed=11)
-        curve = regret_curve(hist)
-        tail = [avg for _, avg in curve[-100:]]
+        tail = [rec.cumulative_regret / rec.round for rec in hist[-100:]]
         assert tail[-1] <= tail[0]
         # the trend is downward: occasional off-grid draws can nudge single
         # rounds up, so compare smoothed quarter means instead of every step
