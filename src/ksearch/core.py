@@ -11,9 +11,10 @@ compulsory regardless of the schedule.
 
 Three replays share these rules.  ``run_ota`` records every decision and
 ``ota_total`` returns one run's total; both are the oracles for
-``ota_totals``, the batched kernel the learner and the harness use, which
-replays a block of windows under many schedules in lockstep and returns
-bit-identical totals.
+``ota_totals``, the batched replay the learner and the harness use, which
+replays a block of windows (read-only price arrays, often views of one
+series) under many schedules by event or in lockstep, as the shape
+suits, and returns bit-identical totals.
 """
 
 from __future__ import annotations
@@ -67,33 +68,53 @@ class PriceBounds:
         return min(max(price, self.p_min), self.p_max)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchInstance:
-    """A full arrival sequence together with the budget k and its bounds."""
+    """A full arrival sequence together with the budget k and its bounds.
 
-    prices: tuple[float, ...]
+    ``prices`` is a read-only 1-D float64 array: one passed in is kept (a
+    window stays a view of its series), anything else is copied once.
+    """
+
+    prices: np.ndarray
     k: int
     bounds: PriceBounds
 
     def __post_init__(self):
-        prices = tuple(map(float, self.prices))
-        object.__setattr__(self, "prices", prices)
-        if not prices:
-            raise InvalidInputError("instance needs at least one price")
-        if not (1 <= self.k <= len(prices)):
+        prices = self.prices
+        if not (isinstance(prices, np.ndarray) and prices.dtype == np.float64
+                and not prices.flags.writeable):
+            prices = np.array(prices, dtype=np.float64)
+            prices.flags.writeable = False
+            object.__setattr__(self, "prices", prices)
+        if prices.ndim != 1 or not prices.size:
+            raise InvalidInputError("instance needs a non-empty 1-D sequence of prices")
+        if (not isinstance(self.k, int) or isinstance(self.k, bool)
+                or not 1 <= self.k <= prices.size):
             raise InvalidInputError(
-                f"budget k={self.k} must lie in [1, T={len(prices)}]"
+                f"budget k={self.k!r} must be an integer in [1, T={prices.size}]"
             )
-        lo, hi = min(prices), max(prices)
-        if lo < self.bounds.p_min or hi > self.bounds.p_max:
+        lo, hi = prices.min(), prices.max()  # NaN if any price is NaN
+        if not (lo >= self.bounds.p_min and hi <= self.bounds.p_max):
             raise InvalidInputError(
                 f"prices span [{lo}, {hi}], outside bounds "
                 f"[{self.bounds.p_min}, {self.bounds.p_max}]"
             )
 
+    def __eq__(self, other):
+        return (isinstance(other, SearchInstance) and self.k == other.k
+                and self.bounds == other.bounds and bool(np.array_equal(self.prices, other.prices)))
+
+    def __hash__(self):
+        return hash((self.prices.tobytes(), self.k, self.bounds))
+
+    def __reduce__(self):
+        # rebuilt through __post_init__, so the copy is read-only again
+        return SearchInstance, (self.prices, self.k, self.bounds)
+
     @property
     def horizon(self) -> int:
-        return len(self.prices)
+        return self.prices.size
 
 
 @dataclass(frozen=True)
@@ -201,7 +222,7 @@ def run_ota(schedule: ThresholdSchedule, instance: SearchInstance) -> RunTrace:
     m = 0
     total = 0.0
     decisions: list[Decision] = []
-    for t, price in enumerate(instance.prices):
+    for t, price in enumerate(instance.prices.tolist()):
         forced = (T - t) == (k - m)
         if forced:
             selected = True
@@ -281,46 +302,62 @@ def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, i
 
 
 def ota_totals(
-    thresholds: np.ndarray, prices: np.ndarray, rows: np.ndarray, kind: ProblemKind
+    thresholds: np.ndarray, prices, rows: np.ndarray, kind: ProblemKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """``ota_total`` of many runs at once: run r replays window ``rows[r]``.
 
-    ``thresholds`` is (R, k), one schedule per run, and ``prices`` is (B, T),
-    one window per row; both may be nested sequences, which the kernel then
-    converts and frees itself.  All runs advance in lockstep through the T
-    steps: each step gathers every run's current price and its next
-    threshold (slot k holds +inf, so a run stops selecting once it has k
-    items).  The start of the compulsory fill follows afterwards from the
-    selection times: it fires once a run has passed over T - k prices.
-    Totals add the same gathered prices with the same numpy reductions as
-    ``ota_total``, one group of runs with equal voluntary counts at a time,
-    so every total is bit-identical to ``ota_total`` (property-tested).
+    ``thresholds`` is (R, k), one schedule per run, and ``prices`` holds B
+    rows of T prices, one window each.  The shape picks the kernel that
+    finds each run's voluntary selections: ``_event_totals`` when its k
+    descents of about log2(T) steps are well below T, ``_lockstep_totals``
+    otherwise.  Both add the totals as ``ota_total`` does, so every total
+    is bit-identical to it (property-tested through both kernels).
     Returns (totals, voluntary counts).
     """
-    # converted one at a time, each freed once copied, so that at most one
-    # conversion is alive next to the kernel's own arrays
-    arr = np.asarray(prices, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"need (B, T) prices, got shape {arr.shape}")
-    B, T = arr.shape
-    sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
-    by_step = np.empty((T, B))  # one row per step
-    np.multiply(arr.T, sign, out=by_step)
-    del arr
+    windows = [np.asarray(row, dtype=float) for row in prices]
+    if not windows or windows[0].ndim != 1 or any(w.shape != windows[0].shape for w in windows):
+        raise InvalidInputError("need B >= 1 rows of T prices each")
+    B, T = len(windows), windows[0].size
     thr = np.asarray(thresholds, dtype=float)
     rows = np.asarray(rows, dtype=np.intp)
     if thr.ndim != 2 or rows.shape != thr.shape[:1]:
         raise InvalidInputError(
             f"need (R, k) thresholds and R rows, got {thr.shape} and {rows.shape}"
         )
-    runs, k = thr.shape
+    k = thr.shape[1]
     if not 1 <= k <= T:
         raise InvalidInputError(f"budget {k} must lie in [1, horizon {T}]")
     if rows.size and not 0 <= rows.min() <= rows.max() < B:
         raise InvalidInputError(f"run rows must index the {B} windows")
+    kernel = _event_totals if _by_events(k, T) else _lockstep_totals
+    return kernel(thr, windows, rows, kind)
+
+
+def _by_events(k: int, horizon: int) -> bool:
+    # a descent level costs about four lockstep steps
+    return 4 * k * horizon.bit_length() < horizon
+
+
+def _replay_window_bytes(horizon: int, k: int, runs: int) -> int:
+    """The most ``ota_totals`` holds per window of a block, in bytes: the
+    sparse table or the signed prices, and per run the thresholds, their
+    signed or padded copy and the selection slots."""
+    if _by_events(k, horizon):
+        return 8 * horizon.bit_length() * (horizon + 1) + 24 * runs * k
+    return 8 * horizon + 16 * runs * (k + 1)
+
+
+def _lockstep_totals(thr, windows, rows, kind):
+    """All runs advance together through the T steps: each step gathers
+    every run's current price and its next threshold (slot k holds +inf, so
+    a run stops selecting once it has k items)."""
+    (runs, k), T = thr.shape, windows[0].size
+    sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
+    by_step = np.empty((T, len(windows)))  # one row per step
+    for b, window in enumerate(windows):
+        np.multiply(window, sign, out=by_step[:, b])
     padded = np.full((runs, k + 1), np.inf)
     np.multiply(thr, sign, out=padded[:, :k])
-    del thr
     padded = padded.ravel()
     # pos[r] is the flat slot of run r's next threshold; sel[pos] records the
     # step, and stays put once the step selects and pos moves on
@@ -337,22 +374,63 @@ def ota_totals(
         sel[pos] = t
         pos += hit
     del padded
-    voluntary = pos - start
     sel = sel.reshape(runs, k + 1)[:, :k]
-    slot = np.arange(k, dtype=np.int32)
-    sel[slot >= voluntary[:, None]] = T  # slots never filled
+    sel[np.arange(k) >= (pos - start)[:, None]] = T  # slots never filled
+    return _grouped_totals(sel, by_step.T, rows, sign, T)
+
+
+def _event_totals(thr, windows, rows, kind):
+    """Each run jumps from one selection to the next: slot m's step is the
+    first one at or after the run's position whose price meets threshold m,
+    found by a binary-lifting descent over a sparse table of block maxima
+    (Bender and Farach-Colton's range-maximum structure, LATIN 2000)."""
+    (runs, k), B, T = thr.shape, len(windows), windows[0].size
+    sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
+    levels = T.bit_length()  # 2**levels > T
+    # table[l, b, t] is the largest of window b's prices t .. t + 2**l - 1
+    # that exist, and -inf at t = T
+    table = np.empty((levels, B, T + 1))
+    table[0, :, T] = -np.inf
+    for b, window in enumerate(windows):
+        np.multiply(window, sign, out=table[0, b, :T])
+    for level in range(1, levels):
+        half, cur = 1 << (level - 1), table[level]
+        cur[:] = table[level - 1]
+        np.maximum(cur[:, :-half], table[level - 1, :, half:], out=cur[:, :-half])
+    flat = table.ravel()
+    bars = (thr * sign).T.copy()  # one contiguous row per slot
+    at = rows * (T + 1)  # flat index of each run's position in level 0
+    end = at + T
+    sel = np.empty((k, runs), dtype=np.intp)
+    for m in range(k):
+        # skip every block whose maximum misses the bar, largest first; the
+        # first price that meets it, or the end, is where the run stops
+        for level in reversed(range(levels)):
+            at += (flat[at + level * B * (T + 1)] < bars[m]).astype(np.intp) << level
+            np.minimum(at, end, out=at)
+        np.subtract(at, end - T, out=sel[m])
+        np.minimum(at + 1, end, out=at)
+    return _grouped_totals(sel.T, table[0], rows, sign, T)
+
+
+def _grouped_totals(sel, prices, rows, sign, T):
+    """Totals and voluntary counts from the (R, k) selection steps (T if
+    never filled) and the signed (B, >= T) prices, added with the same numpy
+    reductions as ``ota_total``, one group of equal voluntary counts at a
+    time."""
+    runs, k = sel.shape
+    slot = np.arange(k)
     # selection m happens after sel[m] - m passed-over prices; the fill starts
     # once T - k are passed over, i.e. after the selections made before that
     voluntary = np.count_nonzero(sel - slot < T - k, axis=1)
-
     totals = np.empty(runs)
     # the counts that occur (np.unique would import numpy.ma, ~0.6 MB)
     for m in np.flatnonzero(np.bincount(voluntary)).tolist():
         group = np.flatnonzero(voluntary == m)
         cols = rows[group][:, None]
-        total = by_step[sel[group, :m], cols].sum(axis=1)
+        total = prices[cols, sel[group, :m]].sum(axis=1)
         if m < k:
-            total += by_step[np.arange(T - k + m, T), cols].sum(axis=1)
+            total += prices[cols, np.arange(T - k + m, T)].sum(axis=1)
         totals[group] = total
     return sign * totals, voluntary
 
@@ -367,7 +445,7 @@ def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
     """Clairvoyant optimum: sum of the k largest (max) or smallest (min) prices."""
     # select the k extremes without a full sort, then add them in sorted order
     # (descending for max) so the total matches summing the sorted prices
-    prices, k = np.asarray(instance.prices), instance.k
+    prices, k = instance.prices, instance.k
     if kind.is_max:
         chosen = np.partition(prices, prices.size - k)[prices.size - k :]
     else:

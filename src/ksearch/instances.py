@@ -11,6 +11,9 @@ Three families of inputs feed the simulation harness:
   mean-reverting synthetic series, both cut into overlapping experiment
   windows whose predictions come from the preceding window.
 
+A series holds its prices once, as a read-only array; its windows are row
+views of it, and only a hardened window gets an array of its own.
+
 All stochastic operations are pure functions of (inputs, seed) via a
 counter-based generator, so every experiment is bit-reproducible.
 """
@@ -160,45 +163,62 @@ def apply_rho_hard(
         return instance
     tail = instance.bounds.p_min if kind.is_max else instance.bounds.p_max
     k = instance.k
-    prices = instance.prices[:-k] + (tail,) * k
+    prices = np.concatenate((instance.prices[:-k], np.full(k, tail)))
     return SearchInstance(prices, k, instance.bounds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PriceSeries:
     """An ordered price sequence, optionally timestamped 1:1.
 
-    Timestamps are a tuple, or a ``range`` with a positive step, which is kept
-    as it is (a regularly sampled feed needs no tuple of its stamps).
+    The prices are validated once into the read-only float64 ``array`` that
+    windows view; ``prices`` gives them as Python floats.  Timestamps are a
+    tuple, or a ``range`` with a positive step, which is kept as it is (a
+    regularly sampled feed needs no tuple of its stamps).
     """
 
-    prices: tuple[float, ...]
-    timestamps: tuple[int, ...] | range | None = None
+    array: np.ndarray
+    timestamps: tuple[int, ...] | range | None
 
-    def __post_init__(self):
-        prices = tuple(map(float, self.prices))
-        object.__setattr__(self, "prices", prices)
-        if not prices:
-            raise InvalidInputError("price series needs at least one price")
-        if any(not (p > 0 and math.isfinite(p)) for p in prices):
+    def __init__(self, prices, timestamps=None):
+        array = np.array(prices, dtype=np.float64)
+        array.flags.writeable = False
+        if array.ndim != 1 or not array.size:
+            raise InvalidInputError("price series needs a non-empty 1-D sequence of prices")
+        if not (array.min() > 0 and math.isfinite(array.max())):
             raise InvalidInputError("prices must be strictly positive and finite")
-        if self.timestamps is not None:
-            ts = self.timestamps
-            if isinstance(ts, range):
-                increasing = ts.step > 0
+        if timestamps is not None:
+            if isinstance(timestamps, range):
+                increasing = timestamps.step > 0
             else:
-                ts = tuple(ts)
-                object.__setattr__(self, "timestamps", ts)
-                increasing = not any(b <= a for a, b in zip(ts, ts[1:]))
-            if len(ts) != len(prices):
+                timestamps = tuple(timestamps)
+                increasing = not any(b <= a for a, b in zip(timestamps, timestamps[1:]))
+            if len(timestamps) != array.size:
                 raise InvalidInputError(
-                    f"{len(ts)} timestamps for {len(prices)} prices"
+                    f"{len(timestamps)} timestamps for {array.size} prices"
                 )
             if not increasing:
                 raise InvalidInputError("timestamps must be strictly increasing")
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "timestamps", timestamps)
+
+    def __eq__(self, other):
+        return (isinstance(other, PriceSeries) and self.timestamps == other.timestamps
+                and bool(np.array_equal(self.array, other.array)))
+
+    def __hash__(self):
+        return hash((self.array.tobytes(), self.timestamps))
+
+    def __reduce__(self):
+        # rebuilt through __init__, so the copy is read-only again
+        return PriceSeries, (self.array, self.timestamps)
+
+    @property
+    def prices(self) -> tuple[float, ...]:
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return len(self.prices)
+        return self.array.size
 
 
 @dataclass(frozen=True)
@@ -229,11 +249,11 @@ def scale_theta(series: PriceSeries, multiplier: float) -> PriceSeries:
     """
     if not (isinstance(multiplier, (int, float)) and multiplier >= 1.0 and math.isfinite(multiplier)):
         raise DomainError(f"theta multiplier must be >= 1, got {multiplier}")
-    mean = math.fsum(series.prices) / len(series)
+    prices = series.array
+    mean = math.fsum(prices.tolist()) / len(series)
     up = math.sqrt(multiplier)
     down = 1.0 / up
-    prices = tuple(p * up if p > mean else p * down for p in series.prices)
-    return PriceSeries(prices, series.timestamps)
+    return PriceSeries(np.where(prices > mean, prices * up, prices * down), series.timestamps)
 
 
 def ingest_csv(path) -> PriceSeries:
@@ -300,7 +320,7 @@ def ingest_csv(path) -> PriceSeries:
                 stamps.append(ts)
     if not prices:
         raise InvalidInputError(f"{path}: no data rows")
-    return PriceSeries(tuple(prices), tuple(stamps) if t_idx is not None else None)
+    return PriceSeries(prices, tuple(stamps) if t_idx is not None else None)
 
 
 def sliding_windows(
@@ -323,15 +343,15 @@ def sliding_windows(
             f"series of length {n} too short for windows of {window_len} "
             f"(needs one full look-back window)"
         )
-    prices = series.prices
-    bounds = PriceBounds(min(prices), max(prices))
-    pick = max if kind.is_max else min
+    prices = series.array
+    bounds = PriceBounds(float(prices.min()), float(prices.max()))
+    # row s views prices[s : s + window_len], read-only like the series
+    rows = np.lib.stride_tricks.sliding_window_view(prices, window_len)
+    looks_back = rows[: n - 2 * window_len + 1 : stride]
+    predictions = (looks_back.max if kind.is_max else looks_back.min)(axis=1).tolist()
     return tuple(
-        ExperimentWindow(
-            SearchInstance(prices[start : start + window_len], k, bounds),
-            pick(prices[start - window_len : start]),
-        )
-        for start in range(window_len, n - window_len + 1, stride)
+        ExperimentWindow(SearchInstance(window, k, bounds), prediction)
+        for window, prediction in zip(rows[window_len::stride], predictions)
     )
 
 
@@ -345,7 +365,8 @@ def adjust_error(window: ExperimentWindow, level: float, kind: ProblemKind) -> E
     """
     if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
         raise DomainError(f"error level must lie in [0, 1], got {level}")
-    actual = (max if kind.is_max else min)(window.instance.prices)
+    prices = window.instance.prices
+    actual = float(prices.max() if kind.is_max else prices.min())
     shift = window.prediction - actual
     prediction = window.instance.bounds.clip(actual + level * shift)
     return ExperimentWindow(window.instance, prediction)
@@ -377,4 +398,4 @@ def gen_synthetic_series(
         lambda x, e: mid + decay * (x - mid) + e, initial=mid), float, num_samples)
     prices = np.exp(np.clip(logs, log_lo, log_hi))
     timestamps = range(0, num_samples * 600, 600)  # ten-minute samples
-    return PriceSeries(prices.tolist(), timestamps)
+    return PriceSeries(prices, timestamps)

@@ -32,13 +32,14 @@ import numpy as np
 
 from .augmented import design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, offline_opt, ota_totals
+from .core import _replay_window_bytes
 from .errors import InvalidInputError
 from .instances import ExperimentWindow
 
 DEFAULT_GRID_SIZE = 33
 GRID = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
 # the replay kernel's arrays for one block of windows stay under this size
-_REPLAY_BLOCK_BYTES = 2 << 20
+_REPLAY_BLOCK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -117,18 +118,6 @@ def _blocks(windows: tuple[ExperimentWindow, ...], k: int, runs: int):
             stop += 1
         yield start, stop
         start = stop
-
-
-def _replay_window_bytes(horizon: int, k: int, runs: int) -> int:
-    """The most ``core.ota_totals`` holds per window of a block, in bytes.
-
-    A float copy of the window's prices and, per run, the float thresholds
-    next to their +inf-padded copy; the int32 selection slots and masks that
-    replace them later take less.
-    """
-    return 8 * horizon + 16 * runs * (k + 1)
-
-
 
 
 def run_learning(

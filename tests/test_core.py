@@ -2,6 +2,7 @@
 
 import ast
 import itertools
+import math
 import pathlib
 
 import hypothesis.strategies as st
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import ksearch
+from ksearch import core
 from conftest import kinds, price_bounds, schedule_and_instance
 from ksearch import (
     InvalidInputError,
@@ -118,18 +120,24 @@ def replay_blocks(draw, max_k=6, max_horizon=30):
 
     Prices and thresholds are drawn from a few shared levels as often as
     from the whole band, so prices meeting a threshold exactly are common;
-    some windows end in a hardened tail of k boundary prices.
+    some windows end in a hardened tail of k boundary prices.  Now and then
+    each drawn price is held for ten steps, so horizons reach ten times
+    ``max_horizon`` and the event kernel's descent crosses several table
+    levels.
     """
     kind = draw(kinds)
     bounds = draw(price_bounds())
     k = draw(st.integers(min_value=1, max_value=max_k))
-    horizon = draw(st.integers(min_value=k, max_value=max_horizon))
+    hold = draw(st.sampled_from((1, 1, 10)))
+    horizon = draw(st.integers(min_value=k, max_value=hold * max_horizon))
     in_range = st.floats(min_value=bounds.p_min, max_value=bounds.p_max)
     levels = draw(st.lists(in_range, min_size=1, max_size=4))
     value = st.one_of(st.sampled_from(levels), in_range)
     prices = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
-        window = draw(st.lists(value, min_size=horizon, max_size=horizon))
+        drawn = -(-horizon // hold)
+        window = draw(st.lists(value, min_size=drawn, max_size=drawn))
+        window = [price for price in window for _ in range(hold)][:horizon]
         if draw(st.booleans()):
             tail = bounds.p_min if kind.is_max else bounds.p_max
             window[horizon - k :] = [tail] * k
@@ -147,13 +155,20 @@ def replay_blocks(draw, max_k=6, max_horizon=30):
 @given(replay_blocks())
 @settings(max_examples=200)
 def test_batched_replay_equals_ota_total(case):
+    # through ota_totals and through each kernel body, whichever the shape picks
     kind, bounds, thresholds, prices, rows = case
-    totals, voluntary = ota_totals(np.array(thresholds), np.array(prices), rows, kind)
+    thr, windows = np.array(thresholds), list(np.array(prices))
+    replays = [
+        ota_totals(thr, windows, rows, kind),
+        core._lockstep_totals(thr, windows, np.asarray(rows, np.intp), kind),
+        core._event_totals(thr, windows, np.asarray(rows, np.intp), kind),
+    ]
     for r, row in enumerate(rows):
         schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
         total, vol = ota_total(schedule, np.asarray(prices[row]))
-        assert totals[r] == total
-        assert voluntary[r] == vol
+        for totals, voluntary in replays:
+            assert totals[r] == total
+            assert voluntary[r] == vol
 
 
 class TestBatchedReplay:
@@ -173,6 +188,22 @@ class TestBatchedReplay:
             total, vol = ota_total(schedule, np.asarray(prices[m]))
             assert (totals[m], voluntary[m]) == (total, vol)
             assert vol == (0 if k == horizon else m)
+
+    @pytest.mark.parametrize("k,kernel", [(7, "_event_totals"), (8, "_lockstep_totals")])
+    def test_shape_picks_the_kernel(self, k, kernel, monkeypatch):
+        # 4 * k * (288).bit_length() < 288 holds up to k = 7
+        rng = np.random.default_rng(k)
+        prices = rng.uniform(5.0, 50.0, (3, 288))
+        thresholds = np.sort(rng.uniform(5.0, 50.0, (6, k)), axis=1)
+        rows = [0, 1, 2, 2, 1, 0]
+        picked = []
+        body = getattr(core, kernel)
+        monkeypatch.setattr(core, kernel, lambda *args: picked.append(kernel) or body(*args))
+        totals, voluntary = ota_totals(thresholds, prices, rows, ProblemKind.MAX)
+        assert picked == [kernel]
+        for r, row in enumerate(rows):
+            schedule = ThresholdSchedule(ProblemKind.MAX, tuple(thresholds[r]), B)
+            assert (totals[r], voluntary[r]) == ota_total(schedule, prices[row])
 
     def test_accepts_nested_sequences(self):
         thresholds = [(20.0, 30.0), (10.0, 40.0)]
@@ -256,13 +287,27 @@ class TestTypeInvariants:
     def test_theta_is_derived(self):
         assert PriceBounds(5.0, 50.0).theta == 10.0
 
-    def test_prices_and_thresholds_become_python_floats(self):
+    def test_prices_become_a_read_only_array_and_thresholds_python_floats(self):
         inst = SearchInstance((5, np.float64(6.5), "7"), 1, B)
         sched = ThresholdSchedule(ProblemKind.MAX, (np.float32(10.0), 20), B)
-        assert inst.prices == (5.0, 6.5, 7.0) and sched.values == (10.0, 20.0)
-        assert {type(v) for v in inst.prices + sched.values} == {float}
+        assert inst.prices.dtype == np.float64 and inst.prices.ndim == 1
+        assert not inst.prices.flags.writeable
+        assert inst.prices.tolist() == [5.0, 6.5, 7.0] and sched.values == (10.0, 20.0)
+        assert {type(v) for v in sched.values} == {float}
         with pytest.raises(ValueError):
             SearchInstance((5.0, "abc"), 1, B)
+
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_nan_price_rejected(self, at):
+        prices = [5.0, 6.0, 7.0]
+        prices[at] = math.nan
+        with pytest.raises(InvalidInputError):
+            SearchInstance(tuple(prices), 1, B)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2"])
+    def test_non_integer_budget_rejected(self, k):
+        with pytest.raises(InvalidInputError):
+            SearchInstance((5.0, 6.0, 7.0), k, B)
 
     def test_out_of_bounds_price_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -59,14 +59,14 @@ class TestStressWindows:
         p_min = windows[0].instance.bounds.p_min
         out = stress_windows(windows, ProblemKind.MAX, 1.0, 1.0, seed=9)
         for window in out:
-            assert window.instance.prices[-10:] == (p_min,) * 10
+            assert window.instance.prices[-10:].tolist() == [p_min] * 10
 
     def test_min_kind_hardens_to_p_max(self):
         windows = _windows(kind=ProblemKind.MIN)
         p_max = windows[0].instance.bounds.p_max
         out = stress_windows(windows, ProblemKind.MIN, 1.0, 1.0, seed=9)
         for window in out:
-            assert window.instance.prices[-10:] == (p_max,) * 10
+            assert window.instance.prices[-10:].tolist() == [p_max] * 10
 
     def test_hardened_sets_nest_across_rho(self):
         windows = _windows()

@@ -6,6 +6,7 @@ import csv
 import math
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,18 +49,18 @@ class TestGenPInstance:
     def test_frozen_example(self):
         spec = PInstanceSpec(ProblemKind.MAX, p=7.0, bounds=BOUNDS, k=2, step=1.0)
         inst = gen_p_instance(spec)
-        assert inst.prices == (5.0, 5.0, 6.0, 6.0, 7.0, 7.0, 5.0, 5.0)
+        assert inst.prices.tolist() == [5.0, 5.0, 6.0, 6.0, 7.0, 7.0, 5.0, 5.0]
         assert inst.k == 2
 
     def test_degenerate_single_level(self):
         spec = PInstanceSpec(ProblemKind.MAX, p=5.0, bounds=BOUNDS, k=3)
         inst = gen_p_instance(spec)
-        assert inst.prices == (5.0,) * 6
+        assert inst.prices.tolist() == [5.0] * 6
 
     def test_min_mirror(self):
         spec = PInstanceSpec(ProblemKind.MIN, p=48.0, bounds=BOUNDS, k=2, step=1.0)
         inst = gen_p_instance(spec)
-        assert inst.prices == (50.0, 50.0, 49.0, 49.0, 48.0, 48.0, 50.0, 50.0)
+        assert inst.prices.tolist() == [50.0, 50.0, 49.0, 49.0, 48.0, 48.0, 50.0, 50.0]
 
     def test_offline_opt_is_k_times_p(self):
         for p in (5.0, 9.7, 23.0, 50.0):
@@ -76,7 +77,7 @@ class TestGenPInstance:
     def test_noninteger_gap_still_ends_at_p(self):
         spec = PInstanceSpec(ProblemKind.MAX, p=7.5, bounds=BOUNDS, k=1, step=1.0)
         inst = gen_p_instance(spec)
-        assert inst.prices == (5.0, 6.0, 7.0, 7.5, 5.0)
+        assert inst.prices.tolist() == [5.0, 6.0, 7.0, 7.5, 5.0]
 
     def test_default_step_resolution(self):
         spec = PInstanceSpec(ProblemKind.MAX, p=50.0, bounds=BOUNDS, k=1)
@@ -131,7 +132,7 @@ class TestWorstCaseSequence:
         sched = worst_case_thresholds(BOUNDS, 4, ProblemKind.MAX).schedule
         eps = 1e-6 * BOUNDS.p_min
         inst = gen_worst_case_sequence(sched, 0)
-        assert inst.prices == (sched.values[0] - eps,) * 4 + (5.0,) * 4
+        assert inst.prices.tolist() == [sched.values[0] - eps] * 4 + [5.0] * 4
         trace = run_ota(sched, inst)
         ratio = offline_opt(inst, ProblemKind.MAX) / trace.total_value
         assert ratio == pytest.approx(4 * (sched.values[0] - eps) / (4 * 5.0), rel=1e-12)
@@ -166,10 +167,10 @@ class TestWorstCaseSequence:
     def test_clipping_at_boundary(self):
         flat = ThresholdSchedule(ProblemKind.MAX, (5.0,) * 3, BOUNDS)
         inst = gen_worst_case_sequence(flat, 0)
-        assert inst.prices == (5.0,) * 6  # phi_1 - eps clipped up to p_min
+        assert inst.prices.tolist() == [5.0] * 6  # phi_1 - eps clipped up to p_min
         flat_min = ThresholdSchedule(ProblemKind.MIN, (50.0,) * 3, BOUNDS)
         inst = gen_worst_case_sequence(flat_min, 0)
-        assert inst.prices == (50.0,) * 6
+        assert inst.prices.tolist() == [50.0] * 6
 
     def test_domain_errors(self):
         sched = worst_case_thresholds(BOUNDS, 3, ProblemKind.MAX).schedule
@@ -193,17 +194,17 @@ class TestRhoHard:
 
     def test_rho_one_forced_max(self):
         out = apply_rho_hard(self._instance(), 1.0, seed=1, kind=ProblemKind.MAX)
-        assert out.prices == (7.0, 30.0, 12.0, 45.0, 5.0, 5.0)
+        assert out.prices.tolist() == [7.0, 30.0, 12.0, 45.0, 5.0, 5.0]
 
     def test_rho_one_forced_min(self):
         out = apply_rho_hard(self._instance(), 1.0, seed=1, kind=ProblemKind.MIN)
-        assert out.prices == (7.0, 30.0, 12.0, 45.0, 50.0, 50.0)
+        assert out.prices.tolist() == [7.0, 30.0, 12.0, 45.0, 50.0, 50.0]
 
     def test_deterministic_in_seed(self):
         inst = self._instance()
         a = apply_rho_hard(inst, 0.5, seed=42, kind=ProblemKind.MAX)
         b = apply_rho_hard(inst, 0.5, seed=42, kind=ProblemKind.MAX)
-        assert a.prices == b.prices
+        assert a.prices.tolist() == b.prices.tolist()
 
     def test_branch_frequency_matches_rho(self):
         inst = self._instance()
@@ -346,7 +347,7 @@ class TestSlidingWindows:
         wins = sliding_windows(series, window_len=4, stride=4, k=2, kind=ProblemKind.MAX)
         assert len(wins) == 1
         w = wins[0]
-        assert w.instance.prices == (15.0, 25.0, 35.0, 12.0)
+        assert w.instance.prices.tolist() == [15.0, 25.0, 35.0, 12.0]
         assert w.prediction == 40.0  # max of the first half
         assert max(w.instance.prices) == 35.0
 
@@ -389,6 +390,56 @@ class TestSlidingWindows:
     def test_five_year_constant_consistency(self):
         assert FIVE_YEAR_SAMPLES == 1770 * 144
         assert (FIVE_YEAR_SAMPLES - 2 * WINDOW_SAMPLES) // STRIDE_SAMPLES + 1 == 577
+
+
+class TestWindowViews:
+    """Windows are read-only views of their series' one price array."""
+
+    def _cut(self, kind=ProblemKind.MAX):
+        series = gen_synthetic_series(num_samples=700, seed=5)
+        return series, sliding_windows(series, 100, 30, 3, kind)
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_windows_view_the_series(self, kind):
+        series, wins = self._cut(kind)
+        pick = max if kind.is_max else min
+        for i, w in enumerate(wins):
+            start = 100 + 30 * i
+            assert np.shares_memory(w.instance.prices, series.array)
+            assert w.instance.prices.tolist() == list(series.prices[start : start + 100])
+            assert w.prediction == pick(series.prices[start - 100 : start])
+            assert type(w.prediction) is float
+
+    def test_prices_are_read_only(self):
+        series, wins = self._cut()
+        with pytest.raises(ValueError):
+            wins[0].instance.prices[0] = 5.0
+        with pytest.raises(ValueError):
+            series.array[0] = 5.0
+        assert {type(p) for p in series.prices} == {float}
+
+    def test_hardening_copies_the_window(self):
+        series, wins = self._cut()
+        before = series.array.tobytes()
+        out = apply_rho_hard(wins[0].instance, 1.0, seed=0, kind=ProblemKind.MAX)
+        assert not np.shares_memory(out.prices, series.array)
+        assert not out.prices.flags.writeable
+        assert series.array.tobytes() == before
+
+    def test_equal_content_is_equal(self):
+        _, wins = self._cut()
+        inst = wins[0].instance
+        copy = SearchInstance(inst.prices.tolist(), inst.k, inst.bounds)
+        assert copy == inst and hash(copy) == hash(inst)
+        assert SearchInstance(inst.prices, 2, inst.bounds) != inst
+        assert wins[1].instance != inst
+
+    def test_pickle_keeps_equality(self):
+        series, wins = self._cut()
+        again = pickle.loads(pickle.dumps((series, wins)))
+        assert again == (series, wins)
+        assert not again[0].array.flags.writeable
+        assert not again[1][0].instance.prices.flags.writeable
 
 
 class TestAdjustError:
@@ -473,6 +524,8 @@ class TestPriceSeries:
             PriceSeries((5.0, 0.0))
         with pytest.raises(InvalidInputError):
             PriceSeries((5.0, math.inf))
+        with pytest.raises(InvalidInputError):
+            PriceSeries((5.0, math.nan, 6.0))
 
     def test_rejects_misaligned_timestamps(self):
         with pytest.raises(InvalidInputError):

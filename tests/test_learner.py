@@ -27,6 +27,7 @@ from ksearch import (
     sliding_windows,
     worst_case_thresholds,
 )
+from ksearch import core
 from ksearch import learner as learner_mod
 from ksearch.learner import GRID, _replay_ratios, _replay_window_bytes
 
@@ -245,34 +246,48 @@ class TestBlockReplay:
                 window, kind, bounds, 6, _grid_schedules(window, kind, bounds, 6, GRID))
             assert _one_round(window, kind) == expected
 
-    @pytest.mark.parametrize("kind", list(ProblemKind))
-    @pytest.mark.parametrize("per_block,budget_offset,sizes", [
+    CUTS = [
         (1, -1, [1] * 7),  # a budget below one window still replays one
         (1, 0, [1] * 7),
         (3, 0, [3, 3, 1]),  # a partial last block
         (3, -1, [2, 2, 2, 1]),
         (7, 0, [7]),
         (50, 0, [7]),
-    ])
+    ]
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("per_block,budget_offset,sizes", CUTS)
     def test_blocks_cut_at_the_budget(self, kind, per_block, budget_offset, sizes,
                                       block_sizes, monkeypatch):
-        windows, bounds = _stream(7, k=5, kind=kind, perfect=False)
-        extra = (worst_case_thresholds(bounds, 5, kind).schedule,)
+        assert not core._by_events(5, 100)  # k = 5 over 100 prices: lockstep
+        self._check_cuts(kind, 5, per_block, budget_offset, sizes, block_sizes, monkeypatch)
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("per_block,budget_offset,sizes", CUTS)
+    def test_event_blocks_cut_at_the_budget(self, kind, per_block, budget_offset, sizes,
+                                            block_sizes, monkeypatch):
+        assert core._by_events(3, 100)  # k = 3 over 100 prices: by event
+        self._check_cuts(kind, 3, per_block, budget_offset, sizes, block_sizes, monkeypatch)
+
+    @staticmethod
+    def _check_cuts(kind, k, per_block, budget_offset, sizes, block_sizes, monkeypatch):
+        windows, bounds = _stream(7, k=k, kind=kind, perfect=False)
+        extra = (worst_case_thresholds(bounds, k, kind).schedule,)
         runs = len(GRID) + len(extra)
-        budget = per_block * _replay_window_bytes(windows[0].instance.horizon, 5, runs)
+        budget = per_block * _replay_window_bytes(windows[0].instance.horizon, k, runs)
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget + budget_offset)
         ratios = _replay_ratios(tuple(windows), kind, extra)
         assert block_sizes == sizes
         for window, row in zip(windows, ratios.tolist()):
-            schedules = _grid_schedules(window, kind, bounds, 5, GRID) + list(extra)
-            assert row == _oracle_ratios(window, kind, bounds, 5, schedules)
+            schedules = _grid_schedules(window, kind, bounds, k, GRID) + list(extra)
+            assert row == _oracle_ratios(window, kind, bounds, k, schedules)
 
     def test_blocks_cut_where_the_horizon_changes(self, block_sizes):
         windows = []
         for horizon in (20, 20, 30, 20, 20):
             spec = PInstanceSpec(ProblemKind.MAX, p=20.0, bounds=BOUNDS, k=4, step=0.5)
             prices = gen_p_instance(spec).prices
-            inst = SearchInstance((prices * 3)[:horizon], 4, BOUNDS)
+            inst = SearchInstance(np.tile(prices, 3)[:horizon], 4, BOUNDS)
             windows.append(ExperimentWindow(inst, 20.0))
         ratios = _replay_ratios(tuple(windows), ProblemKind.MAX)
         assert block_sizes == [2, 1, 2]
