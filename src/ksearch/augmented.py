@@ -28,6 +28,12 @@ robustness test of the i* scan differ between the kinds.  Every constructed
 schedule is re-verified numerically; a verification failure raises
 ConstructionError and indicates an infeasible target rather than a
 tolerable degradation.
+
+A design splits into a frame and the prediction's part.  The frame (the
+target, sigma*, the growth rates and leads, p~1 and p~2) depends only on
+(lambda, band, k, kind); ``design`` keeps frames in a bounded cache, and
+per call builds the prefix, flat block, pivot, i* scan and tail.  The
+tail values are not cached: they are k floats per frame.
 """
 
 from __future__ import annotations
@@ -35,7 +41,9 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,9 +74,9 @@ def interval_ratios(schedule: ThresholdSchedule) -> np.ndarray:
     at the interval's other end.
     """
     k = schedule.k
-    values = np.asarray(schedule.values, dtype=float)
-    extended = np.append(values, schedule.value_at(k + 1))
-    banked = np.concatenate(([0.0], np.cumsum(values)))
+    extended = np.array(schedule.values + (schedule.value_at(k + 1),))
+    banked = np.zeros(k + 1)
+    np.cumsum(extended[:k], out=banked[1:])
     remaining = k - np.arange(k + 1)
     if schedule.kind.is_max:
         return k * extended / (banked + remaining * schedule.bounds.p_min)
@@ -84,17 +92,18 @@ def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:
     finally forces compulsory fills at the far bound.  This is the quantity
     the consistency guarantee bounds by eta.
     """
-    k = schedule.k
-    bounds = schedule.bounds
-    prediction = _snap_prediction(prediction, bounds)
+    return _ratio_at(schedule, _snap_prediction(prediction, schedule.bounds))
+
+
+def _ratio_at(schedule: ThresholdSchedule, prediction: float) -> float:
+    """prediction_ratio at a prediction already snapped into the band."""
+    k, values, bounds = schedule.k, schedule.values, schedule.bounds
     if schedule.kind.is_max:
-        reached = bisect.bisect_right(schedule.values, prediction)
-        banked = left_sum(schedule.values[:reached]) + (k - reached) * bounds.p_min
-        return k * prediction / banked
-    descending = [-v for v in schedule.values]
-    reached = bisect.bisect_right(descending, -prediction)
-    banked = left_sum(schedule.values[:reached]) + (k - reached) * bounds.p_max
-    return banked / (k * prediction)
+        reached = bisect.bisect_right(values, prediction)
+        return k * prediction / (left_sum(values[:reached]) + (k - reached) * bounds.p_min)
+    # min-search thresholds descend: count the leading ones at or above P
+    reached = bisect.bisect_right(values, -prediction, key=operator.neg)
+    return (left_sum(values[:reached]) + (k - reached) * bounds.p_max) / (k * prediction)
 
 
 # --------------------------------------------------------------------------
@@ -139,11 +148,6 @@ class AugmentedDesign:
         return tuple(labels)
 
 
-@functools.lru_cache(maxsize=256)
-def _frontier(bounds: PriceBounds, k: int, kind: ProblemKind) -> FrontierSpec:
-    return FrontierSpec(bounds, k, kind)
-
-
 def _snap_monotone(values: list[float], ascending: bool, scale: float) -> list[float]:
     """Remove float-noise inversions; larger ones indicate a real bug."""
     out = list(values)
@@ -180,7 +184,7 @@ def _verify(design: AugmentedDesign) -> AugmentedDesign:
             f"robustness violated: max ratio {worst} > gamma {target.gamma} "
             f"(case {design.case_label}, P={design.prediction})"
         )
-    at_prediction = prediction_ratio(design.schedule, design.prediction)
+    at_prediction = _ratio_at(design.schedule, design.prediction)
     if at_prediction > eta_cap:
         raise ConstructionError(
             f"consistency violated: accurate-prediction ratio {at_prediction} > "
@@ -283,39 +287,79 @@ def sigma_star_min(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
 # the case I-VI construction
 
 
-def design_for_target(
-    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind
-) -> AugmentedDesign:
-    """Build and verify the schedule of either kind for an explicit (eta, gamma)."""
-    prediction = _snap_prediction(prediction, bounds)
+class _Frame(NamedTuple):
+    """What a design needs besides the prediction: a function of (target, band, k, kind)."""
+
+    target: ParetoPoint
+    sigma: int
+    grow_eta: float
+    grow_gamma: float
+    lead_eta: float
+    lead_gamma: float
+    tilde_1: float
+    tilde_2: float
+
+
+def _degenerate(bounds: PriceBounds) -> bool:
+    # theta - 1 at or below the verification tolerance: every case boundary
+    # collapses to within float noise, and the flat schedule already meets
+    # every bound (no ratio can exceed theta)
+    return bounds.p_max <= bounds.p_min * (1.0 + _RATIO_TOL)
+
+
+def _frame(target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind) -> _Frame:
+    """Solve sigma* and the case boundaries of one target."""
     p_min, p_max = bounds.p_min, bounds.p_max
     eta, gamma = target.eta, target.gamma
-    is_max = kind.is_max
-    labels = ("I", "II", "III") if is_max else ("IV", "V", "VI")
-    near, far = (p_min, p_max) if is_max else (p_max, p_min)
-
-    # Degenerate span: when theta - 1 is at or below the verification
-    # tolerance every case boundary collapses to within float noise, and the
-    # flat schedule already meets every bound (no ratio can exceed theta).
-    if p_max <= p_min * (1.0 + _RATIO_TOL):
-        schedule = ThresholdSchedule(kind, (near,) * k, bounds)
-        return _verify(
-            AugmentedDesign(schedule, labels[0], 0, 0, k, k, near, near, target, prediction)
-        )
-
+    if _degenerate(bounds):
+        near = p_min if kind.is_max else p_max
+        return _Frame(target, k, 1.0, 1.0, 0.0, 0.0, near, near)
     # Min-search leads are negative: p_max + (-x) rounds exactly like
-    # p_max - x, so both kinds share every threshold formula below.
-    if is_max:
+    # p_max - x, so both kinds share every threshold formula.
+    if kind.is_max:
         sigma = sigma_star_max(target, bounds, k)
         grow_eta, grow_gamma = 1.0 + eta / k, 1.0 + gamma / k
         lead_eta, lead_gamma = p_min * (eta - 1.0), p_min * (gamma - 1.0)
+        tilde_1 = p_min + lead_eta * grow_eta ** (sigma - 1)
+        tilde_2 = max(tilde_1, gamma * p_min)
     else:
         sigma = sigma_star_min(target, bounds, k)
         grow_eta, grow_gamma = 1.0 + 1.0 / (eta * k), 1.0 + 1.0 / (gamma * k)
         lead_eta = -(p_max * (1.0 - 1.0 / eta))
         lead_gamma = -(p_max * (1.0 - 1.0 / gamma))
-    tilde_1 = near + lead_eta * grow_eta ** (sigma - 1)
-    tilde_2 = max(tilde_1, gamma * p_min) if is_max else min(tilde_1, p_max / gamma)
+        tilde_1 = p_max + lead_eta * grow_eta ** (sigma - 1)
+        tilde_2 = min(tilde_1, p_max / gamma)
+    return _Frame(target, sigma, grow_eta, grow_gamma, lead_eta, lead_gamma, tilde_1, tilde_2)
+
+
+def design_for_target(
+    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind
+) -> AugmentedDesign:
+    """Build and verify the schedule of either kind for an explicit (eta, gamma)."""
+    prediction = _snap_prediction(prediction, bounds)
+    return _construct(prediction, _frame(target, bounds, k, kind), bounds, k, kind)
+
+
+def _construct(
+    prediction: float, frame: _Frame, bounds: PriceBounds, k: int, kind: ProblemKind
+) -> AugmentedDesign:
+    """The case I-VI schedule of one frame at a snapped prediction, verified."""
+    p_min, p_max = bounds.p_min, bounds.p_max
+    target = frame.target
+    eta, gamma = target.eta, target.gamma
+    is_max = kind.is_max
+    labels = ("I", "II", "III") if is_max else ("IV", "V", "VI")
+    near, far = (p_min, p_max) if is_max else (p_max, p_min)
+
+    if _degenerate(bounds):
+        schedule = ThresholdSchedule(kind, (near,) * k, bounds)
+        return _verify(
+            AugmentedDesign(schedule, labels[0], 0, 0, k, k, near, near, target, prediction)
+        )
+
+    sigma, tilde_1, tilde_2 = frame.sigma, frame.tilde_1, frame.tilde_2
+    grow_eta, grow_gamma = frame.grow_eta, frame.grow_gamma
+    lead_eta, lead_gamma = frame.lead_eta, frame.lead_gamma
 
     def tail(i: int) -> float:
         # reserve thresholds so interval ratios decay onto gamma at the far end
@@ -438,7 +482,26 @@ def _prefix_length(
 def design(
     prediction: float, lam: float, bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> AugmentedDesign:
-    """Design at the Pareto target implied by confidence lam (harness and CLI entry)."""
-    _snap_prediction(prediction, bounds)  # reject a bad prediction before solving
-    target = target_point(lam, _frontier(bounds, k, kind))
-    return design_for_target(prediction, target, bounds, k, kind)
+    """Design at the Pareto target implied by confidence lam (harness and CLI entry).
+
+    The frame of (lam, bounds, k, kind) comes from a bounded cache, so a
+    stream of predictions pays for the frontier and sigma* once per
+    confidence.  A ConstructionError raised here carries the call's kind,
+    bounds, k, lam and snapped prediction, which reproduce it.
+    """
+    prediction = _snap_prediction(prediction, bounds)  # reject a bad prediction before solving
+    try:
+        return _construct(prediction, _frame_at(lam, bounds, k, kind), bounds, k, kind)
+    except ConstructionError as exc:
+        exc.kind, exc.bounds, exc.k, exc.lam, exc.prediction = kind, bounds, k, lam, prediction
+        raise
+
+
+@functools.lru_cache(maxsize=256, typed=True)  # typed: the target keeps the caller's lam
+def _frame_at(lam: float, bounds: PriceBounds, k: int, kind: ProblemKind) -> _Frame:
+    return _frame(target_point(lam, _frontier(bounds, k, kind)), bounds, k, kind)
+
+
+@functools.lru_cache(maxsize=256)
+def _frontier(bounds: PriceBounds, k: int, kind: ProblemKind) -> FrontierSpec:
+    return FrontierSpec(bounds, k, kind)

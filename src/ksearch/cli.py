@@ -16,7 +16,8 @@ regardless of worker count.
 
 Exit codes: 0 success, 2 invalid flags or parameters, 3 input-data problems,
 4 failed internal verification of a designed schedule (indicates a bug, not
-a usage error).  Each flag checks its own range when it is parsed, so a
+a usage error; a failed design is followed by the ``ksearch thresholds``
+call that repeats it).  Each flag checks its own range when it is parsed, so a
 single bad value (``--k 0``, ``--lambda 1.5``) prints argparse's usage line
 and an error naming the flag; checks that span several flags (the price
 bounds, ``--prediction`` within them, budgets within ``--window``, an
@@ -384,6 +385,13 @@ def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
     return 0
 
 
+def _thresholds_command(exc: ConstructionError) -> str:
+    """The ``ksearch thresholds`` call that repeats a failed design."""
+    return (f"ksearch thresholds --kind {exc.kind.value} --pmin {exc.bounds.p_min!r} "
+            f"--pmax {exc.bounds.p_max!r} --k {exc.k} --lambda {exc.lam!r} "
+            f"--prediction {exc.prediction!r}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -400,6 +408,8 @@ def main(argv=None) -> int:
         return args.func(args, bounds)
     except ConstructionError as exc:
         print(f"ksearch: verification failure: {exc}", file=sys.stderr)
+        if exc.kind is not None:
+            print(f"ksearch: reproduce with: {_thresholds_command(exc)}", file=sys.stderr)
         return 4
     except (KSearchError, OSError) as exc:
         print(f"ksearch: data error: {exc}", file=sys.stderr)

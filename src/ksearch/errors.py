@@ -33,4 +33,11 @@ class ConstructionError(KSearchError):
     and residual checks and the replay engine's full-budget invariant.  It
     should never fire for parameters inside the feasible region; it
     indicates either an infeasible (eta, gamma) target or an internal bug.
+
+    One raised through ``augmented.design`` carries that call's ``kind``,
+    ``bounds``, ``k``, ``lam`` and (snapped) ``prediction``, from which the
+    CLI prints a ``ksearch thresholds`` line that reproduces it; elsewhere
+    they are None.
     """
+
+    kind = bounds = k = lam = prediction = None

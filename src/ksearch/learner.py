@@ -13,7 +13,9 @@ reads both from the first window and requires the rest to agree.  The
 counterfactual ratios do not depend on the learner's state, so the whole
 (window x confidence) ratio matrix is replayed first, a block of windows
 at a time through the batched kernel ``core.ota_totals``, and the Hedge
-loop then runs over its rows, holding one plain list of weights.
+loop then runs over its rows, holding one plain list of weights.  The grid
+designs at one prediction are cached as one read-only (G, k) array, so a
+block's thresholds are the concatenation of one such array per window.
 ``run_learning`` returns the final weights, the regret records and that
 matrix.  A weight may underflow to 0 on a long or lopsided stream; it then
 stays at 0, and a round in which every weight underflows is redone in log
@@ -61,10 +63,15 @@ class RegretRecord:
             )
 
 
-@lru_cache(maxsize=1 << 16)
-def _cached_design(prediction: float, lam: float, bounds: PriceBounds, k: int, kind: ProblemKind):
-    """The threshold values of one design: all the replay reads of it."""
-    return design(prediction, lam, bounds, k, kind).schedule.values
+@lru_cache(maxsize=(1 << 16) // len(GRID))
+def _grid_thresholds(prediction: float, bounds: PriceBounds, k: int, kind: ProblemKind):
+    """Read-only (G, k) thresholds of the grid designs at one prediction,
+    one row per confidence in ``GRID`` order: all the replay reads of them."""
+    rows = np.empty((len(GRID), k))
+    for g, lam in enumerate(GRID):
+        rows[g] = design(prediction, lam, bounds, k, kind).schedule.values
+    rows.flags.writeable = False
+    return rows
 
 
 def _replay_ratios(
@@ -77,12 +84,13 @@ def _replay_ratios(
 
     Windows are replayed a block at a time by ``core.ota_totals``: a block is
     a run of consecutive windows of one horizon, as many as keep the kernel's
-    arrays within ``_REPLAY_BLOCK_BYTES``.  Designs are looked up window by
-    window, confidence by confidence, and each window's offline optimum is
-    computed once.
+    arrays within ``_REPLAY_BLOCK_BYTES``.  The grid designs of a window are
+    looked up as one (G, k) array per prediction, the extra rows are
+    appended to each, and each window's offline optimum is computed once.
     """
     k, bounds = windows[0].instance.k, windows[0].instance.bounds
     runs = len(GRID) + len(extra)
+    extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
     ratios = np.empty((len(windows), runs))
     for start, stop in _blocks(windows, k, runs):
         block = windows[start:stop]
@@ -94,12 +102,10 @@ def _replay_ratios(
             if inst.bounds != bounds:
                 raise InvalidInputError("window and first window disagree on price bounds")
             opts.append(offline_opt(inst, kind))
-            for lam in GRID:
-                thresholds.append(_cached_design(window.prediction, lam, bounds, k, kind))
-            thresholds.extend(schedule.values for schedule in extra)
+            thresholds += (_grid_thresholds(window.prediction, bounds, k, kind), extra_rows)
         prices = [window.instance.prices for window in block]
         rows = np.repeat(np.arange(len(block)), runs)
-        totals, _ = ota_totals(thresholds, prices, rows, kind)
+        totals, _ = ota_totals(np.concatenate(thresholds), prices, rows, kind)
         totals = totals.reshape(len(block), runs)
         opts = np.array(opts)[:, None]
         ratios[start:stop] = opts / totals if kind.is_max else totals / opts

@@ -10,7 +10,9 @@ from ksearch import (
     AugmentedDesign,
     ConstructionError,
     DomainError,
+    FrontierSpec,
     InvalidInputError,
+    KSearchError,
     ParetoPoint,
     PriceBounds,
     ProblemKind,
@@ -20,8 +22,11 @@ from ksearch import (
     interval_ratios,
     prediction_ratio,
     run_ota,
+    target_point,
     worst_case_thresholds,
 )
+from ksearch import augmented as augmented_mod
+from ksearch.learner import GRID
 from ksearch.augmented import (
     _verify,
     design_for_target,
@@ -242,8 +247,6 @@ def test_sigma_star_max_is_largest_feasible():
 
 
 def test_sigma_star_min_in_range_and_boundary():
-    from ksearch import FrontierSpec, target_point
-
     target = target_point(0.5, FrontierSpec(BOUNDS, K, ProblemKind.MIN))
     sigma = sigma_star_min(target, BOUNDS, K)
     assert 1 <= sigma <= K
@@ -368,3 +371,79 @@ def test_random_designs_always_verify(theta, k, lam, rel, kind):
     assert max(interval_ratios(d.schedule)) <= d.target.gamma + 1e-9
     assert prediction_ratio(d.schedule, prediction) <= d.target.eta + 1e-9
     assert len(d.segment_labels()) == k
+
+
+# --------------------------------------------------------------------------
+# the frame cache: cache state never changes a result
+
+
+def _outcome(call):
+    """design's result fields, or the class and message of its failure."""
+    try:
+        return _fields(design(*call))
+    except (KSearchError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _oracle(call):
+    """The same call without any cache: a fresh frontier, target and frame."""
+    prediction, lam, bounds, k, kind = call
+    try:
+        target = target_point(lam, FrontierSpec(bounds, k, kind))
+        return _fields(design_for_target(prediction, target, bounds, k, kind))
+    except (KSearchError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _fields(d: AugmentedDesign):
+    return (d.schedule.values, d.case_label, d.j_star, d.m_star, d.i_star, d.sigma_star,
+            d.p_tilde_1, d.p_tilde_2, d.target, d.prediction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p_min=st.floats(min_value=0.5, max_value=200.0),
+    thetas=st.lists(st.floats(min_value=1.0, max_value=1e5), min_size=2, max_size=3),
+    ks=st.lists(st.integers(min_value=1, max_value=200), min_size=1, max_size=2),
+    lams=st.lists(st.sampled_from(GRID), min_size=1, max_size=3),
+    spots=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=2),
+)
+def test_cache_state_never_changes_a_design(p_min, thetas, ks, lams, spots):
+    bands = [PriceBounds(p_min, p_min * theta) for theta in thetas]
+    # consecutive calls alternate kind and band, so their frames interleave
+    calls = [(min(max(b.p_min * b.theta**spot, b.p_min), b.p_max), lam, b, k, kind)
+             for k in ks for lam in lams for spot in spots for b in bands
+             for kind in ProblemKind]
+    expected = [_oracle(call) for call in calls]
+    augmented_mod._frame_at.cache_clear()
+    assert [_outcome(call) for call in calls] == expected  # cold, then warming
+    assert [_outcome(call) for call in reversed(calls)] == expected[::-1]  # warm
+
+
+def test_target_keeps_the_callers_lambda():
+    augmented_mod._frame_at.cache_clear()
+    for lam in (1.0, 1, 0.0, 0):
+        assert type(design(20.0, lam, BOUNDS, K, ProblemKind.MAX).target.lam) is type(lam)
+
+
+def test_failed_frame_raises_the_same_error_on_every_call():
+    # sigma* has no feasible block at this (lambda, band, k), whatever P is
+    bounds, k, lam = PriceBounds(1.0, 5623.413251903491), 1, 0.3
+    augmented_mod._frame_at.cache_clear()
+    seen = set()
+    for prediction in (1.0, 40.0, bounds.p_max, 1.0):
+        with pytest.raises(ConstructionError, match="no feasible consistency block") as info:
+            design(prediction, lam, bounds, k, ProblemKind.MIN)
+        exc = info.value
+        seen.add(str(exc))
+        assert (exc.kind, exc.bounds, exc.k, exc.lam, exc.prediction) == (
+            ProblemKind.MIN, bounds, k, lam, prediction)
+        assert _oracle((prediction, lam, bounds, k, ProblemKind.MIN)) == (
+            ConstructionError, str(exc))
+    assert len(seen) == 1
+
+
+def test_construction_errors_outside_design_carry_no_call():
+    with pytest.raises(ConstructionError) as info:
+        design_for_target(50.0, ParetoPoint(0.5, 1.0, 2.63), BOUNDS, K, ProblemKind.MAX)
+    assert info.value.kind is None and info.value.prediction is None

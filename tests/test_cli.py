@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import shlex
 
 import pytest
 
@@ -163,6 +164,20 @@ class TestDataErrors:
         assert main(["pareto", *BOUNDS, "--k", "7"]) == 4
         err = capsys.readouterr().err
         assert "verification failure" in err and "residual" in err
+        assert "reproduce with" not in err  # not a design: no thresholds call repeats it
+
+    def test_design_failure_prints_a_reproducing_command(self, capsys):
+        # sigma* finds no feasible consistency block at this (lambda, band, k)
+        argv = ["thresholds", "--kind", "min", "--k", "1", "--pmin", "1",
+                "--pmax", "5623.413251903491", "--prediction", "3", "--lambda", "0.3"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("ksearch: verification failure: no feasible consistency block")
+        prefix = "ksearch: reproduce with: ksearch "
+        assert err[1] == (prefix + "thresholds --kind min --pmin 1.0 --pmax 5623.413251903491 "
+                          "--k 1 --lambda 0.3 --prediction 3.0")
+        assert main(shlex.split(err[1][len(prefix):])) == 4
+        assert capsys.readouterr().err.splitlines() == err
 
 
 class TestPareto:

@@ -378,6 +378,7 @@ def test_library_has_no_unused_imports():
 # names a test needs as an oracle or adversary, though no program code calls them
 _TEST_ONLY_EXPORTS = {
     "ota_total": "the per-schedule oracle of the batched replay kernel",
+    "design_for_target": "the cache-free oracle of design's frame cache",
     "gen_p_instance": "the acceptance suite's prediction-ladder adversary",
     "gen_worst_case_sequence": "the acceptance suite's worst-case adversary",
 }

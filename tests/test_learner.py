@@ -237,6 +237,25 @@ def block_sizes(monkeypatch):
     return sizes
 
 
+class TestGridArrays:
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("prediction", [5.0, 17.25, 50.0])
+    def test_rows_are_read_only_grid_designs(self, kind, prediction):
+        learner_mod._grid_thresholds.cache_clear()
+        rows = learner_mod._grid_thresholds(prediction, BOUNDS, 6, kind)
+        assert rows.shape == (len(GRID), 6) and rows.dtype == np.float64
+        with pytest.raises(ValueError):
+            rows[0, 0] = 1.0
+        for g, lam in enumerate(GRID):
+            expected = design(prediction, lam, BOUNDS, 6, kind).schedule.values
+            assert tuple(rows[g].tolist()) == expected
+        assert learner_mod._grid_thresholds(prediction, BOUNDS, 6, kind) is rows
+
+    def test_cache_holds_no_more_floats_than_one_design_per_entry_did(self):
+        maxsize = learner_mod._grid_thresholds.cache_info().maxsize
+        assert maxsize * len(GRID) <= 1 << 16
+
+
 class TestBlockReplay:
     @pytest.mark.parametrize("kind", list(ProblemKind))
     def test_round_ratios_equal_per_schedule_replay(self, kind):
