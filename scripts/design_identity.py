@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Fingerprint every design result over a fixed set of points, one SHA-256 per section.
+
+Run it on two checkouts and compare the digests: equal digests mean the
+two trees give bit-identical designs (or identical failures) on every point::
+
+    PYTHONPATH=src python3 scripts/design_identity.py
+
+Each ``design`` call is dumped as its threshold reprs, case label, j*, m*,
+i*, sigma*, p~1, p~2, eta, gamma and prediction, and each failure as its
+class and message.  The sections are:
+
+- ``design-grid``: the 12,672 points of perfbench's ``design-grid`` workload
+  (kind x 16 theta x k in 1, 10, 100, 1000 x 11 lambda x 9 P);
+- ``random``: 20,000 points from ``random.Random(20261017)``: theta =
+  10^U(0,4), p_min = 10^U(-2,2), k = floor(10^U(0,3)), lambda uniform, on
+  the learner's grid, 0 or 1, and P log-uniform in the band;
+- ``design-grid rows`` and ``random rows``: the learner's grid thresholds
+  (``learner._grid_thresholds``, uncached) at each distinct (P, band, k,
+  kind) of the section, or the failure with the call it carries.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import random
+
+import numpy as np
+
+from ksearch import augmented, learner
+from ksearch.core import PriceBounds, ProblemKind
+
+SEED = 20261017
+RANDOM_POINTS = 20_000
+
+
+def design_grid_points():
+    """The design-grid workload's points, in its order."""
+    points = []
+    for kind in (ProblemKind.MAX, ProblemKind.MIN):
+        for theta in np.logspace(0.25, 4.0, 16):
+            bounds = PriceBounds(1.0, float(theta))
+            preds = [min(max(float(p), 1.0), bounds.p_max)
+                     for p in np.logspace(0.0, math.log10(bounds.p_max), 9)]
+            for k in (1, 10, 100, 1000):
+                for i in range(11):
+                    for prediction in preds:
+                        points.append((kind, bounds, k, i / 10, prediction))
+    return points
+
+
+def random_points():
+    rng = random.Random(SEED)
+    points = []
+    for _ in range(RANDOM_POINTS):
+        kind = rng.choice((ProblemKind.MAX, ProblemKind.MIN))
+        p_min = 10.0 ** rng.uniform(-2.0, 2.0)
+        bounds = PriceBounds(p_min, p_min * 10.0 ** rng.uniform(0.0, 4.0))
+        k = int(10.0 ** rng.uniform(0.0, 3.0))
+        lam = rng.choice((rng.random(), rng.choice(learner.GRID), 0.0, 1.0))
+        prediction = min(max(p_min * bounds.theta ** rng.random(), p_min), bounds.p_max)
+        points.append((kind, bounds, k, lam, prediction))
+    return points
+
+
+def design_record(kind, bounds, k, lam, prediction) -> str:
+    try:
+        d = augmented.design(prediction, lam, bounds, k, kind)
+    except Exception as exc:  # noqa: BLE001  (the points include failing inputs)
+        return repr((type(exc).__name__, str(exc)))
+    return repr((d.schedule.values, d.case_label, d.j_star, d.m_star, d.i_star,
+                 d.sigma_star, d.p_tilde_1, d.p_tilde_2, d.target.eta, d.target.gamma,
+                 d.prediction))
+
+
+def rows_record(kind, bounds, k, prediction) -> str:
+    try:
+        rows = learner._grid_thresholds.__wrapped__(prediction, bounds, k, kind)
+    except Exception as exc:  # noqa: BLE001
+        carried = (exc.kind, exc.bounds, exc.k, exc.lam, exc.prediction) \
+            if hasattr(exc, "lam") else None
+        return repr((type(exc).__name__, str(exc), carried))
+    return repr(rows.tolist())
+
+
+def digest(records) -> str:
+    sha = hashlib.sha256()
+    for record in records:
+        sha.update(record.encode())
+        sha.update(b"\n")
+    return sha.hexdigest()
+
+
+def main() -> None:
+    for name, points in (("design-grid", design_grid_points()), ("random", random_points())):
+        print(f"{name}: {digest(design_record(*point) for point in points)}", flush=True)
+        calls = dict.fromkeys((kind, bounds, k, prediction)
+                              for kind, bounds, k, _, prediction in points)
+        print(f"{name} rows: {digest(rows_record(*call) for call in calls)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -32,8 +32,17 @@ tolerable degradation.
 A design splits into a frame and the prediction's part.  The frame (the
 target, sigma*, the growth rates and leads, p~1 and p~2) depends only on
 (lambda, band, k, kind); ``design`` keeps frames in a bounded cache, and
-per call builds the prefix, flat block, pivot, i* scan and tail.  The
-tail values are not cached: they are k floats per frame.
+per call builds the prefix, flat block, pivot, i* scan and tail.
+
+``_construct_grid`` builds the designs of a tuple of confidences at one
+prediction as one (R, k) array, for the learner, which needs its whole
+grid at every window.  Per (confidences, band, k, kind) it caches the
+frames' powers of both growth rates, taken with Python ``**``, and the
+case I/IV thresholds, the prefix with its left sums, and the tail that
+they fix; per call it builds every row's flat block, pivot and i* scan
+and applies every check of ``_construct`` and ``_verify`` to all rows at
+once.  It raises wherever one of the designs would fail; ``design`` stays
+the single path and the reference it is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -473,6 +482,214 @@ def _prefix_length(
         return 0
     raw = math.log(ratio) / math.log1p(1.0 / (gamma * k))
     return min(k, max(0, math.ceil(raw - _CROSS_EPS)))
+
+
+# --------------------------------------------------------------------------
+# many confidences at one prediction
+
+
+class _GridFrame(NamedTuple):
+    """The frames of several confidences, one row each, and the schedule parts they fix.
+
+    The powers ``grow ** n`` (n = 0..k) are taken with Python ``**``: numpy's
+    ``power`` rounds some of them differently, and ``_construct`` is the
+    reference for every bit.
+    """
+
+    sigma: np.ndarray  # (R,)
+    tilde_1: np.ndarray  # (R,)
+    tilde_2: np.ndarray  # (R,)
+    eta: np.ndarray  # (R,)
+    gamma: np.ndarray  # (R,)
+    pow_eta: np.ndarray  # (R, k+1) grow_eta ** n
+    pow_gamma: np.ndarray  # (R, k+1) grow_gamma ** n
+    head: np.ndarray  # (R, k) case I/IV thresholds, near + lead_eta * grow_eta**(i-1)
+    prefix: np.ndarray  # (R, k) prefix thresholds, near + lead_gamma * grow_gamma**(i-1)
+    prefix_sums: np.ndarray  # (R, k+1) left sums of the first j prefix thresholds
+    succ: np.ndarray  # (R, k+1) tail(i+1) in column i < k, the far bound in column k
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_frame(
+    lams: tuple[float, ...], bounds: PriceBounds, k: int, kind: ProblemKind
+) -> _GridFrame:
+    frames = tuple(_frame_at(lam, bounds, k, kind) for lam in lams)
+    near, far = (bounds.p_min, bounds.p_max) if kind.is_max else (bounds.p_max, bounds.p_min)
+    pow_eta = np.array([[f.grow_eta**n for n in range(k + 1)] for f in frames])
+    pow_gamma = np.array([[f.grow_gamma**n for n in range(k + 1)] for f in frames])
+    lead_eta = np.array([[f.lead_eta] for f in frames])
+    lead_gamma = np.array([[f.lead_gamma] for f in frames])
+    with np.errstate(all="ignore"):  # overflow gives inf, as Python float arithmetic does
+        head = near + lead_eta * pow_eta[:, :k]
+        prefix = near + lead_gamma * pow_gamma[:, :k]
+        prefix_sums = np.zeros((len(frames), k + 1))
+        np.cumsum(prefix, axis=1, out=prefix_sums[:, 1:])
+    succ = np.empty((len(frames), k + 1))
+    succ[:, :k] = near + (far - near) / pow_gamma[:, k:0:-1]
+    succ[:, k] = far
+    return _GridFrame(
+        np.array([f.sigma for f in frames]),
+        np.array([f.tilde_1 for f in frames]),
+        np.array([f.tilde_2 for f in frames]),
+        np.array([f.target.eta for f in frames]),
+        np.array([f.target.gamma for f in frames]),
+        pow_eta, pow_gamma, head, prefix, prefix_sums, succ,
+    )
+
+
+def _construct_grid(
+    prediction: float, lams: tuple[float, ...], bounds: PriceBounds, k: int, kind: ProblemKind
+) -> np.ndarray:
+    """The thresholds of ``design(prediction, lam, ...)`` for every lam, as (R, k) rows.
+
+    Each row is built with the float operations of ``_construct`` in its
+    order (sums run left to right through ``np.cumsum``), and every check
+    of ``_construct`` and ``_verify`` is applied to all rows.  Whenever a
+    design of one of the confidences would fail, this raises, but its
+    error need not be that design's: the caller reruns ``design`` per
+    confidence for it.  It may also raise where every design succeeds
+    (a power no design uses overflowing, say).
+    """
+    prediction = _snap_prediction(prediction, bounds)
+    grid = _grid_frame(lams, bounds, k, kind)
+    is_max = kind.is_max
+    p_min, p_max = bounds.p_min, bounds.p_max
+    index = np.arange(k + 1)
+    values, cut = grid.head, grid.sigma  # thresholds past the cut are the tail's
+    j_star, m_star = np.zeros(len(lams), dtype=int), np.zeros(len(lams), dtype=int)
+    first_covered = np.ones(len(lams), dtype=int)
+    if _degenerate(bounds):
+        block_rows = index[:0]  # case I/IV with sigma = k: the flat schedule at the near bound
+    else:
+        past_1 = prediction > grid.tilde_1 if is_max else prediction <= grid.tilde_1
+        block_rows = np.flatnonzero(past_1)
+    with np.errstate(all="ignore"):  # overflow follows Python floats; NaN is rejected below
+        if block_rows.size:
+            values, cut = values.copy(), cut.copy()
+            (values[block_rows], cut[block_rows], j_star[block_rows],
+             m_star[block_rows]) = _block_rows(prediction, grid, block_rows, bounds, k, kind)
+            first_covered[block_rows] = m_star[block_rows] + 2
+        values = np.where(index[1:] <= cut[:, None], values, grid.succ[:, :k])
+        values = np.minimum(np.maximum(values, p_min), p_max)
+        if np.isnan(values).any():
+            raise ConstructionError("designed thresholds are not numbers")
+        # _snap_monotone: a float-noise inversion takes its predecessor's value
+        snapped = (np.maximum if is_max else np.minimum).accumulate(values, axis=1)
+        drop = snapped[:, :-1] - values[:, 1:] if is_max else values[:, 1:] - snapped[:, :-1]
+        if (drop > 1e-9 * p_max).any():
+            raise ConstructionError("designed thresholds not monotone")
+        steps = np.diff(snapped, axis=1)
+        if (snapped.min() < p_min or snapped.max() > p_max
+                or ((steps < 0) if is_max else (steps > 0)).any()):
+            raise ConstructionError("designed thresholds leave the band or turn")
+        if not ((0 <= j_star) & (j_star <= m_star) & (m_star <= cut) & (cut <= k)).all():
+            raise ConstructionError("index chain violated")
+        _verify_rows(snapped, prediction, grid, first_covered, cut, bounds, k, kind)
+    return snapped
+
+
+def _block_rows(
+    prediction: float, grid: _GridFrame, rows: np.ndarray,
+    bounds: PriceBounds, k: int, kind: ProblemKind,
+):
+    """Cases II/III (V/VI) of ``_construct`` for the given grid rows.
+
+    Returns the rows' consistency thresholds (valid through i*), i*, j*
+    and m* (already capped at i*).
+    """
+    is_max = kind.is_max
+    p_min, p_max = bounds.p_min, bounds.p_max
+    near = p_min if is_max else p_max
+    index = np.arange(k + 1)
+    eta, tilde_2 = grid.eta[rows], grid.tilde_2[rows]
+    case_2 = prediction <= tilde_2 if is_max else prediction > tilde_2
+    j_star = np.array([
+        0 if two else _prefix_length(prediction, gamma, bounds, k, kind)
+        for gamma, two in zip(grid.gamma[rows].tolist(), case_2.tolist())
+    ])
+    prefix_sum = grid.prefix_sums[rows, j_star]
+    if is_max:
+        gamma = grid.gamma[rows]
+        z_next = p_min * (1.0 + (gamma - 1.0) * grid.pow_gamma[rows, j_star])
+        span = np.where(case_2, k * prediction / eta - k * p_min,
+                        k * prediction / eta - k * z_next / gamma)
+        flat = np.ceil(span / (prediction - p_min))
+        if not np.isfinite(flat).all():
+            raise ConstructionError("flat block length is not finite")
+        m_star = np.minimum(np.maximum(j_star + flat, j_star), k).astype(int)
+    else:
+        lhs = (prefix_sum[:, None] + (index - j_star[:, None]) * prediction
+               + (k - index) * p_max)
+        allowed = (lhs <= (eta * k * prediction * (1.0 + _SCAN_SLACK))[:, None]) & (
+            index >= j_star[:, None])
+        if not allowed.any(axis=1).all():
+            raise ConstructionError("no feasible flat block")
+        m_star = allowed.argmax(axis=1)
+
+    flat_sum = prefix_sum + (m_star - j_star) * prediction + (k - m_star) * near
+    if is_max:
+        pivot = eta * flat_sum / k
+        if (pivot < prediction * (1.0 - 1e-9)).any():
+            raise ConstructionError("pivot fell below the prediction")
+        pivot = np.where(pivot < prediction, prediction, pivot)
+    else:
+        pivot = flat_sum / (eta * k)
+        if (pivot > prediction * (1.0 + 1e-9)).any():
+            raise ConstructionError("pivot rose above the prediction")
+        pivot = np.where(pivot > prediction, prediction, pivot)
+
+    i = index[1:]
+    block = near + (pivot - near)[:, None] * grid.pow_eta[
+        rows[:, None], np.maximum(i - m_star[:, None] - 1, 0)]
+    values = np.where(i <= j_star[:, None], grid.prefix[rows],
+                      np.where(i <= m_star[:, None], prediction, block))
+    # the i* scan: running[:, i] is the left sum of thresholds 1..i
+    running = np.zeros((len(rows), k + 1))
+    np.cumsum(values, axis=1, out=running[:, 1:])
+    banked = running + (k - index) * near
+    succ = grid.succ[rows]
+    budget = (grid.gamma[rows] + _RATIO_TOL / 2)[:, None]
+    fits = k * succ <= budget * banked if is_max else banked <= budget * k * succ
+    fits &= index >= j_star[:, None]
+    if not fits.any(axis=1).all():
+        raise ConstructionError("no feasible consistency endpoint")
+    i_star = k - fits[:, ::-1].argmax(axis=1)
+    return values, i_star, j_star, np.minimum(m_star, i_star)
+
+
+def _verify_rows(
+    values: np.ndarray, prediction: float, grid: _GridFrame,
+    first_covered: np.ndarray, i_star: np.ndarray,
+    bounds: PriceBounds, k: int, kind: ProblemKind,
+) -> None:
+    """``_verify`` on every row: the interval ratios as ``interval_ratios``
+    computes them, the accurate-prediction ratio, and the eta-covered intervals."""
+    p_min, p_max = bounds.p_min, bounds.p_max
+    gamma_cap = grid.gamma + _RATIO_TOL + 1e-11 * grid.gamma
+    eta_cap = grid.eta + _RATIO_TOL + 1e-11 * grid.eta
+    extended = np.empty((len(values), k + 1))
+    extended[:, :k] = values
+    extended[:, k] = p_max if kind.is_max else p_min
+    banked = np.zeros((len(values), k + 1))
+    np.cumsum(values, axis=1, out=banked[:, 1:])
+    remaining = k - np.arange(k + 1)
+    rows = np.arange(len(values))
+    if kind.is_max:
+        ratios = k * extended / (banked + remaining * p_min)
+        reached = (values <= prediction).sum(axis=1)
+        at_prediction = k * prediction / (banked[rows, reached] + (k - reached) * p_min)
+    else:
+        ratios = (banked + remaining * p_max) / (k * extended)
+        reached = (values >= prediction).sum(axis=1)
+        at_prediction = (banked[rows, reached] + (k - reached) * p_max) / (k * prediction)
+    if (ratios.max(axis=1) > gamma_cap).any():
+        raise ConstructionError("robustness violated")
+    if (at_prediction > eta_cap).any():
+        raise ConstructionError("consistency violated")
+    interval = np.arange(1, k + 2)
+    covered = (interval >= first_covered[:, None]) & (interval <= i_star[:, None])
+    if (covered & (ratios > eta_cap[:, None])).any():
+        raise ConstructionError("consistency violated on a covered interval")
 
 
 # --------------------------------------------------------------------------

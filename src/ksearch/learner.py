@@ -14,8 +14,11 @@ counterfactual ratios do not depend on the learner's state, so the whole
 (window x confidence) ratio matrix is replayed first, a block of windows
 at a time through the batched kernel ``core.ota_totals``, and the Hedge
 loop then runs over its rows, holding one plain list of weights.  The grid
-designs at one prediction are cached as one read-only (G, k) array, so a
-block's thresholds are the concatenation of one such array per window.
+designs at one prediction are built in one batched pass
+(``augmented._construct_grid``) and cached as one read-only (G, k) array,
+so a block's thresholds are the concatenation of one such array per
+window.  Where the batch raises, the prediction's designs are made one
+confidence at a time, so a failing design raises its own error.
 ``run_learning`` returns the final weights, the regret records and that
 matrix.  A weight may underflow to 0 on a long or lopsided stream; it then
 stays at 0, and a round in which every weight underflows is redone in log
@@ -32,10 +35,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .augmented import design
+from .augmented import _construct_grid, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, offline_opt, ota_totals
 from .core import _replay_window_bytes
-from .errors import InvalidInputError
+from .errors import InvalidInputError, KSearchError
 from .instances import ExperimentWindow
 
 DEFAULT_GRID_SIZE = 33
@@ -66,10 +69,17 @@ class RegretRecord:
 @lru_cache(maxsize=(1 << 16) // len(GRID))
 def _grid_thresholds(prediction: float, bounds: PriceBounds, k: int, kind: ProblemKind):
     """Read-only (G, k) thresholds of the grid designs at one prediction,
-    one row per confidence in ``GRID`` order: all the replay reads of them."""
-    rows = np.empty((len(GRID), k))
-    for g, lam in enumerate(GRID):
-        rows[g] = design(prediction, lam, bounds, k, kind).schedule.values
+    one row per confidence in ``GRID`` order: all the replay reads of them.
+
+    The rows come from one batched construction; where it raises, they are
+    designed one confidence at a time, so a failing design raises its own
+    error, with the call it carries."""
+    try:
+        rows = _construct_grid(prediction, GRID, bounds, k, kind)
+    except (KSearchError, ArithmeticError, ValueError):
+        rows = np.empty((len(GRID), k))
+        for g, lam in enumerate(GRID):
+            rows[g] = design(prediction, lam, bounds, k, kind).schedule.values
     rows.flags.writeable = False
     return rows
 

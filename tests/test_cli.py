@@ -336,6 +336,23 @@ class TestExperiment:
 
 
 class TestLearn:
+    def test_design_failure_names_the_first_failing_grid_design(self, tmp_path, capsys):
+        # the first window's look-back minimum is p_min: a design-grid failure
+        # point, where every grid design below lambda = 7/32 succeeds
+        feed = tmp_path / "feed.csv"
+        prices = [1.0, 5623.413251903491] + [50.0] * 198
+        feed.write_text("timestamp,price\n"
+                        + "".join(f"{t},{p!r}\n" for t, p in enumerate(prices)))
+        assert main(["learn", "--kind", "min", "--k", "100", "--window", "100",
+                     "--stride", "100", "--input", str(feed),
+                     "--output", str(tmp_path / "learn.csv")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "ksearch: verification failure: robustness violated: max ratio "
+            "4405.0208056927895 > gamma 4405.02080564734 (case VI, P=1.0)",
+            "ksearch: reproduce with: ksearch thresholds --kind min --pmin 1.0 "
+            "--pmax 5623.413251903491 --k 100 --lambda 0.21875 --prediction 1.0",
+        ]
+
     def test_both_kinds_with_consistent_regret(self, tmp_path, feed_csv):
         out = tmp_path / "learn.csv"
         code = main(["learn", "--kind", "both", "--input", feed_csv,

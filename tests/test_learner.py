@@ -6,10 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ksearch import (
+    ConstructionError,
     ExperimentWindow,
     InvalidInputError,
+    KSearchError,
     PInstanceSpec,
     PriceBounds,
     PriceSeries,
@@ -27,6 +30,7 @@ from ksearch import (
     sliding_windows,
     worst_case_thresholds,
 )
+from ksearch import augmented as augmented_mod
 from ksearch import core
 from ksearch import learner as learner_mod
 from ksearch.learner import GRID, _replay_ratios, _replay_window_bytes
@@ -254,6 +258,123 @@ class TestGridArrays:
     def test_cache_holds_no_more_floats_than_one_design_per_entry_did(self):
         maxsize = learner_mod._grid_thresholds.cache_info().maxsize
         assert maxsize * len(GRID) <= 1 << 16
+
+    def test_failure_is_the_first_failing_designs_own(self):
+        # a design-grid failure point: robustness fails at lambda = 7/32 first
+        prediction, bounds, k = 1.0, PriceBounds(1.0, 5623.413251903491), 100
+        kind = ProblemKind.MIN
+        with pytest.raises(ConstructionError) as first:
+            for lam in GRID:
+                design(prediction, lam, bounds, k, kind)
+        learner_mod._grid_thresholds.cache_clear()
+        with pytest.raises(ConstructionError) as info:
+            learner_mod._grid_thresholds(prediction, bounds, k, kind)
+        got, want = info.value, first.value
+        assert want.lam == 0.21875 and str(want).startswith("robustness violated")
+        assert type(got) is type(want) and str(got) == str(want)
+        assert (got.kind, got.bounds, got.k, got.lam, got.prediction) == (
+            want.kind, want.bounds, want.k, want.lam, want.prediction)
+
+
+def _batched_rows(prediction, bounds, k, kind):
+    """The batched construction's rows as lists, or None where it raises."""
+    try:
+        return augmented_mod._construct_grid(prediction, GRID, bounds, k, kind).tolist()
+    except (KSearchError, ArithmeticError, ValueError):
+        return None
+
+
+def _design_or_none(prediction, lam, bounds, k, kind):
+    try:
+        return design(prediction, lam, bounds, k, kind)
+    except (KSearchError, ArithmeticError, ValueError):
+        return None
+
+
+def _i_star_step(lo, hi, lam, bounds, k, kind):
+    """The last float in [lo, hi) with the i* of lo, if i* differs at hi
+    (else lo): the predictions where the i* scan meets ties."""
+    def i_star(prediction):
+        found = _design_or_none(prediction, lam, bounds, k, kind)
+        return None if found is None else found.i_star
+
+    start = i_star(lo)
+    if start is None or i_star(hi) in (None, start):
+        return lo
+    while lo < (mid := lo + (hi - lo) / 2) < hi:
+        if i_star(mid) == start:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _prediction(spot, bounds, k, kind):
+    """A prediction in the band: at p_min, at p_max, at a grid confidence's
+    p~1 or p~2, at a fraction of the band in log space, or where that
+    confidence's i* steps between two such fractions; then nudged by a few
+    ulps, which at a bound overshoots it by as much as the design snaps."""
+    where, g, low, high, ulps = spot
+    lam = GRID[g]
+    at = [bounds.p_min * bounds.theta**frac for frac in sorted((low, high))]
+    at = [min(max(p, bounds.p_min), bounds.p_max) for p in at]
+    prediction = at[0]
+    if where == "p_min":
+        prediction = bounds.p_min
+    elif where == "p_max":
+        prediction = bounds.p_max
+    elif where in ("tilde_1", "tilde_2"):
+        try:
+            frame = augmented_mod._frame_at(lam, bounds, k, kind)
+            prediction = min(max(getattr(frame, where), bounds.p_min), bounds.p_max)
+        except (KSearchError, ArithmeticError):
+            pass  # no frame at this lambda: keep the band fraction
+    elif where == "i_star":
+        prediction = _i_star_step(at[0], at[1], lam, bounds, k, kind)
+    for _ in range(abs(ulps)):
+        prediction = math.nextafter(prediction, math.copysign(math.inf, ulps))
+    return prediction
+
+
+# pinned points: an exact tie in an i* scan; a 19-term prefix sum and an
+# 11-term running sum, long enough for a pairwise sum to round otherwise;
+# a pivot on the near side of P by float noise; P one ulp past p_max
+@example(kind=ProblemKind.MIN, p_min=1.0, theta=10.0, k=2,
+         spots=[("i_star", 1, 0.0, 1.0, -1)])
+@example(kind=ProblemKind.MIN, p_min=5.0, theta=10.0**0.5, k=19,
+         spots=[("inside", 0, 1.0, 0.25, 0)])
+@example(kind=ProblemKind.MAX, p_min=1.0, theta=10.0**0.3671875, k=11,
+         spots=[("i_star", 6, 0.0, 1.0, 1)])
+@example(kind=ProblemKind.MIN, p_min=1.0, theta=10.0, k=1,
+         spots=[("p_max", 0, 0.0, 0.0, -1)])
+@example(kind=ProblemKind.MIN, p_min=10.0625, theta=10.0**0.375, k=11,
+         spots=[("p_max", 0, 0.0, 0.0, 1)])
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(list(ProblemKind)),
+    p_min=st.floats(min_value=0.01, max_value=100.0),
+    theta=st.one_of(st.floats(min_value=0.0, max_value=5.0).map(lambda e: 10.0**e),
+                    st.floats(min_value=0.0, max_value=1e-9).map(lambda d: 1.0 + d)),
+    k=st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=13, max_value=300)),
+    spots=st.lists(st.tuples(
+        st.sampled_from(["p_min", "p_max", "tilde_1", "tilde_2", "inside", "i_star"]),
+        st.integers(min_value=0, max_value=len(GRID) - 1),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.integers(min_value=-2, max_value=2),
+    ), min_size=1, max_size=3),
+)
+def test_batched_rows_are_the_per_lambda_designs(kind, p_min, theta, k, spots):
+    bounds = PriceBounds(p_min, p_min * theta)
+    for spot in spots:
+        prediction = _prediction(spot, bounds, k, kind)
+        designs = [_design_or_none(prediction, lam, bounds, k, kind) for lam in GRID]
+        rows = _batched_rows(prediction, bounds, k, kind)
+        # no power table overflows in this domain, so the batch returns
+        # exactly where every design succeeds, and with their values
+        assert (rows is None) == (None in designs)
+        if rows is not None:
+            assert rows == [list(d.schedule.values) for d in designs]
 
 
 class TestBlockReplay:
