@@ -21,7 +21,6 @@ from .core import (
     SearchInstance,
     ThresholdSchedule,
     offline_opt,
-    ota_total,
     ota_totals,
     run_ota,
 )
@@ -134,7 +133,6 @@ __all__ = [
     "lower_bound_max",
     "lower_bound_min",
     "offline_opt",
-    "ota_total",
     "ota_totals",
     "prediction_ratio",
     "run_cell",

@@ -9,12 +9,13 @@ meets the threshold indexed by the number of items already taken.  Once the
 number of remaining arrivals equals the remaining budget, selection becomes
 compulsory regardless of the schedule.
 
-Three replays share these rules.  ``run_ota`` records every decision and
-``ota_total`` returns one run's total; both are the oracles for
-``ota_totals``, the batched replay the learner and the harness use, which
+Two replays share these rules.  ``run_ota`` records every decision of one
+run.  ``ota_totals``, the batched replay the learner and the harness use,
 replays a block of windows (read-only price arrays, often views of one
-series) under many schedules by event or in lockstep, as the shape
-suits, and returns bit-identical totals.
+series) under many schedules with one kernel: each run jumps from one
+selection to the next by a binary-lifting descent over a sparse table of
+block maxima.  Its totals are bit-identical to those of ``ota_total``,
+the per-run oracle the tests hold.
 """
 
 from __future__ import annotations
@@ -137,7 +138,7 @@ class ThresholdSchedule:
         if not values:
             raise InvalidInputError("schedule needs at least one threshold")
         lo, hi = min(values), max(values)
-        if lo < self.bounds.p_min or hi > self.bounds.p_max:
+        if not (lo >= self.bounds.p_min and hi <= self.bounds.p_max):  # False for NaN too
             raise InvalidInputError(
                 f"thresholds span [{lo}, {hi}], outside bounds "
                 f"[{self.bounds.p_min}, {self.bounds.p_max}]"
@@ -241,78 +242,21 @@ def run_ota(schedule: ThresholdSchedule, instance: SearchInstance) -> RunTrace:
     return RunTrace(tuple(decisions), total, m)
 
 
-def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, int]:
-    """Total value and voluntary-selection count of a run, without the trace.
-
-    Equivalent to ``run_ota`` (property-tested) but skips per-step Python
-    objects: voluntary selection times are found by jump-scanning for the
-    next qualifying price, then the earliest step where the compulsory rule
-    fires is located on the resulting selection-count staircase.
-    """
-    arr = np.asarray(prices, dtype=float)
-    vals = np.asarray(schedule.values, dtype=float)
-    if not schedule.kind.is_max:
-        # min-search is max-search on negated prices/thresholds
-        arr, vals = -arr, -vals
-    T = arr.shape[0]
-    k = vals.shape[0]
-    if T < k:
-        raise InvalidInputError(f"horizon {T} shorter than budget {k}")
-
-    sel_times: list[int] = []
-    t = 0
-    for m in range(k):
-        if t >= T:
-            break
-        hits = arr[t:] >= vals[m]
-        j = int(hits.argmax())
-        if not hits[j]:
-            break
-        t += j
-        sel_times.append(t)
-        t += 1
-
-    n_vol = len(sel_times)
-    comp_start = -1
-    m_before = 0
-    for m in range(n_vol + 1):
-        tc = T - k + m
-        if tc >= T:
-            break
-        lo = sel_times[m - 1] + 1 if m > 0 else 0
-        hi = sel_times[m] if m < n_vol else T - 1
-        if lo <= tc <= hi:
-            comp_start = tc
-            m_before = m
-            break
-
-    if comp_start < 0:
-        if n_vol != k:
-            raise ConstructionError(
-                f"replay ended with {n_vol} of {k} selections and no compulsory fill"
-            )
-        total = float(arr[sel_times].sum())
-        voluntary = k
-    else:
-        total = float(arr[sel_times[:m_before]].sum() + arr[comp_start:].sum())
-        voluntary = m_before
-    if not schedule.kind.is_max:
-        total = -total
-    return total, voluntary
-
-
 def ota_totals(
     thresholds: np.ndarray, prices, rows: np.ndarray, kind: ProblemKind
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``ota_total`` of many runs at once: run r replays window ``rows[r]``.
+    """Total value and voluntary-selection count of many runs at once: run r
+    replays window ``rows[r]`` under the schedule ``thresholds[r]``.
 
     ``thresholds`` is (R, k), one schedule per run, and ``prices`` holds B
-    rows of T prices, one window each.  The shape picks the kernel that
-    finds each run's voluntary selections: ``_event_totals`` when its k
-    descents of about log2(T) steps are well below T, ``_lockstep_totals``
-    otherwise.  Both add the totals as ``ota_total`` does, so every total
-    is bit-identical to it (property-tested through both kernels).
-    Returns (totals, voluntary counts).
+    rows of T prices, one window each; NaN in either is rejected.  Each run
+    jumps from one selection to the next: slot m's step is the first one at
+    or after the run's position whose price meets threshold m, found by a
+    binary-lifting descent over a sparse table of block maxima (Bender and
+    Farach-Colton's range-maximum structure, LATIN 2000).  The totals are
+    added as the per-run oracle ``ota_total`` in ``tests/oracle.py`` adds
+    them, so each is bit-identical to it (property-tested).  Returns
+    (totals, voluntary counts).
     """
     windows = [np.asarray(row, dtype=float) for row in prices]
     if not windows or windows[0].ndim != 1 or any(w.shape != windows[0].shape for w in windows):
@@ -324,67 +268,13 @@ def ota_totals(
         raise InvalidInputError(
             f"need (R, k) thresholds and R rows, got {thr.shape} and {rows.shape}"
         )
-    k = thr.shape[1]
+    runs, k = thr.shape
     if not 1 <= k <= T:
         raise InvalidInputError(f"budget {k} must lie in [1, horizon {T}]")
     if rows.size and not 0 <= rows.min() <= rows.max() < B:
         raise InvalidInputError(f"run rows must index the {B} windows")
-    kernel = _event_totals if _by_events(k, T) else _lockstep_totals
-    return kernel(thr, windows, rows, kind)
-
-
-def _by_events(k: int, horizon: int) -> bool:
-    # a descent level costs about four lockstep steps
-    return 4 * k * horizon.bit_length() < horizon
-
-
-def _replay_window_bytes(horizon: int, k: int, runs: int) -> int:
-    """The most ``ota_totals`` holds per window of a block, in bytes: the
-    sparse table or the signed prices, and per run the thresholds, their
-    signed or padded copy and the selection slots."""
-    if _by_events(k, horizon):
-        return 8 * horizon.bit_length() * (horizon + 1) + 24 * runs * k
-    return 8 * horizon + 16 * runs * (k + 1)
-
-
-def _lockstep_totals(thr, windows, rows, kind):
-    """All runs advance together through the T steps: each step gathers
-    every run's current price and its next threshold (slot k holds +inf, so
-    a run stops selecting once it has k items)."""
-    (runs, k), T = thr.shape, windows[0].size
-    sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
-    by_step = np.empty((T, len(windows)))  # one row per step
-    for b, window in enumerate(windows):
-        np.multiply(window, sign, out=by_step[:, b])
-    padded = np.full((runs, k + 1), np.inf)
-    np.multiply(thr, sign, out=padded[:, :k])
-    padded = padded.ravel()
-    # pos[r] is the flat slot of run r's next threshold; sel[pos] records the
-    # step, and stays put once the step selects and pos moves on
-    pos = np.arange(0, runs * (k + 1), k + 1, dtype=np.intp)
-    start = pos.copy()
-    sel = np.empty(runs * (k + 1), dtype=np.int32)
-    price = np.empty(runs)
-    bar = np.empty(runs)
-    hit = np.empty(runs, dtype=bool)
-    for t in range(T):
-        by_step[t].take(rows, out=price, mode="clip")  # mode="raise" buffers out=
-        padded.take(pos, out=bar, mode="clip")
-        np.greater_equal(price, bar, out=hit)
-        sel[pos] = t
-        pos += hit
-    del padded
-    sel = sel.reshape(runs, k + 1)[:, :k]
-    sel[np.arange(k) >= (pos - start)[:, None]] = T  # slots never filled
-    return _grouped_totals(sel, by_step.T, rows, sign, T)
-
-
-def _event_totals(thr, windows, rows, kind):
-    """Each run jumps from one selection to the next: slot m's step is the
-    first one at or after the run's position whose price meets threshold m,
-    found by a binary-lifting descent over a sparse table of block maxima
-    (Bender and Farach-Colton's range-maximum structure, LATIN 2000)."""
-    (runs, k), B, T = thr.shape, len(windows), windows[0].size
+    if np.isnan(thr).any():
+        raise InvalidInputError("thresholds must not be NaN")
     sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
     levels = T.bit_length()  # 2**levels > T
     # table[l, b, t] is the largest of window b's prices t .. t + 2**l - 1
@@ -393,6 +283,8 @@ def _event_totals(thr, windows, rows, kind):
     table[0, :, T] = -np.inf
     for b, window in enumerate(windows):
         np.multiply(window, sign, out=table[0, b, :T])
+    if np.isnan(table[0, :, :T]).any():
+        raise InvalidInputError("prices must not be NaN")
     for level in range(1, levels):
         half, cur = 1 << (level - 1), table[level]
         cur[:] = table[level - 1]
@@ -413,11 +305,18 @@ def _event_totals(thr, windows, rows, kind):
     return _grouped_totals(sel.T, table[0], rows, sign, T)
 
 
+def _replay_window_bytes(horizon: int, k: int, runs: int) -> int:
+    """The most ``ota_totals`` holds per window of a block, in bytes: the
+    sparse table, and per run the thresholds, their signed copy and the
+    selection slots."""
+    return 8 * horizon.bit_length() * (horizon + 1) + 24 * runs * k
+
+
 def _grouped_totals(sel, prices, rows, sign, T):
     """Totals and voluntary counts from the (R, k) selection steps (T if
     never filled) and the signed (B, >= T) prices, added with the same numpy
-    reductions as ``ota_total``, one group of equal voluntary counts at a
-    time."""
+    reductions as the per-run oracle, one group of equal voluntary counts at
+    a time."""
     runs, k = sel.shape
     slot = np.arange(k)
     # selection m happens after sel[m] - m passed-over prices; the fill starts

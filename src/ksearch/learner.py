@@ -12,9 +12,10 @@ Every window of a stream carries its budget k and price band; the learner
 reads both from the first window and requires the rest to agree.  The
 counterfactual ratios do not depend on the learner's state, so the whole
 (window x confidence) ratio matrix is replayed first, a block of windows
-at a time through the batched kernel ``core.ota_totals``, and the Hedge
-loop then runs over its rows, holding one plain list of weights.  The grid
-designs at one prediction are built in one batched pass
+at a time through the batched kernel ``core.ota_totals`` (one descent over
+the block's sparse table of price maxima per run and selection), and the
+Hedge loop then runs over its rows, holding one plain list of weights.
+The grid designs at one prediction are built in one batched pass
 (``augmented._construct_grid``) and cached as one read-only (G, k) array,
 so a block's thresholds are the concatenation of one such array per
 window.  Where the batch raises, the prediction's designs are made one

@@ -35,7 +35,6 @@ from ksearch import (
     lower_bound_max,
     lower_bound_min,
     offline_opt,
-    ota_total,
     prediction_ratio,
     run_learning,
     run_ota,
@@ -47,6 +46,7 @@ from ksearch import (
     xi_star,
 )
 from ksearch.learner import _replay_ratios
+from oracle import ota_total
 
 MAX, MIN = ProblemKind.MAX, ProblemKind.MIN
 THETA_GRID = (2.0, 10.0, 83.092)

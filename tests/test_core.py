@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 
 import ksearch
-from ksearch import core
 from conftest import kinds, price_bounds, schedule_and_instance
+from oracle import ota_total
 from ksearch import (
     InvalidInputError,
     ParetoPoint,
@@ -21,7 +21,6 @@ from ksearch import (
     SearchInstance,
     ThresholdSchedule,
     offline_opt,
-    ota_total,
     ota_totals,
     run_ota,
 )
@@ -155,20 +154,13 @@ def replay_blocks(draw, max_k=6, max_horizon=30):
 @given(replay_blocks())
 @settings(max_examples=200)
 def test_batched_replay_equals_ota_total(case):
-    # through ota_totals and through each kernel body, whichever the shape picks
     kind, bounds, thresholds, prices, rows = case
-    thr, windows = np.array(thresholds), list(np.array(prices))
-    replays = [
-        ota_totals(thr, windows, rows, kind),
-        core._lockstep_totals(thr, windows, np.asarray(rows, np.intp), kind),
-        core._event_totals(thr, windows, np.asarray(rows, np.intp), kind),
-    ]
+    totals, voluntary = ota_totals(np.array(thresholds), list(np.array(prices)), rows, kind)
     for r, row in enumerate(rows):
         schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
         total, vol = ota_total(schedule, np.asarray(prices[row]))
-        for totals, voluntary in replays:
-            assert totals[r] == total
-            assert voluntary[r] == vol
+        assert totals[r] == total
+        assert voluntary[r] == vol
 
 
 class TestBatchedReplay:
@@ -189,20 +181,23 @@ class TestBatchedReplay:
             assert (totals[m], voluntary[m]) == (total, vol)
             assert vol == (0 if k == horizon else m)
 
-    @pytest.mark.parametrize("k,kernel", [(7, "_event_totals"), (8, "_lockstep_totals")])
-    def test_shape_picks_the_kernel(self, k, kernel, monkeypatch):
-        # 4 * k * (288).bit_length() < 288 holds up to k = 7
-        rng = np.random.default_rng(k)
-        prices = rng.uniform(5.0, 50.0, (3, 288))
-        thresholds = np.sort(rng.uniform(5.0, 50.0, (6, k)), axis=1)
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("horizon,k", [
+        (horizon, k) for horizon in (31, 32, 33, 288)  # 31..33 sit on table level edges
+        for k in (1, horizon // 4, horizon - 1, horizon)
+    ])
+    def test_large_budgets_equal_ota_total(self, kind, horizon, k):
+        # budgets near the horizon, where most runs end in a compulsory fill
+        rng = np.random.default_rng(horizon * 1000 + k)
+        prices = rng.choice([5.0, 20.0, 30.0, 50.0], size=(3, horizon))
+        prices[1] = rng.uniform(5.0, 50.0, horizon)
+        thresholds = np.sort(rng.choice([5.0, 20.0, 30.0, 41.0, 50.0], size=(6, k)), axis=1)
+        if not kind.is_max:
+            thresholds = thresholds[:, ::-1]
         rows = [0, 1, 2, 2, 1, 0]
-        picked = []
-        body = getattr(core, kernel)
-        monkeypatch.setattr(core, kernel, lambda *args: picked.append(kernel) or body(*args))
-        totals, voluntary = ota_totals(thresholds, prices, rows, ProblemKind.MAX)
-        assert picked == [kernel]
+        totals, voluntary = ota_totals(thresholds, prices, rows, kind)
         for r, row in enumerate(rows):
-            schedule = ThresholdSchedule(ProblemKind.MAX, tuple(thresholds[r]), B)
+            schedule = ThresholdSchedule(kind, tuple(thresholds[r]), B)
             assert (totals[r], voluntary[r]) == ota_total(schedule, prices[row])
 
     def test_accepts_nested_sequences(self):
@@ -223,6 +218,14 @@ class TestBatchedReplay:
     def test_rejects_inconsistent_shapes(self, thresholds, prices, rows):
         with pytest.raises(InvalidInputError):
             ota_totals(thresholds, prices, rows, ProblemKind.MAX)
+
+    @pytest.mark.parametrize("thresholds,prices", [
+        ([(math.nan, 30.0)], [10.0, 20.0, 30.0, 40.0, 10.0, 10.0, 10.0, 10.0]),
+        ([(20.0, 30.0)], [10.0, 20.0, math.nan, 40.0, 10.0, 10.0, 10.0, 10.0]),
+    ])
+    def test_rejects_nan(self, thresholds, prices):
+        with pytest.raises(InvalidInputError):
+            ota_totals(thresholds, [prices], [0], ProblemKind.MAX)
 
 
 class TestOfflineOpt:
@@ -317,6 +320,11 @@ class TestTypeInvariants:
         with pytest.raises(InvalidInputError):
             SearchInstance((10.0,), 2, B)
 
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_nan_threshold_rejected(self, kind):
+        with pytest.raises(InvalidInputError):
+            ThresholdSchedule(kind, (math.nan,), B)
+
     def test_non_monotone_schedule_rejected(self):
         with pytest.raises(InvalidInputError):
             ThresholdSchedule(ProblemKind.MAX, (20.0, 10.0), B)
@@ -377,7 +385,6 @@ def test_library_has_no_unused_imports():
 
 # names a test needs as an oracle or adversary, though no program code calls them
 _TEST_ONLY_EXPORTS = {
-    "ota_total": "the per-schedule oracle of the batched replay kernel",
     "design_for_target": "the cache-free oracle of design's frame cache",
     "gen_p_instance": "the acceptance suite's prediction-ladder adversary",
     "gen_worst_case_sequence": "the acceptance suite's worst-case adversary",

@@ -25,15 +25,14 @@ from ksearch import (
     gen_p_instance,
     gen_synthetic_series,
     offline_opt,
-    ota_total,
     run_learning,
     sliding_windows,
     worst_case_thresholds,
 )
 from ksearch import augmented as augmented_mod
-from ksearch import core
 from ksearch import learner as learner_mod
 from ksearch.learner import GRID, _replay_ratios, _replay_window_bytes
+from oracle import ota_total
 
 BOUNDS = PriceBounds(5.0, 50.0)
 
@@ -396,21 +395,10 @@ class TestBlockReplay:
     ]
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("k", [3, 5])
     @pytest.mark.parametrize("per_block,budget_offset,sizes", CUTS)
-    def test_blocks_cut_at_the_budget(self, kind, per_block, budget_offset, sizes,
+    def test_blocks_cut_at_the_budget(self, kind, k, per_block, budget_offset, sizes,
                                       block_sizes, monkeypatch):
-        assert not core._by_events(5, 100)  # k = 5 over 100 prices: lockstep
-        self._check_cuts(kind, 5, per_block, budget_offset, sizes, block_sizes, monkeypatch)
-
-    @pytest.mark.parametrize("kind", list(ProblemKind))
-    @pytest.mark.parametrize("per_block,budget_offset,sizes", CUTS)
-    def test_event_blocks_cut_at_the_budget(self, kind, per_block, budget_offset, sizes,
-                                            block_sizes, monkeypatch):
-        assert core._by_events(3, 100)  # k = 3 over 100 prices: by event
-        self._check_cuts(kind, 3, per_block, budget_offset, sizes, block_sizes, monkeypatch)
-
-    @staticmethod
-    def _check_cuts(kind, k, per_block, budget_offset, sizes, block_sizes, monkeypatch):
         windows, bounds = _stream(7, k=k, kind=kind, perfect=False)
         extra = (worst_case_thresholds(bounds, k, kind).schedule,)
         runs = len(GRID) + len(extra)
