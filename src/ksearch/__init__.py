@@ -6,7 +6,7 @@ Library layout:
 - ``worstcase``  optimal worst-case schedules and competitive ratios
 - ``pareto``     consistency-robustness trade-off curves and lambda targets
 - ``augmented``  prediction-aware threshold designs (cases I-VI)
-- ``instances``  adversarial/synthetic instance generators and data ingestion
+- ``instances``  synthetic instance generators and data ingestion
 - ``learner``    multiplicative-weights selection of the confidence lambda
 - ``harness``    windowed experiment pipeline shared by the CLI and scripts
 - ``cli``        the ``ksearch`` command-line entry point
@@ -51,7 +51,6 @@ from .pareto import (
 from .augmented import (
     AugmentedDesign,
     design,
-    design_for_target,
     interval_ratios,
     prediction_ratio,
 )
@@ -60,13 +59,10 @@ from .instances import (
     STRIDE_SAMPLES,
     WINDOW_SAMPLES,
     ExperimentWindow,
-    PInstanceSpec,
     PriceSeries,
     adjust_error,
     apply_rho_hard,
-    gen_p_instance,
     gen_synthetic_series,
-    gen_worst_case_sequence,
     ingest_csv,
     scale_theta,
     sliding_windows,
@@ -103,7 +99,6 @@ __all__ = [
     "FrontierSpec",
     "InvalidInputError",
     "KSearchError",
-    "PInstanceSpec",
     "ParetoPoint",
     "PriceBounds",
     "PriceSeries",
@@ -121,12 +116,9 @@ __all__ = [
     "apply_rho_hard",
     "build_cells",
     "design",
-    "design_for_target",
     "evaluate_windows",
     "frontier_curve",
-    "gen_p_instance",
     "gen_synthetic_series",
-    "gen_worst_case_sequence",
     "ingest_csv",
     "interval_ratios",
     "lower_bound",

@@ -157,22 +157,6 @@ class AugmentedDesign:
         return tuple(labels)
 
 
-def _snap_monotone(values: list[float], ascending: bool, scale: float) -> list[float]:
-    """Remove float-noise inversions; larger ones indicate a real bug."""
-    out = list(values)
-    for idx in range(1, len(out)):
-        prev, cur = out[idx - 1], out[idx]
-        bad = cur < prev if ascending else cur > prev
-        if bad:
-            if abs(cur - prev) > 1e-9 * scale:
-                raise ConstructionError(
-                    f"designed thresholds not monotone at index {idx + 1}: "
-                    f"{prev} -> {cur}"
-                )
-            out[idx] = prev
-    return out
-
-
 def _verify(design: AugmentedDesign) -> AugmentedDesign:
     """Re-check both guarantees on the finished schedule.
 
@@ -341,14 +325,6 @@ def _frame(target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind) 
     return _Frame(target, sigma, grow_eta, grow_gamma, lead_eta, lead_gamma, tilde_1, tilde_2)
 
 
-def design_for_target(
-    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind
-) -> AugmentedDesign:
-    """Build and verify the schedule of either kind for an explicit (eta, gamma)."""
-    prediction = _snap_prediction(prediction, bounds)
-    return _construct(prediction, _frame(target, bounds, k, kind), bounds, k, kind)
-
-
 def _construct(
     prediction: float, frame: _Frame, bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> AugmentedDesign:
@@ -458,9 +434,10 @@ def _construct(
         values = prefix + block_values[: i_star - j_star]
         values += [tail(i) for i in range(i_star + 1, k + 1)]
 
-    clipped = [bounds.clip(v) for v in values]
-    clipped = _snap_monotone(clipped, ascending=is_max, scale=p_max)
-    schedule = ThresholdSchedule(kind, tuple(clipped), bounds)
+    try:
+        schedule = ThresholdSchedule(kind, tuple(bounds.clip(v) for v in values), bounds)
+    except InvalidInputError as exc:  # the construction's fault, not the caller's
+        raise ConstructionError(f"designed {exc}") from exc
     return _verify(
         AugmentedDesign(
             schedule, label, j_star, m_star, i_star, sigma, tilde_1, tilde_2, target, prediction
@@ -573,19 +550,14 @@ def _construct_grid(
         values = np.minimum(np.maximum(values, p_min), p_max)
         if np.isnan(values).any():
             raise ConstructionError("designed thresholds are not numbers")
-        # _snap_monotone: a float-noise inversion takes its predecessor's value
-        snapped = (np.maximum if is_max else np.minimum).accumulate(values, axis=1)
-        drop = snapped[:, :-1] - values[:, 1:] if is_max else values[:, 1:] - snapped[:, :-1]
-        if (drop > 1e-9 * p_max).any():
-            raise ConstructionError("designed thresholds not monotone")
-        steps = np.diff(snapped, axis=1)
-        if (snapped.min() < p_min or snapped.max() > p_max
+        steps = np.diff(values, axis=1)
+        if (values.min() < p_min or values.max() > p_max
                 or ((steps < 0) if is_max else (steps > 0)).any()):
             raise ConstructionError("designed thresholds leave the band or turn")
         if not ((0 <= j_star) & (j_star <= m_star) & (m_star <= cut) & (cut <= k)).all():
             raise ConstructionError("index chain violated")
-        _verify_rows(snapped, prediction, grid, first_covered, cut, bounds, k, kind)
-    return snapped
+        _verify_rows(values, prediction, grid, first_covered, cut, bounds, k, kind)
+    return values
 
 
 def _block_rows(

@@ -1,13 +1,34 @@
-"""Per-run replay oracle for the batched kernel ``ksearch.core.ota_totals``.
+"""Reference implementations the library is checked against.
 
-``ota_total`` replays one schedule on one price sequence the plain way, one
-selection at a time, and adds the total with the numpy reductions the
-kernel uses, so the kernel's totals must equal it bit for bit.
+``ota_total`` is the per-run replay oracle for the batched kernel
+``ksearch.core.ota_totals``: it replays one schedule on one price sequence
+the plain way, one selection at a time, and adds the total with the numpy
+reductions the kernel uses, so the kernel's totals must equal it bit for bit.
+
+``design_for_target`` designs at an explicit (eta, gamma) target with a
+freshly solved frame: the cache-free reference for ``ksearch.design``.
 """
 
 import numpy as np
 
-from ksearch import ConstructionError, InvalidInputError, ThresholdSchedule
+from ksearch import (
+    AugmentedDesign,
+    ConstructionError,
+    InvalidInputError,
+    ParetoPoint,
+    PriceBounds,
+    ProblemKind,
+    ThresholdSchedule,
+)
+from ksearch.augmented import _construct, _frame, _snap_prediction
+
+
+def design_for_target(
+    prediction: float, target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind
+) -> AugmentedDesign:
+    """Build and verify the schedule of either kind for an explicit (eta, gamma)."""
+    prediction = _snap_prediction(prediction, bounds)
+    return _construct(prediction, _frame(target, bounds, k, kind), bounds, k, kind)
 
 
 def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, int]:

@@ -22,14 +22,11 @@ from ksearch import (
     ExperimentWindow,
     FrontierSpec,
     ParetoPoint,
-    PInstanceSpec,
     PriceBounds,
     ProblemKind,
     SearchInstance,
     build_cells,
     design,
-    design_for_target,
-    gen_p_instance,
     gen_synthetic_series,
     interval_ratios,
     lower_bound_max,
@@ -46,7 +43,8 @@ from ksearch import (
     xi_star,
 )
 from ksearch.learner import _replay_ratios
-from oracle import ota_total
+from adversaries import PInstanceSpec, gen_p_instance
+from oracle import design_for_target, ota_total
 
 MAX, MIN = ProblemKind.MAX, ProblemKind.MIN
 THETA_GRID = (2.0, 10.0, 83.092)

@@ -28,11 +28,13 @@ from ksearch import (
 from ksearch import augmented as augmented_mod
 from ksearch.learner import GRID
 from ksearch.augmented import (
+    _construct,
+    _frame,
     _verify,
-    design_for_target,
     sigma_star_max,
     sigma_star_min,
 )
+from oracle import design_for_target
 
 BOUNDS = PriceBounds(5.0, 50.0)
 K = 20
@@ -261,6 +263,14 @@ def test_infeasible_target_raises_construction_error():
         design_for_target(50.0, ParetoPoint(0.5, 1.0, 2.63), BOUNDS, K, ProblemKind.MAX)
     with pytest.raises(ConstructionError):
         design_for_target(5.0, ParetoPoint(0.5, 1.0, 5.0), BOUNDS, K, ProblemKind.MIN)
+
+
+def test_inverted_thresholds_are_a_construction_error():
+    # an internal fault, not bad input: it must exit 4, not 3.  A block that
+    # grows ten-fold per threshold overshoots the tail, which then turns back
+    frame = _frame(ParetoPoint(0.5, 1.5, 2.6), BOUNDS, 10, ProblemKind.MAX)
+    with pytest.raises(ConstructionError, match="not monotone"):
+        _construct(5.0, frame._replace(grow_eta=10.0), BOUNDS, 10, ProblemKind.MAX)
 
 
 # --------------------------------------------------------------------------

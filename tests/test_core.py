@@ -4,6 +4,7 @@ import ast
 import itertools
 import math
 import pathlib
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -383,27 +384,45 @@ def test_library_has_no_unused_imports():
     assert unused == []
 
 
-# names a test needs as an oracle or adversary, though no program code calls them
-_TEST_ONLY_EXPORTS = {
-    "design_for_target": "the cache-free oracle of design's frame cache",
-    "gen_p_instance": "the acceptance suite's prediction-ladder adversary",
-    "gen_worst_case_sequence": "the acceptance suite's worst-case adversary",
-}
-
-
 def test_every_export_is_used_by_program_code():
-    """Each name in ``ksearch.__all__`` is referenced by library code outside
+    """Each name in ``ksearch.__all__`` and each public top-level def, class
+    and constant of a library module is referenced by library code outside
     ``__init__``, by a script or by the benchmark, not only by tests."""
     root = pathlib.Path(__file__).resolve().parent.parent
-    paths = [path for path in (root / "src" / "ksearch").glob("*.py")
-             if path.name != "__init__.py"]
+    modules = sorted((root / "src" / "ksearch").glob("*.py"))
+    public = set(ksearch.__all__)
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            public.update(name for name in names if not name.startswith("_"))
+    paths = [path for path in modules if path.name != "__init__.py"]
     paths += [*(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]
     used = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used.add(node.id)
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 used.add(node.attr)
-    unused = sorted(set(ksearch.__all__) - used - set(_TEST_ONLY_EXPORTS))
-    assert unused == []
+    assert sorted(public - used) == []
+
+
+def test_readme_library_example_runs():
+    """The README's library example runs, and every value it prints with a
+    ``# <= bound`` comment meets that bound."""
+    readme = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    claims = [re.fullmatch(r"print\((.*)\)  # <= (.*)", line) for line in code.splitlines()]
+    claims = [claim.groups() for claim in claims if claim]
+    assert claims
+    for value, bound in claims:
+        assert eval(value, namespace) <= eval(bound, namespace)

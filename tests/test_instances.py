@@ -16,7 +16,6 @@ from ksearch import (
     DomainError,
     ExperimentWindow,
     InvalidInputError,
-    PInstanceSpec,
     PriceBounds,
     PriceSeries,
     ProblemKind,
@@ -24,9 +23,7 @@ from ksearch import (
     ThresholdSchedule,
     adjust_error,
     apply_rho_hard,
-    gen_p_instance,
     gen_synthetic_series,
-    gen_worst_case_sequence,
     ingest_csv,
     interval_ratios,
     offline_opt,
@@ -37,6 +34,7 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch.instances import FIVE_YEAR_SAMPLES, STRIDE_SAMPLES, WINDOW_SAMPLES
+from adversaries import PInstanceSpec, gen_p_instance, gen_worst_case_sequence
 
 BOUNDS = PriceBounds(5.0, 50.0)
 

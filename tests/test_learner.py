@@ -13,7 +13,6 @@ from ksearch import (
     ExperimentWindow,
     InvalidInputError,
     KSearchError,
-    PInstanceSpec,
     PriceBounds,
     PriceSeries,
     ProblemKind,
@@ -22,7 +21,6 @@ from ksearch import (
     adjust_error,
     design,
     evaluate_windows,
-    gen_p_instance,
     gen_synthetic_series,
     offline_opt,
     run_learning,
@@ -32,6 +30,7 @@ from ksearch import (
 from ksearch import augmented as augmented_mod
 from ksearch import learner as learner_mod
 from ksearch.learner import GRID, _replay_ratios, _replay_window_bytes
+from adversaries import PInstanceSpec, gen_p_instance
 from oracle import ota_total
 
 BOUNDS = PriceBounds(5.0, 50.0)

@@ -22,7 +22,8 @@ from ksearch import (
     xi_star,
     zeta_star,
 )
-from ksearch.augmented import design_for_target, prediction_ratio
+from ksearch.augmented import prediction_ratio
+from oracle import design_for_target
 
 THETA_K_GRID = [
     (theta, k)
