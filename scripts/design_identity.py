@@ -16,8 +16,16 @@ class and message.  The sections are:
   10^U(0,4), p_min = 10^U(-2,2), k = floor(10^U(0,3)), lambda uniform, on
   the learner's grid, 0 or 1, and P log-uniform in the band;
 - ``design-grid rows`` and ``random rows``: the learner's grid thresholds
-  (``learner._grid_thresholds``, uncached) at each distinct (P, band, k,
-  kind) of the section, or the failure with the call it carries.
+  (``learner._design_grids``, uncached) at each distinct (P, band, k,
+  kind) of the section, or the failure with the call it carries;
+- ``random blocks``: the learner's grid thresholds of 1,000 blocks, each of
+  1-64 distinct predictions at one (band, k, kind), stacked, or the first
+  failing prediction's failure.  The blocks take the first 1,000 (band, k,
+  kind) of the ``random`` section, in order, and draw their predictions
+  from ``random.Random(20261018)``, log-uniform in the band or at a bound.
+  On a tree that designs one prediction at a time, the script stacks those
+  designs instead, so equal digests show that a block designs each of its
+  predictions as a lone prediction would.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from ksearch.core import PriceBounds, ProblemKind
 
 SEED = 20261017
 RANDOM_POINTS = 20_000
+RANDOM_BLOCKS, BLOCK_SIZE = 1_000, 64
 
 
 def design_grid_points():
@@ -64,6 +73,18 @@ def random_points():
     return points
 
 
+def random_blocks():
+    rng = random.Random(SEED + 1)
+    blocks = []
+    for kind, bounds, k, _, _ in random_points()[:RANDOM_BLOCKS]:
+        draws = []
+        for _ in range(rng.randint(1, BLOCK_SIZE)):
+            spot = rng.choice((0.0, 1.0) + (rng.random(),) * 18)  # a bound one time in ten
+            draws.append(min(max(bounds.p_min * bounds.theta ** spot, bounds.p_min), bounds.p_max))
+        blocks.append((kind, bounds, k, *dict.fromkeys(draws)))
+    return blocks
+
+
 def design_record(kind, bounds, k, lam, prediction) -> str:
     try:
         d = augmented.design(prediction, lam, bounds, k, kind)
@@ -74,14 +95,23 @@ def design_record(kind, bounds, k, lam, prediction) -> str:
                  d.prediction))
 
 
-def rows_record(kind, bounds, k, prediction) -> str:
+def design_grids(predictions, bounds, k, kind):
+    """The learner's uncached (G, k) grid thresholds at each prediction."""
+    if hasattr(learner, "_design_grids"):
+        return learner._design_grids(list(predictions), bounds, k, kind)
+    return [learner._grid_thresholds.__wrapped__(p, bounds, k, kind) for p in predictions]
+
+
+def rows_record(kind, bounds, k, *predictions, raw=False) -> str:
+    """The stacked grid thresholds at the predictions, as their reprs or
+    (raw) the SHA-256 of their bytes, or the failure with the call it carries."""
     try:
-        rows = learner._grid_thresholds.__wrapped__(prediction, bounds, k, kind)
+        rows = np.concatenate(design_grids(predictions, bounds, k, kind))
     except Exception as exc:  # noqa: BLE001
         carried = (exc.kind, exc.bounds, exc.k, exc.lam, exc.prediction) \
             if hasattr(exc, "lam") else None
         return repr((type(exc).__name__, str(exc), carried))
-    return repr(rows.tolist())
+    return hashlib.sha256(rows.tobytes()).hexdigest() if raw else repr(rows.tolist())
 
 
 def digest(records) -> str:
@@ -98,6 +128,8 @@ def main() -> None:
         calls = dict.fromkeys((kind, bounds, k, prediction)
                               for kind, bounds, k, _, prediction in points)
         print(f"{name} rows: {digest(rows_record(*call) for call in calls)}", flush=True)
+    records = (rows_record(*block, raw=True) for block in random_blocks())
+    print(f"random blocks: {digest(records)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -34,15 +34,18 @@ target, sigma*, the growth rates and leads, p~1 and p~2) depends only on
 (lambda, band, k, kind); ``design`` keeps frames in a bounded cache, and
 per call builds the prefix, flat block, pivot, i* scan and tail.
 
-``_construct_grid`` builds the designs of a tuple of confidences at one
-prediction as one (R, k) array, for the learner, which needs its whole
-grid at every window.  Per (confidences, band, k, kind) it caches the
-frames' powers of both growth rates, taken with Python ``**``, and the
-case I/IV thresholds, the prefix with its left sums, and the tail that
-they fix; per call it builds every row's flat block, pivot and i* scan
-and applies every check of ``_construct`` and ``_verify`` to all rows at
-once.  It raises wherever one of the designs would fail; ``design`` stays
-the single path and the reference it is tested against bit for bit.
+``_construct_grid`` builds the designs of a tuple of confidences at each
+of several predictions as one (P·R, k) array, for the learner, which
+needs its whole grid at every window and designs the new predictions of
+a replay block together.  Per (confidences, band, k, kind) it caches the
+frames' powers of both growth rates, taken with Python ``**``, the logs
+of the gamma rates, taken with ``math.log1p``, and the case I/IV
+thresholds, the prefix with its left sums, and the tail that they fix;
+per call it builds every row's j* (its numerator's log from
+``math.log``), flat block, pivot and i* scan and applies every check of
+``_construct`` and ``_verify`` to all rows at once.  It raises wherever
+one of the designs would fail; ``design`` stays the single path and the
+reference it is tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -462,15 +465,15 @@ def _prefix_length(
 
 
 # --------------------------------------------------------------------------
-# many confidences at one prediction
+# many confidences at many predictions
 
 
 class _GridFrame(NamedTuple):
     """The frames of several confidences, one row each, and the schedule parts they fix.
 
-    The powers ``grow ** n`` (n = 0..k) are taken with Python ``**``: numpy's
-    ``power`` rounds some of them differently, and ``_construct`` is the
-    reference for every bit.
+    The powers ``grow ** n`` (n = 0..k) are taken with Python ``**`` and the
+    logs with ``math.log1p``: numpy's ``power`` and ``log1p`` round some of
+    them differently, and ``_construct`` is the reference for every bit.
     """
 
     sigma: np.ndarray  # (R,)
@@ -478,6 +481,7 @@ class _GridFrame(NamedTuple):
     tilde_2: np.ndarray  # (R,)
     eta: np.ndarray  # (R,)
     gamma: np.ndarray  # (R,)
+    log_grow_gamma: np.ndarray  # (R,) the denominator of _prefix_length's j*
     pow_eta: np.ndarray  # (R, k+1) grow_eta ** n
     pow_gamma: np.ndarray  # (R, k+1) grow_gamma ** n
     head: np.ndarray  # (R, k) case I/IV thresholds, near + lead_eta * grow_eta**(i-1)
@@ -496,6 +500,11 @@ def _grid_frame(
     pow_gamma = np.array([[f.grow_gamma**n for n in range(k + 1)] for f in frames])
     lead_eta = np.array([[f.lead_eta] for f in frames])
     lead_gamma = np.array([[f.lead_gamma] for f in frames])
+    gammas = [f.target.gamma for f in frames]
+    if kind.is_max:
+        log_grow_gamma = [math.log1p(gamma / k) for gamma in gammas]
+    else:
+        log_grow_gamma = [math.log1p(1.0 / (gamma * k)) for gamma in gammas]
     with np.errstate(all="ignore"):  # overflow gives inf, as Python float arithmetic does
         head = near + lead_eta * pow_eta[:, :k]
         prefix = near + lead_gamma * pow_gamma[:, :k]
@@ -509,79 +518,83 @@ def _grid_frame(
         np.array([f.tilde_1 for f in frames]),
         np.array([f.tilde_2 for f in frames]),
         np.array([f.target.eta for f in frames]),
-        np.array([f.target.gamma for f in frames]),
+        np.array(gammas),
+        np.array(log_grow_gamma),
         pow_eta, pow_gamma, head, prefix, prefix_sums, succ,
     )
 
 
 def _construct_grid(
-    prediction: float, lams: tuple[float, ...], bounds: PriceBounds, k: int, kind: ProblemKind
+    predictions, lams: tuple[float, ...], bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> np.ndarray:
-    """The thresholds of ``design(prediction, lam, ...)`` for every lam, as (R, k) rows.
+    """The thresholds of ``design(P, lam, ...)`` for every snapped prediction P
+    and every lam, as (P·R, k) rows: the R rows of each prediction in turn,
+    each in ``lams`` order.
 
     Each row is built with the float operations of ``_construct`` in its
-    order (sums run left to right through ``np.cumsum``), and every check
-    of ``_construct`` and ``_verify`` is applied to all rows.  Whenever a
-    design of one of the confidences would fail, this raises, but its
-    error need not be that design's: the caller reruns ``design`` per
-    confidence for it.  It may also raise where every design succeeds
-    (a power no design uses overflowing, say).
+    order (sums run left to right through ``np.cumsum``, logs come from
+    ``math``), and every check of ``_construct`` and ``_verify`` is applied
+    to all rows.  Whenever one of the designs would fail, this raises, but
+    its error need not be that design's: the caller reruns ``design`` for
+    it.  It may also raise where every design succeeds (a power no design
+    uses overflowing, say).
     """
-    prediction = _snap_prediction(prediction, bounds)
     grid = _grid_frame(lams, bounds, k, kind)
     is_max = kind.is_max
     p_min, p_max = bounds.p_min, bounds.p_max
     index = np.arange(k + 1)
-    values, cut = grid.head, grid.sigma  # thresholds past the cut are the tail's
-    j_star, m_star = np.zeros(len(lams), dtype=int), np.zeros(len(lams), dtype=int)
-    first_covered = np.ones(len(lams), dtype=int)
+    prediction = np.repeat(np.asarray(predictions, dtype=float), len(lams))
+    frame = np.tile(np.arange(len(lams)), len(predictions))  # each row's grid row
+    values, cut = grid.head[frame], grid.sigma[frame]  # thresholds past the cut are the tail's
+    j_star, m_star = np.zeros(len(frame), dtype=int), np.zeros(len(frame), dtype=int)
+    first_covered = np.ones(len(frame), dtype=int)
     if _degenerate(bounds):
         block_rows = index[:0]  # case I/IV with sigma = k: the flat schedule at the near bound
     else:
-        past_1 = prediction > grid.tilde_1 if is_max else prediction <= grid.tilde_1
-        block_rows = np.flatnonzero(past_1)
+        tilde_1 = grid.tilde_1[frame]
+        block_rows = np.flatnonzero(prediction > tilde_1 if is_max else prediction <= tilde_1)
     with np.errstate(all="ignore"):  # overflow follows Python floats; NaN is rejected below
         if block_rows.size:
-            values, cut = values.copy(), cut.copy()
             (values[block_rows], cut[block_rows], j_star[block_rows],
-             m_star[block_rows]) = _block_rows(prediction, grid, block_rows, bounds, k, kind)
+             m_star[block_rows]) = _block_rows(
+                prediction[block_rows], grid, frame[block_rows], bounds, k, kind)
             first_covered[block_rows] = m_star[block_rows] + 2
-        values = np.where(index[1:] <= cut[:, None], values, grid.succ[:, :k])
+        values = np.where(index[1:] <= cut[:, None], values, grid.succ[frame, :k])
         values = np.minimum(np.maximum(values, p_min), p_max)
         if np.isnan(values).any():
             raise ConstructionError("designed thresholds are not numbers")
         steps = np.diff(values, axis=1)
-        if (values.min() < p_min or values.max() > p_max
-                or ((steps < 0) if is_max else (steps > 0)).any()):
-            raise ConstructionError("designed thresholds leave the band or turn")
+        if ((steps < 0) if is_max else (steps > 0)).any():
+            raise ConstructionError("designed thresholds turn")
         if not ((0 <= j_star) & (j_star <= m_star) & (m_star <= cut) & (cut <= k)).all():
             raise ConstructionError("index chain violated")
-        _verify_rows(values, prediction, grid, first_covered, cut, bounds, k, kind)
+        _verify_rows(values, prediction, grid, frame, first_covered, cut, bounds, k, kind)
     return values
 
 
 def _block_rows(
-    prediction: float, grid: _GridFrame, rows: np.ndarray,
+    prediction: np.ndarray, grid: _GridFrame, rows: np.ndarray,
     bounds: PriceBounds, k: int, kind: ProblemKind,
 ):
-    """Cases II/III (V/VI) of ``_construct`` for the given grid rows.
+    """Cases II/III (V/VI) of ``_construct``: one design per prediction, at
+    the frame of its grid row in ``rows``.
 
-    Returns the rows' consistency thresholds (valid through i*), i*, j*
+    Returns the designs' consistency thresholds (valid through i*), i*, j*
     and m* (already capped at i*).
     """
     is_max = kind.is_max
     p_min, p_max = bounds.p_min, bounds.p_max
     near = p_min if is_max else p_max
     index = np.arange(k + 1)
-    eta, tilde_2 = grid.eta[rows], grid.tilde_2[rows]
+    eta, gamma, tilde_2 = grid.eta[rows], grid.gamma[rows], grid.tilde_2[rows]
     case_2 = prediction <= tilde_2 if is_max else prediction > tilde_2
-    j_star = np.array([
-        0 if two else _prefix_length(prediction, gamma, bounds, k, kind)
-        for gamma, two in zip(grid.gamma[rows].tolist(), case_2.tolist())
-    ])
+    j_star = np.zeros(len(rows), dtype=int)
+    past_2 = np.flatnonzero(~case_2)
+    if past_2.size:
+        j_star[past_2] = _prefix_lengths(
+            prediction[past_2], gamma[past_2], grid.log_grow_gamma[rows[past_2]], bounds, k, kind)
     prefix_sum = grid.prefix_sums[rows, j_star]
     if is_max:
-        gamma = grid.gamma[rows]
         z_next = p_min * (1.0 + (gamma - 1.0) * grid.pow_gamma[rows, j_star])
         span = np.where(case_2, k * prediction / eta - k * p_min,
                         k * prediction / eta - k * z_next / gamma)
@@ -590,7 +603,7 @@ def _block_rows(
             raise ConstructionError("flat block length is not finite")
         m_star = np.minimum(np.maximum(j_star + flat, j_star), k).astype(int)
     else:
-        lhs = (prefix_sum[:, None] + (index - j_star[:, None]) * prediction
+        lhs = (prefix_sum[:, None] + (index - j_star[:, None]) * prediction[:, None]
                + (k - index) * p_max)
         allowed = (lhs <= (eta * k * prediction * (1.0 + _SCAN_SLACK))[:, None]) & (
             index >= j_star[:, None])
@@ -614,13 +627,13 @@ def _block_rows(
     block = near + (pivot - near)[:, None] * grid.pow_eta[
         rows[:, None], np.maximum(i - m_star[:, None] - 1, 0)]
     values = np.where(i <= j_star[:, None], grid.prefix[rows],
-                      np.where(i <= m_star[:, None], prediction, block))
+                      np.where(i <= m_star[:, None], prediction[:, None], block))
     # the i* scan: running[:, i] is the left sum of thresholds 1..i
     running = np.zeros((len(rows), k + 1))
     np.cumsum(values, axis=1, out=running[:, 1:])
     banked = running + (k - index) * near
     succ = grid.succ[rows]
-    budget = (grid.gamma[rows] + _RATIO_TOL / 2)[:, None]
+    budget = (gamma + _RATIO_TOL / 2)[:, None]
     fits = k * succ <= budget * banked if is_max else banked <= budget * k * succ
     fits &= index >= j_star[:, None]
     if not fits.any(axis=1).all():
@@ -629,31 +642,53 @@ def _block_rows(
     return values, i_star, j_star, np.minimum(m_star, i_star)
 
 
+def _prefix_lengths(
+    prediction: np.ndarray, gamma: np.ndarray, log_grow_gamma: np.ndarray,
+    bounds: PriceBounds, k: int, kind: ProblemKind,
+) -> np.ndarray:
+    """``_prefix_length`` at each prediction and gamma, with its logs from ``math``.
+
+    Where ``_prefix_length`` would divide by zero or round an infinite or
+    NaN j*, this raises too.
+    """
+    if kind.is_max:
+        ratio, least = (prediction / bounds.p_min - 1.0) / (gamma - 1.0), 1
+    else:
+        ratio = (1.0 - prediction / bounds.p_max) / (1.0 - 1.0 / gamma)
+        ratio, least = np.where(ratio <= 1.0, 1.0, ratio), 0  # j* = 0 there: log(1) = 0
+    raw = np.array([math.log(x) for x in ratio.tolist()]) / log_grow_gamma
+    if not np.isfinite(raw).all():
+        raise ConstructionError("prefix length is not finite")
+    return np.minimum(k, np.maximum(least, np.ceil(raw - _CROSS_EPS))).astype(int)
+
+
 def _verify_rows(
-    values: np.ndarray, prediction: float, grid: _GridFrame,
+    values: np.ndarray, prediction: np.ndarray, grid: _GridFrame, rows: np.ndarray,
     first_covered: np.ndarray, i_star: np.ndarray,
     bounds: PriceBounds, k: int, kind: ProblemKind,
 ) -> None:
-    """``_verify`` on every row: the interval ratios as ``interval_ratios``
-    computes them, the accurate-prediction ratio, and the eta-covered intervals."""
+    """``_verify`` on every design, at its prediction and the frame of its
+    grid row in ``rows``: the interval ratios as ``interval_ratios`` computes
+    them, the accurate-prediction ratio, and the eta-covered intervals."""
     p_min, p_max = bounds.p_min, bounds.p_max
-    gamma_cap = grid.gamma + _RATIO_TOL + 1e-11 * grid.gamma
-    eta_cap = grid.eta + _RATIO_TOL + 1e-11 * grid.eta
+    gamma, eta = grid.gamma[rows], grid.eta[rows]
+    gamma_cap = gamma + _RATIO_TOL + 1e-11 * gamma
+    eta_cap = eta + _RATIO_TOL + 1e-11 * eta
     extended = np.empty((len(values), k + 1))
     extended[:, :k] = values
     extended[:, k] = p_max if kind.is_max else p_min
     banked = np.zeros((len(values), k + 1))
     np.cumsum(values, axis=1, out=banked[:, 1:])
     remaining = k - np.arange(k + 1)
-    rows = np.arange(len(values))
+    at = np.arange(len(values))
     if kind.is_max:
         ratios = k * extended / (banked + remaining * p_min)
-        reached = (values <= prediction).sum(axis=1)
-        at_prediction = k * prediction / (banked[rows, reached] + (k - reached) * p_min)
+        reached = (values <= prediction[:, None]).sum(axis=1)
+        at_prediction = k * prediction / (banked[at, reached] + (k - reached) * p_min)
     else:
         ratios = (banked + remaining * p_max) / (k * extended)
-        reached = (values >= prediction).sum(axis=1)
-        at_prediction = (banked[rows, reached] + (k - reached) * p_max) / (k * prediction)
+        reached = (values >= prediction[:, None]).sum(axis=1)
+        at_prediction = (banked[at, reached] + (k - reached) * p_max) / (k * prediction)
     if (ratios.max(axis=1) > gamma_cap).any():
         raise ConstructionError("robustness violated")
     if (at_prediction > eta_cap).any():

@@ -15,11 +15,13 @@ counterfactual ratios do not depend on the learner's state, so the whole
 at a time through the batched kernel ``core.ota_totals`` (one descent over
 the block's sparse table of price maxima per run and selection), and the
 Hedge loop then runs over its rows, holding one plain list of weights.
-The grid designs at one prediction are built in one batched pass
-(``augmented._construct_grid``) and cached as one read-only (G, k) array,
-so a block's thresholds are the concatenation of one such array per
-window.  Where the batch raises, the prediction's designs are made one
-confidence at a time, so a failing design raises its own error.
+The grid designs of a block's predictions are looked up in a bounded
+process-wide cache of one read-only (G, k) array per prediction, and the
+predictions it misses are built together, in stream order, by one batched
+pass (``augmented._construct_grid``); a block's thresholds are the
+concatenation of one such array per window.  Where the batch raises, its
+predictions are designed one at a time, and a failing one one confidence
+at a time, so the first failing design raises its own error.
 ``run_learning`` returns the final weights, the regret records and that
 matrix.  A weight may underflow to 0 on a long or lopsided stream; it then
 stays at 0, and a round in which every weight underflows is redone in log
@@ -32,11 +34,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from collections import OrderedDict
 
 import numpy as np
 
-from .augmented import _construct_grid, design
+from .augmented import _construct_grid, _snap_prediction, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, offline_opt, ota_totals
 from .core import _replay_window_bytes
 from .errors import InvalidInputError, KSearchError
@@ -46,6 +48,9 @@ DEFAULT_GRID_SIZE = 33
 GRID = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
 # the replay kernel's arrays for one block of windows stay under this size
 _REPLAY_BLOCK_BYTES = 4 << 20
+# the grid design cache holds as many thresholds as 65,536 single designs
+_GRID_CACHE_ENTRIES = (1 << 16) // len(GRID)
+_grid_cache: OrderedDict = OrderedDict()
 
 
 @dataclass(frozen=True)
@@ -67,22 +72,48 @@ class RegretRecord:
             )
 
 
-@lru_cache(maxsize=(1 << 16) // len(GRID))
-def _grid_thresholds(prediction: float, bounds: PriceBounds, k: int, kind: ProblemKind):
-    """Read-only (G, k) thresholds of the grid designs at one prediction,
+def _grid_thresholds(predictions, bounds: PriceBounds, k: int, kind: ProblemKind):
+    """Read-only (G, k) thresholds of the grid designs at each prediction,
     one row per confidence in ``GRID`` order: all the replay reads of them.
 
-    The rows come from one batched construction; where it raises, they are
-    designed one confidence at a time, so a failing design raises its own
-    error, with the call it carries."""
+    They come from a process-wide cache of ``_GRID_CACHE_ENTRIES`` arrays,
+    which drops the least recently used; the predictions it misses are
+    designed together by ``_design_grids``, in stream order."""
+    keys = [(prediction, bounds, k, kind) for prediction in predictions]
+    misses = [key for key in dict.fromkeys(keys) if key not in _grid_cache]
+    if misses:
+        _grid_cache.update(zip(misses, _design_grids([key[0] for key in misses], bounds, k, kind)))
+    grids = []
+    for key in keys:
+        _grid_cache.move_to_end(key)
+        grids.append(_grid_cache[key])
+    while len(_grid_cache) > _GRID_CACHE_ENTRIES:
+        _grid_cache.popitem(last=False)
+    return grids
+
+
+def _design_grids(predictions, bounds: PriceBounds, k: int, kind: ProblemKind):
+    """Read-only (G, k) thresholds of the grid designs at each prediction,
+    each its own array, uncached.
+
+    All rows come from one batched construction.  Where it raises, the
+    predictions are designed one at a time, and where that raises, one
+    confidence at a time; so the first failing prediction's first failing
+    design raises its own error, with the call it carries."""
     try:
-        rows = _construct_grid(prediction, GRID, bounds, k, kind)
+        batch = _construct_grid(
+            [_snap_prediction(prediction, bounds) for prediction in predictions],
+            GRID, bounds, k, kind)
+        grids = [batch[at:at + len(GRID)].copy() for at in range(0, len(batch), len(GRID))]
     except (KSearchError, ArithmeticError, ValueError):
-        rows = np.empty((len(GRID), k))
+        if len(predictions) > 1:
+            return [_design_grids([prediction], bounds, k, kind)[0] for prediction in predictions]
+        grids = [np.empty((len(GRID), k))]
         for g, lam in enumerate(GRID):
-            rows[g] = design(prediction, lam, bounds, k, kind).schedule.values
-    rows.flags.writeable = False
-    return rows
+            grids[0][g] = design(predictions[0], lam, bounds, k, kind).schedule.values
+    for rows in grids:
+        rows.flags.writeable = False
+    return grids
 
 
 def _replay_ratios(
@@ -91,12 +122,15 @@ def _replay_ratios(
 ) -> np.ndarray:
     """(W, G + E) ratios: each window under every grid design, then each extra.
 
-    Every window must have the first window's budget and price band.
+    Every window must have the first window's budget and price band; a
+    window that does not is reported after the designs of the windows
+    before it, so errors keep stream order.
 
     Windows are replayed a block at a time by ``core.ota_totals``: a block is
     a run of consecutive windows of one horizon, as many as keep the kernel's
-    arrays within ``_REPLAY_BLOCK_BYTES``.  The grid designs of a window are
-    looked up as one (G, k) array per prediction, the extra rows are
+    arrays within ``_REPLAY_BLOCK_BYTES``.  The grid designs of a block are
+    looked up together, as one (G, k) array per prediction (the byte budget
+    bounds the batch that designs the misses, too), the extra rows are
     appended to each, and each window's offline optimum is computed once.
     """
     k, bounds = windows[0].instance.k, windows[0].instance.bounds
@@ -105,20 +139,20 @@ def _replay_ratios(
     ratios = np.empty((len(windows), runs))
     for start, stop in _blocks(windows, k, runs):
         block = windows[start:stop]
-        opts, thresholds = [], []
-        for window in block:
-            inst = window.instance
-            if inst.k != k:
-                raise InvalidInputError(f"window budget {inst.k} != first window's {k}")
-            if inst.bounds != bounds:
-                raise InvalidInputError("window and first window disagree on price bounds")
-            opts.append(offline_opt(inst, kind))
-            thresholds += (_grid_thresholds(window.prediction, bounds, k, kind), extra_rows)
+        agree = next((at for at, window in enumerate(block) if window.instance.k != k
+                      or window.instance.bounds != bounds), len(block))
+        grids = _grid_thresholds([window.prediction for window in block[:agree]], bounds, k, kind)
+        if agree < len(block):
+            other = block[agree].instance
+            if other.k != k:
+                raise InvalidInputError(f"window budget {other.k} != first window's {k}")
+            raise InvalidInputError("window and first window disagree on price bounds")
+        thresholds = [part for rows in grids for part in (rows, extra_rows)]
+        opts = np.array([offline_opt(window.instance, kind) for window in block])[:, None]
         prices = [window.instance.prices for window in block]
         rows = np.repeat(np.arange(len(block)), runs)
         totals, _ = ota_totals(np.concatenate(thresholds), prices, rows, kind)
         totals = totals.reshape(len(block), runs)
-        opts = np.array(opts)[:, None]
         ratios[start:stop] = opts / totals if kind.is_max else totals / opts
     return ratios
 

@@ -243,19 +243,51 @@ class TestGridArrays:
     @pytest.mark.parametrize("kind", list(ProblemKind))
     @pytest.mark.parametrize("prediction", [5.0, 17.25, 50.0])
     def test_rows_are_read_only_grid_designs(self, kind, prediction):
-        learner_mod._grid_thresholds.cache_clear()
-        rows = learner_mod._grid_thresholds(prediction, BOUNDS, 6, kind)
+        learner_mod._grid_cache.clear()
+        [rows] = learner_mod._grid_thresholds([prediction], BOUNDS, 6, kind)
         assert rows.shape == (len(GRID), 6) and rows.dtype == np.float64
+        assert rows.base is None  # its own array, not a view into a batch
         with pytest.raises(ValueError):
             rows[0, 0] = 1.0
         for g, lam in enumerate(GRID):
             expected = design(prediction, lam, BOUNDS, 6, kind).schedule.values
             assert tuple(rows[g].tolist()) == expected
-        assert learner_mod._grid_thresholds(prediction, BOUNDS, 6, kind) is rows
+        assert learner_mod._grid_thresholds([prediction], BOUNDS, 6, kind)[0] is rows
+
+    def test_block_lookups_design_each_miss_once_and_keep_stream_order(self, monkeypatch):
+        learner_mod._grid_cache.clear()
+        batches = []
+        construct = learner_mod._construct_grid
+
+        def spy(predictions, *args):
+            batches.append(list(predictions))
+            return construct(predictions, *args)
+
+        monkeypatch.setattr(learner_mod, "_construct_grid", spy)
+        [hit] = learner_mod._grid_thresholds([20.0], BOUNDS, 6, ProblemKind.MAX)
+        got = learner_mod._grid_thresholds([30.0, 20.0, 10.0, 30.0], BOUNDS, 6, ProblemKind.MAX)
+        assert batches == [[20.0], [30.0, 10.0]]
+        assert got[1] is hit and got[0] is got[3]
+        for prediction, rows in zip((30.0, 10.0), (got[0], got[2])):
+            assert rows.base is None and not rows.flags.writeable
+            assert rows.tolist() == [
+                list(design(prediction, lam, BOUNDS, 6, ProblemKind.MAX).schedule.values)
+                for lam in GRID]
 
     def test_cache_holds_no_more_floats_than_one_design_per_entry_did(self):
-        maxsize = learner_mod._grid_thresholds.cache_info().maxsize
-        assert maxsize * len(GRID) <= 1 << 16
+        assert learner_mod._GRID_CACHE_ENTRIES * len(GRID) <= 1 << 16
+
+    def test_cache_drops_the_least_recently_used_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(learner_mod, "_GRID_CACHE_ENTRIES", 3)
+        learner_mod._grid_cache.clear()
+        lookup = learner_mod._grid_thresholds
+        first = lookup([10.0, 20.0, 30.0], BOUNDS, 6, ProblemKind.MAX)
+        assert lookup([10.0], BOUNDS, 6, ProblemKind.MAX)[0] is first[0]  # 10 is now recent
+        lookup([40.0, 50.0], BOUNDS, 6, ProblemKind.MAX)
+        assert [key[0] for key in learner_mod._grid_cache] == [10.0, 40.0, 50.0]
+        assert lookup([10.0], BOUNDS, 6, ProblemKind.MAX)[0] is first[0]
+        assert lookup([20.0], BOUNDS, 6, ProblemKind.MAX)[0] is not first[1]
+        assert len(learner_mod._grid_cache) == 3
 
     def test_failure_is_the_first_failing_designs_own(self):
         # a design-grid failure point: robustness fails at lambda = 7/32 first
@@ -264,29 +296,61 @@ class TestGridArrays:
         with pytest.raises(ConstructionError) as first:
             for lam in GRID:
                 design(prediction, lam, bounds, k, kind)
-        learner_mod._grid_thresholds.cache_clear()
+        learner_mod._grid_cache.clear()
         with pytest.raises(ConstructionError) as info:
-            learner_mod._grid_thresholds(prediction, bounds, k, kind)
+            learner_mod._grid_thresholds([prediction], bounds, k, kind)
         got, want = info.value, first.value
         assert want.lam == 0.21875 and str(want).startswith("robustness violated")
         assert type(got) is type(want) and str(got) == str(want)
         assert (got.kind, got.bounds, got.k, got.lam, got.prediction) == (
             want.kind, want.bounds, want.k, want.lam, want.prediction)
 
+    @pytest.mark.parametrize("mismatch", ["budget", "band"])
+    def test_design_failure_and_mismatch_keep_stream_order(self, mismatch):
+        # a window whose designs succeed, one whose design fails (robustness
+        # at lambda = 5/8), and one whose budget or band is not the first's
+        bounds, k = PriceBounds(1.0, 10000.0), 20
+        prices = np.geomspace(bounds.p_max, bounds.p_min, 2 * k)
+        good = ExperimentWindow(SearchInstance(prices, k, bounds), 100.0)
+        failing = ExperimentWindow(SearchInstance(prices, k, bounds), 1.0)
+        if mismatch == "budget":
+            other = ExperimentWindow(SearchInstance(prices, k + 1, bounds), 100.0)
+        else:
+            wider = PriceBounds(1.0, 2 * bounds.p_max)
+            other = ExperimentWindow(SearchInstance(prices, k, wider), 100.0)
+        learner_mod._grid_cache.clear()
+        with pytest.raises(ConstructionError) as info:
+            _replay_ratios((good, failing, other), ProblemKind.MIN)
+        assert str(info.value).startswith("robustness violated")
+        assert (info.value.lam, info.value.prediction) == (0.625, 1.0)
+        learner_mod._grid_cache.clear()
+        with pytest.raises(InvalidInputError) as info:
+            _replay_ratios((good, other, failing), ProblemKind.MIN)
+        assert not isinstance(info.value, ConstructionError)
+        assert ("budget 21" if mismatch == "budget" else "price bounds") in str(info.value)
 
-def _batched_rows(prediction, bounds, k, kind):
-    """The batched construction's rows as lists, or None where it raises."""
+
+def _batched_rows(predictions, bounds, k, kind):
+    """The batched construction's rows of each prediction as lists, or None
+    where it raises."""
+    snapped = [augmented_mod._snap_prediction(p, bounds) for p in predictions]
     try:
-        return augmented_mod._construct_grid(prediction, GRID, bounds, k, kind).tolist()
+        rows = augmented_mod._construct_grid(snapped, GRID, bounds, k, kind).tolist()
     except (KSearchError, ArithmeticError, ValueError):
         return None
+    return [rows[at:at + len(GRID)] for at in range(0, len(rows), len(GRID))]
+
+
+def _design_or_error(prediction, lam, bounds, k, kind):
+    try:
+        return design(prediction, lam, bounds, k, kind)
+    except (KSearchError, ArithmeticError, ValueError) as error:
+        return error
 
 
 def _design_or_none(prediction, lam, bounds, k, kind):
-    try:
-        return design(prediction, lam, bounds, k, kind)
-    except (KSearchError, ArithmeticError, ValueError):
-        return None
+    found = _design_or_error(prediction, lam, bounds, k, kind)
+    return None if isinstance(found, Exception) else found
 
 
 def _i_star_step(lo, hi, lam, bounds, k, kind):
@@ -347,6 +411,16 @@ def _prediction(spot, bounds, k, kind):
          spots=[("p_max", 0, 0.0, 0.0, -1)])
 @example(kind=ProblemKind.MIN, p_min=10.0625, theta=10.0**0.375, k=11,
          spots=[("p_max", 0, 0.0, 0.0, 1)])
+# blocks of several predictions in a band where the designs at p_min fail
+# (robustness at lambda = 5/8) and those at sqrt(theta) succeed
+@example(kind=ProblemKind.MIN, p_min=1.0, theta=1e4, k=20,
+         spots=[("inside", 0, 0.5, 0.5, 0), ("p_min", 0, 0.0, 0.0, 0),
+                ("p_max", 0, 0.0, 0.0, -1), ("p_min", 0, 0.0, 0.0, 2)])
+@example(kind=ProblemKind.MIN, p_min=1.0, theta=1e4, k=20,
+         spots=[("inside", g % len(GRID), g / 59, 1.0, 0) for g in range(60)])
+@example(kind=ProblemKind.MAX, p_min=1.0, theta=1e3, k=20,
+         spots=[(where, g % len(GRID), g / 59, 1.0, g % 5 - 2)
+                for g, where in enumerate(["p_min", "p_max", "tilde_1", "tilde_2", "inside"] * 12)])
 @settings(max_examples=150, deadline=None)
 @given(
     kind=st.sampled_from(list(ProblemKind)),
@@ -360,19 +434,67 @@ def _prediction(spot, bounds, k, kind):
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.0, max_value=1.0),
         st.integers(min_value=-2, max_value=2),
-    ), min_size=1, max_size=3),
+    ), min_size=1, max_size=60),
 )
 def test_batched_rows_are_the_per_lambda_designs(kind, p_min, theta, k, spots):
     bounds = PriceBounds(p_min, p_min * theta)
-    for spot in spots:
-        prediction = _prediction(spot, bounds, k, kind)
-        designs = [_design_or_none(prediction, lam, bounds, k, kind) for lam in GRID]
-        rows = _batched_rows(prediction, bounds, k, kind)
-        # no power table overflows in this domain, so the batch returns
-        # exactly where every design succeeds, and with their values
-        assert (rows is None) == (None in designs)
-        if rows is not None:
-            assert rows == [list(d.schedule.values) for d in designs]
+    predictions = [_prediction(spot, bounds, k, kind) for spot in spots]
+    found = [[_design_or_error(p, lam, bounds, k, kind) for lam in GRID] for p in predictions]
+    errors = [d for row in found for d in row if isinstance(d, Exception)]
+    expected = [None if any(isinstance(d, Exception) for d in row)
+                else [list(d.schedule.values) for d in row] for row in found]
+    # no power table overflows in this domain, so a batch returns exactly
+    # where every design succeeds, and with their values
+    for prediction, want in zip(predictions, expected):
+        assert _batched_rows([prediction], bounds, k, kind) == (None if want is None else [want])
+    assert _batched_rows(predictions, bounds, k, kind) == (None if errors else expected)
+    # the learner designs the block as each prediction's rows, or raises
+    # the first failing prediction's first failing design's own error
+    try:
+        grids = learner_mod._design_grids(predictions, bounds, k, kind)
+    except (KSearchError, ArithmeticError, ValueError) as error:
+        assert errors and _described(error) == _described(errors[0])
+    else:
+        assert not errors and [g.tolist() for g in grids] == expected
+
+
+# predictions where j* sits within an ulp of rounding the other way, so a
+# log or log1p from numpy instead of ``math`` would change the rows
+@pytest.mark.parametrize("kind,bounds,k,prediction", [
+    (ProblemKind.MAX, PriceBounds(1.0, 4.17), 3, 2.9885129321424184),
+    (ProblemKind.MAX, PriceBounds(1.0, 96.19), 50, 17.96881973482242),
+    (ProblemKind.MIN, PriceBounds(1.0, 3.53), 5, 1.1224296889515988),
+    (ProblemKind.MIN, PriceBounds(1.0, 18.59), 7, 1.8647776808165517),
+])
+def test_batched_prefix_lengths_round_as_the_designs_do(kind, bounds, k, prediction):
+    designs = [list(design(prediction, lam, bounds, k, kind).schedule.values) for lam in GRID]
+    assert _batched_rows([prediction], bounds, k, kind) == [designs]
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+@pytest.mark.parametrize("prediction", [1.0, 3.0, 10.0])
+@pytest.mark.parametrize("gamma", [1.0, 2.5])
+def test_batched_prefix_lengths_fail_where_the_scalar_one_does(kind, prediction, gamma):
+    bounds, k = PriceBounds(1.0, 10.0), 7
+    log_grow = math.log1p(gamma / k) if kind.is_max else math.log1p(1.0 / (gamma * k))
+    try:
+        want = augmented_mod._prefix_length(prediction, gamma, bounds, k, kind)
+    except (ArithmeticError, ValueError):
+        want = None
+    try:
+        with np.errstate(all="ignore"):  # as the batched construction runs it
+            [got] = augmented_mod._prefix_lengths(
+                np.array([prediction]), np.array([gamma]), np.array([log_grow]),
+                bounds, k, kind).tolist()
+    except (KSearchError, ArithmeticError, ValueError):
+        got = None
+    assert got == want
+
+
+def _described(error):
+    """An error's class, message and the call it carries."""
+    call = ("kind", "bounds", "k", "lam", "prediction")
+    return type(error), str(error), tuple(getattr(error, name, None) for name in call)
 
 
 class TestBlockReplay:
