@@ -278,9 +278,10 @@ def ota_totals(
     sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
     levels = T.bit_length()  # 2**levels > T
     # table[l, b, t] is the largest of window b's prices t .. t + 2**l - 1
-    # that exist, and -inf at t = T
+    # that exist, and +inf once that range reaches t = T: every run meets the
+    # end of its window, so no descent skips past it
     table = np.empty((levels, B, T + 1))
-    table[0, :, T] = -np.inf
+    table[0, :, T] = np.inf
     for b, window in enumerate(windows):
         np.multiply(window, sign, out=table[0, b, :T])
     if np.isnan(table[0, :, :T]).any():
@@ -289,17 +290,19 @@ def ota_totals(
         half, cur = 1 << (level - 1), table[level]
         cur[:] = table[level - 1]
         np.maximum(cur[:, :-half], table[level - 1, :, half:], out=cur[:, :-half])
-    flat = table.ravel()
+    # one flat view per level, largest blocks first
+    descent = [(level, table[level].ravel()) for level in reversed(range(levels))]
     bars = (thr * sign).T.copy()  # one contiguous row per slot
-    at = rows * (T + 1)  # flat index of each run's position in level 0
+    at = rows * (T + 1)  # flat index of each run's position in its level
     end = at + T
     sel = np.empty((k, runs), dtype=np.intp)
+    skip = np.empty(runs, dtype=np.intp)
     for m in range(k):
         # skip every block whose maximum misses the bar, largest first; the
         # first price that meets it, or the end, is where the run stops
-        for level in reversed(range(levels)):
-            at += (flat[at + level * B * (T + 1)] < bars[m]).astype(np.intp) << level
-            np.minimum(at, end, out=at)
+        for level, flat in descent:
+            np.less(flat[at], bars[m], out=skip)
+            at += skip << level
         np.subtract(at, end - T, out=sel[m])
         np.minimum(at + 1, end, out=at)
     return _grouped_totals(sel.T, table[0], rows, sign, T)

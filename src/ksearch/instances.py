@@ -36,6 +36,8 @@ STRIDE_SAMPLES = 3 * SAMPLES_PER_DAY  # 432
 # multi-year feeds have gaps, so the exact count is a convention; this one
 # makes the canonical windowing yield exactly 577 overlapping windows.
 FIVE_YEAR_SAMPLES = 1770 * SAMPLES_PER_DAY  # 254880
+# the header of a feed that ingest_csv parses in bulk
+_PLAIN_HEADER = "timestamp,price\n"
 
 
 def apply_rho_hard(
@@ -156,7 +158,47 @@ def ingest_csv(path) -> PriceSeries:
     seconds, strictly increasing).  Row-level problems raise DataFormatError
     naming the offending data row (1-based); an empty or header-only file, or
     a missing price column, is InvalidInputError.
+
+    A plain ``timestamp,price`` feed is parsed in bulk; any other file, and
+    any feed the bulk parse cannot take or whose values fail a check, is
+    read row by row, which gives the same series or raises the row's error.
     """
+    series = _bulk_series(path)
+    return _row_series(path) if series is None else series
+
+
+def _bulk_series(path) -> PriceSeries | None:
+    """The series of a plain ``timestamp,price`` feed, parsed by one
+    ``np.loadtxt`` call, or None where the row loop must decide.
+
+    The header must be exactly ``timestamp,price`` and no line blank
+    (``loadtxt`` skips blank lines, the row loop rejects them).  Every other
+    line must be an int64 and a float64: ``loadtxt`` takes no quotes, and a
+    value it takes is the one ``int()`` or ``float()`` gives.  The prices
+    must be positive and finite and the timestamps strictly increasing."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    if not text.startswith(_PLAIN_HEADER) or text == _PLAIN_HEADER or "\n\n" in text:
+        return None
+    del text  # freed before loadtxt reads the file again
+    try:
+        rows = np.loadtxt(path, dtype=[("timestamp", np.int64), ("price", np.float64)],
+                          delimiter=",", skiprows=1, comments=None, encoding="utf-8-sig",
+                          ndmin=1)
+    except (ValueError, OverflowError):
+        return None
+    stamps, prices = rows["timestamp"], rows["price"]
+    if not (prices.min() > 0 and math.isfinite(prices.max())
+            and (stamps[1:] > stamps[:-1]).all()):
+        return None
+    return PriceSeries(prices, tuple(stamps.tolist()))
+
+
+def _row_series(path) -> PriceSeries:
+    """``ingest_csv`` one row at a time, with the ``csv`` module."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:

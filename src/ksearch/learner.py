@@ -13,8 +13,11 @@ reads both from the first window and requires the rest to agree.  The
 counterfactual ratios do not depend on the learner's state, so the whole
 (window x confidence) ratio matrix is replayed first, a block of windows
 at a time through the batched kernel ``core.ota_totals`` (one descent over
-the block's sparse table of price maxima per run and selection), and the
-Hedge loop then runs over its rows, holding one plain list of weights.
+the block's sparse table of price maxima per run and selection).  The
+weights do not depend on the draws either: the Hedge recurrence runs over
+the matrix rows first, holding one plain list of weights and keeping each
+round's, and one pass then draws every round's grid point from them
+(``_draws``), as ``Generator.choice`` draws it from the round's stream.
 The grid designs of a block's predictions are looked up in a bounded
 process-wide cache of one read-only (G, k) array per prediction, and the
 predictions it misses are built together, in stream order, by one batched
@@ -51,6 +54,8 @@ _REPLAY_BLOCK_BYTES = 4 << 20
 # the grid design cache holds as many thresholds as 65,536 single designs
 _GRID_CACHE_ENTRIES = (1 << 16) // len(GRID)
 _grid_cache: OrderedDict = OrderedDict()
+# how far from 1 ``Generator.choice`` lets the probabilities sum
+_SUM_TOLERANCE = math.sqrt(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -171,6 +176,26 @@ def _blocks(windows: tuple[ExperimentWindow, ...], k: int, runs: int):
         start = stop
 
 
+def _draws(weights: np.ndarray, keys) -> np.ndarray:
+    """The index each row of ``weights`` draws from the Philox stream of its
+    key: ``Generator(Philox(key)).choice(G, p=row / row.sum())``, taken for
+    every row in one pass.
+
+    As ``choice`` does, each row's probabilities are accumulated and scaled
+    so that the last is 1, and the draw counts those at or below the
+    stream's first double, the top 53 bits of its first raw output.
+    Probabilities that are negative, NaN or do not sum to 1 within sqrt(eps)
+    raise ValueError, as they do in ``choice``."""
+    probs = weights / weights.sum(axis=1, keepdims=True)
+    if not ((probs >= 0.0).all() and (abs(probs.sum(axis=1) - 1.0) <= _SUM_TOLERANCE).all()):
+        raise ValueError("probabilities are negative, NaN or do not sum to 1")
+    cdf = np.cumsum(probs, axis=1, out=probs)
+    cdf /= cdf[:, -1:]
+    uniform = np.array([np.random.Philox(key).random_raw() >> 11 for key in keys], dtype=float)
+    uniform *= 2.0**-53
+    return np.count_nonzero(cdf <= uniform[:, None], axis=1)
+
+
 def run_learning(
     windows,
     kind: ProblemKind,
@@ -189,8 +214,10 @@ def run_learning(
 
     Returns the final weights (aligned with ``GRID``), the records, and the
     (W, G + E) ratio matrix: a column per grid point, then one per extra
-    schedule.  The ratios do not depend on the weights, so the whole matrix
-    is replayed first and the Hedge loop then runs over its rows.
+    schedule.  The ratios do not depend on the weights, nor the weights on
+    the draws, so the whole matrix is replayed first, the weight recurrence
+    then runs over its rows, and one pass draws every round from the weights
+    it held.
     """
     windows = tuple(windows)
     if not windows:
@@ -200,15 +227,11 @@ def run_learning(
     rate = math.sqrt(8.0 * math.log(len(GRID)) / len(windows))
     matrix = _replay_ratios(windows, kind, extra)
     by_round = matrix[:, : len(GRID)]
+    held = np.empty(by_round.shape)  # each round's weights before its update
     weights = [1.0] * len(GRID)
-    chosen: list[tuple[float, float]] = []  # (lambda, ratio) per round
     for t, row in enumerate(by_round):
+        held[t] = weights
         ratios = row.tolist()
-        probs = np.asarray(weights)
-        probs = probs / probs.sum()
-        rng = np.random.Generator(np.random.Philox(seed * (1 << 20) + t))
-        j = int(rng.choice(len(probs), p=probs))
-        chosen.append((GRID[j], ratios[j]))
         raw = [w * math.exp(-rate * (r - 1.0)) for w, r in zip(weights, ratios)]
         total = math.fsum(raw)
         if total == 0.0:
@@ -220,13 +243,15 @@ def run_learning(
             raw = [math.exp(x - top) for x in logs]
             total = math.fsum(raw)
         weights = [w / total for w in raw]
+    picks = _draws(held, range(seed * (1 << 20), seed * (1 << 20) + len(windows)))
+    chosen = by_round[np.arange(len(windows)), picks].tolist()
 
     totals = [math.fsum(col.tolist()) for col in by_round.T]
     best_idx = int(np.argmin(totals))
     records = []
     cum = 0.0
     best_ratios = by_round[:, best_idx].tolist()
-    for t, ((lam, ratio), best) in enumerate(zip(chosen, best_ratios), start=1):
+    for t, (j, ratio, best) in enumerate(zip(picks.tolist(), chosen, best_ratios), start=1):
         cum += ratio - best
-        records.append(RegretRecord(t, lam, ratio, best, cum))
+        records.append(RegretRecord(t, GRID[j], ratio, best, cum))
     return tuple(weights), tuple(records), matrix

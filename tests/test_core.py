@@ -201,6 +201,23 @@ class TestBatchedReplay:
             schedule = ThresholdSchedule(kind, tuple(thresholds[r]), B)
             assert (totals[r], voluntary[r]) == ota_total(schedule, prices[row])
 
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("horizon", [5, 6, 11, 13])
+    def test_runs_that_meet_no_bar_stop_at_the_window_end(self, kind, horizon):
+        # every run passes every price, so each descent ends on the table's
+        # end entry; were it -inf, the descent would skip past the end (off
+        # the table for the last window) at these horizons
+        rng = np.random.default_rng(horizon)
+        prices = rng.uniform(10.0, 40.0, size=(3, horizon))
+        bar = 45.0 if kind.is_max else 5.0
+        thresholds = np.full((6, 2), bar)
+        rows = [0, 1, 2, 2, 1, 0]
+        totals, voluntary = ota_totals(thresholds, prices, rows, kind)
+        schedule = ThresholdSchedule(kind, (bar, bar), B)
+        for r, row in enumerate(rows):
+            assert (totals[r], voluntary[r]) == ota_total(schedule, prices[row])
+        assert not voluntary.any()
+
     def test_accepts_nested_sequences(self):
         thresholds = [(20.0, 30.0), (10.0, 40.0)]
         prices = [(5.0, 25.0, 35.0, 5.0), (45.0, 5.0, 5.0, 50.0)]

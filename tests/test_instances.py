@@ -33,6 +33,7 @@ from ksearch import (
     solve_alpha_star,
     worst_case_thresholds,
 )
+from ksearch import instances as instances_mod
 from ksearch.instances import FIVE_YEAR_SAMPLES, STRIDE_SAMPLES, WINDOW_SAMPLES
 from adversaries import PInstanceSpec, gen_p_instance, gen_worst_case_sequence
 
@@ -264,7 +265,7 @@ class TestScaleTheta:
 
 def _write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
     return path
 
 
@@ -333,6 +334,96 @@ class TestIngestCsv:
         assert series.timestamps == (1, 2)
         with pytest.raises(DataFormatError, match="row 2"):
             ingest_csv(_write(tmp_path, "\ufefftimestamp,price\n5,5.0\n3,6.0\n7,7.0\n"))
+
+
+def _row_loop_refused(path):
+    raise AssertionError(f"{path} reached the row loop")
+
+
+# each feed's series (prices, timestamps) or error (class, message after the
+# path, row), as the row loop gave them before feeds were parsed in bulk
+INGEST_CASES = {
+    "csv_writer_crlf": ("timestamp,price\r\n1,5.0\r\n2,6.25\r\n3,0.1\r\n",
+                        ((5.0, 6.25, 0.1), (1, 2, 3))),
+    "byte_order_mark": ("\ufefftimestamp,price\n1,5.0\n2,6.0\n", ((5.0, 6.0), (1, 2))),
+    "lone_cr": ("timestamp,price\r1,5.0\r2,6.0\r", ((5.0, 6.0), (1, 2))),
+    "no_final_newline": ("timestamp,price\n1,5.0\n2,6.0", ((5.0, 6.0), (1, 2))),
+    "subnormal": ("timestamp,price\n1,5e-324\n2,1.5e-320\n", ((5e-324, 1.5e-320), (1, 2))),
+    "quoted": ('timestamp,price\n1,"5.0"\n"2",6.0\n', ((5.0, 6.0), (1, 2))),
+    "blank_line": ("timestamp,price\n1,5.0\n\n2,6.0\n",
+                   (DataFormatError, ": row 2 has 0 fields, expected 2", 2)),
+    "blank_last_line": ("timestamp,price\n1,5.0\n2,6.0\n\n",
+                        (DataFormatError, ": row 3 has 0 fields, expected 2", 3)),
+    "blank_crlf_line": ("timestamp,price\r\n1,5.0\r\n\r\n",
+                        (DataFormatError, ": row 2 has 0 fields, expected 2", 2)),
+    "whitespace_line": ("timestamp,price\n1,5.0\n \n",
+                        (DataFormatError, ": row 2 has 1 fields, expected 2", 2)),
+    "padded": ("timestamp,price\n 1 , 5.0 \n2\t,\t6.0\n", ((5.0, 6.0), (1, 2))),
+    "price_first": ("price,timestamp\n5.0,1\n6.0,2\n", ((5.0, 6.0), (1, 2))),
+    "extra_column": ("timestamp,price,volume\n1,5.0,3\n2,6.0,4\n", ((5.0, 6.0), (1, 2))),
+    "underscores": ("timestamp,price\n1_0,5.0\n2_0,6_0\n", ((5.0, 60.0), (10, 20))),
+    "nan": ("timestamp,price\n1,5.0\n2,nan\n",
+            (DataFormatError, ": row 2: price must be positive, got nan", 2)),
+    "inf": ("timestamp,price\n1,inf\n",
+            (DataFormatError, ": row 1: price must be positive, got inf", 1)),
+    "overflow": ("timestamp,price\n1,5.0\n2,1e400\n",
+                 (DataFormatError, ": row 2: price must be positive, got 1e400", 2)),
+    "zero": ("timestamp,price\n1,5.0\n2,0\n",
+             (DataFormatError, ": row 2: price must be positive, got 0", 2)),
+    "negative": ("timestamp,price\n1,-5.0\n",
+                 (DataFormatError, ": row 1: price must be positive, got -5.0", 1)),
+    "repeated_timestamp": ("timestamp,price\n1,5.0\n1,6.0\n",
+                           (DataFormatError, ": row 2: timestamp 1 not strictly increasing", 2)),
+    "float_timestamp": ("timestamp,price\n1.0,5.0\n",
+                        (DataFormatError, ": row 1: timestamp '1.0' is not an integer", 1)),
+    "missing_price": ("timestamp,price\n1,\n",
+                      (DataFormatError, ": row 1: price '' is not numeric", 1)),
+    "beyond_int64": ("timestamp,price\n99999999999999999999,5.0\n100000000000000000000,6.0\n",
+                     ((5.0, 6.0), (99999999999999999999, 100000000000000000000))),
+    "unicode_digits": ("timestamp,price\n\u0661,\u0665\n\u0662,6.0\n", ((5.0, 6.0), (1, 2))),
+    "header_only": ("timestamp,price\n", (InvalidInputError, ": no data rows", None)),
+}
+
+
+class TestBulkIngest:
+    """A plain timestamp,price feed is parsed in bulk; every feed gives what
+    the row loop gives."""
+
+    @pytest.mark.parametrize("name", list(INGEST_CASES))
+    def test_same_series_or_error_as_the_row_loop(self, tmp_path, name):
+        text, expected = INGEST_CASES[name]
+        path = _write(tmp_path, text)
+        for ingest in (ingest_csv, instances_mod._row_series):
+            if isinstance(expected[0], type):
+                with pytest.raises(expected[0]) as info:
+                    ingest(path)
+                assert (str(info.value), getattr(info.value, "row", None)) == (
+                    f"{path}{expected[1]}", expected[2])
+            else:
+                series = ingest(path)
+                assert (series.prices, series.timestamps) == expected
+
+    @pytest.mark.parametrize("name", ["csv_writer_crlf", "byte_order_mark", "lone_cr",
+                                      "no_final_newline", "subnormal"])
+    def test_plain_feeds_skip_the_row_loop(self, tmp_path, monkeypatch, name):
+        text, expected = INGEST_CASES[name]
+        path = _write(tmp_path, text)
+        monkeypatch.setattr(instances_mod, "_row_series", _row_loop_refused)
+        series = ingest_csv(path)
+        assert (series.prices, series.timestamps) == expected
+
+    def test_a_synthetic_feed_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        # written as the benchmark writes its feeds: one "{t},{p!r}" line per sample
+        series = gen_synthetic_series(5000, seed=11)
+        path = tmp_path / "feed.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write("timestamp,price\n")
+            fh.writelines(f"{t},{p!r}\n" for t, p in zip(series.timestamps, series.prices))
+        expected = instances_mod._row_series(path)
+        monkeypatch.setattr(instances_mod, "_row_series", _row_loop_refused)
+        assert ingest_csv(path) == expected
+        assert expected.prices == series.prices
+        assert expected.timestamps == tuple(series.timestamps)
 
 
 # --------------------------------------------------------------------------

@@ -116,6 +116,56 @@ class TestSelectLambda:
             assert weights[0] == 0.0
             assert all(rec.chosen_lambda != 0.0 for rec in hist[1:])
 
+    def test_underflow_stream_draws_are_pinned(self):
+        # recorded while each round still drew with Generator.choice
+        first = [0, 1, 17, 31, 24, 28, 9, 21, 29, 0, 26, 14, 3, 18, 31, 5, 0, 17, 8, 17]
+        for seed, j in enumerate(first):
+            weights, hist, matrix = run_learning(_underflow_stream(), ProblemKind.MAX, seed)
+            assert [GRID.index(rec.chosen_lambda) for rec in hist] == [j] + [32] * 10
+            assert [rec.chosen_ratio for rec in hist] == matrix[range(11), [j] + [32] * 10].tolist()
+            assert hist[-1].cumulative_regret == matrix[0, j] - 1.0
+            assert weights == (0.0,) + (4.0375695847931746e-38,) * 31 + (1.0,)
+
+    def test_draws_are_generator_choice(self, monkeypatch):
+        held = []  # the weights and keys of the underflow stream's rounds
+        draws = learner_mod._draws
+        monkeypatch.setattr(learner_mod, "_draws",
+                            lambda weights, keys: held.append((weights, keys)) or draws(weights, keys))
+        for seed in range(20):
+            run_learning(_underflow_stream(), ProblemKind.MAX, seed)
+        rng = np.random.default_rng(14)
+        n, g = 4000, len(GRID)
+        zeros = rng.random((n, g))
+        zeros[rng.random((n, g)) < 0.5] = 0.0
+        zeros[np.arange(n), rng.integers(g, size=n)] = rng.random(n) + 0.5
+        subnormal = rng.integers(0, 1 << 20, (n, g)) * 5e-324
+        subnormal[: n // 2] += rng.random((n // 2, g)) * (rng.random((n // 2, g)) < 0.1)
+        subnormal[n // 2:, 0] += 1.0
+        blocks = [
+            rng.random((n, g)),
+            np.exp(rng.normal(0.0, 30.0, (n, g))),  # from 1e-300 to 1e300
+            zeros,
+            subnormal,
+            np.eye(g)[rng.integers(g, size=n)],  # one-hot
+        ] + [weights for weights, _ in held]
+        keys = [rng.integers(1 << 40, size=n) for _ in range(5)] + [list(keys) for _, keys in held]
+        checked = 0
+        for weights, block_keys in zip(blocks, keys):
+            got = learner_mod._draws(weights, block_keys).tolist()
+            want = [int(np.random.Generator(np.random.Philox(int(key))).choice(g, p=w / w.sum()))
+                    for w, key in zip(weights, block_keys)]
+            assert got == want
+            checked += len(want)
+        assert checked >= 20_000
+
+    @pytest.mark.parametrize("weights", [[0.0] * 33, [1.0] * 32 + [-0.5], [1.0] * 32 + [math.nan]])
+    def test_draws_reject_what_generator_choice_rejects(self, weights):
+        w = np.array(weights)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            np.random.Generator(np.random.Philox(0)).choice(33, p=w / w.sum())
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            learner_mod._draws(w[None, :], [0])
+
 
 class TestObserveRound:
     """One full-information round: replay the window under every grid
@@ -398,45 +448,60 @@ def _prediction(spot, bounds, k, kind):
     return prediction
 
 
+def _spots(wheres, fractions):
+    return st.lists(st.tuples(
+        st.sampled_from(wheres),
+        st.integers(min_value=0, max_value=len(GRID) - 1),
+        fractions,
+        fractions,
+        st.integers(min_value=-2, max_value=2),
+    ), min_size=1, max_size=60)
+
+
+# (kind, p_min, theta, k, spots): any band with predictions all over it, or
+# a min-search band where the designs at predictions near p_min mostly fail
+_BATCH_CASES = st.one_of(
+    st.tuples(
+        st.sampled_from(list(ProblemKind)),
+        st.floats(min_value=0.01, max_value=100.0),
+        st.one_of(st.floats(min_value=0.0, max_value=5.0).map(lambda e: 10.0**e),
+                  st.floats(min_value=0.0, max_value=1e-9).map(lambda d: 1.0 + d)),
+        st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=13, max_value=300)),
+        _spots(["p_min", "p_max", "tilde_1", "tilde_2", "inside", "i_star"],
+               st.floats(min_value=0.0, max_value=1.0)),
+    ),
+    st.tuples(
+        st.just(ProblemKind.MIN),
+        st.floats(min_value=0.01, max_value=100.0),
+        st.floats(min_value=3.0, max_value=5.0).map(lambda e: 10.0**e),
+        st.integers(min_value=20, max_value=300),
+        _spots(["p_min", "inside"], st.floats(min_value=0.0, max_value=0.05)),
+    ),
+)
+
+
 # pinned points: an exact tie in an i* scan; a 19-term prefix sum and an
 # 11-term running sum, long enough for a pairwise sum to round otherwise;
 # a pivot on the near side of P by float noise; P one ulp past p_max
-@example(kind=ProblemKind.MIN, p_min=1.0, theta=10.0, k=2,
-         spots=[("i_star", 1, 0.0, 1.0, -1)])
-@example(kind=ProblemKind.MIN, p_min=5.0, theta=10.0**0.5, k=19,
-         spots=[("inside", 0, 1.0, 0.25, 0)])
-@example(kind=ProblemKind.MAX, p_min=1.0, theta=10.0**0.3671875, k=11,
-         spots=[("i_star", 6, 0.0, 1.0, 1)])
-@example(kind=ProblemKind.MIN, p_min=1.0, theta=10.0, k=1,
-         spots=[("p_max", 0, 0.0, 0.0, -1)])
-@example(kind=ProblemKind.MIN, p_min=10.0625, theta=10.0**0.375, k=11,
-         spots=[("p_max", 0, 0.0, 0.0, 1)])
+@example(case=(ProblemKind.MIN, 1.0, 10.0, 2, [("i_star", 1, 0.0, 1.0, -1)]))
+@example(case=(ProblemKind.MIN, 5.0, 10.0**0.5, 19, [("inside", 0, 1.0, 0.25, 0)]))
+@example(case=(ProblemKind.MAX, 1.0, 10.0**0.3671875, 11, [("i_star", 6, 0.0, 1.0, 1)]))
+@example(case=(ProblemKind.MIN, 1.0, 10.0, 1, [("p_max", 0, 0.0, 0.0, -1)]))
+@example(case=(ProblemKind.MIN, 10.0625, 10.0**0.375, 11, [("p_max", 0, 0.0, 0.0, 1)]))
 # blocks of several predictions in a band where the designs at p_min fail
 # (robustness at lambda = 5/8) and those at sqrt(theta) succeed
-@example(kind=ProblemKind.MIN, p_min=1.0, theta=1e4, k=20,
-         spots=[("inside", 0, 0.5, 0.5, 0), ("p_min", 0, 0.0, 0.0, 0),
-                ("p_max", 0, 0.0, 0.0, -1), ("p_min", 0, 0.0, 0.0, 2)])
-@example(kind=ProblemKind.MIN, p_min=1.0, theta=1e4, k=20,
-         spots=[("inside", g % len(GRID), g / 59, 1.0, 0) for g in range(60)])
-@example(kind=ProblemKind.MAX, p_min=1.0, theta=1e3, k=20,
-         spots=[(where, g % len(GRID), g / 59, 1.0, g % 5 - 2)
-                for g, where in enumerate(["p_min", "p_max", "tilde_1", "tilde_2", "inside"] * 12)])
+@example(case=(ProblemKind.MIN, 1.0, 1e4, 20,
+               [("inside", 0, 0.5, 0.5, 0), ("p_min", 0, 0.0, 0.0, 0),
+                ("p_max", 0, 0.0, 0.0, -1), ("p_min", 0, 0.0, 0.0, 2)]))
+@example(case=(ProblemKind.MIN, 1.0, 1e4, 20,
+               [("inside", g % len(GRID), g / 59, 1.0, 0) for g in range(60)]))
+@example(case=(ProblemKind.MAX, 1.0, 1e3, 20,
+               [(where, g % len(GRID), g / 59, 1.0, g % 5 - 2)
+                for g, where in enumerate(["p_min", "p_max", "tilde_1", "tilde_2", "inside"] * 12)]))
 @settings(max_examples=150, deadline=None)
-@given(
-    kind=st.sampled_from(list(ProblemKind)),
-    p_min=st.floats(min_value=0.01, max_value=100.0),
-    theta=st.one_of(st.floats(min_value=0.0, max_value=5.0).map(lambda e: 10.0**e),
-                    st.floats(min_value=0.0, max_value=1e-9).map(lambda d: 1.0 + d)),
-    k=st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=13, max_value=300)),
-    spots=st.lists(st.tuples(
-        st.sampled_from(["p_min", "p_max", "tilde_1", "tilde_2", "inside", "i_star"]),
-        st.integers(min_value=0, max_value=len(GRID) - 1),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.floats(min_value=0.0, max_value=1.0),
-        st.integers(min_value=-2, max_value=2),
-    ), min_size=1, max_size=60),
-)
-def test_batched_rows_are_the_per_lambda_designs(kind, p_min, theta, k, spots):
+@given(case=_BATCH_CASES)
+def test_batched_rows_are_the_per_lambda_designs(case):
+    kind, p_min, theta, k, spots = case
     bounds = PriceBounds(p_min, p_min * theta)
     predictions = [_prediction(spot, bounds, k, kind) for spot in spots]
     found = [[_design_or_error(p, lam, bounds, k, kind) for lam in GRID] for p in predictions]
