@@ -32,7 +32,12 @@ tolerable degradation.
 A design splits into a frame and the prediction's part.  The frame (the
 target, sigma*, the growth rates and leads, p~1 and p~2) depends only on
 (lambda, band, k, kind); ``design`` keeps frames in a bounded cache, and
-per call builds the prefix, flat block, pivot, i* scan and tail.
+per call builds the prefix, flat block, pivot, i* scan and tail.  Each
+O(k) piece is one list comprehension over powers taken with Python
+``**``, and the i* scan's running sums come from ``itertools.accumulate``:
+the float operations of a threshold-at-a-time loop, in its order.  The
+tests hold that loop as ``construct_reference`` and require every design
+and failure to equal its own bit for bit.
 
 ``_construct_grid`` builds the designs of a tuple of confidences at each
 of several predictions as one (P·R, k) array, for the learner, which
@@ -45,13 +50,14 @@ per call it builds every row's j* (its numerator's log from
 ``math.log``), flat block, pivot and i* scan and applies every check of
 ``_construct`` and ``_verify`` to all rows at once.  It raises wherever
 one of the designs would fail; ``design`` stays the single path and the
-reference it is tested against bit for bit.
+reference its rows are tested against bit for bit.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -186,16 +192,14 @@ def _verify(design: AugmentedDesign) -> AugmentedDesign:
             f"consistency violated: accurate-prediction ratio {at_prediction} > "
             f"eta {target.eta} (case {design.case_label}, P={design.prediction})"
         )
-    if design.case_label in ("I", "IV"):
-        covering = range(1, design.i_star + 1)
-    else:
-        covering = range(design.m_star + 2, design.i_star + 1)
-    for i in covering:
-        if ratios[i - 1] > eta_cap:
-            raise ConstructionError(
-                f"consistency violated on interval {i}: ratio {ratios[i - 1]} > "
-                f"eta {target.eta} (case {design.case_label})"
-            )
+    first = 1 if design.case_label in ("I", "IV") else design.m_star + 2
+    over = (ratios[first - 1 : design.i_star] > eta_cap).nonzero()[0]
+    if over.size:
+        i = first + int(over[0])
+        raise ConstructionError(
+            f"consistency violated on interval {i}: ratio {ratios[i - 1]} > "
+            f"eta {target.eta} (case {design.case_label})"
+        )
     return design
 
 
@@ -259,18 +263,17 @@ def sigma_star_min(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
     """Min-search mirror of sigma_star_max."""
     eta, gamma = target.eta, target.gamma
     theta = bounds.theta
+    log_grow_eta = math.log1p(1.0 / (eta * k))
+    log_grow_gamma = math.log1p(1.0 / (gamma * k))
+    # top-down, not bisected: at lam = 1 the junction test ties at every sigma
     for sigma in range(k, 0, -1):
         # numer = 1 - (1-1/eta)*(1+1/(eta*k))**sigma and
         # denom = 1 - (1-1/theta)/(1+1/(gamma*k))**(k-sigma), each rewritten
         # so the subtraction happens between exactly-computed quantities
         # (both differences can be tiny relative to their operands).
-        numer = 1.0 / eta - (1.0 - 1.0 / eta) * math.expm1(
-            sigma * math.log1p(1.0 / (eta * k))
-        )
-        tail_decay = math.exp(-(k - sigma) * math.log1p(1.0 / (gamma * k)))
-        denom = -math.expm1(-(k - sigma) * math.log1p(1.0 / (gamma * k))) + (
-            tail_decay / theta
-        )
+        numer = 1.0 / eta - (1.0 - 1.0 / eta) * math.expm1(sigma * log_grow_eta)
+        decay = -(k - sigma) * log_grow_gamma
+        denom = -math.expm1(decay) + math.exp(decay) / theta
         if eta * numer / denom <= gamma + _junction_slack(gamma, k, sigma):
             return sigma
     raise ConstructionError(
@@ -348,23 +351,23 @@ def _construct(
     sigma, tilde_1, tilde_2 = frame.sigma, frame.tilde_1, frame.tilde_2
     grow_eta, grow_gamma = frame.grow_eta, frame.grow_gamma
     lead_eta, lead_gamma = frame.lead_eta, frame.lead_gamma
+    reach = far - near
 
-    def tail(i: int) -> float:
-        # reserve thresholds so interval ratios decay onto gamma at the far end
-        return near + (far - near) / grow_gamma ** (k - i + 1)
+    def tail(start: int) -> list[float]:
+        # thresholds start..k, reserved so interval ratios decay onto gamma at the far end
+        return [near + reach / grow_gamma**n for n in range(k - start + 1, 0, -1)]
 
     # a prediction on a case boundary takes the near-side case for
     # max-search and the far-side case for min-search
     if (prediction <= tilde_1) if is_max else (prediction > tilde_1):
         label, j_star, m_star, i_star = labels[0], 0, 0, sigma
-        values = [near + lead_eta * grow_eta ** (i - 1) for i in range(1, sigma + 1)]
-        values += [tail(i) for i in range(sigma + 1, k + 1)]
+        values = [near + lead_eta * grow_eta**n for n in range(sigma)] + tail(sigma + 1)
     else:
         if (prediction <= tilde_2) if is_max else (prediction > tilde_2):
             label, j_star = labels[1], 0
         else:
             label, j_star = labels[2], _prefix_length(prediction, gamma, bounds, k, kind)
-        prefix = [near + lead_gamma * grow_gamma ** (i - 1) for i in range(1, j_star + 1)]
+        prefix = [near + lead_gamma * grow_gamma**n for n in range(j_star)]
         prefix_sum = left_sum(prefix)
         # m*: the smallest flat-block end that lets the pivot reach P
         if is_max:
@@ -408,37 +411,35 @@ def _construct(
         if (pivot < prediction) if is_max else (pivot > prediction):
             pivot = prediction  # float noise on the near side of P
 
-        def block(i: int) -> float:
-            if i <= m_star:
-                return prediction
-            return near + (pivot - near) * grow_eta ** (i - m_star - 1)
-
-        # largest i whose successor ratio still meets the robustness budget
+        # thresholds j*+1..k: the flat block at P, then the eta continuation
+        rise = pivot - near
+        block = [prediction] * (m_star - j_star)
+        block += [near + rise * grow_eta**n for n in range(k - m_star)]
+        # the i* scan: the largest i in j*..k whose successor ratio (the
+        # tail threshold i+1, or the far bound at i = k) still meets the
+        # robustness budget with thresholds 1..i banked
         budget = gamma + _RATIO_TOL / 2
-        i_star = -1
-        running = prefix_sum
-        block_values: list[float] = []
-        for i in range(j_star, k + 1):
-            succ = far if i == k else tail(i + 1)
-            banked = running + (k - i) * near
-            fits = k * succ <= budget * banked if is_max else banked <= budget * k * succ
-            if fits:
-                i_star = i
-            if i < k:
-                nxt = block(i + 1)
-                block_values.append(nxt)
-                running += nxt
-        if i_star < j_star:
+        reserve = tail(j_star + 1)
+        scan = zip(reserve + [far], itertools.accumulate(block, initial=prefix_sum),
+                   range(k - j_star, -1, -1))
+        if is_max:
+            fits = [k * succ <= budget * (banked + rest * near) for succ, banked, rest in scan]
+        else:
+            fits = [banked + rest * near <= budget * k * succ for succ, banked, rest in scan]
+        if True not in fits:
             raise ConstructionError(
                 f"no feasible consistency endpoint for eta={eta}, gamma={gamma}, "
                 f"P={prediction}"
             )
+        cut = len(fits) - 1 - fits[::-1].index(True)  # i* - j*
+        i_star = j_star + cut
         m_star = min(m_star, i_star)
-        values = prefix + block_values[: i_star - j_star]
-        values += [tail(i) for i in range(i_star + 1, k + 1)]
+        values = prefix + block[:cut] + reserve[cut:]
 
+    # PriceBounds.clip without its two calls per value: p_min <= p_max, and NaN passes
+    values = [p_min if v < p_min else p_max if v > p_max else v for v in values]
     try:
-        schedule = ThresholdSchedule(kind, tuple(bounds.clip(v) for v in values), bounds)
+        schedule = ThresholdSchedule(kind, tuple(values), bounds)
     except InvalidInputError as exc:  # the construction's fault, not the caller's
         raise ConstructionError(f"designed {exc}") from exc
     return _verify(

@@ -143,12 +143,8 @@ class ThresholdSchedule:
                 f"thresholds span [{lo}, {hi}], outside bounds "
                 f"[{self.bounds.p_min}, {self.bounds.p_max}]"
             )
-        pairs = zip(values, values[1:])
-        if self.kind.is_max:
-            ok = all(a <= b for a, b in pairs)
-        else:
-            ok = all(a >= b for a, b in pairs)
-        if not ok:
+        in_order = operator.le if self.kind.is_max else operator.ge
+        if not all(map(in_order, values, values[1:])):
             raise InvalidInputError(f"thresholds not monotone for {self.kind}")
 
     @property

@@ -7,7 +7,17 @@ reductions the kernel uses, so the kernel's totals must equal it bit for bit.
 
 ``design_for_target`` designs at an explicit (eta, gamma) target with a
 freshly solved frame: the cache-free reference for ``ksearch.design``.
+
+``construct_reference`` is the case I-VI construction written the plain
+way: each threshold from its own closure call, the i* scan as one Python
+loop with a running sum, each value clipped through ``PriceBounds.clip``,
+and ``verify_reference`` checking the eta-covered intervals one by one.
+``ksearch.augmented._construct`` builds each piece in one pass with the
+same float operations in the same order, so its designs, indices and
+failures must equal this one's bit for bit.
 """
+
+import math
 
 import numpy as np
 
@@ -20,7 +30,19 @@ from ksearch import (
     ProblemKind,
     ThresholdSchedule,
 )
-from ksearch.augmented import _construct, _frame, _snap_prediction
+from ksearch.augmented import (
+    _RATIO_TOL,
+    _SCAN_SLACK,
+    _construct,
+    _degenerate,
+    _Frame,
+    _frame,
+    _prefix_length,
+    _ratio_at,
+    _snap_prediction,
+    interval_ratios,
+)
+from ksearch.core import left_sum
 
 
 def design_for_target(
@@ -29,6 +51,166 @@ def design_for_target(
     """Build and verify the schedule of either kind for an explicit (eta, gamma)."""
     prediction = _snap_prediction(prediction, bounds)
     return _construct(prediction, _frame(target, bounds, k, kind), bounds, k, kind)
+
+
+def construct_reference(
+    prediction: float, frame: _Frame, bounds: PriceBounds, k: int, kind: ProblemKind
+) -> AugmentedDesign:
+    """The case I-VI schedule of one frame at a snapped prediction, verified,
+    built one threshold at a time."""
+    p_min, p_max = bounds.p_min, bounds.p_max
+    target = frame.target
+    eta, gamma = target.eta, target.gamma
+    is_max = kind.is_max
+    labels = ("I", "II", "III") if is_max else ("IV", "V", "VI")
+    near, far = (p_min, p_max) if is_max else (p_max, p_min)
+
+    if _degenerate(bounds):
+        schedule = ThresholdSchedule(kind, (near,) * k, bounds)
+        return verify_reference(
+            AugmentedDesign(schedule, labels[0], 0, 0, k, k, near, near, target, prediction)
+        )
+
+    sigma, tilde_1, tilde_2 = frame.sigma, frame.tilde_1, frame.tilde_2
+    grow_eta, grow_gamma = frame.grow_eta, frame.grow_gamma
+    lead_eta, lead_gamma = frame.lead_eta, frame.lead_gamma
+
+    def tail(i: int) -> float:
+        # reserve thresholds so interval ratios decay onto gamma at the far end
+        return near + (far - near) / grow_gamma ** (k - i + 1)
+
+    # a prediction on a case boundary takes the near-side case for
+    # max-search and the far-side case for min-search
+    if (prediction <= tilde_1) if is_max else (prediction > tilde_1):
+        label, j_star, m_star, i_star = labels[0], 0, 0, sigma
+        values = [near + lead_eta * grow_eta ** (i - 1) for i in range(1, sigma + 1)]
+        values += [tail(i) for i in range(sigma + 1, k + 1)]
+    else:
+        if (prediction <= tilde_2) if is_max else (prediction > tilde_2):
+            label, j_star = labels[1], 0
+        else:
+            label, j_star = labels[2], _prefix_length(prediction, gamma, bounds, k, kind)
+        prefix = [near + lead_gamma * grow_gamma ** (i - 1) for i in range(1, j_star + 1)]
+        prefix_sum = left_sum(prefix)
+        # m*: the smallest flat-block end that lets the pivot reach P
+        if is_max:
+            if label == "II":
+                span = k * prediction / eta - k * p_min
+            else:
+                # the display folds the prefix sum into closed form via the
+                # extended z value at j*+1; both agree by the balancing identity
+                z_next = p_min * (1.0 + (gamma - 1.0) * grow_gamma**j_star)
+                span = k * prediction / eta - k * z_next / gamma
+            m_star = j_star + math.ceil(span / (prediction - p_min))
+            m_star = min(max(m_star, j_star), k)
+        else:
+            # the closed form for case V is division-degenerate at P=p_max,
+            # and the case VI display is garbled, so min-search scans the
+            # defining property
+            m_star = -1
+            for m in range(j_star, k + 1):
+                lhs = prefix_sum + (m - j_star) * prediction + (k - m) * p_max
+                if lhs <= eta * k * prediction * (1.0 + _SCAN_SLACK):
+                    m_star = m
+                    break
+            if m_star < 0:
+                raise ConstructionError(
+                    f"no feasible flat block for eta={eta}, gamma={gamma}, P={prediction}"
+                )
+
+        flat_sum = prefix_sum + (m_star - j_star) * prediction + (k - m_star) * near
+        if is_max:
+            pivot = eta * flat_sum / k
+            if pivot < prediction * (1.0 - 1e-9):
+                raise ConstructionError(
+                    f"pivot {pivot} fell below the prediction {prediction}"
+                )
+        else:
+            pivot = flat_sum / (eta * k)
+            if pivot > prediction * (1.0 + 1e-9):
+                raise ConstructionError(
+                    f"pivot {pivot} rose above the prediction {prediction}"
+                )
+        if (pivot < prediction) if is_max else (pivot > prediction):
+            pivot = prediction  # float noise on the near side of P
+
+        def block(i: int) -> float:
+            if i <= m_star:
+                return prediction
+            return near + (pivot - near) * grow_eta ** (i - m_star - 1)
+
+        # largest i whose successor ratio still meets the robustness budget
+        budget = gamma + _RATIO_TOL / 2
+        i_star = -1
+        running = prefix_sum
+        block_values: list[float] = []
+        for i in range(j_star, k + 1):
+            succ = far if i == k else tail(i + 1)
+            banked = running + (k - i) * near
+            fits = k * succ <= budget * banked if is_max else banked <= budget * k * succ
+            if fits:
+                i_star = i
+            if i < k:
+                nxt = block(i + 1)
+                block_values.append(nxt)
+                running += nxt
+        if i_star < j_star:
+            raise ConstructionError(
+                f"no feasible consistency endpoint for eta={eta}, gamma={gamma}, "
+                f"P={prediction}"
+            )
+        m_star = min(m_star, i_star)
+        values = prefix + block_values[: i_star - j_star]
+        values += [tail(i) for i in range(i_star + 1, k + 1)]
+
+    try:
+        schedule = ThresholdSchedule(kind, tuple(bounds.clip(v) for v in values), bounds)
+    except InvalidInputError as exc:  # the construction's fault, not the caller's
+        raise ConstructionError(f"designed {exc}") from exc
+    return verify_reference(
+        AugmentedDesign(
+            schedule, label, j_star, m_star, i_star, sigma, tilde_1, tilde_2, target, prediction
+        )
+    )
+
+
+def verify_reference(design: AugmentedDesign) -> AugmentedDesign:
+    """Re-check both guarantees on the finished schedule, one covered interval at a time.
+
+    Robustness: every interval ratio at most gamma.  Consistency: the
+    accurate-prediction worst case at most eta, and the eta-balanced block
+    (pivot through i*) individually at most eta.
+    """
+    target = design.target
+    # nominal tolerance plus an ulp-scale cushion: summing k thresholds for a
+    # ratio carries relative rounding noise, which matters when the margin is
+    # an exact equality (e.g. degenerate spans where theta - 1 == _RATIO_TOL)
+    gamma_cap = target.gamma + _RATIO_TOL + 1e-11 * target.gamma
+    eta_cap = target.eta + _RATIO_TOL + 1e-11 * target.eta
+    ratios = interval_ratios(design.schedule)
+    worst = float(ratios.max())
+    if worst > gamma_cap:
+        raise ConstructionError(
+            f"robustness violated: max ratio {worst} > gamma {target.gamma} "
+            f"(case {design.case_label}, P={design.prediction})"
+        )
+    at_prediction = _ratio_at(design.schedule, design.prediction)
+    if at_prediction > eta_cap:
+        raise ConstructionError(
+            f"consistency violated: accurate-prediction ratio {at_prediction} > "
+            f"eta {target.eta} (case {design.case_label}, P={design.prediction})"
+        )
+    if design.case_label in ("I", "IV"):
+        covering = range(1, design.i_star + 1)
+    else:
+        covering = range(design.m_star + 2, design.i_star + 1)
+    for i in covering:
+        if ratios[i - 1] > eta_cap:
+            raise ConstructionError(
+                f"consistency violated on interval {i}: ratio {ratios[i - 1]} > "
+                f"eta {target.eta} (case {design.case_label})"
+            )
+    return design
 
 
 def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, int]:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksearch import (
     AugmentedDesign,
@@ -34,7 +34,8 @@ from ksearch.augmented import (
     sigma_star_max,
     sigma_star_min,
 )
-from oracle import design_for_target
+from conftest import band_cases, band_prediction
+from oracle import construct_reference, design_for_target
 
 BOUNDS = PriceBounds(5.0, 50.0)
 K = 20
@@ -457,3 +458,113 @@ def test_construction_errors_outside_design_carry_no_call():
     with pytest.raises(ConstructionError) as info:
         design_for_target(50.0, ParetoPoint(0.5, 1.0, 2.63), BOUNDS, K, ProblemKind.MAX)
     assert info.value.kind is None and info.value.prediction is None
+
+
+# --------------------------------------------------------------------------
+# the one-pass construction is the plain one, bit for bit
+
+
+def _built(construct, prediction, frame, bounds, k, kind):
+    """A construction's result fields, or the class and message of its failure.
+    Its thresholds are positive floats, equal only if their bits are."""
+    try:
+        return _fields(construct(prediction, frame, bounds, k, kind))
+    except (KSearchError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_construct_is_reference(prediction, lam, bounds, k, kind):
+    prediction = augmented_mod._snap_prediction(prediction, bounds)
+    try:
+        frame = augmented_mod._frame_at(lam, bounds, k, kind)
+    except (KSearchError, ArithmeticError):
+        return  # no frame at this lambda: neither construction runs
+    got = _built(_construct, prediction, frame, bounds, k, kind)
+    assert got == _built(construct_reference, prediction, frame, bounds, k, kind)
+    return got
+
+
+# pinned points: an exact tie in an i* scan; a 19-term prefix sum and an
+# 11-term running sum, long enough for a pairwise sum to round otherwise;
+# a pivot on the near side of P by float noise; P one ulp past p_max
+@example(case=(ProblemKind.MIN, 1.0, 10.0, 2, [("i_star", 1, 0.0, 1.0, -1)]))
+@example(case=(ProblemKind.MIN, 5.0, 10.0**0.5, 19, [("inside", 0, 1.0, 0.25, 0)]))
+@example(case=(ProblemKind.MAX, 1.0, 10.0**0.3671875, 11, [("i_star", 6, 0.0, 1.0, 1)]))
+@example(case=(ProblemKind.MIN, 1.0, 10.0, 1, [("p_max", 0, 0.0, 0.0, -1)]))
+@example(case=(ProblemKind.MIN, 10.0625, 10.0**0.375, 11, [("p_max", 0, 0.0, 0.0, 1)]))
+@settings(max_examples=100, deadline=None)
+@given(case=band_cases(max_spots=3))
+def test_construct_is_the_reference_construction(case):
+    kind, p_min, theta, k, spots = case
+    bounds = PriceBounds(p_min, p_min * theta)
+    for spot in spots:
+        prediction = band_prediction(spot, bounds, k, kind)
+        for lam in GRID:
+            _assert_construct_is_reference(prediction, lam, bounds, k, kind)
+
+
+# design-grid points (PriceBounds(1, theta)) whose construction fails, each
+# in _verify, then ones that succeed in cases I-VI at k = 100 and 1000, and a
+# random point failing on a covered interval
+@pytest.mark.parametrize("kind,theta,k,lam,prediction,failure", [
+    (ProblemKind.MIN, 10000.0, 100, 0.5, 1.0, "robustness violated"),
+    (ProblemKind.MIN, 316.2277660168379, 1000, 0.5, 1.0, "robustness violated"),
+    (ProblemKind.MIN, 1000.0, 1000, 0.8, 2.371373705661655, "robustness violated"),
+    (ProblemKind.MIN, 1000.0, 1000, 1.0, 177.82794100389228, "robustness violated"),
+    (ProblemKind.MAX, 3.1622776601683795, 1000, 0.9, 1.7782794100389228, None),
+    (ProblemKind.MAX, 1000.0, 1000, 0.6, 2.371373705661655, None),
+    (ProblemKind.MIN, 3162.2776601683795, 1000, 0.7, 1154.781984689458, None),
+    (ProblemKind.MIN, 1000.0, 100, 0.1, 1000.0, None),
+])
+def test_construct_is_the_reference_on_design_grid_points(
+        kind, theta, k, lam, prediction, failure):
+    got = _assert_construct_is_reference(prediction, lam, PriceBounds(1.0, theta), k, kind)
+    if failure is None:
+        assert got[1] in ("I", "II", "III", "IV", "V", "VI")
+    else:
+        assert got[0] is ConstructionError and got[1].startswith(failure)
+
+
+# the last or first prediction at an i* of a band, where the scan's test is
+# a near tie: a running sum that rounds otherwise (numpy's pairwise sum of
+# the thresholds so far, say) moves i* there
+@pytest.mark.parametrize("kind,p_min,p_max,k,lam,prediction", [
+    (ProblemKind.MAX, 5.151073909888309, 15414.0877698467, 52, 0.875, 40.576140051602216),
+    (ProblemKind.MAX, 2.9684542615899296, 181.46920008480885, 281, 0.875, 6.944463199811082),
+    (ProblemKind.MIN, 0.2248970703151755, 580.3917824550954, 142, 0.125, 509.0029623836667),
+    (ProblemKind.MIN, 12.690893310459474, 69.00949327727096, 147, 0.34375, 54.01045980398191),
+])
+def test_construct_is_the_reference_at_i_star_steps(kind, p_min, p_max, k, lam, prediction):
+    got = _assert_construct_is_reference(prediction, lam, PriceBounds(p_min, p_max), k, kind)
+    assert got[1] in ("II", "V")
+
+
+def test_construct_is_the_reference_on_a_covered_interval_failure():
+    bounds = PriceBounds(0.1806075914582178, 1400.0244874237492)
+    got = _assert_construct_is_reference(35.40526349207474, 1.0, bounds, 114, ProblemKind.MIN)
+    assert got[0] is ConstructionError
+    assert got[1].startswith("consistency violated on interval 113: ratio")
+
+
+# frames no target gives, whose thresholds leave the band (so the clip
+# decides), turn, or find no flat block, pivot or consistency endpoint
+@pytest.mark.parametrize("kind,change,prediction", [
+    (ProblemKind.MAX, {"grow_eta": 10.0}, 5.0),
+    (ProblemKind.MAX, {"grow_eta": 10.0}, 20.0),
+    (ProblemKind.MAX, {"grow_eta": 10.0}, 45.0),
+    (ProblemKind.MAX, {"grow_gamma": 0.5}, 5.0),
+    (ProblemKind.MAX, {"grow_gamma": 0.5}, 20.0),
+    (ProblemKind.MAX, {"lead_gamma": 24.0}, 45.0),
+    (ProblemKind.MIN, {"grow_eta": 10.0}, 45.0),
+    (ProblemKind.MIN, {"grow_gamma": 0.5}, 5.0),
+    (ProblemKind.MIN, {"grow_gamma": 0.5}, 45.0),
+    (ProblemKind.MIN, {"lead_gamma": -126.24434567275918}, 5.0),
+])
+def test_construct_is_the_reference_on_doctored_frames(kind, change, prediction):
+    if kind.is_max:
+        target = ParetoPoint(0.5, 1.5, 2.6)
+    else:
+        target = target_point(0.5, FrontierSpec(BOUNDS, 10, kind))
+    frame = _frame(target, BOUNDS, 10, kind)._replace(**change)
+    got = _built(_construct, prediction, frame, BOUNDS, 10, kind)
+    assert got == _built(construct_reference, prediction, frame, BOUNDS, 10, kind)

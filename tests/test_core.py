@@ -401,6 +401,41 @@ def test_library_has_no_unused_imports():
     assert unused == []
 
 
+# numpy rounds some powers, exponentials and logs differently from Python's
+# ``**`` and ``math`` (numpy's power and ``**`` disagree on 8,126 of 200,000
+# growth-rate pairs), and a threshold or j* one ulp off changes a design.
+# Only the synthetic feed takes ``np.exp``; its prices fix the CSV digests.
+_NUMPY_TRANSCENDENTALS = {"power", "float_power", "exp", "expm1", "log", "log1p"}
+_NUMPY_TRANSCENDENTALS_ALLOWED = {("instances.py", "gen_synthetic_series", "exp")}
+
+
+def _numpy_transcendentals(node, numpy_names, scope):
+    """(enclosing function, name) of each numpy power, exp or log under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                and child.value.id in numpy_names and child.attr in _NUMPY_TRANSCENDENTALS):
+            yield scope, child.attr
+        elif isinstance(child, ast.ImportFrom) and child.module == "numpy":
+            yield from ((scope, alias.name) for alias in child.names
+                        if alias.name in _NUMPY_TRANSCENDENTALS)
+        yield from _numpy_transcendentals(child, numpy_names, inner)
+
+
+def test_library_takes_no_power_exp_or_log_from_numpy():
+    """Powers come from ``**``, exponentials and logs from ``math``."""
+    package = pathlib.Path(ksearch.__file__).parent
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
+                       if isinstance(node, ast.Import)
+                       for alias in node.names if alias.name == "numpy"}
+        found.update((path.name, scope, name)
+                     for scope, name in _numpy_transcendentals(tree, numpy_names, None))
+    assert found == _NUMPY_TRANSCENDENTALS_ALLOWED  # the allowed call is seen too
+
+
 def test_every_export_is_used_by_program_code():
     """Each name in ``ksearch.__all__`` and each public top-level def, class
     and constant of a library module is referenced by library code outside
