@@ -78,7 +78,6 @@ from .harness import (
     WindowResult,
     build_cells,
     evaluate_windows,
-    run_cell,
     run_sweep,
     stress_windows,
     summarize,
@@ -127,7 +126,6 @@ __all__ = [
     "offline_opt",
     "ota_totals",
     "prediction_ratio",
-    "run_cell",
     "run_learning",
     "run_ota",
     "run_sweep",

@@ -14,14 +14,17 @@ which the rest must match); the confidence grid is the learner's ``GRID``.
 
 A sweep evaluates that triple over a cross product of stress parameters
 (tail-hardening probability rho, prediction error level, budget k, and a
-fluctuation-ratio multiplier), one cell at a time.  Cells are independent,
-so they can run in a process pool; results are sorted by cell key so the
-output does not depend on scheduling.
+fluctuation-ratio multiplier), one group of cells at a time: the cells that
+share (error level, k, theta multiplier) differ only in rho.  Groups are
+independent, so they can run in a process pool; results are sorted by cell
+key so the output does not depend on scheduling.
 
 Tail hardening is *coupled* across cells: the Bernoulli draw for window i
 uses a seed derived from (run seed, i) only, so the set of windows hardened
 at rho = 0.1 is a subset of those hardened at rho = 0.2, making the rho
-sweep a genuinely nested stress test.
+sweep a genuinely nested stress test.  A group's cells therefore see each
+window in at most two versions, plain and hardened, and the group replays
+each version once.
 """
 
 from __future__ import annotations
@@ -29,20 +32,26 @@ from __future__ import annotations
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
+import numpy as np
+
 from .core import ProblemKind
-from .errors import ConstructionError, InvalidInputError
+from .errors import ConstructionError, InvalidInputError, KSearchError
 from .instances import (
     ExperimentWindow,
     PriceSeries,
+    _check_rho,
+    _hard_tail,
+    _rho_draw,
     adjust_error,
     apply_rho_hard,
     scale_theta,
     sliding_windows,
 )
-from .learner import GRID, run_learning
-from .worstcase import worst_case_thresholds
+from .learner import GRID, _hedge, _replay_ratios
+from .worstcase import WorstCaseSolution, worst_case_thresholds
 
 ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
 
@@ -119,24 +128,36 @@ def summarize(values) -> tuple[float, float, float, float]:
 def evaluate_windows(windows, kind: ProblemKind, seed: int) -> tuple[WindowResult, ...]:
     """Run the three policies over a window stream.
 
-    The hindsight policy reads each window's best grid confidence from the
-    ratios the learner observed, and the worst-case schedule is one more run
-    per window in the same block replay, so every (window, schedule) pair is
-    replayed once and every window's offline optimum is computed once.  The
-    worst-case schedule is built for the first window's price band and
-    budget, which every window must share.  The worst-case guarantee is
-    re-checked on every window: the confidence-1 schedule must stay within
-    its competitive ratio, and the hindsight-best grid confidence can never
-    lose to it (the grid contains 1).  A violation means a designed schedule
-    is wrong, so it raises ConstructionError.
+    The worst-case schedule is one more run per window in the learner's
+    block replay, so every (window, schedule) pair is replayed once and
+    every window's offline optimum is computed once; ``_window_results``
+    then reads the policies off the ratio matrix.  The worst-case schedule
+    is built for the first window's price band and budget, which every
+    window must share.
     """
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("evaluate_windows needs at least one window")
     first = windows[0].instance
     solution = worst_case_thresholds(first.bounds, first.k, kind)
-    _, history, matrix = run_learning(windows, kind, seed, extra=(solution.schedule,))
+    matrix = _replay_ratios(windows, kind, (solution.schedule,))
+    return _window_results(matrix, seed, solution)
 
+
+def _window_results(
+    matrix: np.ndarray, seed: int, solution: WorstCaseSolution
+) -> tuple[WindowResult, ...]:
+    """The three policies on each row of a (W, G + 1) ratio matrix: a column
+    per grid point, then the worst-case schedule ``solution``'s.
+
+    The learned policy is the Hedge loop over the rows (``learner._hedge``),
+    and the hindsight policy is each row's best grid confidence.  The
+    worst-case guarantee is re-checked on every row: the confidence-1
+    schedule must stay within its competitive ratio, and the hindsight-best
+    grid confidence can never lose to it (the grid contains 1).  A violation
+    means a designed schedule is wrong, so it raises ConstructionError.
+    """
+    _, history = _hedge(matrix[:, : len(GRID)], seed)
     results = []
     for idx, (record, row) in enumerate(zip(history, matrix)):
         ratios = row.tolist()
@@ -182,11 +203,13 @@ def stress_windows(
     out = []
     for idx, window in enumerate(windows):
         window = adjust_error(window, error_level, kind)
-        hardened = apply_rho_hard(
-            window.instance, rho, seed * (1 << 20) + idx + _HARDEN_KEY_OFFSET, kind
-        )
+        hardened = apply_rho_hard(window.instance, rho, _harden_key(seed, idx), kind)
         out.append(ExperimentWindow(hardened, window.prediction))
     return tuple(out)
+
+
+def _harden_key(seed: int, idx: int) -> int:
+    return seed * (1 << 20) + idx + _HARDEN_KEY_OFFSET
 
 
 def build_cells(rhos, error_levels, ks, theta_mults) -> tuple[SweepCell, ...]:
@@ -198,32 +221,6 @@ def build_cells(rhos, error_levels, ks, theta_mults) -> tuple[SweepCell, ...]:
     return tuple(sorted(cells, key=SweepCell.key))
 
 
-def run_cell(
-    series: PriceSeries,
-    cell: SweepCell,
-    kind: ProblemKind,
-    seed: int,
-    window_len: int,
-    stride: int,
-) -> tuple[CellSummary, ...]:
-    """Evaluate the three policies on one sweep cell of a base series."""
-    scaled = scale_theta(series, cell.theta_mult) if cell.theta_mult != 1.0 else series
-    windows = sliding_windows(scaled, window_len, stride, cell.k, kind)
-    windows = stress_windows(windows, kind, cell.rho, cell.error_level, seed)
-    results = evaluate_windows(windows, kind, seed)
-    summaries = []
-    for algorithm in ALGORITHMS:
-        mean, median, q1, q3 = summarize(r.ratio(algorithm) for r in results)
-        summaries.append(
-            CellSummary(cell, algorithm, len(results), mean, median, q1, q3)
-        )
-    return tuple(summaries)
-
-
-def _run_cell_task(task) -> tuple[CellSummary, ...]:
-    return run_cell(*task)
-
-
 def run_sweep(
     series: PriceSeries,
     cells,
@@ -233,21 +230,114 @@ def run_sweep(
     stride: int,
     workers: int = 1,
 ) -> tuple[CellSummary, ...]:
-    """Evaluate every sweep cell, optionally in a process pool.
+    """Evaluate every sweep cell, one group of cells at a time, optionally in
+    a process pool of at most one worker per group.
 
-    The output is sorted by (cell key, algorithm) and is identical for any
-    worker count.
+    Every cell's rho is checked before any cell runs.  The cells that share
+    (error level, k, theta multiplier) form a group, which ``_run_group``
+    evaluates from one replay; groups run in (theta multiplier, k, error
+    level) order, so consecutive groups share the scaled series and its
+    windows.  A cell that fails raises once every cell before it in key
+    order has run, so the error is the one the cells would raise run one by
+    one in that order.  The output is sorted by (cell key, algorithm), one
+    copy of a cell's rows for each time the cell is given, and is identical
+    for any worker count.
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise InvalidInputError(f"workers must be a positive integer, got {workers}")
     cells = tuple(cells)
     if not cells:
         raise InvalidInputError("run_sweep needs at least one cell")
-    tasks = [(series, cell, kind, seed, window_len, stride) for cell in cells]
-    if workers == 1 or len(cells) == 1:
-        groups = [_run_cell_task(task) for task in tasks]
+    for cell in cells:
+        _check_rho(cell.rho)
+    order = sorted(set(cells), key=SweepCell.key)
+    by_key = {}
+    for cell in order:
+        by_key.setdefault((cell.theta_mult, cell.k, cell.error_level), []).append(cell)
+    groups = [by_key[key] for key in sorted(by_key)]
+    if workers == 1 or len(groups) == 1:
+        windows_of = _window_source(series, window_len, stride, kind)
+        outcomes = _collect((_run_group(windows_of, group, kind, seed) for group in groups), order)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            groups = list(pool.map(_run_cell_task, tasks))
-    flat = [summary for group in groups for summary in group]
+        tasks = [(series, group, kind, seed, window_len, stride) for group in groups]
+        with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
+            outcomes = _collect(pool.map(_run_group_task, tasks), order)
+    flat = [summary for cell in cells for summary in outcomes[cell]]
     return tuple(sorted(flat, key=lambda s: (s.cell.key(), s.algorithm)))
+
+
+def _window_source(series: PriceSeries, window_len: int, stride: int, kind: ProblemKind):
+    """``windows_of(k, theta_mult)``: the series scaled by the multiplier and
+    cut into windows of budget k.  Each step keeps only its latest result,
+    so groups taken in (theta multiplier, k) order scale the series once per
+    multiplier and cut it once per (k, multiplier)."""
+
+    @lru_cache(maxsize=1)
+    def scaled(mult):
+        return scale_theta(series, mult) if mult != 1.0 else series
+
+    @lru_cache(maxsize=1)
+    def windows_of(k, mult):
+        return sliding_windows(scaled(mult), window_len, stride, k, kind)
+
+    return windows_of
+
+
+def _run_group_task(task):
+    series, cells, kind, seed, window_len, stride = task
+    return _run_group(_window_source(series, window_len, stride, kind), cells, kind, seed)
+
+
+def _run_group(windows_of, cells, kind: ProblemKind, seed: int):
+    """Evaluate the cells of one (error level, k, theta multiplier) group,
+    sorted by rho, from one replay.
+
+    The windows' prediction error is dialled once, each window's hardening
+    draw is taken once, and the group replays its W plain windows, then the
+    windows hardened at its largest rho, with the worst-case schedule as the
+    extra column.  A cell's row for window i is the hardened one where the
+    cell's rho is above window i's draw, as in ``stress_windows``.  Returns
+    (cell, summaries) for each cell in order, ending at the first failing
+    cell with (cell, the KSearchError it raised).
+    """
+    done = []
+    try:
+        plain = tuple(adjust_error(window, cells[0].error_level, kind)
+                      for window in windows_of(cells[0].k, cells[0].theta_mult))
+        draws = [_rho_draw(_harden_key(seed, idx)) for idx in range(len(plain))]
+        top = max(cell.rho for cell in cells)
+        hard = [idx for idx, draw in enumerate(draws) if draw < top]
+        stream = plain + tuple(
+            ExperimentWindow(_hard_tail(plain[idx].instance, kind), plain[idx].prediction)
+            for idx in hard
+        )
+        first = plain[0].instance
+        solution = worst_case_thresholds(first.bounds, first.k, kind)
+        matrix = _replay_ratios(stream, kind, (solution.schedule,))
+        hard_row = dict(zip(hard, range(len(plain), len(stream))))
+        for cell in cells:
+            rows = [hard_row[idx] if draw < cell.rho else idx for idx, draw in enumerate(draws)]
+            results = _window_results(matrix[rows], seed, solution)
+            done.append((cell, tuple(
+                CellSummary(cell, algorithm, len(results),
+                            *summarize(r.ratio(algorithm) for r in results))
+                for algorithm in ALGORITHMS
+            )))
+    except KSearchError as error:
+        done.append((cells[len(done)], error))
+    return done
+
+
+def _collect(groups, order) -> dict:
+    """Each cell's summaries from the groups' ``_run_group`` outcomes, taken
+    in turn; a failure raises as soon as every cell before it in ``order``
+    has run."""
+    outcomes = {}
+    for group in groups:
+        outcomes.update(group)
+        for cell in order:
+            if cell not in outcomes:
+                break
+            if isinstance(outcomes[cell], KSearchError):
+                raise outcomes[cell]
+    return outcomes

@@ -50,11 +50,23 @@ def apply_rho_hard(
     single Bernoulli draw from a counter-based generator, so the result is a
     pure function of (instance, rho, seed).
     """
+    _check_rho(rho)
+    return _hard_tail(instance, kind) if _rho_draw(seed) < rho else instance
+
+
+def _check_rho(rho) -> None:
     if not (isinstance(rho, (int, float)) and 0.0 <= rho <= 1.0):
         raise DomainError(f"rho must lie in [0, 1], got {rho}")
-    draw = np.random.Generator(np.random.Philox(seed)).random()
-    if draw >= rho:
-        return instance
+
+
+def _rho_draw(seed: int) -> float:
+    """The uniform draw of ``apply_rho_hard``: the instance is hardened at
+    every rho above it, so hardened sets nest as rho grows."""
+    return np.random.Generator(np.random.Philox(seed)).random()
+
+
+def _hard_tail(instance: SearchInstance, kind: ProblemKind) -> SearchInstance:
+    """The instance with its last k prices replaced by the worst-case tail."""
     tail = instance.bounds.p_min if kind.is_max else instance.bounds.p_max
     k = instance.k
     prices = np.concatenate((instance.prices[:-k], np.full(k, tail)))

@@ -26,9 +26,10 @@ concatenation of one such array per window.  Where the batch raises, its
 predictions are designed one at a time, and a failing one one confidence
 at a time, so the first failing design raises its own error.
 ``run_learning`` returns the final weights, the regret records and that
-matrix.  A weight may underflow to 0 on a long or lopsided stream; it then
-stays at 0, and a round in which every weight underflows is redone in log
-space.
+matrix; the rounds themselves run in ``_hedge``, which the harness also
+calls on ratio rows it replayed itself.  A weight may underflow to 0 on a
+long or lopsided stream; it then stays at 0, and a round in which every
+weight underflows is redone in log space.
 
 Regret is reported against the best fixed grid point in hindsight.
 """
@@ -204,29 +205,38 @@ def run_learning(
 ) -> tuple[tuple[float, ...], tuple[RegretRecord, ...], np.ndarray]:
     """Run Hedge over a window stream and report per-round regret.
 
+    Returns the final weights (aligned with ``GRID``), the records, and the
+    (W, G + E) ratio matrix: a column per grid point, then one per extra
+    schedule.  The ratios do not depend on the weights, so the whole matrix
+    is replayed first and ``_hedge`` then runs the rounds over its grid
+    columns.
+    """
+    windows = tuple(windows)
+    if not windows:
+        raise InvalidInputError("run_learning needs at least one window")
+    matrix = _replay_ratios(windows, kind, extra)
+    weights, records = _hedge(matrix[:, : len(GRID)], seed)
+    return weights, records, matrix
+
+
+def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:
+    """The final weights and the regret records of Hedge over the (W, G)
+    ratios of W rounds, one row per round in ``GRID`` order.
+
     Round t draws a grid index with probability proportional to its weight,
     from a Philox stream keyed by seed * 2^20 + t, observes every grid
     point's ratio, and multiplies each weight by exp(-rate * (ratio - 1)),
     rate = sqrt(8 ln G / rounds), before renormalizing.  The regret baseline
     is fixed at the horizon: the grid point with the smallest total ratio
     over the whole stream; each record's best_fixed_ratio is that point's
-    ratio in that round.
-
-    Returns the final weights (aligned with ``GRID``), the records, and the
-    (W, G + E) ratio matrix: a column per grid point, then one per extra
-    schedule.  The ratios do not depend on the weights, nor the weights on
-    the draws, so the whole matrix is replayed first, the weight recurrence
-    then runs over its rows, and one pass draws every round from the weights
-    it held.
+    ratio in that round.  The weights do not depend on the draws, so the
+    weight recurrence runs over the rows first, and one pass draws every
+    round from the weights it held.
     """
-    windows = tuple(windows)
-    if not windows:
-        raise InvalidInputError("run_learning needs at least one window")
-    if len(windows) >= 1 << 20:
+    rounds = len(by_round)
+    if rounds >= 1 << 20:
         raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
-    rate = math.sqrt(8.0 * math.log(len(GRID)) / len(windows))
-    matrix = _replay_ratios(windows, kind, extra)
-    by_round = matrix[:, : len(GRID)]
+    rate = math.sqrt(8.0 * math.log(len(GRID)) / rounds)
     held = np.empty(by_round.shape)  # each round's weights before its update
     weights = [1.0] * len(GRID)
     for t, row in enumerate(by_round):
@@ -243,8 +253,8 @@ def run_learning(
             raw = [math.exp(x - top) for x in logs]
             total = math.fsum(raw)
         weights = [w / total for w in raw]
-    picks = _draws(held, range(seed * (1 << 20), seed * (1 << 20) + len(windows)))
-    chosen = by_round[np.arange(len(windows)), picks].tolist()
+    picks = _draws(held, range(seed * (1 << 20), seed * (1 << 20) + rounds))
+    chosen = by_round[np.arange(rounds), picks].tolist()
 
     totals = [math.fsum(col.tolist()) for col in by_round.T]
     best_idx = int(np.argmin(totals))
@@ -254,4 +264,4 @@ def run_learning(
     for t, (j, ratio, best) in enumerate(zip(picks.tolist(), chosen, best_ratios), start=1):
         cum += ratio - best
         records.append(RegretRecord(t, GRID[j], ratio, best, cum))
-    return tuple(weights), tuple(records), matrix
+    return tuple(weights), tuple(records)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import pathlib
 import shlex
 
 import pytest
@@ -333,6 +335,45 @@ class TestExperiment:
                 for r in rows]
         assert keys == sorted(keys)
         assert all(float(r[6]) >= 1.0 - 1e-9 for r in rows)
+
+    # digests of the rows after the stamp line, recorded before the sweep
+    # replayed cells in groups: a cell given twice prints its rows twice
+    @pytest.mark.parametrize("flags,digest", [
+        (["--rho", "0.2,0.2"],
+         "b504765521fe67199b4c0f138dd5d31fd05eb6f011b96e4db59c8dd9c75c3970"),
+        (["--k", "5,5"],
+         "c158c08d20e62e52354b906fa3c2ac37ffbf45db703c7bca4ca5eb9c653e4460"),
+        (["--k", "5,5,10", "--rho", "0.0,0.2,0.2", "--theta-mult", "1.0,4.0"],
+         "cf535f5f5c5d76729bfa9eb6a0fb21ef72d3ff9796bd9c29777b21f4d888a668"),
+    ])
+    def test_duplicate_cells_keep_their_rows(self, flags, digest, feed_csv, monkeypatch):
+        feed = pathlib.Path(feed_csv)
+        monkeypatch.chdir(feed.parent)  # the source= comment names the feed as given
+        for workers in ("1", "2"):
+            out = f"dup-{workers}.csv"
+            assert main(["experiment", "--input", feed.name, "--window", "200",
+                         "--stride", "200", "--seed", "7", *flags,
+                         "--workers", workers, "--output", out]) == 0
+            rows = (feed.parent / out).read_text().split("\n", 1)[1]
+            assert hashlib.sha256(rows.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_design_failure_names_its_cell_design(self, workers, tmp_path, capsys):
+        # k = 5 designs; k = 100 meets the failing design point at the first
+        # window's look-back minimum p_min, in every rho cell
+        feed = tmp_path / "feed.csv"
+        prices = [1.0, 5623.413251903491] + [50.0] * 198
+        feed.write_text("timestamp,price\n"
+                        + "".join(f"{t},{p!r}\n" for t, p in enumerate(prices)))
+        assert main(["experiment", "--kind", "min", "--k", "5,100", "--rho", "0.0,0.5",
+                     "--window", "100", "--stride", "100", "--input", str(feed),
+                     "--workers", workers, "--output", str(tmp_path / "exp.csv")]) == 4
+        assert capsys.readouterr().err.splitlines() == [
+            "ksearch: verification failure: robustness violated: max ratio "
+            "4405.0208056927895 > gamma 4405.02080564734 (case VI, P=1.0)",
+            "ksearch: reproduce with: ksearch thresholds --kind min --pmin 1.0 "
+            "--pmax 5623.413251903491 --k 100 --lambda 0.21875 --prediction 1.0",
+        ]
 
 
 class TestLearn:

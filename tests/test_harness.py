@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import ksearch.harness as harness_mod
 from ksearch import (
     ALGORITHMS,
+    CellSummary,
+    ConstructionError,
     InvalidInputError,
     PriceSeries,
     ProblemKind,
@@ -14,8 +17,8 @@ from ksearch import (
     build_cells,
     evaluate_windows,
     gen_synthetic_series,
-    run_cell,
     run_sweep,
+    scale_theta,
     sliding_windows,
     solve_cr,
     stress_windows,
@@ -137,11 +140,11 @@ class TestCellsAndSweep:
         assert cells[0] == SweepCell(0.0, 1.0, 5, 1.0)
         assert cells[-1] == SweepCell(0.3, 1.0, 25, 4.0)
 
-    def test_run_cell_summaries(self):
+    def test_one_cell_summaries(self):
         series = gen_synthetic_series(num_samples=2200, seed=3)
         cell = SweepCell(0.2, 0.5, 10, 1.0)
-        out = run_cell(series, cell, ProblemKind.MAX, 7, 200, 200)
-        assert [s.algorithm for s in out] == list(ALGORITHMS)
+        out = run_sweep(series, (cell,), ProblemKind.MAX, 7, 200, 200)
+        assert [s.algorithm for s in out] == sorted(ALGORITHMS)  # run_sweep's row order
         for s in out:
             assert s.cell == cell
             assert s.window_count == 10
@@ -151,13 +154,13 @@ class TestCellsAndSweep:
     def test_theta_multiplier_widens_bounds(self):
         series = gen_synthetic_series(num_samples=2200, seed=3)
         lo, hi = min(series.prices), max(series.prices)
-        wide = run_cell(series, SweepCell(0.0, 1.0, 10, 4.0),
-                        ProblemKind.MAX, 7, 200, 200)
+        wide = run_sweep(series, (SweepCell(0.0, 1.0, 10, 4.0),),
+                         ProblemKind.MAX, 7, 200, 200)
         assert wide[0].window_count == 10
         # ratios under a 4x wider band cannot be summarized against the
         # original bounds; the worst-case mean must reflect the harder band
-        base = run_cell(series, SweepCell(0.0, 1.0, 10, 1.0),
-                        ProblemKind.MAX, 7, 200, 200)
+        base = run_sweep(series, (SweepCell(0.0, 1.0, 10, 1.0),),
+                         ProblemKind.MAX, 7, 200, 200)
         on_wide = next(s for s in wide if s.algorithm == "ota-on")
         on_base = next(s for s in base if s.algorithm == "ota-on")
         assert on_wide.mean > on_base.mean
@@ -179,6 +182,77 @@ class TestCellsAndSweep:
         cells = build_cells((0.0,), (1.0,), (5,), (1.0,))
         with pytest.raises(InvalidInputError):
             run_sweep(series, cells, ProblemKind.MAX, 7, 200, 200, workers=0)
+
+
+def _per_cell_sweep(series, cells, kind, seed, window_len, stride):
+    """run_sweep's summaries, each cell evaluated on its own through the
+    public window pipeline: the reference the grouped sweep must equal."""
+    out = []
+    for cell in cells:
+        scaled = scale_theta(series, cell.theta_mult) if cell.theta_mult != 1.0 else series
+        windows = sliding_windows(scaled, window_len, stride, cell.k, kind)
+        windows = stress_windows(windows, kind, cell.rho, cell.error_level, seed)
+        results = evaluate_windows(windows, kind, seed)
+        for algorithm in ALGORITHMS:
+            out.append(CellSummary(cell, algorithm, len(results),
+                                   *summarize(r.ratio(algorithm) for r in results)))
+    return tuple(sorted(out, key=lambda s: (s.cell.key(), s.algorithm)))
+
+
+class TestGroupedSweep:
+    """Cells sharing (error level, k, theta multiplier) replay together."""
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("rhos", [(0.0,), (0.0, 0.2), (0.2, 0.0, 1.0)])
+    def test_groups_equal_the_cells_evaluated_one_by_one(self, kind, rhos):
+        # 20 windows, of which rho = 0.2 hardens 5 at seed 7 and rho = 1 all
+        series = gen_synthetic_series(num_samples=4200, seed=3)
+        cells = build_cells(rhos, (0.5, 1.0), (5, 10), (1.0, 4.0))
+        expected = _per_cell_sweep(series, cells, kind, 7, 200, 200)
+        for workers in (1, 2):
+            assert run_sweep(series, cells, kind, 7, 200, 200, workers=workers) == expected
+
+    def test_the_first_failing_cell_in_key_order_raises(self, monkeypatch):
+        # groups run in (theta multiplier, k, error level) order, so the group
+        # (k = 5, level 1) fails first; key order puts (level 0.5, k = 100) first
+        real = harness_mod.adjust_error
+
+        def failing(window, level, kind):
+            if (window.instance.k, level) in {(100, 0.5), (5, 1.0)}:
+                raise ConstructionError(f"k={window.instance.k} level={level}")
+            return real(window, level, kind)
+
+        monkeypatch.setattr(harness_mod, "adjust_error", failing)
+        series = gen_synthetic_series(num_samples=2200, seed=3)
+        cells = build_cells((0.0, 0.4), (0.5, 1.0), (5, 100), (1.0,))
+        with pytest.raises(ConstructionError, match="^k=100 level=0.5$"):
+            run_sweep(series, cells, ProblemKind.MAX, 7, 200, 200)
+
+    def test_pool_has_at_most_one_worker_per_group(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", RecordingPool)
+        series = gen_synthetic_series(num_samples=2200, seed=3)
+        two_groups = build_cells((0.0, 0.4), (1.0,), (5, 10), (1.0,))
+        serial = run_sweep(series, two_groups, ProblemKind.MAX, 7, 200, 200)
+        assert run_sweep(series, two_groups, ProblemKind.MAX, 7, 200, 200, workers=4) == serial
+        assert sizes == [2]
+        one_group = build_cells((0.0, 0.4), (1.0,), (5,), (1.0,))
+        run_sweep(series, one_group, ProblemKind.MAX, 7, 200, 200, workers=4)
+        assert sizes == [2]  # one group runs in this process
 
 
 class TestDirectionalProperties:
