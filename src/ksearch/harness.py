@@ -32,13 +32,13 @@ from __future__ import annotations
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .core import ProblemKind
-from .errors import ConstructionError, InvalidInputError, KSearchError
+from .errors import ConstructionError, InvalidInputError
 from .instances import (
     ExperimentWindow,
     PriceSeries,
@@ -235,11 +235,10 @@ def run_sweep(
 
     Every cell's rho is checked before any cell runs.  The cells that share
     (error level, k, theta multiplier) form a group, which ``_run_group``
-    evaluates from one replay; groups run in (theta multiplier, k, error
-    level) order, so consecutive groups share the scaled series and its
-    windows.  A cell that fails raises once every cell before it in key
-    order has run, so the error is the one the cells would raise run one by
-    one in that order.  The output is sorted by (cell key, algorithm), one
+    evaluates from one replay; groups run in (error level, k, theta
+    multiplier) order.  A cell that fails raises once every cell before it
+    in key order has run, so the error is the one the cells would raise run
+    one by one in that order, whatever its type.  The output is sorted by (cell key, algorithm), one
     copy of a cell's rows for each time the cell is given, and is identical
     for any worker count.
     """
@@ -253,57 +252,44 @@ def run_sweep(
     order = sorted(set(cells), key=SweepCell.key)
     by_key = {}
     for cell in order:
-        by_key.setdefault((cell.theta_mult, cell.k, cell.error_level), []).append(cell)
+        by_key.setdefault((cell.error_level, cell.k, cell.theta_mult), []).append(cell)
     groups = [by_key[key] for key in sorted(by_key)]
+    run = partial(_run_group, series, kind=kind, seed=seed, window_len=window_len, stride=stride)
     if workers == 1 or len(groups) == 1:
-        windows_of = _window_source(series, window_len, stride, kind)
-        outcomes = _collect((_run_group(windows_of, group, kind, seed) for group in groups), order)
+        outcomes = _collect(map(run, groups), order)
     else:
-        tasks = [(series, group, kind, seed, window_len, stride) for group in groups]
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-            outcomes = _collect(pool.map(_run_group_task, tasks), order)
+            outcomes = _collect(pool.map(run, groups), order)
     flat = [summary for cell in cells for summary in outcomes[cell]]
     return tuple(sorted(flat, key=lambda s: (s.cell.key(), s.algorithm)))
 
 
-def _window_source(series: PriceSeries, window_len: int, stride: int, kind: ProblemKind):
-    """``windows_of(k, theta_mult)``: the series scaled by the multiplier and
-    cut into windows of budget k.  Each step keeps only its latest result,
-    so groups taken in (theta multiplier, k) order scale the series once per
-    multiplier and cut it once per (k, multiplier)."""
-
-    @lru_cache(maxsize=1)
-    def scaled(mult):
-        return scale_theta(series, mult) if mult != 1.0 else series
-
-    @lru_cache(maxsize=1)
-    def windows_of(k, mult):
-        return sliding_windows(scaled(mult), window_len, stride, k, kind)
-
-    return windows_of
-
-
-def _run_group_task(task):
-    series, cells, kind, seed, window_len, stride = task
-    return _run_group(_window_source(series, window_len, stride, kind), cells, kind, seed)
-
-
-def _run_group(windows_of, cells, kind: ProblemKind, seed: int):
+def _run_group(
+    series: PriceSeries,
+    cells,
+    kind: ProblemKind,
+    seed: int,
+    window_len: int,
+    stride: int,
+):
     """Evaluate the cells of one (error level, k, theta multiplier) group,
     sorted by rho, from one replay.
 
-    The windows' prediction error is dialled once, each window's hardening
-    draw is taken once, and the group replays its W plain windows, then the
-    windows hardened at its largest rho, with the worst-case schedule as the
-    extra column.  A cell's row for window i is the hardened one where the
-    cell's rho is above window i's draw, as in ``stress_windows``.  Returns
-    (cell, summaries) for each cell in order, ending at the first failing
-    cell with (cell, the KSearchError it raised).
+    The series is scaled and cut into windows once, the windows' prediction
+    error is dialled once, each window's hardening draw is taken once, and
+    the group replays its W plain windows, then the windows hardened at its
+    largest rho, with the worst-case schedule as the extra column.  A cell's
+    row for window i is the hardened one where the cell's rho is above
+    window i's draw, as in ``stress_windows``.  Returns (cell, summaries)
+    for each cell in order, ending at the first failing cell with (cell, the
+    exception it raised).
     """
     done = []
     try:
-        plain = tuple(adjust_error(window, cells[0].error_level, kind)
-                      for window in windows_of(cells[0].k, cells[0].theta_mult))
+        head = cells[0]
+        scaled = scale_theta(series, head.theta_mult) if head.theta_mult != 1.0 else series
+        plain = tuple(adjust_error(window, head.error_level, kind)
+                      for window in sliding_windows(scaled, window_len, stride, head.k, kind))
         draws = [_rho_draw(_harden_key(seed, idx)) for idx in range(len(plain))]
         top = max(cell.rho for cell in cells)
         hard = [idx for idx, draw in enumerate(draws) if draw < top]
@@ -323,7 +309,7 @@ def _run_group(windows_of, cells, kind: ProblemKind, seed: int):
                             *summarize(r.ratio(algorithm) for r in results))
                 for algorithm in ALGORITHMS
             )))
-    except KSearchError as error:
+    except Exception as error:  # re-raised by _collect, in cell key order
         done.append((cells[len(done)], error))
     return done
 
@@ -338,6 +324,6 @@ def _collect(groups, order) -> dict:
         for cell in order:
             if cell not in outcomes:
                 break
-            if isinstance(outcomes[cell], KSearchError):
+            if isinstance(outcomes[cell], Exception):
                 raise outcomes[cell]
     return outcomes
