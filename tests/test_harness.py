@@ -212,14 +212,20 @@ class TestGroupedSweep:
         for workers in (1, 2):
             assert run_sweep(series, cells, kind, 7, 200, 200, workers=workers) == expected
 
-    # Groups run in (error level, k, theta multiplier) order, so the group
-    # (level 0.5, k = 5) runs first, though its one cell, at rho = 0.4, comes
-    # last in key order.
-    CELLS = (SweepCell(0.4, 0.5, 5, 1.0), SweepCell(0.0, 1.0, 5, 1.0),
-             SweepCell(0.0, 1.0, 100, 1.0))
-
-    @staticmethod
-    def _fail_at(monkeypatch, errors):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("errors, raised, message", [
+        ({(5, 0.5): ConstructionError, (100, 1.0): ConstructionError},
+         ConstructionError, "k=100 level=1.0"),
+        ({(5, 0.5): OverflowError, (100, 1.0): ConstructionError},
+         ConstructionError, "k=100 level=1.0"),
+        ({(5, 0.5): OverflowError}, OverflowError, "k=5 level=0.5"),
+    ])
+    def test_the_first_failing_cell_in_key_order_raises(
+        self, monkeypatch, workers, errors, raised, message
+    ):
+        # groups run in (error level, k, theta multiplier) order, so the group
+        # (level 0.5, k = 5) runs first, though its one cell, at rho = 0.4,
+        # comes last in key order
         real = harness_mod.adjust_error
 
         def failing(window, level, kind):
@@ -229,21 +235,11 @@ class TestGroupedSweep:
             return real(window, level, kind)
 
         monkeypatch.setattr(harness_mod, "adjust_error", failing)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("late_error", [ConstructionError, OverflowError])
-    def test_the_first_failing_cell_in_key_order_raises(self, monkeypatch, workers, late_error):
-        self._fail_at(monkeypatch, {(5, 0.5): late_error, (100, 1.0): ConstructionError})
         series = gen_synthetic_series(num_samples=2200, seed=3)
-        with pytest.raises(ConstructionError, match="^k=100 level=1.0$"):
-            run_sweep(series, self.CELLS, ProblemKind.MAX, 7, 200, 200, workers=workers)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_an_untyped_failure_raises_in_its_turn(self, monkeypatch, workers):
-        self._fail_at(monkeypatch, {(5, 0.5): OverflowError})
-        series = gen_synthetic_series(num_samples=2200, seed=3)
-        with pytest.raises(OverflowError, match="^k=5 level=0.5$"):
-            run_sweep(series, self.CELLS, ProblemKind.MAX, 7, 200, 200, workers=workers)
+        cells = (SweepCell(0.4, 0.5, 5, 1.0), SweepCell(0.0, 1.0, 5, 1.0),
+                 SweepCell(0.0, 1.0, 100, 1.0))
+        with pytest.raises(raised, match=f"^{message}$"):
+            run_sweep(series, cells, ProblemKind.MAX, 7, 200, 200, workers=workers)
 
     def test_pool_has_at_most_one_worker_per_group(self, monkeypatch):
         sizes = []
