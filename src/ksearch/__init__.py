@@ -61,7 +61,6 @@ from .instances import (
     ExperimentWindow,
     PriceSeries,
     adjust_error,
-    apply_rho_hard,
     gen_synthetic_series,
     ingest_csv,
     scale_theta,
@@ -79,7 +78,6 @@ from .harness import (
     build_cells,
     evaluate_windows,
     run_sweep,
-    stress_windows,
     summarize,
 )
 
@@ -112,7 +110,6 @@ __all__ = [
     "WindowResult",
     "WorstCaseSolution",
     "adjust_error",
-    "apply_rho_hard",
     "build_cells",
     "design",
     "evaluate_windows",
@@ -134,7 +131,6 @@ __all__ = [
     "solve_alpha_star",
     "solve_cr",
     "solve_phi_star",
-    "stress_windows",
     "summarize",
     "target_point",
     "worst_case_thresholds",

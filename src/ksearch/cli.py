@@ -43,7 +43,6 @@ from .harness import (
     build_cells,
     evaluate_windows,
     run_sweep,
-    stress_windows,
     summarize,
 )
 from .instances import (
@@ -51,6 +50,7 @@ from .instances import (
     STRIDE_SAMPLES,
     WINDOW_SAMPLES,
     PriceSeries,
+    adjust_error,
     gen_synthetic_series,
     ingest_csv,
     sliding_windows,
@@ -320,8 +320,8 @@ def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
     ]
     rows = []
     for level in args.error_levels:
-        stressed = stress_windows(windows, kind, 0.0, level, args.seed)
-        results = evaluate_windows(stressed, kind, args.seed)
+        dialled = tuple(adjust_error(window, level, kind) for window in windows)
+        results = evaluate_windows(dialled, kind, args.seed)
         for algorithm in ALGORITHMS:
             for res in results:
                 rows.append((
@@ -371,7 +371,7 @@ def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
     rows = []
     for kd in kinds:
         windows = sliding_windows(series, args.window, args.stride, args.k, kd)
-        weights, history, _ = run_learning(windows, kd, args.seed)
+        weights, history = run_learning(windows, kd, args.seed)
         for rec in history:
             rows.append((
                 kd.value, rec.round, rec.chosen_lambda, rec.chosen_ratio,

@@ -7,7 +7,8 @@ One evaluation compares three selection policies on the same window stream:
                      replaying the window against every grid design after the
                      fact
 - ``ota-learned``    the confidence sampled round-by-round by the Hedge
-                     loop of ``learner.run_learning``
+                     rounds of ``learner._hedge``, which ``run_learning``
+                     also runs, returning weights and regret records
 
 The budget k and the price band come from the windows (the first one,
 which the rest must match); the confidence grid is the learner's ``GRID``.
@@ -19,12 +20,14 @@ share (error level, k, theta multiplier) differ only in rho.  Groups are
 independent, so they can run in a process pool; results are sorted by cell
 key so the output does not depend on scheduling.
 
-Tail hardening is *coupled* across cells: the Bernoulli draw for window i
-uses a seed derived from (run seed, i) only, so the set of windows hardened
-at rho = 0.1 is a subset of those hardened at rho = 0.2, making the rho
-sweep a genuinely nested stress test.  A group's cells therefore see each
-window in at most two versions, plain and hardened, and the group replays
-each version once.
+Tail hardening happens inside a group: with probability rho a window's
+last k prices become the worst-case tail (``_hard_tail``).  It is *coupled*
+across cells: window i's uniform draw comes from a Philox stream keyed by
+(run seed, i) only, and the window is hardened at every rho above it, so the
+set of windows hardened at rho = 0.1 is a subset of those hardened at
+rho = 0.2, making the rho sweep a genuinely nested stress test.  A group's
+cells therefore see each window in at most two versions, plain and
+hardened, and the group replays each version once.
 """
 
 from __future__ import annotations
@@ -37,27 +40,23 @@ from itertools import product
 
 import numpy as np
 
-from .core import ProblemKind
-from .errors import ConstructionError, InvalidInputError
+from .core import ProblemKind, SearchInstance
+from .errors import ConstructionError, DomainError, InvalidInputError
 from .instances import (
     ExperimentWindow,
     PriceSeries,
-    _check_rho,
-    _hard_tail,
-    _rho_draw,
     adjust_error,
-    apply_rho_hard,
     scale_theta,
     sliding_windows,
 )
-from .learner import GRID, _hedge, _replay_ratios
+from .learner import GRID, _hedge, _replay_ratios, _uniforms
 from .worstcase import WorstCaseSolution, worst_case_thresholds
 
 ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
 
 # Hardening draws must never share a Philox key with the learner's
 # per-round selection draws (seed * 2^20 + t with t < 2^20), so they live
-# in a disjoint key range.
+# in a disjoint key range: window i's key is seed * 2^20 + i + 2^63.
 _HARDEN_KEY_OFFSET = 1 << 63
 
 
@@ -186,30 +185,25 @@ def _window_results(
     return tuple(results)
 
 
-def stress_windows(
-    windows,
-    kind: ProblemKind,
-    rho: float,
-    error_level: float,
-    seed: int,
-) -> tuple[ExperimentWindow, ...]:
-    """Dial each window's prediction error, then harden tails with prob. rho.
-
-    The error level is applied first: hardening models corruption that
-    arrives after the forecast is made, so a "perfect" prediction stays
-    anchored to the pre-corruption extreme, and a hardened window keeps the
-    prediction it was given.
-    """
-    out = []
-    for idx, window in enumerate(windows):
-        window = adjust_error(window, error_level, kind)
-        hardened = apply_rho_hard(window.instance, rho, _harden_key(seed, idx), kind)
-        out.append(ExperimentWindow(hardened, window.prediction))
-    return tuple(out)
+def _check_rho(rho) -> None:
+    if not (isinstance(rho, (int, float)) and 0.0 <= rho <= 1.0):
+        raise DomainError(f"rho must lie in [0, 1], got {rho}")
 
 
-def _harden_key(seed: int, idx: int) -> int:
-    return seed * (1 << 20) + idx + _HARDEN_KEY_OFFSET
+def _hardening_draws(seed: int, count: int) -> list[float]:
+    """The uniform draws of a run's first ``count`` windows."""
+    first = seed * (1 << 20) + _HARDEN_KEY_OFFSET
+    return _uniforms(range(first, first + count)).tolist()
+
+
+def _hard_tail(instance: SearchInstance, kind: ProblemKind) -> SearchInstance:
+    """The instance with its last k prices replaced by the worst-case tail:
+    p_min for max-search (the compulsory picks become worthless), p_max for
+    min-search."""
+    tail = instance.bounds.p_min if kind.is_max else instance.bounds.p_max
+    k = instance.k
+    prices = np.concatenate((instance.prices[:-k], np.full(k, tail)))
+    return SearchInstance(prices, k, instance.bounds)
 
 
 def build_cells(rhos, error_levels, ks, theta_mults) -> tuple[SweepCell, ...]:
@@ -280,9 +274,10 @@ def _run_group(
     the group replays its W plain windows, then the windows hardened at its
     largest rho, with the worst-case schedule as the extra column.  A cell's
     row for window i is the hardened one where the cell's rho is above
-    window i's draw, as in ``stress_windows``.  Returns (cell, summaries)
-    for each cell in order, ending at the first failing cell with (cell, the
-    exception it raised).
+    window i's draw; hardening comes after the error is dialled, so a
+    hardened window keeps the prediction it was given.  Returns (cell,
+    summaries) for each cell in order, ending at the first failing cell with
+    (cell, the exception it raised).
     """
     done = []
     try:
@@ -290,7 +285,7 @@ def _run_group(
         scaled = scale_theta(series, head.theta_mult) if head.theta_mult != 1.0 else series
         plain = tuple(adjust_error(window, head.error_level, kind)
                       for window in sliding_windows(scaled, window_len, stride, head.k, kind))
-        draws = [_rho_draw(_harden_key(seed, idx)) for idx in range(len(plain))]
+        draws = _hardening_draws(seed, len(plain))
         top = max(cell.rho for cell in cells)
         hard = [idx for idx, draw in enumerate(draws) if draw < top]
         stream = plain + tuple(

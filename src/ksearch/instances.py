@@ -2,17 +2,17 @@
 
 Two families of inputs feed the simulation harness:
 
-* experiment transformations — hard-tail injection with probability rho,
-  prediction-error dialing, and fluctuation-ratio scaling;
+* experiment transformations — prediction-error dialing and
+  fluctuation-ratio scaling (the harness hardens tails itself);
 * real or synthetic price series — a CSV ingestion contract plus a seeded
   mean-reverting synthetic series, both cut into overlapping experiment
   windows whose predictions come from the preceding window.
 
 A series holds its prices once, as a read-only array; its windows are row
-views of it, and only a hardened window gets an array of its own.
+views of it, and only a window the harness hardens gets an array of its own.
 
-All stochastic operations are pure functions of (inputs, seed) via a
-counter-based generator, so every experiment is bit-reproducible.
+The synthetic feed is a pure function of (inputs, seed) via a counter-based
+generator, so every experiment is bit-reproducible.
 """
 
 from __future__ import annotations
@@ -38,39 +38,6 @@ STRIDE_SAMPLES = 3 * SAMPLES_PER_DAY  # 432
 FIVE_YEAR_SAMPLES = 1770 * SAMPLES_PER_DAY  # 254880
 # the header of a feed that ingest_csv parses in bulk
 _PLAIN_HEADER = "timestamp,price\n"
-
-
-def apply_rho_hard(
-    instance: SearchInstance, rho: float, seed: int, kind: ProblemKind
-) -> SearchInstance:
-    """With probability rho, replace the last k prices by the worst-case tail.
-
-    The hard tail is k copies of p_min for max-search (the compulsory picks
-    become worthless) and k copies of p_max for min-search.  The branch is a
-    single Bernoulli draw from a counter-based generator, so the result is a
-    pure function of (instance, rho, seed).
-    """
-    _check_rho(rho)
-    return _hard_tail(instance, kind) if _rho_draw(seed) < rho else instance
-
-
-def _check_rho(rho) -> None:
-    if not (isinstance(rho, (int, float)) and 0.0 <= rho <= 1.0):
-        raise DomainError(f"rho must lie in [0, 1], got {rho}")
-
-
-def _rho_draw(seed: int) -> float:
-    """The uniform draw of ``apply_rho_hard``: the instance is hardened at
-    every rho above it, so hardened sets nest as rho grows."""
-    return np.random.Generator(np.random.Philox(seed)).random()
-
-
-def _hard_tail(instance: SearchInstance, kind: ProblemKind) -> SearchInstance:
-    """The instance with its last k prices replaced by the worst-case tail."""
-    tail = instance.bounds.p_min if kind.is_max else instance.bounds.p_max
-    k = instance.k
-    prices = np.concatenate((instance.prices[:-k], np.full(k, tail)))
-    return SearchInstance(prices, k, instance.bounds)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -186,8 +153,9 @@ def _bulk_series(path) -> PriceSeries | None:
     The header must be exactly ``timestamp,price`` and no line blank
     (``loadtxt`` skips blank lines, the row loop rejects them).  Every other
     line must be an int64 and a float64: ``loadtxt`` takes no quotes, and a
-    value it takes is the one ``int()`` or ``float()`` gives.  The prices
-    must be positive and finite and the timestamps strictly increasing."""
+    value it takes is the one ``int()`` or ``float()`` gives.  A series that
+    ``PriceSeries`` rejects is left to the row loop too, which names the
+    offending row."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
@@ -202,11 +170,10 @@ def _bulk_series(path) -> PriceSeries | None:
                           ndmin=1)
     except (ValueError, OverflowError):
         return None
-    stamps, prices = rows["timestamp"], rows["price"]
-    if not (prices.min() > 0 and math.isfinite(prices.max())
-            and (stamps[1:] > stamps[:-1]).all()):
+    try:
+        return PriceSeries(rows["price"], tuple(rows["timestamp"].tolist()))
+    except InvalidInputError:
         return None
-    return PriceSeries(prices, tuple(stamps.tolist()))
 
 
 def _row_series(path) -> PriceSeries:

@@ -25,11 +25,11 @@ pass (``augmented._construct_grid``); a block's thresholds are the
 concatenation of one such array per window.  Where the batch raises, its
 predictions are designed one at a time, and a failing one one confidence
 at a time, so the first failing design raises its own error.
-``run_learning`` returns the final weights, the regret records and that
-matrix; the rounds themselves run in ``_hedge``, which the harness also
-calls on ratio rows it replayed itself.  A weight may underflow to 0 on a
-long or lopsided stream; it then stays at 0, and a round in which every
-weight underflows is redone in log space.
+The Hedge rounds run in ``learner._hedge``, which the harness also calls on
+ratio rows it replayed itself; ``run_learning`` returns the final weights
+and the regret records.  A weight may underflow to 0 on a long or lopsided
+stream; it then stays at 0, and a round in which every weight underflows is
+redone in log space.
 
 Regret is reported against the best fixed grid point in hindsight.
 """
@@ -184,7 +184,7 @@ def _draws(weights: np.ndarray, keys) -> np.ndarray:
 
     As ``choice`` does, each row's probabilities are accumulated and scaled
     so that the last is 1, and the draw counts those at or below the
-    stream's first double, the top 53 bits of its first raw output.
+    stream's first double (``_uniforms``).
     Probabilities that are negative, NaN or do not sum to 1 within sqrt(eps)
     raise ValueError, as they do in ``choice``."""
     probs = weights / weights.sum(axis=1, keepdims=True)
@@ -192,31 +192,31 @@ def _draws(weights: np.ndarray, keys) -> np.ndarray:
         raise ValueError("probabilities are negative, NaN or do not sum to 1")
     cdf = np.cumsum(probs, axis=1, out=probs)
     cdf /= cdf[:, -1:]
+    return np.count_nonzero(cdf <= _uniforms(keys)[:, None], axis=1)
+
+
+def _uniforms(keys) -> np.ndarray:
+    """The first double of the Philox stream of each key, as
+    ``Generator(Philox(key)).random()`` draws it: the top 53 bits of the
+    stream's first raw output, times 2^-53."""
     uniform = np.array([np.random.Philox(key).random_raw() >> 11 for key in keys], dtype=float)
     uniform *= 2.0**-53
-    return np.count_nonzero(cdf <= uniform[:, None], axis=1)
+    return uniform
 
 
 def run_learning(
-    windows,
-    kind: ProblemKind,
-    seed: int,
-    extra: tuple[ThresholdSchedule, ...] = (),
-) -> tuple[tuple[float, ...], tuple[RegretRecord, ...], np.ndarray]:
+    windows, kind: ProblemKind, seed: int
+) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:
     """Run Hedge over a window stream and report per-round regret.
 
-    Returns the final weights (aligned with ``GRID``), the records, and the
-    (W, G + E) ratio matrix: a column per grid point, then one per extra
-    schedule.  The ratios do not depend on the weights, so the whole matrix
-    is replayed first and ``_hedge`` then runs the rounds over its grid
-    columns.
+    Returns the final weights (aligned with ``GRID``) and the records.  The
+    ratios do not depend on the weights, so the whole (W, G) ratio matrix is
+    replayed first and ``_hedge`` then runs the rounds over it.
     """
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("run_learning needs at least one window")
-    matrix = _replay_ratios(windows, kind, extra)
-    weights, records = _hedge(matrix[:, : len(GRID)], seed)
-    return weights, records, matrix
+    return _hedge(_replay_ratios(windows, kind), seed)
 
 
 def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:

@@ -15,6 +15,11 @@ and ``verify_reference`` checking the eta-covered intervals one by one.
 ``ksearch.augmented._construct`` builds each piece in one pass with the
 same float operations in the same order, so its designs, indices and
 failures must equal this one's bit for bit.
+
+``harden_reference`` is the sweep's tail hardening one window at a time,
+from the public API: its own ``Generator(Philox(key)).random()`` draw per
+window and its own tail.  ``run_sweep`` hardens inside its cell groups, from
+one batch of draws, and must pick and build the same windows.
 """
 
 import math
@@ -24,10 +29,12 @@ import numpy as np
 from ksearch import (
     AugmentedDesign,
     ConstructionError,
+    ExperimentWindow,
     InvalidInputError,
     ParetoPoint,
     PriceBounds,
     ProblemKind,
+    SearchInstance,
     ThresholdSchedule,
 )
 from ksearch.augmented import (
@@ -271,3 +278,21 @@ def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, i
     if not schedule.kind.is_max:
         total = -total
     return total, voluntary
+
+
+def harden_reference(windows, kind: ProblemKind, rho: float, seed: int) -> tuple:
+    """The windows with window i hardened where the uniform draw of the
+    Philox stream keyed by seed * 2^20 + i + 2^63 falls below rho: its last
+    k prices become p_min for max-search and p_max for min-search, and it
+    keeps its prediction.  A window left as it is keeps its instance."""
+    out = []
+    for i, window in enumerate(windows):
+        instance = window.instance
+        draw = np.random.Generator(np.random.Philox(seed * 2**20 + i + 2**63)).random()
+        if draw < rho:
+            prices = instance.prices.tolist()
+            tail = instance.bounds.p_min if kind.is_max else instance.bounds.p_max
+            prices[-instance.k:] = [tail] * instance.k
+            instance = SearchInstance(prices, instance.k, instance.bounds)
+        out.append(ExperimentWindow(instance, window.prediction))
+    return tuple(out)

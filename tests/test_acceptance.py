@@ -240,7 +240,7 @@ def test_criterion_11_learner_convergence_under_120s():
     best = int(np.argmin(totals))
     assert all(totals[best] < t for i, t in enumerate(totals) if i != best)
 
-    _, history, _ = run_learning(windows, MAX, seed=11)
+    _, history = run_learning(windows, MAX, seed=11)
     chosen = np.array([rec.chosen_ratio for rec in history])
     best_fixed = np.array([rec.best_fixed_ratio for rec in history])
     assert chosen[500:].mean() - best_fixed[500:].mean() <= 0.05

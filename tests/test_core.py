@@ -422,18 +422,50 @@ def _numpy_transcendentals(node, numpy_names, scope):
         yield from _numpy_transcendentals(child, numpy_names, inner)
 
 
-def test_library_takes_no_power_exp_or_log_from_numpy():
-    """Powers come from ``**``, exponentials and logs from ``math``."""
+def _library_modules():
+    """(file name, syntax tree, names numpy is imported as) of each module
+    of the library."""
     package = pathlib.Path(ksearch.__file__).parent
-    found = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        numpy_names = {alias.asname or alias.name for node in ast.walk(tree)
-                       if isinstance(node, ast.Import)
-                       for alias in node.names if alias.name == "numpy"}
-        found.update((path.name, scope, name)
-                     for scope, name in _numpy_transcendentals(tree, numpy_names, None))
+        yield path.name, tree, {alias.asname or alias.name for node in ast.walk(tree)
+                                if isinstance(node, ast.Import)
+                                for alias in node.names if alias.name == "numpy"}
+
+
+def test_library_takes_no_power_exp_or_log_from_numpy():
+    """Powers come from ``**``, exponentials and logs from ``math``."""
+    found = {(name, scope, call) for name, tree, numpy_names in _library_modules()
+             for scope, call in _numpy_transcendentals(tree, numpy_names, None)}
     assert found == _NUMPY_TRANSCENDENTALS_ALLOWED  # the allowed call is seen too
+
+
+# The library draws Philox first doubles, all through ``learner._uniforms``,
+# and the synthetic feed's noise; the CSV digests fix both, so a draw taken
+# any other way would be a second copy of one of them to keep bit-equal.
+_NUMPY_RANDOM_ALLOWED = {("learner.py", "_uniforms"), ("instances.py", "gen_synthetic_series")}
+
+
+def _numpy_random_scopes(node, numpy_names, scope):
+    """The enclosing function of each use of ``numpy.random`` under node."""
+    for child in ast.iter_child_nodes(node):
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        if (isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name)
+                and child.value.id in numpy_names and child.attr == "random"):
+            yield scope
+        elif isinstance(child, (ast.Import, ast.ImportFrom)):
+            prefix = f"{child.module}." if isinstance(child, ast.ImportFrom) else ""
+            if any(f"{prefix}{alias.name}.".startswith("numpy.random.") for alias in child.names):
+                yield scope
+        yield from _numpy_random_scopes(child, numpy_names, inner)
+
+
+def test_library_draws_from_numpy_random_only_in_the_uniform_helper_and_the_feed():
+    """``np.random`` (and so ``Philox``) is opened only by ``learner._uniforms``
+    and ``instances.gen_synthetic_series``."""
+    found = {(name, scope) for name, tree, numpy_names in _library_modules()
+             for scope in _numpy_random_scopes(tree, numpy_names, None)}
+    assert found == _NUMPY_RANDOM_ALLOWED  # both allowed uses are seen too
 
 
 def test_every_export_is_used_by_program_code():

@@ -10,10 +10,14 @@ from ksearch import (
     ALGORITHMS,
     CellSummary,
     ConstructionError,
+    DomainError,
     InvalidInputError,
+    PriceBounds,
     PriceSeries,
     ProblemKind,
+    SearchInstance,
     SweepCell,
+    adjust_error,
     build_cells,
     evaluate_windows,
     gen_synthetic_series,
@@ -21,9 +25,9 @@ from ksearch import (
     scale_theta,
     sliding_windows,
     solve_cr,
-    stress_windows,
     summarize,
 )
+from oracle import harden_reference
 
 
 def _windows(n_samples=2200, seed=3, window=200, stride=200, k=10,
@@ -51,48 +55,30 @@ class TestSummarize:
             summarize([])
 
 
-class TestStressWindows:
-    def test_rho_zero_keeps_instances(self):
-        windows = _windows()
-        out = stress_windows(windows, ProblemKind.MAX, 0.0, 1.0, seed=9)
-        assert all(a.instance is b.instance for a, b in zip(out, windows))
+class TestHardening:
+    """``run_sweep``'s groups harden tails with ``_hard_tail``, at the
+    windows whose ``_hardening_draws`` fall below the cell's rho."""
 
-    def test_rho_one_hardens_every_tail(self):
-        windows = _windows()
-        p_min = windows[0].instance.bounds.p_min
-        out = stress_windows(windows, ProblemKind.MAX, 1.0, 1.0, seed=9)
-        for window in out:
-            assert window.instance.prices[-10:].tolist() == [p_min] * 10
-
-    def test_min_kind_hardens_to_p_max(self):
-        windows = _windows(kind=ProblemKind.MIN)
-        p_max = windows[0].instance.bounds.p_max
-        out = stress_windows(windows, ProblemKind.MIN, 1.0, 1.0, seed=9)
-        for window in out:
-            assert window.instance.prices[-10:].tolist() == [p_max] * 10
+    @pytest.mark.parametrize("kind, tail", [(ProblemKind.MAX, 5.0), (ProblemKind.MIN, 50.0)])
+    def test_tail_is_the_kinds_worst_price(self, kind, tail):
+        inst = SearchInstance((7.0, 30.0, 12.0, 45.0, 9.0, 20.0), 2, PriceBounds(5.0, 50.0))
+        out = harness_mod._hard_tail(inst, kind)
+        assert out.prices.tolist() == [7.0, 30.0, 12.0, 45.0, tail, tail]
+        assert (out.k, out.bounds) == (inst.k, inst.bounds)
 
     def test_hardened_sets_nest_across_rho(self):
-        windows = _windows()
+        windows = _windows(n_samples=10_400)  # 51 windows
+        draws = harness_mod._hardening_draws(9, len(windows))
         hit_sets = []
-        for rho in (0.1, 0.2, 0.3):
-            out = stress_windows(windows, ProblemKind.MAX, rho, 1.0, seed=9)
-            hit_sets.append({
-                i for i, (a, b) in enumerate(zip(out, windows))
-                if a.instance is not b.instance
-            })
-        assert hit_sets[0] <= hit_sets[1] <= hit_sets[2]
-
-    def test_error_level_zero_makes_predictions_exact(self):
-        windows = _windows()
-        out = stress_windows(windows, ProblemKind.MAX, 0.0, 0.0, seed=9)
-        for window in out:
-            assert window.prediction == max(window.instance.prices)
-
-    def test_deterministic(self):
-        windows = _windows()
-        a = stress_windows(windows, ProblemKind.MAX, 0.5, 0.3, seed=4)
-        b = stress_windows(windows, ProblemKind.MAX, 0.5, 0.3, seed=4)
-        assert a == b
+        for rho in (0.0, 0.1, 0.2, 0.3, 1.0):
+            hits = {i for i, draw in enumerate(draws) if draw < rho}
+            reference = harden_reference(windows, ProblemKind.MAX, rho, seed=9)
+            assert hits == {i for i, (a, b) in enumerate(zip(reference, windows))
+                            if a.instance is not b.instance}
+            hit_sets.append(hits)
+        assert hit_sets[0] == set() and hit_sets[-1] == set(range(len(windows)))
+        assert all(a <= b for a, b in zip(hit_sets, hit_sets[1:]))
+        assert hit_sets[1] < hit_sets[3]
 
 
 class TestEvaluateWindows:
@@ -182,16 +168,22 @@ class TestCellsAndSweep:
         cells = build_cells((0.0,), (1.0,), (5,), (1.0,))
         with pytest.raises(InvalidInputError):
             run_sweep(series, cells, ProblemKind.MAX, 7, 200, 200, workers=0)
+        for rho in (-0.1, 1.1):
+            with pytest.raises(DomainError):
+                run_sweep(series, build_cells((0.0, rho), (1.0,), (5,), (1.0,)),
+                          ProblemKind.MAX, 7, 200, 200)
 
 
 def _per_cell_sweep(series, cells, kind, seed, window_len, stride):
     """run_sweep's summaries, each cell evaluated on its own through the
-    public window pipeline: the reference the grouped sweep must equal."""
+    public window pipeline and the oracle's hardening: the reference the
+    grouped sweep must equal."""
     out = []
     for cell in cells:
         scaled = scale_theta(series, cell.theta_mult) if cell.theta_mult != 1.0 else series
         windows = sliding_windows(scaled, window_len, stride, cell.k, kind)
-        windows = stress_windows(windows, kind, cell.rho, cell.error_level, seed)
+        windows = [adjust_error(window, cell.error_level, kind) for window in windows]
+        windows = harden_reference(windows, kind, cell.rho, seed)
         results = evaluate_windows(windows, kind, seed)
         for algorithm in ALGORITHMS:
             out.append(CellSummary(cell, algorithm, len(results),

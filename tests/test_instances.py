@@ -22,7 +22,6 @@ from ksearch import (
     SearchInstance,
     ThresholdSchedule,
     adjust_error,
-    apply_rho_hard,
     gen_synthetic_series,
     ingest_csv,
     interval_ratios,
@@ -34,6 +33,7 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch import instances as instances_mod
+from ksearch.harness import _hard_tail
 from ksearch.instances import FIVE_YEAR_SAMPLES, STRIDE_SAMPLES, WINDOW_SAMPLES
 from adversaries import PInstanceSpec, gen_p_instance, gen_worst_case_sequence
 
@@ -177,48 +177,6 @@ class TestWorstCaseSequence:
             gen_worst_case_sequence(sched, -1)
         with pytest.raises(DomainError):
             gen_worst_case_sequence(sched, 4)
-
-
-# --------------------------------------------------------------------------
-# apply_rho_hard
-
-
-class TestRhoHard:
-    def _instance(self):
-        return SearchInstance((7.0, 30.0, 12.0, 45.0, 9.0, 20.0), 2, BOUNDS)
-
-    def test_rho_zero_identity(self):
-        inst = self._instance()
-        assert apply_rho_hard(inst, 0.0, seed=1, kind=ProblemKind.MAX) is inst
-
-    def test_rho_one_forced_max(self):
-        out = apply_rho_hard(self._instance(), 1.0, seed=1, kind=ProblemKind.MAX)
-        assert out.prices.tolist() == [7.0, 30.0, 12.0, 45.0, 5.0, 5.0]
-
-    def test_rho_one_forced_min(self):
-        out = apply_rho_hard(self._instance(), 1.0, seed=1, kind=ProblemKind.MIN)
-        assert out.prices.tolist() == [7.0, 30.0, 12.0, 45.0, 50.0, 50.0]
-
-    def test_deterministic_in_seed(self):
-        inst = self._instance()
-        a = apply_rho_hard(inst, 0.5, seed=42, kind=ProblemKind.MAX)
-        b = apply_rho_hard(inst, 0.5, seed=42, kind=ProblemKind.MAX)
-        assert a.prices.tolist() == b.prices.tolist()
-
-    def test_branch_frequency_matches_rho(self):
-        inst = self._instance()
-        rho = 0.3
-        hits = sum(
-            apply_rho_hard(inst, rho, seed=s, kind=ProblemKind.MAX) is not inst
-            for s in range(10_000)
-        )
-        assert abs(hits / 10_000 - rho) < 0.02
-
-    def test_rho_out_of_range(self):
-        with pytest.raises(DomainError):
-            apply_rho_hard(self._instance(), -0.1, seed=1, kind=ProblemKind.MAX)
-        with pytest.raises(DomainError):
-            apply_rho_hard(self._instance(), 1.1, seed=1, kind=ProblemKind.MAX)
 
 
 # --------------------------------------------------------------------------
@@ -510,7 +468,7 @@ class TestWindowViews:
     def test_hardening_copies_the_window(self):
         series, wins = self._cut()
         before = series.array.tobytes()
-        out = apply_rho_hard(wins[0].instance, 1.0, seed=0, kind=ProblemKind.MAX)
+        out = _hard_tail(wins[0].instance, ProblemKind.MAX)
         assert not np.shares_memory(out.prices, series.array)
         assert not out.prices.flags.writeable
         assert series.array.tobytes() == before

@@ -99,29 +99,31 @@ class TestSelectLambda:
     def test_two_point_reproducible(self):
         # two runs at one seed draw the same grid points
         windows, _ = _stream(40, k=5, perfect=False)
-        _, hist, matrix = run_learning(windows, ProblemKind.MAX, seed=3)
+        _, hist = run_learning(windows, ProblemKind.MAX, seed=3)
+        matrix = _replay_ratios(windows, ProblemKind.MAX)
         assert run_learning(windows, ProblemKind.MAX, seed=3)[1] == hist
         for t, rec in enumerate(hist):
             # the recorded ratio is the drawn confidence's column of its round
             assert rec.chosen_ratio == matrix[t, GRID.index(rec.chosen_lambda)]
 
     def test_concentrated_weights(self):
-        weights, hist, _ = run_learning(_overstated_stream(200), ProblemKind.MAX, seed=0)
+        weights, hist = run_learning(_overstated_stream(200), ProblemKind.MAX, seed=0)
         assert weights[-1] > 1.0 - 1e-6
         assert sum(rec.chosen_lambda == 1.0 for rec in hist[-100:]) >= 95
 
     def test_zero_weight_never_drawn(self):
         windows = _underflow_stream()
         for seed in range(20):
-            weights, hist, _ = run_learning(windows, ProblemKind.MAX, seed)
+            weights, hist = run_learning(windows, ProblemKind.MAX, seed)
             assert weights[0] == 0.0
             assert all(rec.chosen_lambda != 0.0 for rec in hist[1:])
 
     def test_underflow_stream_draws_are_pinned(self):
         # recorded while each round still drew with Generator.choice
         first = [0, 1, 17, 31, 24, 28, 9, 21, 29, 0, 26, 14, 3, 18, 31, 5, 0, 17, 8, 17]
+        matrix = _replay_ratios(_underflow_stream(), ProblemKind.MAX)
         for seed, j in enumerate(first):
-            weights, hist, matrix = run_learning(_underflow_stream(), ProblemKind.MAX, seed)
+            weights, hist = run_learning(_underflow_stream(), ProblemKind.MAX, seed)
             assert [GRID.index(rec.chosen_lambda) for rec in hist] == [j] + [32] * 10
             assert [rec.chosen_ratio for rec in hist] == matrix[range(11), [j] + [32] * 10].tolist()
             assert hist[-1].cumulative_regret == matrix[0, j] - 1.0
@@ -168,6 +170,26 @@ class TestSelectLambda:
             learner_mod._draws(w[None, :], [0])
 
 
+class TestUniforms:
+    """``_uniforms`` is the library's one Philox uniform: the Hedge draws
+    and the sweep's hardening draws both read it."""
+
+    def test_uniforms_are_generator_random(self):
+        rng = np.random.default_rng(15)
+        keys = [0, 1, 2**63 - 1, 2**63, 2**64 - 1, *range(2, 2000)]
+        # the sweep's hardening keys, the last seed's past 2^64
+        keys += [seed * 2**20 + idx + 2**63 for seed in (0, 1, 2**43) for idx in range(2000)]
+        keys += rng.integers(0, 2**64, size=7000, dtype=np.uint64).tolist()
+        assert len(keys) >= 15_000
+        want = [np.random.Generator(np.random.Philox(key)).random() for key in keys]
+        assert learner_mod._uniforms(keys).tolist() == want
+
+    def test_branch_frequency_matches_rho(self):
+        rho = 0.3
+        hits = sum(u < rho for u in learner_mod._uniforms(range(10_000)).tolist())
+        assert abs(hits / 10_000 - rho) < 0.02
+
+
 class TestObserveRound:
     """One full-information round: replay the window under every grid
     confidence, then apply the Hedge update."""
@@ -177,14 +199,15 @@ class TestObserveRound:
         bounds = PriceBounds(5.0, 5.0)
         inst = SearchInstance((5.0,) * 10, 2, bounds)
         window = ExperimentWindow(inst, 5.0)
-        weights, _, _ = run_learning([window] * 10, ProblemKind.MAX, seed=0)
+        weights, _ = run_learning([window] * 10, ProblemKind.MAX, seed=0)
         assert all(w == pytest.approx(1.0 / 33, rel=1e-12) for w in weights)
 
     def test_unit_loss_gap_grows_weight_by_e(self):
         # each unit of rate * loss gap is a factor e between two weights:
         # w_0 / w_j = exp(rate * (r_j - r_0)), rate = sqrt(8 ln 33 / rounds)
         windows, _ = _stream(1, k=8, perfect=False)
-        weights, _, matrix = run_learning(windows, ProblemKind.MAX, seed=0)
+        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        matrix = _replay_ratios(windows, ProblemKind.MAX)
         rate = math.sqrt(8 * math.log(33) / 1)
         ratios = matrix[0].tolist()
         assert len(set(ratios)) > 2
@@ -198,21 +221,23 @@ class TestObserveRound:
         bounds = PriceBounds(1.0, 1e6)
         windows = [ExperimentWindow(SearchInstance((p,) + (1.0,) * 9, 1, bounds), 1e6)
                    for p in (5e5, 999.0)]
-        weights, _, matrix = run_learning(windows, ProblemKind.MAX, seed=0)
+        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        matrix = _replay_ratios(windows, ProblemKind.MAX)
         survivors = [r < 2.0 for r in matrix[0].tolist()]
         assert 0 < sum(survivors) < 33
         assert weights == tuple(1.0 / sum(survivors) if s else 0.0 for s in survivors)
 
     def test_adversarial_perfect_stream_concentrates_full_trust(self):
         windows, _ = _adversarial_stream(200, k=8)
-        weights, _, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
         best = max(range(33), key=lambda i: weights[i])
         # the extreme is held for k arrivals, so full trust is exactly optimal
         assert GRID[best] == 0.0
 
     def test_real_stream_concentrates_on_empirically_best_lambda(self):
         windows, _ = _stream(198, k=8)
-        weights, _, matrix = run_learning(windows, ProblemKind.MAX, seed=0)
+        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        matrix = _replay_ratios(windows, ProblemKind.MAX)
         # the heaviest weight sits on the grid point with the lowest total loss
         totals = matrix.sum(axis=0).tolist()
         best_weight = max(range(33), key=lambda i: weights[i])
@@ -221,7 +246,7 @@ class TestObserveRound:
 
     def test_weights_stay_positive_and_finite(self):
         windows, _ = _stream(120, k=5, perfect=False)
-        weights, _, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
         assert all(w > 0 and math.isfinite(w) for w in weights)
         assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
 
@@ -541,15 +566,15 @@ class TestBlockReplay:
 class TestRunLearningAndRegret:
     def test_deterministic(self):
         windows, _ = _stream(60, k=5)
-        _, hist_a, _ = run_learning(windows, ProblemKind.MAX, seed=42)
-        _, hist_b, _ = run_learning(windows, ProblemKind.MAX, seed=42)
+        _, hist_a = run_learning(windows, ProblemKind.MAX, seed=42)
+        _, hist_b = run_learning(windows, ProblemKind.MAX, seed=42)
         assert hist_a == hist_b
-        _, hist_c, _ = run_learning(windows, ProblemKind.MAX, seed=43)
+        _, hist_c = run_learning(windows, ProblemKind.MAX, seed=43)
         assert hist_a != hist_c
 
     def test_record_invariants(self):
         windows, _ = _stream(50, k=5)
-        weights, hist, _ = run_learning(windows, ProblemKind.MAX, seed=1)
+        weights, hist = run_learning(windows, ProblemKind.MAX, seed=1)
         assert len(weights) == len(GRID)
         assert [r.round for r in hist] == list(range(1, 51))
         cum = 0.0
@@ -565,7 +590,7 @@ class TestRunLearningAndRegret:
         # the stream's blocks replay to the same bits as one window at a time
         windows, bounds = _stream(9, k=5, kind=kind, perfect=False)
         extra = (worst_case_thresholds(bounds, 5, kind).schedule,)
-        _, _, matrix = run_learning(windows, kind, seed=3, extra=extra)
+        matrix = _replay_ratios(windows, kind, extra)
         assert matrix.shape == (9, len(GRID) + 1)
         for window, row in zip(windows, matrix[:, : len(GRID)].tolist()):
             assert row == _one_round(window, kind)
@@ -573,7 +598,7 @@ class TestRunLearningAndRegret:
     def test_regret_curve_matches_records(self):
         # the average regret after round n is the mean of the first n gaps
         windows, _ = _stream(40, k=5)
-        _, hist, _ = run_learning(windows, ProblemKind.MAX, seed=2)
+        _, hist = run_learning(windows, ProblemKind.MAX, seed=2)
         gaps = [rec.chosen_ratio - rec.best_fixed_ratio for rec in hist]
         for n, rec in enumerate(hist, start=1):
             assert rec.cumulative_regret / rec.round == pytest.approx(
@@ -584,12 +609,12 @@ class TestRunLearningAndRegret:
         inst = SearchInstance((5.0,) * 10, 2, PriceBounds(5.0, 5.0))
         window = ExperimentWindow(inst, 5.0)
         for n in (1, 5):
-            _, hist, _ = run_learning([window] * n, ProblemKind.MAX, seed=0)
+            _, hist = run_learning([window] * n, ProblemKind.MAX, seed=0)
             assert [rec.cumulative_regret for rec in hist] == [0.0] * n
 
     def test_average_regret_decreasing_tail(self):
         windows, _ = _stream(400, k=5)
-        _, hist, _ = run_learning(windows, ProblemKind.MAX, seed=11)
+        _, hist = run_learning(windows, ProblemKind.MAX, seed=11)
         tail = [rec.cumulative_regret / rec.round for rec in hist[-100:]]
         assert tail[-1] <= tail[0]
         # the trend is downward: occasional off-grid draws can nudge single
