@@ -11,6 +11,7 @@ from ksearch import (
     CellSummary,
     ConstructionError,
     DomainError,
+    ExperimentWindow,
     InvalidInputError,
     PriceBounds,
     PriceSeries,
@@ -55,6 +56,22 @@ class TestSummarize:
             summarize([])
 
 
+def _summaries(cell, windows, kind, seed):
+    """The cell's summary rows, one per algorithm in run_sweep's order, from
+    evaluate_windows on the given windows."""
+    results = evaluate_windows(windows, kind, seed)
+    return tuple(CellSummary(cell, algorithm, len(results),
+                             *summarize(r.ratio(algorithm) for r in results))
+                 for algorithm in sorted(ALGORITHMS))
+
+
+def _dialled_windows(series, cell, kind):
+    """The cell's windows with their prediction error dialled, before any
+    hardening."""
+    return [adjust_error(window, cell.error_level, kind)
+            for window in sliding_windows(series, 200, 200, cell.k, kind)]
+
+
 class TestHardening:
     """``run_sweep``'s groups harden tails with ``_hard_tail``, at the
     windows whose ``_hardening_draws`` fall below the cell's rho."""
@@ -79,6 +96,54 @@ class TestHardening:
         assert hit_sets[0] == set() and hit_sets[-1] == set(range(len(windows)))
         assert all(a <= b for a, b in zip(hit_sets, hit_sets[1:]))
         assert hit_sets[1] < hit_sets[3]
+
+    def test_rho_zero_keeps_instances(self):
+        # no draw lies below 0, so the sweep evaluates the plain windows
+        series = gen_synthetic_series(num_samples=2200, seed=3)
+        cell = SweepCell(0.0, 0.5, 10, 1.0)
+        windows = _dialled_windows(series, cell, ProblemKind.MAX)
+        assert (run_sweep(series, (cell,), ProblemKind.MAX, 9, 200, 200)
+                == _summaries(cell, windows, ProblemKind.MAX, 9))
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_rho_one_hardens_every_tail(self, kind):
+        # every draw lies below 1, so every window's tail is hardened, and
+        # each keeps the prediction its error level gave it
+        series = gen_synthetic_series(num_samples=2200, seed=3)
+        cell = SweepCell(1.0, 0.5, 10, 1.0)
+        windows = _dialled_windows(series, cell, kind)
+        hard = [ExperimentWindow(harness_mod._hard_tail(w.instance, kind), w.prediction)
+                for w in windows]
+        expected = _summaries(cell, hard, kind, 9)
+        assert expected != _summaries(cell, windows, kind, 9)
+        assert run_sweep(series, (cell,), kind, 9, 200, 200) == expected
+
+    def test_rho_out_of_range(self):
+        for rho in (-0.1, 1.1, float("nan"), float("inf"), None, "0.5"):
+            with pytest.raises(DomainError):
+                harness_mod._check_rho(rho)
+        for rho in (0, 0.0, 0.5, 1, 1.0):
+            harness_mod._check_rho(rho)
+
+    def test_deterministic_in_seed(self):
+        draws = harness_mod._hardening_draws(42, 500)
+        assert harness_mod._hardening_draws(42, 500) == draws
+        assert harness_mod._hardening_draws(43, 500) != draws
+        assert len(set(draws)) == 500
+
+    def test_window_draw_does_not_depend_on_the_window_count(self):
+        # window i's draw is keyed by (seed, i) alone, so a longer series
+        # hardens the same leading windows
+        for seed in (0, 9, 2**43):
+            draws = harness_mod._hardening_draws(seed, 300)
+            assert harness_mod._hardening_draws(seed, 120) == draws[:120]
+            assert harness_mod._hardening_draws(seed, 1) == draws[:1]
+
+    def test_draws_lie_in_the_unit_interval(self):
+        # so rho = 0 hardens no window and rho = 1 hardens every one
+        for seed in (0, 1, 9, 2**43):
+            draws = harness_mod._hardening_draws(seed, 2000)
+            assert all(0.0 <= draw < 1.0 for draw in draws)
 
 
 class TestEvaluateWindows:
@@ -184,10 +249,7 @@ def _per_cell_sweep(series, cells, kind, seed, window_len, stride):
         windows = sliding_windows(scaled, window_len, stride, cell.k, kind)
         windows = [adjust_error(window, cell.error_level, kind) for window in windows]
         windows = harden_reference(windows, kind, cell.rho, seed)
-        results = evaluate_windows(windows, kind, seed)
-        for algorithm in ALGORITHMS:
-            out.append(CellSummary(cell, algorithm, len(results),
-                                   *summarize(r.ratio(algorithm) for r in results)))
+        out.extend(_summaries(cell, windows, kind, seed))
     return tuple(sorted(out, key=lambda s: (s.cell.key(), s.algorithm)))
 
 
