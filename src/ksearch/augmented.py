@@ -32,12 +32,18 @@ tolerable degradation.
 A design splits into a frame and the prediction's part.  The frame (the
 target, sigma*, the growth rates and leads, p~1 and p~2) depends only on
 (lambda, band, k, kind); ``design`` keeps frames in a bounded cache, and
-per call builds the prefix, flat block, pivot, i* scan and tail.  Each
-O(k) piece is one list comprehension over powers taken with Python
-``**``, and the i* scan's running sums come from ``itertools.accumulate``:
-the float operations of a threshold-at-a-time loop, in its order.  The
-tests hold that loop as ``construct_reference`` and require every design
-and failure to equal its own bit for bit.
+per call builds the prefix, flat block, pivot, i* scan and tail.  The
+prefix and the flat block with its eta continuation are each one list
+comprehension over powers taken with Python ``**``, and the i* scan's
+running sums come from one ``itertools.accumulate`` pass.  The three
+index searches stop where their answers are: sigma* tests the junction
+slack only where the ratio could pass, min-search m* steps from its
+closed-form crossing to the first m that passes, and the i* scan runs
+down from k, taking each tail threshold when it gets there.  All of it
+uses the float operations of a threshold-at-a-time loop, in its order.
+The tests hold that loop as ``construct_reference`` and the sigma* scan
+as ``sigma_star_reference``, and require every design and failure to
+equal theirs bit for bit.
 
 ``_construct_grid`` builds the designs of a tuple of confidences at each
 of several predictions as one (P·R, k) array, for the learner, which
@@ -221,6 +227,11 @@ def _snap_prediction(prediction: float, bounds: PriceBounds) -> float:
 # consistency block length sigma*
 
 
+def _junction_cap(gamma: float) -> float:
+    """The un-amplified allowance: ``_junction_slack`` at sigma = k, its bound elsewhere."""
+    return min(gamma * 1e-11 + 1e-12, 8e-10)
+
+
 def _junction_slack(gamma: float, k: int, sigma: int) -> float:
     """Float-noise allowance for the block/tail junction ratio test.
 
@@ -233,7 +244,7 @@ def _junction_slack(gamma: float, k: int, sigma: int) -> float:
     cap keeps the un-amplified (sigma = k) pass-through below it too.
     """
     amp = math.exp(min(50.0, gamma * (k - sigma) / k))
-    return min(gamma * 1e-11 + 1e-12, 8e-10) / amp
+    return _junction_cap(gamma) / amp
 
 
 def sigma_star_max(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
@@ -245,13 +256,16 @@ def sigma_star_max(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
     """
     eta, gamma = target.eta, target.gamma
     theta = bounds.theta
+    # the slack divides the cap by an exp >= 1, so a float ratio above
+    # gamma + cap fails the junction test too: it pays no exp for its slack
+    limit = gamma + _junction_cap(gamma)
     for sigma in range(k, 0, -1):
         ratio = (
             eta
             * (1.0 + (theta - 1.0) / (1.0 + gamma / k) ** (k - sigma))
             / (1.0 + (eta - 1.0) * (1.0 + eta / k) ** sigma)
         )
-        if ratio <= gamma + _junction_slack(gamma, k, sigma):
+        if ratio <= limit and ratio <= gamma + _junction_slack(gamma, k, sigma):
             return sigma
     raise ConstructionError(
         f"no feasible consistency block: target eta={eta}, gamma={gamma} "
@@ -265,6 +279,7 @@ def sigma_star_min(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
     theta = bounds.theta
     log_grow_eta = math.log1p(1.0 / (eta * k))
     log_grow_gamma = math.log1p(1.0 / (gamma * k))
+    limit = gamma + _junction_cap(gamma)  # as in sigma_star_max
     # top-down, not bisected: at lam = 1 the junction test ties at every sigma
     for sigma in range(k, 0, -1):
         # numer = 1 - (1-1/eta)*(1+1/(eta*k))**sigma and
@@ -274,7 +289,8 @@ def sigma_star_min(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
         numer = 1.0 / eta - (1.0 - 1.0 / eta) * math.expm1(sigma * log_grow_eta)
         decay = -(k - sigma) * log_grow_gamma
         denom = -math.expm1(decay) + math.exp(decay) / theta
-        if eta * numer / denom <= gamma + _junction_slack(gamma, k, sigma):
+        ratio = eta * numer / denom
+        if ratio <= limit and ratio <= gamma + _junction_slack(gamma, k, sigma):
             return sigma
     raise ConstructionError(
         f"no feasible consistency block: target eta={eta}, gamma={gamma} "
@@ -351,17 +367,16 @@ def _construct(
     sigma, tilde_1, tilde_2 = frame.sigma, frame.tilde_1, frame.tilde_2
     grow_eta, grow_gamma = frame.grow_eta, frame.grow_gamma
     lead_eta, lead_gamma = frame.lead_eta, frame.lead_gamma
+    # the tail threshold i is near + reach / grow_gamma**(k - i + 1): reserved
+    # so the interval ratios decay onto gamma at the far end
     reach = far - near
-
-    def tail(start: int) -> list[float]:
-        # thresholds start..k, reserved so interval ratios decay onto gamma at the far end
-        return [near + reach / grow_gamma**n for n in range(k - start + 1, 0, -1)]
 
     # a prediction on a case boundary takes the near-side case for
     # max-search and the far-side case for min-search
     if (prediction <= tilde_1) if is_max else (prediction > tilde_1):
         label, j_star, m_star, i_star = labels[0], 0, 0, sigma
-        values = [near + lead_eta * grow_eta**n for n in range(sigma)] + tail(sigma + 1)
+        values = [near + lead_eta * grow_eta**n for n in range(sigma)]
+        values += [near + reach / grow_gamma**n for n in range(k - sigma, 0, -1)]
     else:
         if (prediction <= tilde_2) if is_max else (prediction > tilde_2):
             label, j_star = labels[1], 0
@@ -381,16 +396,8 @@ def _construct(
             m_star = j_star + math.ceil(span / (prediction - p_min))
             m_star = min(max(m_star, j_star), k)
         else:
-            # the closed form for case V is division-degenerate at P=p_max,
-            # and the case VI display is garbled, so min-search scans the
-            # defining property
-            m_star = -1
-            for m in range(j_star, k + 1):
-                lhs = prefix_sum + (m - j_star) * prediction + (k - m) * p_max
-                if lhs <= eta * k * prediction * (1.0 + _SCAN_SLACK):
-                    m_star = m
-                    break
-            if m_star < 0:
+            m_star = _min_flat_end(prediction, prefix_sum, eta, bounds, j_star, k)
+            if m_star > k:
                 raise ConstructionError(
                     f"no feasible flat block for eta={eta}, gamma={gamma}, P={prediction}"
                 )
@@ -417,24 +424,28 @@ def _construct(
         block += [near + rise * grow_eta**n for n in range(k - m_star)]
         # the i* scan: the largest i in j*..k whose successor ratio (the
         # tail threshold i+1, or the far bound at i = k) still meets the
-        # robustness budget with thresholds 1..i banked
+        # robustness budget with thresholds 1..i banked.  It runs down from
+        # i = k and takes each tail threshold when it gets there, so the
+        # thresholds it takes are the tail i*+1..k that the schedule keeps.
         budget = gamma + _RATIO_TOL / 2
-        reserve = tail(j_star + 1)
-        scan = zip(reserve + [far], itertools.accumulate(block, initial=prefix_sum),
-                   range(k - j_star, -1, -1))
-        if is_max:
-            fits = [k * succ <= budget * (banked + rest * near) for succ, banked, rest in scan]
-        else:
-            fits = [banked + rest * near <= budget * k * succ for succ, banked, rest in scan]
-        if True not in fits:
-            raise ConstructionError(
-                f"no feasible consistency endpoint for eta={eta}, gamma={gamma}, "
-                f"P={prediction}"
-            )
-        cut = len(fits) - 1 - fits[::-1].index(True)  # i* - j*
+        running = list(itertools.accumulate(block, initial=prefix_sum))
+        top = cut = k - j_star  # cut = i - j*
+        kept, succ = [], far  # kept: the tail thresholds k, k-1, ... the scan has taken
+        while True:
+            banked = running[cut] + (top - cut) * near
+            if (k * succ <= budget * banked) if is_max else (banked <= budget * k * succ):
+                break
+            if not cut:
+                raise ConstructionError(
+                    f"no feasible consistency endpoint for eta={eta}, gamma={gamma}, "
+                    f"P={prediction}"
+                )
+            cut -= 1
+            succ = near + reach / grow_gamma ** (top - cut)
+            kept.append(succ)
         i_star = j_star + cut
         m_star = min(m_star, i_star)
-        values = prefix + block[:cut] + reserve[cut:]
+        values = prefix + block[:cut] + kept[::-1]
 
     # PriceBounds.clip without its two calls per value: p_min <= p_max, and NaN passes
     values = [p_min if v < p_min else p_max if v > p_max else v for v in values]
@@ -463,6 +474,45 @@ def _prefix_length(
         return 0
     raw = math.log(ratio) / math.log1p(1.0 / (gamma * k))
     return min(k, max(0, math.ceil(raw - _CROSS_EPS)))
+
+
+def _min_flat_end(
+    prediction: float, prefix_sum: float, eta: float, bounds: PriceBounds, j_star: int, k: int
+) -> int:
+    """Min-search m*: the first m in j*..k whose flat block lets the pivot
+    reach P, or k + 1 if none does.
+
+    The closed form for case V is division-degenerate at P = p_max, and the
+    case VI display is garbled, so m* is the first m that passes the
+    defining test ``lhs(m) <= bar`` itself.
+    """
+    p_max = bounds.p_max
+    bar = eta * k * prediction * (1.0 + _SCAN_SLACK)
+
+    def lhs(m: int) -> float:
+        return prefix_sum + (m - j_star) * prediction + (k - m) * p_max
+
+    m = j_star
+    # Exactly, lhs falls by slope = p_max - P per step.  Each of its four
+    # roundings errs by at most u = 2**-53 of its result: the two products
+    # add up to at most size and each sum is at most size, so a float lhs
+    # lies within 3u·size of the exact one and cannot rise from m to m + 1
+    # while slope > 6u·size.  Past 2**-49·size = 16u·size the test fails up
+    # to some m and passes from it on, so the first pass is bracketed from
+    # the closed-form crossing and confirmed by the test itself: it passes
+    # there and fails one step before.  Below that slope (P at or within a
+    # few ulps of p_max) the float lhs may wobble, and m* is scanned for.
+    size = abs(prefix_sum) + (k - j_star) * p_max
+    slope = p_max - prediction
+    if slope > 2.0**-49 * size:
+        gap = (lhs(j_star) - bar) / slope
+        if gap > 0.0:
+            m += math.ceil(min(gap, k - j_star))
+    while m <= k and not lhs(m) <= bar:
+        m += 1
+    while m > j_star and lhs(m - 1) <= bar:
+        m -= 1
+    return m
 
 
 # --------------------------------------------------------------------------

@@ -9,12 +9,20 @@ reductions the kernel uses, so the kernel's totals must equal it bit for bit.
 freshly solved frame: the cache-free reference for ``ksearch.design``.
 
 ``construct_reference`` is the case I-VI construction written the plain
-way: each threshold from its own closure call, the i* scan as one Python
-loop with a running sum, each value clipped through ``PriceBounds.clip``,
-and ``verify_reference`` checking the eta-covered intervals one by one.
-``ksearch.augmented._construct`` builds each piece in one pass with the
-same float operations in the same order, so its designs, indices and
-failures must equal this one's bit for bit.
+way: each threshold from its own closure call, the min-search m* and the
+i* scans as Python loops over every index (the i* one with a running
+sum), each value clipped through ``PriceBounds.clip``, and
+``verify_reference`` checking the eta-covered intervals one by one.
+``ksearch.augmented._construct`` builds each piece in one pass and stops
+its index searches where their answers are, with the same float
+operations in the same order, so its designs, indices and failures must
+equal this one's bit for bit.
+
+``sigma_star_reference`` is the sigma* scan of either kind the plain way:
+from sigma = k down, each junction ratio tested against gamma plus its
+own ``_junction_slack``.  ``sigma_star_max`` and ``sigma_star_min`` skip
+the slack where the ratio cannot pass, and must return the same sigma or
+raise the same error.
 
 ``harden_reference`` is the sweep's tail hardening one window at a time,
 from the public API: its own ``Generator(Philox(key)).random()`` draw per
@@ -44,6 +52,7 @@ from ksearch.augmented import (
     _degenerate,
     _Frame,
     _frame,
+    _junction_slack,
     _prefix_length,
     _ratio_at,
     _snap_prediction,
@@ -58,6 +67,35 @@ def design_for_target(
     """Build and verify the schedule of either kind for an explicit (eta, gamma)."""
     prediction = _snap_prediction(prediction, bounds)
     return _construct(prediction, _frame(target, bounds, k, kind), bounds, k, kind)
+
+
+def sigma_star_reference(
+    target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind
+) -> int:
+    """The largest sigma in 1..k whose block/tail junction ratio stays at or
+    below gamma plus the junction slack, scanned from sigma = k down."""
+    eta, gamma = target.eta, target.gamma
+    theta = bounds.theta
+    for sigma in range(k, 0, -1):
+        if kind.is_max:
+            ratio = (
+                eta
+                * (1.0 + (theta - 1.0) / (1.0 + gamma / k) ** (k - sigma))
+                / (1.0 + (eta - 1.0) * (1.0 + eta / k) ** sigma)
+            )
+        else:
+            # both differences rewritten through expm1, as sigma_star_min does
+            grow_eta = math.expm1(sigma * math.log1p(1.0 / (eta * k)))
+            decay = -(k - sigma) * math.log1p(1.0 / (gamma * k))
+            numer = 1.0 / eta - (1.0 - 1.0 / eta) * grow_eta
+            denom = -math.expm1(decay) + math.exp(decay) / theta
+            ratio = eta * numer / denom
+        if ratio <= gamma + _junction_slack(gamma, k, sigma):
+            return sigma
+    raise ConstructionError(
+        f"no feasible consistency block: target eta={eta}, gamma={gamma} "
+        f"is below the achievable frontier"
+    )
 
 
 def construct_reference(

@@ -35,7 +35,7 @@ from ksearch.augmented import (
     sigma_star_min,
 )
 from conftest import band_cases, band_prediction
-from oracle import construct_reference, design_for_target
+from oracle import construct_reference, design_for_target, sigma_star_reference
 
 BOUNDS = PriceBounds(5.0, 50.0)
 K = 20
@@ -255,6 +255,39 @@ def test_sigma_star_min_in_range_and_boundary():
     assert 1 <= sigma <= K
     d = design_for_target(5.0, target, BOUNDS, K, ProblemKind.MIN)
     assert d.sigma_star == sigma
+
+
+def _result(function, *args):
+    """What a call returns, or the class and message of its failure."""
+    try:
+        return function(*args)
+    except (KSearchError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# k = 1 ties the junction test at every target: a ratio one or two ulps
+# above gamma passes on its slack alone; at k = 1000 no block is feasible
+@example(kind=ProblemKind.MAX, p_min=1.0, theta=1.5, k=1, lam=1.0)
+@example(kind=ProblemKind.MIN, p_min=1.0, theta=1.5, k=1, lam=1.0)
+@example(kind=ProblemKind.MIN, p_min=1.0, theta=1.5, k=1, lam=GRID[6])
+@example(kind=ProblemKind.MIN, p_min=1.0, theta=177.82794100389228, k=1000, lam=1.0)
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(list(ProblemKind)),
+    p_min=st.floats(min_value=0.01, max_value=100.0),
+    theta=st.floats(min_value=1.0, max_value=1e5),
+    k=st.integers(min_value=1, max_value=1000),
+    lam=st.sampled_from(GRID + (0, 1)),
+)
+def test_sigma_star_is_the_reference_scan(kind, p_min, theta, k, lam):
+    bounds = PriceBounds(p_min, p_min * theta)
+    try:
+        target = target_point(lam, FrontierSpec(bounds, k, kind))
+    except (KSearchError, ArithmeticError):
+        return  # no target at this lambda: no sigma* to scan for
+    scan = sigma_star_max if kind.is_max else sigma_star_min
+    assert _result(scan, target, bounds, k) == _result(
+        sigma_star_reference, target, bounds, k, kind)
 
 
 def test_infeasible_target_raises_construction_error():
@@ -492,6 +525,29 @@ def _assert_construct_is_reference(prediction, lam, bounds, k, kind):
 @example(case=(ProblemKind.MAX, 1.0, 10.0**0.3671875, 11, [("i_star", 6, 0.0, 1.0, 1)]))
 @example(case=(ProblemKind.MIN, 1.0, 10.0, 1, [("p_max", 0, 0.0, 0.0, -1)]))
 @example(case=(ProblemKind.MIN, 10.0625, 10.0**0.375, 11, [("p_max", 0, 0.0, 0.0, 1)]))
+# the min-search m* search, each at lambda = 0 or the one named: P at
+# p_max and one and two ulps below it, where the flat block's slope is too
+# small to bracket and m* = j* = 0 is scanned for, then i* = k; P within
+# 1e-9 of p_max, bracketed to m* = j* = 0 < k
+@example(case=(ProblemKind.MIN, 1.0, 100.0, 50, [
+    ("p_max", 0, 0.0, 0.0, 0), ("p_max", 0, 0.0, 0.0, -1), ("p_max", 0, 0.0, 0.0, -2),
+    ("inside", 0, 0.9999999999, 1.0, 0)]))
+# closed-form crossings at an exact integer, whose candidate fails and
+# steps up to m* = k (lambda 0.5), and at 4.0 (lambda 0.5625); one ulp above
+# 33, whose candidate's predecessor passes (lambda 0.78125); one ulp below
+# 19 (lambda 0.75)
+@example(case=(ProblemKind.MIN, 47.46, 120.22644346174131, 50,
+               [("inside", 0, 0.48554356347554045, 1.0, 0)]))
+@example(case=(ProblemKind.MIN, 28.46, 6606.934480075957, 5,
+               [("inside", 0, 0.8602202120291235, 1.0, 0)]))
+@example(case=(ProblemKind.MIN, 31.47, 31.622776601683793, 100,
+               [("inside", 0, 0.05482734022151152, 1.0, 0)]))
+@example(case=(ProblemKind.MIN, 47.11, 436.5158322401661, 20,
+               [("inside", 0, 0.4962142240958563, 1.0, 0)]))
+# the i* scan at lambda = 1: i* = j* = m* = k in case VI, where it starts
+# at its last position; and no fitting i* at all
+@example(case=(ProblemKind.MIN, 90.1437, 1150.8003889444356, 33, [("p_min", 0, 0.0, 0.0, 0)]))
+@example(case=(ProblemKind.MIN, 7.0611, 29308.932452503184, 5, [("p_min", 0, 0.0, 0.0, 0)]))
 @settings(max_examples=100, deadline=None)
 @given(case=band_cases(max_spots=3))
 def test_construct_is_the_reference_construction(case):
@@ -515,6 +571,9 @@ def test_construct_is_the_reference_construction(case):
     (ProblemKind.MAX, 1000.0, 1000, 0.6, 2.371373705661655, None),
     (ProblemKind.MIN, 3162.2776601683795, 1000, 0.7, 1154.781984689458, None),
     (ProblemKind.MIN, 1000.0, 100, 0.1, 1000.0, None),
+    # the slowest design-grid points of each kind
+    (ProblemKind.MIN, 100.0, 1000, 0.6, 3.1622776601683795, None),
+    (ProblemKind.MAX, 316.2277660168379, 1000, 0.1, 17.78279410038923, None),
 ])
 def test_construct_is_the_reference_on_design_grid_points(
         kind, theta, k, lam, prediction, failure):
@@ -547,7 +606,8 @@ def test_construct_is_the_reference_on_a_covered_interval_failure():
 
 
 # frames no target gives, whose thresholds leave the band (so the clip
-# decides), turn, or find no flat block, pivot or consistency endpoint
+# decides), turn, or find no flat block, pivot or consistency endpoint;
+# the last one's i* scan fits only at i* = j* = 0
 @pytest.mark.parametrize("kind,change,prediction", [
     (ProblemKind.MAX, {"grow_eta": 10.0}, 5.0),
     (ProblemKind.MAX, {"grow_eta": 10.0}, 20.0),
@@ -559,6 +619,9 @@ def test_construct_is_the_reference_on_a_covered_interval_failure():
     (ProblemKind.MIN, {"grow_gamma": 0.5}, 5.0),
     (ProblemKind.MIN, {"grow_gamma": 0.5}, 45.0),
     (ProblemKind.MIN, {"lead_gamma": -126.24434567275918}, 5.0),
+    (ProblemKind.MIN, {"target": ParetoPoint(0.5, 1.2, 2.2), "sigma": 2, "grow_eta": 1.026,
+                       "grow_gamma": 1.053, "lead_eta": -8.46, "lead_gamma": -27.1,
+                       "tilde_1": 32.8, "tilde_2": 17.8}, 31.6),
 ])
 def test_construct_is_the_reference_on_doctored_frames(kind, change, prediction):
     if kind.is_max:
