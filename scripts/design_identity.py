@@ -25,7 +25,11 @@ class and message.  The sections are:
   from ``random.Random(20261018)``, log-uniform in the band or at a bound.
   On a tree that designs one prediction at a time, the script stacks those
   designs instead, so equal digests show that a block designs each of its
-  predictions as a lone prediction would.
+  predictions as a lone prediction would;
+- ``worst-case``: at each distinct (band, k, kind) of the ``design-grid``
+  and ``random`` sections, in order, the solved cr, the
+  ``worst_case_thresholds`` cr and values, and ``frontier_curve`` at 33
+  points, each as its value or its failure.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import random
 
 import numpy as np
 
-from ksearch import augmented, learner
+from ksearch import augmented, learner, pareto, worstcase
 from ksearch.core import PriceBounds, ProblemKind
 
 SEED = 20261017
@@ -114,6 +118,26 @@ def rows_record(kind, bounds, k, *predictions, raw=False) -> str:
     return hashlib.sha256(rows.tobytes()).hexdigest() if raw else repr(rows.tolist())
 
 
+def _outcome(function, *args):
+    """What a call returns, or the class and message of its failure."""
+    try:
+        return function(*args)
+    except Exception as exc:  # noqa: BLE001  (the bands include failing inputs)
+        return type(exc).__name__, str(exc)
+
+
+def _worst_case(bounds, k, kind):
+    solution = worstcase.worst_case_thresholds(bounds, k, kind)
+    return solution.cr, solution.schedule.values
+
+
+def worst_case_record(kind, bounds, k) -> str:
+    """The cr, the worst-case schedule and the 33-point frontier of one (band, k, kind)."""
+    curve = _outcome(lambda: pareto.frontier_curve(pareto.FrontierSpec(bounds, k, kind), 33))
+    return repr((_outcome(worstcase.solve_cr, bounds, k, kind),
+                 _outcome(_worst_case, bounds, k, kind), curve))
+
+
 def digest(records) -> str:
     sha = hashlib.sha256()
     for record in records:
@@ -123,13 +147,17 @@ def digest(records) -> str:
 
 
 def main() -> None:
-    for name, points in (("design-grid", design_grid_points()), ("random", random_points())):
+    sections = (("design-grid", design_grid_points()), ("random", random_points()))
+    for name, points in sections:
         print(f"{name}: {digest(design_record(*point) for point in points)}", flush=True)
         calls = dict.fromkeys((kind, bounds, k, prediction)
                               for kind, bounds, k, _, prediction in points)
         print(f"{name} rows: {digest(rows_record(*call) for call in calls)}", flush=True)
     records = (rows_record(*block, raw=True) for block in random_blocks())
     print(f"random blocks: {digest(records)}", flush=True)
+    bands = dict.fromkeys((kind, bounds, k) for _, points in sections
+                          for kind, bounds, k, _, _ in points)
+    print(f"worst-case: {digest(worst_case_record(*band) for band in bands)}", flush=True)
 
 
 if __name__ == "__main__":

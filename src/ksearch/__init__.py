@@ -33,20 +33,14 @@ from .errors import (
 )
 from .worstcase import (
     WorstCaseSolution,
-    solve_alpha_star,
     solve_cr,
-    solve_phi_star,
     worst_case_thresholds,
 )
 from .pareto import (
     FrontierSpec,
     frontier_curve,
     lower_bound,
-    lower_bound_max,
-    lower_bound_min,
     target_point,
-    xi_star,
-    zeta_star,
 )
 from .augmented import (
     AugmentedDesign,
@@ -118,8 +112,6 @@ __all__ = [
     "ingest_csv",
     "interval_ratios",
     "lower_bound",
-    "lower_bound_max",
-    "lower_bound_min",
     "offline_opt",
     "ota_totals",
     "prediction_ratio",
@@ -128,13 +120,9 @@ __all__ = [
     "run_sweep",
     "scale_theta",
     "sliding_windows",
-    "solve_alpha_star",
     "solve_cr",
-    "solve_phi_star",
     "summarize",
     "target_point",
     "worst_case_thresholds",
-    "xi_star",
-    "zeta_star",
     "__version__",
 ]

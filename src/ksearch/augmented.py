@@ -247,7 +247,7 @@ def _junction_slack(gamma: float, k: int, sigma: int) -> float:
     return _junction_cap(gamma) / amp
 
 
-def sigma_star_max(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
+def sigma_star(target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind) -> int:
     """Largest flat-free consistency block length compatible with gamma.
 
     sigma counts how many eta-balanced thresholds can precede the robustness
@@ -256,40 +256,30 @@ def sigma_star_max(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
     """
     eta, gamma = target.eta, target.gamma
     theta = bounds.theta
+    is_max = kind.is_max
+    if not is_max:
+        log_grow_eta = math.log1p(1.0 / (eta * k))
+        log_grow_gamma = math.log1p(1.0 / (gamma * k))
     # the slack divides the cap by an exp >= 1, so a float ratio above
     # gamma + cap fails the junction test too: it pays no exp for its slack
     limit = gamma + _junction_cap(gamma)
-    for sigma in range(k, 0, -1):
-        ratio = (
-            eta
-            * (1.0 + (theta - 1.0) / (1.0 + gamma / k) ** (k - sigma))
-            / (1.0 + (eta - 1.0) * (1.0 + eta / k) ** sigma)
-        )
-        if ratio <= limit and ratio <= gamma + _junction_slack(gamma, k, sigma):
-            return sigma
-    raise ConstructionError(
-        f"no feasible consistency block: target eta={eta}, gamma={gamma} "
-        f"is below the achievable frontier"
-    )
-
-
-def sigma_star_min(target: ParetoPoint, bounds: PriceBounds, k: int) -> int:
-    """Min-search mirror of sigma_star_max."""
-    eta, gamma = target.eta, target.gamma
-    theta = bounds.theta
-    log_grow_eta = math.log1p(1.0 / (eta * k))
-    log_grow_gamma = math.log1p(1.0 / (gamma * k))
-    limit = gamma + _junction_cap(gamma)  # as in sigma_star_max
     # top-down, not bisected: at lam = 1 the junction test ties at every sigma
     for sigma in range(k, 0, -1):
-        # numer = 1 - (1-1/eta)*(1+1/(eta*k))**sigma and
-        # denom = 1 - (1-1/theta)/(1+1/(gamma*k))**(k-sigma), each rewritten
-        # so the subtraction happens between exactly-computed quantities
-        # (both differences can be tiny relative to their operands).
-        numer = 1.0 / eta - (1.0 - 1.0 / eta) * math.expm1(sigma * log_grow_eta)
-        decay = -(k - sigma) * log_grow_gamma
-        denom = -math.expm1(decay) + math.exp(decay) / theta
-        ratio = eta * numer / denom
+        if is_max:
+            ratio = (
+                eta
+                * (1.0 + (theta - 1.0) / (1.0 + gamma / k) ** (k - sigma))
+                / (1.0 + (eta - 1.0) * (1.0 + eta / k) ** sigma)
+            )
+        else:
+            # numer = 1 - (1-1/eta)*(1+1/(eta*k))**sigma and
+            # denom = 1 - (1-1/theta)/(1+1/(gamma*k))**(k-sigma), each rewritten
+            # so the subtraction happens between exactly-computed quantities
+            # (both differences can be tiny relative to their operands).
+            numer = 1.0 / eta - (1.0 - 1.0 / eta) * math.expm1(sigma * log_grow_eta)
+            decay = -(k - sigma) * log_grow_gamma
+            denom = -math.expm1(decay) + math.exp(decay) / theta
+            ratio = eta * numer / denom
         if ratio <= limit and ratio <= gamma + _junction_slack(gamma, k, sigma):
             return sigma
     raise ConstructionError(
@@ -331,14 +321,13 @@ def _frame(target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind) 
         return _Frame(target, k, 1.0, 1.0, 0.0, 0.0, near, near)
     # Min-search leads are negative: p_max + (-x) rounds exactly like
     # p_max - x, so both kinds share every threshold formula.
+    sigma = sigma_star(target, bounds, k, kind)
     if kind.is_max:
-        sigma = sigma_star_max(target, bounds, k)
         grow_eta, grow_gamma = 1.0 + eta / k, 1.0 + gamma / k
         lead_eta, lead_gamma = p_min * (eta - 1.0), p_min * (gamma - 1.0)
         tilde_1 = p_min + lead_eta * grow_eta ** (sigma - 1)
         tilde_2 = max(tilde_1, gamma * p_min)
     else:
-        sigma = sigma_star_min(target, bounds, k)
         grow_eta, grow_gamma = 1.0 + 1.0 / (eta * k), 1.0 + 1.0 / (gamma * k)
         lead_eta = -(p_max * (1.0 - 1.0 / eta))
         lead_gamma = -(p_max * (1.0 - 1.0 / gamma))

@@ -56,6 +56,10 @@ class PriceBounds:
             raise InvalidInputError(
                 f"p_max must satisfy p_max >= p_min > 0, got [{self.p_min}, {self.p_max}]"
             )
+        if not math.isfinite(self.theta):
+            raise InvalidInputError(
+                f"theta = p_max/p_min overflows for [{self.p_min}, {self.p_max}]"
+            )
 
     @property
     def theta(self) -> float:

@@ -176,12 +176,30 @@ def _bulk_series(path) -> PriceSeries | None:
         return None
 
 
+def _numbered_rows(path, fh):
+    """The ``csv`` rows of an open feed with their numbers, the header as row 0.
+
+    A feed that is not UTF-8 raises InvalidInputError, and a row the ``csv``
+    module cannot split (a field over its size limit, say) DataFormatError."""
+    reader = csv.reader(fh)
+    for row_num in itertools.count():
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: row {row_num}: {exc}", row=row_num) from None
+        yield row_num, row
+
+
 def _row_series(path) -> PriceSeries:
     """``ingest_csv`` one row at a time, with the ``csv`` module."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        reader = _numbered_rows(path, fh)
         try:
-            header = [cell.strip() for cell in next(reader)]
+            header = [cell.strip() for cell in next(reader)[1]]
         except StopIteration:
             raise InvalidInputError(f"{path}: empty file") from None
         if "price" not in header:
@@ -193,7 +211,7 @@ def _row_series(path) -> PriceSeries:
 
         prices: list[float] = []
         stamps: list[int] = []
-        for row_num, row in enumerate(reader, start=1):
+        for row_num, row in reader:
             if len(row) != len(header):
                 raise DataFormatError(
                     f"{path}: row {row_num} has {len(row)} fields, "

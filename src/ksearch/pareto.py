@@ -14,10 +14,11 @@ exhausted.  The k-min mirror is
                     - (theta-1)(1 - zeta/k),
 
 with zeta the ceiling count of the reserve thresholds a gamma-robust
-min-search schedule must keep above p_min.  A confidence lam in [0,1] is
-mapped linearly onto gamma in [cr*, theta] and the frontier then fixes eta;
-lam=1 recovers the worst-case optimum (cr*, cr*), lam=0 full trust
-(1, theta).
+min-search schedule must keep above p_min.  ``lower_bound`` evaluates
+Gamma or Lambda, by the spec's kind, at its ceiling count.  A confidence
+lam in [0,1] is mapped linearly onto gamma in [cr*, theta] and the
+frontier then fixes eta; lam=1 recovers the worst-case optimum (cr*, cr*),
+lam=0 full trust (1, theta).
 """
 
 from __future__ import annotations
@@ -66,76 +67,51 @@ def _checked_gamma(gamma: float, spec: FrontierSpec) -> float:
     return min(max(gamma, spec.cr_star), spec.theta)
 
 
-def _require(spec: FrontierSpec, kind: ProblemKind) -> None:
-    if spec.kind is not kind:
-        raise InvalidInputError(f"operation requires a {kind.value}-search spec")
+def _sweep_count(gamma: float, spec: FrontierSpec) -> int:
+    """The ceiling count xi* (max) or zeta* (min) at robustness gamma.
 
-
-def xi_star(gamma: float, spec: FrontierSpec) -> int:
-    """Number of intervals the max-search adversary can sweep at robustness gamma."""
-    _require(spec, ProblemKind.MAX)
+    xi* counts the intervals the max-search adversary can sweep, zeta* the
+    reserve thresholds a gamma-robust min-search schedule keeps above p_min.
+    Both are the ceiling of a log ratio.  The floor form under-counts by one
+    whenever the crossing is not exactly integral, and for min-search the
+    resulting consistency value is unattainable: with gamma < theta the
+    first threshold alone already sits at p_max/gamma > p_min.
+    """
     gamma = _checked_gamma(gamma, spec)
     theta, k = spec.theta, spec.k
     if theta == 1.0 or gamma >= theta:
         return 0
-    raw = math.log((theta - 1.0) / (gamma - 1.0)) / math.log1p(gamma / k)
+    if spec.kind.is_max:
+        raw = math.log((theta - 1.0) / (gamma - 1.0)) / math.log1p(gamma / k)
+    else:
+        raw = math.log((theta - 1.0) / (theta - theta / gamma)) / math.log1p(1.0 / (gamma * k))
     return min(k, max(0, math.ceil(raw - _CUT_EPS)))
-
-
-def lower_bound_max(gamma: float, spec: FrontierSpec) -> float:
-    """Best consistency any gamma-robust deterministic k-max algorithm can reach."""
-    _require(spec, ProblemKind.MAX)
-    gamma = _checked_gamma(gamma, spec)
-    theta, k = spec.theta, spec.k
-    if theta == 1.0:
-        return 1.0
-    xi = xi_star(gamma, spec)
-    denom = (1.0 + (gamma - 1.0) * (1.0 + gamma / k) ** xi) / gamma + (theta - 1.0) * (
-        1.0 - xi / k
-    )
-    return min(max(theta / denom, 1.0), spec.cr_star)
-
-
-def zeta_star(gamma: float, spec: FrontierSpec) -> int:
-    """Number of reserve thresholds a gamma-robust min-search schedule keeps above p_min.
-
-    The count is the ceiling of the log ratio.  The floor form under-counts
-    by one whenever the crossing is not exactly integral, and the resulting
-    consistency value is unattainable: with gamma < theta the first threshold
-    alone already sits at p_max/gamma > p_min.
-    """
-    _require(spec, ProblemKind.MIN)
-    gamma = _checked_gamma(gamma, spec)
-    theta, k = spec.theta, spec.k
-    if theta == 1.0 or gamma >= theta:
-        return 0
-    raw = math.log((theta - 1.0) / (theta - theta / gamma)) / math.log1p(1.0 / (gamma * k))
-    return min(k, max(0, math.ceil(raw - _CUT_EPS)))
-
-
-def lower_bound_min(gamma: float, spec: FrontierSpec) -> float:
-    """Best consistency any gamma-robust deterministic k-min algorithm can reach.
-
-    Evaluating at the ceiling count zeta_star makes the bound both valid and
-    achieved exactly by the case-VI construction.
-    """
-    _require(spec, ProblemKind.MIN)
-    gamma = _checked_gamma(gamma, spec)
-    theta, k = spec.theta, spec.k
-    if theta == 1.0:
-        return 1.0
-    zeta = zeta_star(gamma, spec)
-    # gamma - (gamma-1)*(1+1/(gamma*k))**zeta rewritten so the near-total
-    # cancellation between the two terms (their difference can be ~1/gamma
-    # of either operand) happens between exactly-computed quantities;
-    # expm1/log1p keep the small factor at full precision.
-    growth = math.expm1(zeta * math.log1p(1.0 / (gamma * k)))
-    value = theta * (1.0 - (gamma - 1.0) * growth) - (theta - 1.0) * (1.0 - zeta / k)
-    return min(max(value, 1.0), spec.cr_star)
 
 
 def lower_bound(gamma: float, spec: FrontierSpec) -> float:
-    return lower_bound_max(gamma, spec) if spec.kind.is_max else lower_bound_min(gamma, spec)
+    """Best consistency any gamma-robust deterministic algorithm can reach: Gamma or Lambda.
+
+    Evaluating at the ceiling count makes the bound both valid and, for
+    min-search, achieved exactly by the case-VI construction.
+    """
+    gamma = _checked_gamma(gamma, spec)
+    theta, k = spec.theta, spec.k
+    if theta == 1.0:
+        return 1.0
+    count = _sweep_count(gamma, spec)
+    if spec.kind.is_max:
+        denom = (1.0 + (gamma - 1.0) * (1.0 + gamma / k) ** count) / gamma + (theta - 1.0) * (
+            1.0 - count / k
+        )
+        value = theta / denom
+    else:
+        # gamma - (gamma-1)*(1+1/(gamma*k))**zeta rewritten so the near-total
+        # cancellation between the two terms (their difference can be ~1/gamma
+        # of either operand) happens between exactly-computed quantities;
+        # expm1/log1p keep the small factor at full precision.
+        growth = math.expm1(count * math.log1p(1.0 / (gamma * k)))
+        value = theta * (1.0 - (gamma - 1.0) * growth) - (theta - 1.0) * (1.0 - count / k)
+    return min(max(value, 1.0), spec.cr_star)
 
 
 def target_point(lam: float, spec: FrontierSpec) -> ParetoPoint:

@@ -8,9 +8,11 @@ whose left side strictly decreases and right side strictly increases in
 alpha on (1, theta), so bracketed bisection is exact enough.  The k-min
 ratio phi* solves (1 - 1/theta) / (1 - 1/phi) = (1 + 1/(k*phi))^k, which is
 equivalent to the strictly increasing fixed point
-h(phi) = (1 - 1/phi)(1 + 1/(k*phi))^k = 1 - 1/theta.  The matching
-schedules balance the per-interval worst-case ratio to exactly cr on every
-one of the k+1 price intervals.
+h(phi) = (1 - 1/phi)(1 + 1/(k*phi))^k = 1 - 1/theta.  ``solve_cr`` solves
+either balance equation by the same bracketed bisection, and
+``worst_case_thresholds`` builds the matching schedule, which balances the
+per-interval worst-case ratio to exactly cr on every one of the k+1 price
+intervals.
 """
 
 from __future__ import annotations
@@ -72,62 +74,46 @@ def _root_above_one(f, theta: float) -> float:
     return _bisect(f, lo, theta)
 
 
-def solve_alpha_star(bounds: PriceBounds, k: int) -> float:
-    """Optimal k-max competitive ratio for the given bounds."""
+def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
+    """Optimal competitive ratio for the given bounds: alpha* (max) or phi* (min)."""
     _check_k(k)
     theta = bounds.theta
     if theta == 1.0:
         return 1.0
+    if kind.is_max:
 
-    def f(a: float) -> float:
-        # product form of the balance equation; unlike the ratio form its
-        # slope stays bounded as theta -> 1, so the residual check is
-        # meaningful over the whole domain
-        return (a - 1.0) * (1.0 + a / k) ** k - (theta - 1.0)
+        def f(a: float) -> float:
+            # product form of the balance equation; unlike the ratio form its
+            # slope stays bounded as theta -> 1, so the residual check is
+            # meaningful over the whole domain
+            return (a - 1.0) * (1.0 + a / k) ** k - (theta - 1.0)
 
+        name, scale = "alpha*", max(1.0, theta - 1.0)
+    else:
+        target = 1.0 - 1.0 / theta
+
+        def f(p: float) -> float:
+            # strictly increasing in p, so the bracket (1, theta) works directly
+            return (1.0 - 1.0 / p) * (1.0 + 1.0 / (k * p)) ** k - target
+
+        name, scale = "phi*", 1.0
     root = _root_above_one(f, theta)
-    residual = abs((root - 1.0) * (1.0 + root / k) ** k - (theta - 1.0))
-    if not residual < _RESIDUAL_TOL * max(1.0, theta - 1.0):
-        raise ConstructionError(f"alpha*={root} leaves balance residual {residual}")
-    return root
-
-
-def solve_phi_star(bounds: PriceBounds, k: int) -> float:
-    """Optimal k-min competitive ratio for the given bounds."""
-    _check_k(k)
-    theta = bounds.theta
-    if theta == 1.0:
-        return 1.0
-
-    target = 1.0 - 1.0 / theta
-
-    def f(p: float) -> float:
-        # strictly increasing in p, so the bracket (1, theta) works directly
-        return (1.0 - 1.0 / p) * (1.0 + 1.0 / (k * p)) ** k - target
-
-    root = _root_above_one(f, theta)
-    residual = abs((1.0 - 1.0 / root) * (1.0 + 1.0 / (k * root)) ** k - target)
-    if not residual < _RESIDUAL_TOL:
-        raise ConstructionError(f"phi*={root} leaves balance residual {residual}")
+    residual = abs(f(root))
+    if not residual < _RESIDUAL_TOL * scale:
+        raise ConstructionError(f"{name}={root} leaves balance residual {residual}")
     return root
 
 
 def worst_case_thresholds(bounds: PriceBounds, k: int, kind: ProblemKind) -> WorstCaseSolution:
     """Schedule whose k+1 per-interval worst-case ratios all equal cr."""
-    _check_k(k)
+    cr = solve_cr(bounds, k, kind)
     # thresholds grow away from the start sentinel; min-search's negative
     # lead rounds exactly like the subtraction 1 - (1 - 1/cr) * growth**n
     if kind.is_max:
-        cr = solve_alpha_star(bounds, k)
         near, lead, growth = bounds.p_min, cr - 1.0, 1.0 + cr / k
     else:
-        cr = solve_phi_star(bounds, k)
         near, lead, growth = bounds.p_max, -(1.0 - 1.0 / cr), 1.0 + 1.0 / (k * cr)
     values = [bounds.clip(near * (1.0 + lead * growth ** (i - 1))) for i in range(1, k + 1)]
     schedule = ThresholdSchedule(kind, tuple(values), bounds)
     return WorstCaseSolution(kind, cr, schedule)
 
-
-def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
-    """Kind-dispatching shorthand used throughout the package."""
-    return solve_alpha_star(bounds, k) if kind.is_max else solve_phi_star(bounds, k)

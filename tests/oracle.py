@@ -20,9 +20,9 @@ equal this one's bit for bit.
 
 ``sigma_star_reference`` is the sigma* scan of either kind the plain way:
 from sigma = k down, each junction ratio tested against gamma plus its
-own ``_junction_slack``.  ``sigma_star_max`` and ``sigma_star_min`` skip
-the slack where the ratio cannot pass, and must return the same sigma or
-raise the same error.
+own ``_junction_slack``.  ``ksearch.augmented.sigma_star`` skips the
+slack where the ratio cannot pass, and must return the same sigma or raise
+the same error.
 
 ``harden_reference`` is the sweep's tail hardening one window at a time,
 from the public API: its own ``Generator(Philox(key)).random()`` draw per
@@ -84,7 +84,7 @@ def sigma_star_reference(
                 / (1.0 + (eta - 1.0) * (1.0 + eta / k) ** sigma)
             )
         else:
-            # both differences rewritten through expm1, as sigma_star_min does
+            # both differences rewritten through expm1, as sigma_star does
             grow_eta = math.expm1(sigma * math.log1p(1.0 / (eta * k)))
             decay = -(k - sigma) * math.log1p(1.0 / (gamma * k))
             numer = 1.0 / eta - (1.0 - 1.0 / eta) * grow_eta

@@ -29,19 +29,17 @@ from ksearch import (
     design,
     gen_synthetic_series,
     interval_ratios,
-    lower_bound_max,
-    lower_bound_min,
+    lower_bound,
     offline_opt,
     prediction_ratio,
     run_learning,
     run_ota,
     run_sweep,
     sliding_windows,
-    solve_alpha_star,
-    solve_phi_star,
+    solve_cr,
     worst_case_thresholds,
-    xi_star,
 )
+from ksearch.pareto import _sweep_count
 from ksearch.learner import _replay_ratios
 from adversaries import PInstanceSpec, gen_p_instance
 from oracle import design_for_target, ota_total
@@ -64,27 +62,27 @@ def _best_of(fn, repeats: int = 20) -> float:
 
 def test_criterion_01_alpha_star_value_under_1ms():
     bounds = PriceBounds(1.0, 10.0)
-    value = solve_alpha_star(bounds, 20)
+    value = solve_cr(bounds, 20, ProblemKind.MAX)
     assert 2.15 <= value <= 2.17
-    assert _best_of(lambda: solve_alpha_star(bounds, 20)) < 1e-3
+    assert _best_of(lambda: solve_cr(bounds, 20, ProblemKind.MAX)) < 1e-3
 
 
 def test_criterion_02_frontier_anchor_under_1ms():
     spec = FrontierSpec(PriceBounds(1.0, 10.0), 20, MAX)
-    value = lower_bound_max(2.63, spec)
+    value = lower_bound(2.63, spec)
     assert 1.51 <= value <= 1.53
-    assert _best_of(lambda: lower_bound_max(2.63, spec)) < 1e-3
+    assert _best_of(lambda: lower_bound(2.63, spec)) < 1e-3
 
 
 def test_criterion_03_frontier_endpoint_identities():
     for theta, k in itertools.product(THETA_GRID, K_GRID):
         bounds = PriceBounds(1.0, theta)
         smax = FrontierSpec(bounds, k, MAX)
-        assert abs(lower_bound_max(smax.cr_star, smax) - smax.cr_star) <= 1e-8
-        assert abs(lower_bound_max(theta, smax) - 1.0) <= 1e-8
+        assert abs(lower_bound(smax.cr_star, smax) - smax.cr_star) <= 1e-8
+        assert abs(lower_bound(theta, smax) - 1.0) <= 1e-8
         smin = FrontierSpec(bounds, k, MIN)
-        assert abs(lower_bound_min(smin.cr_star, smin) - smin.cr_star) <= 1e-8
-        assert abs(lower_bound_min(theta, smin) - 1.0) <= 1e-8
+        assert abs(lower_bound(smin.cr_star, smin) - smin.cr_star) <= 1e-8
+        assert abs(lower_bound(theta, smin) - 1.0) <= 1e-8
 
 
 def test_criterion_04_schedule_balancing_identities():
@@ -119,7 +117,7 @@ def test_criterion_05_designed_guarantees_under_5s():
 
 
 def test_criterion_06_case_classification():
-    cr = solve_alpha_star(BAND, 20)
+    cr = solve_cr(BAND, 20, ProblemKind.MAX)
     lam = 1.0 - (2.63 - cr) / (10.0 - cr)
     target = ParetoPoint(lam, 1.52, 2.63)
     for prediction, case in ((8.0, "I"), (12.0, "II"), (15.0, "III"), (25.0, "III")):
@@ -169,7 +167,7 @@ def test_criterion_08_brute_force_oracle_under_120s():
     # every 4^12 sequence against the optimal 3-unit max schedule
     T, K = 12, 3
     sol = worst_case_thresholds(bounds, K, MAX)
-    alpha = solve_alpha_star(bounds, K)
+    alpha = solve_cr(bounds, K, ProblemKind.MAX)
     padded = np.append(np.asarray(sol.schedule.values), np.inf)
 
     def batch_ota(prices: np.ndarray) -> np.ndarray:
@@ -208,13 +206,13 @@ def test_criterion_09_reserved_threshold_count_limits():
         bounds = PriceBounds(1.0, theta)
         spec = FrontierSpec(bounds, 1, MAX)
         gammas = spec.cr_star + (theta - spec.cr_star) * np.arange(40) / 40.0
-        assert {xi_star(float(g), spec) for g in gammas} == {1}
+        assert {_sweep_count(float(g), spec) for g in gammas} == {1}
 
         k = 10 ** 4
         spec = FrontierSpec(bounds, k, MAX)
         gamma = 0.5 * (spec.cr_star + theta)
         limit = math.log((theta - 1.0) / (gamma - 1.0)) / gamma
-        assert abs(xi_star(gamma, spec) / k - limit) <= 10.0 / k
+        assert abs(_sweep_count(gamma, spec) / k - limit) <= 10.0 / k
 
 
 def test_criterion_10_synthetic_feed_window_count():

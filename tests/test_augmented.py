@@ -31,8 +31,7 @@ from ksearch.augmented import (
     _construct,
     _frame,
     _verify,
-    sigma_star_max,
-    sigma_star_min,
+    sigma_star,
 )
 from conftest import band_cases, band_prediction
 from oracle import construct_reference, design_for_target, sigma_star_reference
@@ -243,7 +242,7 @@ def sigma_condition_max(sigma, eta, gamma, theta, k):
 
 
 def test_sigma_star_max_is_largest_feasible():
-    sigma = sigma_star_max(FIG_TARGET, BOUNDS, K)
+    sigma = sigma_star(FIG_TARGET, BOUNDS, K, ProblemKind.MAX)
     assert sigma == 9
     assert sigma_condition_max(sigma, 1.52, 2.63, BOUNDS.theta, K)
     assert not sigma_condition_max(sigma + 1, 1.52, 2.63, BOUNDS.theta, K)
@@ -251,7 +250,7 @@ def test_sigma_star_max_is_largest_feasible():
 
 def test_sigma_star_min_in_range_and_boundary():
     target = target_point(0.5, FrontierSpec(BOUNDS, K, ProblemKind.MIN))
-    sigma = sigma_star_min(target, BOUNDS, K)
+    sigma = sigma_star(target, BOUNDS, K, ProblemKind.MIN)
     assert 1 <= sigma <= K
     d = design_for_target(5.0, target, BOUNDS, K, ProblemKind.MIN)
     assert d.sigma_star == sigma
@@ -285,8 +284,7 @@ def test_sigma_star_is_the_reference_scan(kind, p_min, theta, k, lam):
         target = target_point(lam, FrontierSpec(bounds, k, kind))
     except (KSearchError, ArithmeticError):
         return  # no target at this lambda: no sigma* to scan for
-    scan = sigma_star_max if kind.is_max else sigma_star_min
-    assert _result(scan, target, bounds, k) == _result(
+    assert _result(sigma_star, target, bounds, k, kind) == _result(
         sigma_star_reference, target, bounds, k, kind)
 
 

@@ -56,6 +56,7 @@ class TestValidation:
         ["pareto", *BOUNDS, "--points", "1"],
         ["pareto", "--pmin", "0", "--pmax", "50"],
         ["pareto", "--pmin", "50", "--pmax", "5"],
+        ["pareto", "--pmin", "1e-320", "--pmax", "1"],  # theta overflows
         ["pareto", *BOUNDS, "--seed", "-1"],
         ["pareto", *BOUNDS, "--seed", str(1 << 64)],
         ["pareto", *BOUNDS, "--k", "0"],
@@ -115,6 +116,19 @@ class TestDataErrors:
                      "--window", "1", "--stride", "1", "--k", "1"])
         assert code == 3
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw,message", [
+        (b"price\n12.5\n\xff13.0\n", "not UTF-8 text (invalid start byte)"),
+        (b'price\n12.5\n"' + b"9" * 140_000 + b'"\n',
+         "row 2: field larger than field limit (131072)"),
+    ])
+    def test_unreadable_feed_exits_3(self, tmp_path, capsys, raw, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(raw)
+        code = main(["simulate", "--input", str(bad),
+                     "--window", "1", "--stride", "1", "--k", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == f"ksearch: data error: {bad}: {message}\n"
 
     def test_feed_too_short_exits_3(self, tmp_path, capsys):
         short = tmp_path / "short.csv"

@@ -304,6 +304,8 @@ class TestTypeInvariants:
             PriceBounds(0.0, 10.0)
         with pytest.raises(InvalidInputError):
             PriceBounds(10.0, 5.0)
+        with pytest.raises(InvalidInputError, match="theta"):
+            PriceBounds(1e-320, 1.0)  # p_max/p_min overflows
 
     def test_theta_is_derived(self):
         assert PriceBounds(5.0, 50.0).theta == 10.0

@@ -1,13 +1,15 @@
-"""Determinism guard: the CSV bytes of the feed commands are pinned by digest.
+"""Determinism guard: the CSV bytes of the CLI's commands are pinned by digest.
 
-Each case runs the CLI in-process on a small seeded feed and hashes every
-output line except the stamp (the first comment line, which names the
-command line).  The ``experiment`` and ``learn`` digests were recorded
+Each case runs the CLI in-process, the feed commands on a small seeded
+feed, and hashes every output line except the stamp (the first comment
+line, which names the command line).  The ``experiment`` and ``learn`` digests were recorded
 before the batched replay kernel replaced the per-schedule replay loop; the
 ``simulate`` digests, which pin every per-window ratio and confidence after
 the prediction error is dialled, were recorded before windows stopped
 storing their actual extreme.  A change in any ratio, summary or learner
-weight, down to the last bit of a ``repr``, fails here.
+weight, down to the last bit of a ``repr``, fails here.  The ``pareto``
+and ``thresholds`` digests pin the frontier, the worst-case ratio and one
+design of each kind outside the feed commands.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from ksearch import gen_synthetic_series
 from ksearch.cli import main
 
 FEED = "feed.csv"
+FEED_COMMANDS = {"experiment", "simulate", "learn"}
 FEED_SAMPLES, FEED_SEED = 4000, 11
 WINDOWS = ("--window", "288", "--stride", "48")
 
@@ -48,6 +51,22 @@ CASES = {
         ["learn", "--kind", "both", "--k", "10", "--window", "288", "--stride", "24"],
         "fc752633162a9541099960fd5531f72c12ad19d3c053de04872495b54edabd50",
     ),
+    "pareto-max": (
+        ["pareto", "--kind", "max", "--k", "100", "--points", "33"],
+        "5a61a7fe80f39b9fa098fdf24fe9e51223c0788b3db9ecd196715f4178354df8",
+    ),
+    "pareto-min": (
+        ["pareto", "--kind", "min", "--k", "100", "--points", "33"],
+        "015deecd33507a202b4ebcc2ee68c87a46427b26a812e334499d4791fac1623f",
+    ),
+    "thresholds-max": (
+        ["thresholds", "--kind", "max", "--k", "20", "--lambda", "0.5", "--prediction", "20"],
+        "ad01849452a15b0026790c71055469eb7c87e8766f7c5ba1563e2962b9068b76",
+    ),
+    "thresholds-min": (
+        ["thresholds", "--kind", "min", "--k", "20", "--lambda", "0.5", "--prediction", "20"],
+        "1d3c0ee8670df293dc2b0fb975ea1befe1bc6fa8dc1fd6f7c7d4804d4ab1a33d",
+    ),
 }
 
 
@@ -72,5 +91,6 @@ def test_csv_rows_match_recorded_digest(case, feed_dir, monkeypatch):
     argv, expected = CASES[case]
     monkeypatch.chdir(feed_dir)  # relative paths keep the source= comment stable
     out = f"{case}.csv"
-    assert main([*argv, "--seed", "5", "--input", FEED, "--output", out]) == 0
+    feed = ("--input", FEED) if argv[0] in FEED_COMMANDS else ()
+    assert main([*argv, "--seed", "5", *feed, "--output", out]) == 0
     assert rows_digest((feed_dir / out).read_text(encoding="utf-8")) == expected

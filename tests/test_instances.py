@@ -29,7 +29,7 @@ from ksearch import (
     run_ota,
     scale_theta,
     sliding_windows,
-    solve_alpha_star,
+    solve_cr,
     worst_case_thresholds,
 )
 from ksearch import instances as instances_mod
@@ -140,7 +140,7 @@ class TestWorstCaseSequence:
     def test_ratio_approaches_interval_ratio(self, kind):
         k = 6
         sched = worst_case_thresholds(BOUNDS, k, kind).schedule
-        cr = solve_alpha_star(BOUNDS, k) if kind.is_max else None
+        cr = solve_cr(BOUNDS, k, ProblemKind.MAX) if kind.is_max else None
         for i in (0, 2, k):
             inst = gen_worst_case_sequence(sched, i)
             trace = run_ota(sched, inst)
@@ -293,6 +293,13 @@ class TestIngestCsv:
         with pytest.raises(DataFormatError, match="row 2"):
             ingest_csv(_write(tmp_path, "\ufefftimestamp,price\n5,5.0\n3,6.0\n7,7.0\n"))
 
+    @pytest.mark.parametrize("raw", [b"timestamp,price\n1,5.0\n2,\xff6.0\n", b"\xffprice\n5.0\n"])
+    def test_not_utf8_is_invalid_input(self, tmp_path, raw):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(raw)
+        with pytest.raises(InvalidInputError, match="not UTF-8 text"):
+            ingest_csv(path)
+
 
 def _row_loop_refused(path):
     raise AssertionError(f"{path} reached the row loop")
@@ -340,6 +347,11 @@ INGEST_CASES = {
                      ((5.0, 6.0), (99999999999999999999, 100000000000000000000))),
     "unicode_digits": ("timestamp,price\n\u0661,\u0665\n\u0662,6.0\n", ((5.0, 6.0), (1, 2))),
     "header_only": ("timestamp,price\n", (InvalidInputError, ": no data rows", None)),
+    # a field over the csv module's 131,072-character limit, in a row or the header
+    "huge_field": ("timestamp,price\n1,5.0\n2," + "9" * 131_073 + "\n3,6.0\n",
+                   (DataFormatError, ": row 2: field larger than field limit (131072)", 2)),
+    "huge_header": ("timestamp," + "p" * 131_073 + "\n1,5.0\n",
+                    (DataFormatError, ": row 0: field larger than field limit (131072)", 0)),
 }
 
 

@@ -15,13 +15,10 @@ from ksearch import (
     ProblemKind,
     frontier_curve,
     lower_bound,
-    lower_bound_max,
-    lower_bound_min,
     solve_cr,
     target_point,
-    xi_star,
-    zeta_star,
 )
+from ksearch.pareto import _sweep_count
 from ksearch.augmented import prediction_ratio
 from oracle import design_for_target
 
@@ -61,12 +58,12 @@ def zeta_scan(gamma: float, theta: float, k: int) -> int:
 
 def test_anchor_values():
     smax, smin = specs_for(10.0, 20)
-    assert xi_star(2.63, smax) == 14
-    gamma_val = lower_bound_max(2.63, smax)
+    assert _sweep_count(2.63, smax) == 14
+    gamma_val = lower_bound(2.63, smax)
     assert 1.51 <= gamma_val <= 1.53
     assert gamma_val == pytest.approx(1.5209556551699634, abs=1e-12)
-    assert zeta_star(5.0, smin) == 12
-    assert lower_bound_min(5.0, smin) == pytest.approx(1.326998794721209, abs=1e-12)
+    assert _sweep_count(5.0, smin) == 12
+    assert lower_bound(5.0, smin) == pytest.approx(1.326998794721209, abs=1e-12)
 
 
 def test_min_bound_uses_achievable_crossing():
@@ -79,20 +76,20 @@ def test_min_bound_uses_achievable_crossing():
     theta, k, gamma = 10.0, 20, 5.0
     raw = math.log((theta - 1.0) / (theta - theta / gamma)) / math.log1p(1.0 / (gamma * k))
     floor_zeta = math.floor(raw)
-    assert floor_zeta < zeta_star(gamma, smin)  # the crossing is not integral
+    assert floor_zeta < _sweep_count(gamma, smin)  # the crossing is not integral
     floor_value = theta * (
         gamma - (gamma - 1.0) * (1.0 + 1.0 / (gamma * k)) ** floor_zeta
     ) - (theta - 1.0) * (1.0 - floor_zeta / k)
-    assert lower_bound_min(gamma, smin) > floor_value
+    assert lower_bound(gamma, smin) > floor_value
 
 
 @pytest.mark.parametrize("theta,k", THETA_K_GRID)
 def test_endpoint_identities(theta, k):
     smax, smin = specs_for(theta, k)
-    assert lower_bound_max(smax.cr_star, smax) == pytest.approx(smax.cr_star, abs=1e-8)
-    assert lower_bound_max(theta, smax) == pytest.approx(1.0, abs=1e-8)
-    assert lower_bound_min(smin.cr_star, smin) == pytest.approx(smin.cr_star, abs=1e-8)
-    assert lower_bound_min(theta, smin) == pytest.approx(1.0, abs=1e-8)
+    assert lower_bound(smax.cr_star, smax) == pytest.approx(smax.cr_star, abs=1e-8)
+    assert lower_bound(theta, smax) == pytest.approx(1.0, abs=1e-8)
+    assert lower_bound(smin.cr_star, smin) == pytest.approx(smin.cr_star, abs=1e-8)
+    assert lower_bound(theta, smin) == pytest.approx(1.0, abs=1e-8)
 
 
 @pytest.mark.parametrize("theta,k", THETA_K_GRID)
@@ -103,7 +100,7 @@ def test_crossings_match_scan_oracle(theta, k):
         raw = math.log((theta - 1.0) / (gamma - 1.0)) / math.log1p(gamma / k)
         if abs(raw - round(raw)) < 1e-8:
             continue  # skip knife-edge crossings where float noise decides
-        assert xi_star(gamma, smax) == xi_scan(gamma, theta, k)
+        assert _sweep_count(gamma, smax) == xi_scan(gamma, theta, k)
     for gamma in np.linspace(smin.cr_star, theta, 37):
         gamma = float(gamma)
         raw = math.log((theta - 1.0) / (theta - theta / gamma)) / math.log1p(
@@ -111,17 +108,17 @@ def test_crossings_match_scan_oracle(theta, k):
         )
         if abs(raw - round(raw)) < 1e-8:
             continue
-        assert zeta_star(gamma, smin) == zeta_scan(gamma, theta, k)
+        assert _sweep_count(gamma, smin) == zeta_scan(gamma, theta, k)
 
 
 @pytest.mark.parametrize("theta,k", THETA_K_GRID)
 def test_bounds_stay_between_one_and_cr_star(theta, k):
     smax, smin = specs_for(theta, k)
     for gamma in np.linspace(smax.cr_star, theta, 61):
-        v = lower_bound_max(float(gamma), smax)
+        v = lower_bound(float(gamma), smax)
         assert 1.0 - 1e-12 <= v <= smax.cr_star + 1e-12
     for gamma in np.linspace(smin.cr_star, theta, 61):
-        v = lower_bound_min(float(gamma), smin)
+        v = lower_bound(float(gamma), smin)
         assert 1.0 - 1e-12 <= v <= smin.cr_star + 1e-12
 
 
@@ -131,7 +128,7 @@ def test_min_bound_achievable_at_lower_boundary():
     smin = FrontierSpec(b, 20, ProblemKind.MIN)
     for gamma in np.linspace(smin.cr_star, 10.0, 25):
         gamma = float(gamma)
-        eta = lower_bound_min(gamma, smin)
+        eta = lower_bound(gamma, smin)
         design = design_for_target(
             5.0, ParetoPoint(0.5, eta, gamma), b, 20, ProblemKind.MIN
         )
@@ -141,34 +138,16 @@ def test_min_bound_achievable_at_lower_boundary():
 def test_gamma_domain_errors_and_snapping():
     smax, smin = specs_for(10.0, 20)
     with pytest.raises(DomainError):
-        lower_bound_max(smax.cr_star - 0.01, smax)
+        lower_bound(smax.cr_star - 0.01, smax)
     with pytest.raises(DomainError):
-        lower_bound_max(10.5, smax)
+        lower_bound(10.5, smax)
     with pytest.raises(DomainError):
-        zeta_star(1.0, smin)
+        _sweep_count(1.0, smin)
     # float-noise inputs at the domain edges snap instead of raising
-    assert lower_bound_max(smax.cr_star * (1.0 - 1e-12), smax) == pytest.approx(
+    assert lower_bound(smax.cr_star * (1.0 - 1e-12), smax) == pytest.approx(
         smax.cr_star, abs=1e-8
     )
-    assert lower_bound_min(10.0 * (1.0 + 1e-13), smin) == pytest.approx(1.0, abs=1e-8)
-
-
-def test_kind_mismatch_rejected():
-    smax, smin = specs_for(10.0, 20)
-    with pytest.raises(InvalidInputError):
-        lower_bound_max(3.0, smin)
-    with pytest.raises(InvalidInputError):
-        lower_bound_min(3.0, smax)
-    with pytest.raises(InvalidInputError):
-        xi_star(3.0, smin)
-    with pytest.raises(InvalidInputError):
-        zeta_star(3.0, smax)
-
-
-def test_lower_bound_dispatch():
-    smax, smin = specs_for(10.0, 20)
-    assert lower_bound(3.0, smax) == lower_bound_max(3.0, smax)
-    assert lower_bound(3.0, smin) == lower_bound_min(3.0, smin)
+    assert lower_bound(10.0 * (1.0 + 1e-13), smin) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_target_point_endpoints_and_domain():
@@ -216,14 +195,14 @@ def test_frontier_curve_shape():
 def test_k_one_crossing_is_always_one():
     smax, _ = specs_for(10.0, 1)
     for gamma in np.linspace(smax.cr_star + 1e-6, 10.0 - 1e-6, 51):
-        assert xi_star(float(gamma), smax) == 1
+        assert _sweep_count(float(gamma), smax) == 1
 
 
 def test_large_k_crossing_asymptotics():
     theta, k = 10.0, 10**4
     smax, _ = specs_for(theta, k)
     for gamma in (4.0, 5.5, 7.0):
-        xi = xi_star(gamma, smax)
+        xi = _sweep_count(gamma, smax)
         limit = math.log((theta - 1.0) / (gamma - 1.0)) / gamma
         assert abs(xi / k - limit) <= 10.0 / k
 

@@ -11,9 +11,7 @@ from ksearch import (
     InvalidInputError,
     PriceBounds,
     ProblemKind,
-    solve_alpha_star,
     solve_cr,
-    solve_phi_star,
     worst_case_thresholds,
 )
 from ksearch.augmented import interval_ratios
@@ -58,14 +56,14 @@ def phi_oracle(theta: float, k: int) -> float:
 
 
 def test_alpha_star_anchor_value_and_range():
-    value = solve_alpha_star(PriceBounds(1.0, 10.0), 20)
+    value = solve_cr(PriceBounds(1.0, 10.0), 20, ProblemKind.MAX)
     assert 2.15 <= value <= 2.17
     assert value == pytest.approx(2.1586815608633687, abs=1e-10)
     assert value == pytest.approx(alpha_oracle(10.0, 20), abs=1e-9)
 
 
 def test_phi_star_anchor_value():
-    value = solve_phi_star(PriceBounds(1.0, 10.0), 20)
+    value = solve_cr(PriceBounds(1.0, 10.0), 20, ProblemKind.MIN)
     assert value == pytest.approx(2.5914771297134163, abs=1e-10)
     assert value == pytest.approx(phi_oracle(10.0, 20), abs=1e-9)
 
@@ -73,17 +71,17 @@ def test_phi_star_anchor_value():
 def test_k_equal_one_closed_form_sqrt_theta():
     for theta in (2.0, 10.0, 83.092):
         b = bounds_for(theta)
-        assert solve_alpha_star(b, 1) == pytest.approx(math.sqrt(theta), abs=1e-10)
-        assert solve_phi_star(b, 1) == pytest.approx(math.sqrt(theta), abs=1e-10)
+        assert solve_cr(b, 1, ProblemKind.MAX) == pytest.approx(math.sqrt(theta), abs=1e-10)
+        assert solve_cr(b, 1, ProblemKind.MIN) == pytest.approx(math.sqrt(theta), abs=1e-10)
 
 
 @pytest.mark.parametrize("theta,k", GRID)
 def test_defining_equation_residuals(theta, k):
     b = bounds_for(theta)
-    alpha = solve_alpha_star(b, k)
+    alpha = solve_cr(b, k, ProblemKind.MAX)
     residual = abs((theta - 1.0) / (alpha - 1.0) - (1.0 + alpha / k) ** k)
     assert residual < 1e-10
-    phi = solve_phi_star(b, k)
+    phi = solve_cr(b, k, ProblemKind.MIN)
     residual = abs(
         (1.0 - 1.0 / theta) - (1.0 - 1.0 / phi) * (1.0 + 1.0 / (k * phi)) ** k
     )
@@ -95,8 +93,8 @@ def test_balancing_identities(theta, k):
     """The optimal schedules equalize every interval ratio at cr*."""
     b = bounds_for(theta, p_min=3.0)
     for kind, cr in (
-        (ProblemKind.MAX, solve_alpha_star(b, k)),
-        (ProblemKind.MIN, solve_phi_star(b, k)),
+        (ProblemKind.MAX, solve_cr(b, k, ProblemKind.MAX)),
+        (ProblemKind.MIN, solve_cr(b, k, ProblemKind.MIN)),
     ):
         solution = worst_case_thresholds(b, k, kind)
         assert solution.cr == pytest.approx(cr, rel=1e-12)
@@ -107,8 +105,8 @@ def test_balancing_identities(theta, k):
 def test_schedule_shape_and_boundary_values():
     b = PriceBounds(5.0, 50.0)
     k = 20
-    alpha = solve_alpha_star(b, k)
-    phi = solve_phi_star(b, k)
+    alpha = solve_cr(b, k, ProblemKind.MAX)
+    phi = solve_cr(b, k, ProblemKind.MIN)
     wmax = worst_case_thresholds(b, k, ProblemKind.MAX)
     wmin = worst_case_thresholds(b, k, ProblemKind.MIN)
     # first thresholds come straight from the closed form at i=1
@@ -123,8 +121,8 @@ def test_schedule_shape_and_boundary_values():
 
 def test_degenerate_theta_one():
     b = PriceBounds(7.0, 7.0)
-    assert solve_alpha_star(b, 4) == 1.0
-    assert solve_phi_star(b, 4) == 1.0
+    assert solve_cr(b, 4, ProblemKind.MAX) == 1.0
+    assert solve_cr(b, 4, ProblemKind.MIN) == 1.0
     for kind in ProblemKind:
         sol = worst_case_thresholds(b, 4, kind)
         assert sol.cr == 1.0
@@ -136,8 +134,8 @@ def test_near_degenerate_band_root_above_one(excess):
     # theta - 1 below ~3e-12 puts the root under 1 + 1e-12
     b = PriceBounds(1.0, 1.0 + excess)
     for k in (1, 5, 100):
-        for solver in (solve_alpha_star, solve_phi_star):
-            value = solver(b, k)
+        for kind in ProblemKind:
+            value = solve_cr(b, k, kind)
             assert 1.0 < value <= b.theta
 
 
@@ -149,12 +147,12 @@ def test_bisect_rejects_a_bracket_without_a_sign_change():
 def test_monotone_in_theta_and_k():
     ks = [1, 2, 5, 20, 100]
     thetas = [1.5, 2.0, 5.0, 10.0, 50.0]
-    for solver in (solve_alpha_star, solve_phi_star):
+    for kind in ProblemKind:
         for k in ks:
-            vals = [solver(bounds_for(t), k) for t in thetas]
+            vals = [solve_cr(bounds_for(t), k, kind) for t in thetas]
             assert all(a < b for a, b in zip(vals, vals[1:]))
         for t in thetas:
-            vals = [solver(bounds_for(t), k) for k in ks]
+            vals = [solve_cr(bounds_for(t), k, kind) for k in ks]
             # more selections help: competitive ratio decreases with k
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
@@ -162,30 +160,24 @@ def test_monotone_in_theta_and_k():
 def test_min_search_at_least_as_hard_as_max():
     for theta, k in GRID:
         b = bounds_for(theta)
-        assert solve_phi_star(b, k) >= solve_alpha_star(b, k) - 1e-12
-
-
-def test_solve_cr_dispatch():
-    b = PriceBounds(2.0, 20.0)
-    assert solve_cr(b, 7, ProblemKind.MAX) == solve_alpha_star(b, 7)
-    assert solve_cr(b, 7, ProblemKind.MIN) == solve_phi_star(b, 7)
+        assert solve_cr(b, k, ProblemKind.MIN) >= solve_cr(b, k, ProblemKind.MAX) - 1e-12
 
 
 @pytest.mark.parametrize("bad_k", [0, -3, 2.5, True])
 def test_rejects_bad_k(bad_k):
     with pytest.raises(InvalidInputError):
-        solve_alpha_star(PriceBounds(1.0, 4.0), bad_k)
+        solve_cr(PriceBounds(1.0, 4.0), bad_k, ProblemKind.MAX)
     with pytest.raises(InvalidInputError):
-        solve_phi_star(PriceBounds(1.0, 4.0), bad_k)
+        solve_cr(PriceBounds(1.0, 4.0), bad_k, ProblemKind.MIN)
 
 
 def test_solver_speed():
     b = PriceBounds(1.0, 10.0)
-    solve_alpha_star(b, 20)  # warm any lazy setup
+    solve_cr(b, 20, ProblemKind.MAX)  # warm any lazy setup
     start = time.perf_counter()
     for _ in range(50):
-        solve_alpha_star(b, 20)
-        solve_phi_star(b, 20)
+        solve_cr(b, 20, ProblemKind.MAX)
+        solve_cr(b, 20, ProblemKind.MIN)
     per_call = (time.perf_counter() - start) / 100
     assert per_call < 1e-3
 
@@ -197,7 +189,7 @@ def test_solver_speed():
 )
 def test_solution_always_in_open_bracket(theta, k):
     b = bounds_for(theta)
-    for solver in (solve_alpha_star, solve_phi_star):
-        value = solver(b, k)
+    for kind in ProblemKind:
+        value = solve_cr(b, k, kind)
         assert 1.0 < value < theta or (theta == 1.0 and value == 1.0)
         assert value <= math.sqrt(theta) + 1e-9  # k=1 is the worst case
