@@ -11,11 +11,14 @@ compulsory regardless of the schedule.
 
 Two replays share these rules.  ``run_ota`` records every decision of one
 run.  ``ota_totals``, the batched replay the learner and the harness use,
-replays a block of windows (read-only price arrays, often views of one
-series) under many schedules with one kernel: each run jumps from one
-selection to the next by a binary-lifting descent over a sparse table of
-block maxima.  Its totals are bit-identical to those of ``ota_total``,
-the per-run oracle the tests hold.
+replays a block of windows (read-only price arrays, often overlapping
+views of one series) under many schedules with one kernel.  It lays the
+block's windows end to end in one span, where a window adds only the
+prices the window before it lacks, builds one sparse table of block
+maxima over the span, and each run jumps from one selection to the next by
+a binary-lifting descent over that table, held to its window.  Its
+totals are bit-identical to those of ``ota_total``, the per-run oracle the
+tests hold.
 """
 
 from __future__ import annotations
@@ -249,14 +252,17 @@ def ota_totals(
     replays window ``rows[r]`` under the schedule ``thresholds[r]``.
 
     ``thresholds`` is (R, k), one schedule per run, and ``prices`` holds B
-    rows of T prices, one window each; NaN in either is rejected.  Each run
-    jumps from one selection to the next: slot m's step is the first one at
-    or after the run's position whose price meets threshold m, found by a
-    binary-lifting descent over a sparse table of block maxima (Bender and
-    Farach-Colton's range-maximum structure, LATIN 2000).  The totals are
-    added as the per-run oracle ``ota_total`` in ``tests/oracle.py`` adds
-    them, so each is bit-identical to it (property-tested).  Returns
-    (totals, voluntary counts).
+    rows of T prices, one window each; NaN in either is rejected.  The
+    windows are laid end to end in one span of prices, where a window that
+    overlaps the one before it (``_span_steps``) adds only the prices that
+    window lacks, and one sparse table of block maxima (Bender and
+    Farach-Colton's range-maximum structure, LATIN 2000) covers the span.
+    Each run jumps from one selection to the next: slot m's step is the
+    first one at or after the run's position whose price meets threshold m,
+    found by a binary-lifting descent over that table and held to the run's
+    window.  The totals are added as the per-run oracle ``ota_total`` in
+    ``tests/oracle.py`` adds them, so each is bit-identical to it
+    (property-tested).  Returns (totals, voluntary counts).
     """
     windows = [np.asarray(row, dtype=float) for row in prices]
     if not windows or windows[0].ndim != 1 or any(w.shape != windows[0].shape for w in windows):
@@ -276,63 +282,104 @@ def ota_totals(
     if np.isnan(thr).any():
         raise InvalidInputError("thresholds must not be NaN")
     sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
-    levels = T.bit_length()  # 2**levels > T
-    # table[l, b, t] is the largest of window b's prices t .. t + 2**l - 1
-    # that exist, and +inf once that range reaches t = T: every run meets the
-    # end of its window, so no descent skips past it
-    table = np.empty((levels, B, T + 1))
-    table[0, :, T] = np.inf
-    for b, window in enumerate(windows):
-        np.multiply(window, sign, out=table[0, b, :T])
-    if np.isnan(table[0, :, :T]).any():
+    steps = _span_steps(windows)
+    ends = np.cumsum(steps)  # where each window ends in the span
+    size = int(ends[-1])
+    levels = T.bit_length()  # 2**levels > T: a descent can cross a window
+    # table[l, t] is the largest of the signed span's prices t .. t + 2**l - 1
+    # that exist, and +inf once that range reaches t = size, so no descent
+    # leaves the span
+    table = np.empty((levels, size + 1))
+    table[0, size] = np.inf
+    for window, step, stop in zip(windows, steps, ends.tolist()):
+        np.multiply(window[T - step:], sign, out=table[0, stop - step:stop])
+    if np.isnan(table[0, :size].max()):  # a NaN is the maximum
         raise InvalidInputError("prices must not be NaN")
     for level in range(1, levels):
-        half, cur = 1 << (level - 1), table[level]
-        cur[:] = table[level - 1]
-        np.maximum(cur[:, :-half], table[level - 1, :, half:], out=cur[:, :-half])
-    # one flat view per level, largest blocks first
-    descent = [(level, table[level].ravel()) for level in reversed(range(levels))]
-    bars = (thr * sign).T.copy()  # one contiguous row per slot
-    at = rows * (T + 1)  # flat index of each run's position in its level
-    end = at + T
+        half, lower = 1 << (level - 1), table[level - 1]
+        np.maximum(lower[:-half], lower[half:], out=table[level, :-half])
+        table[level, -half:] = lower[-half:]
+    descent = [(level, table[level]) for level in reversed(range(levels))]
+    bars = np.empty((k, runs))  # one contiguous row per slot
+    np.multiply(thr.T, sign, out=bars)
+    first = (ends - T)[rows]  # where each run's window starts in the span
+    at, end = first.copy(), first + T
     sel = np.empty((k, runs), dtype=np.intp)
+    voluntary = np.zeros(runs, dtype=np.intp)
     skip = np.empty(runs, dtype=np.intp)
     for m in range(k):
         # skip every block whose maximum misses the bar, largest first; the
-        # first price that meets it, or the end, is where the run stops
+        # first price that meets it, or one at or past the window end, is
+        # where the run stops
         for level, flat in descent:
             np.less(flat[at], bars[m], out=skip)
             at += skip << level
-        np.subtract(at, end - T, out=sel[m])
+        np.subtract(at, first, out=sel[m])  # T or more: never filled
+        # the selection is voluntary if the run passed over fewer than T - k
+        # prices before it; the fill starts after the voluntary ones
+        voluntary += sel[m] < T - k + m
         np.minimum(at + 1, end, out=at)
-    return _grouped_totals(sel.T, table[0], rows, sign, T)
+    del bars, at, end, skip  # the gather's arrays take their place
+    return _grouped_totals(sel, voluntary, table[0], first, sign, T)
 
 
-def _replay_window_bytes(horizon: int, k: int, runs: int) -> int:
-    """The most ``ota_totals`` holds per window of a block, in bytes: the
-    sparse table, and per run the thresholds, their signed copy and the
-    selection slots."""
-    return 8 * horizon.bit_length() * (horizon + 1) + 24 * runs * k
+def _span_steps(windows) -> list[int]:
+    """How many prices each float64 window adds to a span of the windows
+    laid end to end: d where it and the window before it are contiguous
+    arrays of one length T and it starts d prices (0 < d < T) after that
+    window, so it adds only its last d prices, and its own length otherwise.
+
+    Two live arrays whose bytes overlap hold the same values there, so the
+    prices two windows share need no comparison."""
+    steps = []
+    before = None  # the window before: (length, address) if contiguous
+    for window in windows:
+        contiguous = window.flags.c_contiguous
+        here = (window.size, window.__array_interface__["data"][0]) if contiguous else None
+        step = window.size
+        if here and before and here[0] == before[0]:
+            gap, rest = divmod(here[1] - before[1], 8)
+            if rest == 0 and 0 < gap < step:
+                step = gap
+        steps.append(step)
+        before = here
+    return steps
 
 
-def _grouped_totals(sel, prices, rows, sign, T):
-    """Totals and voluntary counts from the (R, k) selection steps (T if
-    never filled) and the signed (B, >= T) prices, added with the same numpy
-    reductions as the per-run oracle, one group of equal voluntary counts at
-    a time."""
-    runs, k = sel.shape
-    slot = np.arange(k)
-    # selection m happens after sel[m] - m passed-over prices; the fill starts
-    # once T - k are passed over, i.e. after the selections made before that
-    voluntary = np.count_nonzero(sel - slot < T - k, axis=1)
+# the kernel's per-run vectors, 8 bytes an entry: the caller's row, window
+# start and end, position, skip flags, voluntary count and two temporaries
+_RUN_VECTOR_BYTES = 64
+
+
+def _replay_window_bytes(horizon: int, k: int, runs: int, step: int | None = None) -> int:
+    """The most ``ota_totals`` holds for one window of a block, in bytes,
+    where the window adds ``step`` prices to the block's span (``_span_steps``;
+    its whole horizon by default): the sparse table's columns of those
+    prices and an end column, and per run 32 bytes a slot (the caller's
+    thresholds, their signed copy and the selection steps; once the copy is
+    freed, the steps and the gather's indices and prices) and
+    ``_RUN_VECTOR_BYTES``."""
+    step = horizon if step is None else step
+    return 8 * horizon.bit_length() * (step + 1) + runs * (32 * k + _RUN_VECTOR_BYTES)
+
+
+def _grouped_totals(sel, voluntary, span, first, sign, T):
+    """Totals from the (k, R) selection steps (T or more if never filled) of
+    runs whose windows start at ``first`` in the signed span, added with the
+    same numpy reductions as the per-run oracle, one group of equal
+    voluntary counts at a time."""
+    k, runs = sel.shape
     totals = np.empty(runs)
     # the counts that occur (np.unique would import numpy.ma, ~0.6 MB)
     for m in np.flatnonzero(np.bincount(voluntary)).tolist():
         group = np.flatnonzero(voluntary == m)
-        cols = rows[group][:, None]
-        total = prices[cols, sel[group, :m]].sum(axis=1)
+        starts = first[group][:, None]
+        at = sel.T[group, :m]  # (runs, m), each run's row contiguous
+        at += starts
+        total = span[at].sum(axis=1)
+        del at
         if m < k:
-            total += prices[cols, np.arange(T - k + m, T)].sum(axis=1)
+            total += span[starts + np.arange(T - k + m, T)].sum(axis=1)
         totals[group] = total
     return sign * totals, voluntary
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,10 @@ STRIDE_SAMPLES = 3 * SAMPLES_PER_DAY  # 432
 FIVE_YEAR_SAMPLES = 1770 * SAMPLES_PER_DAY  # 254880
 # the header of a feed that ingest_csv parses in bulk
 _PLAIN_HEADER = "timestamp,price\n"
+# a row error echoes this much of a bad cell
+_ECHO_CHARS = 32
+# what ``int()`` reads as a base-10 integer, once the cell is stripped
+_INTEGER = re.compile(r"[+-]?\d+(?:_\d+)*")
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -194,6 +200,14 @@ def _numbered_rows(path, fh):
         yield row_num, row
 
 
+def _echo(cell: str, quote: bool = True) -> str:
+    """A bad cell as a row error shows it: its first ``_ECHO_CHARS``
+    characters, quoted unless ``quote`` is false, with the cell's length
+    where it is cut."""
+    head = repr(cell[:_ECHO_CHARS]) if quote else cell[:_ECHO_CHARS]
+    return head if len(cell) <= _ECHO_CHARS else f"{head}... ({len(cell)} characters)"
+
+
 def _row_series(path) -> PriceSeries:
     """``ingest_csv`` one row at a time, with the ``csv`` module."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -223,12 +237,13 @@ def _row_series(path) -> PriceSeries:
                 price = float(cell)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: row {row_num}: price {cell!r} is not numeric",
+                    f"{path}: row {row_num}: price {_echo(cell)} is not numeric",
                     row=row_num,
                 ) from None
             if not (price > 0 and math.isfinite(price)):
                 raise DataFormatError(
-                    f"{path}: row {row_num}: price must be positive, got {cell}",
+                    f"{path}: row {row_num}: price must be positive, "
+                    f"got {_echo(cell, quote=False)}",
                     row=row_num,
                 )
             prices.append(price)
@@ -237,15 +252,17 @@ def _row_series(path) -> PriceSeries:
                 try:
                     ts = int(tcell)
                 except ValueError:
+                    # a well-formed integer fails only past Python's digit limit
+                    why = (f"exceeds Python's {sys.get_int_max_str_digits()}-digit integer limit"
+                           if _INTEGER.fullmatch(tcell) else "is not an integer")
                     raise DataFormatError(
-                        f"{path}: row {row_num}: timestamp {tcell!r} is not "
-                        f"an integer",
+                        f"{path}: row {row_num}: timestamp {_echo(tcell)} {why}",
                         row=row_num,
                     ) from None
                 if stamps and ts <= stamps[-1]:
                     raise DataFormatError(
-                        f"{path}: row {row_num}: timestamp {ts} not strictly "
-                        f"increasing",
+                        f"{path}: row {row_num}: timestamp {_echo(str(ts), quote=False)} "
+                        f"not strictly increasing",
                         row=row_num,
                     )
                 stamps.append(ts)

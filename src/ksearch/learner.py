@@ -12,8 +12,12 @@ Every window of a stream carries its budget k and price band; the learner
 reads both from the first window and requires the rest to agree.  The
 counterfactual ratios do not depend on the learner's state, so the whole
 (window x confidence) ratio matrix is replayed first, a block of windows
-at a time through the batched kernel ``core.ota_totals`` (one descent over
-the block's sparse table of price maxima per run and selection).  The
+at a time through the batched kernel ``core.ota_totals`` (one descent per
+run and selection over one sparse table of price maxima, built over the
+block's windows laid end to end with their overlaps shared).  A block
+holds as many windows as keep the kernel within ``_REPLAY_BLOCK_BYTES``,
+each charged for the prices it adds to the block and for its runs, so
+overlapping windows pack more per block than disjoint ones.  The
 weights do not depend on the draws either: the Hedge recurrence runs over
 the matrix rows first, holding one plain list of weights and keeping each
 round's, and one pass then draws every round's grid point from them
@@ -44,7 +48,7 @@ import numpy as np
 
 from .augmented import _construct_grid, _snap_prediction, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, offline_opt, ota_totals
-from .core import _replay_window_bytes
+from .core import _replay_window_bytes, _span_steps
 from .errors import InvalidInputError, KSearchError
 from .instances import ExperimentWindow
 
@@ -55,6 +59,10 @@ _REPLAY_BLOCK_BYTES = 4 << 20
 # the grid design cache holds as many thresholds as 65,536 single designs
 _GRID_CACHE_ENTRIES = (1 << 16) // len(GRID)
 _grid_cache: OrderedDict = OrderedDict()
+# the key ranges whose uniforms ``_uniforms`` keeps, least recently used
+# dropped first: a run draws one Hedge range and one hardening range
+_UNIFORM_CACHE_RANGES = 8
+_uniform_cache: OrderedDict = OrderedDict()
 # how far from 1 ``Generator.choice`` lets the probabilities sum
 _SUM_TOLERANCE = math.sqrt(np.finfo(float).eps)
 
@@ -134,10 +142,11 @@ def _replay_ratios(
 
     Windows are replayed a block at a time by ``core.ota_totals``: a block is
     a run of consecutive windows of one horizon, as many as keep the kernel's
-    arrays within ``_REPLAY_BLOCK_BYTES``.  The grid designs of a block are
-    looked up together, as one (G, k) array per prediction (the byte budget
-    bounds the batch that designs the misses, too), the extra rows are
-    appended to each, and each window's offline optimum is computed once.
+    arrays within ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The grid designs
+    of a block are looked up together, as one (G, k) array per prediction
+    (the byte budget bounds the batch that designs the misses, too), the
+    extra rows are appended to each, and each window's offline optimum is
+    computed once.
     """
     k, bounds = windows[0].instance.k, windows[0].instance.bounds
     runs = len(GRID) + len(extra)
@@ -164,14 +173,22 @@ def _replay_ratios(
 
 
 def _blocks(windows: tuple[ExperimentWindow, ...], k: int, runs: int):
-    """(start, stop) of each block: consecutive windows of one horizon."""
+    """(start, stop) of each block: consecutive windows of one horizon, as
+    many as keep the running sum of their ``_replay_window_bytes`` within
+    ``_REPLAY_BLOCK_BYTES`` (at least one).  A window is charged for the
+    prices it adds to the block's span, so overlapping windows pack more
+    per block than disjoint ones."""
+    prices = [window.instance.prices for window in windows]
+    steps = _span_steps(prices)
     start = 0
     while start < len(windows):
-        horizon = windows[start].instance.horizon
-        size = max(1, _REPLAY_BLOCK_BYTES // _replay_window_bytes(horizon, k, runs))
+        horizon = prices[start].size
+        held = _replay_window_bytes(horizon, k, runs)
         stop = start + 1
-        while (stop < len(windows) and stop - start < size
-               and windows[stop].instance.horizon == horizon):
+        while stop < len(windows) and prices[stop].size == horizon:
+            held += _replay_window_bytes(horizon, k, runs, steps[stop])
+            if held > _REPLAY_BLOCK_BYTES:
+                break
             stop += 1
         yield start, stop
         start = stop
@@ -198,9 +215,21 @@ def _draws(weights: np.ndarray, keys) -> np.ndarray:
 def _uniforms(keys) -> np.ndarray:
     """The first double of the Philox stream of each key, as
     ``Generator(Philox(key)).random()`` draws it: the top 53 bits of the
-    stream's first raw output, times 2^-53."""
+    stream's first raw output, times 2^-53, as a read-only array.
+
+    The draws of a ``range`` of keys are taken once per process and kept:
+    the sweep's cells and groups and both kinds of ``learn`` draw the same
+    ranges again."""
+    if isinstance(keys, range) and keys in _uniform_cache:
+        _uniform_cache.move_to_end(keys)
+        return _uniform_cache[keys]
     uniform = np.array([np.random.Philox(key).random_raw() >> 11 for key in keys], dtype=float)
     uniform *= 2.0**-53
+    uniform.flags.writeable = False
+    if isinstance(keys, range):
+        _uniform_cache[keys] = uniform
+        if len(_uniform_cache) > _UNIFORM_CACHE_RANGES:
+            _uniform_cache.popitem(last=False)
     return uniform
 
 

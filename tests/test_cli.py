@@ -6,6 +6,7 @@ import hashlib
 import math
 import pathlib
 import shlex
+import sys
 
 import pytest
 
@@ -116,6 +117,24 @@ class TestDataErrors:
                      "--window", "1", "--stride", "1", "--k", "1"])
         assert code == 3
         assert "row 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row,told", [
+        # int() refuses a timestamp past Python's digit limit, not as malformed
+        ("1" * 5000 + ",5.0",
+         f"exceeds Python's {sys.get_int_max_str_digits()}-digit integer limit"),
+        ("1" * 4999 + "x,5.0", "is not an integer"),
+        ("1," + "9" * 4999 + "z", "is not numeric"),
+        ("1," + "0" * 5000, "price must be positive"),
+    ])
+    def test_long_bad_cells_are_cut_in_the_error(self, tmp_path, monkeypatch, capsys, row, told):
+        monkeypatch.chdir(tmp_path)
+        pathlib.Path("bad.csv").write_text(f"timestamp,price\n{row}\n2,6.0\n")
+        code = main(["simulate", "--input", "bad.csv", "--k", "1", "--window", "1"])
+        assert code == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert len(line) < 200
+        assert line.startswith("ksearch: data error: bad.csv: row 1: ")
+        assert told in line and "... (5000 characters)" in line
 
     @pytest.mark.parametrize("raw,message", [
         (b"price\n12.5\n\xff13.0\n", "not UTF-8 text (invalid start byte)"),

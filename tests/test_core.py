@@ -5,6 +5,7 @@ import itertools
 import math
 import pathlib
 import re
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
@@ -25,6 +26,7 @@ from ksearch import (
     ota_totals,
     run_ota,
 )
+from ksearch.core import _replay_window_bytes, _span_steps
 
 B = PriceBounds(5.0, 50.0)
 
@@ -162,6 +164,111 @@ def test_batched_replay_equals_ota_total(case):
         total, vol = ota_total(schedule, np.asarray(prices[row]))
         assert totals[r] == total
         assert voluntary[r] == vol
+
+
+LAYOUTS = ("forward", "reverse", "strided", "mixed")
+
+
+@st.composite
+def span_blocks(draw, max_k=6, max_horizon=40):
+    """(kind, bounds, (R, k) thresholds, B windows, R rows, layout, stride)
+    of one block whose windows are cut from one price array.
+
+    The windows start ``stride`` prices apart, from 1 up to twice the
+    horizon: ``forward`` keeps them as ``sliding_window_view`` rows in
+    order, ``reverse`` reverses them, ``strided`` cuts them from every
+    other price (views that are not contiguous), and ``mixed`` makes some
+    of them separate copies, with a hardened tail now and then, as the
+    sweep's plain and hardened windows are.
+    """
+    kind = draw(kinds)
+    bounds = draw(price_bounds())
+    k = draw(st.integers(min_value=1, max_value=max_k))
+    horizon = draw(st.integers(min_value=k, max_value=max_horizon))
+    stride = draw(st.integers(min_value=1, max_value=2 * horizon))
+    count = draw(st.integers(min_value=1, max_value=6))
+    layout = draw(st.sampled_from(LAYOUTS))
+    in_range = st.floats(min_value=bounds.p_min, max_value=bounds.p_max)
+    levels = draw(st.lists(in_range, min_size=1, max_size=4))
+    value = st.one_of(st.sampled_from(levels), in_range)
+    size = (count - 1) * stride + horizon
+    size *= 2 if layout == "strided" else 1
+    series = np.array(draw(st.lists(value, min_size=size, max_size=size)))
+    series.flags.writeable = False
+    cut = series[::2] if layout == "strided" else series
+    windows = list(np.lib.stride_tricks.sliding_window_view(cut, horizon)[::stride][:count])
+    if layout == "reverse":
+        windows.reverse()
+    elif layout == "mixed":
+        tail = bounds.p_min if kind.is_max else bounds.p_max
+        for b in range(count):
+            if draw(st.booleans()):
+                windows[b] = windows[b].copy()
+                if draw(st.booleans()):
+                    windows[b][horizon - k:] = tail
+    runs = draw(st.integers(min_value=1, max_value=8))
+    thresholds = [
+        sorted(draw(st.lists(value, min_size=k, max_size=k)), reverse=not kind.is_max)
+        for _ in range(runs)
+    ]
+    rows = draw(st.lists(st.integers(min_value=0, max_value=count - 1),
+                         min_size=runs, max_size=runs))
+    return kind, bounds, thresholds, windows, rows, layout, stride
+
+
+@given(span_blocks())
+@settings(max_examples=300)
+def test_span_replay_equals_ota_total(case):
+    kind, bounds, thresholds, windows, rows, layout, stride = case
+    horizon = windows[0].size
+    steps = _span_steps(windows)
+    # only in-order contiguous views less than a horizon apart share prices
+    if layout == "forward" and stride < horizon:
+        assert steps == [horizon] + [stride] * (len(windows) - 1)
+    elif layout in ("reverse", "strided") or stride >= horizon:
+        assert steps == [horizon] * len(windows)
+    totals, voluntary = ota_totals(np.array(thresholds), windows, rows, kind)
+    for r, row in enumerate(rows):
+        schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
+        assert (totals[r], voluntary[r]) == ota_total(schedule, windows[row])
+
+
+class TestSpanReplay:
+    @pytest.mark.parametrize("at", [0, 3, 7, 8, 9, 15, 23])
+    def test_rejects_nan_in_any_sample(self, at):
+        # windows of 10 starting 4 apart: samples 4..9 sit in two windows
+        series = np.full(26, 20.0)
+        series[at] = math.nan
+        windows = list(np.lib.stride_tricks.sliding_window_view(series, 10)[::4])
+        assert _span_steps(windows) == [10, 4, 4, 4, 4]
+        with pytest.raises(InvalidInputError, match="NaN"):
+            ota_totals(np.full((5, 2), 30.0), windows, range(5), ProblemKind.MAX)
+
+    @pytest.mark.parametrize("k", [1, 5, 100])
+    @pytest.mark.parametrize("stride", [1, 48, 288, None])  # None: separate arrays
+    def test_peak_stays_within_the_byte_charge(self, k, stride):
+        # a learner-sized block: 24 windows of 288 prices, 34 runs each; the
+        # traced peak of the call covers every array the kernel allocates
+        horizon, count, runs = 288, 24, 34
+        rng = np.random.default_rng(k)
+        series = rng.uniform(5.0, 50.0, (count - 1) * (stride or horizon) + horizon)
+        if stride is None:
+            windows = [series[b * horizon:(b + 1) * horizon].copy() for b in range(count)]
+        else:
+            windows = list(np.lib.stride_tricks.sliding_window_view(series, horizon)[::stride])
+        thresholds = np.sort(rng.uniform(5.0, 50.0, (count * runs, k)), axis=1)
+        rows = np.repeat(np.arange(count), runs)
+        charge = sum(_replay_window_bytes(horizon, k, runs, step)
+                     for step in _span_steps(windows))
+        ota_totals(thresholds, windows, rows, ProblemKind.MAX)  # numpy's first-call setup
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ota_totals(thresholds, windows, rows, ProblemKind.MAX)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= charge
 
 
 class TestBatchedReplay:

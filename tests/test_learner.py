@@ -189,6 +189,28 @@ class TestUniforms:
         hits = sum(u < rho for u in learner_mod._uniforms(range(10_000)).tolist())
         assert abs(hits / 10_000 - rho) < 0.02
 
+    def test_a_key_range_is_drawn_once(self, monkeypatch):
+        # a second Hedge pass or hardening batch of the same seed and count
+        # builds no Philox stream and reads the same read-only draws
+        from ksearch import harness as harness_mod
+
+        learner_mod._uniform_cache.clear()
+        built = []
+        philox = np.random.Philox
+        monkeypatch.setattr(np.random, "Philox", lambda key: built.append(key) or philox(key))
+        ratios = 1.0 + np.random.default_rng(16).random((40, len(GRID)))
+        hedged = learner_mod._hedge(ratios, seed=3)
+        hard = harness_mod._hardening_draws(3, 40)
+        assert len(built) == 80
+        assert learner_mod._hedge(ratios, seed=3) == hedged
+        assert harness_mod._hardening_draws(3, 40) == hard
+        assert len(built) == 80
+        uniform = learner_mod._uniforms(range(3 << 20, (3 << 20) + 40))
+        with pytest.raises(ValueError):
+            uniform[0] = 0.5
+        learner_mod._hedge(ratios[:39], seed=3)  # another range is drawn anew
+        assert len(built) == 119
+
 
 class TestObserveRound:
     """One full-information round: replay the window under every grid
@@ -532,6 +554,23 @@ class TestBlockReplay:
         for window, row in zip(windows, ratios.tolist()):
             schedules = _grid_schedules(window, kind, bounds, k, GRID) + list(extra)
             assert row == _oracle_ratios(window, kind, bounds, k, schedules)
+
+    @pytest.mark.parametrize("k", [1, 5, 50])
+    def test_overlapping_windows_pack_more_per_block(self, k, monkeypatch):
+        # one budget, windows of 100 prices that start 20 apart or 100 apart:
+        # a window after the first is charged only the prices it adds
+        series = gen_synthetic_series(num_samples=4400, seed=7)
+        runs = len(GRID) + 1
+        first = _replay_window_bytes(100, k, runs)
+        budget = 20 * first
+        monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget)
+        sizes = {}
+        for stride in (20, 100):
+            windows = sliding_windows(series, 100, stride, k, ProblemKind.MAX)
+            sizes[stride] = [stop - start for start, stop in learner_mod._blocks(windows, k, runs)]
+            assert sum(sizes[stride]) == len(windows)
+        overlapping = 1 + (budget - first) // _replay_window_bytes(100, k, runs, 20)
+        assert sizes[100][0] == 20 < overlapping == sizes[20][0]
 
     def test_blocks_cut_where_the_horizon_changes(self, block_sizes):
         windows = []
