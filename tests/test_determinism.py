@@ -9,7 +9,10 @@ the prediction error is dialled, were recorded before windows stopped
 storing their actual extreme.  A change in any ratio, summary or learner
 weight, down to the last bit of a ``repr``, fails here.  The ``pareto``
 and ``thresholds`` digests pin the frontier, the worst-case ratio and one
-design of each kind outside the feed commands.
+design of each kind outside the feed commands.  The
+``experiment-scaled-hardened`` digests pin a theta-scaled series and a
+group in which rho = 1 hardens every window; they were recorded before
+the pipeline stopped making one window object per window.
 """
 
 from __future__ import annotations
@@ -36,6 +39,16 @@ CASES = {
         ["experiment", "--kind", "min", "--k", "5,20", "--rho", "0.0,0.2",
          "--error-level", "0.0,1.0", *WINDOWS],
         "60d549a0634bf0d1db3bb14cad96ccedd6c2c3672b5ac9f5a011a68424be92a8",
+    ),
+    "experiment-scaled-hardened-max": (
+        ["experiment", "--kind", "max", "--k", "5", "--rho", "0.0,1.0",
+         "--error-level", "0.5,1.0", "--theta-mult", "1.0,2.0", *WINDOWS],
+        "2ab0f3687b6181d61d660c2b7bd4524df3e024acc863ca4231d0d579eb8b3acf",
+    ),
+    "experiment-scaled-hardened-min": (
+        ["experiment", "--kind", "min", "--k", "5", "--rho", "0.0,1.0",
+         "--error-level", "0.5,1.0", "--theta-mult", "1.0,2.0", *WINDOWS],
+        "aa9dfe227bad417733f8ddb8ae0379729aad0eb884d258d1fba920ac2c801afb",
     ),
     "simulate-max": (
         ["simulate", "--kind", "max", "--k", "5", "--error-level", "0.0,0.5,1.0",
