@@ -38,24 +38,18 @@ from . import __version__
 from .augmented import design, interval_ratios
 from .core import PriceBounds, ProblemKind
 from .errors import ConstructionError, KSearchError
-from .harness import (
-    ALGORITHMS,
-    build_cells,
-    evaluate_windows,
-    run_sweep,
-    summarize,
-)
+from .harness import ALGORITHMS, _evaluate, build_cells, run_sweep, summarize
 from .instances import (
     FIVE_YEAR_SAMPLES,
     STRIDE_SAMPLES,
     WINDOW_SAMPLES,
     PriceSeries,
-    adjust_error,
+    _dialled,
+    _window_stream,
     gen_synthetic_series,
     ingest_csv,
-    sliding_windows,
 )
-from .learner import DEFAULT_GRID_SIZE, GRID, run_learning
+from .learner import DEFAULT_GRID_SIZE, GRID, _learn
 from .pareto import FrontierSpec, frontier_curve
 from .worstcase import worst_case_thresholds
 
@@ -309,19 +303,20 @@ def _grid_comment() -> str:
 def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
     kind = ProblemKind(args.kind)
     series, source = _load_series(args, bounds)
-    windows = sliding_windows(series, args.window, args.stride, args.k, kind)
-    bounds = windows[0].instance.bounds
+    stream = _window_stream(series, args.window, args.stride, args.k, kind)
+    bounds = stream.bounds
     comments = [
         f"kind={args.kind} k={args.k} window={args.window} "
-        f"stride={args.stride} windows={len(windows)} source={source}",
+        f"stride={args.stride} windows={len(stream)} source={source}",
         f"bounds=[{bounds.p_min!r},{bounds.p_max!r}] "
         f"error_levels={','.join(repr(v) for v in args.error_levels)}",
         _grid_comment(),
     ]
+    solution = worst_case_thresholds(bounds, args.k, kind)
     rows = []
     for level in args.error_levels:
-        dialled = tuple(adjust_error(window, level, kind) for window in windows)
-        results = evaluate_windows(dialled, kind, args.seed)
+        dialled = _dialled(stream, level, kind)
+        results = _evaluate((dialled,), len(dialled), kind, args.seed, solution)
         for algorithm in ALGORITHMS:
             for res in results:
                 rows.append((
@@ -370,8 +365,8 @@ def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
     ]
     rows = []
     for kd in kinds:
-        windows = sliding_windows(series, args.window, args.stride, args.k, kd)
-        weights, history = run_learning(windows, kd, args.seed)
+        stream = _window_stream(series, args.window, args.stride, args.k, kd)
+        weights, history = _learn((stream,), len(stream), kd, args.seed)
         for rec in history:
             rows.append((
                 kd.value, rec.round, rec.chosen_lambda, rec.chosen_ratio,

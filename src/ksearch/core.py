@@ -11,14 +11,17 @@ compulsory regardless of the schedule.
 
 Two replays share these rules.  ``run_ota`` records every decision of one
 run.  ``ota_totals``, the batched replay the learner and the harness use,
-replays a block of windows (read-only price arrays, often overlapping
-views of one series) under many schedules with one kernel.  It lays the
-block's windows end to end in one span, where a window adds only the
-prices the window before it lacks, builds one sparse table of block
-maxima over the span, and each run jumps from one selection to the next by
-a binary-lifting descent over that table, held to its window.  Its
-totals are bit-identical to those of ``ota_total``, the per-run oracle the
-tests hold.
+replays a block of windows under many schedules with one kernel.  A window
+is an offset into one price array, not an array of its own: the kernel
+takes the array, each window's start and the common horizon T.  It lays
+the block's windows end to end in one span, where a window that starts
+d < T prices after the one before it adds only its last d prices, builds
+one sparse table of block maxima over the span, and each run jumps from
+one selection to the next by a binary-lifting descent over that table,
+held to its window.  Its totals are bit-identical to those of
+``ota_total``, the per-run oracle the tests hold.  ``offline_opt`` is the
+clairvoyant optimum of one instance, and ``_offline_optima`` that of a
+block of windows in one pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -246,28 +249,34 @@ def run_ota(schedule: ThresholdSchedule, instance: SearchInstance) -> RunTrace:
 
 
 def ota_totals(
-    thresholds: np.ndarray, prices, rows: np.ndarray, kind: ProblemKind
+    thresholds: np.ndarray, series, starts, horizon: int, rows: np.ndarray, kind: ProblemKind
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total value and voluntary-selection count of many runs at once: run r
     replays window ``rows[r]`` under the schedule ``thresholds[r]``.
 
-    ``thresholds`` is (R, k), one schedule per run, and ``prices`` holds B
-    rows of T prices, one window each; NaN in either is rejected.  The
-    windows are laid end to end in one span of prices, where a window that
-    overlaps the one before it (``_span_steps``) adds only the prices that
-    window lacks, and one sparse table of block maxima (Bender and
-    Farach-Colton's range-maximum structure, LATIN 2000) covers the span.
-    Each run jumps from one selection to the next: slot m's step is the
-    first one at or after the run's position whose price meets threshold m,
-    found by a binary-lifting descent over that table and held to the run's
-    window.  The totals are added as the per-run oracle ``ota_total`` in
-    ``tests/oracle.py`` adds them, so each is bit-identical to it
-    (property-tested).  Returns (totals, voluntary counts).
+    ``thresholds`` is (R, k), one schedule per run.  Window b is the
+    ``horizon`` prices ``series[starts[b]:starts[b] + horizon]`` of the 1-D
+    price array ``series``; NaN in the thresholds or in any window is
+    rejected.  The windows are laid end to end in one span of prices, where
+    a window that starts d prices (0 < d < T) after the window before it
+    adds only its last d prices (``_window_steps``), and one sparse table of
+    block maxima (Bender and Farach-Colton's range-maximum structure, LATIN
+    2000) covers the span.  Each run jumps from one selection to the next:
+    slot m's step is the first one at or after the run's position whose
+    price meets threshold m, found by a binary-lifting descent over that
+    table and held to the run's window.  The totals are added as the per-run
+    oracle ``ota_total`` in ``tests/oracle.py`` adds them, so each is
+    bit-identical to it (property-tested).  Returns (totals, voluntary
+    counts).
     """
-    windows = [np.asarray(row, dtype=float) for row in prices]
-    if not windows or windows[0].ndim != 1 or any(w.shape != windows[0].shape for w in windows):
-        raise InvalidInputError("need B >= 1 rows of T prices each")
-    B, T = len(windows), windows[0].size
+    prices = np.asarray(series, dtype=float)
+    starts = np.asarray(starts, dtype=np.intp)
+    T = operator.index(horizon)
+    if prices.ndim != 1 or starts.ndim != 1 or not starts.size or T < 1:
+        raise InvalidInputError("need a 1-D series, B >= 1 window starts and a horizon >= 1")
+    if not 0 <= starts.min() <= starts.max() <= prices.size - T:
+        raise InvalidInputError(f"windows of {T} prices must lie within the series' {prices.size}")
+    B = starts.size
     thr = np.asarray(thresholds, dtype=float)
     rows = np.asarray(rows, dtype=np.intp)
     if thr.ndim != 2 or rows.shape != thr.shape[:1]:
@@ -282,8 +291,7 @@ def ota_totals(
     if np.isnan(thr).any():
         raise InvalidInputError("thresholds must not be NaN")
     sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
-    steps = _span_steps(windows)
-    ends = np.cumsum(steps)  # where each window ends in the span
+    ends = np.cumsum(_window_steps(starts, T))  # where each window ends in the span
     size = int(ends[-1])
     levels = T.bit_length()  # 2**levels > T: a descent can cross a window
     # table[l, t] is the largest of the signed span's prices t .. t + 2**l - 1
@@ -291,8 +299,13 @@ def ota_totals(
     # leaves the span
     table = np.empty((levels, size + 1))
     table[0, size] = np.inf
-    for window, step, stop in zip(windows, steps, ends.tolist()):
-        np.multiply(window[T - step:], sign, out=table[0, stop - step:stop])
+    # a window that starts 1..T prices after the one before it continues that
+    # one's stretch of the series in the span; each stretch is copied once
+    gap = np.diff(starts)
+    cuts = (np.flatnonzero((gap <= 0) | (gap > T)) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, B]):
+        np.multiply(prices[starts[lo]:starts[hi - 1] + T], sign,
+                    out=table[0, ends[lo] - T:ends[hi - 1]])
     if np.isnan(table[0, :size].max()):  # a NaN is the maximum
         raise InvalidInputError("prices must not be NaN")
     for level in range(1, levels):
@@ -323,27 +336,14 @@ def ota_totals(
     return _grouped_totals(sel, voluntary, table[0], first, sign, T)
 
 
-def _span_steps(windows) -> list[int]:
-    """How many prices each float64 window adds to a span of the windows
-    laid end to end: d where it and the window before it are contiguous
-    arrays of one length T and it starts d prices (0 < d < T) after that
-    window, so it adds only its last d prices, and its own length otherwise.
-
-    Two live arrays whose bytes overlap hold the same values there, so the
-    prices two windows share need no comparison."""
-    steps = []
-    before = None  # the window before: (length, address) if contiguous
-    for window in windows:
-        contiguous = window.flags.c_contiguous
-        here = (window.size, window.__array_interface__["data"][0]) if contiguous else None
-        step = window.size
-        if here and before and here[0] == before[0]:
-            gap, rest = divmod(here[1] - before[1], 8)
-            if rest == 0 and 0 < gap < step:
-                step = gap
-        steps.append(step)
-        before = here
-    return steps
+def _window_steps(starts: np.ndarray, horizon: int) -> np.ndarray:
+    """How many prices each window adds to a span of the windows laid end to
+    end, from their starts in one series: d where a window starts d prices
+    (0 < d < T) after the window before it, so that it adds only its last d
+    prices, and its whole horizon T otherwise (the first window, and one
+    that starts with or before the one before it, or T or more after it)."""
+    gap = np.diff(starts)
+    return np.concatenate(([horizon], np.where((gap > 0) & (gap < horizon), gap, horizon)))
 
 
 # the kernel's per-run vectors, 8 bytes an entry: the caller's row, window
@@ -351,16 +351,20 @@ def _span_steps(windows) -> list[int]:
 _RUN_VECTOR_BYTES = 64
 
 
-def _replay_window_bytes(horizon: int, k: int, runs: int, step: int | None = None) -> int:
-    """The most ``ota_totals`` holds for one window of a block, in bytes,
-    where the window adds ``step`` prices to the block's span (``_span_steps``;
-    its whole horizon by default): the sparse table's columns of those
+def _replay_window_bytes(horizon: int, k: int, runs: int, step=None):
+    """The most the replay of one window of a block holds, in bytes, where
+    the window adds ``step`` prices to the block's span (``_window_steps``;
+    its whole horizon by default, and an array of steps gives an array of
+    charges).  ``ota_totals`` holds the sparse table's columns of those
     prices and an end column, and per run 32 bytes a slot (the caller's
     thresholds, their signed copy and the selection steps; once the copy is
     freed, the steps and the gather's indices and prices) and
-    ``_RUN_VECTOR_BYTES``."""
+    ``_RUN_VECTOR_BYTES``; then ``_offline_optima`` holds the window's
+    partitioned copy and its running sums, next to the runs' totals.  The
+    two come one after the other, so the window is charged the larger."""
     step = horizon if step is None else step
-    return 8 * horizon.bit_length() * (step + 1) + runs * (32 * k + _RUN_VECTOR_BYTES)
+    kernel = 8 * horizon.bit_length() * (step + 1) + runs * (32 * k + _RUN_VECTOR_BYTES)
+    return np.maximum(kernel, 8 * (horizon + k + runs))
 
 
 def _grouped_totals(sel, voluntary, span, first, sign, T):
@@ -400,3 +404,17 @@ def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
     else:
         chosen = np.partition(prices, k - 1)[:k]
     return left_sum(sorted(chosen.tolist(), reverse=kind.is_max))
+
+
+def _offline_optima(windows: np.ndarray, k: int, kind: ProblemKind) -> np.ndarray:
+    """``offline_opt`` of every row of a (B, T) array of windows, in one pass
+    and bit for bit: each row's k chosen prices are partitioned out, sorted
+    (descending for max) and added left to right by ``np.cumsum``, in the
+    order in which ``offline_opt`` adds them."""
+    T = windows.shape[1]
+    if kind.is_max:
+        chosen = np.partition(windows, T - k, axis=1)[:, T - k:]
+    else:
+        chosen = np.partition(windows, k - 1, axis=1)[:, :k]
+    chosen.sort(axis=1)
+    return np.cumsum(chosen[:, ::-1] if kind.is_max else chosen, axis=1)[:, -1]

@@ -12,6 +12,10 @@ One evaluation compares three selection policies on the same window stream:
 
 The budget k and the price band come from the windows (the first one,
 which the rest must match); the confidence grid is the learner's ``GRID``.
+``evaluate_windows`` takes window objects; the CLI and the sweep evaluate
+window streams (``instances._WindowStream``, windows as offsets into the
+series) cut straight from the series, through the same ``_evaluate`` and
+``_window_results``.
 
 A sweep evaluates that triple over a cross product of stress parameters
 (tail-hardening probability rho, prediction error level, budget k, and a
@@ -21,11 +25,13 @@ independent, so they can run in a process pool; results are sorted by cell
 key so the output does not depend on scheduling.
 
 Tail hardening happens inside a group: with probability rho a window's
-last k prices become the worst-case tail (``_hard_tail``).  It is *coupled*
-across cells: window i's uniform draw comes from a Philox stream keyed by
-(run seed, i) only, and the window is hardened at every rho above it, so the
-set of windows hardened at rho = 0.1 is a subset of those hardened at
-rho = 0.2, making the rho sweep a genuinely nested stress test.  A group's
+last k prices become the worst-case tail (``_hardened``, which copies the
+hardened windows into an (H, T) array of their own, replayed as a second
+stream into the group's ratio matrix).  It is *coupled* across cells:
+window i's uniform draw comes from a Philox stream keyed by (run seed, i)
+only, and the window is hardened at every rho above it, so the set of
+windows hardened at rho = 0.1 is a subset of those hardened at rho = 0.2,
+making the rho sweep a genuinely nested stress test.  A group's
 cells therefore see each window in at most two versions, plain and
 hardened, and the group replays each version once.
 """
@@ -33,23 +39,16 @@ hardened, and the group replays each version once.
 from __future__ import annotations
 
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
 import numpy as np
 
-from .core import ProblemKind, SearchInstance
+from .core import ProblemKind
 from .errors import ConstructionError, DomainError, InvalidInputError
-from .instances import (
-    ExperimentWindow,
-    PriceSeries,
-    adjust_error,
-    scale_theta,
-    sliding_windows,
-)
-from .learner import GRID, _hedge, _replay_ratios, _uniforms
+from .instances import PriceSeries, _dialled, _window_stream, _WindowStream, scale_theta
+from .learner import GRID, _check_rounds, _hedge, _laid_out, _stream_ratios, _uniforms
 from .worstcase import WorstCaseSolution, worst_case_thresholds
 
 ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
@@ -139,7 +138,16 @@ def evaluate_windows(windows, kind: ProblemKind, seed: int) -> tuple[WindowResul
         raise InvalidInputError("evaluate_windows needs at least one window")
     first = windows[0].instance
     solution = worst_case_thresholds(first.bounds, first.k, kind)
-    matrix = _replay_ratios(windows, kind, (solution.schedule,))
+    return _evaluate(_laid_out(windows, len(GRID) + 1), len(windows), kind, seed, solution)
+
+
+def _evaluate(streams, rounds: int, kind: ProblemKind, seed: int,
+              solution: WorstCaseSolution) -> tuple[WindowResult, ...]:
+    """``evaluate_windows`` over the windows of ``streams``, ``rounds`` of
+    them in all, whose band and budget are the worst-case ``solution``'s;
+    the round count is checked before any replay."""
+    _check_rounds(rounds)
+    matrix = _stream_ratios(streams, rounds, kind, (solution.schedule,))
     return _window_results(matrix, seed, solution)
 
 
@@ -154,35 +162,40 @@ def _window_results(
     worst-case guarantee is re-checked on every row: the confidence-1
     schedule must stay within its competitive ratio, and the hindsight-best
     grid confidence can never lose to it (the grid contains 1).  A violation
-    means a designed schedule is wrong, so it raises ConstructionError.
+    means a designed schedule is wrong, so the first row with one raises
+    ConstructionError, the first check first.
     """
     _, history = _hedge(matrix[:, : len(GRID)], seed)
-    results = []
-    for idx, (record, row) in enumerate(zip(history, matrix)):
-        ratios = row.tolist()
-        on_ratio = ratios[len(GRID)]  # the worst-case schedule's column
-        if on_ratio > solution.cr + 1e-6:
+    grid, on = matrix[:, : len(GRID)], matrix[:, len(GRID)]  # the worst-case schedule's column
+    best = np.argmin(grid, axis=1)  # of equal ratios, the smallest confidence
+    hindsight = grid[np.arange(len(grid)), best]
+    over = on > solution.cr + 1e-6
+    lost = hindsight > on * (1.0 + 1e-12)
+    on, hindsight = on.tolist(), hindsight.tolist()
+    failing = np.flatnonzero(over | lost)
+    if failing.size:
+        idx = int(failing[0])
+        if over[idx]:
             raise ConstructionError(
                 f"worst-case guarantee violated on window {idx}: "
-                f"ratio {on_ratio} > {solution.cr} + 1e-6"
+                f"ratio {on[idx]} > {solution.cr} + 1e-6"
             )
-        best = min(range(len(GRID)), key=lambda j: (ratios[j], j))
-        if ratios[best] > on_ratio * (1.0 + 1e-12):
-            raise ConstructionError(
-                f"hindsight-best confidence lost to the worst-case schedule "
-                f"on window {idx}: {ratios[best]} > {on_ratio}"
-            )
-        results.append(
-            WindowResult(
-                index=idx,
-                on_ratio=on_ratio,
-                hindsight_ratio=ratios[best],
-                hindsight_lambda=GRID[best],
-                learned_ratio=record.chosen_ratio,
-                learned_lambda=record.chosen_lambda,
-            )
+        raise ConstructionError(
+            f"hindsight-best confidence lost to the worst-case schedule "
+            f"on window {idx}: {hindsight[idx]} > {on[idx]}"
         )
-    return tuple(results)
+    return tuple(
+        WindowResult(
+            index=idx,
+            on_ratio=on_ratio,
+            hindsight_ratio=hindsight_ratio,
+            hindsight_lambda=GRID[j],
+            learned_ratio=record.chosen_ratio,
+            learned_lambda=record.chosen_lambda,
+        )
+        for idx, (record, on_ratio, hindsight_ratio, j)
+        in enumerate(zip(history, on, hindsight, best.tolist()))
+    )
 
 
 def _check_rho(rho) -> None:
@@ -196,14 +209,18 @@ def _hardening_draws(seed: int, count: int) -> list[float]:
     return _uniforms(range(first, first + count)).tolist()
 
 
-def _hard_tail(instance: SearchInstance, kind: ProblemKind) -> SearchInstance:
-    """The instance with its last k prices replaced by the worst-case tail:
-    p_min for max-search (the compulsory picks become worthless), p_max for
-    min-search."""
-    tail = instance.bounds.p_min if kind.is_max else instance.bounds.p_max
-    k = instance.k
-    prices = np.concatenate((instance.prices[:-k], np.full(k, tail)))
-    return SearchInstance(prices, k, instance.bounds)
+def _hardened(stream: _WindowStream, picks, kind: ProblemKind) -> _WindowStream:
+    """The picked windows of a stream with their last k prices replaced by
+    the worst-case tail, p_min for max-search (the compulsory picks become
+    worthless) and p_max for min-search, as a stream over an (H, T) array
+    of their own; each keeps its prediction."""
+    T, k, bounds = stream.horizon, stream.k, stream.bounds
+    windows = stream.rows()[picks]
+    windows[:, T - k:] = bounds.p_min if kind.is_max else bounds.p_max
+    prices = windows.reshape(-1)
+    prices.flags.writeable = False
+    return _WindowStream(prices, np.arange(len(picks)) * T, T, k, bounds,
+                         stream.predictions[picks])
 
 
 def build_cells(rhos, error_levels, ks, theta_mults) -> tuple[SweepCell, ...]:
@@ -252,6 +269,8 @@ def run_sweep(
     if workers == 1 or len(groups) == 1:
         outcomes = _collect(map(run, groups), order)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only where a sweep pools
+
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
             outcomes = _collect(pool.map(run, groups), order)
     flat = [summary for cell in cells for summary in outcomes[cell]]
@@ -269,10 +288,12 @@ def _run_group(
     """Evaluate the cells of one (error level, k, theta multiplier) group,
     sorted by rho, from one replay.
 
-    The series is scaled and cut into windows once, the windows' prediction
-    error is dialled once, each window's hardening draw is taken once, and
-    the group replays its W plain windows, then the windows hardened at its
-    largest rho, with the worst-case schedule as the extra column.  A cell's
+    The series is scaled and cut into a stream of windows once, the round
+    count is checked, the windows' prediction error is dialled once, each
+    window's hardening draw is taken once, and the group replays its W
+    plain windows, then the windows hardened at its largest rho (a second
+    stream, copied only once the plain windows are replayed), with the
+    worst-case schedule as the extra column.  A cell's
     row for window i is the hardened one where the cell's rho is above
     window i's draw; hardening comes after the error is dialled, so a
     hardened window keeps the prediction it was given.  Returns (cell,
@@ -283,19 +304,22 @@ def _run_group(
     try:
         head = cells[0]
         scaled = scale_theta(series, head.theta_mult) if head.theta_mult != 1.0 else series
-        plain = tuple(adjust_error(window, head.error_level, kind)
-                      for window in sliding_windows(scaled, window_len, stride, head.k, kind))
+        plain = _window_stream(scaled, window_len, stride, head.k, kind)
+        _check_rounds(len(plain))
+        plain = _dialled(plain, head.error_level, kind)
         draws = _hardening_draws(seed, len(plain))
         top = max(cell.rho for cell in cells)
         hard = [idx for idx, draw in enumerate(draws) if draw < top]
-        stream = plain + tuple(
-            ExperimentWindow(_hard_tail(plain[idx].instance, kind), plain[idx].prediction)
-            for idx in hard
-        )
-        first = plain[0].instance
-        solution = worst_case_thresholds(first.bounds, first.k, kind)
-        matrix = _replay_ratios(stream, kind, (solution.schedule,))
-        hard_row = dict(zip(hard, range(len(plain), len(stream))))
+        solution = worst_case_thresholds(plain.bounds, plain.k, kind)
+
+        def streams():
+            yield plain
+            # copied once the plain windows are replayed, so that the copy and
+            # their kernel arrays are not held at once
+            yield _hardened(plain, hard, kind)
+
+        matrix = _stream_ratios(streams(), len(plain) + len(hard), kind, (solution.schedule,))
+        hard_row = dict(zip(hard, range(len(plain), len(plain) + len(hard))))
         for cell in cells:
             rows = [hard_row[idx] if draw < cell.rho else idx for idx, draw in enumerate(draws)]
             results = _window_results(matrix[rows], seed, solution)

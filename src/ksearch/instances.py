@@ -8,8 +8,14 @@ Two families of inputs feed the simulation harness:
   mean-reverting synthetic series, both cut into overlapping experiment
   windows whose predictions come from the preceding window.
 
-A series holds its prices once, as a read-only array; its windows are row
-views of it, and only a window the harness hardens gets an array of its own.
+A series holds its prices once, as a read-only array, checked once.  The
+pipeline's windows are offsets into it (``_WindowStream``: the array, the
+window starts, the horizon, budget, band and predictions), cut by
+``_window_stream`` and with their prediction error dialled in one pass
+by ``_dialled``; the band is the series' own, so no window needs a check
+of its own.  ``sliding_windows`` makes the same windows as objects whose
+prices are row views of the array, and only windows the harness hardens
+get an array of their own.
 
 The synthetic feed is a pure function of (inputs, seed) via a counter-based
 generator, so every experiment is bit-reproducible.
@@ -22,7 +28,7 @@ import itertools
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -271,6 +277,66 @@ def _row_series(path) -> PriceSeries:
     return PriceSeries(prices, tuple(stamps) if t_idx is not None else None)
 
 
+@dataclass(frozen=True, eq=False)
+class _WindowStream:
+    """Windows as offsets into one price array, with their predictions.
+
+    Window w is the ``horizon`` prices ``prices[starts[w]:starts[w] + horizon]``
+    of the read-only 1-D array ``prices``; the starts advance by one fixed
+    stride, so every run of windows is a basic slice of the array's
+    ``sliding_window_view`` (``rows``).  Every window has budget ``k`` and
+    lies in ``bounds``, and ``predictions`` holds each window's predicted
+    extreme, in ``bounds`` too; whoever builds a stream makes sure of all
+    that, so nothing downstream checks a window again.
+    """
+
+    prices: np.ndarray
+    starts: np.ndarray
+    horizon: int
+    k: int
+    bounds: PriceBounds
+    predictions: np.ndarray
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    def rows(self) -> np.ndarray:
+        """The (W, T) windows as one read-only view of ``prices``."""
+        starts = self.starts
+        stride = int(starts[1] - starts[0]) if starts.size > 1 else 1
+        views = np.lib.stride_tricks.sliding_window_view(self.prices, self.horizon)
+        return views[starts[0]:starts[-1] + 1:stride]
+
+
+def _window_stream(
+    series: PriceSeries, window_len: int, stride: int, k: int, kind: ProblemKind
+) -> _WindowStream:
+    """The windows of ``sliding_windows`` as a stream over the series' array.
+
+    The band is the series' own minimum and maximum, and each prediction
+    is the kind-extreme of a stretch of the series, so every window and
+    every prediction lies in the band without a check of its own."""
+    for name, val in (("window_len", window_len), ("stride", stride)):
+        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
+            raise InvalidInputError(f"{name} must be a positive integer, got {val}")
+    n = len(series)
+    if n < 2 * window_len:
+        raise InvalidInputError(
+            f"series of length {n} too short for windows of {window_len} "
+            f"(needs one full look-back window)"
+        )
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= window_len:
+        raise InvalidInputError(f"budget k={k!r} must be an integer in [1, T={window_len}]")
+    prices = series.array
+    bounds = PriceBounds(float(prices.min()), float(prices.max()))
+    # row s views prices[s : s + window_len], read-only like the series
+    rows = np.lib.stride_tricks.sliding_window_view(prices, window_len)
+    looks_back = rows[: n - 2 * window_len + 1 : stride]
+    predictions = (looks_back.max if kind.is_max else looks_back.min)(axis=1)
+    starts = np.arange(window_len, n - window_len + 1, stride)
+    return _WindowStream(prices, starts, window_len, k, bounds, predictions)
+
+
 def sliding_windows(
     series: PriceSeries, window_len: int, stride: int, k: int, kind: ProblemKind
 ) -> tuple[ExperimentWindow, ...]:
@@ -282,25 +348,28 @@ def sliding_windows(
     the global bounds of the series (the fluctuation ratio is a property of
     the feed, not of one window).
     """
-    for name, val in (("window_len", window_len), ("stride", stride)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise InvalidInputError(f"{name} must be a positive integer, got {val}")
-    n = len(series)
-    if n < 2 * window_len:
-        raise InvalidInputError(
-            f"series of length {n} too short for windows of {window_len} "
-            f"(needs one full look-back window)"
-        )
-    prices = series.array
-    bounds = PriceBounds(float(prices.min()), float(prices.max()))
-    # row s views prices[s : s + window_len], read-only like the series
-    rows = np.lib.stride_tricks.sliding_window_view(prices, window_len)
-    looks_back = rows[: n - 2 * window_len + 1 : stride]
-    predictions = (looks_back.max if kind.is_max else looks_back.min)(axis=1).tolist()
+    stream = _window_stream(series, window_len, stride, k, kind)
     return tuple(
-        ExperimentWindow(SearchInstance(window, k, bounds), prediction)
-        for window, prediction in zip(rows[window_len::stride], predictions)
+        ExperimentWindow(SearchInstance(window, k, stream.bounds), prediction)
+        for window, prediction in zip(stream.rows(), stream.predictions.tolist())
     )
+
+
+def _check_level(level) -> None:
+    if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
+        raise DomainError(f"error level must lie in [0, 1], got {level}")
+
+
+def _dialled(stream: _WindowStream, level: float, kind: ProblemKind) -> _WindowStream:
+    """The stream with every prediction error scaled to ``level``, as
+    ``adjust_error`` scales one window's, in one pass with the same float
+    operations in the same order."""
+    _check_level(level)
+    rows = stream.rows()
+    actual = rows.max(axis=1) if kind.is_max else rows.min(axis=1)
+    moved = actual + level * (stream.predictions - actual)
+    predictions = np.minimum(np.maximum(moved, stream.bounds.p_min), stream.bounds.p_max)
+    return replace(stream, predictions=predictions)
 
 
 def adjust_error(window: ExperimentWindow, level: float, kind: ProblemKind) -> ExperimentWindow:
@@ -311,8 +380,7 @@ def adjust_error(window: ExperimentWindow, level: float, kind: ProblemKind) -> E
     actual + sign(prediction - actual) * level * eps: level 0 is a perfect
     prediction, level 1 keeps the original.
     """
-    if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
-        raise DomainError(f"error level must lie in [0, 1], got {level}")
+    _check_level(level)
     prices = window.instance.prices
     actual = float(prices.max() if kind.is_max else prices.min())
     shift = window.prediction - actual

@@ -8,17 +8,22 @@ fixed grid ``GRID`` of 33 uniform confidence values on [0,1], samples
 proportionally to the weights, and updates with loss = ratio - 1 so a
 perfect round costs nothing.
 
-Every window of a stream carries its budget k and price band; the learner
-reads both from the first window and requires the rest to agree.  The
-counterfactual ratios do not depend on the learner's state, so the whole
-(window x confidence) ratio matrix is replayed first, a block of windows
-at a time through the batched kernel ``core.ota_totals`` (one descent per
-run and selection over one sparse table of price maxima, built over the
-block's windows laid end to end with their overlaps shared).  A block
-holds as many windows as keep the kernel within ``_REPLAY_BLOCK_BYTES``,
-each charged for the prices it adds to the block and for its runs, so
-overlapping windows pack more per block than disjoint ones.  The
-weights do not depend on the draws either: the Hedge recurrence runs over
+The learner replays window streams (``instances._WindowStream``): windows
+as offsets into one price array, with one budget k, one price band and a
+prediction each.  The CLI cuts its stream straight from the series;
+``run_learning`` lays the window objects it is given into streams one
+replay block at a time (``_laid_out``), reading budget and band from the
+first window and requiring the rest to agree.  The counterfactual ratios
+do not depend on the learner's state, so the whole (window x confidence)
+ratio matrix is replayed first (``_stream_ratios``), a block of windows at
+a time through the batched kernel ``core.ota_totals`` (one descent per run
+and selection over one sparse table of price maxima, built over the
+block's windows laid end to end with their overlaps shared), and the
+block's offline optima in one pass.  The round count is checked before
+any of that.  A block holds as many windows as keep the kernel within
+``_REPLAY_BLOCK_BYTES``, each charged for the prices it adds to the block
+and for its runs, so overlapping windows pack more per block than
+disjoint ones.  The weights do not depend on the draws either: the Hedge recurrence runs over
 the matrix rows first, holding one plain list of weights and keeping each
 round's, and one pass then draws every round's grid point from them
 (``_draws``), as ``Generator.choice`` draws it from the round's stream.
@@ -40,6 +45,7 @@ Regret is reported against the best fixed grid point in hindsight.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from collections import OrderedDict
@@ -47,10 +53,10 @@ from collections import OrderedDict
 import numpy as np
 
 from .augmented import _construct_grid, _snap_prediction, design
-from .core import PriceBounds, ProblemKind, ThresholdSchedule, offline_opt, ota_totals
-from .core import _replay_window_bytes, _span_steps
+from .core import PriceBounds, ProblemKind, ThresholdSchedule, ota_totals
+from .core import _offline_optima, _replay_window_bytes, _window_steps
 from .errors import InvalidInputError, KSearchError
-from .instances import ExperimentWindow
+from .instances import ExperimentWindow, _WindowStream
 
 DEFAULT_GRID_SIZE = 33
 GRID = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
@@ -130,68 +136,84 @@ def _design_grids(predictions, bounds: PriceBounds, k: int, kind: ProblemKind):
     return grids
 
 
-def _replay_ratios(
-    windows: tuple[ExperimentWindow, ...], kind: ProblemKind,
-    extra: tuple[ThresholdSchedule, ...] = (),
-) -> np.ndarray:
-    """(W, G + E) ratios: each window under every grid design, then each extra.
+def _laid_out(windows: tuple[ExperimentWindow, ...], runs: int):
+    """The windows, in order, as streams of one replay block each: a run of
+    consecutive windows of one horizon, cut where ``_blocks`` cuts a stream
+    of windows that share no prices, each block's prices copied end to end
+    into an array of its own.
 
     Every window must have the first window's budget and price band; a
-    window that does not is reported after the designs of the windows
-    before it, so errors keep stream order.
-
-    Windows are replayed a block at a time by ``core.ota_totals``: a block is
-    a run of consecutive windows of one horizon, as many as keep the kernel's
-    arrays within ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The grid designs
-    of a block are looked up together, as one (G, k) array per prediction
-    (the byte budget bounds the batch that designs the misses, too), the
-    extra rows are appended to each, and each window's offline optimum is
-    computed once.
-    """
+    window that does not raises once the blocks before it have been
+    yielded, so errors keep stream order."""
     k, bounds = windows[0].instance.k, windows[0].instance.bounds
-    runs = len(GRID) + len(extra)
-    extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
-    ratios = np.empty((len(windows), runs))
-    for start, stop in _blocks(windows, k, runs):
-        block = windows[start:stop]
-        agree = next((at for at, window in enumerate(block) if window.instance.k != k
-                      or window.instance.bounds != bounds), len(block))
-        grids = _grid_thresholds([window.prediction for window in block[:agree]], bounds, k, kind)
-        if agree < len(block):
-            other = block[agree].instance
-            if other.k != k:
-                raise InvalidInputError(f"window budget {other.k} != first window's {k}")
+
+    def run_key(window):
+        instance = window.instance
+        return instance.horizon, instance.k == k and instance.bounds == bounds
+
+    for (horizon, agrees), run in itertools.groupby(windows, run_key):
+        run = tuple(run)
+        if not agrees:
+            if run[0].instance.k != k:
+                raise InvalidInputError(f"window budget {run[0].instance.k} != first window's {k}")
             raise InvalidInputError("window and first window disagree on price bounds")
-        thresholds = [part for rows in grids for part in (rows, extra_rows)]
-        opts = np.array([offline_opt(window.instance, kind) for window in block])[:, None]
-        prices = [window.instance.prices for window in block]
-        rows = np.repeat(np.arange(len(block)), runs)
-        totals, _ = ota_totals(np.concatenate(thresholds), prices, rows, kind)
-        totals = totals.reshape(len(block), runs)
-        ratios[start:stop] = opts / totals if kind.is_max else totals / opts
+        for lo, hi in _blocks(np.arange(len(run)) * horizon, horizon, k, runs):
+            prices = np.concatenate([window.instance.prices for window in run[lo:hi]])
+            prices.flags.writeable = False
+            predictions = np.array([window.prediction for window in run[lo:hi]])
+            yield _WindowStream(prices, np.arange(hi - lo) * horizon, horizon, k, bounds,
+                                predictions)
+
+
+def _stream_ratios(streams, rows: int, kind: ProblemKind,
+                   extra: tuple[ThresholdSchedule, ...] = ()) -> np.ndarray:
+    """(rows, G + E) ratios of the windows of ``streams``, ``rows`` of them
+    in all, in order: each window under every grid design, then each extra.
+
+    The streams share one budget and price band.  Each is replayed a block
+    at a time by ``core.ota_totals``: as many consecutive windows as keep
+    the kernel's arrays within ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The
+    grid designs of a block are looked up together, as one (G, k) array
+    per prediction (the byte budget bounds the batch that designs the
+    misses, too), the extra rows are appended to each, and the block's
+    offline optima are taken in one pass (``core._offline_optima``).
+    """
+    runs = len(GRID) + len(extra)
+    ratios = np.empty((rows, runs))
+    at = 0
+    for stream in streams:
+        k, horizon = stream.k, stream.horizon
+        extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
+        for lo, hi in _blocks(stream.starts, horizon, k, runs):
+            grids = _grid_thresholds(stream.predictions[lo:hi].tolist(), stream.bounds, k, kind)
+            thresholds = np.concatenate([part for grid in grids for part in (grid, extra_rows)])
+            totals = ota_totals(thresholds, stream.prices, stream.starts[lo:hi], horizon,
+                                np.repeat(np.arange(hi - lo), runs), kind)[0]
+            del thresholds
+            opts = _offline_optima(stream.rows()[lo:hi], k, kind)[:, None]
+            totals = totals.reshape(hi - lo, runs)
+            over = (opts, totals) if kind.is_max else (totals, opts)
+            np.divide(*over, out=ratios[at:at + hi - lo])
+            at += hi - lo
     return ratios
 
 
-def _blocks(windows: tuple[ExperimentWindow, ...], k: int, runs: int):
-    """(start, stop) of each block: consecutive windows of one horizon, as
-    many as keep the running sum of their ``_replay_window_bytes`` within
+def _blocks(starts: np.ndarray, horizon: int, k: int, runs: int):
+    """(lo, hi) of each block of a stream's windows: consecutive windows, as
+    many as keep the sum of their ``_replay_window_bytes`` within
     ``_REPLAY_BLOCK_BYTES`` (at least one).  A window is charged for the
-    prices it adds to the block's span, so overlapping windows pack more
-    per block than disjoint ones."""
-    prices = [window.instance.prices for window in windows]
-    steps = _span_steps(prices)
-    start = 0
-    while start < len(windows):
-        horizon = prices[start].size
-        held = _replay_window_bytes(horizon, k, runs)
-        stop = start + 1
-        while stop < len(windows) and prices[stop].size == horizon:
-            held += _replay_window_bytes(horizon, k, runs, steps[stop])
-            if held > _REPLAY_BLOCK_BYTES:
-                break
-            stop += 1
-        yield start, stop
-        start = stop
+    prices it adds to the block's span (``core._window_steps``), the first
+    of a block for its whole horizon, so overlapping windows pack more per
+    block than disjoint ones."""
+    held = np.cumsum(_replay_window_bytes(horizon, k, runs, _window_steps(starts, horizon)))
+    first = _replay_window_bytes(horizon, k, runs)
+    lo = 0
+    while lo < starts.size:
+        # the block [lo, hi) holds first + held[hi - 1] - held[lo] bytes
+        hi = int(np.searchsorted(held, _REPLAY_BLOCK_BYTES - first + held[lo], side="right"))
+        hi = max(hi, lo + 1)
+        yield lo, hi
+        lo = hi
 
 
 def _draws(weights: np.ndarray, keys) -> np.ndarray:
@@ -245,7 +267,21 @@ def run_learning(
     windows = tuple(windows)
     if not windows:
         raise InvalidInputError("run_learning needs at least one window")
-    return _hedge(_replay_ratios(windows, kind), seed)
+    return _learn(_laid_out(windows, len(GRID)), len(windows), kind, seed)
+
+
+def _learn(streams, rounds: int, kind: ProblemKind, seed: int):
+    """``run_learning`` over the windows of ``streams``, ``rounds`` of them
+    in all; the round count is checked before any design or replay."""
+    _check_rounds(rounds)
+    return _hedge(_stream_ratios(streams, rounds, kind), seed)
+
+
+def _check_rounds(rounds: int) -> None:
+    """Hedge draws round t from the Philox key seed * 2^20 + t, so a stream
+    has fewer than 2^20 rounds."""
+    if rounds >= 1 << 20:
+        raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
 
 
 def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:
@@ -263,8 +299,6 @@ def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], tuple[Re
     round from the weights it held.
     """
     rounds = len(by_round)
-    if rounds >= 1 << 20:
-        raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
     rate = math.sqrt(8.0 * math.log(len(GRID)) / rounds)
     held = np.empty(by_round.shape)  # each round's weights before its update
     weights = [1.0] * len(GRID)

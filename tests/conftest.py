@@ -13,6 +13,7 @@ from ksearch import (
     design,
 )
 from ksearch import augmented as augmented_mod
+from ksearch import learner as learner_mod
 from ksearch.learner import GRID
 
 kinds = st.sampled_from([ProblemKind.MAX, ProblemKind.MIN])
@@ -132,3 +133,12 @@ def band_cases(max_spots=60):
             _spots(["p_min", "inside"], st.floats(min_value=0.0, max_value=0.05), max_spots),
         ),
     )
+
+
+def replay_ratios(windows, kind, extra=()):
+    """The learner's (W, G + E) ratio matrix of window objects: each window
+    under every grid design, then each extra schedule, replayed as
+    ``run_learning`` and ``evaluate_windows`` replay them."""
+    windows = tuple(windows)
+    streams = learner_mod._laid_out(windows, len(GRID) + len(extra))
+    return learner_mod._stream_ratios(streams, len(windows), kind, extra)

@@ -40,7 +40,7 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch.pareto import _sweep_count
-from ksearch.learner import _replay_ratios
+from conftest import replay_ratios
 from adversaries import PInstanceSpec, gen_p_instance
 from oracle import design_for_target, ota_total
 
@@ -232,7 +232,7 @@ def test_criterion_11_learner_convergence_under_120s():
 
     # the stream makes exactly one grid confidence strictly best
     per_round = {
-        w: _replay_ratios((w,), MAX)[0] for w in (accurate, overstated)
+        w: replay_ratios((w,), MAX)[0] for w in (accurate, overstated)
     }
     totals = sum(per_round[w] for w in windows)
     best = int(np.argmin(totals))

@@ -4,16 +4,23 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import pathlib
 import shlex
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import ksearch
 from ksearch import (
     ConstructionError,
+    ExperimentWindow,
     PriceBounds,
+    PriceSeries,
     ProblemKind,
+    SearchInstance,
     gen_synthetic_series,
     ingest_csv,
     solve_cr,
@@ -163,7 +170,7 @@ class TestDataErrors:
         def boom(*args, **kwargs):
             raise ConstructionError("guarantee violated")
 
-        monkeypatch.setattr(cli_mod, "evaluate_windows", boom)
+        monkeypatch.setattr(cli_mod, "_evaluate", boom)
         code = main(["simulate", "--input", feed_csv,
                      "--window", "200", "--stride", "200", "--k", "10"])
         assert code == 4
@@ -536,3 +543,54 @@ def test_stdout_when_no_output_path(capsys):
     data = [ln for ln in lines if not ln.startswith("# ")]
     assert data[0] == "lambda,gamma,eta"
     assert len(data) == 4  # header plus three requested points
+
+
+class TestWindowStream:
+    """The feed commands replay windows as offsets into the series."""
+
+    @pytest.mark.parametrize("command", [
+        ["learn", "--kind", "both"],
+        ["simulate", "--error-level", "0.0,0.5"],
+        ["experiment", "--rho", "0.0,1.0", "--theta-mult", "1.0,2.0"],
+    ])
+    def test_no_object_per_window(self, command, feed_csv, tmp_path, monkeypatch):
+        made = []
+        for cls in (ExperimentWindow, SearchInstance):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                made.append(type(self).__name__)
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        out = tmp_path / "out.csv"
+        assert main([*command, "--input", feed_csv, "--window", "200", "--stride", "50",
+                     "--k", "5", "--output", str(out)]) == 0
+        assert made == []
+
+    def test_rounds_are_capped_before_any_replay(self, monkeypatch, capsys):
+        # 2^20 windows of one price each, from a flat series of 2^20 + 1
+        import ksearch.cli as cli_mod
+        import ksearch.learner as learner_mod
+
+        def replayed(*args):
+            pytest.fail("designed or replayed before the round count was checked")
+
+        series = PriceSeries(np.full((1 << 20) + 1, 20.0))
+        monkeypatch.setattr(cli_mod, "_load_series", lambda args, bounds: (series, "flat"))
+        for name in ("_grid_thresholds", "ota_totals", "_offline_optima"):
+            monkeypatch.setattr(learner_mod, name, replayed)
+        code = main(["learn", "--kind", "both", "--window", "1", "--stride", "1", "--k", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "ksearch: data error: window streams beyond 2^20 rounds are unsupported\n")
+
+
+def test_import_leaves_the_process_pool_out():
+    # only a sweep with --workers above 1 loads concurrent.futures.process
+    src = pathlib.Path(ksearch.__file__).resolve().parent.parent
+    code = "import sys, ksearch.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "False\n"

@@ -26,7 +26,7 @@ from ksearch import (
     ota_totals,
     run_ota,
 )
-from ksearch.core import _replay_window_bytes, _span_steps
+from ksearch.core import _offline_optima, _replay_window_bytes, _window_steps
 
 B = PriceBounds(5.0, 50.0)
 
@@ -154,11 +154,20 @@ def replay_blocks(draw, max_k=6, max_horizon=30):
     return kind, bounds, thresholds, prices, rows
 
 
+def laid_end_to_end(thresholds, windows, rows, kind):
+    """``ota_totals`` over (B, T) windows copied end to end into one series,
+    window b starting at b * T."""
+    windows = np.asarray(windows, dtype=float)
+    count, horizon = windows.shape
+    return ota_totals(thresholds, windows.reshape(-1), np.arange(count) * horizon, horizon,
+                      rows, kind)
+
+
 @given(replay_blocks())
 @settings(max_examples=200)
 def test_batched_replay_equals_ota_total(case):
     kind, bounds, thresholds, prices, rows = case
-    totals, voluntary = ota_totals(np.array(thresholds), list(np.array(prices)), rows, kind)
+    totals, voluntary = laid_end_to_end(np.array(thresholds), prices, rows, kind)
     for r, row in enumerate(rows):
         schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
         total, vol = ota_total(schedule, np.asarray(prices[row]))
@@ -166,46 +175,45 @@ def test_batched_replay_equals_ota_total(case):
         assert voluntary[r] == vol
 
 
-LAYOUTS = ("forward", "reverse", "strided", "mixed")
+MOVES = ("overlap", "gap", "repeat", "back")
 
 
 @st.composite
-def span_blocks(draw, max_k=6, max_horizon=40):
-    """(kind, bounds, (R, k) thresholds, B windows, R rows, layout, stride)
-    of one block whose windows are cut from one price array.
+def start_blocks(draw, max_k=6, max_horizon=40):
+    """(kind, bounds, (R, k) thresholds, series, B starts, T, R rows,
+    hardened) of one block of windows cut from one series.
 
-    The windows start ``stride`` prices apart, from 1 up to twice the
-    horizon: ``forward`` keeps them as ``sliding_window_view`` rows in
-    order, ``reverse`` reverses them, ``strided`` cuts them from every
-    other price (views that are not contiguous), and ``mixed`` makes some
-    of them separate copies, with a hardened tail now and then, as the
-    sweep's plain and hardened windows are.
+    Each window starts where the one before it does, moved by one of
+    ``MOVES``: 1 to T - 1 prices on (the windows overlap), T to 2T on (they
+    share nothing), not at all (the window repeats), or 1 to 2T back.  Or,
+    with ``hardened``, the windows are copied into an (B, T) array of their
+    own, some with a tail of k boundary prices, and replayed from it, as the
+    sweep's hardened windows are.
     """
     kind = draw(kinds)
     bounds = draw(price_bounds())
     k = draw(st.integers(min_value=1, max_value=max_k))
     horizon = draw(st.integers(min_value=k, max_value=max_horizon))
-    stride = draw(st.integers(min_value=1, max_value=2 * horizon))
     count = draw(st.integers(min_value=1, max_value=6))
-    layout = draw(st.sampled_from(LAYOUTS))
+    starts = [0]
+    for move in draw(st.lists(st.sampled_from(MOVES), min_size=count - 1, max_size=count - 1)):
+        step = {"overlap": (1, max(1, horizon - 1)), "gap": (horizon, 2 * horizon),
+                "repeat": (0, 0), "back": (-2 * horizon, -1)}[move]
+        starts.append(max(0, starts[-1] + draw(st.integers(*step))))
     in_range = st.floats(min_value=bounds.p_min, max_value=bounds.p_max)
     levels = draw(st.lists(in_range, min_size=1, max_size=4))
     value = st.one_of(st.sampled_from(levels), in_range)
-    size = (count - 1) * stride + horizon
-    size *= 2 if layout == "strided" else 1
+    size = max(starts) + horizon + draw(st.integers(min_value=0, max_value=3))
     series = np.array(draw(st.lists(value, min_size=size, max_size=size)))
-    series.flags.writeable = False
-    cut = series[::2] if layout == "strided" else series
-    windows = list(np.lib.stride_tricks.sliding_window_view(cut, horizon)[::stride][:count])
-    if layout == "reverse":
-        windows.reverse()
-    elif layout == "mixed":
+    hardened = draw(st.booleans())
+    if hardened:
+        windows = np.lib.stride_tricks.sliding_window_view(series, horizon)[starts]
         tail = bounds.p_min if kind.is_max else bounds.p_max
         for b in range(count):
             if draw(st.booleans()):
-                windows[b] = windows[b].copy()
-                if draw(st.booleans()):
-                    windows[b][horizon - k:] = tail
+                windows[b, horizon - k:] = tail
+        series, starts = windows.reshape(-1), [b * horizon for b in range(count)]
+    series.flags.writeable = False
     runs = draw(st.integers(min_value=1, max_value=8))
     thresholds = [
         sorted(draw(st.lists(value, min_size=k, max_size=k)), reverse=not kind.is_max)
@@ -213,62 +221,74 @@ def span_blocks(draw, max_k=6, max_horizon=40):
     ]
     rows = draw(st.lists(st.integers(min_value=0, max_value=count - 1),
                          min_size=runs, max_size=runs))
-    return kind, bounds, thresholds, windows, rows, layout, stride
+    return kind, bounds, thresholds, series, starts, horizon, rows, hardened
 
 
-@given(span_blocks())
+@given(start_blocks())
 @settings(max_examples=300)
 def test_span_replay_equals_ota_total(case):
-    kind, bounds, thresholds, windows, rows, layout, stride = case
-    horizon = windows[0].size
-    steps = _span_steps(windows)
-    # only in-order contiguous views less than a horizon apart share prices
-    if layout == "forward" and stride < horizon:
-        assert steps == [horizon] + [stride] * (len(windows) - 1)
-    elif layout in ("reverse", "strided") or stride >= horizon:
-        assert steps == [horizon] * len(windows)
-    totals, voluntary = ota_totals(np.array(thresholds), windows, rows, kind)
+    kind, bounds, thresholds, series, starts, horizon, rows, hardened = case
+    gaps = np.diff(starts).tolist()
+    # only a window that starts 1..T-1 prices after the one before adds less than T
+    assert _window_steps(np.array(starts), horizon).tolist() == [horizon] + [
+        gap if 0 < gap < horizon else horizon for gap in gaps]
+    totals, voluntary = ota_totals(np.array(thresholds), series, starts, horizon, rows, kind)
     for r, row in enumerate(rows):
         schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
-        assert (totals[r], voluntary[r]) == ota_total(schedule, windows[row])
+        window = series[starts[row]:starts[row] + horizon]
+        assert (totals[r], voluntary[r]) == ota_total(schedule, window)
 
 
 class TestSpanReplay:
     @pytest.mark.parametrize("at", [0, 3, 7, 8, 9, 15, 23])
-    def test_rejects_nan_in_any_sample(self, at):
-        # windows of 10 starting 4 apart: samples 4..9 sit in two windows
+    @pytest.mark.parametrize("starts", [[0, 4, 8, 12, 16], [16, 12, 8, 4, 0], [0, 4, 4, 16, 8]])
+    def test_rejects_nan_in_any_sample(self, at, starts):
+        # windows of 10 starting 4 apart, in order, reversed or mixed: every
+        # sample sits in one window or more
         series = np.full(26, 20.0)
         series[at] = math.nan
-        windows = list(np.lib.stride_tricks.sliding_window_view(series, 10)[::4])
-        assert _span_steps(windows) == [10, 4, 4, 4, 4]
         with pytest.raises(InvalidInputError, match="NaN"):
-            ota_totals(np.full((5, 2), 30.0), windows, range(5), ProblemKind.MAX)
+            ota_totals(np.full((5, 2), 30.0), series, starts, 10, range(5), ProblemKind.MAX)
 
     @pytest.mark.parametrize("k", [1, 5, 100])
-    @pytest.mark.parametrize("stride", [1, 48, 288, None])  # None: separate arrays
+    @pytest.mark.parametrize("stride", [1, 48, 288, None])  # None: gaps of T between windows
     def test_peak_stays_within_the_byte_charge(self, k, stride):
-        # a learner-sized block: 24 windows of 288 prices, 34 runs each; the
-        # traced peak of the call covers every array the kernel allocates
-        horizon, count, runs = 288, 24, 34
+        # a learner-sized block: 24 windows of 288 prices, 34 runs each
+        peak, charge = self.traced_block(288, k, stride or 2 * 288, 34)
+        assert peak <= charge
+
+    def test_the_optimum_of_long_windows_a_price_apart_is_charged(self):
+        # such windows add one table column each to the kernel, but the
+        # optimum copies all T prices of each
+        peak, charge = self.traced_block(3024, 1, 1, 2)
+        assert 8 * 24 * 3024 < peak <= charge
+
+    @staticmethod
+    def traced_block(horizon, k, stride, runs, count=24):
+        """The traced peak of one block's replay and then of its windows'
+        offline optima next to the totals, as the learner runs them (it
+        covers every array either allocates), and the block's charge."""
         rng = np.random.default_rng(k)
-        series = rng.uniform(5.0, 50.0, (count - 1) * (stride or horizon) + horizon)
-        if stride is None:
-            windows = [series[b * horizon:(b + 1) * horizon].copy() for b in range(count)]
-        else:
-            windows = list(np.lib.stride_tricks.sliding_window_view(series, horizon)[::stride])
+        series = rng.uniform(5.0, 50.0, (count - 1) * stride + horizon)
+        starts = np.arange(count) * stride
+        windows = np.lib.stride_tricks.sliding_window_view(series, horizon)[::stride]
         thresholds = np.sort(rng.uniform(5.0, 50.0, (count * runs, k)), axis=1)
         rows = np.repeat(np.arange(count), runs)
-        charge = sum(_replay_window_bytes(horizon, k, runs, step)
-                     for step in _span_steps(windows))
-        ota_totals(thresholds, windows, rows, ProblemKind.MAX)  # numpy's first-call setup
+        charge = _replay_window_bytes(horizon, k, runs, _window_steps(starts, horizon)).sum()
+
+        def replay():
+            totals = ota_totals(thresholds, series, starts, horizon, rows, ProblemKind.MAX)[0]
+            return totals, _offline_optima(windows, k, ProblemKind.MAX)
+
+        replay()  # numpy's first-call setup
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            ota_totals(thresholds, windows, rows, ProblemKind.MAX)
+            replay()
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= charge
+        return peak, charge
 
 
 class TestBatchedReplay:
@@ -282,7 +302,7 @@ class TestBatchedReplay:
         prices = [[good] * m + [bad] * (horizon - m) for m in range(k + 1)]
         rows = list(range(k + 1))
         thresholds = np.full((k + 1, k), 30.0)
-        totals, voluntary = ota_totals(thresholds, prices, rows, kind)
+        totals, voluntary = laid_end_to_end(thresholds, prices, rows, kind)
         schedule = ThresholdSchedule(kind, (30.0,) * k, B)
         for m in rows:
             total, vol = ota_total(schedule, np.asarray(prices[m]))
@@ -303,7 +323,7 @@ class TestBatchedReplay:
         if not kind.is_max:
             thresholds = thresholds[:, ::-1]
         rows = [0, 1, 2, 2, 1, 0]
-        totals, voluntary = ota_totals(thresholds, prices, rows, kind)
+        totals, voluntary = laid_end_to_end(thresholds, prices, rows, kind)
         for r, row in enumerate(rows):
             schedule = ThresholdSchedule(kind, tuple(thresholds[r]), B)
             assert (totals[r], voluntary[r]) == ota_total(schedule, prices[row])
@@ -319,7 +339,7 @@ class TestBatchedReplay:
         bar = 45.0 if kind.is_max else 5.0
         thresholds = np.full((6, 2), bar)
         rows = [0, 1, 2, 2, 1, 0]
-        totals, voluntary = ota_totals(thresholds, prices, rows, kind)
+        totals, voluntary = laid_end_to_end(thresholds, prices, rows, kind)
         schedule = ThresholdSchedule(kind, (bar, bar), B)
         for r, row in enumerate(rows):
             assert (totals[r], voluntary[r]) == ota_total(schedule, prices[row])
@@ -328,21 +348,26 @@ class TestBatchedReplay:
     def test_accepts_nested_sequences(self):
         thresholds = [(20.0, 30.0), (10.0, 40.0)]
         prices = [(5.0, 25.0, 35.0, 5.0), (45.0, 5.0, 5.0, 50.0)]
-        totals, voluntary = ota_totals(thresholds, prices, [1, 0], ProblemKind.MAX)
+        series = [price for window in prices for price in window]
+        totals, voluntary = ota_totals(thresholds, series, [0, 4], 4, [1, 0], ProblemKind.MAX)
         expected = [ota_total(ThresholdSchedule(ProblemKind.MAX, t, B), np.asarray(prices[r]))
                     for t, r in zip(thresholds, (1, 0))]
         assert list(zip(totals.tolist(), voluntary.tolist())) == expected
 
-    @pytest.mark.parametrize("thresholds,prices,rows", [
-        (np.full((2, 3), 20.0), np.full((1, 2), 20.0), [0, 0]),  # k > T
-        (np.full((2, 2), 20.0), np.full((1, 4), 20.0), [0]),  # one row for two runs
-        (np.full((2, 2), 20.0), np.full((1, 4), 20.0), [0, 1]),  # no window 1
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [0, 0]),  # prices not (B, T)
-        (np.full((2, 0), 20.0), np.full((1, 4), 20.0), [0, 0]),  # k = 0
+    @pytest.mark.parametrize("thresholds,series,starts,horizon,rows", [
+        (np.full((2, 3), 20.0), np.full(2, 20.0), [0], 2, [0, 0]),  # k > T
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 4, [0]),  # one row for two runs
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 4, [0, 1]),  # no window 1
+        (np.full((2, 2), 20.0), np.full((1, 4), 20.0), [0], 4, [0, 0]),  # series not 1-D
+        (np.full((2, 0), 20.0), np.full(4, 20.0), [0], 4, [0, 0]),  # k = 0
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [], 4, []),  # no windows
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 0, [0, 0]),  # T = 0
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [1], 4, [0, 0]),  # past the series end
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [-1], 2, [0, 0]),  # before its start
     ])
-    def test_rejects_inconsistent_shapes(self, thresholds, prices, rows):
+    def test_rejects_inconsistent_shapes(self, thresholds, series, starts, horizon, rows):
         with pytest.raises(InvalidInputError):
-            ota_totals(thresholds, prices, rows, ProblemKind.MAX)
+            ota_totals(thresholds, series, starts, horizon, rows, ProblemKind.MAX)
 
     @pytest.mark.parametrize("thresholds,prices", [
         ([(math.nan, 30.0)], [10.0, 20.0, 30.0, 40.0, 10.0, 10.0, 10.0, 10.0]),
@@ -350,7 +375,7 @@ class TestBatchedReplay:
     ])
     def test_rejects_nan(self, thresholds, prices):
         with pytest.raises(InvalidInputError):
-            ota_totals(thresholds, [prices], [0], ProblemKind.MAX)
+            ota_totals(thresholds, prices, [0], len(prices), [0], ProblemKind.MAX)
 
 
 class TestOfflineOpt:
@@ -393,6 +418,36 @@ class TestOfflineOpt:
         # (the built-in ``sum`` from Python 3.12 on) would give 1e16 + 2
         inst = SearchInstance((1.0, 1e16, 1.0), 3, PriceBounds(1.0, 1e16))
         assert offline_opt(inst, ProblemKind.MAX) == 1e16
+
+
+@st.composite
+def optimum_blocks(draw, max_horizon=40):
+    """(kind, bounds, (B, T) windows, k) with k in {1, 2, T - 1, T}: rows of
+    a ``sliding_window_view`` of one series, as the learner passes them,
+    whose prices come from a few levels (so many tie) as often as not."""
+    kind = draw(kinds)
+    bounds = draw(price_bounds())
+    horizon = draw(st.integers(min_value=1, max_value=max_horizon))
+    k = draw(st.sampled_from(sorted({1, 2, horizon - 1, horizon} & set(range(1, horizon + 1)))))
+    stride = draw(st.integers(min_value=1, max_value=2 * horizon))
+    count = draw(st.integers(min_value=1, max_value=6))
+    in_range = st.floats(min_value=bounds.p_min, max_value=bounds.p_max)
+    levels = draw(st.lists(in_range, min_size=1, max_size=3))
+    value = st.sampled_from(levels) if draw(st.booleans()) else st.one_of(
+        st.sampled_from(levels), in_range)
+    size = (count - 1) * stride + horizon
+    series = np.array(draw(st.lists(value, min_size=size, max_size=size)))
+    series.flags.writeable = False
+    windows = np.lib.stride_tricks.sliding_window_view(series, horizon)[::stride]
+    return kind, bounds, windows, k
+
+
+@given(optimum_blocks())
+@settings(max_examples=300)
+def test_batched_optima_equal_offline_opt(case):
+    kind, bounds, windows, k = case
+    optima = _offline_optima(windows, k, kind).tolist()
+    assert optima == [offline_opt(SearchInstance(window, k, bounds), kind) for window in windows]
 
 
 @given(schedule_and_instance())

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,12 +14,10 @@ from ksearch import (
     CellSummary,
     ConstructionError,
     DomainError,
-    ExperimentWindow,
     InvalidInputError,
     PriceBounds,
     PriceSeries,
     ProblemKind,
-    SearchInstance,
     SweepCell,
     adjust_error,
     build_cells,
@@ -26,8 +27,11 @@ from ksearch import (
     scale_theta,
     sliding_windows,
     solve_cr,
+    worst_case_thresholds,
     summarize,
 )
+from ksearch.instances import _window_stream
+from ksearch.learner import GRID
 from oracle import harden_reference
 
 
@@ -73,15 +77,19 @@ def _dialled_windows(series, cell, kind):
 
 
 class TestHardening:
-    """``run_sweep``'s groups harden tails with ``_hard_tail``, at the
+    """``run_sweep``'s groups harden tails with ``_hardened``, at the
     windows whose ``_hardening_draws`` fall below the cell's rho."""
 
     @pytest.mark.parametrize("kind, tail", [(ProblemKind.MAX, 5.0), (ProblemKind.MIN, 50.0)])
     def test_tail_is_the_kinds_worst_price(self, kind, tail):
-        inst = SearchInstance((7.0, 30.0, 12.0, 45.0, 9.0, 20.0), 2, PriceBounds(5.0, 50.0))
-        out = harness_mod._hard_tail(inst, kind)
+        # one window of six prices after its look-back, in the band [5, 50]
+        series = PriceSeries((5.0, 50.0, 20.0, 20.0, 20.0, 20.0, 7.0, 30.0, 12.0, 45.0, 9.0, 20.0))
+        stream = _window_stream(series, 6, 6, 2, kind)
+        out = harness_mod._hardened(stream, [0], kind)
         assert out.prices.tolist() == [7.0, 30.0, 12.0, 45.0, tail, tail]
-        assert (out.k, out.bounds) == (inst.k, inst.bounds)
+        assert (out.k, out.bounds, out.horizon) == (2, PriceBounds(5.0, 50.0), 6)
+        assert out.starts.tolist() == [0]
+        assert out.predictions.tolist() == stream.predictions.tolist()
 
     def test_hardened_sets_nest_across_rho(self):
         windows = _windows(n_samples=10_400)  # 51 windows
@@ -112,8 +120,7 @@ class TestHardening:
         series = gen_synthetic_series(num_samples=2200, seed=3)
         cell = SweepCell(1.0, 0.5, 10, 1.0)
         windows = _dialled_windows(series, cell, kind)
-        hard = [ExperimentWindow(harness_mod._hard_tail(w.instance, kind), w.prediction)
-                for w in windows]
+        hard = harden_reference(windows, kind, 1.0, 9)
         expected = _summaries(cell, hard, kind, 9)
         assert expected != _summaries(cell, windows, kind, 9)
         assert run_sweep(series, (cell,), kind, 9, 200, 200) == expected
@@ -253,8 +260,50 @@ def _per_cell_sweep(series, cells, kind, seed, window_len, stride):
     return tuple(sorted(out, key=lambda s: (s.cell.key(), s.algorithm)))
 
 
+class TestGuaranteeChecks:
+    """``_window_results`` re-checks the worst-case guarantee on every row."""
+
+    SOLUTION = dataclasses.replace(
+        worst_case_thresholds(PriceBounds(5.0, 50.0), 5, ProblemKind.MAX), cr=2.0)
+
+    @pytest.mark.parametrize("over, lost, message", [
+        ([2], [], "worst-case guarantee violated on window 2: ratio 2.5 > 2.0 + 1e-6"),
+        ([3], [1], "hindsight-best confidence lost to the worst-case schedule on window 1: "
+                   "1.4 > 1.0"),
+        ([1], [1], "worst-case guarantee violated on window 1: ratio 2.5 > 2.0 + 1e-6"),
+    ])
+    def test_the_first_failing_row_raises(self, over, lost, message):
+        # four rows: every grid ratio 1.5 but confidence 1's 1.4, the worst
+        # case's 1.5, except where it is set above cr or below 1.4
+        matrix = np.tile(np.r_[np.full(len(GRID) - 1, 1.5), 1.4, 1.5], (4, 1))
+        matrix[lost, -1] = 1.0
+        matrix[over, -1] = 2.5
+        with pytest.raises(ConstructionError) as info:
+            harness_mod._window_results(matrix, 7, self.SOLUTION)
+        assert str(info.value) == message
+
+    def test_hindsight_takes_the_smallest_of_equal_confidences(self):
+        matrix = np.full((3, len(GRID) + 1), 1.5)
+        matrix[1, [4, 9]] = 1.25
+        results = harness_mod._window_results(matrix, 7, self.SOLUTION)
+        assert [(r.hindsight_ratio, r.hindsight_lambda) for r in results] == [
+            (1.5, 0.0), (1.25, GRID[4]), (1.5, 0.0)]
+
+
 class TestGroupedSweep:
     """Cells sharing (error level, k, theta multiplier) replay together."""
+
+    def test_rounds_are_capped_before_any_replay(self, monkeypatch):
+        # 2^20 windows of one price each, from a flat series of 2^20 + 1
+        def replayed(*args):
+            pytest.fail("designed or replayed before the round count was checked")
+
+        for name in ("_hardening_draws", "worst_case_thresholds", "_stream_ratios"):
+            monkeypatch.setattr(harness_mod, name, replayed)
+        series = PriceSeries(np.full((1 << 20) + 1, 20.0))
+        cells = build_cells((0.0, 0.5), (1.0,), (1,), (1.0,))
+        with pytest.raises(InvalidInputError, match=r"^window streams beyond 2\^20 rounds"):
+            run_sweep(series, cells, ProblemKind.MAX, 7, 1, 1)
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
     @pytest.mark.parametrize("rhos", [(0.0,), (0.0, 0.2), (0.2, 0.0, 1.0)])
@@ -280,15 +329,15 @@ class TestGroupedSweep:
         # groups run in (error level, k, theta multiplier) order, so the group
         # (level 0.5, k = 5) runs first, though its one cell, at rho = 0.4,
         # comes last in key order
-        real = harness_mod.adjust_error
+        real = harness_mod._dialled
 
-        def failing(window, level, kind):
-            error = errors.get((window.instance.k, level))
+        def failing(stream, level, kind):
+            error = errors.get((stream.k, level))
             if error is not None:
-                raise error(f"k={window.instance.k} level={level}")
-            return real(window, level, kind)
+                raise error(f"k={stream.k} level={level}")
+            return real(stream, level, kind)
 
-        monkeypatch.setattr(harness_mod, "adjust_error", failing)
+        monkeypatch.setattr(harness_mod, "_dialled", failing)
         series = gen_synthetic_series(num_samples=2200, seed=3)
         cells = (SweepCell(0.4, 0.5, 5, 1.0), SweepCell(0.0, 1.0, 5, 1.0),
                  SweepCell(0.0, 1.0, 100, 1.0))
@@ -311,7 +360,7 @@ class TestGroupedSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         series = gen_synthetic_series(num_samples=2200, seed=3)
         two_groups = build_cells((0.0, 0.4), (1.0,), (5, 10), (1.0,))
         serial = run_sweep(series, two_groups, ProblemKind.MAX, 7, 200, 200)

@@ -33,8 +33,9 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch import instances as instances_mod
-from ksearch.harness import _hard_tail
+from ksearch.harness import _hardened
 from ksearch.instances import FIVE_YEAR_SAMPLES, STRIDE_SAMPLES, WINDOW_SAMPLES
+from ksearch.instances import _dialled, _window_stream
 from adversaries import PInstanceSpec, gen_p_instance, gen_worst_case_sequence
 
 BOUNDS = PriceBounds(5.0, 50.0)
@@ -478,9 +479,10 @@ class TestWindowViews:
         assert {type(p) for p in series.prices} == {float}
 
     def test_hardening_copies_the_window(self):
-        series, wins = self._cut()
+        series, _ = self._cut()
         before = series.array.tobytes()
-        out = _hard_tail(wins[0].instance, ProblemKind.MAX)
+        out = _hardened(_window_stream(series, 100, 30, 3, ProblemKind.MAX), [0, 2],
+                        ProblemKind.MAX)
         assert not np.shares_memory(out.prices, series.array)
         assert not out.prices.flags.writeable
         assert series.array.tobytes() == before
@@ -499,6 +501,51 @@ class TestWindowViews:
         assert again == (series, wins)
         assert not again[0].array.flags.writeable
         assert not again[1][0].instance.prices.flags.writeable
+
+
+class TestWindowStream:
+    """The pipeline's windows: offsets into the series' one array."""
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("stride", [1, 30, 100, 170])
+    def test_stream_is_the_sliding_windows(self, kind, stride):
+        series = gen_synthetic_series(num_samples=700, seed=5)
+        stream = _window_stream(series, 100, stride, 3, kind)
+        wins = sliding_windows(series, 100, stride, 3, kind)
+        assert (len(stream), stream.horizon, stream.k) == (len(wins), 100, 3)
+        assert stream.starts.tolist() == list(range(100, 601, stride))
+        assert stream.bounds == wins[0].instance.bounds
+        assert stream.predictions.tolist() == [w.prediction for w in wins]
+        rows = stream.rows()
+        assert rows.tolist() == [w.instance.prices.tolist() for w in wins]
+        assert np.shares_memory(rows, series.array) and not rows.flags.writeable
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @given(level=st.one_of(st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0, 1])))
+    @settings(max_examples=60, deadline=None)
+    def test_dialled_is_adjust_error(self, kind, level):
+        series = gen_synthetic_series(num_samples=900, seed=9)
+        stream = _dialled(_window_stream(series, 100, 40, 3, kind), level, kind)
+        wins = sliding_windows(series, 100, 40, 3, kind)
+        expected = [adjust_error(w, level, kind).prediction for w in wins]
+        assert stream.predictions.tolist() == expected
+
+    @pytest.mark.parametrize("level", [-0.01, 1.01, math.nan, "0.5", None])
+    def test_dialled_rejects_what_adjust_error_rejects(self, level):
+        series = gen_synthetic_series(num_samples=300, seed=9)
+        stream = _window_stream(series, 100, 40, 3, ProblemKind.MAX)
+        with pytest.raises(DomainError, match="error level must lie in"):
+            _dialled(stream, level, ProblemKind.MAX)
+
+    @pytest.mark.parametrize("k", [0, 5, 2.0, True])
+    def test_budget_is_checked_once_as_an_instance_checks_it(self, k):
+        series = PriceSeries((10.0, 20.0, 30.0, 40.0, 15.0, 25.0, 35.0, 12.0))
+        with pytest.raises(InvalidInputError) as instance:
+            SearchInstance((15.0, 25.0, 35.0, 12.0), k, PriceBounds(10.0, 40.0))
+        for cut in (_window_stream, sliding_windows):
+            with pytest.raises(InvalidInputError) as info:
+                cut(series, 4, 4, k, ProblemKind.MAX)
+            assert str(info.value) == str(instance.value)
 
 
 class TestAdjustError:

@@ -29,9 +29,10 @@ from ksearch import (
 )
 from ksearch import augmented as augmented_mod
 from ksearch import learner as learner_mod
-from ksearch.learner import GRID, _replay_ratios, _replay_window_bytes
+from ksearch.instances import _window_stream
+from ksearch.learner import GRID, _replay_window_bytes
 from adversaries import PInstanceSpec, gen_p_instance
-from conftest import band_cases, band_prediction, design_or_error
+from conftest import band_cases, band_prediction, design_or_error, replay_ratios
 from oracle import ota_total
 
 BOUNDS = PriceBounds(5.0, 50.0)
@@ -76,7 +77,7 @@ def _underflow_stream():
 
 def _one_round(window, kind=ProblemKind.MAX):
     """The grid ratios of one window, as the learner's replay computes them."""
-    return _replay_ratios((window,), kind)[0].tolist()
+    return replay_ratios((window,), kind)[0].tolist()
 
 
 class TestLearnerType:
@@ -100,7 +101,7 @@ class TestSelectLambda:
         # two runs at one seed draw the same grid points
         windows, _ = _stream(40, k=5, perfect=False)
         _, hist = run_learning(windows, ProblemKind.MAX, seed=3)
-        matrix = _replay_ratios(windows, ProblemKind.MAX)
+        matrix = replay_ratios(windows, ProblemKind.MAX)
         assert run_learning(windows, ProblemKind.MAX, seed=3)[1] == hist
         for t, rec in enumerate(hist):
             # the recorded ratio is the drawn confidence's column of its round
@@ -121,7 +122,7 @@ class TestSelectLambda:
     def test_underflow_stream_draws_are_pinned(self):
         # recorded while each round still drew with Generator.choice
         first = [0, 1, 17, 31, 24, 28, 9, 21, 29, 0, 26, 14, 3, 18, 31, 5, 0, 17, 8, 17]
-        matrix = _replay_ratios(_underflow_stream(), ProblemKind.MAX)
+        matrix = replay_ratios(_underflow_stream(), ProblemKind.MAX)
         for seed, j in enumerate(first):
             weights, hist = run_learning(_underflow_stream(), ProblemKind.MAX, seed)
             assert [GRID.index(rec.chosen_lambda) for rec in hist] == [j] + [32] * 10
@@ -229,7 +230,7 @@ class TestObserveRound:
         # w_0 / w_j = exp(rate * (r_j - r_0)), rate = sqrt(8 ln 33 / rounds)
         windows, _ = _stream(1, k=8, perfect=False)
         weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
-        matrix = _replay_ratios(windows, ProblemKind.MAX)
+        matrix = replay_ratios(windows, ProblemKind.MAX)
         rate = math.sqrt(8 * math.log(33) / 1)
         ratios = matrix[0].tolist()
         assert len(set(ratios)) > 2
@@ -244,7 +245,7 @@ class TestObserveRound:
         windows = [ExperimentWindow(SearchInstance((p,) + (1.0,) * 9, 1, bounds), 1e6)
                    for p in (5e5, 999.0)]
         weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
-        matrix = _replay_ratios(windows, ProblemKind.MAX)
+        matrix = replay_ratios(windows, ProblemKind.MAX)
         survivors = [r < 2.0 for r in matrix[0].tolist()]
         assert 0 < sum(survivors) < 33
         assert weights == tuple(1.0 / sum(survivors) if s else 0.0 for s in survivors)
@@ -259,7 +260,7 @@ class TestObserveRound:
     def test_real_stream_concentrates_on_empirically_best_lambda(self):
         windows, _ = _stream(198, k=8)
         weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
-        matrix = _replay_ratios(windows, ProblemKind.MAX)
+        matrix = replay_ratios(windows, ProblemKind.MAX)
         # the heaviest weight sits on the grid point with the lowest total loss
         totals = matrix.sum(axis=0).tolist()
         best_weight = max(range(33), key=lambda i: weights[i])
@@ -329,9 +330,9 @@ def block_sizes(monkeypatch):
     sizes = []
     kernel = learner_mod.ota_totals
 
-    def spy(thresholds, prices, rows, kind):
-        sizes.append(len(prices))
-        return kernel(thresholds, prices, rows, kind)
+    def spy(thresholds, series, starts, horizon, rows, kind):
+        sizes.append(len(starts))
+        return kernel(thresholds, series, starts, horizon, rows, kind)
 
     monkeypatch.setattr(learner_mod, "ota_totals", spy)
     return sizes
@@ -418,12 +419,12 @@ class TestGridArrays:
             other = ExperimentWindow(SearchInstance(prices, k, wider), 100.0)
         learner_mod._grid_cache.clear()
         with pytest.raises(ConstructionError) as info:
-            _replay_ratios((good, failing, other), ProblemKind.MIN)
+            replay_ratios((good, failing, other), ProblemKind.MIN)
         assert str(info.value).startswith("robustness violated")
         assert (info.value.lam, info.value.prediction) == (0.625, 1.0)
         learner_mod._grid_cache.clear()
         with pytest.raises(InvalidInputError) as info:
-            _replay_ratios((good, other, failing), ProblemKind.MIN)
+            replay_ratios((good, other, failing), ProblemKind.MIN)
         assert not isinstance(info.value, ConstructionError)
         assert ("budget 21" if mismatch == "budget" else "price bounds") in str(info.value)
 
@@ -549,7 +550,7 @@ class TestBlockReplay:
         runs = len(GRID) + len(extra)
         budget = per_block * _replay_window_bytes(windows[0].instance.horizon, k, runs)
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget + budget_offset)
-        ratios = _replay_ratios(tuple(windows), kind, extra)
+        ratios = replay_ratios(tuple(windows), kind, extra)
         assert block_sizes == sizes
         for window, row in zip(windows, ratios.tolist()):
             schedules = _grid_schedules(window, kind, bounds, k, GRID) + list(extra)
@@ -566,11 +567,34 @@ class TestBlockReplay:
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget)
         sizes = {}
         for stride in (20, 100):
-            windows = sliding_windows(series, 100, stride, k, ProblemKind.MAX)
-            sizes[stride] = [stop - start for start, stop in learner_mod._blocks(windows, k, runs)]
-            assert sum(sizes[stride]) == len(windows)
+            stream = _window_stream(series, 100, stride, k, ProblemKind.MAX)
+            blocks = learner_mod._blocks(stream.starts, 100, k, runs)
+            sizes[stride] = [stop - start for start, stop in blocks]
+            assert sum(sizes[stride]) == len(stream)
         overlapping = 1 + (budget - first) // _replay_window_bytes(100, k, runs, 20)
         assert sizes[100][0] == 20 < overlapping == sizes[20][0]
+
+    def test_window_objects_are_copied_one_block_at_a_time(self, monkeypatch):
+        # views of one series, charged as windows that share no prices: each
+        # block of 6 is copied end to end into an array of its own, lazily
+        series = gen_synthetic_series(num_samples=4400, seed=7)
+        windows = sliding_windows(series, 100, 20, 5, ProblemKind.MAX)
+        runs = len(GRID)
+        monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES",
+                            6 * _replay_window_bytes(100, 5, runs))
+        blocks = learner_mod._laid_out(windows, runs)
+        assert next(blocks).prices.size == 6 * 100  # one block made so far
+        at = 6
+        for stream in blocks:
+            block = windows[at:at + len(stream)]
+            assert len(stream) == min(6, len(windows) - at)
+            assert stream.starts.tolist() == list(range(0, 100 * len(block), 100))
+            assert not np.shares_memory(stream.prices, series.array)
+            assert not stream.prices.flags.writeable
+            assert stream.rows().tolist() == [w.instance.prices.tolist() for w in block]
+            assert stream.predictions.tolist() == [w.prediction for w in block]
+            at += len(stream)
+        assert at == len(windows)
 
     def test_blocks_cut_where_the_horizon_changes(self, block_sizes):
         windows = []
@@ -579,7 +603,7 @@ class TestBlockReplay:
             prices = gen_p_instance(spec).prices
             inst = SearchInstance(np.tile(prices, 3)[:horizon], 4, BOUNDS)
             windows.append(ExperimentWindow(inst, 20.0))
-        ratios = _replay_ratios(tuple(windows), ProblemKind.MAX)
+        ratios = replay_ratios(tuple(windows), ProblemKind.MAX)
         assert block_sizes == [2, 1, 2]
         for window, row in zip(windows, ratios.tolist()):
             schedules = _grid_schedules(window, ProblemKind.MAX, BOUNDS, 4, GRID)
@@ -595,7 +619,7 @@ class TestBlockReplay:
         for later in (other_budget[0], other_band):
             stream = (*windows, later)
             with pytest.raises(InvalidInputError):
-                _replay_ratios(stream, ProblemKind.MAX)
+                replay_ratios(stream, ProblemKind.MAX)
             with pytest.raises(InvalidInputError):
                 run_learning(stream, ProblemKind.MAX, seed=0)
             with pytest.raises(InvalidInputError):
@@ -629,7 +653,7 @@ class TestRunLearningAndRegret:
         # the stream's blocks replay to the same bits as one window at a time
         windows, bounds = _stream(9, k=5, kind=kind, perfect=False)
         extra = (worst_case_thresholds(bounds, 5, kind).schedule,)
-        matrix = _replay_ratios(windows, kind, extra)
+        matrix = replay_ratios(windows, kind, extra)
         assert matrix.shape == (9, len(GRID) + 1)
         for window, row in zip(windows, matrix[:, : len(GRID)].tolist()):
             assert row == _one_round(window, kind)
