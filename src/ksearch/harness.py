@@ -293,10 +293,10 @@ def _run_group(
     window's hardening draw is taken once, and the group replays its W
     plain windows, then the windows hardened at its largest rho (a second
     stream, copied only once the plain windows are replayed), with the
-    worst-case schedule as the extra column.  A cell's
-    row for window i is the hardened one where the cell's rho is above
-    window i's draw; hardening comes after the error is dialled, so a
-    hardened window keeps the prediction it was given.  Returns (cell,
+    worst-case schedule as the extra column.  A cell's row for window i is
+    the hardened one where the cell's rho is above window i's draw;
+    hardening comes after the error is dialled, so a hardened window keeps
+    the prediction it was given.  Returns (cell,
     summaries) for each cell in order, ending at the first failing cell with
     (cell, the exception it raised).
     """

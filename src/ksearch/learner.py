@@ -20,13 +20,14 @@ a time through the batched kernel ``core.ota_totals`` (one descent per run
 and selection over one sparse table of price maxima, built over the
 block's windows laid end to end with their overlaps shared), and the
 block's offline optima in one pass.  The round count is checked before
-any of that.  A block holds as many windows as keep the kernel within
+any of that.  A block holds as many windows as keep its replay within
 ``_REPLAY_BLOCK_BYTES``, each charged for the prices it adds to the block
 and for its runs, so overlapping windows pack more per block than
-disjoint ones.  The weights do not depend on the draws either: the Hedge recurrence runs over
-the matrix rows first, holding one plain list of weights and keeping each
-round's, and one pass then draws every round's grid point from them
-(``_draws``), as ``Generator.choice`` draws it from the round's stream.
+disjoint ones.  The weights do not depend on the draws either: the Hedge
+recurrence runs over the matrix rows first, holding one plain list of
+weights and keeping each round's, and one pass then draws every round's
+grid point from them (``_draws``), as ``Generator.choice`` draws it from
+the round's stream.
 The grid designs of a block's predictions are looked up in a bounded
 process-wide cache of one read-only (G, k) array per prediction, and the
 predictions it misses are built together, in stream order, by one batched
@@ -172,7 +173,7 @@ def _stream_ratios(streams, rows: int, kind: ProblemKind,
 
     The streams share one budget and price band.  Each is replayed a block
     at a time by ``core.ota_totals``: as many consecutive windows as keep
-    the kernel's arrays within ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The
+    their replay within ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The
     grid designs of a block are looked up together, as one (G, k) array
     per prediction (the byte budget bounds the batch that designs the
     misses, too), the extra rows are appended to each, and the block's
