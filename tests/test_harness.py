@@ -271,7 +271,7 @@ class TestGuaranteeChecks:
         ([3], [1], "hindsight-best confidence lost to the worst-case schedule on window 1: "
                    "1.4 > 1.0"),
         ([1], [1], "worst-case guarantee violated on window 1: ratio 2.5 > 2.0 + 1e-6"),
-    ])
+    ], ids=["over-cr", "lost-before-over-cr", "both-in-one-row"])
     def test_the_first_failing_row_raises(self, over, lost, message):
         # four rows: every grid ratio 1.5 but confidence 1's 1.4, the worst
         # case's 1.5, except where it is set above cr or below 1.4
