@@ -270,10 +270,13 @@ def ota_totals(
     counts).
     """
     prices = np.asarray(series, dtype=float)
-    starts = np.asarray(starts, dtype=np.intp)
-    T = operator.index(horizon)
-    if prices.ndim != 1 or starts.ndim != 1 or not starts.size or T < 1:
-        raise InvalidInputError("need a 1-D series, B >= 1 window starts and a horizon >= 1")
+    starts = np.asarray(starts)
+    T = int(horizon) if isinstance(horizon, (int, np.integer)) else 0
+    if (prices.ndim != 1 or starts.ndim != 1 or not starts.size
+            or starts.dtype.kind not in "iu" or T < 1):
+        raise InvalidInputError(
+            "need a 1-D series, B >= 1 integer window starts and an integer horizon >= 1")
+    starts = starts.astype(np.intp, copy=False)
     if not 0 <= starts.min() <= starts.max() <= prices.size - T:
         raise InvalidInputError(f"windows of {T} prices must lie within the series' {prices.size}")
     B = starts.size

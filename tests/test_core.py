@@ -364,6 +364,9 @@ class TestBatchedReplay:
         (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 0, [0, 0]),  # T = 0
         (np.full((2, 2), 20.0), np.full(4, 20.0), [1], 4, [0, 0]),  # past the series end
         (np.full((2, 2), 20.0), np.full(4, 20.0), [-1], 2, [0, 0]),  # before its start
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 4.0, [0, 0]),  # a float horizon
+        (np.full((2, 2), 20.0), np.full(4, 20.0), [0.5], 2, [0, 0]),  # a float start
+        (np.full((2, 2), 20.0), np.full(4, 20.0), np.array([], dtype=int), 4, []),  # no starts
     ])
     def test_rejects_inconsistent_shapes(self, thresholds, series, starts, horizon, rows):
         with pytest.raises(InvalidInputError):
