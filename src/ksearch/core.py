@@ -17,11 +17,17 @@ takes the array, each window's start and the common horizon T.  It lays
 the block's windows end to end in one span, where a window that starts
 d < T prices after the one before it adds only its last d prices, builds
 one sparse table of block maxima over the span, and each run jumps from
-one selection to the next by a binary-lifting descent over that table,
-held to its window.  Its totals are bit-identical to those of
-``ota_total``, the per-run oracle the tests hold.  ``offline_opt`` is the
-clairvoyant optimum of one instance, and ``_offline_optima`` that of a
-block of windows in one pass, bit for bit.
+one selection to the next by a binary-lifting descent over that table.  A
+run leaves the descent at its first selection that is not voluntary, as
+the compulsory fill takes the rest.  The kernel can also replay windows
+hardened with a tail of k worst prices, without a descent of their own:
+such a run keeps the plain run's selections before the tail, may take the
+tail price while its bars allow, and the fill takes the rest.  Its totals
+are bit-identical to those of ``ota_total``, the per-run oracle the tests
+hold.  ``offline_opt`` is the clairvoyant optimum of one instance,
+``_offline_optima`` that of a block of windows in one pass, and
+``_hardened_optima`` that of hardened windows from their first T - k
+prices, bit for bit.
 """
 
 from __future__ import annotations
@@ -249,7 +255,8 @@ def run_ota(schedule: ThresholdSchedule, instance: SearchInstance) -> RunTrace:
 
 
 def ota_totals(
-    thresholds: np.ndarray, series, starts, horizon: int, rows: np.ndarray, kind: ProblemKind
+    thresholds: np.ndarray, series, starts, horizon: int, rows: np.ndarray, kind: ProblemKind,
+    hardened=(), tail: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total value and voluntary-selection count of many runs at once: run r
     replays window ``rows[r]`` under the schedule ``thresholds[r]``.
@@ -264,10 +271,24 @@ def ota_totals(
     2000) covers the span.  Each run jumps from one selection to the next:
     slot m's step is the first one at or after the run's position whose
     price meets threshold m, found by a binary-lifting descent over that
-    table and held to the run's window.  The totals are added as the per-run
-    oracle ``ota_total`` in ``tests/oracle.py`` adds them, so each is
-    bit-identical to it (property-tested).  Returns (totals, voluntary
-    counts).
+    table.  Voluntary selections are a prefix, so a run retires from the
+    descent at its first selection at or past step T - k + m, where the
+    compulsory fill has begun; the live runs are compacted once at least
+    half have retired, and the descent stops when none is live.
+
+    ``hardened`` names windows (indices into ``starts``) whose copy with its
+    last k prices set to ``tail`` is replayed too, by every run on the
+    window.  Such a run keeps the m0 plain selections made before step
+    T - k; if m0 >= 1 it then takes the tail voluntarily while its bars
+    allow, and the compulsory fill takes the rest (all k when m0 = 0).  Its
+    total is derived from the plain run, with no second descent.
+
+    The totals are added as the per-run oracle ``ota_total`` in
+    ``tests/oracle.py`` adds them (the voluntary picks, then the fill, each
+    by one numpy sum), so each is bit-identical to it on the window, or on
+    the hardened copy (property-tested).  Returns (totals, voluntary counts)
+    of the R runs, followed by those of the runs on hardened windows, in
+    run order.
     """
     prices = np.asarray(series, dtype=float)
     starts = np.asarray(starts)
@@ -293,6 +314,8 @@ def ota_totals(
         raise InvalidInputError(f"run rows must index the {B} windows")
     if np.isnan(thr).any():
         raise InvalidInputError("thresholds must not be NaN")
+    hard = np.zeros(B, dtype=bool)
+    hard[_hardened_windows(hardened, B, tail)] = True
     sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
     ends = np.cumsum(_window_steps(starts, T))  # where each window ends in the span
     size = int(ends[-1])
@@ -315,28 +338,124 @@ def ota_totals(
         half, lower = 1 << (level - 1), table[level - 1]
         np.maximum(lower[:-half], lower[half:], out=table[level, :-half])
         table[level, -half:] = lower[-half:]
+    first = (ends - T)[rows]  # where each run's window starts in the span
+    picked = np.flatnonzero(hard[rows])  # the runs on hardened windows
+    totals = np.empty(runs + picked.size)
+    voluntary = np.zeros(runs + picked.size, dtype=np.intp)
+    sel = _descend(table, thr, first, sign, T, voluntary[:runs])
+    span = table[0]
+    totals[:runs] = _grouped_totals(sel, voluntary[:runs], span, first, T)
+    if picked.size:
+        # the end entry, which no plain run reads, becomes the signed tail
+        span[size] = sign * tail
+        early = _early_picks(sel, picked, voluntary[picked], T - k)
+        _take_tail(sel, picked, early, thr, first, sign, tail, size)
+        voluntary[runs:] = early
+        totals[runs:] = _grouped_totals(sel, early, span, first, T, sign * tail, picked)
+    return sign * totals, voluntary
+
+
+def _hardened_windows(hardened, windows: int, tail) -> np.ndarray:
+    """The indices of the hardened windows, checked, as is the tail price
+    where there are any."""
+    hardened = np.asarray(hardened)
+    if hardened.ndim != 1 or (hardened.size and hardened.dtype.kind not in "iu"):
+        raise InvalidInputError("hardened windows must be a 1-D sequence of window indices")
+    if hardened.size:
+        if not 0 <= hardened.min() <= hardened.max() < windows:
+            raise InvalidInputError(f"hardened windows must index the {windows} windows")
+        if not (isinstance(tail, (int, float, np.floating)) and math.isfinite(tail)):
+            raise InvalidInputError(f"hardened windows need a finite tail price, got {tail!r}")
+    return hardened.astype(np.intp)
+
+
+def _descend(table, thr, first, sign, T, voluntary):
+    """The (k, R) selection steps of the runs whose windows start at
+    ``first`` in the table's span, each written through the run's first
+    selection at or past step T - k + m; the runs' voluntary counts go into
+    ``voluntary`` (zeros on entry).
+
+    Each step is the first at or after the run's position whose price meets
+    its bar, found by skipping every block of the sparse ``table`` whose
+    maximum misses the bar, largest first.  Once a selection is not
+    voluntary, no later one is (each is a step further on, as its bound
+    is), so the run retires.  The live runs and their bars are compacted
+    once at least half have retired, and the descent stops when none is
+    live."""
+    levels, columns = table.shape
+    runs, k = thr.shape
     descent = [(level, table[level]) for level in reversed(range(levels))]
     bars = np.empty((k, runs))  # one contiguous row per slot
     np.multiply(thr.T, sign, out=bars)
-    first = (ends - T)[rows]  # where each run's window starts in the span
-    at, end = first.copy(), first + T
     sel = np.empty((k, runs), dtype=np.intp)
-    voluntary = np.zeros(runs, dtype=np.intp)
+    ids, count = slice(None), voluntary  # the live runs, and their counts so far
+    at, start, base = first.copy(), first, 0  # bars[m - base] is slot m's
     skip = np.empty(runs, dtype=np.intp)
+    live = np.empty(runs, dtype=bool)
     for m in range(k):
-        # skip every block whose maximum misses the bar, largest first; the
-        # first price that meets it, or one at or past the window end, is
-        # where the run stops
+        bar = bars[m - base]
         for level, flat in descent:
-            np.less(flat[at], bars[m], out=skip)
+            np.less(flat[at], bar, out=skip)
             at += skip << level
-        np.subtract(at, first, out=sel[m])  # T or more: never filled
+        # the step, T or more if never filled, goes straight into ``sel``
+        # until the first compaction
+        step = sel[m] if isinstance(ids, slice) else skip
+        np.subtract(at, start, out=step)
+        if step is skip:
+            sel[m, ids] = step
         # the selection is voluntary if the run passed over fewer than T - k
         # prices before it; the fill starts after the voluntary ones
-        voluntary += sel[m] < T - k + m
-        np.minimum(at + 1, end, out=at)
-    del bars, at, end, skip  # the gather's arrays take their place
-    return _grouped_totals(sel, voluntary, table[0], first, sign, T)
+        np.less(step, T - k + m, out=live)
+        count += live
+        alive = np.count_nonzero(live)
+        if 2 * alive <= live.size:
+            voluntary[ids] = count  # final for the runs that retired
+            if not alive:
+                return sel
+            keep = np.flatnonzero(live)
+            ids = keep if isinstance(ids, slice) else ids[keep]
+            count = count[keep]
+            at = at[keep]
+            start = start[keep]
+            bars, base = bars[m + 1 - base:, keep], m + 1
+            skip = np.empty(alive, dtype=np.intp)
+            live = np.empty(alive, dtype=bool)
+        # past the span's end, a position stays on its end entry
+        np.minimum(at + 1, columns - 1, out=at)
+    voluntary[ids] = count
+    return sel
+
+
+def _early_picks(sel, picked, counts, limit: int) -> np.ndarray:
+    """How many of each picked run's voluntary selection steps lie below
+    ``limit``: the steps are the first ``counts`` entries of its column of
+    ``sel``, increasing, so each run's count is one binary search, and all
+    the searches run as one (``counts`` is overwritten)."""
+    k = sel.shape[0]
+    lo, hi = np.zeros(picked.size, dtype=np.intp), counts
+    for _ in range(k.bit_length()):
+        mid = (lo + hi) >> 1
+        below = sel[np.minimum(mid, k - 1), picked] < limit
+        np.copyto(lo, mid + 1, where=below & (lo < hi))
+        np.copyto(hi, mid, where=~below)
+    return lo
+
+
+def _take_tail(sel, picked, early, thr, first, sign, tail, cell: int) -> None:
+    """Let each picked run (on a hardened window) that made ``early`` >= 1
+    selections before step T - k take the tail price at T - k, T - k + 1,
+    ... while its next bars are at or below it, as ``run_ota`` would; with
+    none made, the compulsory rule takes every tail step.  Each pick is
+    written into ``sel`` as the span's entry ``cell``, which holds the
+    signed tail, and counted in ``early``."""
+    k = sel.shape[0]
+    going = np.flatnonzero((early > 0) & (early < k))
+    while going.size:
+        going = going[sign * thr[picked[going], early[going]] <= sign * tail]
+        run = picked[going]
+        sel[early[going], run] = cell - first[run]
+        early[going] += 1
+        going = going[early[going] < k]
 
 
 def _window_steps(starts: np.ndarray, horizon: int) -> np.ndarray:
@@ -350,11 +469,16 @@ def _window_steps(starts: np.ndarray, horizon: int) -> np.ndarray:
 
 
 # the kernel's per-run vectors, 8 bytes an entry: the caller's row, window
-# start and end, position, skip flags, voluntary count and two temporaries
+# start, position, skip flags (then the step), voluntary count and the live
+# run indices, one temporary and the live mask (1 byte)
 _RUN_VECTOR_BYTES = 64
+# what a run on a hardened window adds, 8 bytes an entry: its total,
+# voluntary count and index, and the binary search's two bounds and one
+# temporary
+_HARD_RUN_BYTES = 48
 
 
-def _replay_window_bytes(horizon: int, k: int, runs: int, step=None):
+def _replay_window_bytes(horizon: int, k: int, runs: int, step=None, hardened=False):
     """The most the replay of one window of a block holds, in bytes, where
     the window adds ``step`` prices to the block's span (``_window_steps``;
     its whole horizon by default, and an array of steps gives an array of
@@ -364,31 +488,39 @@ def _replay_window_bytes(horizon: int, k: int, runs: int, step=None):
     freed, the steps and the gather's indices and prices) and
     ``_RUN_VECTOR_BYTES``; then ``_offline_optima`` holds the window's
     partitioned copy and its running sums, next to the runs' totals.  The
-    two come one after the other, so the window is charged the larger."""
+    two come one after the other, so the window is charged the larger.  A
+    ``hardened`` window (a flag, or an array of them) is replayed hardened
+    too, and adds ``_HARD_RUN_BYTES`` a run to either."""
     step = horizon if step is None else step
     kernel = 8 * horizon.bit_length() * (step + 1) + runs * (32 * k + _RUN_VECTOR_BYTES)
-    return np.maximum(kernel, 8 * (horizon + k + runs))
+    return np.maximum(kernel, 8 * (horizon + k + runs)) + hardened * runs * _HARD_RUN_BYTES
 
 
-def _grouped_totals(sel, voluntary, span, first, sign, T):
-    """Totals from the (k, R) selection steps (T or more if never filled) of
-    runs whose windows start at ``first`` in the signed span, added with the
-    same numpy reductions as the per-run oracle, one group of equal
-    voluntary counts at a time."""
-    k, runs = sel.shape
-    totals = np.empty(runs)
+def _grouped_totals(sel, voluntary, span, first, T, fill=None, runs=None):
+    """Totals of runs (``runs``, columns of the (k, R) selection steps; all
+    of them by default) with ``voluntary`` counts, whose windows start at
+    ``first`` in the signed span: the voluntary picks' prices, then the
+    fill's, added with the same numpy reductions as the per-run oracle, one
+    group of equal counts at a time.  The fill is each window's last prices,
+    or, with a ``fill`` price, that price repeated."""
+    k = sel.shape[0]
+    totals = np.empty(voluntary.size)
     # the counts that occur (np.unique would import numpy.ma, ~0.6 MB)
     for m in np.flatnonzero(np.bincount(voluntary)).tolist():
         group = np.flatnonzero(voluntary == m)
-        starts = first[group][:, None]
-        at = sel.T[group, :m]  # (runs, m), each run's row contiguous
+        columns = group if runs is None else runs[group]
+        starts = first[columns][:, None]
+        at = sel.T[columns, :m]  # (runs, m), each run's row contiguous
         at += starts
         total = span[at].sum(axis=1)
         del at
         if m < k:
-            total += span[starts + np.arange(T - k + m, T)].sum(axis=1)
+            if fill is None:
+                total += span[starts + np.arange(T - k + m, T)].sum(axis=1)
+            else:
+                total += np.full(k - m, fill).sum()
         totals[group] = total
-    return sign * totals, voluntary
+    return totals
 
 
 def left_sum(values) -> float:
@@ -415,9 +547,29 @@ def _offline_optima(windows: np.ndarray, k: int, kind: ProblemKind) -> np.ndarra
     (descending for max) and added left to right by ``np.cumsum``, in the
     order in which ``offline_opt`` adds them."""
     T = windows.shape[1]
-    if kind.is_max:
-        chosen = np.partition(windows, T - k, axis=1)[:, T - k:]
-    else:
-        chosen = np.partition(windows, k - 1, axis=1)[:, :k]
+    return _chosen_sums(np.partition(windows, T - k if kind.is_max else k - 1, axis=1), k, kind)
+
+
+def _chosen_sums(parted: np.ndarray, k: int, kind: ProblemKind) -> np.ndarray:
+    """The sums ``_offline_optima`` takes of rows partitioned at their k
+    chosen prices (the top k for max, the bottom k for min)."""
+    T = parted.shape[1]
+    chosen = parted[:, T - k:] if kind.is_max else parted[:, :k]
     chosen.sort(axis=1)
     return np.cumsum(chosen[:, ::-1] if kind.is_max else chosen, axis=1)[:, -1]
+
+
+def _hardened_optima(heads: np.ndarray, k: int, kind: ProblemKind, tail: float) -> np.ndarray:
+    """``offline_opt`` of windows whose last k prices are set to ``tail``, a
+    price no other beats (p_min for max-search, p_max for min-search), from
+    the (H, T - k) array ``heads`` of their first T - k prices, which it
+    partitions in place: the heads' chosen min(k, T - k) prices, added as
+    ``_offline_optima`` adds them, continued with the tail added left to
+    right, so bit for bit the sum ``offline_opt`` takes."""
+    width = heads.shape[1]
+    kept = min(k, width)
+    sums = np.full((len(heads), k - kept + (kept > 0)), tail)
+    if kept:
+        heads.partition(width - kept if kind.is_max else kept - 1, axis=1)
+        sums[:, 0] = _chosen_sums(heads, kept, kind)
+    return np.cumsum(sums, axis=1)[:, -1]

@@ -25,15 +25,16 @@ independent, so they can run in a process pool; results are sorted by cell
 key so the output does not depend on scheduling.
 
 Tail hardening happens inside a group: with probability rho a window's
-last k prices become the worst-case tail (``_hardened``, which copies the
-hardened windows into an (H, T) array of their own, replayed as a second
-stream into the group's ratio matrix).  It is *coupled* across cells:
-window i's uniform draw comes from a Philox stream keyed by (run seed, i)
-only, and the window is hardened at every rho above it, so the set of
-windows hardened at rho = 0.1 is a subset of those hardened at rho = 0.2,
-making the rho sweep a genuinely nested stress test.  A group's
-cells therefore see each window in at most two versions, plain and
-hardened, and the group replays each version once.
+last k prices become the worst-case tail, p_min for max-search and p_max
+for min-search.  It is *coupled* across cells: window i's uniform draw
+comes from a Philox stream keyed by (run seed, i) only, and the window is
+hardened at every rho above it, so the set of windows hardened at
+rho = 0.1 is a subset of those hardened at rho = 0.2, making the rho sweep
+a genuinely nested stress test.  A group's cells therefore see each window
+in at most two versions, plain and hardened, and the group replays each
+window once: a hardened window equals the plain one before its tail, so
+its ratios are derived from the plain window's runs in the same replay
+block (``learner._stream_ratios``), with no copy of its prices.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import numpy as np
 
 from .core import ProblemKind
 from .errors import ConstructionError, DomainError, InvalidInputError
-from .instances import PriceSeries, _dialled, _window_stream, _WindowStream, scale_theta
+from .instances import PriceSeries, _dialled, _window_stream, scale_theta
 from .learner import GRID, _check_rounds, _hedge, _laid_out, _stream_ratios, _uniforms
 from .worstcase import WorstCaseSolution, worst_case_thresholds
 
@@ -209,20 +210,6 @@ def _hardening_draws(seed: int, count: int) -> list[float]:
     return _uniforms(range(first, first + count)).tolist()
 
 
-def _hardened(stream: _WindowStream, picks, kind: ProblemKind) -> _WindowStream:
-    """The picked windows of a stream with their last k prices replaced by
-    the worst-case tail, p_min for max-search (the compulsory picks become
-    worthless) and p_max for min-search, as a stream over an (H, T) array
-    of their own; each keeps its prediction."""
-    T, k, bounds = stream.horizon, stream.k, stream.bounds
-    windows = stream.rows()[picks]
-    windows[:, T - k:] = bounds.p_min if kind.is_max else bounds.p_max
-    prices = windows.reshape(-1)
-    prices.flags.writeable = False
-    return _WindowStream(prices, np.arange(len(picks)) * T, T, k, bounds,
-                         stream.predictions[picks])
-
-
 def build_cells(rhos, error_levels, ks, theta_mults) -> tuple[SweepCell, ...]:
     """Cross product of stress parameters, sorted by cell key."""
     cells = [
@@ -291,14 +278,13 @@ def _run_group(
     The series is scaled and cut into a stream of windows once, the round
     count is checked, the windows' prediction error is dialled once, each
     window's hardening draw is taken once, and the group replays its W
-    plain windows, then the windows hardened at its largest rho (a second
-    stream, copied only once the plain windows are replayed), with the
-    worst-case schedule as the extra column.  A cell's row for window i is
-    the hardened one where the cell's rho is above window i's draw;
-    hardening comes after the error is dialled, so a hardened window keeps
-    the prediction it was given.  Returns (cell,
-    summaries) for each cell in order, ending at the first failing cell with
-    (cell, the exception it raised).
+    plain windows once, with the worst-case schedule as the extra column.
+    The same replay gives the rows of the windows hardened at its largest
+    rho, after the W plain rows.  A cell's row for window i is the hardened
+    one where the cell's rho is above window i's draw; hardening comes
+    after the error is dialled, so a hardened window keeps the prediction
+    it was given.  Returns (cell, summaries) for each cell in order, ending
+    at the first failing cell with (cell, the exception it raised).
     """
     done = []
     try:
@@ -311,14 +297,7 @@ def _run_group(
         top = max(cell.rho for cell in cells)
         hard = [idx for idx, draw in enumerate(draws) if draw < top]
         solution = worst_case_thresholds(plain.bounds, plain.k, kind)
-
-        def streams():
-            yield plain
-            # copied once the plain windows are replayed, so that the copy and
-            # their kernel arrays are not held at once
-            yield _hardened(plain, hard, kind)
-
-        matrix = _stream_ratios(streams(), len(plain) + len(hard), kind, (solution.schedule,))
+        matrix = _stream_ratios((plain,), len(plain), kind, (solution.schedule,), hard)
         hard_row = dict(zip(hard, range(len(plain), len(plain) + len(hard))))
         for cell in cells:
             rows = [hard_row[idx] if draw < cell.rho else idx for idx, draw in enumerate(draws)]

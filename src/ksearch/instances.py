@@ -14,8 +14,9 @@ window starts, the horizon, budget, band and predictions), cut by
 ``_window_stream`` and with their prediction error dialled in one pass
 by ``_dialled``; the band is the series' own, so no window needs a check
 of its own.  ``sliding_windows`` makes the same windows as objects whose
-prices are row views of the array, and only windows the harness hardens
-get an array of their own.
+prices are row views of the array.  No window gets an array of its own,
+not even one the harness hardens: its ratios are derived from the plain
+window's replay.
 
 The synthetic feed is a pure function of (inputs, seed) via a counter-based
 generator, so every experiment is bit-reproducible.
@@ -59,7 +60,9 @@ class PriceSeries:
     The prices are validated once into the read-only float64 ``array`` that
     windows view; ``prices`` gives them as Python floats.  Timestamps are a
     tuple, or a ``range`` with a positive step, which is kept as it is (a
-    regularly sampled feed needs no tuple of its stamps).
+    regularly sampled feed needs no tuple of its stamps).  A 1-D integer
+    array of stamps, as a parsed feed holds them, is checked in one numpy
+    pass and kept as a tuple.
     """
 
     array: np.ndarray
@@ -75,6 +78,10 @@ class PriceSeries:
         if timestamps is not None:
             if isinstance(timestamps, range):
                 increasing = timestamps.step > 0
+            elif (isinstance(timestamps, np.ndarray) and timestamps.ndim == 1
+                  and timestamps.dtype.kind in "iu"):
+                increasing = bool((timestamps[1:] > timestamps[:-1]).all())
+                timestamps = tuple(timestamps.tolist())
             else:
                 timestamps = tuple(timestamps)
                 increasing = not any(b <= a for a, b in zip(timestamps, timestamps[1:]))
@@ -183,7 +190,7 @@ def _bulk_series(path) -> PriceSeries | None:
     except (ValueError, OverflowError):
         return None
     try:
-        return PriceSeries(rows["price"], tuple(rows["timestamp"].tolist()))
+        return PriceSeries(rows["price"], rows["timestamp"])
     except InvalidInputError:
         return None
 

@@ -17,13 +17,16 @@ first window and requiring the rest to agree.  The counterfactual ratios
 do not depend on the learner's state, so the whole (window x confidence)
 ratio matrix is replayed first (``_stream_ratios``), a block of windows at
 a time through the batched kernel ``core.ota_totals`` (one descent per run
-and selection over one sparse table of price maxima, built over the
-block's windows laid end to end with their overlaps shared), and the
-block's offline optima in one pass.  The round count is checked before
-any of that.  A block holds as many windows as keep its replay within
-``_REPLAY_BLOCK_BYTES``, each charged for the prices it adds to the block
-and for its runs, so overlapping windows pack more per block than
-disjoint ones.  The weights do not depend on the draws either: the Hedge
+and voluntary selection over one sparse table of price maxima, built over
+the block's windows laid end to end with their overlaps shared), and the
+block's offline optima in one pass.  The sweep's tail-hardened windows
+get their rows from the same blocks: the kernel derives their totals from
+the plain runs, and their optima come from their first T - k prices, so
+each (window, confidence) pair is replayed once.  The round count is
+checked before any of that.  A block holds as many windows as keep its
+replay within ``_REPLAY_BLOCK_BYTES``, each charged for the prices it adds
+to the block and for its runs, so overlapping windows pack more per block
+than disjoint ones.  The weights do not depend on the draws either: the Hedge
 recurrence runs over the matrix rows first, holding one plain list of
 weights and keeping each round's, and one pass then draws every round's
 grid point from them (``_draws``), as ``Generator.choice`` draws it from
@@ -55,7 +58,7 @@ import numpy as np
 
 from .augmented import _construct_grid, _snap_prediction, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, ota_totals
-from .core import _offline_optima, _replay_window_bytes, _window_steps
+from .core import _hardened_optima, _offline_optima, _replay_window_bytes, _window_steps
 from .errors import InvalidInputError, KSearchError
 from .instances import ExperimentWindow, _WindowStream
 
@@ -167,9 +170,12 @@ def _laid_out(windows: tuple[ExperimentWindow, ...], runs: int):
 
 
 def _stream_ratios(streams, rows: int, kind: ProblemKind,
-                   extra: tuple[ThresholdSchedule, ...] = ()) -> np.ndarray:
-    """(rows, G + E) ratios of the windows of ``streams``, ``rows`` of them
-    in all, in order: each window under every grid design, then each extra.
+                   extra: tuple[ThresholdSchedule, ...] = (), hardened=()) -> np.ndarray:
+    """(rows + H, G + E) ratios of the windows of ``streams``, ``rows`` of
+    them in all, in order, then of the H windows ``hardened`` (ascending
+    indices into them) with their last k prices set to the band's worst
+    price (p_min for max-search, p_max for min-search): each window under
+    every grid design, then each extra.
 
     The streams share one budget and price band.  Each is replayed a block
     at a time by ``core.ota_totals``: as many consecutive windows as keep
@@ -177,41 +183,64 @@ def _stream_ratios(streams, rows: int, kind: ProblemKind,
     grid designs of a block are looked up together, as one (G, k) array
     per prediction (the byte budget bounds the batch that designs the
     misses, too), the extra rows are appended to each, and the block's
-    offline optima are taken in one pass (``core._offline_optima``).
+    offline optima are taken in one pass (``core._offline_optima``).  A
+    hardened window is no replay of its own: its totals come from its plain
+    window's runs, and its optimum from its first T - k prices
+    (``core._hardened_optima``).
     """
     runs = len(GRID) + len(extra)
-    ratios = np.empty((rows, runs))
-    at = 0
+    hardened = np.asarray(hardened, dtype=np.intp)
+    ratios = np.empty((rows + hardened.size, runs))
+    at, hard_at = 0, rows
     for stream in streams:
         k, horizon = stream.k, stream.horizon
+        tail = stream.bounds.p_min if kind.is_max else stream.bounds.p_max
+        hard = np.zeros(len(stream), dtype=bool)
+        hard[hardened[(hardened >= at) & (hardened < at + len(stream))] - at] = True
         extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
-        for lo, hi in _blocks(stream.starts, horizon, k, runs):
+        for lo, hi in _blocks(stream.starts, horizon, k, runs, hard):
             grids = _grid_thresholds(stream.predictions[lo:hi].tolist(), stream.bounds, k, kind)
             thresholds = np.concatenate([part for grid in grids for part in (grid, extra_rows)])
+            picks = np.flatnonzero(hard[lo:hi])
             totals = ota_totals(thresholds, stream.prices, stream.starts[lo:hi], horizon,
-                                np.repeat(np.arange(hi - lo), runs), kind)[0]
+                                np.repeat(np.arange(hi - lo), runs), kind, picks, tail)[0]
             del thresholds
-            opts = _offline_optima(stream.rows()[lo:hi], k, kind)[:, None]
-            totals = totals.reshape(hi - lo, runs)
-            over = (opts, totals) if kind.is_max else (totals, opts)
-            np.divide(*over, out=ratios[at:at + hi - lo])
+            windows = stream.rows()[lo:hi]
+            plain = (hi - lo) * runs
+            _ratios(totals[:plain], _offline_optima(windows, k, kind), kind,
+                    ratios[at:at + hi - lo])
+            if picks.size:
+                heads = windows[picks, :horizon - k]
+                _ratios(totals[plain:], _hardened_optima(heads, k, kind, tail), kind,
+                        ratios[hard_at:hard_at + picks.size])
+                hard_at += picks.size
             at += hi - lo
     return ratios
 
 
-def _blocks(starts: np.ndarray, horizon: int, k: int, runs: int):
+def _ratios(totals, optima, kind: ProblemKind, out) -> None:
+    """The ratios of windows' runs into ``out``, one row per window, from the
+    runs' totals (each window's runs in turn) and the windows' optima."""
+    totals, optima = totals.reshape(out.shape), optima[:, None]
+    np.divide(*((optima, totals) if kind.is_max else (totals, optima)), out=out)
+
+
+def _blocks(starts: np.ndarray, horizon: int, k: int, runs: int, hardened=None):
     """(lo, hi) of each block of a stream's windows: consecutive windows, as
     many as keep the sum of their ``_replay_window_bytes`` within
     ``_REPLAY_BLOCK_BYTES`` (at least one).  A window is charged for the
     prices it adds to the block's span (``core._window_steps``), the first
     of a block for its whole horizon, so overlapping windows pack more per
-    block than disjoint ones."""
-    held = np.cumsum(_replay_window_bytes(horizon, k, runs, _window_steps(starts, horizon)))
-    first = _replay_window_bytes(horizon, k, runs)
+    block than disjoint ones; a window marked in the ``hardened`` mask is
+    charged for its hardened runs too."""
+    hardened = np.zeros(starts.size, dtype=bool) if hardened is None else hardened
+    held = np.cumsum(_replay_window_bytes(horizon, k, runs, _window_steps(starts, horizon),
+                                          hardened))
+    first = _replay_window_bytes(horizon, k, runs, horizon, hardened)
     lo = 0
     while lo < starts.size:
-        # the block [lo, hi) holds first + held[hi - 1] - held[lo] bytes
-        hi = int(np.searchsorted(held, _REPLAY_BLOCK_BYTES - first + held[lo], side="right"))
+        # the block [lo, hi) holds first[lo] + held[hi - 1] - held[lo] bytes
+        hi = int(np.searchsorted(held, _REPLAY_BLOCK_BYTES - first[lo] + held[lo], side="right"))
         hi = max(hi, lo + 1)
         yield lo, hi
         lo = hi

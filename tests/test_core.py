@@ -26,7 +26,12 @@ from ksearch import (
     ota_totals,
     run_ota,
 )
-from ksearch.core import _offline_optima, _replay_window_bytes, _window_steps
+from ksearch.core import (
+    _hardened_optima,
+    _offline_optima,
+    _replay_window_bytes,
+    _window_steps,
+)
 
 B = PriceBounds(5.0, 50.0)
 
@@ -185,15 +190,17 @@ def start_blocks(draw, max_k=6, max_horizon=40):
 
     Each window starts where the one before it does, moved by one of
     ``MOVES``: 1 to T - 1 prices on (the windows overlap), T to 2T on (they
-    share nothing), not at all (the window repeats), or 1 to 2T back.  Or,
-    with ``hardened``, the windows are copied into an (B, T) array of their
-    own, some with a tail of k boundary prices, and replayed from it, as the
-    sweep's hardened windows are.
+    share nothing), not at all (the window repeats), or 1 to 2T back.
+    ``hardened`` names some windows, replayed too with their last k prices
+    set to the tail, the kind's worst price; now and then a schedule's first
+    thresholds are that price, so a run can take the tail voluntarily, and
+    horizons below 2k are as common as longer ones.
     """
     kind = draw(kinds)
     bounds = draw(price_bounds())
     k = draw(st.integers(min_value=1, max_value=max_k))
-    horizon = draw(st.integers(min_value=k, max_value=max_horizon))
+    horizon = draw(st.one_of(st.integers(min_value=k, max_value=2 * k),
+                             st.integers(min_value=k, max_value=max_horizon)))
     count = draw(st.integers(min_value=1, max_value=6))
     starts = [0]
     for move in draw(st.lists(st.sampled_from(MOVES), min_size=count - 1, max_size=count - 1)):
@@ -205,23 +212,25 @@ def start_blocks(draw, max_k=6, max_horizon=40):
     value = st.one_of(st.sampled_from(levels), in_range)
     size = max(starts) + horizon + draw(st.integers(min_value=0, max_value=3))
     series = np.array(draw(st.lists(value, min_size=size, max_size=size)))
-    hardened = draw(st.booleans())
-    if hardened:
-        windows = np.lib.stride_tricks.sliding_window_view(series, horizon)[starts]
-        tail = bounds.p_min if kind.is_max else bounds.p_max
-        for b in range(count):
-            if draw(st.booleans()):
-                windows[b, horizon - k:] = tail
-        series, starts = windows.reshape(-1), [b * horizon for b in range(count)]
     series.flags.writeable = False
+    hardened = draw(st.lists(st.integers(min_value=0, max_value=count - 1), unique=True))
+    tail = bounds.p_min if kind.is_max else bounds.p_max
     runs = draw(st.integers(min_value=1, max_value=8))
-    thresholds = [
-        sorted(draw(st.lists(value, min_size=k, max_size=k)), reverse=not kind.is_max)
-        for _ in range(runs)
-    ]
+    thresholds = []
+    for _ in range(runs):
+        schedule = sorted(draw(st.lists(value, min_size=k, max_size=k)), reverse=not kind.is_max)
+        schedule[:draw(st.integers(min_value=0, max_value=k))] = [tail] * k  # leading tails
+        thresholds.append(schedule[:k])
     rows = draw(st.lists(st.integers(min_value=0, max_value=count - 1),
                          min_size=runs, max_size=runs))
     return kind, bounds, thresholds, series, starts, horizon, rows, hardened
+
+
+def hardened_window(series, start, horizon, k, bounds, kind):
+    """The window's prices with the last k set to the kind's worst price."""
+    window = np.array(series[start:start + horizon])
+    window[horizon - k:] = bounds.p_min if kind.is_max else bounds.p_max
+    return window
 
 
 @given(start_blocks())
@@ -232,11 +241,87 @@ def test_span_replay_equals_ota_total(case):
     # only a window that starts 1..T-1 prices after the one before adds less than T
     assert _window_steps(np.array(starts), horizon).tolist() == [horizon] + [
         gap if 0 < gap < horizon else horizon for gap in gaps]
-    totals, voluntary = ota_totals(np.array(thresholds), series, starts, horizon, rows, kind)
+    tail = bounds.p_min if kind.is_max else bounds.p_max
+    totals, voluntary = ota_totals(np.array(thresholds), series, starts, horizon, rows, kind,
+                                   hardened, tail)
+    # the runs on hardened windows follow the R runs, in run order
+    picked = [r for r, row in enumerate(rows) if row in hardened]
+    assert totals.shape == voluntary.shape == (len(rows) + len(picked),)
+    k = len(thresholds[0])
     for r, row in enumerate(rows):
         schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
         window = series[starts[row]:starts[row] + horizon]
         assert (totals[r], voluntary[r]) == ota_total(schedule, window)
+    for r, total, vol in zip(picked, totals[len(rows):], voluntary[len(rows):]):
+        schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
+        window = hardened_window(series, starts[rows[r]], horizon, k, bounds, kind)
+        assert (total, vol) == ota_total(schedule, window)
+
+
+class TestHardenedReplay:
+    """Runs on a hardened window are derived from the plain run's
+    selections before step T - k, not replayed."""
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("horizon,k", [(5, 3), (7, 4), (8, 2), (6, 6), (1, 1), (6, 5), (9, 8)])
+    def test_every_tail_path_equals_ota_total(self, kind, horizon, k):
+        # window w takes its first w prices above the bar, the rest below it
+        # (but not below the tail); schedule n starts with n tail bars, so its
+        # runs take the first n prices, and with k > T - k a run whose
+        # selections fill the T - k steps before the tail takes the tail too
+        good, bad, bar = (45.0, 10.0, 30.0) if kind.is_max else (10.0, 45.0, 30.0)
+        tail = B.p_min if kind.is_max else B.p_max
+        windows = [[good] * w + [bad] * (horizon - w) for w in range(horizon + 1)]
+        schedules = [(tail,) * n + (bar,) * (k - n) for n in range(k + 1)]
+        pairs = list(itertools.product(range(len(windows)), range(len(schedules))))
+        rows = [w for w, _ in pairs]
+        thresholds = np.array([schedules[n] for _, n in pairs])
+        series = np.array(windows).reshape(-1)
+        starts = np.arange(len(windows)) * horizon
+        totals, voluntary = ota_totals(thresholds, series, starts, horizon, rows, kind,
+                                       range(len(windows)), tail)
+        paths = set()
+        for r, (w, n) in enumerate(pairs):
+            schedule = ThresholdSchedule(kind, schedules[n], B)
+            window = hardened_window(series, starts[w], horizon, k, B, kind)
+            derived = (totals[len(pairs) + r], voluntary[len(pairs) + r])
+            assert derived == ota_total(schedule, window)
+            plain = SearchInstance(series[starts[w]:starts[w] + horizon], k, B)
+            before = sum(d.selected for d in run_ota(schedule, plain).decisions[:horizon - k])
+            paths.add("none before the tail" if not before
+                      else "tail taken" if derived[1] > before else "tail filled")
+        assert "none before the tail" in paths
+        if 0 < horizon - k < k:
+            assert "tail taken" in paths
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_a_run_with_no_selection_before_the_tail_fills_it(self, kind):
+        # the first T - k prices all miss the bar, so the compulsory rule
+        # takes every tail step, as it takes the plain window's last prices
+        tail, miss = (5.0, 10.0) if kind.is_max else (50.0, 45.0)
+        totals, voluntary = ota_totals([(30.0, 30.0)], [miss] * 6, [0], 6, [0], kind, [0], tail)
+        assert totals.tolist() == [2 * miss, 2 * tail] and voluntary.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("hardened,tail", [
+        ([2], 5.0),  # no window 2
+        ([-1], 5.0),  # before the first window
+        ([0.5], 5.0),  # not an index
+        ([[0]], 5.0),  # not 1-D
+        ([0], None),  # no tail price
+        ([0], math.nan),
+        ([0], math.inf),
+    ])
+    def test_rejects_bad_hardened_windows(self, hardened, tail):
+        with pytest.raises(InvalidInputError):
+            ota_totals(np.full((2, 2), 20.0), np.full(8, 20.0), [0, 4], 4, [0, 1],
+                       ProblemKind.MAX, hardened, tail)
+
+    def test_no_hardened_window_needs_no_tail(self):
+        plain = ota_totals(np.full((2, 2), 20.0), np.full(8, 20.0), [0, 4], 4, [0, 1],
+                           ProblemKind.MAX)
+        none = ota_totals(np.full((2, 2), 20.0), np.full(8, 20.0), [0, 4], 4, [0, 1],
+                          ProblemKind.MAX, [], None)
+        assert [part.tolist() for part in none] == [part.tolist() for part in plain]
 
 
 class TestSpanReplay:
@@ -252,9 +337,11 @@ class TestSpanReplay:
 
     @pytest.mark.parametrize("k", [1, 5, 100])
     @pytest.mark.parametrize("stride", [1, 48, 288, None])  # None: gaps of T between windows
-    def test_peak_stays_within_the_byte_charge(self, k, stride):
-        # a learner-sized block: 24 windows of 288 prices, 34 runs each
-        peak, charge = self.traced_block(288, k, stride or 2 * 288, 34)
+    @pytest.mark.parametrize("hardened", [0, 1, 3], ids=["plain", "all-hardened", "third-hardened"])
+    def test_peak_stays_within_the_byte_charge(self, k, stride, hardened):
+        # a learner-sized block: 24 windows of 288 prices, 34 runs each, and
+        # none, all or every third of them hardened too
+        peak, charge = self.traced_block(288, k, stride or 2 * 288, 34, hardened=hardened)
         assert peak <= charge
 
     def test_the_optimum_of_long_windows_a_price_apart_is_charged(self):
@@ -264,21 +351,32 @@ class TestSpanReplay:
         assert 8 * 24 * 3024 < peak <= charge
 
     @staticmethod
-    def traced_block(horizon, k, stride, runs, count=24):
+    def traced_block(horizon, k, stride, runs, count=24, hardened=0):
         """The traced peak of one block's replay and then of its windows'
         offline optima next to the totals, as the learner runs them (it
-        covers every array either allocates), and the block's charge."""
+        covers every array either allocates), and the block's charge; with
+        ``hardened``, every such window from the first is hardened too."""
         rng = np.random.default_rng(k)
         series = rng.uniform(5.0, 50.0, (count - 1) * stride + horizon)
         starts = np.arange(count) * stride
         windows = np.lib.stride_tricks.sliding_window_view(series, horizon)[::stride]
         thresholds = np.sort(rng.uniform(5.0, 50.0, (count * runs, k)), axis=1)
         rows = np.repeat(np.arange(count), runs)
-        charge = _replay_window_bytes(horizon, k, runs, _window_steps(starts, horizon)).sum()
+        hard = np.zeros(count, dtype=bool)
+        if hardened:
+            hard[::hardened] = True
+        picks = np.flatnonzero(hard)
+        charge = _replay_window_bytes(horizon, k, runs, _window_steps(starts, horizon),
+                                      hard).sum()
 
         def replay():
-            totals = ota_totals(thresholds, series, starts, horizon, rows, ProblemKind.MAX)[0]
-            return totals, _offline_optima(windows, k, ProblemKind.MAX)
+            totals = ota_totals(thresholds, series, starts, horizon, rows, ProblemKind.MAX,
+                                picks, 5.0)[0]
+            optima = _offline_optima(windows, k, ProblemKind.MAX)
+            if picks.size:
+                heads = windows[picks, :horizon - k]
+                return totals, optima, _hardened_optima(heads, k, ProblemKind.MAX, 5.0)
+            return totals, optima
 
         replay()  # numpy's first-call setup
         tracemalloc.start()
@@ -451,6 +549,19 @@ def test_batched_optima_equal_offline_opt(case):
     kind, bounds, windows, k = case
     optima = _offline_optima(windows, k, kind).tolist()
     assert optima == [offline_opt(SearchInstance(window, k, bounds), kind) for window in windows]
+
+
+@given(optimum_blocks())
+@settings(max_examples=300)
+def test_hardened_optima_equal_offline_opt(case):
+    # each window with its last k prices set to the kind's worst price, from
+    # its first T - k prices alone (none at all when k = T)
+    kind, bounds, windows, k = case
+    horizon = windows.shape[1]
+    tail = bounds.p_min if kind.is_max else bounds.p_max
+    optima = _hardened_optima(windows[:, :horizon - k].copy(), k, kind, tail).tolist()
+    hardened = [hardened_window(window, 0, horizon, k, bounds, kind) for window in windows]
+    assert optima == [offline_opt(SearchInstance(window, k, bounds), kind) for window in hardened]
 
 
 @given(schedule_and_instance())

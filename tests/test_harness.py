@@ -31,7 +31,8 @@ from ksearch import (
     summarize,
 )
 from ksearch.instances import _window_stream
-from ksearch.learner import GRID
+from ksearch.learner import GRID, _stream_ratios
+from conftest import replay_ratios
 from oracle import harden_reference
 
 
@@ -77,19 +78,21 @@ def _dialled_windows(series, cell, kind):
 
 
 class TestHardening:
-    """``run_sweep``'s groups harden tails with ``_hardened``, at the
-    windows whose ``_hardening_draws`` fall below the cell's rho."""
+    """``run_sweep``'s groups take the rows of the windows whose
+    ``_hardening_draws`` fall below the cell's rho from the group's hardened
+    rows, derived from the plain windows' replay."""
 
     @pytest.mark.parametrize("kind, tail", [(ProblemKind.MAX, 5.0), (ProblemKind.MIN, 50.0)])
     def test_tail_is_the_kinds_worst_price(self, kind, tail):
         # one window of six prices after its look-back, in the band [5, 50]
         series = PriceSeries((5.0, 50.0, 20.0, 20.0, 20.0, 20.0, 7.0, 30.0, 12.0, 45.0, 9.0, 20.0))
         stream = _window_stream(series, 6, 6, 2, kind)
-        out = harness_mod._hardened(stream, [0], kind)
-        assert out.prices.tolist() == [7.0, 30.0, 12.0, 45.0, tail, tail]
-        assert (out.k, out.bounds, out.horizon) == (2, PriceBounds(5.0, 50.0), 6)
-        assert out.starts.tolist() == [0]
-        assert out.predictions.tolist() == stream.predictions.tolist()
+        [out] = harden_reference(sliding_windows(series, 6, 6, 2, kind), kind, 1.0, 9)
+        assert out.instance.prices.tolist() == [7.0, 30.0, 12.0, 45.0, tail, tail]
+        assert (out.instance.k, out.instance.bounds) == (2, PriceBounds(5.0, 50.0))
+        assert [out.prediction] == stream.predictions.tolist()
+        ratios = _stream_ratios((stream,), 1, kind, (), [0])
+        assert ratios[1].tolist() == replay_ratios((out,), kind)[0].tolist()
 
     def test_hardened_sets_nest_across_rho(self):
         windows = _windows(n_samples=10_400)  # 51 windows

@@ -33,10 +33,12 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch import instances as instances_mod
-from ksearch.harness import _hardened
+from ksearch.learner import _stream_ratios
 from ksearch.instances import FIVE_YEAR_SAMPLES, STRIDE_SAMPLES, WINDOW_SAMPLES
 from ksearch.instances import _dialled, _window_stream
 from adversaries import PInstanceSpec, gen_p_instance, gen_worst_case_sequence
+from conftest import replay_ratios
+from oracle import harden_reference
 
 BOUNDS = PriceBounds(5.0, 50.0)
 
@@ -478,13 +480,15 @@ class TestWindowViews:
             series.array[0] = 5.0
         assert {type(p) for p in series.prices} == {float}
 
-    def test_hardening_copies_the_window(self):
-        series, _ = self._cut()
+    def test_hardening_leaves_the_series_as_it_is(self):
+        # hardened rows are derived from the plain windows' replay, which
+        # neither copies nor writes the series
+        series, wins = self._cut()
         before = series.array.tobytes()
-        out = _hardened(_window_stream(series, 100, 30, 3, ProblemKind.MAX), [0, 2],
-                        ProblemKind.MAX)
-        assert not np.shares_memory(out.prices, series.array)
-        assert not out.prices.flags.writeable
+        stream = _window_stream(series, 100, 30, 3, ProblemKind.MAX)
+        ratios = _stream_ratios((stream,), len(stream), ProblemKind.MAX, (), [0, 2])
+        hard = harden_reference(wins, ProblemKind.MAX, 1.0, seed=0)
+        assert ratios[len(stream):].tolist() == replay_ratios(hard[0:3:2], ProblemKind.MAX).tolist()
         assert series.array.tobytes() == before
 
     def test_equal_content_is_equal(self):
@@ -638,6 +642,35 @@ class TestPriceSeries:
             PriceSeries((5.0, 6.0), (1,))
         with pytest.raises(InvalidInputError):
             PriceSeries((5.0, 6.0), (2, 1))
+
+    @pytest.mark.parametrize("stamps", [(5, 5), (2, 1), (1, 3, 2), (1, 2, 3, 3)])
+    def test_non_increasing_stamps_raise_alike_from_an_array_or_a_tuple(self, stamps, tmp_path):
+        # a parsed feed's int64 stamps are checked in one numpy pass, the row
+        # loop's tuple one pair at a time: both raise the same error, and
+        # ingest_csv gives the same row error from a bulk feed and from one
+        # only the row loop reads (an extra column)
+        prices = tuple(5.0 + i for i in range(len(stamps)))
+        errors = []
+        for given in (np.array(stamps, dtype=np.int64), stamps):
+            with pytest.raises(InvalidInputError) as info:
+                PriceSeries(prices, given)
+            errors.append(str(info.value))
+        assert errors == ["timestamps must be strictly increasing"] * 2
+        rows = [f"{t},{p}" for t, p in zip(stamps, prices)]
+        bulk = _write(tmp_path, "timestamp,price\n" + "\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError) as by_bulk:
+            ingest_csv(bulk)
+        extra = _write(tmp_path, "timestamp,price,note\n" + "".join(f"{row},x\n" for row in rows),
+                       name="extra.csv")
+        with pytest.raises(DataFormatError) as by_rows:
+            ingest_csv(extra)
+        assert str(by_bulk.value).split(": ", 1)[1] == str(by_rows.value).split(": ", 1)[1]
+
+    def test_array_stamps_are_kept_as_a_tuple(self):
+        series = PriceSeries((5.0, 6.0), np.array([1, 2], dtype=np.int64))
+        assert series.timestamps == (1, 2)
+        assert series == PriceSeries((5.0, 6.0), (1, 2))
+        assert {type(stamp) for stamp in series.timestamps} == {int}
 
     def test_range_timestamps(self):
         assert PriceSeries((5.0, 6.0), range(10, 30, 10)).timestamps == range(10, 30, 10)

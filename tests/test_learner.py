@@ -330,9 +330,9 @@ def block_sizes(monkeypatch):
     sizes = []
     kernel = learner_mod.ota_totals
 
-    def spy(thresholds, series, starts, horizon, rows, kind):
+    def spy(thresholds, series, starts, horizon, rows, kind, *hardening):
         sizes.append(len(starts))
-        return kernel(thresholds, series, starts, horizon, rows, kind)
+        return kernel(thresholds, series, starts, horizon, rows, kind, *hardening)
 
     monkeypatch.setattr(learner_mod, "ota_totals", spy)
     return sizes
