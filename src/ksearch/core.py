@@ -388,21 +388,17 @@ def _descend(table, thr, first, sign, T, voluntary):
     bars = np.empty((k, runs))  # one contiguous row per slot
     np.multiply(thr.T, sign, out=bars)
     sel = np.empty((k, runs), dtype=np.intp)
-    ids, count = slice(None), voluntary  # the live runs, and their counts so far
+    ids, count = np.arange(runs), voluntary  # the live runs, and their counts so far
     at, start, base = first.copy(), first, 0  # bars[m - base] is slot m's
-    skip = np.empty(runs, dtype=np.intp)
+    step = np.empty(runs, dtype=np.intp)  # the skip flags, then the step
     live = np.empty(runs, dtype=bool)
     for m in range(k):
         bar = bars[m - base]
         for level, flat in descent:
-            np.less(flat[at], bar, out=skip)
-            at += skip << level
-        # the step, T or more if never filled, goes straight into ``sel``
-        # until the first compaction
-        step = sel[m] if isinstance(ids, slice) else skip
-        np.subtract(at, start, out=step)
-        if step is skip:
-            sel[m, ids] = step
+            np.less(flat[at], bar, out=step)
+            at += step << level
+        np.subtract(at, start, out=step)  # T or more if never filled
+        sel[m, ids] = step
         # the selection is voluntary if the run passed over fewer than T - k
         # prices before it; the fill starts after the voluntary ones
         np.less(step, T - k + m, out=live)
@@ -413,12 +409,9 @@ def _descend(table, thr, first, sign, T, voluntary):
             if not alive:
                 return sel
             keep = np.flatnonzero(live)
-            ids = keep if isinstance(ids, slice) else ids[keep]
-            count = count[keep]
-            at = at[keep]
-            start = start[keep]
+            ids, count, at, start = ids[keep], count[keep], at[keep], start[keep]
             bars, base = bars[m + 1 - base:, keep], m + 1
-            skip = np.empty(alive, dtype=np.intp)
+            step = np.empty(alive, dtype=np.intp)
             live = np.empty(alive, dtype=bool)
         # past the span's end, a position stays on its end entry
         np.minimum(at + 1, columns - 1, out=at)

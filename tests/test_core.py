@@ -219,8 +219,9 @@ def start_blocks(draw, max_k=6, max_horizon=40):
     thresholds = []
     for _ in range(runs):
         schedule = sorted(draw(st.lists(value, min_size=k, max_size=k)), reverse=not kind.is_max)
-        schedule[:draw(st.integers(min_value=0, max_value=k))] = [tail] * k  # leading tails
-        thresholds.append(schedule[:k])
+        leading = draw(st.integers(min_value=0, max_value=k))
+        schedule[:leading] = [tail] * leading
+        thresholds.append(schedule)
     rows = draw(st.lists(st.integers(min_value=0, max_value=count - 1),
                          min_size=runs, max_size=runs))
     return kind, bounds, thresholds, series, starts, horizon, rows, hardened
