@@ -346,13 +346,6 @@ def _construct(
     is_max = kind.is_max
     labels = ("I", "II", "III") if is_max else ("IV", "V", "VI")
     near, far = (p_min, p_max) if is_max else (p_max, p_min)
-
-    if _degenerate(bounds):
-        schedule = ThresholdSchedule(kind, (near,) * k, bounds)
-        return _verify(
-            AugmentedDesign(schedule, labels[0], 0, 0, k, k, near, near, target, prediction)
-        )
-
     sigma, tilde_1, tilde_2 = frame.sigma, frame.tilde_1, frame.tilde_2
     grow_eta, grow_gamma = frame.grow_eta, frame.grow_gamma
     lead_eta, lead_gamma = frame.lead_eta, frame.lead_gamma
@@ -361,8 +354,9 @@ def _construct(
     reach = far - near
 
     # a prediction on a case boundary takes the near-side case for
-    # max-search and the far-side case for min-search
-    if (prediction <= tilde_1) if is_max else (prediction > tilde_1):
+    # max-search and the far-side case for min-search; a degenerate band's
+    # frame (sigma = k, lead 0, growth 1) makes case I/IV the flat schedule
+    if _degenerate(bounds) or ((prediction <= tilde_1) if is_max else (prediction > tilde_1)):
         label, j_star, m_star, i_star = labels[0], 0, 0, sigma
         values = [near + lead_eta * grow_eta**n for n in range(sigma)]
         values += [near + reach / grow_gamma**n for n in range(k - sigma, 0, -1)]
@@ -436,8 +430,6 @@ def _construct(
         m_star = min(m_star, i_star)
         values = prefix + block[:cut] + kept[::-1]
 
-    # PriceBounds.clip without its two calls per value: p_min <= p_max, and NaN passes
-    values = [p_min if v < p_min else p_max if v > p_max else v for v in values]
     try:
         schedule = ThresholdSchedule(kind, tuple(values), bounds)
     except InvalidInputError as exc:  # the construction's fault, not the caller's
@@ -600,9 +592,8 @@ def _construct_grid(
                 prediction[block_rows], grid, frame[block_rows], bounds, k, kind)
             first_covered[block_rows] = m_star[block_rows] + 2
         values = np.where(index[1:] <= cut[:, None], values, grid.succ[frame, :k])
-        values = np.minimum(np.maximum(values, p_min), p_max)
-        if np.isnan(values).any():
-            raise ConstructionError("designed thresholds are not numbers")
+        if not ((values >= p_min) & (values <= p_max)).all():  # False for NaN too
+            raise ConstructionError("designed thresholds leave the band")
         steps = np.diff(values, axis=1)
         if ((steps < 0) if is_max else (steps > 0)).any():
             raise ConstructionError("designed thresholds turn")

@@ -24,10 +24,9 @@ hardened with a tail of k worst prices, without a descent of their own:
 such a run keeps the plain run's selections before the tail, may take the
 tail price while its bars allow, and the fill takes the rest.  Its totals
 are bit-identical to those of ``ota_total``, the per-run oracle the tests
-hold.  ``offline_opt`` is the clairvoyant optimum of one instance,
-``_offline_optima`` that of a block of windows in one pass, and
-``_hardened_optima`` that of hardened windows from their first T - k
-prices, bit for bit.
+hold.  ``offline_opt`` is the clairvoyant optimum of one instance, and
+``_offline_optima`` that of a block of windows, plain or hardened, in one
+pass, bit for bit.
 """
 
 from __future__ import annotations
@@ -421,17 +420,12 @@ def _descend(table, thr, first, sign, T, voluntary):
 
 def _early_picks(sel, picked, counts, limit: int) -> np.ndarray:
     """How many of each picked run's voluntary selection steps lie below
-    ``limit``: the steps are the first ``counts`` entries of its column of
-    ``sel``, increasing, so each run's count is one binary search, and all
-    the searches run as one (``counts`` is overwritten)."""
+    ``limit``: a count over the first ``counts`` entries of its column of
+    ``sel``, masked, since the entries past them may be unset."""
     k = sel.shape[0]
-    lo, hi = np.zeros(picked.size, dtype=np.intp), counts
-    for _ in range(k.bit_length()):
-        mid = (lo + hi) >> 1
-        below = sel[np.minimum(mid, k - 1), picked] < limit
-        np.copyto(lo, mid + 1, where=below & (lo < hi))
-        np.copyto(hi, mid, where=~below)
-    return lo
+    below = sel[:, picked] < limit
+    below &= np.arange(k)[:, None] < counts
+    return np.count_nonzero(below, axis=0)
 
 
 def _take_tail(sel, picked, early, thr, first, sign, tail, cell: int) -> None:
@@ -466,8 +460,9 @@ def _window_steps(starts: np.ndarray, horizon: int) -> np.ndarray:
 # run indices, one temporary and the live mask (1 byte)
 _RUN_VECTOR_BYTES = 64
 # what a run on a hardened window adds, 8 bytes an entry: its total,
-# voluntary count and index, and the binary search's two bounds and one
-# temporary
+# voluntary count and index, its count of early picks and the index vectors
+# of the tail's takes (the masked count's (k, runs) temporaries fit in the
+# slots that the signed copy of the thresholds held)
 _HARD_RUN_BYTES = 48
 
 
@@ -479,11 +474,13 @@ def _replay_window_bytes(horizon: int, k: int, runs: int, step=None, hardened=Fa
     prices and an end column, and per run 32 bytes a slot (the caller's
     thresholds, their signed copy and the selection steps; once the copy is
     freed, the steps and the gather's indices and prices) and
-    ``_RUN_VECTOR_BYTES``; then ``_offline_optima`` holds the window's
-    partitioned copy and its running sums, next to the runs' totals.  The
-    two come one after the other, so the window is charged the larger.  A
-    ``hardened`` window (a flag, or an array of them) is replayed hardened
-    too, and adds ``_HARD_RUN_BYTES`` a run to either."""
+    ``_RUN_VECTOR_BYTES``; then ``_offline_optima`` holds a copy of the
+    window, which it partitions in place, and its running sums, next to the
+    runs' totals.  The two come one after the other, so the window is
+    charged the larger.  A ``hardened`` window (a flag, or an array of them)
+    is replayed hardened too, and adds ``_HARD_RUN_BYTES`` a run to either;
+    its optimum is taken of a copy with the worst-price tail once the plain
+    copy is freed."""
     step = horizon if step is None else step
     kernel = 8 * horizon.bit_length() * (step + 1) + runs * (32 * k + _RUN_VECTOR_BYTES)
     return np.maximum(kernel, 8 * (horizon + k + runs)) + hardened * runs * _HARD_RUN_BYTES
@@ -535,34 +532,13 @@ def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
 
 
 def _offline_optima(windows: np.ndarray, k: int, kind: ProblemKind) -> np.ndarray:
-    """``offline_opt`` of every row of a (B, T) array of windows, in one pass
-    and bit for bit: each row's k chosen prices are partitioned out, sorted
-    (descending for max) and added left to right by ``np.cumsum``, in the
-    order in which ``offline_opt`` adds them."""
+    """``offline_opt`` of every row of a writable (B, T) array of windows,
+    which it partitions in place, in one pass and bit for bit: each row's k
+    chosen prices are partitioned out, sorted (descending for max) and
+    added left to right by ``np.cumsum``, in the order in which
+    ``offline_opt`` adds them."""
     T = windows.shape[1]
-    return _chosen_sums(np.partition(windows, T - k if kind.is_max else k - 1, axis=1), k, kind)
-
-
-def _chosen_sums(parted: np.ndarray, k: int, kind: ProblemKind) -> np.ndarray:
-    """The sums ``_offline_optima`` takes of rows partitioned at their k
-    chosen prices (the top k for max, the bottom k for min)."""
-    T = parted.shape[1]
-    chosen = parted[:, T - k:] if kind.is_max else parted[:, :k]
+    windows.partition(T - k if kind.is_max else k - 1, axis=1)
+    chosen = windows[:, T - k:] if kind.is_max else windows[:, :k]
     chosen.sort(axis=1)
     return np.cumsum(chosen[:, ::-1] if kind.is_max else chosen, axis=1)[:, -1]
-
-
-def _hardened_optima(heads: np.ndarray, k: int, kind: ProblemKind, tail: float) -> np.ndarray:
-    """``offline_opt`` of windows whose last k prices are set to ``tail``, a
-    price no other beats (p_min for max-search, p_max for min-search), from
-    the (H, T - k) array ``heads`` of their first T - k prices, which it
-    partitions in place: the heads' chosen min(k, T - k) prices, added as
-    ``_offline_optima`` adds them, continued with the tail added left to
-    right, so bit for bit the sum ``offline_opt`` takes."""
-    width = heads.shape[1]
-    kept = min(k, width)
-    sums = np.full((len(heads), k - kept + (kept > 0)), tail)
-    if kept:
-        heads.partition(width - kept if kind.is_max else kept - 1, axis=1)
-        sums[:, 0] = _chosen_sums(heads, kept, kind)
-    return np.cumsum(sums, axis=1)[:, -1]

@@ -21,8 +21,9 @@ and voluntary selection over one sparse table of price maxima, built over
 the block's windows laid end to end with their overlaps shared), and the
 block's offline optima in one pass.  The sweep's tail-hardened windows
 get their rows from the same blocks: the kernel derives their totals from
-the plain runs, and their optima come from their first T - k prices, so
-each (window, confidence) pair is replayed once.  The round count is
+the plain runs, and their optima come from the same optimum pass over
+their copies with the worst-price tail, so each (window, confidence) pair
+is replayed once.  The round count is
 checked before any of that.  A block holds as many windows as keep its
 replay within ``_REPLAY_BLOCK_BYTES``, each charged for the prices it adds
 to the block and for its runs, so overlapping windows pack more per block
@@ -49,6 +50,7 @@ Regret is reported against the best fixed grid point in hindsight.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,7 +60,7 @@ import numpy as np
 
 from .augmented import _construct_grid, _snap_prediction, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, ota_totals
-from .core import _hardened_optima, _offline_optima, _replay_window_bytes, _window_steps
+from .core import _offline_optima, _replay_window_bytes, _window_steps
 from .errors import InvalidInputError, KSearchError
 from .instances import ExperimentWindow, _WindowStream
 
@@ -69,10 +71,6 @@ _REPLAY_BLOCK_BYTES = 4 << 20
 # the grid design cache holds as many thresholds as 65,536 single designs
 _GRID_CACHE_ENTRIES = (1 << 16) // len(GRID)
 _grid_cache: OrderedDict = OrderedDict()
-# the key ranges whose uniforms ``_uniforms`` keeps, least recently used
-# dropped first: a run draws one Hedge range and one hardening range
-_UNIFORM_CACHE_RANGES = 8
-_uniform_cache: OrderedDict = OrderedDict()
 # how far from 1 ``Generator.choice`` lets the probabilities sum
 _SUM_TOLERANCE = math.sqrt(np.finfo(float).eps)
 
@@ -183,10 +181,10 @@ def _stream_ratios(streams, rows: int, kind: ProblemKind,
     grid designs of a block are looked up together, as one (G, k) array
     per prediction (the byte budget bounds the batch that designs the
     misses, too), the extra rows are appended to each, and the block's
-    offline optima are taken in one pass (``core._offline_optima``).  A
-    hardened window is no replay of its own: its totals come from its plain
-    window's runs, and its optimum from its first T - k prices
-    (``core._hardened_optima``).
+    offline optima are taken in one pass (``core._offline_optima``, which
+    partitions a copy of the windows in place).  A hardened window is no
+    replay of its own: its totals come from its plain window's runs, and
+    its optimum from the same pass over a copy with the tail set.
     """
     runs = len(GRID) + len(extra)
     hardened = np.asarray(hardened, dtype=np.intp)
@@ -207,11 +205,12 @@ def _stream_ratios(streams, rows: int, kind: ProblemKind,
             del thresholds
             windows = stream.rows()[lo:hi]
             plain = (hi - lo) * runs
-            _ratios(totals[:plain], _offline_optima(windows, k, kind), kind,
+            _ratios(totals[:plain], _offline_optima(windows.copy(), k, kind), kind,
                     ratios[at:at + hi - lo])
             if picks.size:
-                heads = windows[picks, :horizon - k]
-                _ratios(totals[plain:], _hardened_optima(heads, k, kind, tail), kind,
+                worst = windows[picks]  # a copy, hardened in place
+                worst[:, horizon - k:] = tail
+                _ratios(totals[plain:], _offline_optima(worst, k, kind), kind,
                         ratios[hard_at:hard_at + picks.size])
                 hard_at += picks.size
             at += hi - lo
@@ -264,24 +263,17 @@ def _draws(weights: np.ndarray, keys) -> np.ndarray:
     return np.count_nonzero(cdf <= _uniforms(keys)[:, None], axis=1)
 
 
+@functools.lru_cache(maxsize=8)  # a run draws one Hedge range and one hardening range
 def _uniforms(keys) -> np.ndarray:
-    """The first double of the Philox stream of each key, as
-    ``Generator(Philox(key)).random()`` draws it: the top 53 bits of the
-    stream's first raw output, times 2^-53, as a read-only array.
+    """The first double of the Philox stream of each key of a range or
+    tuple, as ``Generator(Philox(key)).random()`` draws it: the top 53 bits
+    of the stream's first raw output, times 2^-53, as a read-only array.
 
-    The draws of a ``range`` of keys are taken once per process and kept:
-    the sweep's cells and groups and both kinds of ``learn`` draw the same
-    ranges again."""
-    if isinstance(keys, range) and keys in _uniform_cache:
-        _uniform_cache.move_to_end(keys)
-        return _uniform_cache[keys]
+    The draws of the 8 key sets drawn last are kept: the sweep's cells and
+    groups and both kinds of ``learn`` draw the same ranges again."""
     uniform = np.array([np.random.Philox(key).random_raw() >> 11 for key in keys], dtype=float)
     uniform *= 2.0**-53
     uniform.flags.writeable = False
-    if isinstance(keys, range):
-        _uniform_cache[keys] = uniform
-        if len(_uniform_cache) > _UNIFORM_CACHE_RANGES:
-            _uniform_cache.popitem(last=False)
     return uniform
 
 

@@ -11,8 +11,9 @@ freshly solved frame: the cache-free reference for ``ksearch.design``.
 ``construct_reference`` is the case I-VI construction written the plain
 way: each threshold from its own closure call, the min-search m* and the
 i* scans as Python loops over every index (the i* one with a running
-sum), each value clipped through ``PriceBounds.clip``, and
-``verify_reference`` checking the eta-covered intervals one by one.
+sum), and ``verify_reference`` checking the eta-covered intervals one by
+one; ``ThresholdSchedule``'s band and monotone check rejects a schedule
+that leaves the band or turns.
 ``ksearch.augmented._construct`` builds each piece in one pass and stops
 its index searches where their answers are, with the same float
 operations in the same order, so its designs, indices and failures must
@@ -209,7 +210,7 @@ def construct_reference(
         values += [tail(i) for i in range(i_star + 1, k + 1)]
 
     try:
-        schedule = ThresholdSchedule(kind, tuple(bounds.clip(v) for v in values), bounds)
+        schedule = ThresholdSchedule(kind, tuple(values), bounds)
     except InvalidInputError as exc:  # the construction's fault, not the caller's
         raise ConstructionError(f"designed {exc}") from exc
     return verify_reference(

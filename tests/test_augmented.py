@@ -298,11 +298,12 @@ def test_infeasible_target_raises_construction_error():
 
 
 def test_inverted_thresholds_are_a_construction_error():
-    # an internal fault, not bad input: it must exit 4, not 3.  A block that
-    # grows ten-fold per threshold overshoots the tail, which then turns back
+    # an internal fault, not bad input: it must exit 4, not 3.  A case I
+    # head that halves its lead per threshold falls inside the band, and the
+    # tail then turns back up
     frame = _frame(ParetoPoint(0.5, 1.5, 2.6), BOUNDS, 10, ProblemKind.MAX)
     with pytest.raises(ConstructionError, match="not monotone"):
-        _construct(5.0, frame._replace(grow_eta=10.0), BOUNDS, 10, ProblemKind.MAX)
+        _construct(5.0, frame._replace(grow_eta=0.5), BOUNDS, 10, ProblemKind.MAX)
 
 
 # --------------------------------------------------------------------------
@@ -603,8 +604,8 @@ def test_construct_is_the_reference_on_a_covered_interval_failure():
     assert got[1].startswith("consistency violated on interval 113: ratio")
 
 
-# frames no target gives, whose thresholds leave the band (so the clip
-# decides), turn, or find no flat block, pivot or consistency endpoint;
+# frames no target gives, whose thresholds leave the band (so the band
+# check decides), turn, or find no flat block, pivot or consistency endpoint;
 # the last one's i* scan fits only at i* = j* = 0
 @pytest.mark.parametrize("kind,change,prediction", [
     (ProblemKind.MAX, {"grow_eta": 10.0}, 5.0),

@@ -27,7 +27,6 @@ from ksearch import (
     run_ota,
 )
 from ksearch.core import (
-    _hardened_optima,
     _offline_optima,
     _replay_window_bytes,
     _window_steps,
@@ -345,10 +344,12 @@ class TestSpanReplay:
         peak, charge = self.traced_block(288, k, stride or 2 * 288, 34, hardened=hardened)
         assert peak <= charge
 
-    def test_the_optimum_of_long_windows_a_price_apart_is_charged(self):
+    @pytest.mark.parametrize("hardened", [0, 1], ids=["plain", "all-hardened"])
+    def test_the_optimum_of_long_windows_a_price_apart_is_charged(self, hardened):
         # such windows add one table column each to the kernel, but the
-        # optimum copies all T prices of each
-        peak, charge = self.traced_block(3024, 1, 1, 2)
+        # optimum copies all T prices of each, and a hardened window's
+        # optimum copies them again once the plain copy is freed
+        peak, charge = self.traced_block(3024, 1, 1, 2, hardened=hardened)
         assert 8 * 24 * 3024 < peak <= charge
 
     @staticmethod
@@ -373,10 +374,11 @@ class TestSpanReplay:
         def replay():
             totals = ota_totals(thresholds, series, starts, horizon, rows, ProblemKind.MAX,
                                 picks, 5.0)[0]
-            optima = _offline_optima(windows, k, ProblemKind.MAX)
+            optima = _offline_optima(windows.copy(), k, ProblemKind.MAX)
             if picks.size:
-                heads = windows[picks, :horizon - k]
-                return totals, optima, _hardened_optima(heads, k, ProblemKind.MAX, 5.0)
+                worst = windows[picks]
+                worst[:, horizon - k:] = 5.0
+                return totals, optima, _offline_optima(worst, k, ProblemKind.MAX)
             return totals, optima
 
         replay()  # numpy's first-call setup
@@ -544,25 +546,17 @@ def optimum_blocks(draw, max_horizon=40):
     return kind, bounds, windows, k
 
 
-@given(optimum_blocks())
-@settings(max_examples=300)
-def test_batched_optima_equal_offline_opt(case):
+@given(optimum_blocks(), st.booleans())
+@settings(max_examples=600)
+def test_batched_optima_equal_offline_opt(case, hardened):
+    # the windows as they are, or hardened: each with its last k prices set
+    # to the kind's worst price (all of them when k = T)
     kind, bounds, windows, k = case
-    optima = _offline_optima(windows, k, kind).tolist()
+    if hardened:
+        windows = np.array([hardened_window(window, 0, windows.shape[1], k, bounds, kind)
+                            for window in windows])
+    optima = _offline_optima(windows.copy(), k, kind).tolist()
     assert optima == [offline_opt(SearchInstance(window, k, bounds), kind) for window in windows]
-
-
-@given(optimum_blocks())
-@settings(max_examples=300)
-def test_hardened_optima_equal_offline_opt(case):
-    # each window with its last k prices set to the kind's worst price, from
-    # its first T - k prices alone (none at all when k = T)
-    kind, bounds, windows, k = case
-    horizon = windows.shape[1]
-    tail = bounds.p_min if kind.is_max else bounds.p_max
-    optima = _hardened_optima(windows[:, :horizon - k].copy(), k, kind, tail).tolist()
-    hardened = [hardened_window(window, 0, horizon, k, bounds, kind) for window in windows]
-    assert optima == [offline_opt(SearchInstance(window, k, bounds), kind) for window in hardened]
 
 
 @given(schedule_and_instance())

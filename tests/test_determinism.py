@@ -12,7 +12,12 @@ and ``thresholds`` digests pin the frontier, the worst-case ratio and one
 design of each kind outside the feed commands.  The
 ``experiment-scaled-hardened`` digests pin a theta-scaled series and a
 group in which rho = 1 hardens every window; they were recorded before
-the pipeline stopped making one window object per window.
+the pipeline stopped making one window object per window.  Those cases
+replay each group as one block of 72 windows; the
+``experiment-multiblock-hardened`` digests pin 3,425 windows a price
+apart, replayed in 8 blocks with hardened windows in every block, and were
+recorded before the hardened optima were taken from the plain optimum
+kernel.
 """
 
 from __future__ import annotations
@@ -49,6 +54,16 @@ CASES = {
         ["experiment", "--kind", "min", "--k", "5", "--rho", "0.0,1.0",
          "--error-level", "0.5,1.0", "--theta-mult", "1.0,2.0", *WINDOWS],
         "aa9dfe227bad417733f8ddb8ae0379729aad0eb884d258d1fba920ac2c801afb",
+    ),
+    "experiment-multiblock-hardened-max": (
+        ["experiment", "--kind", "max", "--k", "5", "--rho", "0.0,0.5",
+         "--window", "288", "--stride", "1"],
+        "0c6102e6e5121e1e12607368c0d0ab9acc092a06387b35c03d3027e7abf0ddae",
+    ),
+    "experiment-multiblock-hardened-min": (
+        ["experiment", "--kind", "min", "--k", "5", "--rho", "0.0,0.5",
+         "--window", "288", "--stride", "1"],
+        "e7c26f2f9a388619ab02d4331937acc35ce21d8f6f0dfa1ac4906c5e5af8099e",
     ),
     "simulate-max": (
         ["simulate", "--kind", "max", "--k", "5", "--error-level", "0.0,0.5,1.0",

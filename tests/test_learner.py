@@ -152,7 +152,8 @@ class TestSelectLambda:
             subnormal,
             np.eye(g)[rng.integers(g, size=n)],  # one-hot
         ] + [weights for weights, _ in held]
-        keys = [rng.integers(1 << 40, size=n) for _ in range(5)] + [list(keys) for _, keys in held]
+        keys = [tuple(rng.integers(1 << 40, size=n).tolist()) for _ in range(5)]
+        keys += [tuple(drawn) for _, drawn in held]
         checked = 0
         for weights, block_keys in zip(blocks, keys):
             got = learner_mod._draws(weights, block_keys).tolist()
@@ -168,7 +169,7 @@ class TestSelectLambda:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             np.random.Generator(np.random.Philox(0)).choice(33, p=w / w.sum())
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
-            learner_mod._draws(w[None, :], [0])
+            learner_mod._draws(w[None, :], (0,))
 
 
 class TestUniforms:
@@ -183,7 +184,7 @@ class TestUniforms:
         keys += rng.integers(0, 2**64, size=7000, dtype=np.uint64).tolist()
         assert len(keys) >= 15_000
         want = [np.random.Generator(np.random.Philox(key)).random() for key in keys]
-        assert learner_mod._uniforms(keys).tolist() == want
+        assert learner_mod._uniforms(tuple(keys)).tolist() == want
 
     def test_branch_frequency_matches_rho(self):
         rho = 0.3
@@ -195,7 +196,7 @@ class TestUniforms:
         # builds no Philox stream and reads the same read-only draws
         from ksearch import harness as harness_mod
 
-        learner_mod._uniform_cache.clear()
+        learner_mod._uniforms.cache_clear()
         built = []
         philox = np.random.Philox
         monkeypatch.setattr(np.random, "Philox", lambda key: built.append(key) or philox(key))
