@@ -16,8 +16,8 @@ class and message.  The sections are:
   10^U(0,4), p_min = 10^U(-2,2), k = floor(10^U(0,3)), lambda uniform, on
   the learner's grid, 0 or 1, and P log-uniform in the band;
 - ``design-grid rows`` and ``random rows``: the learner's grid thresholds
-  (``learner._design_grids``, uncached) at each distinct (P, band, k,
-  kind) of the section, or the failure with the call it carries;
+  (``learner._design_grids``) at each distinct (P, band, k, kind) of
+  the section, or the failure with the call it carries;
 - ``random blocks``: the learner's grid thresholds of 1,000 blocks, each of
   1-64 distinct predictions at one (band, k, kind), stacked, or the first
   failing prediction's failure.  The blocks take the first 1,000 (band, k,
@@ -100,7 +100,7 @@ def design_record(kind, bounds, k, lam, prediction) -> str:
 
 
 def design_grids(predictions, bounds, k, kind):
-    """The learner's uncached (G, k) grid thresholds at each prediction."""
+    """The learner's (G, k) grid thresholds at each prediction."""
     if hasattr(learner, "_design_grids"):
         return learner._design_grids(list(predictions), bounds, k, kind)
     return [learner._grid_thresholds.__wrapped__(p, bounds, k, kind) for p in predictions]

@@ -301,7 +301,10 @@ def ota_totals(
         raise InvalidInputError(f"windows of {T} prices must lie within the series' {prices.size}")
     B = starts.size
     thr = np.asarray(thresholds, dtype=float)
-    rows = np.asarray(rows, dtype=np.intp)
+    rows = np.asarray(rows)
+    if rows.size and rows.dtype.kind not in "iu":
+        raise InvalidInputError("run rows must be integer window indices")
+    rows = rows.astype(np.intp, copy=False)
     if thr.ndim != 2 or rows.shape != thr.shape[:1]:
         raise InvalidInputError(
             f"need (R, k) thresholds and R rows, got {thr.shape} and {rows.shape}"

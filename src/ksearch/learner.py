@@ -32,13 +32,11 @@ recurrence runs over the matrix rows first, holding one plain list of
 weights and keeping each round's, and one pass then draws every round's
 grid point from them (``_draws``), as ``Generator.choice`` draws it from
 the round's stream.
-The grid designs of a block's predictions are looked up in a bounded
-process-wide cache of one read-only (G, k) array per prediction, and the
-predictions it misses are built together, in stream order, by one batched
-pass (``augmented._construct_grid``); a block's thresholds are the
-concatenation of one such array per window.  Where the batch raises, its
-predictions are designed one at a time, and a failing one one confidence
-at a time, so the first failing design raises its own error.
+The grid designs of a block's distinct predictions are built together, in
+stream order, by one batched pass (``augmented._construct_grid``), and a
+block's thresholds gather one (G, k) slab of them per window.  Where the
+batch raises, each (prediction, confidence) is designed in turn, so the
+first failing design raises its own error.
 The Hedge rounds run in ``learner._hedge``, which the harness also calls on
 ratio rows it replayed itself; ``run_learning`` returns the final weights
 and the regret records.  A weight may underflow to 0 on a long or lopsided
@@ -54,7 +52,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from collections import OrderedDict
 
 import numpy as np
 
@@ -68,9 +65,6 @@ DEFAULT_GRID_SIZE = 33
 GRID = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
 # the replay kernel's arrays for one block of windows stay under this size
 _REPLAY_BLOCK_BYTES = 4 << 20
-# the grid design cache holds as many thresholds as 65,536 single designs
-_GRID_CACHE_ENTRIES = (1 << 16) // len(GRID)
-_grid_cache: OrderedDict = OrderedDict()
 # how far from 1 ``Generator.choice`` lets the probabilities sum
 _SUM_TOLERANCE = math.sqrt(np.finfo(float).eps)
 
@@ -94,48 +88,21 @@ class RegretRecord:
             )
 
 
-def _grid_thresholds(predictions, bounds: PriceBounds, k: int, kind: ProblemKind):
-    """Read-only (G, k) thresholds of the grid designs at each prediction,
-    one row per confidence in ``GRID`` order: all the replay reads of them.
+def _design_grids(predictions, bounds: PriceBounds, k: int, kind: ProblemKind) -> np.ndarray:
+    """(P, G, k) thresholds of the grid designs at each of P predictions,
+    one row per confidence in ``GRID`` order.
 
-    They come from a process-wide cache of ``_GRID_CACHE_ENTRIES`` arrays,
-    which drops the least recently used; the predictions it misses are
-    designed together by ``_design_grids``, in stream order."""
-    keys = [(prediction, bounds, k, kind) for prediction in predictions]
-    misses = [key for key in dict.fromkeys(keys) if key not in _grid_cache]
-    if misses:
-        _grid_cache.update(zip(misses, _design_grids([key[0] for key in misses], bounds, k, kind)))
-    grids = []
-    for key in keys:
-        _grid_cache.move_to_end(key)
-        grids.append(_grid_cache[key])
-    while len(_grid_cache) > _GRID_CACHE_ENTRIES:
-        _grid_cache.popitem(last=False)
-    return grids
-
-
-def _design_grids(predictions, bounds: PriceBounds, k: int, kind: ProblemKind):
-    """Read-only (G, k) thresholds of the grid designs at each prediction,
-    each its own array, uncached.
-
-    All rows come from one batched construction.  Where it raises, the
-    predictions are designed one at a time, and where that raises, one
-    confidence at a time; so the first failing prediction's first failing
-    design raises its own error, with the call it carries."""
+    All rows come from one batched construction.  Where it raises, every
+    (prediction, confidence) is designed in turn, in stream order, so the
+    first failing design raises its own error, with the call it carries."""
     try:
         batch = _construct_grid(
             [_snap_prediction(prediction, bounds) for prediction in predictions],
             GRID, bounds, k, kind)
-        grids = [batch[at:at + len(GRID)].copy() for at in range(0, len(batch), len(GRID))]
     except (KSearchError, ArithmeticError, ValueError):
-        if len(predictions) > 1:
-            return [_design_grids([prediction], bounds, k, kind)[0] for prediction in predictions]
-        grids = [np.empty((len(GRID), k))]
-        for g, lam in enumerate(GRID):
-            grids[0][g] = design(predictions[0], lam, bounds, k, kind).schedule.values
-    for rows in grids:
-        rows.flags.writeable = False
-    return grids
+        batch = [design(prediction, lam, bounds, k, kind).schedule.values
+                 for prediction in predictions for lam in GRID]
+    return np.reshape(batch, (len(predictions), len(GRID), k))
 
 
 def _laid_out(windows: tuple[ExperimentWindow, ...], runs: int):
@@ -178,13 +145,14 @@ def _stream_ratios(streams, rows: int, kind: ProblemKind,
     The streams share one budget and price band.  Each is replayed a block
     at a time by ``core.ota_totals``: as many consecutive windows as keep
     their replay within ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The
-    grid designs of a block are looked up together, as one (G, k) array
-    per prediction (the byte budget bounds the batch that designs the
-    misses, too), the extra rows are appended to each, and the block's
-    offline optima are taken in one pass (``core._offline_optima``, which
-    partitions a copy of the windows in place).  A hardened window is no
-    replay of its own: its totals come from its plain window's runs, and
-    its optimum from the same pass over a copy with the tail set.
+    block's distinct predictions are designed in one batch
+    (``_design_grids``; the byte budget bounds it, too), the extra rows are
+    appended to each prediction's, one gather lays them out per window,
+    and the block's offline optima are taken in one pass
+    (``core._offline_optima``, which partitions a copy of the windows in
+    place).  A hardened window is no replay of its own: its totals come
+    from its plain window's runs, and its optimum from the same pass over
+    a copy with the tail set.
     """
     runs = len(GRID) + len(extra)
     hardened = np.asarray(hardened, dtype=np.intp)
@@ -197,11 +165,15 @@ def _stream_ratios(streams, rows: int, kind: ProblemKind,
         hard[hardened[(hardened >= at) & (hardened < at + len(stream))] - at] = True
         extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
         for lo, hi in _blocks(stream.starts, horizon, k, runs, hard):
-            grids = _grid_thresholds(stream.predictions[lo:hi].tolist(), stream.bounds, k, kind)
-            thresholds = np.concatenate([part for grid in grids for part in (grid, extra_rows)])
+            predictions = stream.predictions[lo:hi].tolist()
+            index = {p: n for n, p in enumerate(dict.fromkeys(predictions))}
+            grids = _design_grids(list(index), stream.bounds, k, kind)
+            extras = np.broadcast_to(extra_rows, (len(grids), *extra_rows.shape))
+            thresholds = np.concatenate([grids, extras], axis=1)[[index[p] for p in predictions]]
+            del grids
             picks = np.flatnonzero(hard[lo:hi])
-            totals = ota_totals(thresholds, stream.prices, stream.starts[lo:hi], horizon,
-                                np.repeat(np.arange(hi - lo), runs), kind, picks, tail)[0]
+            totals = ota_totals(thresholds.reshape(-1, k), stream.prices, stream.starts[lo:hi],
+                                horizon, np.repeat(np.arange(hi - lo), runs), kind, picks, tail)[0]
             del thresholds
             windows = stream.rows()[lo:hi]
             plain = (hi - lo) * runs

@@ -578,7 +578,7 @@ class TestWindowStream:
 
         series = PriceSeries(np.full((1 << 20) + 1, 20.0))
         monkeypatch.setattr(cli_mod, "_load_series", lambda args, bounds: (series, "flat"))
-        for name in ("_grid_thresholds", "ota_totals", "_offline_optima"):
+        for name in ("_design_grids", "ota_totals", "_offline_optima"):
             monkeypatch.setattr(learner_mod, name, replayed)
         code = main(["learn", "--kind", "both", "--window", "1", "--stride", "1", "--k", "1"])
         assert code == 3

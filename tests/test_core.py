@@ -473,6 +473,18 @@ class TestBatchedReplay:
         with pytest.raises(InvalidInputError):
             ota_totals(thresholds, series, starts, horizon, rows, ProblemKind.MAX)
 
+    @pytest.mark.parametrize("rows", [[0.9], [1.7], [True], np.array([0.0])])
+    def test_rejects_rows_that_are_not_integers(self, rows):
+        # a cast would replay window 0 for 0.9 and window 1 for 1.7 or True
+        with pytest.raises(InvalidInputError, match="integer window indices"):
+            ota_totals(np.full((1, 2), 20.0), np.full(8, 20.0), [0, 4], 4, rows, ProblemKind.MAX)
+
+    @pytest.mark.parametrize("rows", [[], np.array([], dtype=float), np.array([], dtype=bool)])
+    def test_accepts_empty_rows(self, rows):
+        totals, voluntary = ota_totals(np.empty((0, 2)), np.full(8, 20.0), [0, 4], 4, rows,
+                                       ProblemKind.MAX)
+        assert totals.shape == voluntary.shape == (0,)
+
     @pytest.mark.parametrize("thresholds,prices", [
         ([(math.nan, 30.0)], [10.0, 20.0, 30.0, 40.0, 10.0, 10.0, 10.0, 10.0]),
         ([(20.0, 30.0)], [10.0, 20.0, math.nan, 40.0, 10.0, 10.0, 10.0, 10.0]),

@@ -17,7 +17,10 @@ replay each group as one block of 72 windows; the
 ``experiment-multiblock-hardened`` digests pin 3,425 windows a price
 apart, replayed in 8 blocks with hardened windows in every block, and were
 recorded before the hardened optima were taken from the plain optimum
-kernel.
+kernel.  The ``learn-multiblock-both`` digest pins 3,425 windows per kind
+a price apart, replayed in 11 blocks whose predictions recur from block
+to block; it was recorded while the learner still kept grid designs in a
+process-wide cache across blocks.
 """
 
 from __future__ import annotations
@@ -78,6 +81,10 @@ CASES = {
     "learn-both": (
         ["learn", "--kind", "both", "--k", "10", "--window", "288", "--stride", "24"],
         "fc752633162a9541099960fd5531f72c12ad19d3c053de04872495b54edabd50",
+    ),
+    "learn-multiblock-both": (
+        ["learn", "--kind", "both", "--k", "10", "--window", "288", "--stride", "1"],
+        "18bbbe040b0288d8ffd2d77c16c2280a50071a9d116ee0dff9cc4b2228eb59f5",
     ),
     "pareto-max": (
         ["pareto", "--kind", "max", "--k", "100", "--points", "33"],

@@ -342,52 +342,53 @@ def block_sizes(monkeypatch):
 class TestGridArrays:
     @pytest.mark.parametrize("kind", list(ProblemKind))
     @pytest.mark.parametrize("prediction", [5.0, 17.25, 50.0])
-    def test_rows_are_read_only_grid_designs(self, kind, prediction):
-        learner_mod._grid_cache.clear()
-        [rows] = learner_mod._grid_thresholds([prediction], BOUNDS, 6, kind)
-        assert rows.shape == (len(GRID), 6) and rows.dtype == np.float64
-        assert rows.base is None  # its own array, not a view into a batch
-        with pytest.raises(ValueError):
-            rows[0, 0] = 1.0
+    def test_rows_are_the_grid_designs(self, kind, prediction):
+        grids = learner_mod._design_grids([prediction], BOUNDS, 6, kind)
+        assert grids.shape == (1, len(GRID), 6) and grids.dtype == np.float64
         for g, lam in enumerate(GRID):
             expected = design(prediction, lam, BOUNDS, 6, kind).schedule.values
-            assert tuple(rows[g].tolist()) == expected
-        assert learner_mod._grid_thresholds([prediction], BOUNDS, 6, kind)[0] is rows
+            assert tuple(grids[0][g].tolist()) == expected
 
-    def test_block_lookups_design_each_miss_once_and_keep_stream_order(self, monkeypatch):
-        learner_mod._grid_cache.clear()
-        batches = []
-        construct = learner_mod._construct_grid
+    def test_a_block_designs_its_distinct_predictions_in_one_batch(self, monkeypatch):
+        batches, kernel_rows = [], []
+        construct, kernel = learner_mod._construct_grid, learner_mod.ota_totals
 
-        def spy(predictions, *args):
+        def construct_spy(predictions, *args):
             batches.append(list(predictions))
             return construct(predictions, *args)
 
-        monkeypatch.setattr(learner_mod, "_construct_grid", spy)
-        [hit] = learner_mod._grid_thresholds([20.0], BOUNDS, 6, ProblemKind.MAX)
-        got = learner_mod._grid_thresholds([30.0, 20.0, 10.0, 30.0], BOUNDS, 6, ProblemKind.MAX)
-        assert batches == [[20.0], [30.0, 10.0]]
-        assert got[1] is hit and got[0] is got[3]
-        for prediction, rows in zip((30.0, 10.0), (got[0], got[2])):
-            assert rows.base is None and not rows.flags.writeable
-            assert rows.tolist() == [
+        def kernel_spy(thresholds, *args):
+            kernel_rows.append(thresholds.reshape(-1, len(GRID), 6))
+            return kernel(thresholds, *args)
+
+        monkeypatch.setattr(learner_mod, "_construct_grid", construct_spy)
+        monkeypatch.setattr(learner_mod, "ota_totals", kernel_spy)
+        instance = SearchInstance(np.geomspace(BOUNDS.p_max, BOUNDS.p_min, 12), 6, BOUNDS)
+        predictions = (30.0, 20.0, 10.0, 30.0)
+        windows = [ExperimentWindow(instance, prediction) for prediction in predictions]
+        first = replay_ratios(windows, ProblemKind.MAX)
+        assert batches == [[30.0, 20.0, 10.0]]
+        [rows] = kernel_rows
+        assert (rows[0] == rows[3]).all()
+        for prediction, window_rows in zip(predictions, rows):
+            assert window_rows.tolist() == [
                 list(design(prediction, lam, BOUNDS, 6, ProblemKind.MAX).schedule.values)
                 for lam in GRID]
+        # nothing is kept between replays: the same replay designs the same batch
+        assert (replay_ratios(windows, ProblemKind.MAX) == first).all()
+        assert batches == [[30.0, 20.0, 10.0]] * 2
 
-    def test_cache_holds_no_more_floats_than_one_design_per_entry_did(self):
-        assert learner_mod._GRID_CACHE_ENTRIES * len(GRID) <= 1 << 16
+    def test_a_raising_batch_falls_back_to_each_design(self, monkeypatch):
+        def overflowing(*args):
+            raise OverflowError("a power table overflowed")
 
-    def test_cache_drops_the_least_recently_used_at_its_cap(self, monkeypatch):
-        monkeypatch.setattr(learner_mod, "_GRID_CACHE_ENTRIES", 3)
-        learner_mod._grid_cache.clear()
-        lookup = learner_mod._grid_thresholds
-        first = lookup([10.0, 20.0, 30.0], BOUNDS, 6, ProblemKind.MAX)
-        assert lookup([10.0], BOUNDS, 6, ProblemKind.MAX)[0] is first[0]  # 10 is now recent
-        lookup([40.0, 50.0], BOUNDS, 6, ProblemKind.MAX)
-        assert [key[0] for key in learner_mod._grid_cache] == [10.0, 40.0, 50.0]
-        assert lookup([10.0], BOUNDS, 6, ProblemKind.MAX)[0] is first[0]
-        assert lookup([20.0], BOUNDS, 6, ProblemKind.MAX)[0] is not first[1]
-        assert len(learner_mod._grid_cache) == 3
+        monkeypatch.setattr(learner_mod, "_construct_grid", overflowing)
+        predictions = [30.0, 5.0, 50.0]
+        grids = learner_mod._design_grids(predictions, BOUNDS, 6, ProblemKind.MIN)
+        assert grids.shape == (3, len(GRID), 6) and grids.dtype == np.float64
+        assert grids.tolist() == [
+            [list(design(prediction, lam, BOUNDS, 6, ProblemKind.MIN).schedule.values)
+             for lam in GRID] for prediction in predictions]
 
     def test_failure_is_the_first_failing_designs_own(self):
         # a design-grid failure point: robustness fails at lambda = 7/32 first
@@ -396,9 +397,8 @@ class TestGridArrays:
         with pytest.raises(ConstructionError) as first:
             for lam in GRID:
                 design(prediction, lam, bounds, k, kind)
-        learner_mod._grid_cache.clear()
         with pytest.raises(ConstructionError) as info:
-            learner_mod._grid_thresholds([prediction], bounds, k, kind)
+            learner_mod._design_grids([prediction], bounds, k, kind)
         got, want = info.value, first.value
         assert want.lam == 0.21875 and str(want).startswith("robustness violated")
         assert type(got) is type(want) and str(got) == str(want)
@@ -418,12 +418,10 @@ class TestGridArrays:
         else:
             wider = PriceBounds(1.0, 2 * bounds.p_max)
             other = ExperimentWindow(SearchInstance(prices, k, wider), 100.0)
-        learner_mod._grid_cache.clear()
         with pytest.raises(ConstructionError) as info:
             replay_ratios((good, failing, other), ProblemKind.MIN)
         assert str(info.value).startswith("robustness violated")
         assert (info.value.lam, info.value.prediction) == (0.625, 1.0)
-        learner_mod._grid_cache.clear()
         with pytest.raises(InvalidInputError) as info:
             replay_ratios((good, other, failing), ProblemKind.MIN)
         assert not isinstance(info.value, ConstructionError)
@@ -481,7 +479,7 @@ def test_batched_rows_are_the_per_lambda_designs(case):
     except (KSearchError, ArithmeticError, ValueError) as error:
         assert errors and _described(error) == _described(errors[0])
     else:
-        assert not errors and [g.tolist() for g in grids] == expected
+        assert not errors and grids.tolist() == expected
 
 
 # predictions where j* sits within an ulp of rounding the other way, so a
