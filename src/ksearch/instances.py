@@ -62,11 +62,11 @@ class PriceSeries:
     tuple, or a ``range`` with a positive step, which is kept as it is (a
     regularly sampled feed needs no tuple of its stamps).  A 1-D integer
     array of stamps, as a parsed feed holds them, is checked in one numpy
-    pass and kept as a tuple.
+    pass and kept as a read-only copy; ``timestamps`` gives it as a tuple.
     """
 
     array: np.ndarray
-    timestamps: tuple[int, ...] | range | None
+    _stamps: np.ndarray | tuple[int, ...] | range | None
 
     def __init__(self, prices, timestamps=None):
         array = np.array(prices, dtype=np.float64)
@@ -81,7 +81,8 @@ class PriceSeries:
             elif (isinstance(timestamps, np.ndarray) and timestamps.ndim == 1
                   and timestamps.dtype.kind in "iu"):
                 increasing = bool((timestamps[1:] > timestamps[:-1]).all())
-                timestamps = tuple(timestamps.tolist())
+                timestamps = timestamps.copy()
+                timestamps.flags.writeable = False
             else:
                 timestamps = tuple(timestamps)
                 increasing = not any(b <= a for a, b in zip(timestamps, timestamps[1:]))
@@ -92,7 +93,7 @@ class PriceSeries:
             if not increasing:
                 raise InvalidInputError("timestamps must be strictly increasing")
         object.__setattr__(self, "array", array)
-        object.__setattr__(self, "timestamps", timestamps)
+        object.__setattr__(self, "_stamps", timestamps)
 
     def __eq__(self, other):
         return (isinstance(other, PriceSeries) and self.timestamps == other.timestamps
@@ -103,7 +104,12 @@ class PriceSeries:
 
     def __reduce__(self):
         # rebuilt through __init__, so the copy is read-only again
-        return PriceSeries, (self.array, self.timestamps)
+        return PriceSeries, (self.array, self._stamps)
+
+    @property
+    def timestamps(self) -> tuple[int, ...] | range | None:
+        stamps = self._stamps
+        return tuple(stamps.tolist()) if isinstance(stamps, np.ndarray) else stamps
 
     @property
     def prices(self) -> tuple[float, ...]:
@@ -145,7 +151,7 @@ def scale_theta(series: PriceSeries, multiplier: float) -> PriceSeries:
     mean = math.fsum(prices.tolist()) / len(series)
     up = math.sqrt(multiplier)
     down = 1.0 / up
-    return PriceSeries(np.where(prices > mean, prices * up, prices * down), series.timestamps)
+    return PriceSeries(np.where(prices > mean, prices * up, prices * down), series._stamps)
 
 
 def ingest_csv(path) -> PriceSeries:

@@ -31,7 +31,10 @@ than disjoint ones.  The weights do not depend on the draws either: the Hedge
 recurrence runs over the matrix rows first, holding one plain list of
 weights and keeping each round's, and one pass then draws every round's
 grid point from them (``_draws``), as ``Generator.choice`` draws it from
-the round's stream.
+the round's stream.  Every round's first double comes from one vectorised
+pass of numpy's ``SeedSequence`` and Philox4x64-10 over all the round keys
+(``_uniforms``), bit-equal to ``Generator(Philox(key)).random()``, so no
+``Philox`` is built and ``numpy.random`` is not imported.
 The grid designs of a block's distinct predictions are built together, in
 stream order, by one batched pass (``augmented._construct_grid``), and a
 block's thresholds gather one (G, k) slab of them per window.  Where the
@@ -67,6 +70,7 @@ GRID = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
 _REPLAY_BLOCK_BYTES = 4 << 20
 # how far from 1 ``Generator.choice`` lets the probabilities sum
 _SUM_TOLERANCE = math.sqrt(np.finfo(float).eps)
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -224,7 +228,8 @@ def _draws(weights: np.ndarray, keys) -> np.ndarray:
 
     As ``choice`` does, each row's probabilities are accumulated and scaled
     so that the last is 1, and the draw counts those at or below the
-    stream's first double (``_uniforms``).
+    stream's first double, drawn for every key in one vectorised pass
+    (``_uniforms``).
     Probabilities that are negative, NaN or do not sum to 1 within sqrt(eps)
     raise ValueError, as they do in ``choice``."""
     probs = weights / weights.sum(axis=1, keepdims=True)
@@ -239,14 +244,78 @@ def _draws(weights: np.ndarray, keys) -> np.ndarray:
 def _uniforms(keys) -> np.ndarray:
     """The first double of the Philox stream of each key of a range or
     tuple, as ``Generator(Philox(key)).random()`` draws it: the top 53 bits
-    of the stream's first raw output, times 2^-53, as a read-only array.
+    of the stream's first raw output (``_philox_first``), times 2^-53, as a
+    read-only array.  A key is an int in [0, 2^128), which numpy seeds from
+    the same four words as its zero-padded form; any other raises
+    InvalidInputError.
 
     The draws of the 8 key sets drawn last are kept: the sweep's cells and
     groups and both kinds of ``learn`` draw the same ranges again."""
-    uniform = np.array([np.random.Philox(key).random_raw() >> 11 for key in keys], dtype=float)
+    try:
+        data = b"".join(key.to_bytes(16, "little") for key in keys)
+    except (AttributeError, OverflowError):
+        bad = next(key for key in keys if not (isinstance(key, int) and 0 <= key < 1 << 128))
+        raise InvalidInputError(f"Philox keys are ints in [0, 2^128), got {bad!r}") from None
+    words = np.frombuffer(data, dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
+    uniform = (_philox_first(words) >> 11).astype(float)
     uniform *= 2.0**-53
     uniform.flags.writeable = False
     return uniform
+
+
+def _philox_first(words: np.ndarray) -> np.ndarray:
+    """The first raw output of ``Philox(key)`` for each column of the (4, n)
+    little-endian 32-bit words of n keys, all keys at once.
+
+    numpy's ``SeedSequence`` hashes the words into a pool of four and draws
+    the two 64-bit Philox key words from it (``generate_state(2, uint64)``);
+    Philox4x64-10 then encrypts the counter (1, 0, 0, 0), as the generator
+    bumps its zero counter before its first block, and the output is word 0
+    of that block.  The 32-bit arithmetic is held in uint64 arrays."""
+    hash_const = 0x43B0D7E5  # SeedSequence's INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32  # MULT_A
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32  # MIX_MULT_L, MIX_MULT_R
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in words]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    state, hash_const = [], 0x8B51F9DD  # INIT_B
+    for word in pool:
+        word = word ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32  # MULT_B
+        word = word * hash_const & _MASK32
+        state.append(word ^ word >> 16)
+    key = [state[0] | state[1] << 32, state[2] | state[3] << 32]
+    zero = np.zeros_like(key[0])
+    ctr = [zero + 1, zero, zero, zero]
+    for r in range(10):
+        if r:  # bump the key by the Weyl constants
+            key = [key[0] + 0x9E3779B97F4A7C15, key[1] + 0xBB67AE8584CAA73B]
+        hi0, lo0 = _mulhilo(0xD2E7470EE14C6C93, ctr[0])
+        hi1, lo1 = _mulhilo(0xCA5A826395121157, ctr[2])
+        ctr = [hi1 ^ ctr[1] ^ key[0], lo1, hi0 ^ ctr[3] ^ key[1], lo0]
+    return ctr[0]
+
+
+def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 64 bits of the 128-bit products a * b, from the
+    32-bit halves of each factor."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    b_lo, b_hi = b & _MASK32, b >> 32
+    cross = a_hi * b_lo + (a_lo * b_lo >> 32)
+    mid = a_lo * b_hi + (cross & _MASK32)
+    return a_hi * b_hi + (cross >> 32) + (mid >> 32), a * b
 
 
 def run_learning(

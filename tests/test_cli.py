@@ -594,3 +594,19 @@ def test_import_leaves_the_process_pool_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_learn_from_a_feed_leaves_numpy_random_out(tmp_path):
+    # the learner draws its Philox doubles without numpy.random
+    series = gen_synthetic_series(num_samples=600, seed=3)
+    feed = tmp_path / "feed.csv"
+    feed.write_text("timestamp,price\n" + "".join(
+        f"{t},{p!r}\n" for t, p in zip(series.timestamps, series.prices)))
+    argv = ["learn", "--kind", "both", "--k", "5", "--window", "200", "--stride", "50",
+            "--input", str(feed), "--output", str(tmp_path / "out.csv")]
+    src = pathlib.Path(ksearch.__file__).resolve().parent.parent
+    code = f"import sys; from ksearch import cli; print(cli.main({argv!r}), 'numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "0 False\n"

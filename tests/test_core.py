@@ -725,10 +725,11 @@ def test_library_takes_no_power_exp_or_log_from_numpy():
     assert found == _NUMPY_TRANSCENDENTALS_ALLOWED  # the allowed call is seen too
 
 
-# The library draws Philox first doubles, all through ``learner._uniforms``,
-# and the synthetic feed's noise; the CSV digests fix both, so a draw taken
-# any other way would be a second copy of one of them to keep bit-equal.
-_NUMPY_RANDOM_ALLOWED = {("learner.py", "_uniforms"), ("instances.py", "gen_synthetic_series")}
+# The library draws its Philox first doubles without numpy.random
+# (``learner._uniforms``); only the synthetic feed's noise comes from it,
+# and the CSV digests fix that noise, so a draw taken any other way would be
+# a second copy of it to keep bit-equal.
+_NUMPY_RANDOM_ALLOWED = {("instances.py", "gen_synthetic_series")}
 
 
 def _numpy_random_scopes(node, numpy_names, scope):
@@ -745,12 +746,12 @@ def _numpy_random_scopes(node, numpy_names, scope):
         yield from _numpy_random_scopes(child, numpy_names, inner)
 
 
-def test_library_draws_from_numpy_random_only_in_the_uniform_helper_and_the_feed():
-    """``np.random`` (and so ``Philox``) is opened only by ``learner._uniforms``
-    and ``instances.gen_synthetic_series``."""
+def test_library_draws_from_numpy_random_only_in_the_feed():
+    """``np.random`` (and so ``Philox``) is opened only by
+    ``instances.gen_synthetic_series``."""
     found = {(name, scope) for name, tree, numpy_names in _library_modules()
              for scope in _numpy_random_scopes(tree, numpy_names, None)}
-    assert found == _NUMPY_RANDOM_ALLOWED  # both allowed uses are seen too
+    assert found == _NUMPY_RANDOM_ALLOWED  # the allowed use is seen too
 
 
 def test_every_export_is_used_by_program_code():

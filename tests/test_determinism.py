@@ -20,15 +20,22 @@ recorded before the hardened optima were taken from the plain optimum
 kernel.  The ``learn-multiblock-both`` digest pins 3,425 windows per kind
 a price apart, replayed in 11 blocks whose predictions recur from block
 to block; it was recorded while the learner still kept grid designs in a
-process-wide cache across blocks.
+process-wide cache across blocks.  One ``python -O`` interpreter runs every
+case once more, so the digests hold with ``assert`` stripped too.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import ksearch
 from ksearch import gen_synthetic_series
 from ksearch.cli import main
 
@@ -105,6 +112,17 @@ CASES = {
 }
 
 
+# runs each case's argv (stdin, JSON) through ``main`` in the feed directory,
+# writing ``<case>-O.csv``, and prints the optimize flag and the exit codes
+_OPTIMIZED_RUN = """
+import json, sys
+from ksearch.cli import main
+codes = {case: main([*argv, "--output", case + "-O.csv"])
+         for case, argv in json.load(sys.stdin).items()}
+print(json.dumps([sys.flags.optimize, codes]))
+"""
+
+
 @pytest.fixture(scope="module")
 def feed_dir(tmp_path_factory):
     series = gen_synthetic_series(num_samples=FEED_SAMPLES, seed=FEED_SEED)
@@ -129,3 +147,16 @@ def test_csv_rows_match_recorded_digest(case, feed_dir, monkeypatch):
     feed = ("--input", FEED) if argv[0] in FEED_COMMANDS else ()
     assert main([*argv, "--seed", "5", *feed, "--output", out]) == 0
     assert rows_digest((feed_dir / out).read_text(encoding="utf-8")) == expected
+
+
+def test_csv_rows_match_recorded_digests_under_python_O(feed_dir):
+    argvs = {case: [*argv, "--seed", "5", *(("--input", FEED) if argv[0] in FEED_COMMANDS else ())]
+             for case, (argv, _) in CASES.items()}
+    src = pathlib.Path(ksearch.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_RUN], input=json.dumps(argvs),
+                         cwd=feed_dir, env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == [1, {case: 0 for case in CASES}]
+    digests = {case: rows_digest((feed_dir / f"{case}-O.csv").read_text(encoding="utf-8"))
+               for case in CASES}
+    assert digests == {case: expected for case, (_, expected) in CASES.items()}

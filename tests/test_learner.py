@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -172,6 +173,20 @@ class TestSelectLambda:
             learner_mod._draws(w[None, :], (0,))
 
 
+def _key_ranges():
+    """Philox key ranges: ranges whose keys cross a 32-bit word boundary,
+    and the Hedge and hardening ranges of the largest CLI seed."""
+    top = (2**64 - 1) << 20
+    firsts = st.one_of(
+        st.builds(lambda word, back: 2**word - back, st.sampled_from([32, 64, 96]),
+                  st.integers(0, 8)),
+        st.builds(top.__add__, st.integers(0, 4000)),
+        st.builds((top + 2**63).__add__, st.integers(0, 4000)),
+    )
+    return st.builds(lambda first, count: range(first, first + count), firsts,
+                     st.integers(1, 16))
+
+
 class TestUniforms:
     """``_uniforms`` is the library's one Philox uniform: the Hedge draws
     and the sweep's hardening draws both read it."""
@@ -191,27 +206,47 @@ class TestUniforms:
         hits = sum(u < rho for u in learner_mod._uniforms(range(10_000)).tolist())
         assert abs(hits / 10_000 - rho) < 0.02
 
+    @settings(max_examples=60, deadline=None)
+    @given(keys=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=12), span=_key_ranges())
+    @example(keys=[2**128 - 1, 2**100 + 7, 2**96 - 1, 2**96], span=range(2**64 - 5, 2**64 + 5))
+    @example(keys=[0, 2**32 - 1, 2**32], span=range(2**32 - 5, 2**32 + 5))
+    def test_kernel_is_generator_random_across_key_words(self, keys, span):
+        # any key below 2^128, and ranges whose keys carry into a further word
+        for drawn in (tuple(keys), span):
+            want = [np.random.Generator(np.random.Philox(key)).random() for key in drawn]
+            assert learner_mod._uniforms(drawn).tolist() == want
+
+    def test_keys_outside_the_philox_domain_raise_typed(self):
+        # a negative library seed keys its rounds below 0
+        ratios = 1.0 + np.random.default_rng(16).random((4, len(GRID)))
+        with pytest.raises(InvalidInputError, match=r"got -1048576$"):
+            learner_mod._hedge(ratios, seed=-1)
+        for bad in (2**128, -1, 1.0, "1", None):
+            with pytest.raises(InvalidInputError, match=re.escape(f"got {bad!r}")):
+                learner_mod._uniforms((0, 2**128 - 1, bad))
+
     def test_a_key_range_is_drawn_once(self, monkeypatch):
         # a second Hedge pass or hardening batch of the same seed and count
-        # builds no Philox stream and reads the same read-only draws
+        # runs no kernel and reads the same read-only draws
         from ksearch import harness as harness_mod
 
         learner_mod._uniforms.cache_clear()
-        built = []
-        philox = np.random.Philox
-        monkeypatch.setattr(np.random, "Philox", lambda key: built.append(key) or philox(key))
+        drawn = []
+        kernel = learner_mod._philox_first
+        monkeypatch.setattr(learner_mod, "_philox_first",
+                            lambda words: drawn.append(words.shape[1]) or kernel(words))
         ratios = 1.0 + np.random.default_rng(16).random((40, len(GRID)))
         hedged = learner_mod._hedge(ratios, seed=3)
         hard = harness_mod._hardening_draws(3, 40)
-        assert len(built) == 80
+        assert sum(drawn) == 80
         assert learner_mod._hedge(ratios, seed=3) == hedged
         assert harness_mod._hardening_draws(3, 40) == hard
-        assert len(built) == 80
+        assert sum(drawn) == 80
         uniform = learner_mod._uniforms(range(3 << 20, (3 << 20) + 40))
         with pytest.raises(ValueError):
             uniform[0] = 0.5
         learner_mod._hedge(ratios[:39], seed=3)  # another range is drawn anew
-        assert len(built) == 119
+        assert sum(drawn) == 119
 
 
 class TestObserveRound:
