@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
-"""Evaluate the policies window by window through the library's window API.
+"""Evaluate the policies over a window stream through the library's window API.
 
-Cuts a seeded synthetic feed into overlapping windows (``sliding_windows``),
-scales each window's prediction error (``adjust_error``), and prints each
-policy's mean ratio per error level (``evaluate_windows``) and the confidence
-the learner trusts most after the last round (``run_learning``).  The
-``ksearch simulate`` and ``ksearch learn`` commands run the same policies on
-a feed without making an object per window.
+Cuts a seeded synthetic feed into overlapping windows (``sliding_windows``,
+a ``WindowStream`` of offsets into the feed), scales their prediction error
+(``adjust_error``), and prints each policy's mean ratio per error level
+(``evaluate_windows``) and the confidence the learner trusts most after the
+last round (``run_learning``).  The ``ksearch simulate`` and ``ksearch
+learn`` commands run the same calls on a feed.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ def run() -> int:
 
     kind = ProblemKind(args.kind)
     series = gen_synthetic_series(num_samples=args.samples, seed=args.seed)
-    windows = sliding_windows(series, args.window, args.stride, args.k, kind)
-    print(f"{len(windows)} windows; mean ratio per policy")
+    stream = sliding_windows(series, args.window, args.stride, args.k, kind)
+    print(f"{len(stream)} windows; mean ratio per policy")
     print("error_level," + ",".join(ALGORITHMS))
     for level in (float(text) for text in args.error_levels.split(",")):
-        dialled = [adjust_error(window, level, kind) for window in windows]
-        results = evaluate_windows(dialled, kind, args.seed)
+        results = evaluate_windows(adjust_error(stream, level, kind), kind, args.seed)
         means = (statistics.fmean(r.ratio(algorithm) for r in results) for algorithm in ALGORITHMS)
         print(f"{level!r}," + ",".join(f"{mean:.6f}" for mean in means))
-    weights, _ = run_learning(windows, kind, args.seed)
+    weights, _ = run_learning(stream, kind, args.seed)
     top = max(range(len(GRID)), key=weights.__getitem__)
     print(f"learner's heaviest confidence: {GRID[top]!r} (weight {weights[top]:.4f})")
     return 0

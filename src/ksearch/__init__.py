@@ -6,7 +6,8 @@ Library layout:
 - ``worstcase``  optimal worst-case schedules and competitive ratios
 - ``pareto``     consistency-robustness trade-off curves and lambda targets
 - ``augmented``  prediction-aware threshold designs (cases I-VI)
-- ``instances``  synthetic instance generators and data ingestion
+- ``instances``  price series (synthetic or ingested) and the window stream
+                 (``WindowStream``) that ``sliding_windows`` cuts from one
 - ``learner``    multiplicative-weights selection of the confidence lambda
 - ``harness``    windowed experiment pipeline shared by the CLI and scripts
 - ``cli``        the ``ksearch`` command-line entry point
@@ -52,8 +53,8 @@ from .instances import (
     FIVE_YEAR_SAMPLES,
     STRIDE_SAMPLES,
     WINDOW_SAMPLES,
-    ExperimentWindow,
     PriceSeries,
+    WindowStream,
     adjust_error,
     gen_synthetic_series,
     ingest_csv,
@@ -85,7 +86,6 @@ __all__ = [
     "DataFormatError",
     "Decision",
     "DomainError",
-    "ExperimentWindow",
     "FIVE_YEAR_SAMPLES",
     "FrontierSpec",
     "InvalidInputError",
@@ -102,6 +102,7 @@ __all__ = [
     "ThresholdSchedule",
     "WINDOW_SAMPLES",
     "WindowResult",
+    "WindowStream",
     "WorstCaseSolution",
     "adjust_error",
     "build_cells",

@@ -38,18 +38,18 @@ from . import __version__
 from .augmented import design, interval_ratios
 from .core import PriceBounds, ProblemKind
 from .errors import ConstructionError, KSearchError
-from .harness import ALGORITHMS, _evaluate, build_cells, run_sweep, summarize
+from .harness import ALGORITHMS, build_cells, evaluate_windows, run_sweep, summarize
 from .instances import (
     FIVE_YEAR_SAMPLES,
     STRIDE_SAMPLES,
     WINDOW_SAMPLES,
     PriceSeries,
-    _dialled,
-    _window_stream,
+    adjust_error,
     gen_synthetic_series,
     ingest_csv,
+    sliding_windows,
 )
-from .learner import DEFAULT_GRID_SIZE, GRID, _learn
+from .learner import DEFAULT_GRID_SIZE, GRID, run_learning
 from .pareto import FrontierSpec, frontier_curve
 from .worstcase import worst_case_thresholds
 
@@ -303,7 +303,7 @@ def _grid_comment() -> str:
 def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
     kind = ProblemKind(args.kind)
     series, source = _load_series(args, bounds)
-    stream = _window_stream(series, args.window, args.stride, args.k, kind)
+    stream = sliding_windows(series, args.window, args.stride, args.k, kind)
     bounds = stream.bounds
     comments = [
         f"kind={args.kind} k={args.k} window={args.window} "
@@ -312,11 +312,9 @@ def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
         f"error_levels={','.join(repr(v) for v in args.error_levels)}",
         _grid_comment(),
     ]
-    solution = worst_case_thresholds(bounds, args.k, kind)
     rows = []
     for level in args.error_levels:
-        dialled = _dialled(stream, level, kind)
-        results = _evaluate((dialled,), len(dialled), kind, args.seed, solution)
+        results = evaluate_windows(adjust_error(stream, level, kind), kind, args.seed)
         for algorithm in ALGORITHMS:
             for res in results:
                 rows.append((
@@ -365,8 +363,8 @@ def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
     ]
     rows = []
     for kd in kinds:
-        stream = _window_stream(series, args.window, args.stride, args.k, kd)
-        weights, history = _learn((stream,), len(stream), kd, args.seed)
+        stream = sliding_windows(series, args.window, args.stride, args.k, kd)
+        weights, history = run_learning(stream, kd, args.seed)
         for rec in history:
             rows.append((
                 kd.value, rec.round, rec.chosen_lambda, rec.chosen_ratio,

@@ -10,12 +10,11 @@ One evaluation compares three selection policies on the same window stream:
                      rounds of ``learner._hedge``, which ``run_learning``
                      also runs, returning weights and regret records
 
-The budget k and the price band come from the windows (the first one,
-which the rest must match); the confidence grid is the learner's ``GRID``.
-``evaluate_windows`` takes window objects; the CLI and the sweep evaluate
-window streams (``instances._WindowStream``, windows as offsets into the
-series) cut straight from the series, through the same ``_evaluate`` and
-``_window_results``.
+The budget k and the price band come from the window stream
+(``instances.WindowStream``, windows as offsets into one price array); the
+confidence grid is the learner's ``GRID``.  ``evaluate_windows`` takes one
+stream, and the CLI and the sweep replay the streams that
+``sliding_windows`` cuts straight from the series.
 
 A sweep evaluates that triple over a cross product of stress parameters
 (tail-hardening probability rho, prediction error level, budget k, and a
@@ -48,8 +47,8 @@ import numpy as np
 
 from .core import ProblemKind
 from .errors import ConstructionError, DomainError, InvalidInputError
-from .instances import PriceSeries, _dialled, _window_stream, scale_theta
-from .learner import GRID, _check_rounds, _hedge, _laid_out, _stream_ratios, _uniforms
+from .instances import PriceSeries, WindowStream, adjust_error, scale_theta, sliding_windows
+from .learner import GRID, _check_rounds, _hedge, _stream_ratios, _uniforms
 from .worstcase import WorstCaseSolution, worst_case_thresholds
 
 ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
@@ -124,32 +123,20 @@ def summarize(values) -> tuple[float, float, float, float]:
     return statistics.fmean(vals), med, q1, q3
 
 
-def evaluate_windows(windows, kind: ProblemKind, seed: int) -> tuple[WindowResult, ...]:
+def evaluate_windows(
+    stream: WindowStream, kind: ProblemKind, seed: int
+) -> tuple[WindowResult, ...]:
     """Run the three policies over a window stream.
 
-    The worst-case schedule is one more run per window in the learner's
-    block replay, so every (window, schedule) pair is replayed once and
-    every window's offline optimum is computed once; ``_window_results``
-    then reads the policies off the ratio matrix.  The worst-case schedule
-    is built for the first window's price band and budget, which every
-    window must share.
+    The worst-case schedule is built for the stream's price band and budget
+    and is one more run per window in the learner's block replay, so every
+    (window, schedule) pair is replayed once and every window's offline
+    optimum is computed once; ``_window_results`` then reads the policies
+    off the ratio matrix.  The round count is checked before any replay.
     """
-    windows = tuple(windows)
-    if not windows:
-        raise InvalidInputError("evaluate_windows needs at least one window")
-    first = windows[0].instance
-    solution = worst_case_thresholds(first.bounds, first.k, kind)
-    return _evaluate(_laid_out(windows, len(GRID) + 1), len(windows), kind, seed, solution)
-
-
-def _evaluate(streams, rounds: int, kind: ProblemKind, seed: int,
-              solution: WorstCaseSolution) -> tuple[WindowResult, ...]:
-    """``evaluate_windows`` over the windows of ``streams``, ``rounds`` of
-    them in all, whose band and budget are the worst-case ``solution``'s;
-    the round count is checked before any replay."""
-    _check_rounds(rounds)
-    matrix = _stream_ratios(streams, rounds, kind, (solution.schedule,))
-    return _window_results(matrix, seed, solution)
+    solution = worst_case_thresholds(stream.bounds, stream.k, kind)
+    _check_rounds(len(stream))
+    return _window_results(_stream_ratios(stream, kind, (solution.schedule,)), seed, solution)
 
 
 def _window_results(
@@ -290,14 +277,14 @@ def _run_group(
     try:
         head = cells[0]
         scaled = scale_theta(series, head.theta_mult) if head.theta_mult != 1.0 else series
-        plain = _window_stream(scaled, window_len, stride, head.k, kind)
+        plain = sliding_windows(scaled, window_len, stride, head.k, kind)
         _check_rounds(len(plain))
-        plain = _dialled(plain, head.error_level, kind)
+        plain = adjust_error(plain, head.error_level, kind)
         draws = _hardening_draws(seed, len(plain))
         top = max(cell.rho for cell in cells)
         hard = [idx for idx, draw in enumerate(draws) if draw < top]
         solution = worst_case_thresholds(plain.bounds, plain.k, kind)
-        matrix = _stream_ratios((plain,), len(plain), kind, (solution.schedule,), hard)
+        matrix = _stream_ratios(plain, kind, (solution.schedule,), hard)
         hard_row = dict(zip(hard, range(len(plain), len(plain) + len(hard))))
         for cell in cells:
             rows = [hard_row[idx] if draw < cell.rho else idx for idx, draw in enumerate(draws)]

@@ -8,15 +8,14 @@ Two families of inputs feed the simulation harness:
   mean-reverting synthetic series, both cut into overlapping experiment
   windows whose predictions come from the preceding window.
 
-A series holds its prices once, as a read-only array, checked once.  The
-pipeline's windows are offsets into it (``_WindowStream``: the array, the
-window starts, the horizon, budget, band and predictions), cut by
-``_window_stream`` and with their prediction error dialled in one pass
-by ``_dialled``; the band is the series' own, so no window needs a check
-of its own.  ``sliding_windows`` makes the same windows as objects whose
-prices are row views of the array.  No window gets an array of its own,
-not even one the harness hardens: its ratios are derived from the plain
-window's replay.
+A series holds its prices once, as a read-only array, checked once.  Its
+windows are a ``WindowStream``: offsets into that array (the window starts,
+the horizon, budget, band and one prediction per window), cut by
+``sliding_windows`` and with their prediction error dialled in one pass by
+``adjust_error``.  The stream's constructor checks its windows once, so
+nothing downstream checks a window again.  No window gets an array of its
+own, not even one the harness hardens: its ratios are derived from the
+plain window's replay.
 
 The synthetic feed is a pure function of (inputs, seed) via a counter-based
 generator, so every experiment is bit-reproducible.
@@ -33,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PriceBounds, ProblemKind, SearchInstance
+from .core import PriceBounds, ProblemKind
 from .errors import DataFormatError, DomainError, InvalidInputError
 
 # canonical windowing parameters: 10-minute sampling, 3-week windows
@@ -117,24 +116,6 @@ class PriceSeries:
 
     def __len__(self) -> int:
         return self.array.size
-
-
-@dataclass(frozen=True)
-class ExperimentWindow:
-    """One trading window plus the prediction carried in from its predecessor.
-
-    Its actual extreme is not stored: ``adjust_error`` reads it off the prices.
-    """
-
-    instance: SearchInstance
-    prediction: float
-
-    def __post_init__(self):
-        if not self.instance.bounds.contains(self.prediction):
-            raise InvalidInputError(
-                f"prediction {self.prediction} outside bounds "
-                f"[{self.instance.bounds.p_min}, {self.instance.bounds.p_max}]"
-            )
 
 
 def scale_theta(series: PriceSeries, multiplier: float) -> PriceSeries:
@@ -291,16 +272,18 @@ def _row_series(path) -> PriceSeries:
 
 
 @dataclass(frozen=True, eq=False)
-class _WindowStream:
-    """Windows as offsets into one price array, with their predictions.
+class WindowStream:
+    """Trading windows as offsets into one price array, with their predictions.
 
     Window w is the ``horizon`` prices ``prices[starts[w]:starts[w] + horizon]``
-    of the read-only 1-D array ``prices``; the starts advance by one fixed
-    stride, so every run of windows is a basic slice of the array's
-    ``sliding_window_view`` (``rows``).  Every window has budget ``k`` and
-    lies in ``bounds``, and ``predictions`` holds each window's predicted
-    extreme, in ``bounds`` too; whoever builds a stream makes sure of all
-    that, so nothing downstream checks a window again.
+    of the read-only 1-D float64 array ``prices`` (any other is copied once);
+    the starts ascend by one positive stride, so every run of windows is a
+    basic slice of the array's ``sliding_window_view`` (``rows``).  Every
+    window has budget ``k`` in [1, horizon], the prices the windows span lie
+    in ``bounds``, and ``predictions`` holds one predicted extreme per
+    window, in ``bounds`` too.  The constructor checks all of that once
+    (InvalidInputError otherwise), so nothing downstream checks a window
+    again.
     """
 
     prices: np.ndarray
@@ -309,6 +292,38 @@ class _WindowStream:
     k: int
     bounds: PriceBounds
     predictions: np.ndarray
+
+    def __post_init__(self):
+        prices, horizon, k, bounds = self.prices, self.horizon, self.k, self.bounds
+        if not (isinstance(prices, np.ndarray) and prices.dtype == np.float64
+                and not prices.flags.writeable):
+            prices = np.array(prices, dtype=np.float64)
+            prices.flags.writeable = False
+        starts, predictions = np.asarray(self.starts), np.asarray(self.predictions, dtype=float)
+        if (prices.ndim != 1 or starts.ndim != 1 or not starts.size
+                or starts.dtype.kind not in "iu"
+                or not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1):
+            raise InvalidInputError("need a 1-D price array, a non-empty 1-D array of integer "
+                                    "window starts and a positive integer horizon")
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= horizon:
+            raise InvalidInputError(f"budget k={k!r} must be an integer in [1, T={horizon}]")
+        starts = starts.astype(np.intp, copy=False)
+        steps = np.diff(starts)
+        if steps.size and not (steps[0] > 0 and (steps == steps[0]).all()):
+            raise InvalidInputError("window starts must ascend by one positive stride")
+        if not 0 <= starts[0] <= starts[-1] <= prices.size - horizon:
+            raise InvalidInputError(f"windows of {horizon} prices must lie within {prices.size}")
+        if predictions.shape != starts.shape:
+            raise InvalidInputError(f"{predictions.size} predictions for {starts.size} windows")
+        for what, values in (("window prices", prices[starts[0]:starts[-1] + horizon]),
+                             ("predictions", predictions)):
+            lo, hi = values.min(), values.max()  # NaN if any value is NaN
+            if not (lo >= bounds.p_min and hi <= bounds.p_max):
+                raise InvalidInputError(f"{what} span [{lo}, {hi}], outside bounds "
+                                        f"[{bounds.p_min}, {bounds.p_max}]")
+        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "predictions", predictions)
 
     def __len__(self) -> int:
         return self.starts.size
@@ -321,14 +336,18 @@ class _WindowStream:
         return views[starts[0]:starts[-1] + 1:stride]
 
 
-def _window_stream(
+def sliding_windows(
     series: PriceSeries, window_len: int, stride: int, k: int, kind: ProblemKind
-) -> _WindowStream:
-    """The windows of ``sliding_windows`` as a stream over the series' array.
+) -> WindowStream:
+    """Cut a series into overlapping windows with look-back predictions.
 
-    The band is the series' own minimum and maximum, and each prediction
-    is the kind-extreme of a stretch of the series, so every window and
-    every prediction lies in the band without a check of its own."""
+    Window w covers samples [s, s+T); its prediction is the kind-extreme of
+    the immediately preceding length-T slice, so the first window starts at
+    offset T and the count is floor((N - 2T)/stride) + 1.  All windows share
+    the global bounds of the series (the fluctuation ratio is a property of
+    the feed, not of one window).  The windows are offsets into the series'
+    own array: no price is copied.
+    """
     for name, val in (("window_len", window_len), ("stride", stride)):
         if not isinstance(val, int) or isinstance(val, bool) or val < 1:
             raise InvalidInputError(f"{name} must be a positive integer, got {val}")
@@ -338,8 +357,6 @@ def _window_stream(
             f"series of length {n} too short for windows of {window_len} "
             f"(needs one full look-back window)"
         )
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= window_len:
-        raise InvalidInputError(f"budget k={k!r} must be an integer in [1, T={window_len}]")
     prices = series.array
     bounds = PriceBounds(float(prices.min()), float(prices.max()))
     # row s views prices[s : s + window_len], read-only like the series
@@ -347,58 +364,25 @@ def _window_stream(
     looks_back = rows[: n - 2 * window_len + 1 : stride]
     predictions = (looks_back.max if kind.is_max else looks_back.min)(axis=1)
     starts = np.arange(window_len, n - window_len + 1, stride)
-    return _WindowStream(prices, starts, window_len, k, bounds, predictions)
+    return WindowStream(prices, starts, window_len, k, bounds, predictions)
 
 
-def sliding_windows(
-    series: PriceSeries, window_len: int, stride: int, k: int, kind: ProblemKind
-) -> tuple[ExperimentWindow, ...]:
-    """Cut a series into overlapping windows with look-back predictions.
+def adjust_error(stream: WindowStream, level: float, kind: ProblemKind) -> WindowStream:
+    """The stream with every window's prediction error scaled to ``level``
+    in [0, 1], all windows in one pass.
 
-    Window w covers samples [s, s+T); its prediction is the kind-extreme of
-    the immediately preceding length-T slice, so the first window starts at
-    offset T and the count is floor((N - 2T)/stride) + 1.  All windows share
-    the global bounds of the series (the fluctuation ratio is a property of
-    the feed, not of one window).
+    A window's actual extreme is the kind-extreme of its prices.  With
+    eps = |actual - prediction|, the new prediction sits at
+    actual + sign(prediction - actual) * level * eps, clipped to the band:
+    level 0 is a perfect prediction, level 1 keeps the original.
     """
-    stream = _window_stream(series, window_len, stride, k, kind)
-    return tuple(
-        ExperimentWindow(SearchInstance(window, k, stream.bounds), prediction)
-        for window, prediction in zip(stream.rows(), stream.predictions.tolist())
-    )
-
-
-def _check_level(level) -> None:
     if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
         raise DomainError(f"error level must lie in [0, 1], got {level}")
-
-
-def _dialled(stream: _WindowStream, level: float, kind: ProblemKind) -> _WindowStream:
-    """The stream with every prediction error scaled to ``level``, as
-    ``adjust_error`` scales one window's, in one pass with the same float
-    operations in the same order."""
-    _check_level(level)
     rows = stream.rows()
     actual = rows.max(axis=1) if kind.is_max else rows.min(axis=1)
     moved = actual + level * (stream.predictions - actual)
     predictions = np.minimum(np.maximum(moved, stream.bounds.p_min), stream.bounds.p_max)
     return replace(stream, predictions=predictions)
-
-
-def adjust_error(window: ExperimentWindow, level: float, kind: ProblemKind) -> ExperimentWindow:
-    """Scale the window's prediction error to the given level in [0, 1].
-
-    The actual extreme is the kind-extreme of the window's prices.  With
-    eps = |actual - prediction|, the new prediction sits at
-    actual + sign(prediction - actual) * level * eps: level 0 is a perfect
-    prediction, level 1 keeps the original.
-    """
-    _check_level(level)
-    prices = window.instance.prices
-    actual = float(prices.max() if kind.is_max else prices.min())
-    shift = window.prediction - actual
-    prediction = window.instance.bounds.clip(actual + level * shift)
-    return ExperimentWindow(window.instance, prediction)
 
 
 def gen_synthetic_series(

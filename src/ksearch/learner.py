@@ -8,18 +8,15 @@ fixed grid ``GRID`` of 33 uniform confidence values on [0,1], samples
 proportionally to the weights, and updates with loss = ratio - 1 so a
 perfect round costs nothing.
 
-The learner replays window streams (``instances._WindowStream``): windows
+The learner replays a window stream (``instances.WindowStream``): windows
 as offsets into one price array, with one budget k, one price band and a
-prediction each.  The CLI cuts its stream straight from the series;
-``run_learning`` lays the window objects it is given into streams one
-replay block at a time (``_laid_out``), reading budget and band from the
-first window and requiring the rest to agree.  The counterfactual ratios
-do not depend on the learner's state, so the whole (window x confidence)
-ratio matrix is replayed first (``_stream_ratios``), a block of windows at
-a time through the batched kernel ``core.ota_totals`` (one descent per run
-and voluntary selection over one sparse table of price maxima, built over
-the block's windows laid end to end with their overlaps shared), and the
-block's offline optima in one pass.  The sweep's tail-hardened windows
+prediction each, all checked when the stream was made.  The counterfactual
+ratios do not depend on the learner's state, so the whole (window x
+confidence) ratio matrix is replayed first (``_stream_ratios``), a block
+of windows at a time through the batched kernel ``core.ota_totals`` (one
+descent per run and voluntary selection over one sparse table of price
+maxima, built over the block's windows laid end to end with their overlaps
+shared), and the block's offline optima in one pass.  The sweep's tail-hardened windows
 get their rows from the same blocks: the kernel derives their totals from
 the plain runs, and their optima come from the same optimum pass over
 their copies with the worst-price tail, so each (window, confidence) pair
@@ -52,7 +49,6 @@ Regret is reported against the best fixed grid point in hindsight.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -62,7 +58,7 @@ from .augmented import _construct_grid, _snap_prediction, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, ota_totals
 from .core import _offline_optima, _replay_window_bytes, _window_steps
 from .errors import InvalidInputError, KSearchError
-from .instances import ExperimentWindow, _WindowStream
+from .instances import WindowStream
 
 DEFAULT_GRID_SIZE = 33
 GRID = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
@@ -109,87 +105,53 @@ def _design_grids(predictions, bounds: PriceBounds, k: int, kind: ProblemKind) -
     return np.reshape(batch, (len(predictions), len(GRID), k))
 
 
-def _laid_out(windows: tuple[ExperimentWindow, ...], runs: int):
-    """The windows, in order, as streams of one replay block each: a run of
-    consecutive windows of one horizon, cut where ``_blocks`` cuts a stream
-    of windows that share no prices, each block's prices copied end to end
-    into an array of its own.
-
-    Every window must have the first window's budget and price band; a
-    window that does not raises once the blocks before it have been
-    yielded, so errors keep stream order."""
-    k, bounds = windows[0].instance.k, windows[0].instance.bounds
-
-    def run_key(window):
-        instance = window.instance
-        return instance.horizon, instance.k == k and instance.bounds == bounds
-
-    for (horizon, agrees), run in itertools.groupby(windows, run_key):
-        run = tuple(run)
-        if not agrees:
-            if run[0].instance.k != k:
-                raise InvalidInputError(f"window budget {run[0].instance.k} != first window's {k}")
-            raise InvalidInputError("window and first window disagree on price bounds")
-        for lo, hi in _blocks(np.arange(len(run)) * horizon, horizon, k, runs):
-            prices = np.concatenate([window.instance.prices for window in run[lo:hi]])
-            prices.flags.writeable = False
-            predictions = np.array([window.prediction for window in run[lo:hi]])
-            yield _WindowStream(prices, np.arange(hi - lo) * horizon, horizon, k, bounds,
-                                predictions)
-
-
-def _stream_ratios(streams, rows: int, kind: ProblemKind,
+def _stream_ratios(stream: WindowStream, kind: ProblemKind,
                    extra: tuple[ThresholdSchedule, ...] = (), hardened=()) -> np.ndarray:
-    """(rows + H, G + E) ratios of the windows of ``streams``, ``rows`` of
-    them in all, in order, then of the H windows ``hardened`` (ascending
-    indices into them) with their last k prices set to the band's worst
-    price (p_min for max-search, p_max for min-search): each window under
-    every grid design, then each extra.
+    """(W + H, G + E) ratios of the stream's W windows, in order, then of
+    the H windows ``hardened`` (ascending indices into them) with their last
+    k prices set to the band's worst price (p_min for max-search, p_max for
+    min-search): each window under every grid design, then each extra.
 
-    The streams share one budget and price band.  Each is replayed a block
-    at a time by ``core.ota_totals``: as many consecutive windows as keep
-    their replay within ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The
-    block's distinct predictions are designed in one batch
-    (``_design_grids``; the byte budget bounds it, too), the extra rows are
-    appended to each prediction's, one gather lays them out per window,
-    and the block's offline optima are taken in one pass
-    (``core._offline_optima``, which partitions a copy of the windows in
-    place).  A hardened window is no replay of its own: its totals come
-    from its plain window's runs, and its optimum from the same pass over
-    a copy with the tail set.
+    The stream is replayed a block at a time by ``core.ota_totals``: as
+    many consecutive windows as keep their replay within
+    ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The block's distinct predictions
+    are designed in one batch (``_design_grids``; the byte budget bounds
+    it, too), the extra rows are appended to each prediction's, one gather
+    lays them out per window, and the block's offline optima are taken in
+    one pass (``core._offline_optima``, which partitions a copy of the
+    windows in place).  A hardened window is no replay of its own: its
+    totals come from its plain window's runs, and its optimum from the same
+    pass over a copy with the tail set.
     """
     runs = len(GRID) + len(extra)
+    k, horizon = stream.k, stream.horizon
     hardened = np.asarray(hardened, dtype=np.intp)
-    ratios = np.empty((rows + hardened.size, runs))
-    at, hard_at = 0, rows
-    for stream in streams:
-        k, horizon = stream.k, stream.horizon
-        tail = stream.bounds.p_min if kind.is_max else stream.bounds.p_max
-        hard = np.zeros(len(stream), dtype=bool)
-        hard[hardened[(hardened >= at) & (hardened < at + len(stream))] - at] = True
-        extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
-        for lo, hi in _blocks(stream.starts, horizon, k, runs, hard):
-            predictions = stream.predictions[lo:hi].tolist()
-            index = {p: n for n, p in enumerate(dict.fromkeys(predictions))}
-            grids = _design_grids(list(index), stream.bounds, k, kind)
-            extras = np.broadcast_to(extra_rows, (len(grids), *extra_rows.shape))
-            thresholds = np.concatenate([grids, extras], axis=1)[[index[p] for p in predictions]]
-            del grids
-            picks = np.flatnonzero(hard[lo:hi])
-            totals = ota_totals(thresholds.reshape(-1, k), stream.prices, stream.starts[lo:hi],
-                                horizon, np.repeat(np.arange(hi - lo), runs), kind, picks, tail)[0]
-            del thresholds
-            windows = stream.rows()[lo:hi]
-            plain = (hi - lo) * runs
-            _ratios(totals[:plain], _offline_optima(windows.copy(), k, kind), kind,
-                    ratios[at:at + hi - lo])
-            if picks.size:
-                worst = windows[picks]  # a copy, hardened in place
-                worst[:, horizon - k:] = tail
-                _ratios(totals[plain:], _offline_optima(worst, k, kind), kind,
-                        ratios[hard_at:hard_at + picks.size])
-                hard_at += picks.size
-            at += hi - lo
+    ratios = np.empty((len(stream) + hardened.size, runs))
+    hard_at = len(stream)
+    tail = stream.bounds.p_min if kind.is_max else stream.bounds.p_max
+    hard = np.zeros(len(stream), dtype=bool)
+    hard[hardened] = True
+    extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
+    for lo, hi in _blocks(stream.starts, horizon, k, runs, hard):
+        predictions = stream.predictions[lo:hi].tolist()
+        index = {p: n for n, p in enumerate(dict.fromkeys(predictions))}
+        grids = _design_grids(list(index), stream.bounds, k, kind)
+        extras = np.broadcast_to(extra_rows, (len(grids), *extra_rows.shape))
+        thresholds = np.concatenate([grids, extras], axis=1)[[index[p] for p in predictions]]
+        del grids
+        picks = np.flatnonzero(hard[lo:hi])
+        totals = ota_totals(thresholds.reshape(-1, k), stream.prices, stream.starts[lo:hi],
+                            horizon, np.repeat(np.arange(hi - lo), runs), kind, picks, tail)[0]
+        del thresholds
+        windows = stream.rows()[lo:hi]
+        plain = (hi - lo) * runs
+        _ratios(totals[:plain], _offline_optima(windows.copy(), k, kind), kind, ratios[lo:hi])
+        if picks.size:
+            worst = windows[picks]  # a copy, hardened in place
+            worst[:, horizon - k:] = tail
+            _ratios(totals[plain:], _offline_optima(worst, k, kind), kind,
+                    ratios[hard_at:hard_at + picks.size])
+            hard_at += picks.size
     return ratios
 
 
@@ -319,25 +281,17 @@ def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_learning(
-    windows, kind: ProblemKind, seed: int
+    stream: WindowStream, kind: ProblemKind, seed: int
 ) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:
     """Run Hedge over a window stream and report per-round regret.
 
     Returns the final weights (aligned with ``GRID``) and the records.  The
     ratios do not depend on the weights, so the whole (W, G) ratio matrix is
-    replayed first and ``_hedge`` then runs the rounds over it.
+    replayed first and ``_hedge`` then runs the rounds over it; the round
+    count is checked before any design or replay.
     """
-    windows = tuple(windows)
-    if not windows:
-        raise InvalidInputError("run_learning needs at least one window")
-    return _learn(_laid_out(windows, len(GRID)), len(windows), kind, seed)
-
-
-def _learn(streams, rounds: int, kind: ProblemKind, seed: int):
-    """``run_learning`` over the windows of ``streams``, ``rounds`` of them
-    in all; the round count is checked before any design or replay."""
-    _check_rounds(rounds)
-    return _hedge(_stream_ratios(streams, rounds, kind), seed)
+    _check_rounds(len(stream))
+    return _hedge(_stream_ratios(stream, kind), seed)
 
 
 def _check_rounds(rounds: int) -> None:

@@ -3,6 +3,7 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 
 from ksearch import (
     KSearchError,
@@ -10,6 +11,7 @@ from ksearch import (
     ProblemKind,
     SearchInstance,
     ThresholdSchedule,
+    WindowStream,
     design,
 )
 from ksearch import augmented as augmented_mod
@@ -135,10 +137,19 @@ def band_cases(max_spots=60):
     )
 
 
-def replay_ratios(windows, kind, extra=()):
-    """The learner's (W, G + E) ratio matrix of window objects: each window
-    under every grid design, then each extra schedule, replayed as
+def stream_of(windows, k, bounds):
+    """Hand-made ``(prices, prediction)`` windows of one horizon as one
+    stream, laid end to end in a price array of their own."""
+    windows = list(windows)
+    horizon = len(windows[0][0]) if windows else 1
+    assert all(len(prices) == horizon for prices, _ in windows)
+    prices = np.concatenate([np.empty(0), *(prices for prices, _ in windows)])
+    return WindowStream(prices, np.arange(len(windows)) * horizon, horizon, k, bounds,
+                        [prediction for _, prediction in windows])
+
+
+def replay_ratios(stream, kind, extra=()):
+    """The learner's (W, G + E) ratio matrix of a stream: each window under
+    every grid design, then each extra schedule, replayed as
     ``run_learning`` and ``evaluate_windows`` replay them."""
-    windows = tuple(windows)
-    streams = learner_mod._laid_out(windows, len(GRID) + len(extra))
-    return learner_mod._stream_ratios(streams, len(windows), kind, extra)
+    return learner_mod._stream_ratios(stream, kind, extra)

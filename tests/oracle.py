@@ -29,6 +29,10 @@ the same error.
 from the public API: its own ``Generator(Philox(key)).random()`` draw per
 window and its own tail.  ``run_sweep`` hardens inside its cell groups, from
 one batch of draws, and must pick and build the same windows.
+
+``adjust_error_reference`` is the error dial of one window in Python
+floats; ``ksearch.adjust_error`` dials a whole stream in one numpy pass and
+must give the same predictions bit for bit.
 """
 
 import math
@@ -38,13 +42,12 @@ import numpy as np
 from ksearch import (
     AugmentedDesign,
     ConstructionError,
-    ExperimentWindow,
     InvalidInputError,
     ParetoPoint,
     PriceBounds,
     ProblemKind,
-    SearchInstance,
     ThresholdSchedule,
+    WindowStream,
 )
 from ksearch.augmented import (
     _RATIO_TOL,
@@ -319,19 +322,25 @@ def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, i
     return total, voluntary
 
 
-def harden_reference(windows, kind: ProblemKind, rho: float, seed: int) -> tuple:
-    """The windows with window i hardened where the uniform draw of the
-    Philox stream keyed by seed * 2^20 + i + 2^63 falls below rho: its last
-    k prices become p_min for max-search and p_max for min-search, and it
-    keeps its prediction.  A window left as it is keeps its instance."""
-    out = []
-    for i, window in enumerate(windows):
-        instance = window.instance
+def harden_reference(stream: WindowStream, kind: ProblemKind, rho: float, seed: int):
+    """The stream's windows laid end to end as a stream of their own, with
+    window i hardened where the uniform draw of the Philox stream keyed by
+    seed * 2^20 + i + 2^63 falls below rho: its last k prices become p_min
+    for max-search and p_max for min-search, and it keeps its prediction."""
+    rows = stream.rows().copy()
+    tail = stream.bounds.p_min if kind.is_max else stream.bounds.p_max
+    for i, row in enumerate(rows):
         draw = np.random.Generator(np.random.Philox(seed * 2**20 + i + 2**63)).random()
         if draw < rho:
-            prices = instance.prices.tolist()
-            tail = instance.bounds.p_min if kind.is_max else instance.bounds.p_max
-            prices[-instance.k:] = [tail] * instance.k
-            instance = SearchInstance(prices, instance.k, instance.bounds)
-        out.append(ExperimentWindow(instance, window.prediction))
-    return tuple(out)
+            row[-stream.k:] = tail
+    return WindowStream(rows.ravel(), np.arange(len(rows)) * stream.horizon, stream.horizon,
+                        stream.k, stream.bounds, stream.predictions)
+
+
+def adjust_error_reference(prices, prediction: float, level: float, kind: ProblemKind,
+                           bounds: PriceBounds) -> float:
+    """One window's prediction with its error scaled to ``level``: with the
+    window's actual extreme, actual + level * (prediction - actual), clipped
+    to the band."""
+    actual = float(max(prices) if kind.is_max else min(prices))
+    return bounds.clip(actual + level * (prediction - actual))

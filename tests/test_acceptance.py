@@ -19,7 +19,6 @@ import pytest
 
 from ksearch import (
     ALGORITHMS,
-    ExperimentWindow,
     FrontierSpec,
     ParetoPoint,
     PriceBounds,
@@ -40,7 +39,7 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch.pareto import _sweep_count
-from conftest import replay_ratios
+from conftest import replay_ratios, stream_of
 from adversaries import PInstanceSpec, gen_p_instance
 from oracle import design_for_target, ota_total
 
@@ -225,20 +224,18 @@ def test_criterion_11_learner_convergence_under_120s():
     t0 = time.perf_counter()
     k = 10
     inst = gen_p_instance(PInstanceSpec(MAX, 20.0, BAND, k, step=0.5))
-    accurate = ExperimentWindow(inst, 20.0)
-    overstated = ExperimentWindow(inst, 45.0)
+    accurate = (inst.prices, 20.0)
+    overstated = (inst.prices, 45.0)
     draws = np.random.Generator(np.random.Philox(2024)).random(1000)
     windows = [accurate if d < 0.75 else overstated for d in draws]
 
     # the stream makes exactly one grid confidence strictly best
-    per_round = {
-        w: replay_ratios((w,), MAX)[0] for w in (accurate, overstated)
-    }
-    totals = sum(per_round[w] for w in windows)
+    per_round = [replay_ratios(stream_of((w,), k, BAND), MAX)[0] for w in (accurate, overstated)]
+    totals = sum(per_round[w is overstated] for w in windows)
     best = int(np.argmin(totals))
     assert all(totals[best] < t for i, t in enumerate(totals) if i != best)
 
-    _, history = run_learning(windows, MAX, seed=11)
+    _, history = run_learning(stream_of(windows, k, BAND), MAX, seed=11)
     chosen = np.array([rec.chosen_ratio for rec in history])
     best_fixed = np.array([rec.best_fixed_ratio for rec in history])
     assert chosen[500:].mean() - best_fixed[500:].mean() <= 0.05

@@ -16,7 +16,6 @@ import pytest
 import ksearch
 from ksearch import (
     ConstructionError,
-    ExperimentWindow,
     PriceBounds,
     PriceSeries,
     ProblemKind,
@@ -170,7 +169,7 @@ class TestDataErrors:
         def boom(*args, **kwargs):
             raise ConstructionError("guarantee violated")
 
-        monkeypatch.setattr(cli_mod, "_evaluate", boom)
+        monkeypatch.setattr(cli_mod, "evaluate_windows", boom)
         code = main(["simulate", "--input", feed_csv,
                      "--window", "200", "--stride", "200", "--k", "10"])
         assert code == 4
@@ -555,18 +554,41 @@ class TestWindowStream:
     ])
     def test_no_object_per_window(self, command, feed_csv, tmp_path, monkeypatch):
         made = []
-        for cls in (ExperimentWindow, SearchInstance):
-            check = cls.__post_init__
+        check = SearchInstance.__post_init__
 
-            def counted(self, check=check):
-                made.append(type(self).__name__)
-                check(self)
+        def counted(self):
+            made.append(type(self).__name__)
+            check(self)
 
-            monkeypatch.setattr(cls, "__post_init__", counted)
+        monkeypatch.setattr(SearchInstance, "__post_init__", counted)
         out = tmp_path / "out.csv"
         assert main([*command, "--input", feed_csv, "--window", "200", "--stride", "50",
                      "--k", "5", "--output", str(out)]) == 0
         assert made == []
+
+    @pytest.mark.parametrize("command, module, calls", [
+        (["learn", "--kind", "both"], "cli",
+         {"sliding_windows": 2, "adjust_error": 0, "evaluate_windows": 0, "run_learning": 2}),
+        (["simulate", "--error-level", "0.0,0.5"], "cli",
+         {"sliding_windows": 1, "adjust_error": 2, "evaluate_windows": 2, "run_learning": 0}),
+        (["experiment", "--rho", "0.0,1.0", "--theta-mult", "1.0,2.0"], "harness",
+         {"sliding_windows": 2, "adjust_error": 2}),
+    ])
+    def test_commands_call_the_public_window_api(self, command, module, calls, feed_csv,
+                                                 tmp_path, monkeypatch):
+        # a wrapper on a public window function sees every stream a command cuts
+        mod = getattr(ksearch, module)
+        counts = dict.fromkeys(calls, 0)
+        for name in calls:
+            def counted(*args, real=getattr(mod, name), name=name):
+                counts[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(mod, name, counted)
+        out = tmp_path / "out.csv"
+        assert main([*command, "--input", feed_csv, "--window", "200", "--stride", "50",
+                     "--k", "5", "--output", str(out)]) == 0
+        assert counts == calls
 
     def test_rounds_are_capped_before_any_replay(self, monkeypatch, capsys):
         # 2^20 windows of one price each, from a flat series of 2^20 + 1
@@ -584,6 +606,36 @@ class TestWindowStream:
         assert code == 3
         assert capsys.readouterr().err == (
             "ksearch: data error: window streams beyond 2^20 rounds are unsupported\n")
+
+
+WINDOW_POLICIES = {
+    (): """\
+41 windows; mean ratio per policy
+error_level,ota-on,ota-hindsight,ota-learned
+0.0,1.715234,1.434490,1.592132
+0.5,1.715234,1.346740,1.632845
+1.0,1.715234,1.379150,1.648447
+learner's heaviest confidence: 0.90625 (weight 0.2053)
+""",
+    ("--kind", "min", "--error-levels", "0.0,0.3,1.0", "--stride", "100"): """\
+101 windows; mean ratio per policy
+error_level,ota-on,ota-hindsight,ota-learned
+0.0,1.791319,1.346832,1.643571
+0.3,1.791319,1.361642,1.685549
+1.0,1.791319,1.355557,1.676697
+learner's heaviest confidence: 0.75 (weight 0.2051)
+""",
+}
+
+
+@pytest.mark.parametrize("flags", list(WINDOW_POLICIES))
+def test_window_policies_script_output_is_pinned(flags):
+    # recorded while the script still evaluated one window object at a time
+    root = pathlib.Path(ksearch.__file__).resolve().parent.parent.parent
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    out = subprocess.run([sys.executable, str(root / "scripts" / "window_policies.py"), *flags],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out == WINDOW_POLICIES[flags]
 
 
 def test_import_leaves_the_process_pool_out():

@@ -30,9 +30,8 @@ from ksearch import (
     worst_case_thresholds,
     summarize,
 )
-from ksearch.instances import _window_stream
 from ksearch.learner import GRID, _stream_ratios
-from conftest import replay_ratios
+from conftest import replay_ratios, stream_of
 from oracle import harden_reference
 
 
@@ -73,8 +72,7 @@ def _summaries(cell, windows, kind, seed):
 def _dialled_windows(series, cell, kind):
     """The cell's windows with their prediction error dialled, before any
     hardening."""
-    return [adjust_error(window, cell.error_level, kind)
-            for window in sliding_windows(series, 200, 200, cell.k, kind)]
+    return adjust_error(sliding_windows(series, 200, 200, cell.k, kind), cell.error_level, kind)
 
 
 class TestHardening:
@@ -86,13 +84,13 @@ class TestHardening:
     def test_tail_is_the_kinds_worst_price(self, kind, tail):
         # one window of six prices after its look-back, in the band [5, 50]
         series = PriceSeries((5.0, 50.0, 20.0, 20.0, 20.0, 20.0, 7.0, 30.0, 12.0, 45.0, 9.0, 20.0))
-        stream = _window_stream(series, 6, 6, 2, kind)
-        [out] = harden_reference(sliding_windows(series, 6, 6, 2, kind), kind, 1.0, 9)
-        assert out.instance.prices.tolist() == [7.0, 30.0, 12.0, 45.0, tail, tail]
-        assert (out.instance.k, out.instance.bounds) == (2, PriceBounds(5.0, 50.0))
-        assert [out.prediction] == stream.predictions.tolist()
-        ratios = _stream_ratios((stream,), 1, kind, (), [0])
-        assert ratios[1].tolist() == replay_ratios((out,), kind)[0].tolist()
+        stream = sliding_windows(series, 6, 6, 2, kind)
+        out = harden_reference(stream, kind, 1.0, 9)
+        assert out.rows().tolist() == [[7.0, 30.0, 12.0, 45.0, tail, tail]]
+        assert (out.k, out.bounds) == (2, PriceBounds(5.0, 50.0))
+        assert out.predictions.tolist() == stream.predictions.tolist()
+        ratios = _stream_ratios(stream, kind, (), [0])
+        assert ratios[1].tolist() == replay_ratios(out, kind)[0].tolist()
 
     def test_hardened_sets_nest_across_rho(self):
         windows = _windows(n_samples=10_400)  # 51 windows
@@ -101,8 +99,8 @@ class TestHardening:
         for rho in (0.0, 0.1, 0.2, 0.3, 1.0):
             hits = {i for i, draw in enumerate(draws) if draw < rho}
             reference = harden_reference(windows, ProblemKind.MAX, rho, seed=9)
-            assert hits == {i for i, (a, b) in enumerate(zip(reference, windows))
-                            if a.instance is not b.instance}
+            assert hits == {i for i, (a, b) in enumerate(zip(reference.rows(), windows.rows()))
+                            if (a != b).any()}
             hit_sets.append(hits)
         assert hit_sets[0] == set() and hit_sets[-1] == set(range(len(windows)))
         assert all(a <= b for a, b in zip(hit_sets, hit_sets[1:]))
@@ -159,7 +157,7 @@ class TestHardening:
 class TestEvaluateWindows:
     def test_per_window_invariants(self):
         windows = _windows()
-        bounds = windows[0].instance.bounds
+        bounds = windows.bounds
         cr = solve_cr(bounds, 10, ProblemKind.MAX)
         results = evaluate_windows(windows, ProblemKind.MAX, seed=5)
         assert len(results) == len(windows)
@@ -190,7 +188,7 @@ class TestEvaluateWindows:
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            evaluate_windows((), ProblemKind.MAX, seed=5)
+            evaluate_windows(stream_of((), 10, PriceBounds(5.0, 50.0)), ProblemKind.MAX, seed=5)
 
 
 class TestCellsAndSweep:
@@ -257,7 +255,7 @@ def _per_cell_sweep(series, cells, kind, seed, window_len, stride):
     for cell in cells:
         scaled = scale_theta(series, cell.theta_mult) if cell.theta_mult != 1.0 else series
         windows = sliding_windows(scaled, window_len, stride, cell.k, kind)
-        windows = [adjust_error(window, cell.error_level, kind) for window in windows]
+        windows = adjust_error(windows, cell.error_level, kind)
         windows = harden_reference(windows, kind, cell.rho, seed)
         out.extend(_summaries(cell, windows, kind, seed))
     return tuple(sorted(out, key=lambda s: (s.cell.key(), s.algorithm)))
@@ -332,7 +330,7 @@ class TestGroupedSweep:
         # groups run in (error level, k, theta multiplier) order, so the group
         # (level 0.5, k = 5) runs first, though its one cell, at rho = 0.4,
         # comes last in key order
-        real = harness_mod._dialled
+        real = harness_mod.adjust_error
 
         def failing(stream, level, kind):
             error = errors.get((stream.k, level))
@@ -340,7 +338,7 @@ class TestGroupedSweep:
                 raise error(f"k={stream.k} level={level}")
             return real(stream, level, kind)
 
-        monkeypatch.setattr(harness_mod, "_dialled", failing)
+        monkeypatch.setattr(harness_mod, "adjust_error", failing)
         series = gen_synthetic_series(num_samples=2200, seed=3)
         cells = (SweepCell(0.4, 0.5, 5, 1.0), SweepCell(0.0, 1.0, 5, 1.0),
                  SweepCell(0.0, 1.0, 100, 1.0))

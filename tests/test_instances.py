@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import math
 import pickle
 
@@ -14,13 +15,13 @@ from hypothesis import strategies as st
 from ksearch import (
     DataFormatError,
     DomainError,
-    ExperimentWindow,
     InvalidInputError,
     PriceBounds,
     PriceSeries,
     ProblemKind,
     SearchInstance,
     ThresholdSchedule,
+    WindowStream,
     adjust_error,
     gen_synthetic_series,
     ingest_csv,
@@ -35,10 +36,9 @@ from ksearch import (
 from ksearch import instances as instances_mod
 from ksearch.learner import _stream_ratios
 from ksearch.instances import FIVE_YEAR_SAMPLES, STRIDE_SAMPLES, WINDOW_SAMPLES
-from ksearch.instances import _dialled, _window_stream
 from adversaries import PInstanceSpec, gen_p_instance, gen_worst_case_sequence
-from conftest import replay_ratios
-from oracle import harden_reference
+from conftest import replay_ratios, stream_of
+from oracle import adjust_error_reference, harden_reference
 
 BOUNDS = PriceBounds(5.0, 50.0)
 
@@ -408,16 +408,16 @@ class TestSlidingWindows:
         series = PriceSeries(tuple([10.0, 20.0, 30.0, 40.0] + [15.0, 25.0, 35.0, 12.0]))
         wins = sliding_windows(series, window_len=4, stride=4, k=2, kind=ProblemKind.MAX)
         assert len(wins) == 1
-        w = wins[0]
-        assert w.instance.prices.tolist() == [15.0, 25.0, 35.0, 12.0]
-        assert w.prediction == 40.0  # max of the first half
-        assert max(w.instance.prices) == 35.0
+        prices, prediction = wins.rows()[0], wins.predictions[0]
+        assert prices.tolist() == [15.0, 25.0, 35.0, 12.0]
+        assert prediction == 40.0  # max of the first half
+        assert max(prices) == 35.0
 
     def test_min_kind_prediction(self):
         series = PriceSeries((10.0, 20.0, 30.0, 40.0, 15.0, 25.0, 35.0, 12.0))
-        w = sliding_windows(series, 4, 4, 2, ProblemKind.MIN)[0]
-        assert w.prediction == 10.0
-        assert min(w.instance.prices) == 12.0
+        w = sliding_windows(series, 4, 4, 2, ProblemKind.MIN)
+        assert w.predictions[0] == 10.0
+        assert min(w.rows()[0]) == 12.0
 
     def test_count_formula(self):
         import random
@@ -439,8 +439,7 @@ class TestSlidingWindows:
         series = PriceSeries((10.0, 20.0, 30.0, 40.0, 15.0, 25.0, 35.0, 12.0, 11.0, 13.0))
         wins = sliding_windows(series, 4, 2, 2, ProblemKind.MAX)
         assert len(wins) == 2
-        for w in wins:
-            assert w.instance.bounds == PriceBounds(10.0, 40.0)
+        assert wins.bounds == PriceBounds(10.0, 40.0)
 
     def test_canonical_preset_count(self):
         # shrunken replica of the canonical windowing: same stride ratio
@@ -465,17 +464,17 @@ class TestWindowViews:
     def test_windows_view_the_series(self, kind):
         series, wins = self._cut(kind)
         pick = max if kind.is_max else min
-        for i, w in enumerate(wins):
+        for i, (prices, prediction) in enumerate(zip(wins.rows(), wins.predictions.tolist())):
             start = 100 + 30 * i
-            assert np.shares_memory(w.instance.prices, series.array)
-            assert w.instance.prices.tolist() == list(series.prices[start : start + 100])
-            assert w.prediction == pick(series.prices[start - 100 : start])
-            assert type(w.prediction) is float
+            assert np.shares_memory(prices, series.array)
+            assert prices.tolist() == list(series.prices[start : start + 100])
+            assert prediction == pick(series.prices[start - 100 : start])
+            assert type(prediction) is float
 
     def test_prices_are_read_only(self):
         series, wins = self._cut()
         with pytest.raises(ValueError):
-            wins[0].instance.prices[0] = 5.0
+            wins.rows()[0][0] = 5.0
         with pytest.raises(ValueError):
             series.array[0] = 5.0
         assert {type(p) for p in series.prices} == {float}
@@ -483,28 +482,30 @@ class TestWindowViews:
     def test_hardening_leaves_the_series_as_it_is(self):
         # hardened rows are derived from the plain windows' replay, which
         # neither copies nor writes the series
-        series, wins = self._cut()
+        series, stream = self._cut()
         before = series.array.tobytes()
-        stream = _window_stream(series, 100, 30, 3, ProblemKind.MAX)
-        ratios = _stream_ratios((stream,), len(stream), ProblemKind.MAX, (), [0, 2])
-        hard = harden_reference(wins, ProblemKind.MAX, 1.0, seed=0)
-        assert ratios[len(stream):].tolist() == replay_ratios(hard[0:3:2], ProblemKind.MAX).tolist()
+        ratios = _stream_ratios(stream, ProblemKind.MAX, (), [0, 2])
+        hard = harden_reference(stream, ProblemKind.MAX, 1.0, seed=0)
+        picked = dataclasses.replace(hard, starts=hard.starts[0:3:2],
+                                     predictions=hard.predictions[0:3:2])
+        assert ratios[len(stream):].tolist() == replay_ratios(picked, ProblemKind.MAX).tolist()
         assert series.array.tobytes() == before
 
     def test_equal_content_is_equal(self):
         _, wins = self._cut()
-        inst = wins[0].instance
+        inst, second = (SearchInstance(prices, wins.k, wins.bounds) for prices in wins.rows()[:2])
         copy = SearchInstance(inst.prices.tolist(), inst.k, inst.bounds)
         assert copy == inst and hash(copy) == hash(inst)
         assert SearchInstance(inst.prices, 2, inst.bounds) != inst
-        assert wins[1].instance != inst
+        assert second != inst
 
     def test_pickle_keeps_equality(self):
         series, wins = self._cut()
-        again = pickle.loads(pickle.dumps((series, wins)))
-        assert again == (series, wins)
+        inst = SearchInstance(wins.rows()[0], wins.k, wins.bounds)
+        again = pickle.loads(pickle.dumps((series, inst)))
+        assert again == (series, inst)
         assert not again[0].array.flags.writeable
-        assert not again[1][0].instance.prices.flags.writeable
+        assert not again[1].prices.flags.writeable
 
 
 class TestWindowStream:
@@ -514,14 +515,15 @@ class TestWindowStream:
     @pytest.mark.parametrize("stride", [1, 30, 100, 170])
     def test_stream_is_the_sliding_windows(self, kind, stride):
         series = gen_synthetic_series(num_samples=700, seed=5)
-        stream = _window_stream(series, 100, stride, 3, kind)
-        wins = sliding_windows(series, 100, stride, 3, kind)
-        assert (len(stream), stream.horizon, stream.k) == (len(wins), 100, 3)
-        assert stream.starts.tolist() == list(range(100, 601, stride))
-        assert stream.bounds == wins[0].instance.bounds
-        assert stream.predictions.tolist() == [w.prediction for w in wins]
+        stream = sliding_windows(series, 100, stride, 3, kind)
+        pick = np.max if kind.is_max else np.min
+        starts = list(range(100, 601, stride))
+        assert (len(stream), stream.horizon, stream.k) == (len(starts), 100, 3)
+        assert stream.starts.tolist() == starts
+        assert stream.bounds == PriceBounds(min(series.prices), max(series.prices))
+        assert stream.predictions.tolist() == [pick(series.array[s - 100:s]) for s in starts]
         rows = stream.rows()
-        assert rows.tolist() == [w.instance.prices.tolist() for w in wins]
+        assert rows.tolist() == [series.array[s:s + 100].tolist() for s in starts]
         assert np.shares_memory(rows, series.array) and not rows.flags.writeable
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
@@ -529,45 +531,79 @@ class TestWindowStream:
     @settings(max_examples=60, deadline=None)
     def test_dialled_is_adjust_error(self, kind, level):
         series = gen_synthetic_series(num_samples=900, seed=9)
-        stream = _dialled(_window_stream(series, 100, 40, 3, kind), level, kind)
-        wins = sliding_windows(series, 100, 40, 3, kind)
-        expected = [adjust_error(w, level, kind).prediction for w in wins]
-        assert stream.predictions.tolist() == expected
+        stream = sliding_windows(series, 100, 40, 3, kind)
+        expected = [adjust_error_reference(prices, prediction, level, kind, stream.bounds)
+                    for prices, prediction in zip(stream.rows(), stream.predictions.tolist())]
+        assert adjust_error(stream, level, kind).predictions.tolist() == expected
 
     @pytest.mark.parametrize("level", [-0.01, 1.01, math.nan, "0.5", None])
-    def test_dialled_rejects_what_adjust_error_rejects(self, level):
+    def test_dial_rejects_levels_outside_the_unit_interval(self, level):
         series = gen_synthetic_series(num_samples=300, seed=9)
-        stream = _window_stream(series, 100, 40, 3, ProblemKind.MAX)
+        stream = sliding_windows(series, 100, 40, 3, ProblemKind.MAX)
         with pytest.raises(DomainError, match="error level must lie in"):
-            _dialled(stream, level, ProblemKind.MAX)
+            adjust_error(stream, level, ProblemKind.MAX)
 
     @pytest.mark.parametrize("k", [0, 5, 2.0, True])
     def test_budget_is_checked_once_as_an_instance_checks_it(self, k):
         series = PriceSeries((10.0, 20.0, 30.0, 40.0, 15.0, 25.0, 35.0, 12.0))
         with pytest.raises(InvalidInputError) as instance:
             SearchInstance((15.0, 25.0, 35.0, 12.0), k, PriceBounds(10.0, 40.0))
-        for cut in (_window_stream, sliding_windows):
-            with pytest.raises(InvalidInputError) as info:
-                cut(series, 4, 4, k, ProblemKind.MAX)
-            assert str(info.value) == str(instance.value)
+        with pytest.raises(InvalidInputError) as info:
+            sliding_windows(series, 4, 4, k, ProblemKind.MAX)
+        assert str(info.value) == str(instance.value)
+
+    # two windows of 4 of a 12-price array, 4 apart, budget 2, band [5, 100]
+    VALID = dict(prices=np.linspace(10.0, 80.0, 12), starts=[0, 4], horizon=4, k=2,
+                 bounds=PriceBounds(5.0, 100.0), predictions=[20.0, 30.0])
+
+    @pytest.mark.parametrize("changed", [
+        {"starts": [0, 2, 5], "predictions": [20.0, 30.0, 40.0]},  # uneven
+        {"starts": [0, 4, 0], "predictions": [20.0, 30.0, 40.0]},  # turns back
+        {"starts": [4, 0]},  # descending
+        {"starts": [4, 4]},  # a zero stride
+        {"starts": [], "predictions": []},
+        {"starts": [0.0, 4.0]},
+        {"starts": [0, 9]},  # the second window runs past the array's end
+        {"starts": [-4, 0]},
+        {"k": 0},
+        {"k": 5},  # above T
+        {"k": True},
+        {"horizon": 4.0},
+        {"prices": np.r_[10.0, 10.0, 10.0, 4.0, np.full(8, 10.0)]},  # below p_min
+        {"prices": np.r_[np.full(7, 10.0), math.nan, np.full(4, 10.0)]},
+        {"predictions": [20.0, 100.5]},  # out of band
+        {"predictions": [20.0]},  # fewer predictions than windows
+        {"predictions": [20.0, 30.0, 40.0]},
+    ])
+    def test_constructor_checks_its_windows(self, changed):
+        stream = WindowStream(**self.VALID)
+        assert stream.rows().tolist() == [self.VALID["prices"][:4].tolist(),
+                                          self.VALID["prices"][4:8].tolist()]
+        with pytest.raises(InvalidInputError):
+            WindowStream(**{**self.VALID, **changed})
+
+    def test_only_the_covered_span_is_checked(self):
+        # prices past the last window need not lie in the band
+        prices = np.r_[np.full(8, 10.0), 1e9, 1e-9, 0.0, math.nan]
+        stream = WindowStream(**{**self.VALID, "prices": prices})
+        assert len(stream) == 2 and not stream.prices.flags.writeable
 
 
 class TestAdjustError:
     def _window(self):
-        inst = SearchInstance((60.0, 100.0, 30.0), 1, PriceBounds(1.0, 200.0))
-        return ExperimentWindow(inst, prediction=60.0)
+        return stream_of([((60.0, 100.0, 30.0), 60.0)], 1, PriceBounds(1.0, 200.0))
 
     def test_level_zero_perfect(self):
         out = adjust_error(self._window(), 0.0, ProblemKind.MAX)
-        assert out.prediction == 100.0
+        assert out.predictions[0] == 100.0
 
     def test_level_one_unchanged(self):
         out = adjust_error(self._window(), 1.0, ProblemKind.MAX)
-        assert out.prediction == 60.0
+        assert out.predictions[0] == 60.0
 
     def test_midpoint_example(self):
         out = adjust_error(self._window(), 0.5, ProblemKind.MAX)
-        assert out.prediction == pytest.approx(80.0, rel=1e-12)
+        assert out.predictions[0] == pytest.approx(80.0, rel=1e-12)
 
     def test_level_out_of_range(self):
         with pytest.raises(DomainError):
@@ -576,9 +612,8 @@ class TestAdjustError:
             adjust_error(self._window(), 1.01, ProblemKind.MAX)
 
     def test_window_invariants(self):
-        inst = SearchInstance((60.0, 100.0), 1, PriceBounds(1.0, 200.0))
         with pytest.raises(InvalidInputError):
-            ExperimentWindow(inst, prediction=300.0)
+            stream_of([((60.0, 100.0), 300.0)], 1, PriceBounds(1.0, 200.0))
 
 
 # --------------------------------------------------------------------------

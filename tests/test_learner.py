@@ -11,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from ksearch import (
     ConstructionError,
-    ExperimentWindow,
     InvalidInputError,
     KSearchError,
     PriceBounds,
@@ -21,7 +20,6 @@ from ksearch import (
     SearchInstance,
     adjust_error,
     design,
-    evaluate_windows,
     gen_synthetic_series,
     offline_opt,
     run_learning,
@@ -30,10 +28,9 @@ from ksearch import (
 )
 from ksearch import augmented as augmented_mod
 from ksearch import learner as learner_mod
-from ksearch.instances import _window_stream
 from ksearch.learner import GRID, _replay_window_bytes
 from adversaries import PInstanceSpec, gen_p_instance
-from conftest import band_cases, band_prediction, design_or_error, replay_ratios
+from conftest import band_cases, band_prediction, design_or_error, replay_ratios, stream_of
 from oracle import ota_total
 
 BOUNDS = PriceBounds(5.0, 50.0)
@@ -41,13 +38,15 @@ BOUNDS = PriceBounds(5.0, 50.0)
 
 def _stream(n_windows: int, k: int = 8, kind: ProblemKind = ProblemKind.MAX,
             perfect: bool = True, seed: int = 7):
-    """Small window stream cut from one synthetic series, cycled to length."""
+    """Small window stream cut from one synthetic series, cycled to length:
+    the stream and its (prices, prediction) windows."""
     series = gen_synthetic_series(num_samples=900, seed=seed)
-    wins = sliding_windows(series, window_len=100, stride=100, k=k, kind=kind)
+    cut = sliding_windows(series, window_len=100, stride=100, k=k, kind=kind)
     if perfect:
-        wins = tuple(adjust_error(w, 0.0, kind) for w in wins)
+        cut = adjust_error(cut, 0.0, kind)
+    wins = list(zip(cut.rows(), cut.predictions.tolist()))
     reps = [wins[i % len(wins)] for i in range(n_windows)]
-    return reps, wins[0].instance.bounds
+    return stream_of(reps, k, cut.bounds), reps
 
 
 def _adversarial_stream(n_windows: int, k: int = 8,
@@ -56,15 +55,14 @@ def _adversarial_stream(n_windows: int, k: int = 8,
     exactly k arrivals, so full trust achieves the optimum and every higher
     confidence is strictly worse -- the regime the consistency bound covers."""
     spec = PInstanceSpec(kind, p=p, bounds=BOUNDS, k=k, step=0.5)
-    window = ExperimentWindow(gen_p_instance(spec), p)
-    return [window] * n_windows, BOUNDS
+    return stream_of([(gen_p_instance(spec).prices, p)] * n_windows, k, BOUNDS)
 
 
 def _overstated_stream(n_windows: int, k: int = 8):
     """Identical ladder windows whose prediction overstates the extreme:
     full distrust (lambda = 1) is the unique best grid point."""
     spec = PInstanceSpec(ProblemKind.MAX, p=20.0, bounds=BOUNDS, k=k, step=0.5)
-    return [ExperimentWindow(gen_p_instance(spec), 45.0)] * n_windows
+    return stream_of([(gen_p_instance(spec).prices, 45.0)] * n_windows, k, BOUNDS)
 
 
 def _underflow_stream():
@@ -76,9 +74,10 @@ def _underflow_stream():
     return sliding_windows(series, 288, 288, 10, ProblemKind.MAX)
 
 
-def _one_round(window, kind=ProblemKind.MAX):
-    """The grid ratios of one window, as the learner's replay computes them."""
-    return replay_ratios((window,), kind)[0].tolist()
+def _one_round(window, stream, kind=ProblemKind.MAX):
+    """The grid ratios of one (prices, prediction) window with the stream's
+    budget and band, as the learner's replay computes them."""
+    return replay_ratios(stream_of((window,), stream.k, stream.bounds), kind)[0].tolist()
 
 
 class TestLearnerType:
@@ -256,9 +255,8 @@ class TestObserveRound:
     def test_equal_losses_leave_weights_uniform(self):
         # degenerate bounds: every design is flat, every ratio is exactly 1
         bounds = PriceBounds(5.0, 5.0)
-        inst = SearchInstance((5.0,) * 10, 2, bounds)
-        window = ExperimentWindow(inst, 5.0)
-        weights, _ = run_learning([window] * 10, ProblemKind.MAX, seed=0)
+        window = ((5.0,) * 10, 5.0)
+        weights, _ = run_learning(stream_of([window] * 10, 2, bounds), ProblemKind.MAX, seed=0)
         assert all(w == pytest.approx(1.0 / 33, rel=1e-12) for w in weights)
 
     def test_unit_loss_gap_grows_weight_by_e(self):
@@ -278,8 +276,7 @@ class TestObserveRound:
         # round 1 zeroes every confidence that waits past 5e5; in round 2
         # every design waits past 999.0, so every weight underflows at once
         bounds = PriceBounds(1.0, 1e6)
-        windows = [ExperimentWindow(SearchInstance((p,) + (1.0,) * 9, 1, bounds), 1e6)
-                   for p in (5e5, 999.0)]
+        windows = stream_of([((p,) + (1.0,) * 9, 1e6) for p in (5e5, 999.0)], 1, bounds)
         weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
         matrix = replay_ratios(windows, ProblemKind.MAX)
         survivors = [r < 2.0 for r in matrix[0].tolist()]
@@ -287,7 +284,7 @@ class TestObserveRound:
         assert weights == tuple(1.0 / sum(survivors) if s else 0.0 for s in survivors)
 
     def test_adversarial_perfect_stream_concentrates_full_trust(self):
-        windows, _ = _adversarial_stream(200, k=8)
+        windows = _adversarial_stream(200, k=8)
         weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
         best = max(range(33), key=lambda i: weights[i])
         # the extreme is held for k arrivals, so full trust is exactly optimal
@@ -312,17 +309,17 @@ class TestObserveRound:
 
 class TestRoundRatios:
     def test_ratios_at_least_one(self):
-        windows, _ = _stream(4, k=8, perfect=False)
+        stream, windows = _stream(4, k=8, perfect=False)
         for window in windows[:4]:
-            for r in _one_round(window):
+            for r in _one_round(window, stream):
                 assert r >= 1.0 - 1e-12
 
     def test_full_trust_is_optimal_when_extreme_is_held(self):
         # When the predicted extreme actually recurs k times, zero confidence
         # in the fallback (lambda = 0) attains the offline optimum.
         for kind in (ProblemKind.MAX, ProblemKind.MIN):
-            windows, _ = _adversarial_stream(1, k=8, kind=kind)
-            ratios = dict(zip(GRID, _one_round(windows[0], kind)))
+            windows = _adversarial_stream(1, k=8, kind=kind)
+            ratios = dict(zip(GRID, replay_ratios(windows, kind)[0].tolist()))
             assert ratios[0.0] <= 1.0 + 1e-6
             # trusting less is monotonically worse on this stream
             assert ratios[0.0] <= ratios[0.5] + 1e-12
@@ -336,19 +333,20 @@ class TestRoundRatios:
         from ksearch import design
         from ksearch.augmented import prediction_ratio
 
-        windows, bounds = _stream(4, k=8, perfect=True)
+        stream, windows = _stream(4, k=8, perfect=True)
+        bounds = stream.bounds
         empirical = []
         for window in windows[:4]:
-            target = design(window.prediction, 0.0, bounds, 8, ProblemKind.MAX)
-            assert prediction_ratio(target.schedule, window.prediction) <= 1.0 + 1e-9
-            empirical.append(_one_round(window)[0])
+            target = design(window[1], 0.0, bounds, 8, ProblemKind.MAX)
+            assert prediction_ratio(target.schedule, window[1]) <= 1.0 + 1e-9
+            empirical.append(_one_round(window, stream)[0])
         assert max(empirical) > 1.0 + 1e-6
 
 
 def _oracle_ratios(window, kind, bounds, k, schedules):
     """Per-schedule ota_total ratios: the replay the block kernel replaces."""
-    opt = offline_opt(window.instance, kind)
-    prices = np.asarray(window.instance.prices)
+    opt = offline_opt(SearchInstance(window[0], k, bounds), kind)
+    prices = np.asarray(window[0])
     out = []
     for schedule in schedules:
         total, _ = ota_total(schedule, prices)
@@ -357,7 +355,7 @@ def _oracle_ratios(window, kind, bounds, k, schedules):
 
 
 def _grid_schedules(window, kind, bounds, k, grid):
-    return [design(window.prediction, lam, bounds, k, kind).schedule for lam in grid]
+    return [design(window[1], lam, bounds, k, kind).schedule for lam in grid]
 
 
 @pytest.fixture
@@ -400,7 +398,8 @@ class TestGridArrays:
         monkeypatch.setattr(learner_mod, "ota_totals", kernel_spy)
         instance = SearchInstance(np.geomspace(BOUNDS.p_max, BOUNDS.p_min, 12), 6, BOUNDS)
         predictions = (30.0, 20.0, 10.0, 30.0)
-        windows = [ExperimentWindow(instance, prediction) for prediction in predictions]
+        windows = stream_of([(instance.prices, prediction) for prediction in predictions], 6,
+                            BOUNDS)
         first = replay_ratios(windows, ProblemKind.MAX)
         assert batches == [[30.0, 20.0, 10.0]]
         [rows] = kernel_rows
@@ -440,27 +439,16 @@ class TestGridArrays:
         assert (got.kind, got.bounds, got.k, got.lam, got.prediction) == (
             want.kind, want.bounds, want.k, want.lam, want.prediction)
 
-    @pytest.mark.parametrize("mismatch", ["budget", "band"])
-    def test_design_failure_and_mismatch_keep_stream_order(self, mismatch):
-        # a window whose designs succeed, one whose design fails (robustness
-        # at lambda = 5/8), and one whose budget or band is not the first's
+    def test_design_failure_keeps_stream_order(self):
+        # a window whose designs succeed, then one whose design fails
+        # (robustness at lambda = 5/8)
         bounds, k = PriceBounds(1.0, 10000.0), 20
         prices = np.geomspace(bounds.p_max, bounds.p_min, 2 * k)
-        good = ExperimentWindow(SearchInstance(prices, k, bounds), 100.0)
-        failing = ExperimentWindow(SearchInstance(prices, k, bounds), 1.0)
-        if mismatch == "budget":
-            other = ExperimentWindow(SearchInstance(prices, k + 1, bounds), 100.0)
-        else:
-            wider = PriceBounds(1.0, 2 * bounds.p_max)
-            other = ExperimentWindow(SearchInstance(prices, k, wider), 100.0)
+        good, failing = (prices, 100.0), (prices, 1.0)
         with pytest.raises(ConstructionError) as info:
-            replay_ratios((good, failing, other), ProblemKind.MIN)
+            replay_ratios(stream_of((good, failing), k, bounds), ProblemKind.MIN)
         assert str(info.value).startswith("robustness violated")
         assert (info.value.lam, info.value.prediction) == (0.625, 1.0)
-        with pytest.raises(InvalidInputError) as info:
-            replay_ratios((good, other, failing), ProblemKind.MIN)
-        assert not isinstance(info.value, ConstructionError)
-        assert ("budget 21" if mismatch == "budget" else "price bounds") in str(info.value)
 
 
 def _batched_rows(predictions, bounds, k, kind):
@@ -559,11 +547,12 @@ def _described(error):
 class TestBlockReplay:
     @pytest.mark.parametrize("kind", list(ProblemKind))
     def test_round_ratios_equal_per_schedule_replay(self, kind):
-        windows, bounds = _stream(8, k=6, kind=kind, perfect=False)
+        stream, windows = _stream(8, k=6, kind=kind, perfect=False)
+        bounds = stream.bounds
         for window in windows:
             expected = _oracle_ratios(
                 window, kind, bounds, 6, _grid_schedules(window, kind, bounds, 6, GRID))
-            assert _one_round(window, kind) == expected
+            assert _one_round(window, stream, kind) == expected
 
     CUTS = [
         (1, -1, [1] * 7),  # a budget below one window still replays one
@@ -579,12 +568,13 @@ class TestBlockReplay:
     @pytest.mark.parametrize("per_block,budget_offset,sizes", CUTS)
     def test_blocks_cut_at_the_budget(self, kind, k, per_block, budget_offset, sizes,
                                       block_sizes, monkeypatch):
-        windows, bounds = _stream(7, k=k, kind=kind, perfect=False)
+        stream, windows = _stream(7, k=k, kind=kind, perfect=False)
+        bounds = stream.bounds
         extra = (worst_case_thresholds(bounds, k, kind).schedule,)
         runs = len(GRID) + len(extra)
-        budget = per_block * _replay_window_bytes(windows[0].instance.horizon, k, runs)
+        budget = per_block * _replay_window_bytes(stream.horizon, k, runs)
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget + budget_offset)
-        ratios = replay_ratios(tuple(windows), kind, extra)
+        ratios = replay_ratios(stream, kind, extra)
         assert block_sizes == sizes
         for window, row in zip(windows, ratios.tolist()):
             schedules = _grid_schedules(window, kind, bounds, k, GRID) + list(extra)
@@ -601,63 +591,12 @@ class TestBlockReplay:
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget)
         sizes = {}
         for stride in (20, 100):
-            stream = _window_stream(series, 100, stride, k, ProblemKind.MAX)
+            stream = sliding_windows(series, 100, stride, k, ProblemKind.MAX)
             blocks = learner_mod._blocks(stream.starts, 100, k, runs)
             sizes[stride] = [stop - start for start, stop in blocks]
             assert sum(sizes[stride]) == len(stream)
         overlapping = 1 + (budget - first) // _replay_window_bytes(100, k, runs, 20)
         assert sizes[100][0] == 20 < overlapping == sizes[20][0]
-
-    def test_window_objects_are_copied_one_block_at_a_time(self, monkeypatch):
-        # views of one series, charged as windows that share no prices: each
-        # block of 6 is copied end to end into an array of its own, lazily
-        series = gen_synthetic_series(num_samples=4400, seed=7)
-        windows = sliding_windows(series, 100, 20, 5, ProblemKind.MAX)
-        runs = len(GRID)
-        monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES",
-                            6 * _replay_window_bytes(100, 5, runs))
-        blocks = learner_mod._laid_out(windows, runs)
-        assert next(blocks).prices.size == 6 * 100  # one block made so far
-        at = 6
-        for stream in blocks:
-            block = windows[at:at + len(stream)]
-            assert len(stream) == min(6, len(windows) - at)
-            assert stream.starts.tolist() == list(range(0, 100 * len(block), 100))
-            assert not np.shares_memory(stream.prices, series.array)
-            assert not stream.prices.flags.writeable
-            assert stream.rows().tolist() == [w.instance.prices.tolist() for w in block]
-            assert stream.predictions.tolist() == [w.prediction for w in block]
-            at += len(stream)
-        assert at == len(windows)
-
-    def test_blocks_cut_where_the_horizon_changes(self, block_sizes):
-        windows = []
-        for horizon in (20, 20, 30, 20, 20):
-            spec = PInstanceSpec(ProblemKind.MAX, p=20.0, bounds=BOUNDS, k=4, step=0.5)
-            prices = gen_p_instance(spec).prices
-            inst = SearchInstance(np.tile(prices, 3)[:horizon], 4, BOUNDS)
-            windows.append(ExperimentWindow(inst, 20.0))
-        ratios = replay_ratios(tuple(windows), ProblemKind.MAX)
-        assert block_sizes == [2, 1, 2]
-        for window, row in zip(windows, ratios.tolist()):
-            schedules = _grid_schedules(window, ProblemKind.MAX, BOUNDS, 4, GRID)
-            assert row == _oracle_ratios(window, ProblemKind.MAX, BOUNDS, 4, schedules)
-
-    def test_every_window_is_checked(self):
-        windows, bounds = _stream(3, k=8)
-        other_budget, _ = _stream(1, k=9)
-        first = windows[0]
-        wider = PriceBounds(bounds.p_min, 2 * bounds.p_max)
-        other_band = ExperimentWindow(
-            SearchInstance(first.instance.prices, 8, wider), first.prediction)
-        for later in (other_budget[0], other_band):
-            stream = (*windows, later)
-            with pytest.raises(InvalidInputError):
-                replay_ratios(stream, ProblemKind.MAX)
-            with pytest.raises(InvalidInputError):
-                run_learning(stream, ProblemKind.MAX, seed=0)
-            with pytest.raises(InvalidInputError):
-                evaluate_windows(stream, ProblemKind.MAX, seed=0)
 
 
 class TestRunLearningAndRegret:
@@ -685,12 +624,12 @@ class TestRunLearningAndRegret:
     @pytest.mark.parametrize("kind", list(ProblemKind))
     def test_matrix_rows_are_round_ratios(self, kind):
         # the stream's blocks replay to the same bits as one window at a time
-        windows, bounds = _stream(9, k=5, kind=kind, perfect=False)
-        extra = (worst_case_thresholds(bounds, 5, kind).schedule,)
-        matrix = replay_ratios(windows, kind, extra)
+        stream, windows = _stream(9, k=5, kind=kind, perfect=False)
+        extra = (worst_case_thresholds(stream.bounds, 5, kind).schedule,)
+        matrix = replay_ratios(stream, kind, extra)
         assert matrix.shape == (9, len(GRID) + 1)
         for window, row in zip(windows, matrix[:, : len(GRID)].tolist()):
-            assert row == _one_round(window, kind)
+            assert row == _one_round(window, stream, kind)
 
     def test_regret_curve_matches_records(self):
         # the average regret after round n is the mean of the first n gaps
@@ -703,10 +642,10 @@ class TestRunLearningAndRegret:
 
     def test_regret_curve_trivial_cases(self):
         # a stream on which every grid point ties has no regret at all
-        inst = SearchInstance((5.0,) * 10, 2, PriceBounds(5.0, 5.0))
-        window = ExperimentWindow(inst, 5.0)
+        window = ((5.0,) * 10, 5.0)
         for n in (1, 5):
-            _, hist = run_learning([window] * n, ProblemKind.MAX, seed=0)
+            stream = stream_of([window] * n, 2, PriceBounds(5.0, 5.0))
+            _, hist = run_learning(stream, ProblemKind.MAX, seed=0)
             assert [rec.cumulative_regret for rec in hist] == [0.0] * n
 
     def test_average_regret_decreasing_tail(self):
@@ -720,4 +659,4 @@ class TestRunLearningAndRegret:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(InvalidInputError):
-            run_learning((), ProblemKind.MAX, seed=0)
+            run_learning(stream_of((), 1, BOUNDS), ProblemKind.MAX, seed=0)
