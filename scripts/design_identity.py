@@ -22,10 +22,7 @@ class and message.  The sections are:
   1-64 distinct predictions at one (band, k, kind), stacked, or the first
   failing prediction's failure.  The blocks take the first 1,000 (band, k,
   kind) of the ``random`` section, in order, and draw their predictions
-  from ``random.Random(20261018)``, log-uniform in the band or at a bound.
-  On a tree that designs one prediction at a time, the script stacks those
-  designs instead, so equal digests show that a block designs each of its
-  predictions as a lone prediction would;
+  from ``random.Random(20261018)``, log-uniform in the band or at a bound;
 - ``worst-case``: at each distinct (band, k, kind) of the ``design-grid``
   and ``random`` sections, in order, the solved cr, the
   ``worst_case_thresholds`` cr and values, and ``frontier_curve`` at 33
@@ -99,18 +96,11 @@ def design_record(kind, bounds, k, lam, prediction) -> str:
                  d.prediction))
 
 
-def design_grids(predictions, bounds, k, kind):
-    """The learner's (G, k) grid thresholds at each prediction."""
-    if hasattr(learner, "_design_grids"):
-        return learner._design_grids(list(predictions), bounds, k, kind)
-    return [learner._grid_thresholds.__wrapped__(p, bounds, k, kind) for p in predictions]
-
-
 def rows_record(kind, bounds, k, *predictions, raw=False) -> str:
     """The stacked grid thresholds at the predictions, as their reprs or
     (raw) the SHA-256 of their bytes, or the failure with the call it carries."""
     try:
-        rows = np.concatenate(design_grids(predictions, bounds, k, kind))
+        rows = np.concatenate(learner._design_grids(list(predictions), bounds, k, kind))
     except Exception as exc:  # noqa: BLE001
         carried = (exc.kind, exc.bounds, exc.k, exc.lam, exc.prediction) \
             if hasattr(exc, "lam") else None

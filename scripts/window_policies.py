@@ -2,7 +2,7 @@
 """Evaluate the policies over a window stream through the library's window API.
 
 Cuts a seeded synthetic feed into overlapping windows (``sliding_windows``,
-a ``WindowStream`` of offsets into the feed), scales their prediction error
+a ``WindowStream`` of offsets into the feed that carries its kind), scales their prediction error
 (``adjust_error``), and prints each policy's mean ratio per error level
 (``evaluate_windows``) and the confidence the learner trusts most after the
 last round (``run_learning``).  The ``ksearch simulate`` and ``ksearch
@@ -37,16 +37,15 @@ def run() -> int:
     ap.add_argument("--error-levels", default="0.0,0.5,1.0")
     args = ap.parse_args()
 
-    kind = ProblemKind(args.kind)
     series = gen_synthetic_series(num_samples=args.samples, seed=args.seed)
-    stream = sliding_windows(series, args.window, args.stride, args.k, kind)
+    stream = sliding_windows(series, args.window, args.stride, args.k, ProblemKind(args.kind))
     print(f"{len(stream)} windows; mean ratio per policy")
     print("error_level," + ",".join(ALGORITHMS))
     for level in (float(text) for text in args.error_levels.split(",")):
-        results = evaluate_windows(adjust_error(stream, level, kind), kind, args.seed)
+        results = evaluate_windows(adjust_error(stream, level), args.seed)
         means = (statistics.fmean(r.ratio(algorithm) for r in results) for algorithm in ALGORITHMS)
         print(f"{level!r}," + ",".join(f"{mean:.6f}" for mean in means))
-    weights, _ = run_learning(stream, kind, args.seed)
+    weights, _ = run_learning(stream, args.seed)
     top = max(range(len(GRID)), key=weights.__getitem__)
     print(f"learner's heaviest confidence: {GRID[top]!r} (weight {weights[top]:.4f})")
     return 0

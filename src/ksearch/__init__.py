@@ -2,12 +2,13 @@
 
 Library layout:
 
-- ``core``       domain types and the online threshold algorithm itself
+- ``core``       domain types, the window stream (``WindowStream``) and the
+                 online threshold algorithm with its batched replay
 - ``worstcase``  optimal worst-case schedules and competitive ratios
 - ``pareto``     consistency-robustness trade-off curves and lambda targets
 - ``augmented``  prediction-aware threshold designs (cases I-VI)
-- ``instances``  price series (synthetic or ingested) and the window stream
-                 (``WindowStream``) that ``sliding_windows`` cuts from one
+- ``instances``  price series (synthetic or ingested), cut into window
+                 streams by ``sliding_windows``
 - ``learner``    multiplicative-weights selection of the confidence lambda
 - ``harness``    windowed experiment pipeline shared by the CLI and scripts
 - ``cli``        the ``ksearch`` command-line entry point
@@ -21,6 +22,7 @@ from .core import (
     RunTrace,
     SearchInstance,
     ThresholdSchedule,
+    WindowStream,
     offline_opt,
     ota_totals,
     run_ota,
@@ -54,7 +56,6 @@ from .instances import (
     STRIDE_SAMPLES,
     WINDOW_SAMPLES,
     PriceSeries,
-    WindowStream,
     adjust_error,
     gen_synthetic_series,
     ingest_csv,

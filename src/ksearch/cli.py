@@ -301,9 +301,8 @@ def _grid_comment() -> str:
 
 
 def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
-    kind = ProblemKind(args.kind)
     series, source = _load_series(args, bounds)
-    stream = sliding_windows(series, args.window, args.stride, args.k, kind)
+    stream = sliding_windows(series, args.window, args.stride, args.k, ProblemKind(args.kind))
     bounds = stream.bounds
     comments = [
         f"kind={args.kind} k={args.k} window={args.window} "
@@ -314,7 +313,7 @@ def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
     ]
     rows = []
     for level in args.error_levels:
-        results = evaluate_windows(adjust_error(stream, level, kind), kind, args.seed)
+        results = evaluate_windows(adjust_error(stream, level), args.seed)
         for algorithm in ALGORITHMS:
             for res in results:
                 rows.append((
@@ -364,7 +363,7 @@ def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
     rows = []
     for kd in kinds:
         stream = sliding_windows(series, args.window, args.stride, args.k, kd)
-        weights, history = run_learning(stream, kd, args.seed)
+        weights, history = run_learning(stream, args.seed)
         for rec in history:
             rows.append((
                 kd.value, rec.round, rec.chosen_lambda, rec.chosen_ratio,

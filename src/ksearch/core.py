@@ -11,13 +11,14 @@ compulsory regardless of the schedule.
 
 Two replays share these rules.  ``run_ota`` records every decision of one
 run.  ``ota_totals``, the batched replay the learner and the harness use,
-replays a block of windows under many schedules with one kernel.  A window
-is an offset into one price array, not an array of its own: the kernel
-takes the array, each window's start and the common horizon T.  It lays
-the block's windows end to end in one span, where a window that starts
-d < T prices after the one before it adds only its last d prices, builds
-one sparse table of block maxima over the span, and each run jumps from
-one selection to the next by a binary-lifting descent over that table.  A
+replays a block of windows under many schedules with one kernel.  Its one
+input of windows is a ``WindowStream``: offsets into one price array, one
+stride apart, with their horizon T, budget, band, predictions and kind,
+checked once when the stream is made.  The kernel lays the block's windows
+end to end in one span, where each window after the first adds
+min(stride, T) prices, builds one sparse table of block maxima over the
+span, and each run jumps from one selection to the next by a
+binary-lifting descent over that table.  A
 run leaves the descent at its first selection that is not voluntary, as
 the compulsory fill takes the rest.  The kernel can also replay windows
 hardened with a tail of k worst prices, without a descent of their own:
@@ -117,20 +118,85 @@ class SearchInstance:
                 f"[{self.bounds.p_min}, {self.bounds.p_max}]"
             )
 
-    def __eq__(self, other):
-        return (isinstance(other, SearchInstance) and self.k == other.k
-                and self.bounds == other.bounds and bool(np.array_equal(self.prices, other.prices)))
-
-    def __hash__(self):
-        return hash((self.prices.tobytes(), self.k, self.bounds))
-
-    def __reduce__(self):
-        # rebuilt through __post_init__, so the copy is read-only again
-        return SearchInstance, (self.prices, self.k, self.bounds)
-
     @property
     def horizon(self) -> int:
         return self.prices.size
+
+
+@dataclass(frozen=True, eq=False)
+class WindowStream:
+    """Trading windows as offsets into one price array, with their predictions.
+
+    Window w is the ``horizon`` prices ``prices[starts[w]:starts[w] + horizon]``
+    of the read-only 1-D float64 array ``prices`` (any other is copied once);
+    the starts ascend by one positive ``stride``, so every run of windows is
+    a basic slice of the array's ``sliding_window_view`` (``rows``).  Every
+    window has budget ``k`` in [1, horizon], the prices the windows span lie
+    in ``bounds``, ``predictions`` holds one predicted extreme per window, in
+    ``bounds`` too, and ``kind`` is the search the windows and predictions
+    were cut for.  There are fewer than 2^20 windows: Hedge draws round t
+    from the Philox key seed * 2^20 + t.  The constructor checks all of that
+    once (InvalidInputError otherwise), so nothing downstream checks a window
+    again.
+    """
+
+    prices: np.ndarray
+    starts: np.ndarray
+    horizon: int
+    k: int
+    bounds: PriceBounds
+    predictions: np.ndarray
+    kind: ProblemKind
+
+    def __post_init__(self):
+        prices, horizon, k, bounds = self.prices, self.horizon, self.k, self.bounds
+        if not (isinstance(prices, np.ndarray) and prices.dtype == np.float64
+                and not prices.flags.writeable):
+            prices = np.array(prices, dtype=np.float64)
+            prices.flags.writeable = False
+        starts, predictions = np.asarray(self.starts), np.asarray(self.predictions, dtype=float)
+        if (prices.ndim != 1 or starts.ndim != 1 or not starts.size
+                or starts.dtype.kind not in "iu"
+                or not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1):
+            raise InvalidInputError("need a 1-D price array, a non-empty 1-D array of integer "
+                                    "window starts and a positive integer horizon")
+        if starts.size >= 1 << 20:
+            raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
+        if not isinstance(self.kind, ProblemKind):
+            raise InvalidInputError(f"kind must be a ProblemKind, got {self.kind!r}")
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= horizon:
+            raise InvalidInputError(f"budget k={k!r} must be an integer in [1, T={horizon}]")
+        starts = starts.astype(np.intp, copy=False)
+        steps = np.diff(starts)
+        if steps.size and not (steps[0] > 0 and (steps == steps[0]).all()):
+            raise InvalidInputError("window starts must ascend by one positive stride")
+        if not 0 <= starts[0] <= starts[-1] <= prices.size - horizon:
+            raise InvalidInputError(f"windows of {horizon} prices must lie within {prices.size}")
+        if predictions.shape != starts.shape:
+            raise InvalidInputError(f"{predictions.size} predictions for {starts.size} windows")
+        for what, values in (("window prices", prices[starts[0]:starts[-1] + horizon]),
+                             ("predictions", predictions)):
+            lo, hi = values.min(), values.max()  # NaN if any value is NaN
+            if not (lo >= bounds.p_min and hi <= bounds.p_max):
+                raise InvalidInputError(f"{what} span [{lo}, {hi}], outside bounds "
+                                        f"[{bounds.p_min}, {bounds.p_max}]")
+        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "predictions", predictions)
+
+    def __len__(self) -> int:
+        return self.starts.size
+
+    @property
+    def stride(self) -> int:
+        """How many prices apart the windows start (the horizon for one window)."""
+        starts = self.starts
+        return int(starts[1] - starts[0]) if starts.size > 1 else self.horizon
+
+    def rows(self) -> np.ndarray:
+        """The (W, T) windows as one read-only view of ``prices``."""
+        views = np.lib.stride_tricks.sliding_window_view(self.prices, self.horizon)
+        return views[self.starts[0]:self.starts[-1] + 1:self.stride]
 
 
 @dataclass(frozen=True)
@@ -254,33 +320,34 @@ def run_ota(schedule: ThresholdSchedule, instance: SearchInstance) -> RunTrace:
 
 
 def ota_totals(
-    thresholds: np.ndarray, series, starts, horizon: int, rows: np.ndarray, kind: ProblemKind,
-    hardened=(), tail: float | None = None,
+    thresholds: np.ndarray, stream: WindowStream, rows: np.ndarray, hardened=(),
 ) -> tuple[np.ndarray, np.ndarray]:
     """Total value and voluntary-selection count of many runs at once: run r
-    replays window ``rows[r]`` under the schedule ``thresholds[r]``.
+    replays window ``rows[r]`` of ``stream`` under the schedule
+    ``thresholds[r]``, for the stream's kind.
 
-    ``thresholds`` is (R, k), one schedule per run.  Window b is the
-    ``horizon`` prices ``series[starts[b]:starts[b] + horizon]`` of the 1-D
-    price array ``series``; NaN in the thresholds or in any window is
-    rejected.  The windows are laid end to end in one span of prices, where
-    a window that starts d prices (0 < d < T) after the window before it
-    adds only its last d prices (``_window_steps``), and one sparse table of
-    block maxima (Bender and Farach-Colton's range-maximum structure, LATIN
-    2000) covers the span.  Each run jumps from one selection to the next:
-    slot m's step is the first one at or after the run's position whose
-    price meets threshold m, found by a binary-lifting descent over that
-    table.  Voluntary selections are a prefix, so a run retires from the
-    descent at its first selection at or past step T - k + m, where the
-    compulsory fill has begun; the live runs are compacted once at least
-    half have retired, and the descent stops when none is live.
+    ``thresholds`` is (R, k), one schedule per run, with the stream's k; NaN
+    in them is rejected.  The windows ``min(rows)`` to ``max(rows)`` are laid
+    end to end in one span of prices, where each window after the first adds
+    min(stride, T) prices: the span is one slice of the stream's prices where
+    the windows overlap or touch, and a copy of their rows where they leave
+    gaps.  One sparse table of block maxima (Bender and Farach-Colton's
+    range-maximum structure, LATIN 2000) covers the span.  Each run jumps
+    from one selection to the next: slot m's step is the first one at or
+    after the run's position whose price meets threshold m, found by a
+    binary-lifting descent over that table.  Voluntary selections are a
+    prefix, so a run retires from the descent at its first selection at or
+    past step T - k + m, where the compulsory fill has begun; the live runs
+    are compacted once at least half have retired, and the descent stops
+    when none is live.
 
-    ``hardened`` names windows (indices into ``starts``) whose copy with its
-    last k prices set to ``tail`` is replayed too, by every run on the
-    window.  Such a run keeps the m0 plain selections made before step
-    T - k; if m0 >= 1 it then takes the tail voluntarily while its bars
-    allow, and the compulsory fill takes the rest (all k when m0 = 0).  Its
-    total is derived from the plain run, with no second descent.
+    ``hardened`` names windows of the stream whose copy with its last k
+    prices set to the band's worst price (p_min for max-search, p_max for
+    min-search) is replayed too, by every run on the window.  Such a run
+    keeps the m0 plain selections made before step T - k; if m0 >= 1 it then
+    takes the tail voluntarily while its bars allow, and the compulsory fill
+    takes the rest (all k when m0 = 0).  Its total is derived from the plain
+    run, with no second descent.
 
     The totals are added as the per-run oracle ``ota_total`` in
     ``tests/oracle.py`` adds them (the voluntary picks, then the fill, each
@@ -289,58 +356,48 @@ def ota_totals(
     of the R runs, followed by those of the runs on hardened windows, in
     run order.
     """
-    prices = np.asarray(series, dtype=float)
-    starts = np.asarray(starts)
-    T = int(horizon) if isinstance(horizon, (int, np.integer)) else 0
-    if (prices.ndim != 1 or starts.ndim != 1 or not starts.size
-            or starts.dtype.kind not in "iu" or T < 1):
-        raise InvalidInputError(
-            "need a 1-D series, B >= 1 integer window starts and an integer horizon >= 1")
-    starts = starts.astype(np.intp, copy=False)
-    if not 0 <= starts.min() <= starts.max() <= prices.size - T:
-        raise InvalidInputError(f"windows of {T} prices must lie within the series' {prices.size}")
-    B = starts.size
+    if not isinstance(stream, WindowStream):
+        raise InvalidInputError(f"need a WindowStream, got {type(stream).__name__}")
+    T, k, count = stream.horizon, stream.k, len(stream)
     thr = np.asarray(thresholds, dtype=float)
     rows = np.asarray(rows)
     if rows.size and rows.dtype.kind not in "iu":
         raise InvalidInputError("run rows must be integer window indices")
     rows = rows.astype(np.intp, copy=False)
-    if thr.ndim != 2 or rows.shape != thr.shape[:1]:
+    if thr.ndim != 2 or rows.shape != thr.shape[:1] or thr.shape[1] != k:
         raise InvalidInputError(
-            f"need (R, k) thresholds and R rows, got {thr.shape} and {rows.shape}"
+            f"need (R, {k}) thresholds and R rows, got {thr.shape} and {rows.shape}"
         )
-    runs, k = thr.shape
-    if not 1 <= k <= T:
-        raise InvalidInputError(f"budget {k} must lie in [1, horizon {T}]")
-    if rows.size and not 0 <= rows.min() <= rows.max() < B:
-        raise InvalidInputError(f"run rows must index the {B} windows")
+    if rows.size and not 0 <= rows.min() <= rows.max() < count:
+        raise InvalidInputError(f"run rows must index the {count} windows")
     if np.isnan(thr).any():
         raise InvalidInputError("thresholds must not be NaN")
-    hard = np.zeros(B, dtype=bool)
-    hard[_hardened_windows(hardened, B, tail)] = True
-    sign = 1.0 if kind.is_max else -1.0  # min-search is max-search negated
-    ends = np.cumsum(_window_steps(starts, T))  # where each window ends in the span
-    size = int(ends[-1])
+    hard = np.zeros(count, dtype=bool)
+    hard[_hardened_windows(hardened, count)] = True
+    runs = rows.size
+    if not runs:
+        return np.empty(0), np.zeros(0, dtype=np.intp)
+    sign = 1.0 if stream.kind.is_max else -1.0  # min-search is max-search negated
+    lo, hi = int(rows.min()), int(rows.max()) + 1
+    step = min(stream.stride, T)
+    size = (hi - lo - 1) * step + T
     levels = T.bit_length()  # 2**levels > T: a descent can cross a window
     # table[l, t] is the largest of the signed span's prices t .. t + 2**l - 1
     # that exist, and +inf once that range reaches t = size, so no descent
     # leaves the span
     table = np.empty((levels, size + 1))
     table[0, size] = np.inf
-    # a window that starts 1..T prices after the one before it continues that
-    # one's stretch of the series in the span; each stretch is copied once
-    gap = np.diff(starts)
-    cuts = (np.flatnonzero((gap <= 0) | (gap > T)) + 1).tolist()
-    for lo, hi in zip([0, *cuts], [*cuts, B]):
-        np.multiply(prices[starts[lo]:starts[hi - 1] + T], sign,
-                    out=table[0, ends[lo] - T:ends[hi - 1]])
-    if np.isnan(table[0, :size].max()):  # a NaN is the maximum
-        raise InvalidInputError("prices must not be NaN")
+    if step == stream.stride:  # the windows overlap or touch: one stretch of prices
+        start = stream.starts[lo]
+        np.multiply(stream.prices[start:start + size], sign, out=table[0, :size])
+    else:
+        np.multiply(stream.rows()[lo:hi], sign, out=table[0, :size].reshape(hi - lo, T))
     for level in range(1, levels):
         half, lower = 1 << (level - 1), table[level - 1]
         np.maximum(lower[:-half], lower[half:], out=table[level, :-half])
         table[level, -half:] = lower[-half:]
-    first = (ends - T)[rows]  # where each run's window starts in the span
+    first = rows - lo  # where each run's window starts in the span
+    first *= step
     picked = np.flatnonzero(hard[rows])  # the runs on hardened windows
     totals = np.empty(runs + picked.size)
     voluntary = np.zeros(runs + picked.size, dtype=np.intp)
@@ -348,6 +405,7 @@ def ota_totals(
     span = table[0]
     totals[:runs] = _grouped_totals(sel, voluntary[:runs], span, first, T)
     if picked.size:
+        tail = stream.bounds.p_min if stream.kind.is_max else stream.bounds.p_max
         # the end entry, which no plain run reads, becomes the signed tail
         span[size] = sign * tail
         early = _early_picks(sel, picked, voluntary[picked], T - k)
@@ -357,17 +415,13 @@ def ota_totals(
     return sign * totals, voluntary
 
 
-def _hardened_windows(hardened, windows: int, tail) -> np.ndarray:
-    """The indices of the hardened windows, checked, as is the tail price
-    where there are any."""
+def _hardened_windows(hardened, windows: int) -> np.ndarray:
+    """The indices of the hardened windows, checked."""
     hardened = np.asarray(hardened)
     if hardened.ndim != 1 or (hardened.size and hardened.dtype.kind not in "iu"):
         raise InvalidInputError("hardened windows must be a 1-D sequence of window indices")
-    if hardened.size:
-        if not 0 <= hardened.min() <= hardened.max() < windows:
-            raise InvalidInputError(f"hardened windows must index the {windows} windows")
-        if not (isinstance(tail, (int, float, np.floating)) and math.isfinite(tail)):
-            raise InvalidInputError(f"hardened windows need a finite tail price, got {tail!r}")
+    if hardened.size and not 0 <= hardened.min() <= hardened.max() < windows:
+        raise InvalidInputError(f"hardened windows must index the {windows} windows")
     return hardened.astype(np.intp)
 
 
@@ -448,16 +502,6 @@ def _take_tail(sel, picked, early, thr, first, sign, tail, cell: int) -> None:
         going = going[early[going] < k]
 
 
-def _window_steps(starts: np.ndarray, horizon: int) -> np.ndarray:
-    """How many prices each window adds to a span of the windows laid end to
-    end, from their starts in one series: d where a window starts d prices
-    (0 < d < T) after the window before it, so that it adds only its last d
-    prices, and its whole horizon T otherwise (the first window, and one
-    that starts with or before the one before it, or T or more after it)."""
-    gap = np.diff(starts)
-    return np.concatenate(([horizon], np.where((gap > 0) & (gap < horizon), gap, horizon)))
-
-
 # the kernel's per-run vectors, 8 bytes an entry: the caller's row, window
 # start, position, skip flags (then the step), voluntary count and the live
 # run indices, one temporary and the live mask (1 byte)
@@ -471,19 +515,19 @@ _HARD_RUN_BYTES = 48
 
 def _replay_window_bytes(horizon: int, k: int, runs: int, step=None, hardened=False):
     """The most the replay of one window of a block holds, in bytes, where
-    the window adds ``step`` prices to the block's span (``_window_steps``;
-    its whole horizon by default, and an array of steps gives an array of
-    charges).  ``ota_totals`` holds the sparse table's columns of those
-    prices and an end column, and per run 32 bytes a slot (the caller's
-    thresholds, their signed copy and the selection steps; once the copy is
-    freed, the steps and the gather's indices and prices) and
-    ``_RUN_VECTOR_BYTES``; then ``_offline_optima`` holds a copy of the
-    window, which it partitions in place, and its running sums, next to the
-    runs' totals.  The two come one after the other, so the window is
-    charged the larger.  A ``hardened`` window (a flag, or an array of them)
-    is replayed hardened too, and adds ``_HARD_RUN_BYTES`` a run to either;
-    its optimum is taken of a copy with the worst-price tail once the plain
-    copy is freed."""
+    the window adds ``step`` prices to the block's span (min(stride, T) for
+    a window after the block's first; its whole horizon by default, and an
+    array of steps gives an array of charges).  ``ota_totals`` holds the
+    sparse table's columns of those prices and an end column, and per run
+    32 bytes a slot (the caller's thresholds, their signed copy and the
+    selection steps; once the copy is freed, the steps and the gather's
+    indices and prices) and ``_RUN_VECTOR_BYTES``; then ``_offline_optima``
+    holds a copy of the window, which it partitions in place, and its
+    running sums, next to the runs' totals.  The two come one after the
+    other, so the window is charged the larger.  A ``hardened`` window (a
+    flag, or an array of them) is replayed hardened too, and adds
+    ``_HARD_RUN_BYTES`` a run to either; its optimum is taken of a copy
+    with the worst-price tail once the plain copy is freed."""
     step = horizon if step is None else step
     kernel = 8 * horizon.bit_length() * (step + 1) + runs * (32 * k + _RUN_VECTOR_BYTES)
     return np.maximum(kernel, 8 * (horizon + k + runs)) + hardened * runs * _HARD_RUN_BYTES

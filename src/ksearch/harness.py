@@ -10,8 +10,8 @@ One evaluation compares three selection policies on the same window stream:
                      rounds of ``learner._hedge``, which ``run_learning``
                      also runs, returning weights and regret records
 
-The budget k and the price band come from the window stream
-(``instances.WindowStream``, windows as offsets into one price array); the
+The budget k, the price band and the kind come from the window stream
+(``core.WindowStream``, windows as offsets into one price array); the
 confidence grid is the learner's ``GRID``.  ``evaluate_windows`` takes one
 stream, and the CLI and the sweep replay the streams that
 ``sliding_windows`` cuts straight from the series.
@@ -48,7 +48,7 @@ import numpy as np
 from .core import ProblemKind
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .instances import PriceSeries, WindowStream, adjust_error, scale_theta, sliding_windows
-from .learner import GRID, _check_rounds, _hedge, _stream_ratios, _uniforms
+from .learner import GRID, _hedge, _stream_ratios, _uniforms
 from .worstcase import WorstCaseSolution, worst_case_thresholds
 
 ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
@@ -123,20 +123,17 @@ def summarize(values) -> tuple[float, float, float, float]:
     return statistics.fmean(vals), med, q1, q3
 
 
-def evaluate_windows(
-    stream: WindowStream, kind: ProblemKind, seed: int
-) -> tuple[WindowResult, ...]:
-    """Run the three policies over a window stream.
+def evaluate_windows(stream: WindowStream, seed: int) -> tuple[WindowResult, ...]:
+    """Run the three policies over a window stream, for the stream's kind.
 
-    The worst-case schedule is built for the stream's price band and budget
-    and is one more run per window in the learner's block replay, so every
-    (window, schedule) pair is replayed once and every window's offline
-    optimum is computed once; ``_window_results`` then reads the policies
-    off the ratio matrix.  The round count is checked before any replay.
+    The worst-case schedule is built for the stream's price band, budget
+    and kind, and is one more run per window in the learner's block replay,
+    so every (window, schedule) pair is replayed once and every window's
+    offline optimum is computed once; ``_window_results`` then reads the
+    policies off the ratio matrix.
     """
-    solution = worst_case_thresholds(stream.bounds, stream.k, kind)
-    _check_rounds(len(stream))
-    return _window_results(_stream_ratios(stream, kind, (solution.schedule,)), seed, solution)
+    solution = worst_case_thresholds(stream.bounds, stream.k, stream.kind)
+    return _window_results(_stream_ratios(stream, (solution.schedule,)), seed, solution)
 
 
 def _window_results(
@@ -262,10 +259,10 @@ def _run_group(
     """Evaluate the cells of one (error level, k, theta multiplier) group,
     sorted by rho, from one replay.
 
-    The series is scaled and cut into a stream of windows once, the round
-    count is checked, the windows' prediction error is dialled once, each
-    window's hardening draw is taken once, and the group replays its W
-    plain windows once, with the worst-case schedule as the extra column.
+    The series is scaled and cut into a stream of windows once, the
+    windows' prediction error is dialled once, each window's hardening
+    draw is taken once, and the group replays its W plain windows once,
+    with the worst-case schedule as the extra column.
     The same replay gives the rows of the windows hardened at its largest
     rho, after the W plain rows.  A cell's row for window i is the hardened
     one where the cell's rho is above window i's draw; hardening comes
@@ -277,14 +274,13 @@ def _run_group(
     try:
         head = cells[0]
         scaled = scale_theta(series, head.theta_mult) if head.theta_mult != 1.0 else series
-        plain = sliding_windows(scaled, window_len, stride, head.k, kind)
-        _check_rounds(len(plain))
-        plain = adjust_error(plain, head.error_level, kind)
+        plain = adjust_error(sliding_windows(scaled, window_len, stride, head.k, kind),
+                             head.error_level)
         draws = _hardening_draws(seed, len(plain))
         top = max(cell.rho for cell in cells)
         hard = [idx for idx, draw in enumerate(draws) if draw < top]
         solution = worst_case_thresholds(plain.bounds, plain.k, kind)
-        matrix = _stream_ratios(plain, kind, (solution.schedule,), hard)
+        matrix = _stream_ratios(plain, (solution.schedule,), hard)
         hard_row = dict(zip(hard, range(len(plain), len(plain) + len(hard))))
         for cell in cells:
             rows = [hard_row[idx] if draw < cell.rho else idx for idx, draw in enumerate(draws)]

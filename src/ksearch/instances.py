@@ -9,13 +9,13 @@ Two families of inputs feed the simulation harness:
   windows whose predictions come from the preceding window.
 
 A series holds its prices once, as a read-only array, checked once.  Its
-windows are a ``WindowStream``: offsets into that array (the window starts,
-the horizon, budget, band and one prediction per window), cut by
-``sliding_windows`` and with their prediction error dialled in one pass by
-``adjust_error``.  The stream's constructor checks its windows once, so
-nothing downstream checks a window again.  No window gets an array of its
-own, not even one the harness hardens: its ratios are derived from the
-plain window's replay.
+windows are a ``core.WindowStream``: offsets into that array (the window
+starts, the horizon, budget, band, one prediction per window and the kind
+they were cut for), cut by ``sliding_windows`` and with their prediction
+error dialled in one pass by ``adjust_error``.  The stream's constructor
+checks its windows once, so nothing downstream checks a window again.  No
+window gets an array of its own, not even one the harness hardens: its
+ratios are derived from the plain window's replay.
 
 The synthetic feed is a pure function of (inputs, seed) via a counter-based
 generator, so every experiment is bit-reproducible.
@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PriceBounds, ProblemKind
+from .core import PriceBounds, ProblemKind, WindowStream
 from .errors import DataFormatError, DomainError, InvalidInputError
 
 # canonical windowing parameters: 10-minute sampling, 3-week windows
@@ -271,71 +271,6 @@ def _row_series(path) -> PriceSeries:
     return PriceSeries(prices, tuple(stamps) if t_idx is not None else None)
 
 
-@dataclass(frozen=True, eq=False)
-class WindowStream:
-    """Trading windows as offsets into one price array, with their predictions.
-
-    Window w is the ``horizon`` prices ``prices[starts[w]:starts[w] + horizon]``
-    of the read-only 1-D float64 array ``prices`` (any other is copied once);
-    the starts ascend by one positive stride, so every run of windows is a
-    basic slice of the array's ``sliding_window_view`` (``rows``).  Every
-    window has budget ``k`` in [1, horizon], the prices the windows span lie
-    in ``bounds``, and ``predictions`` holds one predicted extreme per
-    window, in ``bounds`` too.  The constructor checks all of that once
-    (InvalidInputError otherwise), so nothing downstream checks a window
-    again.
-    """
-
-    prices: np.ndarray
-    starts: np.ndarray
-    horizon: int
-    k: int
-    bounds: PriceBounds
-    predictions: np.ndarray
-
-    def __post_init__(self):
-        prices, horizon, k, bounds = self.prices, self.horizon, self.k, self.bounds
-        if not (isinstance(prices, np.ndarray) and prices.dtype == np.float64
-                and not prices.flags.writeable):
-            prices = np.array(prices, dtype=np.float64)
-            prices.flags.writeable = False
-        starts, predictions = np.asarray(self.starts), np.asarray(self.predictions, dtype=float)
-        if (prices.ndim != 1 or starts.ndim != 1 or not starts.size
-                or starts.dtype.kind not in "iu"
-                or not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1):
-            raise InvalidInputError("need a 1-D price array, a non-empty 1-D array of integer "
-                                    "window starts and a positive integer horizon")
-        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= horizon:
-            raise InvalidInputError(f"budget k={k!r} must be an integer in [1, T={horizon}]")
-        starts = starts.astype(np.intp, copy=False)
-        steps = np.diff(starts)
-        if steps.size and not (steps[0] > 0 and (steps == steps[0]).all()):
-            raise InvalidInputError("window starts must ascend by one positive stride")
-        if not 0 <= starts[0] <= starts[-1] <= prices.size - horizon:
-            raise InvalidInputError(f"windows of {horizon} prices must lie within {prices.size}")
-        if predictions.shape != starts.shape:
-            raise InvalidInputError(f"{predictions.size} predictions for {starts.size} windows")
-        for what, values in (("window prices", prices[starts[0]:starts[-1] + horizon]),
-                             ("predictions", predictions)):
-            lo, hi = values.min(), values.max()  # NaN if any value is NaN
-            if not (lo >= bounds.p_min and hi <= bounds.p_max):
-                raise InvalidInputError(f"{what} span [{lo}, {hi}], outside bounds "
-                                        f"[{bounds.p_min}, {bounds.p_max}]")
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "predictions", predictions)
-
-    def __len__(self) -> int:
-        return self.starts.size
-
-    def rows(self) -> np.ndarray:
-        """The (W, T) windows as one read-only view of ``prices``."""
-        starts = self.starts
-        stride = int(starts[1] - starts[0]) if starts.size > 1 else 1
-        views = np.lib.stride_tricks.sliding_window_view(self.prices, self.horizon)
-        return views[starts[0]:starts[-1] + 1:stride]
-
-
 def sliding_windows(
     series: PriceSeries, window_len: int, stride: int, k: int, kind: ProblemKind
 ) -> WindowStream:
@@ -364,22 +299,22 @@ def sliding_windows(
     looks_back = rows[: n - 2 * window_len + 1 : stride]
     predictions = (looks_back.max if kind.is_max else looks_back.min)(axis=1)
     starts = np.arange(window_len, n - window_len + 1, stride)
-    return WindowStream(prices, starts, window_len, k, bounds, predictions)
+    return WindowStream(prices, starts, window_len, k, bounds, predictions, kind)
 
 
-def adjust_error(stream: WindowStream, level: float, kind: ProblemKind) -> WindowStream:
+def adjust_error(stream: WindowStream, level: float) -> WindowStream:
     """The stream with every window's prediction error scaled to ``level``
     in [0, 1], all windows in one pass.
 
-    A window's actual extreme is the kind-extreme of its prices.  With
-    eps = |actual - prediction|, the new prediction sits at
+    A window's actual extreme is the extreme of its prices for the stream's
+    kind.  With eps = |actual - prediction|, the new prediction sits at
     actual + sign(prediction - actual) * level * eps, clipped to the band:
     level 0 is a perfect prediction, level 1 keeps the original.
     """
     if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
         raise DomainError(f"error level must lie in [0, 1], got {level}")
     rows = stream.rows()
-    actual = rows.max(axis=1) if kind.is_max else rows.min(axis=1)
+    actual = rows.max(axis=1) if stream.kind.is_max else rows.min(axis=1)
     moved = actual + level * (stream.predictions - actual)
     predictions = np.minimum(np.maximum(moved, stream.bounds.p_min), stream.bounds.p_max)
     return replace(stream, predictions=predictions)

@@ -8,23 +8,24 @@ fixed grid ``GRID`` of 33 uniform confidence values on [0,1], samples
 proportionally to the weights, and updates with loss = ratio - 1 so a
 perfect round costs nothing.
 
-The learner replays a window stream (``instances.WindowStream``): windows
-as offsets into one price array, with one budget k, one price band and a
-prediction each, all checked when the stream was made.  The counterfactual
+The learner replays a window stream (``core.WindowStream``): windows as
+offsets into one price array, with one budget k, one price band, a
+prediction each and the kind they were cut for, all checked when the
+stream was made (fewer than 2^20 windows among them).  The counterfactual
 ratios do not depend on the learner's state, so the whole (window x
 confidence) ratio matrix is replayed first (``_stream_ratios``), a block
-of windows at a time through the batched kernel ``core.ota_totals`` (one
-descent per run and voluntary selection over one sparse table of price
-maxima, built over the block's windows laid end to end with their overlaps
-shared), and the block's offline optima in one pass.  The sweep's tail-hardened windows
-get their rows from the same blocks: the kernel derives their totals from
-the plain runs, and their optima come from the same optimum pass over
-their copies with the worst-price tail, so each (window, confidence) pair
-is replayed once.  The round count is
-checked before any of that.  A block holds as many windows as keep its
-replay within ``_REPLAY_BLOCK_BYTES``, each charged for the prices it adds
-to the block and for its runs, so overlapping windows pack more per block
-than disjoint ones.  The weights do not depend on the draws either: the Hedge
+of windows at a time through the batched kernel ``core.ota_totals``, which
+takes the stream and the windows its runs replay (one descent per run and
+voluntary selection over one sparse table of price maxima, built over the
+block's windows laid end to end with their overlaps shared), and the
+block's offline optima in one pass.  The sweep's tail-hardened windows get
+their rows from the same blocks: the kernel derives their totals from the
+plain runs, and their optima come from the same optimum pass over their
+copies with the worst-price tail, so each (window, confidence) pair is
+replayed once.  A block holds as many windows as keep its replay within
+``_REPLAY_BLOCK_BYTES``, each charged for the prices it adds to the block
+and for its runs, so overlapping windows pack more per block than
+disjoint ones.  The weights do not depend on the draws either: the Hedge
 recurrence runs over the matrix rows first, holding one plain list of
 weights and keeping each round's, and one pass then draws every round's
 grid point from them (``_draws``), as ``Generator.choice`` draws it from
@@ -38,8 +39,8 @@ block's thresholds gather one (G, k) slab of them per window.  Where the
 batch raises, each (prediction, confidence) is designed in turn, so the
 first failing design raises its own error.
 The Hedge rounds run in ``learner._hedge``, which the harness also calls on
-ratio rows it replayed itself; ``run_learning`` returns the final weights
-and the regret records.  A weight may underflow to 0 on a long or lopsided
+ratio rows it replayed itself; ``run_learning(stream, seed)`` returns the
+final weights and the regret records.  A weight may underflow to 0 on a long or lopsided
 stream; it then stays at 0, and a round in which every weight underflows is
 redone in log space.
 
@@ -55,10 +56,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .augmented import _construct_grid, _snap_prediction, design
-from .core import PriceBounds, ProblemKind, ThresholdSchedule, ota_totals
-from .core import _offline_optima, _replay_window_bytes, _window_steps
+from .core import PriceBounds, ProblemKind, ThresholdSchedule, WindowStream, ota_totals
+from .core import _offline_optima, _replay_window_bytes
 from .errors import InvalidInputError, KSearchError
-from .instances import WindowStream
 
 DEFAULT_GRID_SIZE = 33
 GRID = tuple(i / (DEFAULT_GRID_SIZE - 1) for i in range(DEFAULT_GRID_SIZE))
@@ -105,8 +105,8 @@ def _design_grids(predictions, bounds: PriceBounds, k: int, kind: ProblemKind) -
     return np.reshape(batch, (len(predictions), len(GRID), k))
 
 
-def _stream_ratios(stream: WindowStream, kind: ProblemKind,
-                   extra: tuple[ThresholdSchedule, ...] = (), hardened=()) -> np.ndarray:
+def _stream_ratios(stream: WindowStream, extra: tuple[ThresholdSchedule, ...] = (),
+                   hardened=()) -> np.ndarray:
     """(W + H, G + E) ratios of the stream's W windows, in order, then of
     the H windows ``hardened`` (ascending indices into them) with their last
     k prices set to the band's worst price (p_min for max-search, p_max for
@@ -124,7 +124,7 @@ def _stream_ratios(stream: WindowStream, kind: ProblemKind,
     pass over a copy with the tail set.
     """
     runs = len(GRID) + len(extra)
-    k, horizon = stream.k, stream.horizon
+    k, horizon, kind = stream.k, stream.horizon, stream.kind
     hardened = np.asarray(hardened, dtype=np.intp)
     ratios = np.empty((len(stream) + hardened.size, runs))
     hard_at = len(stream)
@@ -132,7 +132,7 @@ def _stream_ratios(stream: WindowStream, kind: ProblemKind,
     hard = np.zeros(len(stream), dtype=bool)
     hard[hardened] = True
     extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
-    for lo, hi in _blocks(stream.starts, horizon, k, runs, hard):
+    for lo, hi in _blocks(stream, runs, hard):
         predictions = stream.predictions[lo:hi].tolist()
         index = {p: n for n, p in enumerate(dict.fromkeys(predictions))}
         grids = _design_grids(list(index), stream.bounds, k, kind)
@@ -140,8 +140,8 @@ def _stream_ratios(stream: WindowStream, kind: ProblemKind,
         thresholds = np.concatenate([grids, extras], axis=1)[[index[p] for p in predictions]]
         del grids
         picks = np.flatnonzero(hard[lo:hi])
-        totals = ota_totals(thresholds.reshape(-1, k), stream.prices, stream.starts[lo:hi],
-                            horizon, np.repeat(np.arange(hi - lo), runs), kind, picks, tail)[0]
+        totals = ota_totals(thresholds.reshape(-1, k), stream,
+                            np.repeat(np.arange(lo, hi), runs), picks + lo)[0]
         del thresholds
         windows = stream.rows()[lo:hi]
         plain = (hi - lo) * runs
@@ -162,20 +162,20 @@ def _ratios(totals, optima, kind: ProblemKind, out) -> None:
     np.divide(*((optima, totals) if kind.is_max else (totals, optima)), out=out)
 
 
-def _blocks(starts: np.ndarray, horizon: int, k: int, runs: int, hardened=None):
+def _blocks(stream: WindowStream, runs: int, hardened: np.ndarray):
     """(lo, hi) of each block of a stream's windows: consecutive windows, as
     many as keep the sum of their ``_replay_window_bytes`` within
     ``_REPLAY_BLOCK_BYTES`` (at least one).  A window is charged for the
-    prices it adds to the block's span (``core._window_steps``), the first
-    of a block for its whole horizon, so overlapping windows pack more per
-    block than disjoint ones; a window marked in the ``hardened`` mask is
-    charged for its hardened runs too."""
-    hardened = np.zeros(starts.size, dtype=bool) if hardened is None else hardened
-    held = np.cumsum(_replay_window_bytes(horizon, k, runs, _window_steps(starts, horizon),
+    min(stride, T) prices it adds to the block's span, the first of a block
+    for its whole horizon, so overlapping windows pack more per block than
+    disjoint ones; a window marked in the ``hardened`` mask is charged for
+    its hardened runs too."""
+    horizon, k = stream.horizon, stream.k
+    held = np.cumsum(_replay_window_bytes(horizon, k, runs, min(stream.stride, horizon),
                                           hardened))
     first = _replay_window_bytes(horizon, k, runs, horizon, hardened)
     lo = 0
-    while lo < starts.size:
+    while lo < len(stream):
         # the block [lo, hi) holds first[lo] + held[hi - 1] - held[lo] bytes
         hi = int(np.searchsorted(held, _REPLAY_BLOCK_BYTES - first[lo] + held[lo], side="right"))
         hi = max(hi, lo + 1)
@@ -281,24 +281,16 @@ def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_learning(
-    stream: WindowStream, kind: ProblemKind, seed: int
+    stream: WindowStream, seed: int
 ) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:
-    """Run Hedge over a window stream and report per-round regret.
+    """Run Hedge over a window stream, for the stream's kind, and report
+    per-round regret.
 
     Returns the final weights (aligned with ``GRID``) and the records.  The
     ratios do not depend on the weights, so the whole (W, G) ratio matrix is
-    replayed first and ``_hedge`` then runs the rounds over it; the round
-    count is checked before any design or replay.
+    replayed first and ``_hedge`` then runs the rounds over it.
     """
-    _check_rounds(len(stream))
-    return _hedge(_stream_ratios(stream, kind), seed)
-
-
-def _check_rounds(rounds: int) -> None:
-    """Hedge draws round t from the Philox key seed * 2^20 + t, so a stream
-    has fewer than 2^20 rounds."""
-    if rounds >= 1 << 20:
-        raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
+    return _hedge(_stream_ratios(stream), seed)
 
 
 def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:

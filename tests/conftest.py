@@ -137,19 +137,19 @@ def band_cases(max_spots=60):
     )
 
 
-def stream_of(windows, k, bounds):
+def stream_of(windows, k, bounds, kind):
     """Hand-made ``(prices, prediction)`` windows of one horizon as one
-    stream, laid end to end in a price array of their own."""
+    stream of the kind, laid end to end in a price array of their own."""
     windows = list(windows)
     horizon = len(windows[0][0]) if windows else 1
     assert all(len(prices) == horizon for prices, _ in windows)
     prices = np.concatenate([np.empty(0), *(prices for prices, _ in windows)])
     return WindowStream(prices, np.arange(len(windows)) * horizon, horizon, k, bounds,
-                        [prediction for _, prediction in windows])
+                        [prediction for _, prediction in windows], kind)
 
 
-def replay_ratios(stream, kind, extra=()):
+def replay_ratios(stream, extra=()):
     """The learner's (W, G + E) ratio matrix of a stream: each window under
     every grid design, then each extra schedule, replayed as
     ``run_learning`` and ``evaluate_windows`` replay them."""
-    return learner_mod._stream_ratios(stream, kind, extra)
+    return learner_mod._stream_ratios(stream, extra)

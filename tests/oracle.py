@@ -322,19 +322,19 @@ def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, i
     return total, voluntary
 
 
-def harden_reference(stream: WindowStream, kind: ProblemKind, rho: float, seed: int):
+def harden_reference(stream: WindowStream, rho: float, seed: int):
     """The stream's windows laid end to end as a stream of their own, with
     window i hardened where the uniform draw of the Philox stream keyed by
     seed * 2^20 + i + 2^63 falls below rho: its last k prices become p_min
     for max-search and p_max for min-search, and it keeps its prediction."""
     rows = stream.rows().copy()
-    tail = stream.bounds.p_min if kind.is_max else stream.bounds.p_max
+    tail = stream.bounds.p_min if stream.kind.is_max else stream.bounds.p_max
     for i, row in enumerate(rows):
         draw = np.random.Generator(np.random.Philox(seed * 2**20 + i + 2**63)).random()
         if draw < rho:
             row[-stream.k:] = tail
     return WindowStream(rows.ravel(), np.arange(len(rows)) * stream.horizon, stream.horizon,
-                        stream.k, stream.bounds, stream.predictions)
+                        stream.k, stream.bounds, stream.predictions, stream.kind)
 
 
 def adjust_error_reference(prices, prediction: float, level: float, kind: ProblemKind,

@@ -230,12 +230,12 @@ def test_criterion_11_learner_convergence_under_120s():
     windows = [accurate if d < 0.75 else overstated for d in draws]
 
     # the stream makes exactly one grid confidence strictly best
-    per_round = [replay_ratios(stream_of((w,), k, BAND), MAX)[0] for w in (accurate, overstated)]
+    per_round = [replay_ratios(stream_of((w,), k, BAND, MAX))[0] for w in (accurate, overstated)]
     totals = sum(per_round[w is overstated] for w in windows)
     best = int(np.argmin(totals))
     assert all(totals[best] < t for i, t in enumerate(totals) if i != best)
 
-    _, history = run_learning(stream_of(windows, k, BAND), MAX, seed=11)
+    _, history = run_learning(stream_of(windows, k, BAND, MAX), seed=11)
     chosen = np.array([rec.chosen_ratio for rec in history])
     best_fixed = np.array([rec.best_fixed_ratio for rec in history])
     assert chosen[500:].mean() - best_fixed[500:].mean() <= 0.05

@@ -22,6 +22,7 @@ from ksearch import (
     ProblemKind,
     SearchInstance,
     ThresholdSchedule,
+    WindowStream,
     offline_opt,
     ota_totals,
     run_ota,
@@ -29,10 +30,16 @@ from ksearch import (
 from ksearch.core import (
     _offline_optima,
     _replay_window_bytes,
-    _window_steps,
 )
 
 B = PriceBounds(5.0, 50.0)
+
+
+def stream_over(series, starts, horizon, k, kind=ProblemKind.MAX, bounds=B):
+    """The stream of ``series``' windows at ``starts``, each predicted at
+    p_min (the replay reads no prediction)."""
+    return WindowStream(series, starts, horizon, k, bounds, np.full(len(starts), bounds.p_min),
+                        kind)
 
 
 def make_max(values, prices, k=None, bounds=B):
@@ -158,20 +165,22 @@ def replay_blocks(draw, max_k=6, max_horizon=30):
     return kind, bounds, thresholds, prices, rows
 
 
-def laid_end_to_end(thresholds, windows, rows, kind):
+def laid_end_to_end(thresholds, windows, rows, kind, bounds=B):
     """``ota_totals`` over (B, T) windows copied end to end into one series,
-    window b starting at b * T."""
+    as a stream of stride T: window b starts at b * T."""
     windows = np.asarray(windows, dtype=float)
     count, horizon = windows.shape
-    return ota_totals(thresholds, windows.reshape(-1), np.arange(count) * horizon, horizon,
-                      rows, kind)
+    thresholds = np.asarray(thresholds, dtype=float)
+    stream = stream_over(windows.reshape(-1), np.arange(count) * horizon, horizon,
+                         thresholds.shape[1], kind, bounds)
+    return ota_totals(thresholds, stream, rows)
 
 
 @given(replay_blocks())
 @settings(max_examples=200)
 def test_batched_replay_equals_ota_total(case):
     kind, bounds, thresholds, prices, rows = case
-    totals, voluntary = laid_end_to_end(np.array(thresholds), prices, rows, kind)
+    totals, voluntary = laid_end_to_end(np.array(thresholds), prices, rows, kind, bounds)
     for r, row in enumerate(rows):
         schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
         total, vol = ota_total(schedule, np.asarray(prices[row]))
@@ -179,7 +188,7 @@ def test_batched_replay_equals_ota_total(case):
         assert voluntary[r] == vol
 
 
-MOVES = ("overlap", "gap", "repeat", "back")
+MOVES = ("overlap", "touch", "gap")
 
 
 @st.composite
@@ -187,13 +196,12 @@ def start_blocks(draw, max_k=6, max_horizon=40):
     """(kind, bounds, (R, k) thresholds, series, B starts, T, R rows,
     hardened) of one block of windows cut from one series.
 
-    Each window starts where the one before it does, moved by one of
-    ``MOVES``: 1 to T - 1 prices on (the windows overlap), T to 2T on (they
-    share nothing), not at all (the window repeats), or 1 to 2T back.
-    ``hardened`` names some windows, replayed too with their last k prices
-    set to the tail, the kind's worst price; now and then a schedule's first
-    thresholds are that price, so a run can take the tail voluntarily, and
-    horizons below 2k are as common as longer ones.
+    The windows start one stride apart, drawn by one of ``MOVES``: 1 to
+    T - 1 prices (the windows overlap), T (they touch) or T + 1 to 2T (they
+    leave gaps).  ``hardened`` names some windows, replayed too with their
+    last k prices set to the tail, the kind's worst price; now and then a
+    schedule's first thresholds are that price, so a run can take the tail
+    voluntarily, and horizons below 2k are as common as longer ones.
     """
     kind = draw(kinds)
     bounds = draw(price_bounds())
@@ -201,15 +209,13 @@ def start_blocks(draw, max_k=6, max_horizon=40):
     horizon = draw(st.one_of(st.integers(min_value=k, max_value=2 * k),
                              st.integers(min_value=k, max_value=max_horizon)))
     count = draw(st.integers(min_value=1, max_value=6))
-    starts = [0]
-    for move in draw(st.lists(st.sampled_from(MOVES), min_size=count - 1, max_size=count - 1)):
-        step = {"overlap": (1, max(1, horizon - 1)), "gap": (horizon, 2 * horizon),
-                "repeat": (0, 0), "back": (-2 * horizon, -1)}[move]
-        starts.append(max(0, starts[-1] + draw(st.integers(*step))))
+    stride = {"overlap": (1, max(1, horizon - 1)), "touch": (horizon, horizon),
+              "gap": (horizon + 1, 2 * horizon)}[draw(st.sampled_from(MOVES))]
+    starts = np.arange(count) * draw(st.integers(*stride))
     in_range = st.floats(min_value=bounds.p_min, max_value=bounds.p_max)
     levels = draw(st.lists(in_range, min_size=1, max_size=4))
     value = st.one_of(st.sampled_from(levels), in_range)
-    size = max(starts) + horizon + draw(st.integers(min_value=0, max_value=3))
+    size = int(starts[-1]) + horizon + draw(st.integers(min_value=0, max_value=3))
     series = np.array(draw(st.lists(value, min_size=size, max_size=size)))
     series.flags.writeable = False
     hardened = draw(st.lists(st.integers(min_value=0, max_value=count - 1), unique=True))
@@ -237,17 +243,12 @@ def hardened_window(series, start, horizon, k, bounds, kind):
 @settings(max_examples=300)
 def test_span_replay_equals_ota_total(case):
     kind, bounds, thresholds, series, starts, horizon, rows, hardened = case
-    gaps = np.diff(starts).tolist()
-    # only a window that starts 1..T-1 prices after the one before adds less than T
-    assert _window_steps(np.array(starts), horizon).tolist() == [horizon] + [
-        gap if 0 < gap < horizon else horizon for gap in gaps]
-    tail = bounds.p_min if kind.is_max else bounds.p_max
-    totals, voluntary = ota_totals(np.array(thresholds), series, starts, horizon, rows, kind,
-                                   hardened, tail)
+    k = len(thresholds[0])
+    stream = stream_over(series, starts, horizon, k, kind, bounds)
+    totals, voluntary = ota_totals(np.array(thresholds), stream, rows, hardened)
     # the runs on hardened windows follow the R runs, in run order
     picked = [r for r, row in enumerate(rows) if row in hardened]
     assert totals.shape == voluntary.shape == (len(rows) + len(picked),)
-    k = len(thresholds[0])
     for r, row in enumerate(rows):
         schedule = ThresholdSchedule(kind, tuple(thresholds[r]), bounds)
         window = series[starts[row]:starts[row] + horizon]
@@ -278,8 +279,8 @@ class TestHardenedReplay:
         thresholds = np.array([schedules[n] for _, n in pairs])
         series = np.array(windows).reshape(-1)
         starts = np.arange(len(windows)) * horizon
-        totals, voluntary = ota_totals(thresholds, series, starts, horizon, rows, kind,
-                                       range(len(windows)), tail)
+        totals, voluntary = ota_totals(thresholds, stream_over(series, starts, horizon, k, kind),
+                                       rows, range(len(windows)))
         paths = set()
         for r, (w, n) in enumerate(pairs):
             schedule = ThresholdSchedule(kind, schedules[n], B)
@@ -299,42 +300,26 @@ class TestHardenedReplay:
         # the first T - k prices all miss the bar, so the compulsory rule
         # takes every tail step, as it takes the plain window's last prices
         tail, miss = (5.0, 10.0) if kind.is_max else (50.0, 45.0)
-        totals, voluntary = ota_totals([(30.0, 30.0)], [miss] * 6, [0], 6, [0], kind, [0], tail)
+        totals, voluntary = ota_totals([(30.0, 30.0)], stream_over([miss] * 6, [0], 6, 2, kind),
+                                       [0], [0])
         assert totals.tolist() == [2 * miss, 2 * tail] and voluntary.tolist() == [0, 0]
 
-    @pytest.mark.parametrize("hardened,tail", [
-        ([2], 5.0),  # no window 2
-        ([-1], 5.0),  # before the first window
-        ([0.5], 5.0),  # not an index
-        ([[0]], 5.0),  # not 1-D
-        ([0], None),  # no tail price
-        ([0], math.nan),
-        ([0], math.inf),
+    @pytest.mark.parametrize("hardened", [
+        [2],  # no window 2
+        [-1],  # before the first window
+        [0.5],  # not an index
+        [[0]],  # not 1-D
     ])
-    def test_rejects_bad_hardened_windows(self, hardened, tail):
+    def test_rejects_bad_hardened_windows(self, hardened):
         with pytest.raises(InvalidInputError):
-            ota_totals(np.full((2, 2), 20.0), np.full(8, 20.0), [0, 4], 4, [0, 1],
-                       ProblemKind.MAX, hardened, tail)
+            ota_totals(np.full((2, 2), 20.0), TWO_WINDOWS, [0, 1], hardened)
 
-    def test_no_hardened_window_needs_no_tail(self):
-        plain = ota_totals(np.full((2, 2), 20.0), np.full(8, 20.0), [0, 4], 4, [0, 1],
-                           ProblemKind.MAX)
-        none = ota_totals(np.full((2, 2), 20.0), np.full(8, 20.0), [0, 4], 4, [0, 1],
-                          ProblemKind.MAX, [], None)
-        assert [part.tolist() for part in none] == [part.tolist() for part in plain]
+
+# two windows of 4 prices, 4 apart, budget 2
+TWO_WINDOWS = stream_over(np.full(8, 20.0), [0, 4], 4, 2)
 
 
 class TestSpanReplay:
-    @pytest.mark.parametrize("at", [0, 3, 7, 8, 9, 15, 23])
-    @pytest.mark.parametrize("starts", [[0, 4, 8, 12, 16], [16, 12, 8, 4, 0], [0, 4, 4, 16, 8]])
-    def test_rejects_nan_in_any_sample(self, at, starts):
-        # windows of 10 starting 4 apart, in order, reversed or mixed: every
-        # sample sits in one window or more
-        series = np.full(26, 20.0)
-        series[at] = math.nan
-        with pytest.raises(InvalidInputError, match="NaN"):
-            ota_totals(np.full((5, 2), 30.0), series, starts, 10, range(5), ProblemKind.MAX)
-
     @pytest.mark.parametrize("k", [1, 5, 100])
     @pytest.mark.parametrize("stride", [1, 48, 288, None])  # None: gaps of T between windows
     @pytest.mark.parametrize("hardened", [0, 1, 3], ids=["plain", "all-hardened", "third-hardened"])
@@ -360,20 +345,22 @@ class TestSpanReplay:
         ``hardened``, every such window from the first is hardened too."""
         rng = np.random.default_rng(k)
         series = rng.uniform(5.0, 50.0, (count - 1) * stride + horizon)
-        starts = np.arange(count) * stride
-        windows = np.lib.stride_tricks.sliding_window_view(series, horizon)[::stride]
+        stream = stream_over(series, np.arange(count) * stride, horizon, k)
+        windows = stream.rows()
         thresholds = np.sort(rng.uniform(5.0, 50.0, (count * runs, k)), axis=1)
         rows = np.repeat(np.arange(count), runs)
         hard = np.zeros(count, dtype=bool)
         if hardened:
             hard[::hardened] = True
         picks = np.flatnonzero(hard)
-        charge = _replay_window_bytes(horizon, k, runs, _window_steps(starts, horizon),
-                                      hard).sum()
+        # the first window adds its whole horizon to the span, each other one
+        # min(stride, T) prices
+        steps = np.full(count, min(stride, horizon))
+        steps[0] = horizon
+        charge = _replay_window_bytes(horizon, k, runs, steps, hard).sum()
 
         def replay():
-            totals = ota_totals(thresholds, series, starts, horizon, rows, ProblemKind.MAX,
-                                picks, 5.0)[0]
+            totals = ota_totals(thresholds, stream, rows, picks)[0]
             optima = _offline_optima(windows.copy(), k, ProblemKind.MAX)
             if picks.size:
                 worst = windows[picks]
@@ -450,48 +437,41 @@ class TestBatchedReplay:
         thresholds = [(20.0, 30.0), (10.0, 40.0)]
         prices = [(5.0, 25.0, 35.0, 5.0), (45.0, 5.0, 5.0, 50.0)]
         series = [price for window in prices for price in window]
-        totals, voluntary = ota_totals(thresholds, series, [0, 4], 4, [1, 0], ProblemKind.MAX)
+        totals, voluntary = ota_totals(thresholds, stream_over(series, [0, 4], 4, 2), [1, 0])
         expected = [ota_total(ThresholdSchedule(ProblemKind.MAX, t, B), np.asarray(prices[r]))
                     for t, r in zip(thresholds, (1, 0))]
         assert list(zip(totals.tolist(), voluntary.tolist())) == expected
 
-    @pytest.mark.parametrize("thresholds,series,starts,horizon,rows", [
-        (np.full((2, 3), 20.0), np.full(2, 20.0), [0], 2, [0, 0]),  # k > T
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 4, [0]),  # one row for two runs
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 4, [0, 1]),  # no window 1
-        (np.full((2, 2), 20.0), np.full((1, 4), 20.0), [0], 4, [0, 0]),  # series not 1-D
-        (np.full((2, 0), 20.0), np.full(4, 20.0), [0], 4, [0, 0]),  # k = 0
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [], 4, []),  # no windows
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 0, [0, 0]),  # T = 0
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [1], 4, [0, 0]),  # past the series end
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [-1], 2, [0, 0]),  # before its start
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [0], 4.0, [0, 0]),  # a float horizon
-        (np.full((2, 2), 20.0), np.full(4, 20.0), [0.5], 2, [0, 0]),  # a float start
-        (np.full((2, 2), 20.0), np.full(4, 20.0), np.array([], dtype=int), 4, []),  # no starts
+    @pytest.mark.parametrize("thresholds,stream,rows,hardened", [
+        (np.full((2, 3), 20.0), stream_over(np.full(2, 20.0), [0], 2, 2), [0, 0], []),  # k > T
+        (np.full((2, 2), 20.0), TWO_WINDOWS, [0], []),  # one row for two runs
+        (np.full((2, 2), 20.0), TWO_WINDOWS, [0, 2], []),  # no window 2
+        (np.full((2, 0), 20.0), TWO_WINDOWS, [0, 0], []),  # k = 0
+        (np.full((2, 1), 20.0), TWO_WINDOWS, [0, 0], []),  # k is not the stream's
+        (np.full((2, 2), 20.0), np.full(8, 20.0), [0, 0], []),  # a plain array
+        (np.full((2, 2), 20.0), TWO_WINDOWS, [0, 0], [2]),  # hardened past the stream
     ])
-    def test_rejects_inconsistent_shapes(self, thresholds, series, starts, horizon, rows):
+    def test_rejects_inconsistent_shapes(self, thresholds, stream, rows, hardened):
         with pytest.raises(InvalidInputError):
-            ota_totals(thresholds, series, starts, horizon, rows, ProblemKind.MAX)
+            ota_totals(thresholds, stream, rows, hardened)
 
     @pytest.mark.parametrize("rows", [[0.9], [1.7], [True], np.array([0.0])])
     def test_rejects_rows_that_are_not_integers(self, rows):
         # a cast would replay window 0 for 0.9 and window 1 for 1.7 or True
         with pytest.raises(InvalidInputError, match="integer window indices"):
-            ota_totals(np.full((1, 2), 20.0), np.full(8, 20.0), [0, 4], 4, rows, ProblemKind.MAX)
+            ota_totals(np.full((1, 2), 20.0), TWO_WINDOWS, rows)
 
     @pytest.mark.parametrize("rows", [[], np.array([], dtype=float), np.array([], dtype=bool)])
     def test_accepts_empty_rows(self, rows):
-        totals, voluntary = ota_totals(np.empty((0, 2)), np.full(8, 20.0), [0, 4], 4, rows,
-                                       ProblemKind.MAX)
+        totals, voluntary = ota_totals(np.empty((0, 2)), TWO_WINDOWS, rows)
         assert totals.shape == voluntary.shape == (0,)
 
     @pytest.mark.parametrize("thresholds,prices", [
         ([(math.nan, 30.0)], [10.0, 20.0, 30.0, 40.0, 10.0, 10.0, 10.0, 10.0]),
-        ([(20.0, 30.0)], [10.0, 20.0, math.nan, 40.0, 10.0, 10.0, 10.0, 10.0]),
     ])
     def test_rejects_nan(self, thresholds, prices):
         with pytest.raises(InvalidInputError):
-            ota_totals(thresholds, prices, [0], len(prices), [0], ProblemKind.MAX)
+            ota_totals(thresholds, stream_over(prices, [0], len(prices), 2), [0])
 
 
 class TestOfflineOpt:

@@ -60,10 +60,10 @@ class TestSummarize:
             summarize([])
 
 
-def _summaries(cell, windows, kind, seed):
+def _summaries(cell, windows, seed):
     """The cell's summary rows, one per algorithm in run_sweep's order, from
     evaluate_windows on the given windows."""
-    results = evaluate_windows(windows, kind, seed)
+    results = evaluate_windows(windows, seed)
     return tuple(CellSummary(cell, algorithm, len(results),
                              *summarize(r.ratio(algorithm) for r in results))
                  for algorithm in sorted(ALGORITHMS))
@@ -72,7 +72,7 @@ def _summaries(cell, windows, kind, seed):
 def _dialled_windows(series, cell, kind):
     """The cell's windows with their prediction error dialled, before any
     hardening."""
-    return adjust_error(sliding_windows(series, 200, 200, cell.k, kind), cell.error_level, kind)
+    return adjust_error(sliding_windows(series, 200, 200, cell.k, kind), cell.error_level)
 
 
 class TestHardening:
@@ -85,12 +85,12 @@ class TestHardening:
         # one window of six prices after its look-back, in the band [5, 50]
         series = PriceSeries((5.0, 50.0, 20.0, 20.0, 20.0, 20.0, 7.0, 30.0, 12.0, 45.0, 9.0, 20.0))
         stream = sliding_windows(series, 6, 6, 2, kind)
-        out = harden_reference(stream, kind, 1.0, 9)
+        out = harden_reference(stream, 1.0, 9)
         assert out.rows().tolist() == [[7.0, 30.0, 12.0, 45.0, tail, tail]]
         assert (out.k, out.bounds) == (2, PriceBounds(5.0, 50.0))
         assert out.predictions.tolist() == stream.predictions.tolist()
-        ratios = _stream_ratios(stream, kind, (), [0])
-        assert ratios[1].tolist() == replay_ratios(out, kind)[0].tolist()
+        ratios = _stream_ratios(stream, (), [0])
+        assert ratios[1].tolist() == replay_ratios(out)[0].tolist()
 
     def test_hardened_sets_nest_across_rho(self):
         windows = _windows(n_samples=10_400)  # 51 windows
@@ -98,7 +98,7 @@ class TestHardening:
         hit_sets = []
         for rho in (0.0, 0.1, 0.2, 0.3, 1.0):
             hits = {i for i, draw in enumerate(draws) if draw < rho}
-            reference = harden_reference(windows, ProblemKind.MAX, rho, seed=9)
+            reference = harden_reference(windows, rho, seed=9)
             assert hits == {i for i, (a, b) in enumerate(zip(reference.rows(), windows.rows()))
                             if (a != b).any()}
             hit_sets.append(hits)
@@ -112,7 +112,7 @@ class TestHardening:
         cell = SweepCell(0.0, 0.5, 10, 1.0)
         windows = _dialled_windows(series, cell, ProblemKind.MAX)
         assert (run_sweep(series, (cell,), ProblemKind.MAX, 9, 200, 200)
-                == _summaries(cell, windows, ProblemKind.MAX, 9))
+                == _summaries(cell, windows, 9))
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
     def test_rho_one_hardens_every_tail(self, kind):
@@ -121,9 +121,9 @@ class TestHardening:
         series = gen_synthetic_series(num_samples=2200, seed=3)
         cell = SweepCell(1.0, 0.5, 10, 1.0)
         windows = _dialled_windows(series, cell, kind)
-        hard = harden_reference(windows, kind, 1.0, 9)
-        expected = _summaries(cell, hard, kind, 9)
-        assert expected != _summaries(cell, windows, kind, 9)
+        hard = harden_reference(windows, 1.0, 9)
+        expected = _summaries(cell, hard, 9)
+        assert expected != _summaries(cell, windows, 9)
         assert run_sweep(series, (cell,), kind, 9, 200, 200) == expected
 
     def test_rho_out_of_range(self):
@@ -159,7 +159,7 @@ class TestEvaluateWindows:
         windows = _windows()
         bounds = windows.bounds
         cr = solve_cr(bounds, 10, ProblemKind.MAX)
-        results = evaluate_windows(windows, ProblemKind.MAX, seed=5)
+        results = evaluate_windows(windows, seed=5)
         assert len(results) == len(windows)
         for res in results:
             # the worst-case schedule honors its guarantee on every window
@@ -173,7 +173,7 @@ class TestEvaluateWindows:
 
     def test_accessors_cover_all_algorithms(self):
         windows = _windows()
-        res = evaluate_windows(windows, ProblemKind.MAX, seed=5)[0]
+        res = evaluate_windows(windows, seed=5)[0]
         assert res.ratio("ota-on") == res.on_ratio
         assert res.ratio("ota-hindsight") == res.hindsight_ratio
         assert res.ratio("ota-learned") == res.learned_ratio
@@ -182,13 +182,13 @@ class TestEvaluateWindows:
 
     def test_deterministic(self):
         windows = _windows()
-        a = evaluate_windows(windows, ProblemKind.MAX, seed=5)
-        b = evaluate_windows(windows, ProblemKind.MAX, seed=5)
+        a = evaluate_windows(windows, seed=5)
+        b = evaluate_windows(windows, seed=5)
         assert a == b
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
-            evaluate_windows(stream_of((), 10, PriceBounds(5.0, 50.0)), ProblemKind.MAX, seed=5)
+            evaluate_windows(stream_of((), 10, PriceBounds(5.0, 50.0), ProblemKind.MAX), seed=5)
 
 
 class TestCellsAndSweep:
@@ -255,9 +255,9 @@ def _per_cell_sweep(series, cells, kind, seed, window_len, stride):
     for cell in cells:
         scaled = scale_theta(series, cell.theta_mult) if cell.theta_mult != 1.0 else series
         windows = sliding_windows(scaled, window_len, stride, cell.k, kind)
-        windows = adjust_error(windows, cell.error_level, kind)
-        windows = harden_reference(windows, kind, cell.rho, seed)
-        out.extend(_summaries(cell, windows, kind, seed))
+        windows = adjust_error(windows, cell.error_level)
+        windows = harden_reference(windows, cell.rho, seed)
+        out.extend(_summaries(cell, windows, seed))
     return tuple(sorted(out, key=lambda s: (s.cell.key(), s.algorithm)))
 
 
@@ -332,11 +332,11 @@ class TestGroupedSweep:
         # comes last in key order
         real = harness_mod.adjust_error
 
-        def failing(stream, level, kind):
+        def failing(stream, level):
             error = errors.get((stream.k, level))
             if error is not None:
                 raise error(f"k={stream.k} level={level}")
-            return real(stream, level, kind)
+            return real(stream, level)
 
         monkeypatch.setattr(harness_mod, "adjust_error", failing)
         series = gen_synthetic_series(num_samples=2200, seed=3)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ksearch
 from ksearch import (
     DataFormatError,
     DomainError,
@@ -484,28 +485,18 @@ class TestWindowViews:
         # neither copies nor writes the series
         series, stream = self._cut()
         before = series.array.tobytes()
-        ratios = _stream_ratios(stream, ProblemKind.MAX, (), [0, 2])
-        hard = harden_reference(stream, ProblemKind.MAX, 1.0, seed=0)
+        ratios = _stream_ratios(stream, (), [0, 2])
+        hard = harden_reference(stream, 1.0, seed=0)
         picked = dataclasses.replace(hard, starts=hard.starts[0:3:2],
                                      predictions=hard.predictions[0:3:2])
-        assert ratios[len(stream):].tolist() == replay_ratios(picked, ProblemKind.MAX).tolist()
+        assert ratios[len(stream):].tolist() == replay_ratios(picked).tolist()
         assert series.array.tobytes() == before
 
-    def test_equal_content_is_equal(self):
-        _, wins = self._cut()
-        inst, second = (SearchInstance(prices, wins.k, wins.bounds) for prices in wins.rows()[:2])
-        copy = SearchInstance(inst.prices.tolist(), inst.k, inst.bounds)
-        assert copy == inst and hash(copy) == hash(inst)
-        assert SearchInstance(inst.prices, 2, inst.bounds) != inst
-        assert second != inst
-
     def test_pickle_keeps_equality(self):
-        series, wins = self._cut()
-        inst = SearchInstance(wins.rows()[0], wins.k, wins.bounds)
-        again = pickle.loads(pickle.dumps((series, inst)))
-        assert again == (series, inst)
-        assert not again[0].array.flags.writeable
-        assert not again[1].prices.flags.writeable
+        series, _ = self._cut()
+        again = pickle.loads(pickle.dumps(series))
+        assert again == series
+        assert not again.array.flags.writeable
 
 
 class TestWindowStream:
@@ -534,14 +525,22 @@ class TestWindowStream:
         stream = sliding_windows(series, 100, 40, 3, kind)
         expected = [adjust_error_reference(prices, prediction, level, kind, stream.bounds)
                     for prices, prediction in zip(stream.rows(), stream.predictions.tolist())]
-        assert adjust_error(stream, level, kind).predictions.tolist() == expected
+        assert adjust_error(stream, level).predictions.tolist() == expected
+
+    def test_each_stream_is_dialled_for_its_own_kind(self):
+        # a perfect prediction is the window's own extreme of the stream's kind
+        series = gen_synthetic_series(num_samples=900, seed=9)
+        for kind, pick in ((ProblemKind.MAX, np.max), (ProblemKind.MIN, np.min)):
+            stream = adjust_error(sliding_windows(series, 100, 40, 3, kind), 0.0)
+            assert stream.kind is kind
+            assert stream.predictions.tolist() == pick(stream.rows(), axis=1).tolist()
 
     @pytest.mark.parametrize("level", [-0.01, 1.01, math.nan, "0.5", None])
     def test_dial_rejects_levels_outside_the_unit_interval(self, level):
         series = gen_synthetic_series(num_samples=300, seed=9)
         stream = sliding_windows(series, 100, 40, 3, ProblemKind.MAX)
         with pytest.raises(DomainError, match="error level must lie in"):
-            adjust_error(stream, level, ProblemKind.MAX)
+            adjust_error(stream, level)
 
     @pytest.mark.parametrize("k", [0, 5, 2.0, True])
     def test_budget_is_checked_once_as_an_instance_checks_it(self, k):
@@ -554,7 +553,7 @@ class TestWindowStream:
 
     # two windows of 4 of a 12-price array, 4 apart, budget 2, band [5, 100]
     VALID = dict(prices=np.linspace(10.0, 80.0, 12), starts=[0, 4], horizon=4, k=2,
-                 bounds=PriceBounds(5.0, 100.0), predictions=[20.0, 30.0])
+                 bounds=PriceBounds(5.0, 100.0), predictions=[20.0, 30.0], kind=ProblemKind.MAX)
 
     @pytest.mark.parametrize("changed", [
         {"starts": [0, 2, 5], "predictions": [20.0, 30.0, 40.0]},  # uneven
@@ -574,6 +573,7 @@ class TestWindowStream:
         {"predictions": [20.0, 100.5]},  # out of band
         {"predictions": [20.0]},  # fewer predictions than windows
         {"predictions": [20.0, 30.0, 40.0]},
+        {"kind": "max"},  # not a ProblemKind
     ])
     def test_constructor_checks_its_windows(self, changed):
         stream = WindowStream(**self.VALID)
@@ -581,6 +581,29 @@ class TestWindowStream:
                                           self.VALID["prices"][4:8].tolist()]
         with pytest.raises(InvalidInputError):
             WindowStream(**{**self.VALID, **changed})
+
+    @pytest.mark.parametrize("at", [0, 3, 7, 8, 9, 15, 23])
+    def test_rejects_nan_in_any_sample(self, at):
+        # windows of 10 starting 4 apart: every sample of the span sits in one
+        # window or more, and a NaN in any of them is rejected before a replay
+        prices = np.full(26, 20.0)
+        prices[at] = math.nan
+        with pytest.raises(InvalidInputError, match="nan"):
+            WindowStream(prices, np.arange(0, 17, 4), 10, 2, BOUNDS, np.full(5, 20.0),
+                         ProblemKind.MAX)
+
+    def test_constructor_caps_the_rounds(self):
+        # Hedge draws round t from the Philox key seed * 2^20 + t
+        prices, rounds = np.full((1 << 20) + 3, 20.0), (1 << 20) - 1
+        valid = {**self.VALID, "prices": prices}
+        assert len(WindowStream(**{**valid, "starts": np.arange(rounds),
+                                   "predictions": np.full(rounds, 20.0)})) == rounds
+        with pytest.raises(InvalidInputError, match=r"^window streams beyond 2\^20 rounds"):
+            WindowStream(**{**valid, "starts": np.arange(rounds + 1),
+                            "predictions": np.full(rounds + 1, 20.0)})
+
+    def test_the_stream_lives_in_core(self):
+        assert ksearch.WindowStream is instances_mod.WindowStream is ksearch.core.WindowStream
 
     def test_only_the_covered_span_is_checked(self):
         # prices past the last window need not lie in the band
@@ -591,29 +614,30 @@ class TestWindowStream:
 
 class TestAdjustError:
     def _window(self):
-        return stream_of([((60.0, 100.0, 30.0), 60.0)], 1, PriceBounds(1.0, 200.0))
+        return stream_of([((60.0, 100.0, 30.0), 60.0)], 1, PriceBounds(1.0, 200.0),
+                         ProblemKind.MAX)
 
     def test_level_zero_perfect(self):
-        out = adjust_error(self._window(), 0.0, ProblemKind.MAX)
+        out = adjust_error(self._window(), 0.0)
         assert out.predictions[0] == 100.0
 
     def test_level_one_unchanged(self):
-        out = adjust_error(self._window(), 1.0, ProblemKind.MAX)
+        out = adjust_error(self._window(), 1.0)
         assert out.predictions[0] == 60.0
 
     def test_midpoint_example(self):
-        out = adjust_error(self._window(), 0.5, ProblemKind.MAX)
+        out = adjust_error(self._window(), 0.5)
         assert out.predictions[0] == pytest.approx(80.0, rel=1e-12)
 
     def test_level_out_of_range(self):
         with pytest.raises(DomainError):
-            adjust_error(self._window(), -0.01, ProblemKind.MAX)
+            adjust_error(self._window(), -0.01)
         with pytest.raises(DomainError):
-            adjust_error(self._window(), 1.01, ProblemKind.MAX)
+            adjust_error(self._window(), 1.01)
 
     def test_window_invariants(self):
         with pytest.raises(InvalidInputError):
-            stream_of([((60.0, 100.0), 300.0)], 1, PriceBounds(1.0, 200.0))
+            stream_of([((60.0, 100.0), 300.0)], 1, PriceBounds(1.0, 200.0), ProblemKind.MAX)
 
 
 # --------------------------------------------------------------------------

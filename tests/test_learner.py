@@ -43,10 +43,10 @@ def _stream(n_windows: int, k: int = 8, kind: ProblemKind = ProblemKind.MAX,
     series = gen_synthetic_series(num_samples=900, seed=seed)
     cut = sliding_windows(series, window_len=100, stride=100, k=k, kind=kind)
     if perfect:
-        cut = adjust_error(cut, 0.0, kind)
+        cut = adjust_error(cut, 0.0)
     wins = list(zip(cut.rows(), cut.predictions.tolist()))
     reps = [wins[i % len(wins)] for i in range(n_windows)]
-    return stream_of(reps, k, cut.bounds), reps
+    return stream_of(reps, k, cut.bounds, kind), reps
 
 
 def _adversarial_stream(n_windows: int, k: int = 8,
@@ -55,14 +55,15 @@ def _adversarial_stream(n_windows: int, k: int = 8,
     exactly k arrivals, so full trust achieves the optimum and every higher
     confidence is strictly worse -- the regime the consistency bound covers."""
     spec = PInstanceSpec(kind, p=p, bounds=BOUNDS, k=k, step=0.5)
-    return stream_of([(gen_p_instance(spec).prices, p)] * n_windows, k, BOUNDS)
+    return stream_of([(gen_p_instance(spec).prices, p)] * n_windows, k, BOUNDS, kind)
 
 
 def _overstated_stream(n_windows: int, k: int = 8):
     """Identical ladder windows whose prediction overstates the extreme:
     full distrust (lambda = 1) is the unique best grid point."""
     spec = PInstanceSpec(ProblemKind.MAX, p=20.0, bounds=BOUNDS, k=k, step=0.5)
-    return stream_of([(gen_p_instance(spec).prices, 45.0)] * n_windows, k, BOUNDS)
+    return stream_of([(gen_p_instance(spec).prices, 45.0)] * n_windows, k, BOUNDS,
+                     ProblemKind.MAX)
 
 
 def _underflow_stream():
@@ -74,10 +75,10 @@ def _underflow_stream():
     return sliding_windows(series, 288, 288, 10, ProblemKind.MAX)
 
 
-def _one_round(window, stream, kind=ProblemKind.MAX):
+def _one_round(window, stream):
     """The grid ratios of one (prices, prediction) window with the stream's
-    budget and band, as the learner's replay computes them."""
-    return replay_ratios(stream_of((window,), stream.k, stream.bounds), kind)[0].tolist()
+    budget, band and kind, as the learner's replay computes them."""
+    return replay_ratios(stream_of((window,), stream.k, stream.bounds, stream.kind))[0].tolist()
 
 
 class TestLearnerType:
@@ -100,31 +101,31 @@ class TestSelectLambda:
     def test_two_point_reproducible(self):
         # two runs at one seed draw the same grid points
         windows, _ = _stream(40, k=5, perfect=False)
-        _, hist = run_learning(windows, ProblemKind.MAX, seed=3)
-        matrix = replay_ratios(windows, ProblemKind.MAX)
-        assert run_learning(windows, ProblemKind.MAX, seed=3)[1] == hist
+        _, hist = run_learning(windows, seed=3)
+        matrix = replay_ratios(windows)
+        assert run_learning(windows, seed=3)[1] == hist
         for t, rec in enumerate(hist):
             # the recorded ratio is the drawn confidence's column of its round
             assert rec.chosen_ratio == matrix[t, GRID.index(rec.chosen_lambda)]
 
     def test_concentrated_weights(self):
-        weights, hist = run_learning(_overstated_stream(200), ProblemKind.MAX, seed=0)
+        weights, hist = run_learning(_overstated_stream(200), seed=0)
         assert weights[-1] > 1.0 - 1e-6
         assert sum(rec.chosen_lambda == 1.0 for rec in hist[-100:]) >= 95
 
     def test_zero_weight_never_drawn(self):
         windows = _underflow_stream()
         for seed in range(20):
-            weights, hist = run_learning(windows, ProblemKind.MAX, seed)
+            weights, hist = run_learning(windows, seed)
             assert weights[0] == 0.0
             assert all(rec.chosen_lambda != 0.0 for rec in hist[1:])
 
     def test_underflow_stream_draws_are_pinned(self):
         # recorded while each round still drew with Generator.choice
         first = [0, 1, 17, 31, 24, 28, 9, 21, 29, 0, 26, 14, 3, 18, 31, 5, 0, 17, 8, 17]
-        matrix = replay_ratios(_underflow_stream(), ProblemKind.MAX)
+        matrix = replay_ratios(_underflow_stream())
         for seed, j in enumerate(first):
-            weights, hist = run_learning(_underflow_stream(), ProblemKind.MAX, seed)
+            weights, hist = run_learning(_underflow_stream(), seed)
             assert [GRID.index(rec.chosen_lambda) for rec in hist] == [j] + [32] * 10
             assert [rec.chosen_ratio for rec in hist] == matrix[range(11), [j] + [32] * 10].tolist()
             assert hist[-1].cumulative_regret == matrix[0, j] - 1.0
@@ -136,7 +137,7 @@ class TestSelectLambda:
         monkeypatch.setattr(learner_mod, "_draws",
                             lambda weights, keys: held.append((weights, keys)) or draws(weights, keys))
         for seed in range(20):
-            run_learning(_underflow_stream(), ProblemKind.MAX, seed)
+            run_learning(_underflow_stream(), seed)
         rng = np.random.default_rng(14)
         n, g = 4000, len(GRID)
         zeros = rng.random((n, g))
@@ -256,15 +257,15 @@ class TestObserveRound:
         # degenerate bounds: every design is flat, every ratio is exactly 1
         bounds = PriceBounds(5.0, 5.0)
         window = ((5.0,) * 10, 5.0)
-        weights, _ = run_learning(stream_of([window] * 10, 2, bounds), ProblemKind.MAX, seed=0)
+        weights, _ = run_learning(stream_of([window] * 10, 2, bounds, ProblemKind.MAX), seed=0)
         assert all(w == pytest.approx(1.0 / 33, rel=1e-12) for w in weights)
 
     def test_unit_loss_gap_grows_weight_by_e(self):
         # each unit of rate * loss gap is a factor e between two weights:
         # w_0 / w_j = exp(rate * (r_j - r_0)), rate = sqrt(8 ln 33 / rounds)
         windows, _ = _stream(1, k=8, perfect=False)
-        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
-        matrix = replay_ratios(windows, ProblemKind.MAX)
+        weights, _ = run_learning(windows, seed=0)
+        matrix = replay_ratios(windows)
         rate = math.sqrt(8 * math.log(33) / 1)
         ratios = matrix[0].tolist()
         assert len(set(ratios)) > 2
@@ -276,24 +277,25 @@ class TestObserveRound:
         # round 1 zeroes every confidence that waits past 5e5; in round 2
         # every design waits past 999.0, so every weight underflows at once
         bounds = PriceBounds(1.0, 1e6)
-        windows = stream_of([((p,) + (1.0,) * 9, 1e6) for p in (5e5, 999.0)], 1, bounds)
-        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
-        matrix = replay_ratios(windows, ProblemKind.MAX)
+        windows = stream_of([((p,) + (1.0,) * 9, 1e6) for p in (5e5, 999.0)], 1, bounds,
+                            ProblemKind.MAX)
+        weights, _ = run_learning(windows, seed=0)
+        matrix = replay_ratios(windows)
         survivors = [r < 2.0 for r in matrix[0].tolist()]
         assert 0 < sum(survivors) < 33
         assert weights == tuple(1.0 / sum(survivors) if s else 0.0 for s in survivors)
 
     def test_adversarial_perfect_stream_concentrates_full_trust(self):
         windows = _adversarial_stream(200, k=8)
-        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        weights, _ = run_learning(windows, seed=0)
         best = max(range(33), key=lambda i: weights[i])
         # the extreme is held for k arrivals, so full trust is exactly optimal
         assert GRID[best] == 0.0
 
     def test_real_stream_concentrates_on_empirically_best_lambda(self):
         windows, _ = _stream(198, k=8)
-        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
-        matrix = replay_ratios(windows, ProblemKind.MAX)
+        weights, _ = run_learning(windows, seed=0)
+        matrix = replay_ratios(windows)
         # the heaviest weight sits on the grid point with the lowest total loss
         totals = matrix.sum(axis=0).tolist()
         best_weight = max(range(33), key=lambda i: weights[i])
@@ -302,7 +304,7 @@ class TestObserveRound:
 
     def test_weights_stay_positive_and_finite(self):
         windows, _ = _stream(120, k=5, perfect=False)
-        weights, _ = run_learning(windows, ProblemKind.MAX, seed=0)
+        weights, _ = run_learning(windows, seed=0)
         assert all(w > 0 and math.isfinite(w) for w in weights)
         assert math.fsum(weights) == pytest.approx(1.0, rel=1e-12)
 
@@ -319,7 +321,7 @@ class TestRoundRatios:
         # in the fallback (lambda = 0) attains the offline optimum.
         for kind in (ProblemKind.MAX, ProblemKind.MIN):
             windows = _adversarial_stream(1, k=8, kind=kind)
-            ratios = dict(zip(GRID, replay_ratios(windows, kind)[0].tolist()))
+            ratios = dict(zip(GRID, replay_ratios(windows)[0].tolist()))
             assert ratios[0.0] <= 1.0 + 1e-6
             # trusting less is monotonically worse on this stream
             assert ratios[0.0] <= ratios[0.5] + 1e-12
@@ -364,9 +366,9 @@ def block_sizes(monkeypatch):
     sizes = []
     kernel = learner_mod.ota_totals
 
-    def spy(thresholds, series, starts, horizon, rows, kind, *hardening):
-        sizes.append(len(starts))
-        return kernel(thresholds, series, starts, horizon, rows, kind, *hardening)
+    def spy(thresholds, stream, rows, *hardened):
+        sizes.append(int(rows.max() - rows.min()) + 1)  # the windows the kernel lays out
+        return kernel(thresholds, stream, rows, *hardened)
 
     monkeypatch.setattr(learner_mod, "ota_totals", spy)
     return sizes
@@ -399,8 +401,8 @@ class TestGridArrays:
         instance = SearchInstance(np.geomspace(BOUNDS.p_max, BOUNDS.p_min, 12), 6, BOUNDS)
         predictions = (30.0, 20.0, 10.0, 30.0)
         windows = stream_of([(instance.prices, prediction) for prediction in predictions], 6,
-                            BOUNDS)
-        first = replay_ratios(windows, ProblemKind.MAX)
+                            BOUNDS, ProblemKind.MAX)
+        first = replay_ratios(windows)
         assert batches == [[30.0, 20.0, 10.0]]
         [rows] = kernel_rows
         assert (rows[0] == rows[3]).all()
@@ -409,7 +411,7 @@ class TestGridArrays:
                 list(design(prediction, lam, BOUNDS, 6, ProblemKind.MAX).schedule.values)
                 for lam in GRID]
         # nothing is kept between replays: the same replay designs the same batch
-        assert (replay_ratios(windows, ProblemKind.MAX) == first).all()
+        assert (replay_ratios(windows) == first).all()
         assert batches == [[30.0, 20.0, 10.0]] * 2
 
     def test_a_raising_batch_falls_back_to_each_design(self, monkeypatch):
@@ -446,7 +448,7 @@ class TestGridArrays:
         prices = np.geomspace(bounds.p_max, bounds.p_min, 2 * k)
         good, failing = (prices, 100.0), (prices, 1.0)
         with pytest.raises(ConstructionError) as info:
-            replay_ratios(stream_of((good, failing), k, bounds), ProblemKind.MIN)
+            replay_ratios(stream_of((good, failing), k, bounds, ProblemKind.MIN))
         assert str(info.value).startswith("robustness violated")
         assert (info.value.lam, info.value.prediction) == (0.625, 1.0)
 
@@ -552,7 +554,7 @@ class TestBlockReplay:
         for window in windows:
             expected = _oracle_ratios(
                 window, kind, bounds, 6, _grid_schedules(window, kind, bounds, 6, GRID))
-            assert _one_round(window, stream, kind) == expected
+            assert _one_round(window, stream) == expected
 
     CUTS = [
         (1, -1, [1] * 7),  # a budget below one window still replays one
@@ -574,7 +576,7 @@ class TestBlockReplay:
         runs = len(GRID) + len(extra)
         budget = per_block * _replay_window_bytes(stream.horizon, k, runs)
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget + budget_offset)
-        ratios = replay_ratios(stream, kind, extra)
+        ratios = replay_ratios(stream, extra)
         assert block_sizes == sizes
         for window, row in zip(windows, ratios.tolist()):
             schedules = _grid_schedules(window, kind, bounds, k, GRID) + list(extra)
@@ -592,7 +594,7 @@ class TestBlockReplay:
         sizes = {}
         for stride in (20, 100):
             stream = sliding_windows(series, 100, stride, k, ProblemKind.MAX)
-            blocks = learner_mod._blocks(stream.starts, 100, k, runs)
+            blocks = learner_mod._blocks(stream, runs, np.zeros(len(stream), dtype=bool))
             sizes[stride] = [stop - start for start, stop in blocks]
             assert sum(sizes[stride]) == len(stream)
         overlapping = 1 + (budget - first) // _replay_window_bytes(100, k, runs, 20)
@@ -602,15 +604,15 @@ class TestBlockReplay:
 class TestRunLearningAndRegret:
     def test_deterministic(self):
         windows, _ = _stream(60, k=5)
-        _, hist_a = run_learning(windows, ProblemKind.MAX, seed=42)
-        _, hist_b = run_learning(windows, ProblemKind.MAX, seed=42)
+        _, hist_a = run_learning(windows, seed=42)
+        _, hist_b = run_learning(windows, seed=42)
         assert hist_a == hist_b
-        _, hist_c = run_learning(windows, ProblemKind.MAX, seed=43)
+        _, hist_c = run_learning(windows, seed=43)
         assert hist_a != hist_c
 
     def test_record_invariants(self):
         windows, _ = _stream(50, k=5)
-        weights, hist = run_learning(windows, ProblemKind.MAX, seed=1)
+        weights, hist = run_learning(windows, seed=1)
         assert len(weights) == len(GRID)
         assert [r.round for r in hist] == list(range(1, 51))
         cum = 0.0
@@ -626,15 +628,15 @@ class TestRunLearningAndRegret:
         # the stream's blocks replay to the same bits as one window at a time
         stream, windows = _stream(9, k=5, kind=kind, perfect=False)
         extra = (worst_case_thresholds(stream.bounds, 5, kind).schedule,)
-        matrix = replay_ratios(stream, kind, extra)
+        matrix = replay_ratios(stream, extra)
         assert matrix.shape == (9, len(GRID) + 1)
         for window, row in zip(windows, matrix[:, : len(GRID)].tolist()):
-            assert row == _one_round(window, stream, kind)
+            assert row == _one_round(window, stream)
 
     def test_regret_curve_matches_records(self):
         # the average regret after round n is the mean of the first n gaps
         windows, _ = _stream(40, k=5)
-        _, hist = run_learning(windows, ProblemKind.MAX, seed=2)
+        _, hist = run_learning(windows, seed=2)
         gaps = [rec.chosen_ratio - rec.best_fixed_ratio for rec in hist]
         for n, rec in enumerate(hist, start=1):
             assert rec.cumulative_regret / rec.round == pytest.approx(
@@ -644,13 +646,13 @@ class TestRunLearningAndRegret:
         # a stream on which every grid point ties has no regret at all
         window = ((5.0,) * 10, 5.0)
         for n in (1, 5):
-            stream = stream_of([window] * n, 2, PriceBounds(5.0, 5.0))
-            _, hist = run_learning(stream, ProblemKind.MAX, seed=0)
+            stream = stream_of([window] * n, 2, PriceBounds(5.0, 5.0), ProblemKind.MAX)
+            _, hist = run_learning(stream, seed=0)
             assert [rec.cumulative_regret for rec in hist] == [0.0] * n
 
     def test_average_regret_decreasing_tail(self):
         windows, _ = _stream(400, k=5)
-        _, hist = run_learning(windows, ProblemKind.MAX, seed=11)
+        _, hist = run_learning(windows, seed=11)
         tail = [rec.cumulative_regret / rec.round for rec in hist[-100:]]
         assert tail[-1] <= tail[0]
         # the trend is downward: occasional off-grid draws can nudge single
@@ -659,4 +661,4 @@ class TestRunLearningAndRegret:
 
     def test_empty_stream_rejected(self):
         with pytest.raises(InvalidInputError):
-            run_learning(stream_of((), 1, BOUNDS), ProblemKind.MAX, seed=0)
+            run_learning(stream_of((), 1, BOUNDS, ProblemKind.MAX), seed=0)
