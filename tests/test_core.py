@@ -309,10 +309,18 @@ class TestHardenedReplay:
         [-1],  # before the first window
         [0.5],  # not an index
         [[0]],  # not 1-D
+        [True],  # a cast would harden window 1
     ])
     def test_rejects_bad_hardened_windows(self, hardened):
         with pytest.raises(InvalidInputError):
             ota_totals(np.full((2, 2), 20.0), TWO_WINDOWS, [0, 1], hardened)
+
+    @pytest.mark.parametrize("hardened", [(), [], np.array([]), np.array([], dtype=int)])
+    def test_no_hardened_window_is_the_plain_replay(self, hardened):
+        thresholds, series = [(20.0, 30.0), (30.0, 30.0)], [10.0, 25.0, 40.0, 5.0, 35.0, 5.0]
+        plain = ota_totals(thresholds, stream_over(series, [0, 2], 4, 2), [0, 1])
+        none = ota_totals(thresholds, stream_over(series, [0, 2], 4, 2), [0, 1], hardened)
+        assert [part.tolist() for part in none] == [part.tolist() for part in plain]
 
 
 # two windows of 4 prices, 4 apart, budget 2
@@ -320,6 +328,28 @@ TWO_WINDOWS = stream_over(np.full(8, 20.0), [0, 4], 4, 2)
 
 
 class TestSpanReplay:
+    @pytest.mark.parametrize("at", [0, 3, 7, 8, 9, 15, 23])
+    @pytest.mark.parametrize("starts,horizon", [
+        (range(0, 17, 4), 10),  # windows 4 apart overlap: one stretch of prices
+        (range(17), 10),  # a window at every price
+        (range(0, 21, 5), 3),  # gaps of 2 after each window: a copy of the rows
+    ], ids=["overlapping", "dense", "gapped"])
+    def test_rejects_nan_in_any_sample(self, at, starts, horizon):
+        # a NaN anywhere in the span the windows cover, gaps included, is
+        # rejected before a replay; one past the last window is never read,
+        # so the replay is the NaN-free one
+        prices = 10.0 + np.arange(26.0)
+        thresholds = np.tile([20.0, 30.0], (len(starts), 1))
+        clean = ota_totals(thresholds, stream_over(prices, starts, horizon, 2), range(len(starts)))
+        prices[at] = math.nan
+        if at < starts[-1] + horizon:
+            with pytest.raises(InvalidInputError, match="nan"):
+                stream_over(prices, starts, horizon, 2)
+        else:
+            replay = ota_totals(thresholds, stream_over(prices, starts, horizon, 2),
+                                range(len(starts)))
+            assert [part.tolist() for part in replay] == [part.tolist() for part in clean]
+
     @pytest.mark.parametrize("k", [1, 5, 100])
     @pytest.mark.parametrize("stride", [1, 48, 288, None])  # None: gaps of T between windows
     @pytest.mark.parametrize("hardened", [0, 1, 3], ids=["plain", "all-hardened", "third-hardened"])
@@ -448,7 +478,12 @@ class TestBatchedReplay:
         (np.full((2, 2), 20.0), TWO_WINDOWS, [0, 2], []),  # no window 2
         (np.full((2, 0), 20.0), TWO_WINDOWS, [0, 0], []),  # k = 0
         (np.full((2, 1), 20.0), TWO_WINDOWS, [0, 0], []),  # k is not the stream's
+        (np.full((2, 2), 20.0), TWO_WINDOWS, [-1, 0], []),  # before the first window
+        (np.full((2, 2), 20.0), TWO_WINDOWS, [[0], [0]], []),  # rows not 1-D
+        (np.full(2, 20.0), TWO_WINDOWS, [0, 0], []),  # thresholds not 2-D
+        (np.full((2, 2, 1), 20.0), TWO_WINDOWS, [0, 0], []),  # nor 3-D
         (np.full((2, 2), 20.0), np.full(8, 20.0), [0, 0], []),  # a plain array
+        (np.full((2, 2), 20.0), None, [0, 0], []),  # no stream
         (np.full((2, 2), 20.0), TWO_WINDOWS, [0, 0], [2]),  # hardened past the stream
     ])
     def test_rejects_inconsistent_shapes(self, thresholds, stream, rows, hardened):
@@ -468,10 +503,11 @@ class TestBatchedReplay:
 
     @pytest.mark.parametrize("thresholds,prices", [
         ([(math.nan, 30.0)], [10.0, 20.0, 30.0, 40.0, 10.0, 10.0, 10.0, 10.0]),
+        ([(20.0, 30.0), (20.0, math.nan)], [10.0, 20.0, 30.0, 40.0, 10.0, 10.0, 10.0, 10.0]),
     ])
     def test_rejects_nan(self, thresholds, prices):
         with pytest.raises(InvalidInputError):
-            ota_totals(thresholds, stream_over(prices, [0], len(prices), 2), [0])
+            ota_totals(thresholds, stream_over(prices, [0], len(prices), 2), [0] * len(thresholds))
 
 
 class TestOfflineOpt:

@@ -582,16 +582,6 @@ class TestWindowStream:
         with pytest.raises(InvalidInputError):
             WindowStream(**{**self.VALID, **changed})
 
-    @pytest.mark.parametrize("at", [0, 3, 7, 8, 9, 15, 23])
-    def test_rejects_nan_in_any_sample(self, at):
-        # windows of 10 starting 4 apart: every sample of the span sits in one
-        # window or more, and a NaN in any of them is rejected before a replay
-        prices = np.full(26, 20.0)
-        prices[at] = math.nan
-        with pytest.raises(InvalidInputError, match="nan"):
-            WindowStream(prices, np.arange(0, 17, 4), 10, 2, BOUNDS, np.full(5, 20.0),
-                         ProblemKind.MAX)
-
     def test_constructor_caps_the_rounds(self):
         # Hedge draws round t from the Philox key seed * 2^20 + t
         prices, rounds = np.full((1 << 20) + 3, 20.0), (1 << 20) - 1
