@@ -43,7 +43,7 @@ def run() -> int:
     print("error_level," + ",".join(ALGORITHMS))
     for level in (float(text) for text in args.error_levels.split(",")):
         results = evaluate_windows(adjust_error(stream, level), args.seed)
-        means = (statistics.fmean(r.ratio(algorithm) for r in results) for algorithm in ALGORITHMS)
+        means = (statistics.fmean(results[algorithm][0]) for algorithm in ALGORITHMS)
         print(f"{level!r}," + ",".join(f"{mean:.6f}" for mean in means))
     weights, _ = run_learning(stream, args.seed)
     top = max(range(len(GRID)), key=weights.__getitem__)

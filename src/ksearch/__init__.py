@@ -63,14 +63,13 @@ from .instances import (
     sliding_windows,
 )
 from .learner import (
-    RegretRecord,
+    RegretHistory,
     run_learning,
 )
 from .harness import (
     ALGORITHMS,
     CellSummary,
     SweepCell,
-    WindowResult,
     build_cells,
     evaluate_windows,
     run_sweep,
@@ -95,14 +94,13 @@ __all__ = [
     "PriceBounds",
     "PriceSeries",
     "ProblemKind",
-    "RegretRecord",
+    "RegretHistory",
     "RunTrace",
     "STRIDE_SAMPLES",
     "SearchInstance",
     "SweepCell",
     "ThresholdSchedule",
     "WINDOW_SAMPLES",
-    "WindowResult",
     "WindowStream",
     "WorstCaseSolution",
     "adjust_error",

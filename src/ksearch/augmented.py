@@ -97,14 +97,15 @@ def interval_ratios(schedule: ThresholdSchedule) -> np.ndarray:
     compulsory fills at the far bound, while the optimum collects k prices
     at the interval's other end.
     """
-    k = schedule.k
-    extended = np.array(schedule.values + (schedule.value_at(k + 1),))
+    k, bounds = schedule.k, schedule.bounds
+    far = bounds.p_max if schedule.kind.is_max else bounds.p_min  # where interval k + 1 ends
+    extended = np.array(schedule.values + (far,))
     banked = np.zeros(k + 1)
     np.cumsum(extended[:k], out=banked[1:])
     remaining = k - np.arange(k + 1)
     if schedule.kind.is_max:
-        return k * extended / (banked + remaining * schedule.bounds.p_min)
-    return (banked + remaining * schedule.bounds.p_max) / (k * extended)
+        return k * extended / (banked + remaining * bounds.p_min)
+    return (banked + remaining * bounds.p_max) / (k * extended)
 
 
 def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:

@@ -315,12 +315,10 @@ def cmd_simulate(args: argparse.Namespace, bounds: PriceBounds) -> int:
     for level in args.error_levels:
         results = evaluate_windows(adjust_error(stream, level), args.seed)
         for algorithm in ALGORITHMS:
-            for res in results:
-                rows.append((
-                    "ratio", level, res.index, algorithm,
-                    res.confidence(algorithm), res.ratio(algorithm),
-                ))
-            mean, median, q1, q3 = summarize(r.ratio(algorithm) for r in results)
+            ratios, confidences = results[algorithm]
+            rows.extend(("ratio", level, index, algorithm, confidence, ratio)
+                        for index, (confidence, ratio) in enumerate(zip(confidences, ratios)))
+            mean, median, q1, q3 = summarize(ratios)
             for stat, value in (("mean", mean), ("median", median),
                                 ("q1", q1), ("q3", q3)):
                 rows.append((stat, level, None, algorithm, None, value))
@@ -364,11 +362,7 @@ def cmd_learn(args: argparse.Namespace, bounds: PriceBounds) -> int:
     for kd in kinds:
         stream = sliding_windows(series, args.window, args.stride, args.k, kd)
         weights, history = run_learning(stream, args.seed)
-        for rec in history:
-            rows.append((
-                kd.value, rec.round, rec.chosen_lambda, rec.chosen_ratio,
-                rec.best_fixed_ratio, rec.cumulative_regret,
-            ))
+        rows.extend((kd.value, t, *row) for t, row in enumerate(zip(*history), start=1))
         final = ";".join(f"{g!r}:{w!r}" for g, w in zip(GRID, weights))
         comments.append(f"final_weights[{kd.value}]: {final}")
     header = ("kind", "round", "chosen_lambda", "chosen_ratio",

@@ -201,13 +201,7 @@ class WindowStream:
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """k reservation prices, monotone in the direction dictated by the kind.
-
-    Index convention follows the interval analysis: thresholds are 1-based
-    ``value_at(1..k)`` with sentinels ``value_at(0)`` / ``value_at(k+1)``
-    pinned to the price bounds (p_min and p_max for max-search, swapped for
-    min-search).
-    """
+    """k reservation prices, monotone in the direction dictated by the kind."""
 
     kind: ProblemKind
     values: tuple[float, ...]
@@ -231,16 +225,6 @@ class ThresholdSchedule:
     @property
     def k(self) -> int:
         return len(self.values)
-
-    def value_at(self, i: int) -> float:
-        """Threshold i in 1..k, with the conventional sentinels at 0 and k+1."""
-        if i == 0:
-            return self.bounds.p_min if self.kind.is_max else self.bounds.p_max
-        if i == self.k + 1:
-            return self.bounds.p_max if self.kind.is_max else self.bounds.p_min
-        if not 1 <= i <= self.k:
-            raise InvalidInputError(f"threshold index {i} outside [0, {self.k + 1}]")
-        return self.values[i - 1]
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,14 @@ One evaluation compares three selection policies on the same window stream:
                      fact
 - ``ota-learned``    the confidence sampled round-by-round by the Hedge
                      rounds of ``learner._hedge``, which ``run_learning``
-                     also runs, returning weights and regret records
+                     also runs
 
 The budget k, the price band and the kind come from the window stream
 (``core.WindowStream``, windows as offsets into one price array); the
 confidence grid is the learner's ``GRID``.  ``evaluate_windows`` takes one
-stream, and the CLI and the sweep replay the streams that
-``sliding_windows`` cuts straight from the series.
+stream and gives each policy's columns: its ratio and its confidence on
+every window, in window order.  The CLI and the sweep replay the streams
+that ``sliding_windows`` cuts straight from the series.
 
 A sweep evaluates that triple over a cross product of stress parameters
 (tail-hardening probability rho, prediction error level, budget k, and a
@@ -60,32 +61,6 @@ _HARDEN_KEY_OFFSET = 1 << 63
 
 
 @dataclass(frozen=True)
-class WindowResult:
-    """The three policies' empirical ratios on one window."""
-
-    index: int
-    on_ratio: float
-    hindsight_ratio: float
-    hindsight_lambda: float
-    learned_ratio: float
-    learned_lambda: float
-
-    def ratio(self, algorithm: str) -> float:
-        return {
-            "ota-on": self.on_ratio,
-            "ota-hindsight": self.hindsight_ratio,
-            "ota-learned": self.learned_ratio,
-        }[algorithm]
-
-    def confidence(self, algorithm: str) -> float:
-        return {
-            "ota-on": 1.0,
-            "ota-hindsight": self.hindsight_lambda,
-            "ota-learned": self.learned_lambda,
-        }[algorithm]
-
-
-@dataclass(frozen=True)
 class SweepCell:
     """One point of the stress cross-product."""
 
@@ -123,12 +98,14 @@ def summarize(values) -> tuple[float, float, float, float]:
     return statistics.fmean(vals), med, q1, q3
 
 
-def evaluate_windows(stream: WindowStream, seed: int) -> tuple[WindowResult, ...]:
+def evaluate_windows(stream: WindowStream, seed: int) -> dict[str, tuple[list[float], list[float]]]:
     """Run the three policies over a window stream, for the stream's kind.
 
-    The worst-case schedule is built for the stream's price band, budget
-    and kind, and is one more run per window in the learner's block replay,
-    so every (window, schedule) pair is replayed once and every window's
+    Returns a dict that maps each name in ``ALGORITHMS`` to its (ratios,
+    confidences) columns, one entry per window in stream order.  The
+    worst-case schedule is built for the stream's price band, budget and
+    kind, and is one more run per window in the learner's block replay, so
+    every (window, schedule) pair is replayed once and every window's
     offline optimum is computed once; ``_window_results`` then reads the
     policies off the ratio matrix.
     """
@@ -138,17 +115,19 @@ def evaluate_windows(stream: WindowStream, seed: int) -> tuple[WindowResult, ...
 
 def _window_results(
     matrix: np.ndarray, seed: int, solution: WorstCaseSolution
-) -> tuple[WindowResult, ...]:
-    """The three policies on each row of a (W, G + 1) ratio matrix: a column
-    per grid point, then the worst-case schedule ``solution``'s.
+) -> dict[str, tuple[list[float], list[float]]]:
+    """The three policies' (ratios, confidences) columns, keyed by their
+    ``ALGORITHMS`` names, over the rows of a (W, G + 1) ratio matrix: a
+    column per grid point, then the worst-case schedule ``solution``'s.
 
     The learned policy is the Hedge loop over the rows (``learner._hedge``),
-    and the hindsight policy is each row's best grid confidence.  The
-    worst-case guarantee is re-checked on every row: the confidence-1
-    schedule must stay within its competitive ratio, and the hindsight-best
-    grid confidence can never lose to it (the grid contains 1).  A violation
-    means a designed schedule is wrong, so the first row with one raises
-    ConstructionError, the first check first.
+    the hindsight policy is each row's best grid confidence, and ``ota-on``
+    has confidence 1 on every row.  The worst-case guarantee is re-checked
+    on every row: the confidence-1 schedule must stay within its
+    competitive ratio, and the hindsight-best grid confidence can never
+    lose to it (the grid contains 1).  A violation means a designed
+    schedule is wrong, so the first row with one raises ConstructionError,
+    the first check first.
     """
     _, history = _hedge(matrix[:, : len(GRID)], seed)
     grid, on = matrix[:, : len(GRID)], matrix[:, len(GRID)]  # the worst-case schedule's column
@@ -169,18 +148,11 @@ def _window_results(
             f"hindsight-best confidence lost to the worst-case schedule "
             f"on window {idx}: {hindsight[idx]} > {on[idx]}"
         )
-    return tuple(
-        WindowResult(
-            index=idx,
-            on_ratio=on_ratio,
-            hindsight_ratio=hindsight_ratio,
-            hindsight_lambda=GRID[j],
-            learned_ratio=record.chosen_ratio,
-            learned_lambda=record.chosen_lambda,
-        )
-        for idx, (record, on_ratio, hindsight_ratio, j)
-        in enumerate(zip(history, on, hindsight, best.tolist()))
-    )
+    return {
+        "ota-on": (on, [1.0] * len(on)),
+        "ota-hindsight": (hindsight, [GRID[j] for j in best.tolist()]),
+        "ota-learned": (history.chosen_ratio, history.chosen_lambda),
+    }
 
 
 def _check_rho(rho) -> None:
@@ -286,8 +258,7 @@ def _run_group(
             rows = [hard_row[idx] if draw < cell.rho else idx for idx, draw in enumerate(draws)]
             results = _window_results(matrix[rows], seed, solution)
             done.append((cell, tuple(
-                CellSummary(cell, algorithm, len(results),
-                            *summarize(r.ratio(algorithm) for r in results))
+                CellSummary(cell, algorithm, len(rows), *summarize(results[algorithm][0]))
                 for algorithm in ALGORITHMS
             )))
     except Exception as error:  # re-raised by _collect, in cell key order

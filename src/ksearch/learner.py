@@ -40,9 +40,9 @@ batch raises, each (prediction, confidence) is designed in turn, so the
 first failing design raises its own error.
 The Hedge rounds run in ``learner._hedge``, which the harness also calls on
 ratio rows it replayed itself; ``run_learning(stream, seed)`` returns the
-final weights and the regret records.  A weight may underflow to 0 on a long or lopsided
-stream; it then stays at 0, and a round in which every weight underflows is
-redone in log space.
+final weights and the rounds as the columns of a ``RegretHistory``.  A
+weight may underflow to 0 on a long or lopsided stream; it then stays at 0,
+and a round in which every weight underflows is redone in log space.
 
 Regret is reported against the best fixed grid point in hindsight.
 """
@@ -51,7 +51,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,23 +71,15 @@ _SUM_TOLERANCE = math.sqrt(np.finfo(float).eps)
 _MASK32 = 0xFFFFFFFF
 
 
-@dataclass(frozen=True)
-class RegretRecord:
-    """One learning round relative to the hindsight-best fixed confidence."""
+class RegretHistory(NamedTuple):
+    """Hedge's rounds as columns, round t at entry t - 1: the confidence
+    drawn, its ratio, the hindsight-best fixed confidence's ratio and the
+    regret so far, each a list of Python floats."""
 
-    round: int
-    chosen_lambda: float
-    chosen_ratio: float
-    best_fixed_ratio: float
-    cumulative_regret: float
-
-    def __post_init__(self):
-        if self.round < 1:
-            raise InvalidInputError(f"rounds are 1-based, got {self.round}")
-        if self.chosen_ratio < 1.0 - 1e-9:
-            raise InvalidInputError(
-                f"performance ratios are >= 1, got {self.chosen_ratio}"
-            )
+    chosen_lambda: list[float]
+    chosen_ratio: list[float]
+    best_fixed_ratio: list[float]
+    cumulative_regret: list[float]
 
 
 def _design_grids(predictions, bounds: PriceBounds, k: int, kind: ProblemKind) -> np.ndarray:
@@ -280,21 +274,20 @@ def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a_hi * b_hi + (cross >> 32) + (mid >> 32), a * b
 
 
-def run_learning(
-    stream: WindowStream, seed: int
-) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:
+def run_learning(stream: WindowStream, seed: int) -> tuple[tuple[float, ...], RegretHistory]:
     """Run Hedge over a window stream, for the stream's kind, and report
     per-round regret.
 
-    Returns the final weights (aligned with ``GRID``) and the records.  The
-    ratios do not depend on the weights, so the whole (W, G) ratio matrix is
-    replayed first and ``_hedge`` then runs the rounds over it.
+    Returns the final weights (aligned with ``GRID``) and the rounds'
+    ``RegretHistory``.  The ratios do not depend on the weights, so the
+    whole (W, G) ratio matrix is replayed first and ``_hedge`` then runs
+    the rounds over it.
     """
     return _hedge(_stream_ratios(stream), seed)
 
 
-def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], tuple[RegretRecord, ...]]:
-    """The final weights and the regret records of Hedge over the (W, G)
+def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], RegretHistory]:
+    """The final weights and the ``RegretHistory`` of Hedge over the (W, G)
     ratios of W rounds, one row per round in ``GRID`` order.
 
     Round t draws a grid index with probability proportional to its weight,
@@ -302,10 +295,12 @@ def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], tuple[Re
     point's ratio, and multiplies each weight by exp(-rate * (ratio - 1)),
     rate = sqrt(8 ln G / rounds), before renormalizing.  The regret baseline
     is fixed at the horizon: the grid point with the smallest total ratio
-    over the whole stream; each record's best_fixed_ratio is that point's
-    ratio in that round.  The weights do not depend on the draws, so the
-    weight recurrence runs over the rows first, and one pass draws every
-    round from the weights it held.
+    over the whole stream; a round's best_fixed_ratio is that point's ratio
+    in that round, and the cumulative regret adds the rounds' gaps left to
+    right.  The weights do not depend on the draws, so the weight recurrence
+    runs over the rows first, and one pass draws every round from the
+    weights it held.  Ratios are >= 1, so the first drawn ratio below
+    1 - 1e-9 raises InvalidInputError.
     """
     rounds = len(by_round)
     rate = math.sqrt(8.0 * math.log(len(GRID)) / rounds)
@@ -327,13 +322,10 @@ def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], tuple[Re
         weights = [w / total for w in raw]
     picks = _draws(held, range(seed * (1 << 20), seed * (1 << 20) + rounds))
     chosen = by_round[np.arange(rounds), picks].tolist()
-
+    low = next((ratio for ratio in chosen if ratio < 1.0 - 1e-9), None)
+    if low is not None:
+        raise InvalidInputError(f"performance ratios are >= 1, got {low}")
     totals = [math.fsum(col.tolist()) for col in by_round.T]
-    best_idx = int(np.argmin(totals))
-    records = []
-    cum = 0.0
-    best_ratios = by_round[:, best_idx].tolist()
-    for t, (j, ratio, best) in enumerate(zip(picks.tolist(), chosen, best_ratios), start=1):
-        cum += ratio - best
-        records.append(RegretRecord(t, GRID[j], ratio, best, cum))
-    return tuple(weights), tuple(records)
+    best = by_round[:, int(np.argmin(totals))].tolist()
+    return tuple(weights), RegretHistory([GRID[j] for j in picks.tolist()], chosen, best,
+                                         list(accumulate(map(operator.sub, chosen, best))))

@@ -118,7 +118,10 @@ def gen_worst_case_sequence(schedule: ThresholdSchedule, i: int) -> SearchInstan
         raise DomainError(f"interval index must be an integer in [0, {k}], got {i}")
     epsilon = 1e-6 * bounds.p_min
 
-    nxt = schedule.value_at(i + 1)  # sentinel boundary value at i = k
+    if i < k:
+        nxt = schedule.values[i]
+    else:  # the far bound
+        nxt = bounds.p_max if schedule.kind.is_max else bounds.p_min
     if schedule.kind.is_max:
         level = max(nxt - epsilon, bounds.p_min)
         tail = bounds.p_min

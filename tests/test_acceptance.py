@@ -236,11 +236,11 @@ def test_criterion_11_learner_convergence_under_120s():
     assert all(totals[best] < t for i, t in enumerate(totals) if i != best)
 
     _, history = run_learning(stream_of(windows, k, BAND, MAX), seed=11)
-    chosen = np.array([rec.chosen_ratio for rec in history])
-    best_fixed = np.array([rec.best_fixed_ratio for rec in history])
+    chosen = np.array(history.chosen_ratio)
+    best_fixed = np.array(history.best_fixed_ratio)
     assert chosen[500:].mean() - best_fixed[500:].mean() <= 0.05
 
-    curve = [rec.cumulative_regret / rec.round for rec in history]
+    curve = [regret / n for n, regret in enumerate(history.cumulative_regret, start=1)]
     tail = curve[750:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     assert tail[-1] < tail[0]

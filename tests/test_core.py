@@ -650,15 +650,6 @@ class TestTypeInvariants:
         with pytest.raises(InvalidInputError):
             ThresholdSchedule(ProblemKind.MIN, (10.0, 20.0), B)
 
-    def test_schedule_sentinels(self):
-        sched = ThresholdSchedule(ProblemKind.MAX, (10.0, 20.0), B)
-        assert sched.value_at(0) == 5.0
-        assert sched.value_at(1) == 10.0
-        assert sched.value_at(3) == 50.0
-        flipped = ThresholdSchedule(ProblemKind.MIN, (20.0, 10.0), B)
-        assert flipped.value_at(0) == 50.0
-        assert flipped.value_at(3) == 5.0
-
     def test_pareto_point_ordering_enforced(self):
         ParetoPoint(0.5, 1.5, 2.5)
         with pytest.raises(InvalidInputError):

@@ -64,8 +64,7 @@ def _summaries(cell, windows, seed):
     """The cell's summary rows, one per algorithm in run_sweep's order, from
     evaluate_windows on the given windows."""
     results = evaluate_windows(windows, seed)
-    return tuple(CellSummary(cell, algorithm, len(results),
-                             *summarize(r.ratio(algorithm) for r in results))
+    return tuple(CellSummary(cell, algorithm, len(windows), *summarize(results[algorithm][0]))
                  for algorithm in sorted(ALGORITHMS))
 
 
@@ -160,25 +159,28 @@ class TestEvaluateWindows:
         bounds = windows.bounds
         cr = solve_cr(bounds, 10, ProblemKind.MAX)
         results = evaluate_windows(windows, seed=5)
-        assert len(results) == len(windows)
-        for res in results:
+        (on, _), (hindsight, hindsight_lambda), (learned, learned_lambda) = (
+            results[algorithm] for algorithm in ALGORITHMS)
+        for w in range(len(windows)):
             # the worst-case schedule honors its guarantee on every window
-            assert res.on_ratio <= cr + 1e-6
+            assert on[w] <= cr + 1e-6
             # hindsight optimizes over a grid containing confidence 1
-            assert res.hindsight_ratio <= res.on_ratio * (1 + 1e-12)
+            assert hindsight[w] <= on[w] * (1 + 1e-12)
             # the learned choice is one grid point, so it can never beat hindsight
-            assert res.hindsight_ratio <= res.learned_ratio * (1 + 1e-12)
-            assert 0.0 <= res.hindsight_lambda <= 1.0
-            assert 0.0 <= res.learned_lambda <= 1.0
+            assert hindsight[w] <= learned[w] * (1 + 1e-12)
+            assert hindsight_lambda[w] in GRID
+            assert learned_lambda[w] in GRID
 
-    def test_accessors_cover_all_algorithms(self):
+    def test_columns_cover_all_algorithms(self):
         windows = _windows()
-        res = evaluate_windows(windows, seed=5)[0]
-        assert res.ratio("ota-on") == res.on_ratio
-        assert res.ratio("ota-hindsight") == res.hindsight_ratio
-        assert res.ratio("ota-learned") == res.learned_ratio
-        assert res.confidence("ota-on") == 1.0
-        assert set(ALGORITHMS) == {"ota-on", "ota-hindsight", "ota-learned"}
+        results = evaluate_windows(windows, seed=5)
+        assert ALGORITHMS == ("ota-on", "ota-hindsight", "ota-learned")
+        assert tuple(results) == ALGORITHMS
+        for ratios, confidences in results.values():
+            for column in (ratios, confidences):
+                assert len(column) == len(windows)
+                assert {type(value) for value in column} == {float}
+        assert results["ota-on"][1] == [1.0] * len(windows)
 
     def test_deterministic(self):
         windows = _windows()
@@ -287,8 +289,7 @@ class TestGuaranteeChecks:
         matrix = np.full((3, len(GRID) + 1), 1.5)
         matrix[1, [4, 9]] = 1.25
         results = harness_mod._window_results(matrix, 7, self.SOLUTION)
-        assert [(r.hindsight_ratio, r.hindsight_lambda) for r in results] == [
-            (1.5, 0.0), (1.25, GRID[4]), (1.5, 0.0)]
+        assert results["ota-hindsight"] == ([1.5, 1.25, 1.5], [0.0, GRID[4], 0.0])
 
 
 class TestGroupedSweep:

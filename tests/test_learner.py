@@ -16,7 +16,7 @@ from ksearch import (
     PriceBounds,
     PriceSeries,
     ProblemKind,
-    RegretRecord,
+    RegretHistory,
     SearchInstance,
     adjust_error,
     design,
@@ -87,11 +87,16 @@ class TestLearnerType:
         assert GRID[0] == 0.0 and GRID[-1] == 1.0
         assert all(b > a for a, b in zip(GRID, GRID[1:]))
 
-    def test_regret_record_validation(self):
-        with pytest.raises(InvalidInputError):
-            RegretRecord(0, 0.5, 1.2, 1.1, 0.1)
-        with pytest.raises(InvalidInputError):
-            RegretRecord(1, 0.5, 0.8, 1.1, 0.1)
+    def test_hedge_rejects_a_ratio_below_one(self):
+        # whatever round 2 draws, its ratio is below 1 - 1e-9 and is named
+        ratios = np.full((3, len(GRID)), 1.5)
+        ratios[1] = 0.75
+        with pytest.raises(InvalidInputError, match=r"ratios are >= 1, got 0\.75$"):
+            learner_mod._hedge(ratios, seed=0)
+        ratios[1] = 1.0 - 1e-10  # within the tolerance
+        _, hist = learner_mod._hedge(ratios, seed=0)
+        assert isinstance(hist, RegretHistory)
+        assert hist.chosen_ratio == [1.5, 1.0 - 1e-10, 1.5]
 
 
 class TestSelectLambda:
@@ -104,21 +109,21 @@ class TestSelectLambda:
         _, hist = run_learning(windows, seed=3)
         matrix = replay_ratios(windows)
         assert run_learning(windows, seed=3)[1] == hist
-        for t, rec in enumerate(hist):
+        for t, (lam, ratio) in enumerate(zip(hist.chosen_lambda, hist.chosen_ratio)):
             # the recorded ratio is the drawn confidence's column of its round
-            assert rec.chosen_ratio == matrix[t, GRID.index(rec.chosen_lambda)]
+            assert ratio == matrix[t, GRID.index(lam)]
 
     def test_concentrated_weights(self):
         weights, hist = run_learning(_overstated_stream(200), seed=0)
         assert weights[-1] > 1.0 - 1e-6
-        assert sum(rec.chosen_lambda == 1.0 for rec in hist[-100:]) >= 95
+        assert sum(lam == 1.0 for lam in hist.chosen_lambda[-100:]) >= 95
 
     def test_zero_weight_never_drawn(self):
         windows = _underflow_stream()
         for seed in range(20):
             weights, hist = run_learning(windows, seed)
             assert weights[0] == 0.0
-            assert all(rec.chosen_lambda != 0.0 for rec in hist[1:])
+            assert all(lam != 0.0 for lam in hist.chosen_lambda[1:])
 
     def test_underflow_stream_draws_are_pinned(self):
         # recorded while each round still drew with Generator.choice
@@ -126,9 +131,9 @@ class TestSelectLambda:
         matrix = replay_ratios(_underflow_stream())
         for seed, j in enumerate(first):
             weights, hist = run_learning(_underflow_stream(), seed)
-            assert [GRID.index(rec.chosen_lambda) for rec in hist] == [j] + [32] * 10
-            assert [rec.chosen_ratio for rec in hist] == matrix[range(11), [j] + [32] * 10].tolist()
-            assert hist[-1].cumulative_regret == matrix[0, j] - 1.0
+            assert [GRID.index(lam) for lam in hist.chosen_lambda] == [j] + [32] * 10
+            assert hist.chosen_ratio == matrix[range(11), [j] + [32] * 10].tolist()
+            assert hist.cumulative_regret[-1] == matrix[0, j] - 1.0
             assert weights == (0.0,) + (4.0375695847931746e-38,) * 31 + (1.0,)
 
     def test_draws_are_generator_choice(self, monkeypatch):
@@ -614,14 +619,17 @@ class TestRunLearningAndRegret:
         windows, _ = _stream(50, k=5)
         weights, hist = run_learning(windows, seed=1)
         assert len(weights) == len(GRID)
-        assert [r.round for r in hist] == list(range(1, 51))
+        # round t is entry t - 1 of every column, each a list of Python floats
+        assert [len(column) for column in hist] == [50] * 4
+        assert {type(value) for column in hist for value in column} == {float}
         cum = 0.0
-        for rec in hist:
-            cum += rec.chosen_ratio - rec.best_fixed_ratio
-            assert rec.cumulative_regret == pytest.approx(cum, abs=1e-12)
+        for chosen, best, regret in zip(hist.chosen_ratio, hist.best_fixed_ratio,
+                                        hist.cumulative_regret):
+            cum += chosen - best
+            assert regret == cum  # summed left to right, to the bit
         # the baseline is a fixed grid point: per-round best ratios must be
         # achievable, so cumulative regret of the best fixed choice is zero
-        assert hist[-1].cumulative_regret >= -1e-9
+        assert hist.cumulative_regret[-1] >= -1e-9
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
     def test_matrix_rows_are_round_ratios(self, kind):
@@ -637,9 +645,9 @@ class TestRunLearningAndRegret:
         # the average regret after round n is the mean of the first n gaps
         windows, _ = _stream(40, k=5)
         _, hist = run_learning(windows, seed=2)
-        gaps = [rec.chosen_ratio - rec.best_fixed_ratio for rec in hist]
-        for n, rec in enumerate(hist, start=1):
-            assert rec.cumulative_regret / rec.round == pytest.approx(
+        gaps = [chosen - best for chosen, best in zip(hist.chosen_ratio, hist.best_fixed_ratio)]
+        for n, regret in enumerate(hist.cumulative_regret, start=1):
+            assert regret / n == pytest.approx(
                 math.fsum(gaps[:n]) / n, abs=1e-12)
 
     def test_regret_curve_trivial_cases(self):
@@ -648,12 +656,12 @@ class TestRunLearningAndRegret:
         for n in (1, 5):
             stream = stream_of([window] * n, 2, PriceBounds(5.0, 5.0), ProblemKind.MAX)
             _, hist = run_learning(stream, seed=0)
-            assert [rec.cumulative_regret for rec in hist] == [0.0] * n
+            assert hist.cumulative_regret == [0.0] * n
 
     def test_average_regret_decreasing_tail(self):
         windows, _ = _stream(400, k=5)
         _, hist = run_learning(windows, seed=11)
-        tail = [rec.cumulative_regret / rec.round for rec in hist[-100:]]
+        tail = [regret / n for n, regret in enumerate(hist.cumulative_regret, start=1)][-100:]
         assert tail[-1] <= tail[0]
         # the trend is downward: occasional off-grid draws can nudge single
         # rounds up, so compare smoothed quarter means instead of every step
