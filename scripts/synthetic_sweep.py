@@ -26,26 +26,26 @@ def run() -> int:
     ap.add_argument("--output", default="results/sweep.csv")
     args = ap.parse_args()
 
-    if args.full:
-        grid = ["--rho", "0.0,0.1,0.2,0.3", "--error-level", "1.0",
-                "--k", "5,25,125", "--theta-mult", "1.0,4.0"]
-        feed = []  # experiment defaults to the full five-year synthetic feed
-    else:
-        grid = ["--rho", "0.0,0.2", "--error-level", "1.0",
-                "--k", "10,25", "--theta-mult", "1.0"]
-        series = gen_synthetic_series(num_samples=12000, seed=args.seed)
-        tmp = pathlib.Path(tempfile.mkdtemp()) / "feed.csv"
-        tmp.write_text(
-            "price\n" + "\n".join(repr(p) for p in series.prices) + "\n"
-        )
-        feed = ["--input", str(tmp), "--window", "1000", "--stride", "500"]
-
     pathlib.Path(args.output).parent.mkdir(parents=True, exist_ok=True)
-    code = ksearch([
-        "experiment", "--kind", args.kind, "--seed", str(args.seed),
-        *feed, *grid, "--workers", str(args.workers),
-        "--output", args.output,
-    ])
+    with tempfile.TemporaryDirectory() as tmpdir:  # the quick feed is removed on exit
+        if args.full:
+            grid = ["--rho", "0.0,0.1,0.2,0.3", "--error-level", "1.0",
+                    "--k", "5,25,125", "--theta-mult", "1.0,4.0"]
+            feed = []  # experiment defaults to the full five-year synthetic feed
+        else:
+            grid = ["--rho", "0.0,0.2", "--error-level", "1.0",
+                    "--k", "10,25", "--theta-mult", "1.0"]
+            series = gen_synthetic_series(num_samples=12000, seed=args.seed)
+            tmp = pathlib.Path(tmpdir) / "feed.csv"
+            tmp.write_text(
+                "price\n" + "\n".join(repr(p) for p in series.prices) + "\n"
+            )
+            feed = ["--input", str(tmp), "--window", "1000", "--stride", "500"]
+        code = ksearch([
+            "experiment", "--kind", args.kind, "--seed", str(args.seed),
+            *feed, *grid, "--workers", str(args.workers),
+            "--output", args.output,
+        ])
     if code == 0:
         print(f"wrote {args.output}")
     return code

@@ -73,16 +73,12 @@ import numpy as np
 
 from .core import ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, left_sum
 from .errors import ConstructionError, InvalidInputError
-from .pareto import FrontierSpec, target_point
+from .pareto import _CUT_EPS, FrontierSpec, target_point
 
 _RATIO_TOL = 1e-9
 # scan conditions hold with exact equality at balanced endpoints (lambda=1),
 # so comparisons carry a hair of relative slack
 _SCAN_SLACK = 1e-9
-
-# Nudge for integer crossings that are analytically exact; must stay above
-# float noise (~1e-13) but below genuine fractional parts near domain ends.
-_CROSS_EPS = 1e-11
 
 
 # --------------------------------------------------------------------------
@@ -450,12 +446,12 @@ def _prefix_length(
         raw = math.log((prediction / bounds.p_min - 1.0) / (gamma - 1.0)) / math.log1p(
             gamma / k
         )
-        return min(k, max(1, math.ceil(raw - _CROSS_EPS)))
+        return min(k, max(1, math.ceil(raw - _CUT_EPS)))
     ratio = (1.0 - prediction / bounds.p_max) / (1.0 - 1.0 / gamma)
     if ratio <= 1.0:
         return 0
     raw = math.log(ratio) / math.log1p(1.0 / (gamma * k))
-    return min(k, max(0, math.ceil(raw - _CROSS_EPS)))
+    return min(k, max(0, math.ceil(raw - _CUT_EPS)))
 
 
 def _min_flat_end(
@@ -691,7 +687,7 @@ def _prefix_lengths(
     raw = np.array([math.log(x) for x in ratio.tolist()]) / log_grow_gamma
     if not np.isfinite(raw).all():
         raise ConstructionError("prefix length is not finite")
-    return np.minimum(k, np.maximum(least, np.ceil(raw - _CROSS_EPS))).astype(int)
+    return np.minimum(k, np.maximum(least, np.ceil(raw - _CUT_EPS))).astype(int)
 
 
 def _verify_rows(

@@ -54,6 +54,11 @@ class ProblemKind(enum.Enum):
         return self is ProblemKind.MAX
 
 
+def _check_kind(kind) -> None:
+    if not isinstance(kind, ProblemKind):
+        raise InvalidInputError(f"kind must be a ProblemKind, got {kind!r}")
+
+
 @dataclass(frozen=True)
 class PriceBounds:
     """Known price support [p_min, p_max] with fluctuation ratio theta."""
@@ -89,8 +94,7 @@ class PriceBounds:
 class SearchInstance:
     """A full arrival sequence together with the budget k and its bounds.
 
-    ``prices`` is a read-only 1-D float64 array: one passed in is kept (a
-    window stays a view of its series), anything else is copied once.
+    ``prices`` is a read-only 1-D float64 copy of the sequence passed in.
     """
 
     prices: np.ndarray
@@ -98,12 +102,9 @@ class SearchInstance:
     bounds: PriceBounds
 
     def __post_init__(self):
-        prices = self.prices
-        if not (isinstance(prices, np.ndarray) and prices.dtype == np.float64
-                and not prices.flags.writeable):
-            prices = np.array(prices, dtype=np.float64)
-            prices.flags.writeable = False
-            object.__setattr__(self, "prices", prices)
+        prices = np.array(self.prices, dtype=np.float64)
+        prices.flags.writeable = False
+        object.__setattr__(self, "prices", prices)
         if prices.ndim != 1 or not prices.size:
             raise InvalidInputError("instance needs a non-empty 1-D sequence of prices")
         if (not isinstance(self.k, int) or isinstance(self.k, bool)
@@ -162,8 +163,7 @@ class WindowStream:
                                     "window starts and a positive integer horizon")
         if starts.size >= 1 << 20:
             raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
-        if not isinstance(self.kind, ProblemKind):
-            raise InvalidInputError(f"kind must be a ProblemKind, got {self.kind!r}")
+        _check_kind(self.kind)
         if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= horizon:
             raise InvalidInputError(f"budget k={k!r} must be an integer in [1, T={horizon}]")
         starts = starts.astype(np.intp, copy=False)
@@ -208,6 +208,7 @@ class ThresholdSchedule:
     bounds: PriceBounds
 
     def __post_init__(self):
+        _check_kind(self.kind)
         values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if not values:
@@ -497,10 +498,10 @@ _RUN_VECTOR_BYTES = 64
 _HARD_RUN_BYTES = 48
 
 
-def _replay_window_bytes(horizon: int, k: int, runs: int, step=None, hardened=False):
+def _replay_window_bytes(horizon: int, k: int, runs: int, step, hardened):
     """The most the replay of one window of a block holds, in bytes, where
     the window adds ``step`` prices to the block's span (min(stride, T) for
-    a window after the block's first; its whole horizon by default, and an
+    a window after the block's first, its whole horizon for the first; an
     array of steps gives an array of charges).  ``ota_totals`` holds the
     sparse table's columns of those prices and an end column, and per run
     32 bytes a slot (the caller's thresholds, their signed copy and the
@@ -512,7 +513,6 @@ def _replay_window_bytes(horizon: int, k: int, runs: int, step=None, hardened=Fa
     flag, or an array of them) is replayed hardened too, and adds
     ``_HARD_RUN_BYTES`` a run to either; its optimum is taken of a copy
     with the worst-price tail once the plain copy is freed."""
-    step = horizon if step is None else step
     kernel = 8 * horizon.bit_length() * (step + 1) + runs * (32 * k + _RUN_VECTOR_BYTES)
     return np.maximum(kernel, 8 * (horizon + k + runs)) + hardened * runs * _HARD_RUN_BYTES
 
@@ -554,6 +554,7 @@ def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
     """Clairvoyant optimum: sum of the k largest (max) or smallest (min) prices."""
     # select the k extremes without a full sort, then add them in sorted order
     # (descending for max) so the total matches summing the sorted prices
+    _check_kind(kind)
     prices, k = instance.prices, instance.k
     if kind.is_max:
         chosen = np.partition(prices, prices.size - k)[prices.size - k :]

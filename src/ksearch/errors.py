@@ -21,10 +21,6 @@ class DomainError(KSearchError):
 class DataFormatError(KSearchError):
     """A data file could not be parsed; message names the offending row."""
 
-    def __init__(self, message: str, row: int | None = None):
-        super().__init__(message)
-        self.row = row
-
 
 class ConstructionError(KSearchError):
     """A designed schedule, or a computation behind one, failed its own verification.

@@ -42,35 +42,28 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 from functools import partial
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
 from .core import ProblemKind
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .instances import PriceSeries, WindowStream, adjust_error, scale_theta, sliding_windows
-from .learner import GRID, _hedge, _stream_ratios, _uniforms
+from .learner import _HARDEN_KEY_OFFSET, GRID, _hedge, _keys, _stream_ratios, _uniforms
 from .worstcase import WorstCaseSolution, worst_case_thresholds
 
 ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
 
-# Hardening draws must never share a Philox key with the learner's
-# per-round selection draws (seed * 2^20 + t with t < 2^20), so they live
-# in a disjoint key range: window i's key is seed * 2^20 + i + 2^63.
-_HARDEN_KEY_OFFSET = 1 << 63
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SweepCell:
-    """One point of the stress cross-product."""
+    """One point of the stress cross-product, ordered by its fields: rho,
+    error level, k, theta multiplier (the cell key)."""
 
     rho: float
     error_level: float
     k: int
     theta_mult: float
-
-    def key(self) -> tuple[float, float, int, float]:
-        return (self.rho, self.error_level, self.k, self.theta_mult)
 
 
 @dataclass(frozen=True)
@@ -162,8 +155,7 @@ def _check_rho(rho) -> None:
 
 def _hardening_draws(seed: int, count: int) -> list[float]:
     """The uniform draws of a run's first ``count`` windows."""
-    first = seed * (1 << 20) + _HARDEN_KEY_OFFSET
-    return _uniforms(range(first, first + count)).tolist()
+    return _uniforms(_keys(seed, _HARDEN_KEY_OFFSET, count)).tolist()
 
 
 def build_cells(rhos, error_levels, ks, theta_mults) -> tuple[SweepCell, ...]:
@@ -172,7 +164,7 @@ def build_cells(rhos, error_levels, ks, theta_mults) -> tuple[SweepCell, ...]:
         SweepCell(rho, level, k, mult)
         for rho, level, k, mult in product(rhos, error_levels, ks, theta_mults)
     ]
-    return tuple(sorted(cells, key=SweepCell.key))
+    return tuple(sorted(cells))
 
 
 def run_sweep(
@@ -190,11 +182,11 @@ def run_sweep(
     Every cell's rho is checked before any cell runs.  The cells that share
     (error level, k, theta multiplier) form a group, which ``_run_group``
     evaluates from one replay; groups run in (error level, k, theta
-    multiplier) order.  A cell that fails raises once every cell before it
-    in key order has run, so the error is the one the cells would raise run
-    one by one in that order, whatever its type.  The output is sorted by (cell key, algorithm), one
-    copy of a cell's rows for each time the cell is given, and is identical
-    for any worker count.
+    multiplier) order.  Every group runs; then the first failing cell in
+    key order raises, so the error is the one the cells would raise run one
+    by one in that order, whatever its type.  The output is sorted by
+    (cell, algorithm), one copy of a cell's rows for each time the cell is
+    given, and is identical for any worker count.
     """
     if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
         raise InvalidInputError(f"workers must be a positive integer, got {workers}")
@@ -203,21 +195,24 @@ def run_sweep(
         raise InvalidInputError("run_sweep needs at least one cell")
     for cell in cells:
         _check_rho(cell.rho)
-    order = sorted(set(cells), key=SweepCell.key)
+    order = sorted(set(cells))
     by_key = {}
     for cell in order:
         by_key.setdefault((cell.error_level, cell.k, cell.theta_mult), []).append(cell)
     groups = [by_key[key] for key in sorted(by_key)]
     run = partial(_run_group, series, kind=kind, seed=seed, window_len=window_len, stride=stride)
     if workers == 1 or len(groups) == 1:
-        outcomes = _collect(map(run, groups), order)
+        outcomes = dict(chain.from_iterable(map(run, groups)))
     else:
         from concurrent.futures import ProcessPoolExecutor  # loaded only where a sweep pools
 
         with ProcessPoolExecutor(max_workers=min(workers, len(groups))) as pool:
-            outcomes = _collect(pool.map(run, groups), order)
+            outcomes = dict(chain.from_iterable(pool.map(run, groups)))
+    for cell in order:
+        if isinstance(outcomes[cell], Exception):
+            raise outcomes[cell]
     flat = [summary for cell in cells for summary in outcomes[cell]]
-    return tuple(sorted(flat, key=lambda s: (s.cell.key(), s.algorithm)))
+    return tuple(sorted(flat, key=lambda s: (s.cell, s.algorithm)))
 
 
 def _run_group(
@@ -240,7 +235,9 @@ def _run_group(
     one where the cell's rho is above window i's draw; hardening comes
     after the error is dialled, so a hardened window keeps the prediction
     it was given.  Returns (cell, summaries) for each cell in order, ending
-    at the first failing cell with (cell, the exception it raised).
+    at the first failing cell with (cell, the exception it raised): the
+    cells it leaves out have a larger rho, so they come after that cell in
+    key order, and ``run_sweep`` raises before it looks one up.
     """
     done = []
     try:
@@ -261,21 +258,7 @@ def _run_group(
                 CellSummary(cell, algorithm, len(rows), *summarize(results[algorithm][0]))
                 for algorithm in ALGORITHMS
             )))
-    except Exception as error:  # re-raised by _collect, in cell key order
+    except Exception as error:  # re-raised by run_sweep, in cell key order
         done.append((cells[len(done)], error))
     return done
 
-
-def _collect(groups, order) -> dict:
-    """Each cell's summaries from the groups' ``_run_group`` outcomes, taken
-    in turn; a failure raises as soon as every cell before it in ``order``
-    has run."""
-    outcomes = {}
-    for group in groups:
-        outcomes.update(group)
-        for cell in order:
-            if cell not in outcomes:
-                break
-            if isinstance(outcomes[cell], Exception):
-                raise outcomes[cell]
-    return outcomes

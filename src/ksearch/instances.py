@@ -192,7 +192,7 @@ def _numbered_rows(path, fh):
         except UnicodeDecodeError as exc:
             raise InvalidInputError(f"{path}: not UTF-8 text ({exc.reason})") from None
         except csv.Error as exc:
-            raise DataFormatError(f"{path}: row {row_num}: {exc}", row=row_num) from None
+            raise DataFormatError(f"{path}: row {row_num}: {exc}") from None
         yield row_num, row
 
 
@@ -224,23 +224,19 @@ def _row_series(path) -> PriceSeries:
         for row_num, row in reader:
             if len(row) != len(header):
                 raise DataFormatError(
-                    f"{path}: row {row_num} has {len(row)} fields, "
-                    f"expected {len(header)}",
-                    row=row_num,
+                    f"{path}: row {row_num} has {len(row)} fields, expected {len(header)}"
                 )
             cell = row[p_idx].strip()
             try:
                 price = float(cell)
             except ValueError:
                 raise DataFormatError(
-                    f"{path}: row {row_num}: price {_echo(cell)} is not numeric",
-                    row=row_num,
+                    f"{path}: row {row_num}: price {_echo(cell)} is not numeric"
                 ) from None
             if not (price > 0 and math.isfinite(price)):
                 raise DataFormatError(
                     f"{path}: row {row_num}: price must be positive, "
-                    f"got {_echo(cell, quote=False)}",
-                    row=row_num,
+                    f"got {_echo(cell, quote=False)}"
                 )
             prices.append(price)
             if t_idx is not None:
@@ -252,14 +248,12 @@ def _row_series(path) -> PriceSeries:
                     why = (f"exceeds Python's {sys.get_int_max_str_digits()}-digit integer limit"
                            if _INTEGER.fullmatch(tcell) else "is not an integer")
                     raise DataFormatError(
-                        f"{path}: row {row_num}: timestamp {_echo(tcell)} {why}",
-                        row=row_num,
+                        f"{path}: row {row_num}: timestamp {_echo(tcell)} {why}"
                     ) from None
                 if stamps and ts <= stamps[-1]:
                     raise DataFormatError(
                         f"{path}: row {row_num}: timestamp {_echo(str(ts), quote=False)} "
-                        f"not strictly increasing",
-                        row=row_num,
+                        f"not strictly increasing"
                     )
                 stamps.append(ts)
     if not prices:
@@ -331,6 +325,8 @@ def gen_synthetic_series(
     """
     if not isinstance(num_samples, int) or isinstance(num_samples, bool) or num_samples < 1:
         raise InvalidInputError(f"num_samples must be a positive integer, got {num_samples}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     log_lo = math.log(bounds.p_min)
     log_hi = math.log(bounds.p_max)

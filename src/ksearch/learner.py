@@ -69,6 +69,9 @@ _REPLAY_BLOCK_BYTES = 4 << 20
 # how far from 1 ``Generator.choice`` lets the probabilities sum
 _SUM_TOLERANCE = math.sqrt(np.finfo(float).eps)
 _MASK32 = 0xFFFFFFFF
+# the sweep's hardening draws key window i by seed * 2^20 + i + 2^63, a
+# range disjoint from Hedge's round keys seed * 2^20 + t (t < 2^20)
+_HARDEN_KEY_OFFSET = 1 << 63
 
 
 class RegretHistory(NamedTuple):
@@ -196,6 +199,16 @@ def _draws(weights: np.ndarray, keys) -> np.ndarray:
     return np.count_nonzero(cdf <= _uniforms(keys)[:, None], axis=1)
 
 
+def _keys(seed, offset: int, count: int) -> range:
+    """The Philox keys seed * 2^20 + offset + t of draws t = 0 .. count - 1:
+    Hedge's rounds at offset 0, the sweep's windows at ``_HARDEN_KEY_OFFSET``.
+    A seed that is not an integer raises InvalidInputError."""
+    if not isinstance(seed, (int, np.integer)):
+        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
+    first = int(seed) * (1 << 20) + offset
+    return range(first, first + count)
+
+
 @functools.lru_cache(maxsize=8)  # a run draws one Hedge range and one hardening range
 def _uniforms(keys) -> np.ndarray:
     """The first double of the Philox stream of each key of a range or
@@ -320,7 +333,7 @@ def _hedge(by_round: np.ndarray, seed: int) -> tuple[tuple[float, ...], RegretHi
             raw = [math.exp(x - top) for x in logs]
             total = math.fsum(raw)
         weights = [w / total for w in raw]
-    picks = _draws(held, range(seed * (1 << 20), seed * (1 << 20) + rounds))
+    picks = _draws(held, _keys(seed, 0, rounds))
     chosen = by_round[np.arange(rounds), picks].tolist()
     low = next((ratio for ratio in chosen if ratio < 1.0 - 1e-9), None)
     if low is not None:

@@ -60,7 +60,7 @@ class FrontierSpec:
 def _checked_gamma(gamma: float, spec: FrontierSpec) -> float:
     """Validate gamma against [cr*, theta] and snap float fuzz onto it."""
     tol = 1e-9 * max(1.0, spec.theta)
-    if gamma < spec.cr_star - tol or gamma > spec.theta + tol:
+    if not spec.cr_star - tol <= gamma <= spec.theta + tol:  # False for NaN too
         raise DomainError(
             f"gamma={gamma} outside the frontier domain [{spec.cr_star}, {spec.theta}]"
         )

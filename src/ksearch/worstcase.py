@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PriceBounds, ProblemKind, ThresholdSchedule
+from .core import PriceBounds, ProblemKind, ThresholdSchedule, _check_kind
 from .errors import ConstructionError, InvalidInputError
 
 _BISECT_ITERS = 200
@@ -30,7 +30,6 @@ _RESIDUAL_TOL = 1e-10
 class WorstCaseSolution:
     """Optimal competitive ratio together with the schedule that attains it."""
 
-    kind: ProblemKind
     cr: float
     schedule: ThresholdSchedule
 
@@ -76,6 +75,7 @@ def _root_above_one(f, theta: float) -> float:
 
 def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
     """Optimal competitive ratio for the given bounds: alpha* (max) or phi* (min)."""
+    _check_kind(kind)
     _check_k(k)
     theta = bounds.theta
     if theta == 1.0:
@@ -115,5 +115,5 @@ def worst_case_thresholds(bounds: PriceBounds, k: int, kind: ProblemKind) -> Wor
         near, lead, growth = bounds.p_max, -(1.0 - 1.0 / cr), 1.0 + 1.0 / (k * cr)
     values = [bounds.clip(near * (1.0 + lead * growth ** (i - 1))) for i in range(1, k + 1)]
     schedule = ThresholdSchedule(kind, tuple(values), bounds)
-    return WorstCaseSolution(kind, cr, schedule)
+    return WorstCaseSolution(cr, schedule)
 

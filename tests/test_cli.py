@@ -631,11 +631,39 @@ learner's heaviest confidence: 0.75 (weight 0.2051)
 @pytest.mark.parametrize("flags", list(WINDOW_POLICIES))
 def test_window_policies_script_output_is_pinned(flags):
     # recorded while the script still evaluated one window object at a time
+    assert _run_script("window_policies.py", *flags) == WINDOW_POLICIES[flags]
+
+
+def _run_script(name, *flags, env=None):
+    """Run scripts/<name> with the library on its path; it must exit 0."""
     root = pathlib.Path(ksearch.__file__).resolve().parent.parent.parent
-    env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    out = subprocess.run([sys.executable, str(root / "scripts" / "window_policies.py"), *flags],
-                         env=env, capture_output=True, text=True, check=True).stdout
-    assert out == WINDOW_POLICIES[flags]
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(root / "src")}
+    return subprocess.run([sys.executable, str(root / "scripts" / name), *flags],
+                          env=env, capture_output=True, text=True, check=True).stdout
+
+
+def test_pareto_curves_script_writes_one_frontier_per_budget(tmp_path):
+    _run_script("pareto_curves.py", "--budgets", "1,5", "--points", "5",
+                "--outdir", str(tmp_path))
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "frontier_max_k1.csv", "frontier_max_k5.csv"]
+
+
+def test_threshold_gallery_script_writes_one_schedule_per_prediction(tmp_path):
+    out = _run_script("threshold_gallery.py", "--kind", "min", "--predictions", "8,25",
+                      "--outdir", str(tmp_path))
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "schedule_min_P25.csv", "schedule_min_P8.csv"]
+    assert out.count("(case ") == 2
+
+
+def test_synthetic_sweep_script_leaves_no_temporary_feed(tmp_path):
+    scratch, out = tmp_path / "tmp", tmp_path / "sweep.csv"
+    scratch.mkdir()
+    _run_script("synthetic_sweep.py", "--workers", "1", "--output", str(out),
+                env={"TMPDIR": str(scratch)})
+    assert len(read_csv(out)[2]) == 4 * len(ksearch.ALGORITHMS)  # 2 rho x 2 k cells
+    assert list(scratch.iterdir()) == []
 
 
 def test_import_leaves_the_process_pool_out():

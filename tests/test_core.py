@@ -16,6 +16,7 @@ import ksearch
 from conftest import kinds, price_bounds, schedule_and_instance
 from oracle import ota_total
 from ksearch import (
+    FrontierSpec,
     InvalidInputError,
     ParetoPoint,
     PriceBounds,
@@ -23,9 +24,12 @@ from ksearch import (
     SearchInstance,
     ThresholdSchedule,
     WindowStream,
+    design,
     offline_opt,
     ota_totals,
     run_ota,
+    solve_cr,
+    worst_case_thresholds,
 )
 from ksearch.core import (
     _offline_optima,
@@ -649,6 +653,20 @@ class TestTypeInvariants:
             ThresholdSchedule(ProblemKind.MAX, (20.0, 10.0), B)
         with pytest.raises(InvalidInputError):
             ThresholdSchedule(ProblemKind.MIN, (10.0, 20.0), B)
+
+    @pytest.mark.parametrize("call", [
+        lambda: design(20.0, 0.5, B, 10, "max"),
+        lambda: worst_case_thresholds(B, 10, "max"),
+        lambda: solve_cr(B, 10, None),
+        lambda: solve_cr(PriceBounds(5.0, 5.0), 10, "min"),  # theta = 1 reads no kind
+        lambda: FrontierSpec(B, 10, "min"),
+        lambda: ThresholdSchedule("max", (6.0, 7.0), B),
+        lambda: offline_opt(SearchInstance((6.0, 7.0, 8.0), 2, B), "max"),
+    ], ids=["design", "worst_case_thresholds", "solve_cr", "solve_cr-theta-1", "FrontierSpec",
+            "ThresholdSchedule", "offline_opt"])
+    def test_kind_that_is_not_a_problem_kind_raises_typed(self, call):
+        with pytest.raises(InvalidInputError, match="^kind must be a ProblemKind, got "):
+            call()
 
     def test_pareto_point_ordering_enforced(self):
         ParetoPoint(0.5, 1.5, 2.5)

@@ -197,7 +197,7 @@ class TestCellsAndSweep:
     def test_build_cells_sorted_cross_product(self):
         cells = build_cells((0.3, 0.0), (1.0,), (25, 5), (1.0, 4.0))
         assert len(cells) == 8
-        assert list(cells) == sorted(cells, key=SweepCell.key)
+        assert list(cells) == sorted(cells)
         assert cells[0] == SweepCell(0.0, 1.0, 5, 1.0)
         assert cells[-1] == SweepCell(0.3, 1.0, 25, 4.0)
 
@@ -232,9 +232,21 @@ class TestCellsAndSweep:
         serial = run_sweep(series, cells, ProblemKind.MAX, 7, 200, 200, workers=1)
         pooled = run_sweep(series, cells, ProblemKind.MAX, 7, 200, 200, workers=3)
         assert serial == pooled
-        keys = [(s.cell.key(), s.algorithm) for s in serial]
+        keys = [(s.cell, s.algorithm) for s in serial]
         assert keys == sorted(keys)
         assert len(serial) == len(cells) * 3
+
+    def test_seed_that_is_not_an_integer_raises_typed(self):
+        series = gen_synthetic_series(num_samples=2200, seed=3)
+        cells = build_cells((0.0, 0.2), (1.0,), (5,), (1.0,))
+        message = "^seed must be an integer, got 1.5$"
+        with pytest.raises(InvalidInputError, match=message):
+            run_sweep(series, cells, ProblemKind.MAX, 1.5, 100, 50)
+        with pytest.raises(InvalidInputError, match=message):
+            evaluate_windows(_windows(), 1.5)
+        # a numpy integer seed is its int (its hardening keys overflowed int64)
+        assert (run_sweep(series, cells, ProblemKind.MAX, np.int64(7), 200, 200)
+                == run_sweep(series, cells, ProblemKind.MAX, 7, 200, 200))
 
     def test_sweep_rejects_bad_arguments(self):
         series = gen_synthetic_series(num_samples=2200, seed=3)
@@ -260,7 +272,7 @@ def _per_cell_sweep(series, cells, kind, seed, window_len, stride):
         windows = adjust_error(windows, cell.error_level)
         windows = harden_reference(windows, cell.rho, seed)
         out.extend(_summaries(cell, windows, seed))
-    return tuple(sorted(out, key=lambda s: (s.cell.key(), s.algorithm)))
+    return tuple(sorted(out, key=lambda s: (s.cell, s.algorithm)))
 
 
 class TestGuaranteeChecks:

@@ -87,6 +87,19 @@ class TestLearnerType:
         assert GRID[0] == 0.0 and GRID[-1] == 1.0
         assert all(b > a for a, b in zip(GRID, GRID[1:]))
 
+    @pytest.mark.parametrize("seed", [1.5, "1", None])
+    def test_seed_that_is_not_an_integer_raises_typed(self, seed):
+        stream, _ = _stream(3, k=5)
+        with pytest.raises(InvalidInputError, match="^seed must be an integer, got "):
+            run_learning(stream, seed)
+
+    def test_seed_keys_stay_philox_keys(self):
+        # a negative seed's keys fall below 0; a numpy integer is its int
+        stream, _ = _stream(3, k=5)
+        with pytest.raises(InvalidInputError, match=r"^Philox keys are ints in \[0, 2\^128\)"):
+            run_learning(stream, -1)
+        assert run_learning(stream, np.int64(7)) == run_learning(stream, 7)
+
     def test_hedge_rejects_a_ratio_below_one(self):
         # whatever round 2 draws, its ratio is below 1 - 1e-9 and is named
         ratios = np.full((3, len(GRID)), 1.5)
@@ -579,7 +592,8 @@ class TestBlockReplay:
         bounds = stream.bounds
         extra = (worst_case_thresholds(bounds, k, kind).schedule,)
         runs = len(GRID) + len(extra)
-        budget = per_block * _replay_window_bytes(stream.horizon, k, runs)
+        budget = per_block * _replay_window_bytes(
+            stream.horizon, k, runs, stream.horizon, False)
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget + budget_offset)
         ratios = replay_ratios(stream, extra)
         assert block_sizes == sizes
@@ -593,7 +607,7 @@ class TestBlockReplay:
         # a window after the first is charged only the prices it adds
         series = gen_synthetic_series(num_samples=4400, seed=7)
         runs = len(GRID) + 1
-        first = _replay_window_bytes(100, k, runs)
+        first = _replay_window_bytes(100, k, runs, 100, False)
         budget = 20 * first
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget)
         sizes = {}
@@ -602,7 +616,7 @@ class TestBlockReplay:
             blocks = learner_mod._blocks(stream, runs, np.zeros(len(stream), dtype=bool))
             sizes[stride] = [stop - start for start, stop in blocks]
             assert sum(sizes[stride]) == len(stream)
-        overlapping = 1 + (budget - first) // _replay_window_bytes(100, k, runs, 20)
+        overlapping = 1 + (budget - first) // _replay_window_bytes(100, k, runs, 20, False)
         assert sizes[100][0] == 20 < overlapping == sizes[20][0]
 
 

@@ -150,6 +150,13 @@ def test_gamma_domain_errors_and_snapping():
     assert lower_bound(10.0 * (1.0 + 1e-13), smin) == pytest.approx(1.0, abs=1e-8)
 
 
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_nan_gamma_is_a_domain_error(kind):
+    spec = FrontierSpec(PriceBounds(5.0, 50.0), 10, kind)
+    with pytest.raises(DomainError, match="^gamma=nan outside the frontier domain"):
+        lower_bound(math.nan, spec)
+
+
 def test_target_point_endpoints_and_domain():
     smax, _ = specs_for(10.0, 20)
     full_trust = target_point(0.0, smax)
