@@ -18,13 +18,18 @@ prices p~1 (end of the flat-free region) and p~2 (where the robustness
 prefix becomes necessary): cases I/II/III for max-search and IV/V/VI for
 min-search.
 
-Both kinds share one construction skeleton.  Every threshold has the form
-``near + lead * growth**n``, where ``near`` is the schedule's start sentinel
-(p_min for max-search, p_max for min-search): the prefix grows at the gamma
-rate, the block past the pivot at the eta rate, and the tail closes onto the
-far sentinel at the gamma rate.  Only the growth rates and leads, the case
-boundaries, the prefix length j*, the flat-block end m*, the pivot and the
-robustness test of the i* scan differ between the kinds.  Every constructed
+Both kinds share one construction skeleton, and ``ProblemKind`` holds what
+differs in it.  Every threshold has the form ``near + lead * growth**n``,
+where ``near`` is ``kind.near`` (p_min for max-search, p_max for
+min-search), the rate is ``kind.growth`` at gamma or eta and the lead is
+``sign * near * spread``: the prefix grows at the gamma rate, the block
+past the pivot at the eta rate, and the tail closes onto ``kind.far`` at
+the gamma rate.  Ratios come from ``kind.ratio``, and the pivot check and
+clamp compare signed prices.  Only the case boundaries (a prediction on
+one takes the near-side case for max-search, the far-side one for
+min-search), p~2, the pivot formula, the flat-block end m*, j*'s least
+count and the robustness test of the i* scan keep a branch per kind, as
+their formulas differ.  Every constructed
 schedule is re-verified numerically; a verification failure raises
 ConstructionError and indicates an infeasible target rather than a
 tolerable degradation.
@@ -65,13 +70,16 @@ import bisect
 import functools
 import itertools
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, left_sum
+from .core import (
+    ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, _check_k, _check_kind, _check_real,
+    left_sum,
+)
 from .errors import ConstructionError, InvalidInputError
 from .pareto import _CUT_EPS, FrontierSpec, target_point
 
@@ -93,15 +101,11 @@ def interval_ratios(schedule: ThresholdSchedule) -> np.ndarray:
     compulsory fills at the far bound, while the optimum collects k prices
     at the interval's other end.
     """
-    k, bounds = schedule.k, schedule.bounds
-    far = bounds.p_max if schedule.kind.is_max else bounds.p_min  # where interval k + 1 ends
-    extended = np.array(schedule.values + (far,))
+    k, bounds, kind = schedule.k, schedule.bounds, schedule.kind
+    extended = np.array(schedule.values + (kind.far(bounds),))  # interval k + 1 ends far
     banked = np.zeros(k + 1)
     np.cumsum(extended[:k], out=banked[1:])
-    remaining = k - np.arange(k + 1)
-    if schedule.kind.is_max:
-        return k * extended / (banked + remaining * bounds.p_min)
-    return (banked + remaining * bounds.p_max) / (k * extended)
+    return kind.ratio(banked + (k - np.arange(k + 1)) * kind.near(bounds), k * extended)
 
 
 def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:
@@ -118,13 +122,11 @@ def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:
 
 def _ratio_at(schedule: ThresholdSchedule, prediction: float) -> float:
     """prediction_ratio at a prediction already snapped into the band."""
-    k, values, bounds = schedule.k, schedule.values, schedule.bounds
-    if schedule.kind.is_max:
-        reached = bisect.bisect_right(values, prediction)
-        return k * prediction / (left_sum(values[:reached]) + (k - reached) * bounds.p_min)
-    # min-search thresholds descend: count the leading ones at or above P
-    reached = bisect.bisect_right(values, -prediction, key=operator.neg)
-    return (left_sum(values[:reached]) + (k - reached) * bounds.p_max) / (k * prediction)
+    k, values, kind, sign = schedule.k, schedule.values, schedule.kind, schedule.kind.sign
+    # the signed thresholds ascend: count the leading ones P reaches
+    reached = bisect.bisect_right(values, sign * prediction, key=sign.__mul__)
+    total = left_sum(values[:reached]) + (k - reached) * kind.near(schedule.bounds)
+    return kind.ratio(total, k * prediction)
 
 
 # --------------------------------------------------------------------------
@@ -254,20 +256,16 @@ def sigma_star(target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKi
     eta, gamma = target.eta, target.gamma
     theta = bounds.theta
     is_max = kind.is_max
-    if not is_max:
-        log_grow_eta = math.log1p(1.0 / (eta * k))
-        log_grow_gamma = math.log1p(1.0 / (gamma * k))
+    grow_eta, grow_gamma = kind.growth(eta, k), kind.growth(gamma, k)
+    log_grow_eta, log_grow_gamma = kind.log_growth(eta, k), kind.log_growth(gamma, k)
     # the slack divides the cap by an exp >= 1, so a float ratio above
     # gamma + cap fails the junction test too: it pays no exp for its slack
     limit = gamma + _junction_cap(gamma)
     # top-down, not bisected: at lam = 1 the junction test ties at every sigma
     for sigma in range(k, 0, -1):
         if is_max:
-            ratio = (
-                eta
-                * (1.0 + (theta - 1.0) / (1.0 + gamma / k) ** (k - sigma))
-                / (1.0 + (eta - 1.0) * (1.0 + eta / k) ** sigma)
-            )
+            ratio = (eta * (1.0 + (theta - 1.0) / grow_gamma ** (k - sigma))
+                     / (1.0 + (eta - 1.0) * grow_eta**sigma))
         else:
             # numer = 1 - (1-1/eta)*(1+1/(eta*k))**sigma and
             # denom = 1 - (1-1/theta)/(1+1/(gamma*k))**(k-sigma), each rewritten
@@ -311,25 +309,21 @@ def _degenerate(bounds: PriceBounds) -> bool:
 
 def _frame(target: ParetoPoint, bounds: PriceBounds, k: int, kind: ProblemKind) -> _Frame:
     """Solve sigma* and the case boundaries of one target."""
-    p_min, p_max = bounds.p_min, bounds.p_max
     eta, gamma = target.eta, target.gamma
+    near = kind.near(bounds)
     if _degenerate(bounds):
-        near = p_min if kind.is_max else p_max
         return _Frame(target, k, 1.0, 1.0, 0.0, 0.0, near, near)
     # Min-search leads are negative: p_max + (-x) rounds exactly like
     # p_max - x, so both kinds share every threshold formula.
     sigma = sigma_star(target, bounds, k, kind)
+    grow_eta, grow_gamma = kind.growth(eta, k), kind.growth(gamma, k)
+    lead_eta = kind.sign * (near * kind.spread(eta))
+    lead_gamma = kind.sign * (near * kind.spread(gamma))
+    tilde_1 = near + lead_eta * grow_eta ** (sigma - 1)
     if kind.is_max:
-        grow_eta, grow_gamma = 1.0 + eta / k, 1.0 + gamma / k
-        lead_eta, lead_gamma = p_min * (eta - 1.0), p_min * (gamma - 1.0)
-        tilde_1 = p_min + lead_eta * grow_eta ** (sigma - 1)
-        tilde_2 = max(tilde_1, gamma * p_min)
+        tilde_2 = max(tilde_1, gamma * bounds.p_min)
     else:
-        grow_eta, grow_gamma = 1.0 + 1.0 / (eta * k), 1.0 + 1.0 / (gamma * k)
-        lead_eta = -(p_max * (1.0 - 1.0 / eta))
-        lead_gamma = -(p_max * (1.0 - 1.0 / gamma))
-        tilde_1 = p_max + lead_eta * grow_eta ** (sigma - 1)
-        tilde_2 = min(tilde_1, p_max / gamma)
+        tilde_2 = min(tilde_1, bounds.p_max / gamma)
     return _Frame(target, sigma, grow_eta, grow_gamma, lead_eta, lead_gamma, tilde_1, tilde_2)
 
 
@@ -337,12 +331,11 @@ def _construct(
     prediction: float, frame: _Frame, bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> AugmentedDesign:
     """The case I-VI schedule of one frame at a snapped prediction, verified."""
-    p_min, p_max = bounds.p_min, bounds.p_max
     target = frame.target
     eta, gamma = target.eta, target.gamma
-    is_max = kind.is_max
+    is_max, sign = kind.is_max, kind.sign
     labels = ("I", "II", "III") if is_max else ("IV", "V", "VI")
-    near, far = (p_min, p_max) if is_max else (p_max, p_min)
+    near, far = kind.near(bounds), kind.far(bounds)
     sigma, tilde_1, tilde_2 = frame.sigma, frame.tilde_1, frame.tilde_2
     grow_eta, grow_gamma = frame.grow_eta, frame.grow_gamma
     lead_eta, lead_gamma = frame.lead_eta, frame.lead_gamma
@@ -367,13 +360,13 @@ def _construct(
         # m*: the smallest flat-block end that lets the pivot reach P
         if is_max:
             if label == "II":
-                span = k * prediction / eta - k * p_min
+                span = k * prediction / eta - k * near
             else:
                 # the display folds the prefix sum into closed form via the
                 # extended z value at j*+1; both agree by the balancing identity
-                z_next = p_min * (1.0 + (gamma - 1.0) * grow_gamma**j_star)
+                z_next = near * (1.0 + (gamma - 1.0) * grow_gamma**j_star)
                 span = k * prediction / eta - k * z_next / gamma
-            m_star = j_star + math.ceil(span / (prediction - p_min))
+            m_star = j_star + math.ceil(span / (prediction - near))
             m_star = min(max(m_star, j_star), k)
         else:
             m_star = _min_flat_end(prediction, prefix_sum, eta, bounds, j_star, k)
@@ -383,19 +376,12 @@ def _construct(
                 )
 
         flat_sum = prefix_sum + (m_star - j_star) * prediction + (k - m_star) * near
-        if is_max:
-            pivot = eta * flat_sum / k
-            if pivot < prediction * (1.0 - 1e-9):
-                raise ConstructionError(
-                    f"pivot {pivot} fell below the prediction {prediction}"
-                )
-        else:
-            pivot = flat_sum / (eta * k)
-            if pivot > prediction * (1.0 + 1e-9):
-                raise ConstructionError(
-                    f"pivot {pivot} rose above the prediction {prediction}"
-                )
-        if (pivot < prediction) if is_max else (pivot > prediction):
+        pivot = eta * flat_sum / k if is_max else flat_sum / (eta * k)
+        # signed, the pivot may fall short of P by float noise only
+        if sign * pivot < sign * prediction * (1.0 - sign * 1e-9):
+            moved = "fell below" if is_max else "rose above"
+            raise ConstructionError(f"pivot {pivot} {moved} the prediction {prediction}")
+        if sign * pivot < sign * prediction:
             pivot = prediction  # float noise on the near side of P
 
         # thresholds j*+1..k: the flat block at P, then the eta continuation
@@ -442,16 +428,12 @@ def _prefix_length(
     prediction: float, gamma: float, bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> int:
     """j*: how many gamma-balanced prefix thresholds precede the prediction."""
-    if kind.is_max:
-        raw = math.log((prediction / bounds.p_min - 1.0) / (gamma - 1.0)) / math.log1p(
-            gamma / k
-        )
-        return min(k, max(1, math.ceil(raw - _CUT_EPS)))
-    ratio = (1.0 - prediction / bounds.p_max) / (1.0 - 1.0 / gamma)
-    if ratio <= 1.0:
+    ratio = kind.sign * (prediction / kind.near(bounds) - 1.0) / kind.spread(gamma)
+    least = 1 if kind.is_max else 0
+    if not least and ratio <= 1.0:
         return 0
-    raw = math.log(ratio) / math.log1p(1.0 / (gamma * k))
-    return min(k, max(0, math.ceil(raw - _CUT_EPS)))
+    raw = math.log(ratio) / kind.log_growth(gamma, k)
+    return min(k, max(least, math.ceil(raw - _CUT_EPS)))
 
 
 def _min_flat_end(
@@ -524,16 +506,12 @@ def _grid_frame(
     lams: tuple[float, ...], bounds: PriceBounds, k: int, kind: ProblemKind
 ) -> _GridFrame:
     frames = tuple(_frame_at(lam, bounds, k, kind) for lam in lams)
-    near, far = (bounds.p_min, bounds.p_max) if kind.is_max else (bounds.p_max, bounds.p_min)
+    near, far = kind.near(bounds), kind.far(bounds)
     pow_eta = np.array([[f.grow_eta**n for n in range(k + 1)] for f in frames])
     pow_gamma = np.array([[f.grow_gamma**n for n in range(k + 1)] for f in frames])
     lead_eta = np.array([[f.lead_eta] for f in frames])
     lead_gamma = np.array([[f.lead_gamma] for f in frames])
     gammas = [f.target.gamma for f in frames]
-    if kind.is_max:
-        log_grow_gamma = [math.log1p(gamma / k) for gamma in gammas]
-    else:
-        log_grow_gamma = [math.log1p(1.0 / (gamma * k)) for gamma in gammas]
     with np.errstate(all="ignore"):  # overflow gives inf, as Python float arithmetic does
         head = near + lead_eta * pow_eta[:, :k]
         prefix = near + lead_gamma * pow_gamma[:, :k]
@@ -548,7 +526,7 @@ def _grid_frame(
         np.array([f.tilde_2 for f in frames]),
         np.array([f.target.eta for f in frames]),
         np.array(gammas),
-        np.array(log_grow_gamma),
+        np.array([kind.log_growth(gamma, k) for gamma in gammas]),
         pow_eta, pow_gamma, head, prefix, prefix_sums, succ,
     )
 
@@ -569,8 +547,6 @@ def _construct_grid(
     uses overflowing, say).
     """
     grid = _grid_frame(lams, bounds, k, kind)
-    is_max = kind.is_max
-    p_min, p_max = bounds.p_min, bounds.p_max
     index = np.arange(k + 1)
     prediction = np.repeat(np.asarray(predictions, dtype=float), len(lams))
     frame = np.tile(np.arange(len(lams)), len(predictions))  # each row's grid row
@@ -581,7 +557,7 @@ def _construct_grid(
         block_rows = index[:0]  # case I/IV with sigma = k: the flat schedule at the near bound
     else:
         tilde_1 = grid.tilde_1[frame]
-        block_rows = np.flatnonzero(prediction > tilde_1 if is_max else prediction <= tilde_1)
+        block_rows = np.flatnonzero(prediction > tilde_1 if kind.is_max else prediction <= tilde_1)
     with np.errstate(all="ignore"):  # overflow follows Python floats; NaN is rejected below
         if block_rows.size:
             (values[block_rows], cut[block_rows], j_star[block_rows],
@@ -589,10 +565,9 @@ def _construct_grid(
                 prediction[block_rows], grid, frame[block_rows], bounds, k, kind)
             first_covered[block_rows] = m_star[block_rows] + 2
         values = np.where(index[1:] <= cut[:, None], values, grid.succ[frame, :k])
-        if not ((values >= p_min) & (values <= p_max)).all():  # False for NaN too
+        if not ((values >= bounds.p_min) & (values <= bounds.p_max)).all():  # False for NaN
             raise ConstructionError("designed thresholds leave the band")
-        steps = np.diff(values, axis=1)
-        if ((steps < 0) if is_max else (steps > 0)).any():
+        if (kind.sign * np.diff(values, axis=1) < 0).any():
             raise ConstructionError("designed thresholds turn")
         if not ((0 <= j_star) & (j_star <= m_star) & (m_star <= cut) & (cut <= k)).all():
             raise ConstructionError("index chain violated")
@@ -610,9 +585,7 @@ def _block_rows(
     Returns the designs' consistency thresholds (valid through i*), i*, j*
     and m* (already capped at i*).
     """
-    is_max = kind.is_max
-    p_min, p_max = bounds.p_min, bounds.p_max
-    near = p_min if is_max else p_max
+    is_max, sign, near = kind.is_max, kind.sign, kind.near(bounds)
     index = np.arange(k + 1)
     eta, gamma, tilde_2 = grid.eta[rows], grid.gamma[rows], grid.tilde_2[rows]
     case_2 = prediction <= tilde_2 if is_max else prediction > tilde_2
@@ -623,16 +596,16 @@ def _block_rows(
             prediction[past_2], gamma[past_2], grid.log_grow_gamma[rows[past_2]], bounds, k, kind)
     prefix_sum = grid.prefix_sums[rows, j_star]
     if is_max:
-        z_next = p_min * (1.0 + (gamma - 1.0) * grid.pow_gamma[rows, j_star])
-        span = np.where(case_2, k * prediction / eta - k * p_min,
+        z_next = near * (1.0 + (gamma - 1.0) * grid.pow_gamma[rows, j_star])
+        span = np.where(case_2, k * prediction / eta - k * near,
                         k * prediction / eta - k * z_next / gamma)
-        flat = np.ceil(span / (prediction - p_min))
+        flat = np.ceil(span / (prediction - near))
         if not np.isfinite(flat).all():
             raise ConstructionError("flat block length is not finite")
         m_star = np.minimum(np.maximum(j_star + flat, j_star), k).astype(int)
     else:
         lhs = (prefix_sum[:, None] + (index - j_star[:, None]) * prediction[:, None]
-               + (k - index) * p_max)
+               + (k - index) * near)
         allowed = (lhs <= (eta * k * prediction * (1.0 + _SCAN_SLACK))[:, None]) & (
             index >= j_star[:, None])
         if not allowed.any(axis=1).all():
@@ -640,16 +613,10 @@ def _block_rows(
         m_star = allowed.argmax(axis=1)
 
     flat_sum = prefix_sum + (m_star - j_star) * prediction + (k - m_star) * near
-    if is_max:
-        pivot = eta * flat_sum / k
-        if (pivot < prediction * (1.0 - 1e-9)).any():
-            raise ConstructionError("pivot fell below the prediction")
-        pivot = np.where(pivot < prediction, prediction, pivot)
-    else:
-        pivot = flat_sum / (eta * k)
-        if (pivot > prediction * (1.0 + 1e-9)).any():
-            raise ConstructionError("pivot rose above the prediction")
-        pivot = np.where(pivot > prediction, prediction, pivot)
+    pivot = eta * flat_sum / k if is_max else flat_sum / (eta * k)
+    if (sign * pivot < sign * prediction * (1.0 - sign * 1e-9)).any():
+        raise ConstructionError(f"pivot {'fell below' if is_max else 'rose above'} the prediction")
+    pivot = np.where(sign * pivot < sign * prediction, prediction, pivot)
 
     i = index[1:]
     block = near + (pivot - near)[:, None] * grid.pow_eta[
@@ -679,11 +646,10 @@ def _prefix_lengths(
     Where ``_prefix_length`` would divide by zero or round an infinite or
     NaN j*, this raises too.
     """
-    if kind.is_max:
-        ratio, least = (prediction / bounds.p_min - 1.0) / (gamma - 1.0), 1
-    else:
-        ratio = (1.0 - prediction / bounds.p_max) / (1.0 - 1.0 / gamma)
-        ratio, least = np.where(ratio <= 1.0, 1.0, ratio), 0  # j* = 0 there: log(1) = 0
+    ratio = kind.sign * (prediction / kind.near(bounds) - 1.0) / kind.spread(gamma)
+    least = 1 if kind.is_max else 0
+    if not least:
+        ratio = np.where(ratio <= 1.0, 1.0, ratio)  # j* = 0 there: log(1) = 0
     raw = np.array([math.log(x) for x in ratio.tolist()]) / log_grow_gamma
     if not np.isfinite(raw).all():
         raise ConstructionError("prefix length is not finite")
@@ -698,25 +664,19 @@ def _verify_rows(
     """``_verify`` on every design, at its prediction and the frame of its
     grid row in ``rows``: the interval ratios as ``interval_ratios`` computes
     them, the accurate-prediction ratio, and the eta-covered intervals."""
-    p_min, p_max = bounds.p_min, bounds.p_max
+    near, sign = kind.near(bounds), kind.sign
     gamma, eta = grid.gamma[rows], grid.eta[rows]
     gamma_cap = gamma + _RATIO_TOL + 1e-11 * gamma
     eta_cap = eta + _RATIO_TOL + 1e-11 * eta
     extended = np.empty((len(values), k + 1))
     extended[:, :k] = values
-    extended[:, k] = p_max if kind.is_max else p_min
+    extended[:, k] = kind.far(bounds)
     banked = np.zeros((len(values), k + 1))
     np.cumsum(values, axis=1, out=banked[:, 1:])
-    remaining = k - np.arange(k + 1)
-    at = np.arange(len(values))
-    if kind.is_max:
-        ratios = k * extended / (banked + remaining * p_min)
-        reached = (values <= prediction[:, None]).sum(axis=1)
-        at_prediction = k * prediction / (banked[at, reached] + (k - reached) * p_min)
-    else:
-        ratios = (banked + remaining * p_max) / (k * extended)
-        reached = (values >= prediction[:, None]).sum(axis=1)
-        at_prediction = (banked[at, reached] + (k - reached) * p_max) / (k * prediction)
+    ratios = kind.ratio(banked + (k - np.arange(k + 1)) * near, k * extended)
+    reached = (sign * values <= sign * prediction[:, None]).sum(axis=1)
+    total = banked[np.arange(len(values)), reached] + (k - reached) * near
+    at_prediction = kind.ratio(total, k * prediction)
     if (ratios.max(axis=1) > gamma_cap).any():
         raise ConstructionError("robustness violated")
     if (at_prediction > eta_cap).any():
@@ -739,8 +699,14 @@ def design(
     The frame of (lam, bounds, k, kind) comes from a bounded cache, so a
     stream of predictions pays for the frontier and sigma* once per
     confidence.  A ConstructionError raised here carries the call's kind,
-    bounds, k, lam and snapped prediction, which reproduce it.
+    bounds, k, lam and snapped prediction, which reproduce it.  Arguments
+    of the wrong type raise InvalidInputError before any cache is read.
     """
+    _check_kind(kind)
+    _check_k(k)
+    if not isinstance(lam, (float, numbers.Real)):  # the frame cache hashes it: no arrays
+        raise InvalidInputError(f"confidence must be a real number, got {lam!r}")
+    _check_real("prediction", prediction)
     prediction = _snap_prediction(prediction, bounds)  # reject a bad prediction before solving
     try:
         return _construct(prediction, _frame_at(lam, bounds, k, kind), bounds, k, kind)

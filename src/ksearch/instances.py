@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PriceBounds, ProblemKind, WindowStream
+from .core import PriceBounds, ProblemKind, WindowStream, _check_kind
 from .errors import DataFormatError, DomainError, InvalidInputError
 
 # canonical windowing parameters: 10-minute sampling, 3-week windows
@@ -287,8 +287,8 @@ def sliding_windows(
     # row s views prices[s : s + window_len], read-only like the series
     rows = np.lib.stride_tricks.sliding_window_view(prices, window_len)
     looks_back = rows[: n - 2 * window_len + 1 : stride]
-    # ``is``, not ``kind.is_max``: the stream's constructor type-checks the kind
-    predictions = (looks_back.max if kind is ProblemKind.MAX else looks_back.min)(axis=1)
+    _check_kind(kind)
+    predictions = kind.extreme(looks_back)
     starts = np.arange(window_len, n - window_len + 1, stride)
     return WindowStream(prices, starts, window_len, k, bounds, predictions, kind)
 
@@ -305,7 +305,7 @@ def adjust_error(stream: WindowStream, level: float) -> WindowStream:
     if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
         raise DomainError(f"error level must lie in [0, 1], got {level}")
     rows = stream.rows()
-    actual = rows.max(axis=1) if stream.kind.is_max else rows.min(axis=1)
+    actual = stream.kind.extreme(rows)
     moved = actual + level * (stream.predictions - actual)
     predictions = np.minimum(np.maximum(moved, stream.bounds.p_min), stream.bounds.p_max)
     return replace(stream, predictions=predictions)

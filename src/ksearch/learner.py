@@ -125,7 +125,7 @@ def _stream_ratios(stream: WindowStream, extra: tuple[ThresholdSchedule, ...] = 
     hardened = np.asarray(hardened, dtype=np.intp)
     ratios = np.empty((len(stream) + hardened.size, runs))
     hard_at = len(stream)
-    tail = stream.bounds.p_min if kind.is_max else stream.bounds.p_max
+    tail = kind.near(stream.bounds)
     hard = np.zeros(len(stream), dtype=bool)
     hard[hardened] = True
     extra_rows = np.array([schedule.values for schedule in extra], dtype=float).reshape(-1, k)
@@ -137,26 +137,20 @@ def _stream_ratios(stream: WindowStream, extra: tuple[ThresholdSchedule, ...] = 
         thresholds = np.concatenate([grids, extras], axis=1)[[index[p] for p in predictions]]
         del grids
         picks = np.flatnonzero(hard[lo:hi])
+        # one row of run totals per window, then one per hardened window
         totals = ota_totals(thresholds.reshape(-1, k), stream,
-                            np.repeat(np.arange(lo, hi), runs), picks + lo)[0]
+                            np.repeat(np.arange(lo, hi), runs), picks + lo)[0].reshape(-1, runs)
         del thresholds
         windows = stream.rows()[lo:hi]
-        plain = (hi - lo) * runs
-        _ratios(totals[:plain], _offline_optima(windows.copy(), k, kind), kind, ratios[lo:hi])
+        optima = _offline_optima(windows.copy(), k, kind)
+        ratios[lo:hi] = kind.ratio(totals[:hi - lo], optima[:, None])
         if picks.size:
             worst = windows[picks]  # a copy, hardened in place
             worst[:, horizon - k:] = tail
-            _ratios(totals[plain:], _offline_optima(worst, k, kind), kind,
-                    ratios[hard_at:hard_at + picks.size])
+            optima = _offline_optima(worst, k, kind)
+            ratios[hard_at:hard_at + picks.size] = kind.ratio(totals[hi - lo:], optima[:, None])
             hard_at += picks.size
     return ratios
-
-
-def _ratios(totals, optima, kind: ProblemKind, out) -> None:
-    """The ratios of windows' runs into ``out``, one row per window, from the
-    runs' totals (each window's runs in turn) and the windows' optima."""
-    totals, optima = totals.reshape(out.shape), optima[:, None]
-    np.divide(*((optima, totals) if kind.is_max else (totals, optima)), out=out)
 
 
 def _blocks(stream: WindowStream, runs: int, hardened: np.ndarray):

@@ -24,9 +24,10 @@ lam=0 full trust (1, theta).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
-from .core import ParetoPoint, PriceBounds, ProblemKind
+from .core import ParetoPoint, PriceBounds, ProblemKind, _check_real
 from .errors import DomainError, InvalidInputError
 from .worstcase import solve_cr
 
@@ -59,6 +60,7 @@ class FrontierSpec:
 
 def _checked_gamma(gamma: float, spec: FrontierSpec) -> float:
     """Validate gamma against [cr*, theta] and snap float fuzz onto it."""
+    _check_real("gamma", gamma)
     tol = 1e-9 * max(1.0, spec.theta)
     if not spec.cr_star - tol <= gamma <= spec.theta + tol:  # False for NaN too
         raise DomainError(
@@ -81,10 +83,8 @@ def _sweep_count(gamma: float, spec: FrontierSpec) -> int:
     theta, k = spec.theta, spec.k
     if theta == 1.0 or gamma >= theta:
         return 0
-    if spec.kind.is_max:
-        raw = math.log((theta - 1.0) / (gamma - 1.0)) / math.log1p(gamma / k)
-    else:
-        raw = math.log((theta - 1.0) / (theta - theta / gamma)) / math.log1p(1.0 / (gamma * k))
+    swept = gamma - 1.0 if spec.kind.is_max else theta - theta / gamma
+    raw = math.log((theta - 1.0) / swept) / spec.kind.log_growth(gamma, k)
     return min(k, max(0, math.ceil(raw - _CUT_EPS)))
 
 
@@ -100,22 +100,21 @@ def lower_bound(gamma: float, spec: FrontierSpec) -> float:
         return 1.0
     count = _sweep_count(gamma, spec)
     if spec.kind.is_max:
-        denom = (1.0 + (gamma - 1.0) * (1.0 + gamma / k) ** count) / gamma + (theta - 1.0) * (
-            1.0 - count / k
-        )
-        value = theta / denom
+        swept = (1.0 + (gamma - 1.0) * spec.kind.growth(gamma, k) ** count) / gamma
+        value = theta / (swept + (theta - 1.0) * (1.0 - count / k))
     else:
         # gamma - (gamma-1)*(1+1/(gamma*k))**zeta rewritten so the near-total
         # cancellation between the two terms (their difference can be ~1/gamma
         # of either operand) happens between exactly-computed quantities;
         # expm1/log1p keep the small factor at full precision.
-        growth = math.expm1(count * math.log1p(1.0 / (gamma * k)))
+        growth = math.expm1(count * spec.kind.log_growth(gamma, k))
         value = theta * (1.0 - (gamma - 1.0) * growth) - (theta - 1.0) * (1.0 - count / k)
     return min(max(value, 1.0), spec.cr_star)
 
 
 def target_point(lam: float, spec: FrontierSpec) -> ParetoPoint:
     """Map a confidence lam onto its Pareto-optimal (eta, gamma) target."""
+    _check_real("confidence", lam)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"confidence must lie in [0,1], got {lam}")
     cr, theta = spec.cr_star, spec.theta
@@ -128,7 +127,11 @@ def target_point(lam: float, spec: FrontierSpec) -> ParetoPoint:
 
 def frontier_curve(spec: FrontierSpec, num_points: int) -> tuple[ParetoPoint, ...]:
     """target_point on a uniform lam grid from 1 (worst-case) down to 0 (full trust)."""
-    if num_points < 2:
-        raise InvalidInputError(f"need at least 2 points, got {num_points}")
-    steps = num_points - 1
-    return tuple(target_point(1.0 - i / steps, spec) for i in range(num_points))
+    try:
+        count = operator.index(num_points)
+    except TypeError:
+        raise InvalidInputError(f"need an integer count of points, got {num_points!r}") from None
+    if count < 2:
+        raise InvalidInputError(f"need at least 2 points, got {num_points!r}")
+    steps = count - 1
+    return tuple(target_point(1.0 - i / steps, spec) for i in range(count))

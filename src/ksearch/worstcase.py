@@ -1,26 +1,25 @@
 """Optimal worst-case schedules for k-max and k-min search.
 
-The best possible competitive ratio alpha* (max) solves
+The best possible competitive ratio cr* of either kind solves one balance,
 
-    (theta - 1) / (alpha - 1) = (1 + alpha/k)^k,
+    spread(cr) * growth(cr, k)^k = spread(theta),
 
-whose left side strictly decreases and right side strictly increases in
-alpha on (1, theta), so bracketed bisection is exact enough.  The k-min
-ratio phi* solves (1 - 1/theta) / (1 - 1/phi) = (1 + 1/(k*phi))^k, which is
-equivalent to the strictly increasing fixed point
-h(phi) = (1 - 1/phi)(1 + 1/(k*phi))^k = 1 - 1/theta.  ``solve_cr`` solves
-either balance equation by the same bracketed bisection, and
-``worst_case_thresholds`` builds the matching schedule, which balances the
-per-interval worst-case ratio to exactly cr on every one of the k+1 price
-intervals.
+with ``ProblemKind.spread`` and ``ProblemKind.growth``: for max-search
+(alpha - 1)(1 + alpha/k)^k = theta - 1, for min-search
+(1 - 1/phi)(1 + 1/(k*phi))^k = 1 - 1/theta (Lorenz, Panagiotou and
+Steger, Algorithmica 2009).  Its left side strictly increases in cr on
+(1, theta), so bracketed bisection is exact enough.  ``solve_cr`` solves
+it, and ``worst_case_thresholds`` builds the matching schedule, which
+balances the per-interval worst-case ratio to exactly cr on every one of
+the k+1 price intervals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PriceBounds, ProblemKind, ThresholdSchedule, _check_kind
-from .errors import ConstructionError, InvalidInputError
+from .core import PriceBounds, ProblemKind, ThresholdSchedule, _check_k, _check_kind
+from .errors import ConstructionError
 
 _BISECT_ITERS = 200
 _RESIDUAL_TOL = 1e-10
@@ -32,11 +31,6 @@ class WorstCaseSolution:
 
     cr: float
     schedule: ThresholdSchedule
-
-
-def _check_k(k: int) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidInputError(f"k must be a positive integer, got {k!r}")
 
 
 def _bisect(f, lo: float, hi: float) -> float:
@@ -80,26 +74,21 @@ def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
     theta = bounds.theta
     if theta == 1.0:
         return 1.0
-    if kind.is_max:
+    is_max, target = kind.is_max, kind.spread(theta)
 
-        def f(a: float) -> float:
-            # product form of the balance equation; unlike the ratio form its
-            # slope stays bounded as theta -> 1, so the residual check is
-            # meaningful over the whole domain
-            return (a - 1.0) * (1.0 + a / k) ** k - (theta - 1.0)
+    def f(x: float) -> float:
+        # the balance, with kind.spread(x) and kind.growth(x, k) inline: a
+        # method call per evaluation nearly doubles a cold solve.  Unlike the
+        # ratio form, this product form's slope stays bounded as theta -> 1,
+        # so the residual check is meaningful over the whole domain
+        spread = x - 1.0 if is_max else 1.0 - 1.0 / x
+        growth = 1.0 + x / k if is_max else 1.0 + 1.0 / (x * k)
+        return spread * growth**k - target
 
-        name, scale = "alpha*", max(1.0, theta - 1.0)
-    else:
-        target = 1.0 - 1.0 / theta
-
-        def f(p: float) -> float:
-            # strictly increasing in p, so the bracket (1, theta) works directly
-            return (1.0 - 1.0 / p) * (1.0 + 1.0 / (k * p)) ** k - target
-
-        name, scale = "phi*", 1.0
     root = _root_above_one(f, theta)
     residual = abs(f(root))
-    if not residual < _RESIDUAL_TOL * scale:
+    if not residual < _RESIDUAL_TOL * max(1.0, target):
+        name = "alpha*" if is_max else "phi*"
         raise ConstructionError(f"{name}={root} leaves balance residual {residual}")
     return root
 
@@ -107,12 +96,9 @@ def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
 def worst_case_thresholds(bounds: PriceBounds, k: int, kind: ProblemKind) -> WorstCaseSolution:
     """Schedule whose k+1 per-interval worst-case ratios all equal cr."""
     cr = solve_cr(bounds, k, kind)
-    # thresholds grow away from the start sentinel; min-search's negative
-    # lead rounds exactly like the subtraction 1 - (1 - 1/cr) * growth**n
-    if kind.is_max:
-        near, lead, growth = bounds.p_min, cr - 1.0, 1.0 + cr / k
-    else:
-        near, lead, growth = bounds.p_max, -(1.0 - 1.0 / cr), 1.0 + 1.0 / (k * cr)
+    # thresholds grow away from the near end; min-search's negative lead
+    # rounds exactly like the subtraction 1 - (1 - 1/cr) * growth**n
+    near, lead, growth = kind.near(bounds), kind.sign * kind.spread(cr), kind.growth(cr, k)
     values = [bounds.clip(near * (1.0 + lead * growth ** (i - 1))) for i in range(1, k + 1)]
     schedule = ThresholdSchedule(kind, tuple(values), bounds)
     return WorstCaseSolution(cr, schedule)

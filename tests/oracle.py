@@ -25,6 +25,13 @@ own ``_junction_slack``.  ``ksearch.augmented.sigma_star`` skips the
 slack where the ratio cannot pass, and must return the same sigma or raise
 the same error.
 
+``solve_cr_reference`` solves each kind's worst-case balance spelled out
+on its own, max-search's (a - 1)(1 + a/k)^k = theta - 1 and min-search's
+(1 - 1/p)(1 + 1/(kp))^k = 1 - 1/theta, by plain bisection.
+``ksearch.worstcase.solve_cr`` solves the one balance of
+``ProblemKind.spread`` and ``ProblemKind.growth``, and must return the same
+root bit for bit or raise the same class of error.
+
 ``harden_reference`` is the sweep's tail hardening one window at a time,
 from the public API: its own ``Generator(Philox(key)).random()`` draw per
 window and its own tail.  ``run_sweep`` hardens inside its cell groups, from
@@ -260,6 +267,56 @@ def verify_reference(design: AugmentedDesign) -> AugmentedDesign:
                 f"eta {target.eta} (case {design.case_label})"
             )
     return design
+
+
+def _bisect_reference(f, lo: float, hi: float) -> float:
+    """Root of a sign-changing f on [lo, hi]: halve for at most 200 steps,
+    or until the bracket is within 1e-15 of its upper end (or of 1)."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if not flo * fhi < 0:
+        raise ConstructionError(f"bisection bracket [{lo}, {hi}] does not straddle the root")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if flo * fm < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+        if hi - lo <= 1e-15 * max(1.0, abs(hi)):
+            break
+    return 0.5 * (lo + hi)
+
+
+def solve_cr_reference(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
+    """alpha* (max) or phi* (min), each from its own balance function."""
+    theta = bounds.theta
+    if theta == 1.0:
+        return 1.0
+    if kind is ProblemKind.MAX:
+
+        def f(a: float) -> float:
+            return (a - 1.0) * (1.0 + a / k) ** k - (theta - 1.0)
+
+        name, scale = "alpha*", max(1.0, theta - 1.0)
+    else:
+        target = 1.0 - 1.0 / theta
+
+        def f(p: float) -> float:
+            return (1.0 - 1.0 / p) * (1.0 + 1.0 / (k * p)) ** k - target
+
+        name, scale = "phi*", 1.0
+    lo = 1.0 + 1e-12  # a root under it is bracketed from 1
+    root = _bisect_reference(f, 1.0, lo) if f(lo) > 0.0 else _bisect_reference(f, lo, theta)
+    residual = abs(f(root))
+    if not residual < 1e-10 * scale:
+        raise ConstructionError(f"{name}={root} leaves balance residual {residual}")
+    return root
 
 
 def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, int]:

@@ -486,6 +486,21 @@ def test_failed_frame_raises_the_same_error_on_every_call():
     assert len(seen) == 1
 
 
+@pytest.mark.parametrize("k", [10.0, np.int64(10)], ids=["float", "numpy-int"])
+def test_k_that_is_not_an_int_raises_typed_warm_or_cold(k):
+    """k is checked before either cache: the frontier cache keys on k
+    untyped, so after design(..., 10, ...) it holds a spec that k = 10.0
+    would otherwise reach, and sigma*'s ``range`` would reject untyped."""
+    bounds = PriceBounds(5.0, 50.0)
+    augmented_mod._frame_at.cache_clear()
+    augmented_mod._frontier.cache_clear()
+    with pytest.raises(InvalidInputError, match="k must be a positive integer"):
+        design(20.0, 0.5, bounds, k, ProblemKind.MAX)  # cold
+    design(20.0, 0.5, bounds, 10, ProblemKind.MAX)
+    with pytest.raises(InvalidInputError, match="k must be a positive integer"):
+        design(20.0, 0.5, bounds, k, ProblemKind.MAX)  # warm
+
+
 def test_construction_errors_outside_design_carry_no_call():
     with pytest.raises(ConstructionError) as info:
         design_for_target(50.0, ParetoPoint(0.5, 1.0, 2.63), BOUNDS, K, ProblemKind.MAX)

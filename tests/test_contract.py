@@ -1,12 +1,16 @@
-"""The library's contract over its documented domain, first region.
+"""The library's contract over its documented domain, in two regions.
 
 Any (kind, band, k, lambda, prediction) gives one of two results: a
 schedule or frontier that passes a check written outside the library, or a
 typed ``KSearchError``; through the CLI, one of the documented exit codes
-with no traceback.  This region draws p_min = 10^U(-2, 2), theta =
+with no traceback.  The first region draws p_min = 10^U(-2, 2), theta =
 10^U(0, 3), k log-uniform in [1, 1000], lambda in [0, 1] (0 and 1 drawn
 explicitly) and the prediction log-uniform in the band.  Bands wider than
-theta = 10^3 are left out: max-search at k = 1000 overflows there.
+theta = 10^3 are left out: max-search at k = 1000 overflows there.  The
+second region passes one argument of the wrong type (a lambda, gamma,
+price or prediction that is not a real number, a k or point count that is
+not an integer, a kind that is not a ``ProblemKind``) to a public entry,
+which must raise ``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -17,15 +21,20 @@ import itertools
 import shlex
 
 import hypothesis.strategies as st
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 
 from ksearch import (
     FrontierSpec,
+    InvalidInputError,
     KSearchError,
     PriceBounds,
     ProblemKind,
     design,
     frontier_curve,
+    lower_bound,
+    target_point,
     worst_case_thresholds,
 )
 from ksearch.cli import main
@@ -136,3 +145,62 @@ def test_cli_exits_with_a_documented_code(point):
             "--k", str(k)]
     check_exit(["thresholds", *band, "--lambda", repr(lam), "--prediction", repr(prediction)])
     check_exit(["pareto", *band, "--points", "3"])
+
+
+# --------------------------------------------------------------------------
+# second region: arguments of the wrong type
+
+BAND = PriceBounds(5.0, 50.0)
+SPEC = FrontierSpec(BAND, 10, ProblemKind.MAX)
+MAX = ProblemKind.MAX
+
+# each public entry with one argument left open, and what that argument is
+ENTRIES = {
+    "design confidence": ("real", lambda x: design(20.0, x, BAND, 10, MAX)),
+    "design prediction": ("real", lambda x: design(x, 0.5, BAND, 10, MAX)),
+    "design k": ("integer", lambda x: design(20.0, 0.5, BAND, x, MAX)),
+    "design kind": ("kind", lambda x: design(20.0, 0.5, BAND, 10, x)),
+    "target_point confidence": ("real", lambda x: target_point(x, SPEC)),
+    "lower_bound gamma": ("real", lambda x: lower_bound(x, SPEC)),
+    "frontier_curve points": ("integer", lambda x: frontier_curve(SPEC, x)),
+    "FrontierSpec k": ("integer", lambda x: FrontierSpec(BAND, x, MAX)),
+    "FrontierSpec kind": ("kind", lambda x: FrontierSpec(BAND, 10, x)),
+    "PriceBounds p_min": ("real", lambda x: PriceBounds(x, 50.0)),
+    "PriceBounds p_max": ("real", lambda x: PriceBounds(5.0, x)),
+}
+
+not_a_number = st.one_of(
+    st.text(max_size=4), st.none(), st.lists(st.floats(0.0, 1.0), max_size=2),
+    st.complex_numbers(max_magnitude=1e3), st.decimals(0, 100, allow_nan=False),
+    st.dictionaries(st.text(max_size=1), st.integers(), max_size=1), st.just(object()),
+)
+WRONG = {
+    "real": not_a_number,
+    "integer": not_a_number | st.floats(allow_nan=True),
+    "kind": not_a_number | st.sampled_from(["max", "min", 1, 0.5]),
+}
+
+
+@st.composite
+def wrong_calls(draw):
+    """(entry, value): a public entry and a value of the wrong type for its open argument."""
+    name = draw(st.sampled_from(sorted(ENTRIES)))
+    return name, draw(WRONG[ENTRIES[name][0]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(wrong_calls())
+@example(("design confidence", [0.5]))
+@example(("design confidence", "0.5"))
+@example(("design confidence", np.array(0.5)))  # the frame cache cannot hash it
+@example(("design kind", ["max"]))
+@example(("design prediction", "20"))
+@example(("design k", 10.0))
+@example(("lower_bound gamma", "2"))
+@example(("target_point confidence", None))
+@example(("frontier_curve points", 2.5))
+@example(("PriceBounds p_min", "1"))
+def test_wrong_typed_arguments_raise_invalid_input(call):
+    name, value = call
+    with pytest.raises(InvalidInputError):
+        ENTRIES[name][1](value)

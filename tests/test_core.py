@@ -1,6 +1,7 @@
 """Core engine tests: trace semantics, offline oracle, ratio arithmetic."""
 
 import ast
+import copy
 import itertools
 import math
 import pathlib
@@ -676,6 +677,39 @@ class TestTypeInvariants:
             ParetoPoint(1.5, 1.5, 2.5)
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    kind=kinds,
+    r=st.floats(min_value=1.0, max_value=1e4, exclude_min=True),
+    k=st.integers(min_value=1, max_value=5000),
+    p_min=st.floats(min_value=1e-2, max_value=1e2),
+    total=st.floats(min_value=1e-2, max_value=1e6),
+    optimum=st.floats(min_value=1e-2, max_value=1e6),
+    rows=st.lists(st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=3, max_size=3),
+                  min_size=1, max_size=3),
+)
+def test_kind_rules_are_the_inline_spellings(kind, r, k, p_min, total, optimum, rows):
+    """Each ``ProblemKind`` rule rounds as the per-kind spelling it
+    replaced, written out here, bit for bit: a drift such as (1/r)/k for
+    1/(r*k) changes designs."""
+    bounds = PriceBounds(p_min, p_min * r)
+    rows = np.array(rows)
+    if kind is ProblemKind.MAX:
+        expected = (1.0, bounds.p_min, bounds.p_max, r - 1.0, 1.0 + r / k,
+                    math.log1p(r / k), optimum / total, rows.max(axis=1))
+    else:
+        expected = (-1.0, bounds.p_max, bounds.p_min, 1.0 - 1.0 / r, 1.0 + 1.0 / (k * r),
+                    math.log1p(1.0 / (r * k)), total / optimum, rows.min(axis=1))
+    found = (kind.sign, kind.near(bounds), kind.far(bounds), kind.spread(r), kind.growth(r, k),
+             kind.log_growth(r, k), kind.ratio(total, optimum), kind.extreme(rows))
+    assert [float(x).hex() for x in found[:-1]] == [float(x).hex() for x in expected[:-1]]
+    assert found[-1].tolist() == expected[-1].tolist()
+    # the grid path applies spread, growth and ratio to arrays, elementwise
+    many = np.array([r, 1.0 + (r - 1.0) / 2.0])
+    for rule in (kind.spread, lambda x: kind.growth(x, k), lambda x: kind.ratio(x, optimum)):
+        assert rule(many).tolist() == [rule(float(x)) for x in many]
+
+
 def test_library_has_no_assert_statements():
     """Invariants raise typed errors, so they still hold under python -O."""
     package = pathlib.Path(ksearch.__file__).parent
@@ -748,6 +782,58 @@ def test_library_takes_no_power_exp_or_log_from_numpy():
     found = {(name, scope, call) for name, tree, numpy_names in _library_modules()
              for scope, call in _numpy_transcendentals(tree, numpy_names, None)}
     assert found == _NUMPY_TRANSCENDENTALS_ALLOWED  # the allowed call is seen too
+
+
+# ``ProblemKind.near``/``far`` give the band ends and ``ProblemKind.extreme``
+# the extremes; a condition on the kind outside ``ProblemKind`` that only
+# picks p_min or p_max, or .max or .min, would spell one of them out again.
+_MIRRORED = {"p_min": "p_max", "p_max": "p_min", "max": "min", "min": "max"}
+
+
+def _mirrored(node):
+    """A copy of node with p_min and p_max, and max and min, swapped."""
+    node = copy.deepcopy(node)
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            child.id = _MIRRORED.get(child.id, child.id)
+        elif isinstance(child, ast.Attribute):
+            child.attr = _MIRRORED.get(child.attr, child.attr)
+    return node
+
+
+def _tests_the_kind(test) -> bool:
+    """Whether a condition reads ``is_max`` or ``ProblemKind.MAX``."""
+    return any(isinstance(node, ast.Name) and node.id == "is_max"
+               or isinstance(node, ast.Attribute) and node.attr == "is_max"
+               or isinstance(node, ast.Attribute) and node.attr == "MAX"
+               and isinstance(node.value, ast.Name) and node.value.id == "ProblemKind"
+               for node in ast.walk(test))
+
+
+def _band_end_picks(tree):
+    """Line of each condition on the kind, outside ``class ProblemKind``,
+    whose branches differ only by p_min against p_max or max against min."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and top.name == "ProblemKind":
+            continue
+        for node in ast.walk(top):
+            if not isinstance(node, (ast.IfExp, ast.If)) or not _tests_the_kind(node.test):
+                continue
+            if isinstance(node, ast.If):
+                body = ast.Module(body=node.body, type_ignores=[])
+                orelse = ast.Module(body=node.orelse, type_ignores=[])
+            else:
+                body, orelse = node.body, node.orelse
+            mirror = ast.dump(_mirrored(body))
+            if mirror != ast.dump(body) and mirror == ast.dump(orelse):
+                yield node.lineno
+
+
+def test_band_ends_and_extremes_come_from_problem_kind():
+    """No library module picks p_min or p_max, or .max or .min, by the kind."""
+    found = [f"{name}:{line}" for name, tree, _ in _library_modules()
+             for line in _band_end_picks(tree)]
+    assert found == []
 
 
 # The library draws its Philox first doubles without numpy.random

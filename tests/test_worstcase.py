@@ -4,7 +4,7 @@ import math
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksearch import (
     ConstructionError,
@@ -16,6 +16,7 @@ from ksearch import (
 )
 from ksearch.augmented import interval_ratios
 from ksearch.worstcase import _bisect
+from oracle import solve_cr_reference
 
 GRID = [
     (theta, k)
@@ -193,3 +194,27 @@ def test_solution_always_in_open_bracket(theta, k):
         value = solve_cr(b, k, kind)
         assert 1.0 < value < theta or (theta == 1.0 and value == 1.0)
         assert value <= math.sqrt(theta) + 1e-9  # k=1 is the worst case
+
+
+def _outcome(solve, bounds, k, kind):
+    """The root solve finds, or the class of the error it raises."""
+    try:
+        return solve(bounds, k, kind)
+    except Exception as exc:  # the class is what is compared
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(list(ProblemKind)),
+    theta=st.floats(min_value=1.0, max_value=1e4, exclude_min=True),
+    k=st.integers(min_value=1, max_value=5000),
+    p_min=st.floats(min_value=1e-2, max_value=1e2),
+)
+# max-search's power overflows here (ROADMAP item 1), in both solvers
+@example(kind=ProblemKind.MAX, theta=1e3, k=3000, p_min=1.0)
+def test_solve_cr_is_the_reference_balance(kind, theta, k, p_min):
+    """The one balance of ``ProblemKind.spread`` and ``growth`` finds each
+    kind's spelled-out root bit for bit, or fails with the same class."""
+    bounds = bounds_for(theta, p_min)
+    assert _outcome(solve_cr, bounds, k, kind) == _outcome(solve_cr_reference, bounds, k, kind)
