@@ -36,8 +36,10 @@ tolerable degradation.
 
 A design splits into a frame and the prediction's part.  The frame (the
 target, sigma*, the growth rates and leads, p~1 and p~2) depends only on
-(lambda, band, k, kind); ``design`` keeps frames in a bounded cache, and
-per call builds the prefix, flat block, pivot, i* scan and tail.  The
+(lambda, band, k, kind); ``design`` keeps frames in a cache of 2,048,
+which holds a sweep of 1,408 (2 kinds x 16 bands x 4 k x 11 lambda, as
+perfbench's design-grid), and per call builds the prefix, flat block,
+pivot, i* scan and tail, and verifies them from one set of left sums.  The
 prefix and the flat block with its eta continuation are each one list
 comprehension over powers taken with Python ``**``, and the i* scan's
 running sums come from one ``itertools.accumulate`` pass.  The three
@@ -77,8 +79,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, _check_k, _check_kind, _check_real,
-    left_sum,
+    ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, _check_bounds, _check_k, _check_kind,
+    _check_real, left_sum,
 )
 from .errors import ConstructionError, InvalidInputError
 from .pareto import _CUT_EPS, FrontierSpec, target_point
@@ -101,11 +103,17 @@ def interval_ratios(schedule: ThresholdSchedule) -> np.ndarray:
     compulsory fills at the far bound, while the optimum collects k prices
     at the interval's other end.
     """
+    return _banked_ratios(schedule)[1]
+
+
+def _banked_ratios(schedule: ThresholdSchedule) -> tuple[np.ndarray, np.ndarray]:
+    """The left sums of the first 0..k thresholds, added as ``left_sum``
+    adds them, and ``interval_ratios``."""
     k, bounds, kind = schedule.k, schedule.bounds, schedule.kind
     extended = np.array(schedule.values + (kind.far(bounds),))  # interval k + 1 ends far
     banked = np.zeros(k + 1)
     np.cumsum(extended[:k], out=banked[1:])
-    return kind.ratio(banked + (k - np.arange(k + 1)) * kind.near(bounds), k * extended)
+    return banked, kind.ratio(banked + (k - np.arange(k + 1)) * kind.near(bounds), k * extended)
 
 
 def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:
@@ -176,22 +184,28 @@ def _verify(design: AugmentedDesign) -> AugmentedDesign:
 
     Robustness: every interval ratio at most gamma.  Consistency: the
     accurate-prediction worst case at most eta, and the eta-balanced block
-    (pivot through i*) individually at most eta.
+    (pivot through i*) individually at most eta.  One set of left sums
+    serves both: the interval ratios' banked totals, and the accurate
+    prediction's, which is ``_ratio_at``'s total bit for bit (``np.cumsum``
+    adds left to right, as ``left_sum`` does).
     """
-    target = design.target
+    target, schedule, prediction = design.target, design.schedule, design.prediction
     # nominal tolerance plus an ulp-scale cushion: summing k thresholds for a
     # ratio carries relative rounding noise, which matters when the margin is
     # an exact equality (e.g. degenerate spans where theta - 1 == _RATIO_TOL)
     gamma_cap = target.gamma + _RATIO_TOL + 1e-11 * target.gamma
     eta_cap = target.eta + _RATIO_TOL + 1e-11 * target.eta
-    ratios = interval_ratios(design.schedule)
+    banked, ratios = _banked_ratios(schedule)
     worst = float(ratios.max())
     if worst > gamma_cap:
         raise ConstructionError(
             f"robustness violated: max ratio {worst} > gamma {target.gamma} "
             f"(case {design.case_label}, P={design.prediction})"
         )
-    at_prediction = _ratio_at(design.schedule, design.prediction)
+    k, kind, sign = schedule.k, schedule.kind, schedule.kind.sign
+    reached = bisect.bisect_right(schedule.values, sign * prediction, key=sign.__mul__)
+    total = float(banked[reached]) + (k - reached) * kind.near(schedule.bounds)
+    at_prediction = kind.ratio(total, k * prediction)
     if at_prediction > eta_cap:
         raise ConstructionError(
             f"consistency violated: accurate-prediction ratio {at_prediction} > "
@@ -704,6 +718,7 @@ def design(
     """
     _check_kind(kind)
     _check_k(k)
+    _check_bounds(bounds)
     if not isinstance(lam, (float, numbers.Real)):  # the frame cache hashes it: no arrays
         raise InvalidInputError(f"confidence must be a real number, got {lam!r}")
     _check_real("prediction", prediction)
@@ -715,7 +730,7 @@ def design(
         raise
 
 
-@functools.lru_cache(maxsize=256, typed=True)  # typed: the target keeps the caller's lam
+@functools.lru_cache(maxsize=2048, typed=True)  # typed: the target keeps the caller's lam
 def _frame_at(lam: float, bounds: PriceBounds, k: int, kind: ProblemKind) -> _Frame:
     return _frame(target_point(lam, _frontier(bounds, k, kind)), bounds, k, kind)
 

@@ -108,6 +108,11 @@ def _check_kind(kind) -> None:
         raise InvalidInputError(f"kind must be a ProblemKind, got {kind!r}")
 
 
+def _check_bounds(bounds) -> None:
+    if not isinstance(bounds, PriceBounds):
+        raise InvalidInputError(f"bounds must be a PriceBounds, got {bounds!r}")
+
+
 def _check_k(k) -> None:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise InvalidInputError(f"k must be a positive integer, got {k!r}")
@@ -266,7 +271,13 @@ class WindowStream:
 
 @dataclass(frozen=True)
 class ThresholdSchedule:
-    """k reservation prices, monotone in the direction dictated by the kind."""
+    """k reservation prices, monotone in the direction dictated by the kind.
+
+    The order is checked first, and then the band at the two ends, which
+    are the lowest and highest thresholds once the order holds.  A NaN
+    fails the order check from k = 2 on and the band check at k = 1, so a
+    schedule out of order and out of band is reported as not monotone.
+    """
 
     kind: ProblemKind
     values: tuple[float, ...]
@@ -274,19 +285,20 @@ class ThresholdSchedule:
 
     def __post_init__(self):
         _check_kind(self.kind)
+        _check_bounds(self.bounds)
         values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if not values:
             raise InvalidInputError("schedule needs at least one threshold")
-        lo, hi = min(values), max(values)
+        is_max = self.kind.is_max
+        if not all(map(operator.le if is_max else operator.ge, values, values[1:])):
+            raise InvalidInputError(f"thresholds not monotone for {self.kind}")
+        lo, hi = (values[0], values[-1]) if is_max else (values[-1], values[0])
         if not (lo >= self.bounds.p_min and hi <= self.bounds.p_max):  # False for NaN too
             raise InvalidInputError(
                 f"thresholds span [{lo}, {hi}], outside bounds "
                 f"[{self.bounds.p_min}, {self.bounds.p_max}]"
             )
-        in_order = operator.le if self.kind.is_max else operator.ge
-        if not all(map(in_order, values, values[1:])):
-            raise InvalidInputError(f"thresholds not monotone for {self.kind}")
 
     @property
     def k(self) -> int:

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import PriceBounds, ProblemKind, ThresholdSchedule, _check_k, _check_kind
+from .core import (
+    PriceBounds, ProblemKind, ThresholdSchedule, _check_bounds, _check_k, _check_kind,
+)
 from .errors import ConstructionError
 
 _BISECT_ITERS = 200
@@ -71,6 +73,7 @@ def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
     """Optimal competitive ratio for the given bounds: alpha* (max) or phi* (min)."""
     _check_kind(kind)
     _check_k(k)
+    _check_bounds(bounds)
     theta = bounds.theta
     if theta == 1.0:
         return 1.0

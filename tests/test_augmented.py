@@ -1,5 +1,6 @@
 """Prediction-aware threshold designs: ratios, cases I-VI, and tail/prefix robustness."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from ksearch.augmented import (
     sigma_star,
 )
 from conftest import band_cases, band_prediction
-from oracle import construct_reference, design_for_target, sigma_star_reference
+from oracle import construct_reference, design_for_target, sigma_star_reference, verify_reference
 
 BOUNDS = PriceBounds(5.0, 50.0)
 K = 20
@@ -463,6 +464,21 @@ def test_cache_state_never_changes_a_design(p_min, thetas, ks, lams, spots):
     assert [_outcome(call) for call in reversed(calls)] == expected[::-1]  # warm
 
 
+def test_frame_cache_holds_a_band_sweep():
+    """Both kinds x 16 bands x k in {1, 10} x 11 lambdas is 704 frames,
+    more than a cache of 256 holds, so an LRU that small hits none of them
+    on a second pass in the same order.  Bands stop at theta = 10^3, where
+    every one of these frames builds (a frame that raises is not kept)."""
+    calls = [(PriceBounds(1.0, float(theta)), k, i / 10, kind) for kind in ProblemKind
+             for theta in np.logspace(0.25, 3.0, 16) for k in (1, 10) for i in range(11)]
+    augmented_mod._frame_at.cache_clear()
+    for _ in range(2):
+        for bounds, k, lam, kind in calls:
+            design(bounds.p_max**0.5, lam, bounds, k, kind)
+    info = augmented_mod._frame_at.cache_info()
+    assert (info.hits, info.misses) == (len(calls), len(calls))
+
+
 def test_target_keeps_the_callers_lambda():
     augmented_mod._frame_at.cache_clear()
     for lam in (1.0, 1, 0.0, 0):
@@ -505,6 +521,43 @@ def test_construction_errors_outside_design_carry_no_call():
     with pytest.raises(ConstructionError) as info:
         design_for_target(50.0, ParetoPoint(0.5, 1.0, 2.63), BOUNDS, K, ProblemKind.MAX)
     assert info.value.kind is None and info.value.prediction is None
+
+
+# --------------------------------------------------------------------------
+# _verify is the reference verification
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(list(ProblemKind)),
+    p_min=st.floats(min_value=0.01, max_value=100.0),
+    theta=st.floats(min_value=1.0, max_value=1e3),
+    k=st.integers(min_value=1, max_value=200),
+    lam=st.floats(min_value=0.0, max_value=1.0),
+    spot=st.floats(min_value=0.0, max_value=1.0),
+    data=st.data(),
+)
+def test_verify_is_the_reference_at_every_reached_count(kind, p_min, theta, k, lam, spot, data):
+    """``_verify`` reads the accurate-prediction total off the interval
+    ratios' left sums, ``verify_reference`` adds it with ``left_sum``.  A
+    verified design re-checked at another prediction in the band (at a
+    threshold, a few ulps off one, or anywhere) and under another eta cap
+    must pass both or fail both with the same message."""
+    bounds = PriceBounds(p_min, p_min * theta)
+    prediction = min(max(p_min * bounds.theta**spot, bounds.p_min), bounds.p_max)
+    try:
+        found = design(prediction, lam, bounds, k, kind)
+    except (KSearchError, ArithmeticError):
+        return  # no design to re-check
+    moved = data.draw(st.sampled_from(found.schedule.values)
+                      | st.floats(min_value=bounds.p_min, max_value=bounds.p_max))
+    ulps = data.draw(st.integers(min_value=-2, max_value=2))
+    for _ in range(abs(ulps)):
+        moved = math.nextafter(moved, math.copysign(math.inf, ulps))
+    moved = min(max(moved, bounds.p_min), bounds.p_max)
+    eta = data.draw(st.floats(min_value=1.0, max_value=found.target.gamma))
+    changed = replace(found, prediction=moved, target=replace(found.target, eta=eta))
+    assert _result(_verify, changed) == _result(verify_reference, changed)
 
 
 # --------------------------------------------------------------------------

@@ -9,8 +9,8 @@ explicitly) and the prediction log-uniform in the band.  Bands wider than
 theta = 10^3 are left out: max-search at k = 1000 overflows there.  The
 second region passes one argument of the wrong type (a lambda, gamma,
 price or prediction that is not a real number, a k or point count that is
-not an integer, a kind that is not a ``ProblemKind``) to a public entry,
-which must raise ``InvalidInputError``.
+not an integer, a kind that is not a ``ProblemKind``, a band that is not a
+``PriceBounds``) to a public entry, which must raise ``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -31,9 +31,11 @@ from ksearch import (
     KSearchError,
     PriceBounds,
     ProblemKind,
+    ThresholdSchedule,
     design,
     frontier_curve,
     lower_bound,
+    solve_cr,
     target_point,
     worst_case_thresholds,
 )
@@ -152,7 +154,7 @@ def test_cli_exits_with_a_documented_code(point):
 
 BAND = PriceBounds(5.0, 50.0)
 SPEC = FrontierSpec(BAND, 10, ProblemKind.MAX)
-MAX = ProblemKind.MAX
+MAX, MIN = ProblemKind.MAX, ProblemKind.MIN
 
 # each public entry with one argument left open, and what that argument is
 ENTRIES = {
@@ -160,11 +162,16 @@ ENTRIES = {
     "design prediction": ("real", lambda x: design(x, 0.5, BAND, 10, MAX)),
     "design k": ("integer", lambda x: design(20.0, 0.5, BAND, x, MAX)),
     "design kind": ("kind", lambda x: design(20.0, 0.5, BAND, 10, x)),
+    "design band": ("band", lambda x: design(20.0, 0.5, x, 10, MAX)),
     "target_point confidence": ("real", lambda x: target_point(x, SPEC)),
     "lower_bound gamma": ("real", lambda x: lower_bound(x, SPEC)),
     "frontier_curve points": ("integer", lambda x: frontier_curve(SPEC, x)),
     "FrontierSpec k": ("integer", lambda x: FrontierSpec(BAND, x, MAX)),
     "FrontierSpec kind": ("kind", lambda x: FrontierSpec(BAND, 10, x)),
+    "FrontierSpec band": ("band", lambda x: FrontierSpec(x, 10, MAX)),
+    "solve_cr band": ("band", lambda x: solve_cr(x, 3, MIN)),
+    "worst_case_thresholds band": ("band", lambda x: worst_case_thresholds(x, 3, MIN)),
+    "ThresholdSchedule band": ("band", lambda x: ThresholdSchedule(MAX, (6.0, 7.0), x)),
     "PriceBounds p_min": ("real", lambda x: PriceBounds(x, 50.0)),
     "PriceBounds p_max": ("real", lambda x: PriceBounds(5.0, x)),
 }
@@ -178,6 +185,9 @@ WRONG = {
     "real": not_a_number,
     "integer": not_a_number | st.floats(allow_nan=True),
     "kind": not_a_number | st.sampled_from(["max", "min", 1, 0.5]),
+    "band": st.one_of(st.tuples(st.floats(0.1, 100.0), st.floats(0.1, 100.0)),
+                      st.lists(st.floats(0.1, 100.0), max_size=2), st.none(),
+                      st.text(max_size=4)),
 }
 
 
@@ -200,6 +210,14 @@ def wrong_calls(draw):
 @example(("target_point confidence", None))
 @example(("frontier_curve points", 2.5))
 @example(("PriceBounds p_min", "1"))
+@example(("design band", (5.0, 50.0)))
+@example(("design band", None))
+@example(("FrontierSpec band", (5.0, 50.0)))
+@example(("solve_cr band", (5.0, 50.0)))
+@example(("worst_case_thresholds band", None))
+@example(("ThresholdSchedule band", (5.0, 50.0)))
+@example(("ThresholdSchedule band", [5.0, 50.0]))
+@example(("design band", "5,50"))
 def test_wrong_typed_arguments_raise_invalid_input(call):
     name, value = call
     with pytest.raises(InvalidInputError):

@@ -645,15 +645,33 @@ class TestTypeInvariants:
             SearchInstance((10.0,), 2, B)
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
-    def test_nan_threshold_rejected(self, kind):
-        with pytest.raises(InvalidInputError):
-            ThresholdSchedule(kind, (math.nan,), B)
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected_at_every_position(self, kind, k, bad):
+        # the band is checked at the two ends only, after the order: a bad
+        # value anywhere must still fail one of the two checks
+        values = np.linspace(10.0, 40.0, k).tolist()
+        values = values if kind.is_max else values[::-1]
+        for at in range(k):
+            with pytest.raises(InvalidInputError):
+                ThresholdSchedule(kind, (*values[:at], bad, *values[at + 1:]), B)
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_flat_schedule_at_a_band_end_accepted(self, kind, k):
+        for end in (B.p_min, B.p_max):
+            assert ThresholdSchedule(kind, (end,) * k, B).values == (end,) * k
 
     def test_non_monotone_schedule_rejected(self):
         with pytest.raises(InvalidInputError):
             ThresholdSchedule(ProblemKind.MAX, (20.0, 10.0), B)
         with pytest.raises(InvalidInputError):
             ThresholdSchedule(ProblemKind.MIN, (10.0, 20.0), B)
+        # out of order and out of band: the order is checked first
+        with pytest.raises(InvalidInputError, match="not monotone"):
+            ThresholdSchedule(ProblemKind.MAX, (60.0, 10.0), B)
+        with pytest.raises(InvalidInputError, match="not monotone"):
+            ThresholdSchedule(ProblemKind.MIN, (4.0, 20.0), B)
 
     @pytest.mark.parametrize("call", [
         lambda: design(20.0, 0.5, B, 10, "max"),
