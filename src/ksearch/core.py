@@ -172,6 +172,7 @@ class SearchInstance:
     bounds: PriceBounds
 
     def __post_init__(self):
+        _check_bounds(self.bounds)
         prices = np.array(self.prices, dtype=np.float64)
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
@@ -234,6 +235,7 @@ class WindowStream:
         if starts.size >= 1 << 20:
             raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
         _check_kind(self.kind)
+        _check_bounds(bounds)
         if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= horizon:
             raise InvalidInputError(f"budget k={k!r} must be an integer in [1, T={horizon}]")
         starts = starts.astype(np.intp, copy=False)
@@ -470,7 +472,7 @@ def ota_totals(
         tail = stream.kind.near(stream.bounds)
         # the end entry, which no plain run reads, becomes the signed tail
         span[size] = sign * tail
-        early = _early_picks(sel, picked, voluntary[picked], T - k)
+        early = _early_picks(sel, picked, T)
         _take_tail(sel, picked, early, thr, first, sign, tail, size)
         voluntary[runs:] = early
         totals[runs:] = _grouped_totals(sel, early, span, first, T, sign * tail, picked)
@@ -488,30 +490,30 @@ def _hardened_windows(hardened, windows: int) -> np.ndarray:
 
 
 def _descend(table, thr, first, sign, T, voluntary):
-    """The (k, R) selection steps of the runs whose windows start at
+    """The (k, R) int32 selection steps of the runs whose windows start at
     ``first`` in the table's span, each written through the run's first
-    selection at or past step T - k + m; the runs' voluntary counts go into
-    ``voluntary`` (zeros on entry).
+    selection at or past step T - k + m, so that every entry m past a run's
+    voluntary count is at or past T - k + m (T where unwritten); the runs'
+    voluntary counts go into ``voluntary`` (zeros on entry).
 
     Each step is the first at or after the run's position whose price meets
     its bar, found by skipping every block of the sparse ``table`` whose
-    maximum misses the bar, largest first.  Once a selection is not
-    voluntary, no later one is (each is a step further on, as its bound
-    is), so the run retires.  The live runs and their bars are compacted
-    once at least half have retired, and the descent stops when none is
-    live."""
+    maximum misses the bar, largest first; slot m's bars are column m of
+    the caller's thresholds, signed.  Once a selection is not voluntary, no
+    later one is (each is a step further on, as its bound is), so the run
+    retires.  The live runs are compacted once at least half have retired,
+    and the descent stops when none is live."""
     levels, columns = table.shape
     runs, k = thr.shape
     descent = [(level, table[level]) for level in reversed(range(levels))]
-    bars = np.empty((k, runs))  # one contiguous row per slot
-    np.multiply(thr.T, sign, out=bars)
-    sel = np.empty((k, runs), dtype=np.intp)
+    # int32, as a step stays under the span's length; T where never written
+    sel = np.full((k, runs), T, dtype=np.int32)
     ids, count = np.arange(runs), voluntary  # the live runs, and their counts so far
-    at, start, base = first.copy(), first, 0  # bars[m - base] is slot m's
+    at, start, bar = first.copy(), first, np.empty(runs)
     step = np.empty(runs, dtype=np.intp)  # the skip flags, then the step
     live = np.empty(runs, dtype=bool)
     for m in range(k):
-        bar = bars[m - base]
+        np.multiply(thr[:, m] if ids.size == runs else thr[ids, m], sign, out=bar)
         for level, flat in descent:
             np.less(flat[at], bar, out=step)
             at += step << level
@@ -528,23 +530,23 @@ def _descend(table, thr, first, sign, T, voluntary):
                 return sel
             keep = np.flatnonzero(live)
             ids, count, at, start = ids[keep], count[keep], at[keep], start[keep]
-            bars, base = bars[m + 1 - base:, keep], m + 1
-            step = np.empty(alive, dtype=np.intp)
-            live = np.empty(alive, dtype=bool)
+            step, bar, live = step[:alive], bar[:alive], live[:alive]
         # past the span's end, a position stays on its end entry
         np.minimum(at + 1, columns - 1, out=at)
     voluntary[ids] = count
     return sel
 
 
-def _early_picks(sel, picked, counts, limit: int) -> np.ndarray:
-    """How many of each picked run's voluntary selection steps lie below
-    ``limit``: a count over the first ``counts`` entries of its column of
-    ``sel``, masked, since the entries past them may be unset."""
+def _early_picks(sel, picked, T: int) -> np.ndarray:
+    """How many of each picked run's voluntary selections come before step
+    T - k: its entries of ``sel`` below T - k, as every other entry m is at
+    or past T - k + m; a slice of runs at a time, as the totals."""
     k = sel.shape[0]
-    below = sel[:, picked] < limit
-    below &= np.arange(k)[:, None] < counts
-    return np.count_nonzero(below, axis=0)
+    chunk = max(1, _GATHER_ENTRIES // k)
+    early = np.empty(picked.size, dtype=np.intp)
+    for lo in range(0, picked.size, chunk):
+        early[lo:lo + chunk] = np.count_nonzero(sel[:, picked[lo:lo + chunk]] < T - k, axis=0)
+    return early
 
 
 def _take_tail(sel, picked, early, thr, first, sign, tail, cell: int) -> None:
@@ -564,15 +566,19 @@ def _take_tail(sel, picked, early, thr, first, sign, tail, cell: int) -> None:
         going = going[early[going] < k]
 
 
-# the kernel's per-run vectors, 8 bytes an entry: the caller's row, window
-# start, position, skip flags (then the step), voluntary count and the live
-# run indices, one temporary and the live mask (1 byte)
-_RUN_VECTOR_BYTES = 64
+# the kernel's per-run vectors, in bytes: the caller's row, window start,
+# total, voluntary count, and the descent's position, step, bar and live
+# index (8 each), live mask (1) and a gather (8), or at a compaction the
+# kept indices, ids, counts, positions and starts of half the runs (20)
+_RUN_VECTOR_BYTES = 85
 # what a run on a hardened window adds, 8 bytes an entry: its total,
 # voluntary count and index, its count of early picks and the index vectors
-# of the tail's takes (the masked count's (k, runs) temporaries fit in the
-# slots that the signed copy of the thresholds held)
+# of the tail's takes
 _HARD_RUN_BYTES = 48
+# the most (run, slot) entries the totals and early picks take at once
+# (or one run's k), 16 bytes each: an int32 step and its intp copy, then
+# the copy and its price
+_GATHER_ENTRIES = 1 << 12
 
 
 def _replay_window_bytes(horizon: int, k: int, runs: int, step, hardened):
@@ -581,17 +587,22 @@ def _replay_window_bytes(horizon: int, k: int, runs: int, step, hardened):
     a window after the block's first, its whole horizon for the first; an
     array of steps gives an array of charges).  ``ota_totals`` holds the
     sparse table's columns of those prices and an end column, and per run
-    32 bytes a slot (the caller's thresholds, their signed copy and the
-    selection steps; once the copy is freed, the steps and the gather's
-    indices and prices) and ``_RUN_VECTOR_BYTES``; then ``_offline_optima``
-    holds a copy of the window, which it partitions in place, and its
-    running sums, next to the runs' totals.  The two come one after the
-    other, so the window is charged the larger.  A ``hardened`` window (a
-    flag, or an array of them) is replayed hardened too, and adds
-    ``_HARD_RUN_BYTES`` a run to either; its optimum is taken of a copy
-    with the worst-price tail once the plain copy is freed."""
-    kernel = 8 * horizon.bit_length() * (step + 1) + runs * (32 * k + _RUN_VECTOR_BYTES)
+    12 bytes a slot (the caller's threshold and the int32 selection step)
+    and ``_RUN_VECTOR_BYTES``; then ``_offline_optima`` holds a copy
+    of the window, which it partitions in place, and its running sums,
+    next to the runs' totals.  The two come one after the other, so the
+    window is charged the larger.  A ``hardened`` window (a flag, or an
+    array of them) is replayed hardened too, and adds ``_HARD_RUN_BYTES`` a
+    run to either; its optimum is taken of a copy with the worst-price tail
+    once the plain copy is freed.  A block adds one slice of its totals
+    (``_gather_bytes``)."""
+    kernel = 8 * horizon.bit_length() * (step + 1) + runs * (12 * k + _RUN_VECTOR_BYTES)
     return np.maximum(kernel, 8 * (horizon + k + runs)) + hardened * runs * _HARD_RUN_BYTES
+
+
+def _gather_bytes(k: int) -> int:
+    """The most a block's slice of totals or early picks holds, in bytes."""
+    return 16 * max(_GATHER_ENTRIES, k)
 
 
 def _grouped_totals(sel, voluntary, span, first, T, fill=None, runs=None):
@@ -599,25 +610,32 @@ def _grouped_totals(sel, voluntary, span, first, T, fill=None, runs=None):
     of them by default) with ``voluntary`` counts, whose windows start at
     ``first`` in the signed span: the voluntary picks' prices, then the
     fill's, added with the same numpy reductions as the per-run oracle, one
-    group of equal counts at a time.  The fill is each window's last prices,
-    or, with a ``fill`` price, that price repeated."""
+    slice of at most ``_GATHER_ENTRIES // k`` runs (one at least) of equal
+    counts at a time.  The fill is each window's last prices, or, with a
+    ``fill`` price, that price repeated."""
     k = sel.shape[0]
     totals = np.empty(voluntary.size)
+    chunk = max(1, _GATHER_ENTRIES // k)
+    ends = np.lib.stride_tricks.sliding_window_view(span, k)  # each row's last k prices
     # the counts that occur (np.unique would import numpy.ma, ~0.6 MB)
     for m in np.flatnonzero(np.bincount(voluntary)).tolist():
         group = np.flatnonzero(voluntary == m)
         columns = group if runs is None else runs[group]
-        starts = first[columns][:, None]
-        at = sel.T[columns, :m]  # (runs, m), each run's row contiguous
-        at += starts
-        total = span[at].sum(axis=1)
-        del at
-        if m < k:
-            if fill is None:
-                total += span[starts + np.arange(T - k + m, T)].sum(axis=1)
-            else:
-                total += np.full(k - m, fill).sum()
-        totals[group] = total
+        for lo in range(0, group.size, chunk):
+            part = columns[lo:lo + chunk]
+            starts = first[part]
+            # (runs, m), each run's row contiguous; intp, as int32 indices
+            # would be cast through a buffer as large
+            at = sel.T[part, :m].astype(np.intp)
+            at += starts[:, None]
+            total = span[at].sum(axis=1)
+            del at
+            if m < k:
+                if fill is None:
+                    total += ends[starts + (T - k), m:].sum(axis=1)
+                else:
+                    total += np.full(k - m, fill).sum()
+            totals[group[lo:lo + chunk]] = total
     return totals
 
 

@@ -22,14 +22,14 @@ block's offline optima in one pass.  The sweep's tail-hardened windows get
 their rows from the same blocks: the kernel derives their totals from the
 plain runs, and their optima come from the same optimum pass over their
 copies with the worst-price tail, so each (window, confidence) pair is
-replayed once.  A block holds as many windows as keep its replay within
-``_REPLAY_BLOCK_BYTES``, each charged for the prices it adds to the block
-and for its runs, so overlapping windows pack more per block than
-disjoint ones.  The weights do not depend on the draws either: the Hedge
-recurrence runs over the matrix rows first, holding one plain list of
-weights and keeping each round's, and one pass then draws every round's
-grid point from them (``_draws``), as ``Generator.choice`` draws it from
-the round's stream.  Every round's first double comes from one vectorised
+replayed once.  A block holds as many windows as keep its replay, and
+the design batch of its predictions, within ``_REPLAY_BLOCK_BYTES``, each
+window charged for the prices it adds to the block and for its runs, so
+overlapping windows pack more per block than disjoint ones.  The weights
+do not depend on the draws either: the Hedge recurrence runs over the
+matrix rows first, holding one plain list of weights and keeping each
+round's, and one pass then draws every round's grid point from them
+(``_draws``), as ``Generator.choice`` draws it from the round's stream.  Every round's first double comes from one vectorised
 pass of numpy's ``SeedSequence`` and Philox4x64-10 over all the round keys
 (``_uniforms``), bit-equal to ``Generator(Philox(key)).random()``, so no
 ``Philox`` is built and ``numpy.random`` is not imported.
@@ -59,7 +59,7 @@ import numpy as np
 
 from .augmented import _construct_grid, _snap_prediction, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, WindowStream, ota_totals
-from .core import _offline_optima, _replay_window_bytes
+from .core import _gather_bytes, _offline_optima, _replay_window_bytes
 from .errors import InvalidInputError, KSearchError
 
 DEFAULT_GRID_SIZE = 33
@@ -83,6 +83,12 @@ class RegretHistory(NamedTuple):
     chosen_ratio: list[float]
     best_fixed_ratio: list[float]
     cumulative_regret: list[float]
+
+
+def _design_bytes(k: int) -> int:
+    """The most the grid-design batch holds per prediction, in bytes: per
+    grid row, ten float rows of k + 1 and 40 floats of per-row vectors."""
+    return 8 * len(GRID) * (10 * (k + 1) + 40)
 
 
 def _design_grids(predictions, bounds: PriceBounds, k: int, kind: ProblemKind) -> np.ndarray:
@@ -112,8 +118,8 @@ def _stream_ratios(stream: WindowStream, extra: tuple[ThresholdSchedule, ...] = 
     The stream is replayed a block at a time by ``core.ota_totals``: as
     many consecutive windows as keep their replay within
     ``_REPLAY_BLOCK_BYTES`` (``_blocks``).  The block's distinct predictions
-    are designed in one batch (``_design_grids``; the byte budget bounds
-    it, too), the extra rows are appended to each prediction's, one gather
+    are designed in one batch (``_design_grids``, which ``_blocks`` bounds
+    too), the extra rows are appended to each prediction's, one gather
     lays them out per window, and the block's offline optima are taken in
     one pass (``core._offline_optima``, which partitions a copy of the
     windows in place).  A hardened window is no replay of its own: its
@@ -155,21 +161,29 @@ def _stream_ratios(stream: WindowStream, extra: tuple[ThresholdSchedule, ...] = 
 
 def _blocks(stream: WindowStream, runs: int, hardened: np.ndarray):
     """(lo, hi) of each block of a stream's windows: consecutive windows, as
-    many as keep the sum of their ``_replay_window_bytes`` within
-    ``_REPLAY_BLOCK_BYTES`` (at least one).  A window is charged for the
-    min(stride, T) prices it adds to the block's span, the first of a block
-    for its whole horizon, so overlapping windows pack more per block than
-    disjoint ones; a window marked in the ``hardened`` mask is charged for
-    its hardened runs too."""
-    horizon, k = stream.horizon, stream.k
+    many as keep their replay (the sum of their ``_replay_window_bytes`` and
+    ``_gather_bytes``) and, on its own as the two are never held at once,
+    their design batch within ``_REPLAY_BLOCK_BYTES`` (at least one).  A
+    window is charged for the min(stride, T) prices it adds to the block's
+    span, the first of a block for its whole horizon, so overlapping windows
+    pack more per block than disjoint ones; a window marked in the
+    ``hardened`` mask is charged for its hardened runs too.  The batch is
+    charged ``_design_bytes`` for the first window and for each one whose
+    prediction differs from its predecessor's, at least its distinct ones."""
+    horizon, k, predictions = stream.horizon, stream.k, stream.predictions
     held = np.cumsum(_replay_window_bytes(horizon, k, runs, min(stream.stride, horizon),
                                           hardened))
-    first = _replay_window_bytes(horizon, k, runs, horizon, hardened)
+    first = _replay_window_bytes(horizon, k, runs, horizon, hardened) + _gather_bytes(k)
+    # how many windows after the first, up to each, change their prediction
+    changes = np.concatenate(([0], np.cumsum(predictions[1:] != predictions[:-1])))
+    designs = max(1, _REPLAY_BLOCK_BYTES // _design_bytes(k))  # the most a batch holds
     lo = 0
     while lo < len(stream):
         # the block [lo, hi) holds first[lo] + held[hi - 1] - held[lo] bytes
-        hi = int(np.searchsorted(held, _REPLAY_BLOCK_BYTES - first[lo] + held[lo], side="right"))
-        hi = max(hi, lo + 1)
+        # in its replay and 1 + changes[hi - 1] - changes[lo] predictions
+        hi = min(np.searchsorted(held, _REPLAY_BLOCK_BYTES - first[lo] + held[lo], side="right"),
+                 np.searchsorted(changes, changes[lo] + designs - 1, side="right"))
+        hi = max(int(hi), lo + 1)
         yield lo, hi
         lo = hi
 

@@ -31,7 +31,9 @@ from ksearch import (
     KSearchError,
     PriceBounds,
     ProblemKind,
+    SearchInstance,
     ThresholdSchedule,
+    WindowStream,
     design,
     frontier_curve,
     lower_bound,
@@ -172,6 +174,9 @@ ENTRIES = {
     "solve_cr band": ("band", lambda x: solve_cr(x, 3, MIN)),
     "worst_case_thresholds band": ("band", lambda x: worst_case_thresholds(x, 3, MIN)),
     "ThresholdSchedule band": ("band", lambda x: ThresholdSchedule(MAX, (6.0, 7.0), x)),
+    "SearchInstance band": ("band", lambda x: SearchInstance((6.0, 7.0), 1, x)),
+    "WindowStream band": ("band", lambda x: WindowStream(
+        np.array([6.0, 7.0]), np.array([0]), 2, 1, x, np.array([6.0]), MAX)),
     "PriceBounds p_min": ("real", lambda x: PriceBounds(x, 50.0)),
     "PriceBounds p_max": ("real", lambda x: PriceBounds(5.0, x)),
 }
@@ -218,6 +223,10 @@ def wrong_calls(draw):
 @example(("ThresholdSchedule band", (5.0, 50.0)))
 @example(("ThresholdSchedule band", [5.0, 50.0]))
 @example(("design band", "5,50"))
+@example(("SearchInstance band", (5.0, 50.0)))
+@example(("SearchInstance band", None))
+@example(("WindowStream band", (5.0, 50.0)))
+@example(("WindowStream band", None))
 def test_wrong_typed_arguments_raise_invalid_input(call):
     name, value = call
     with pytest.raises(InvalidInputError):

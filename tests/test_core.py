@@ -7,6 +7,7 @@ import math
 import pathlib
 import re
 import tracemalloc
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 import ksearch
+from ksearch import core as core_mod
 from conftest import kinds, price_bounds, schedule_and_instance
 from oracle import ota_total
 from ksearch import (
@@ -33,6 +35,7 @@ from ksearch import (
     worst_case_thresholds,
 )
 from ksearch.core import (
+    _gather_bytes,
     _offline_optima,
     _replay_window_bytes,
 )
@@ -247,6 +250,19 @@ def hardened_window(series, start, horizon, k, bounds, kind):
 @given(start_blocks())
 @settings(max_examples=300)
 def test_span_replay_equals_ota_total(case):
+    check_span_replay(case)
+
+
+@given(start_blocks())
+@settings(max_examples=100)
+def test_span_replay_a_run_or_two_at_a_time_equals_ota_total(case):
+    # the totals and early picks take slices of one run (two at k = 1)
+    with mock.patch.object(core_mod, "_GATHER_ENTRIES", 2):
+        check_span_replay(case)
+
+
+def check_span_replay(case):
+    """Every run of a drawn block, plain and hardened, against the oracle."""
     kind, bounds, thresholds, series, starts, horizon, rows, hardened = case
     k = len(thresholds[0])
     stream = stream_over(series, starts, horizon, k, kind, bounds)
@@ -355,13 +371,36 @@ class TestSpanReplay:
                                 range(len(starts)))
             assert [part.tolist() for part in replay] == [part.tolist() for part in clean]
 
+    @pytest.mark.parametrize("kind", list(ProblemKind))
     @pytest.mark.parametrize("k", [1, 5, 100])
     @pytest.mark.parametrize("stride", [1, 48, 288, None])  # None: gaps of T between windows
     @pytest.mark.parametrize("hardened", [0, 1, 3], ids=["plain", "all-hardened", "third-hardened"])
-    def test_peak_stays_within_the_byte_charge(self, k, stride, hardened):
+    def test_peak_stays_within_the_byte_charge(self, kind, k, stride, hardened):
         # a learner-sized block: 24 windows of 288 prices, 34 runs each, and
-        # none, all or every third of them hardened too
-        peak, charge = self.traced_block(288, k, stride or 2 * 288, 34, hardened=hardened)
+        # none, all or every third of them hardened too; min-search reads
+        # its bars through the sign
+        peak, charge = self.traced_block(288, k, stride or 2 * 288, 34, kind=kind,
+                                         hardened=hardened)
+        assert peak <= charge
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("k", [1, 5, 100])
+    @pytest.mark.parametrize("hardened", [0, 1], ids=["plain", "all-hardened"])
+    def test_peak_stays_within_the_charge_when_every_pick_is_voluntary(self, kind, k, hardened):
+        # every bar at the band's near end: each run takes its first k
+        # prices, so one group of voluntary counts holds every run
+        peak, charge = self.traced_block(288, k, 48, 34, kind=kind, hardened=hardened,
+                                         eager=True)
+        assert peak <= charge
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("eager", [False, True], ids=["drawn", "eager"])
+    @pytest.mark.parametrize("hardened", [0, 1], ids=["plain", "all-hardened"])
+    def test_peak_stays_within_the_charge_at_k_1000(self, kind, eager, hardened):
+        # four windows of 2,000 prices, 34 runs each: the totals and early
+        # picks take four runs (4,000 entries) at a time
+        peak, charge = self.traced_block(2000, 1000, 500, 34, count=4, kind=kind,
+                                         hardened=hardened, eager=eager)
         assert peak <= charge
 
     @pytest.mark.parametrize("hardened", [0, 1], ids=["plain", "all-hardened"])
@@ -373,34 +412,41 @@ class TestSpanReplay:
         assert 8 * 24 * 3024 < peak <= charge
 
     @staticmethod
-    def traced_block(horizon, k, stride, runs, count=24, hardened=0):
+    def traced_block(horizon, k, stride, runs, count=24, kind=ProblemKind.MAX, hardened=0,
+                     eager=False):
         """The traced peak of one block's replay and then of its windows'
         offline optima next to the totals, as the learner runs them (it
         covers every array either allocates), and the block's charge; with
-        ``hardened``, every such window from the first is hardened too."""
+        ``hardened``, every such window from the first is hardened too, and
+        with ``eager``, every bar is the band's near end."""
         rng = np.random.default_rng(k)
         series = rng.uniform(5.0, 50.0, (count - 1) * stride + horizon)
-        stream = stream_over(series, np.arange(count) * stride, horizon, k)
+        stream = stream_over(series, np.arange(count) * stride, horizon, k, kind)
         windows = stream.rows()
-        thresholds = np.sort(rng.uniform(5.0, 50.0, (count * runs, k)), axis=1)
+        if eager:
+            thresholds = np.full((count * runs, k), kind.near(B))
+        else:
+            thresholds = np.sort(rng.uniform(5.0, 50.0, (count * runs, k)), axis=1)
+            thresholds = thresholds if kind.is_max else thresholds[:, ::-1].copy()
         rows = np.repeat(np.arange(count), runs)
         hard = np.zeros(count, dtype=bool)
         if hardened:
             hard[::hardened] = True
         picks = np.flatnonzero(hard)
         # the first window adds its whole horizon to the span, each other one
-        # min(stride, T) prices
+        # min(stride, T) prices; the block holds one slice of its totals
         steps = np.full(count, min(stride, horizon))
         steps[0] = horizon
-        charge = _replay_window_bytes(horizon, k, runs, steps, hard).sum()
+        charge = _replay_window_bytes(horizon, k, runs, steps, hard).sum() + _gather_bytes(k)
 
         def replay():
-            totals = ota_totals(thresholds, stream, rows, picks)[0]
-            optima = _offline_optima(windows.copy(), k, ProblemKind.MAX)
+            # the thresholds and rows are the block's own, as in the learner
+            totals = ota_totals(thresholds.copy(), stream, rows.copy(), picks)[0]
+            optima = _offline_optima(windows.copy(), k, kind)
             if picks.size:
                 worst = windows[picks]
-                worst[:, horizon - k:] = 5.0
-                return totals, optima, _offline_optima(worst, k, ProblemKind.MAX)
+                worst[:, horizon - k:] = kind.near(B)
+                return totals, optima, _offline_optima(worst, k, kind)
             return totals, optima
 
         replay()  # numpy's first-call setup

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from ksearch import (
 )
 from ksearch import augmented as augmented_mod
 from ksearch import learner as learner_mod
-from ksearch.learner import GRID, _replay_window_bytes
+from ksearch.learner import GRID, _gather_bytes, _replay_window_bytes
 from adversaries import PInstanceSpec, gen_p_instance
 from conftest import band_cases, band_prediction, design_or_error, replay_ratios, stream_of
 from oracle import ota_total
@@ -592,9 +593,12 @@ class TestBlockReplay:
         bounds = stream.bounds
         extra = (worst_case_thresholds(bounds, k, kind).schedule,)
         runs = len(GRID) + len(extra)
-        budget = per_block * _replay_window_bytes(
+        budget = _gather_bytes(k) + per_block * _replay_window_bytes(
             stream.horizon, k, runs, stream.horizon, False)
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget + budget_offset)
+        # these are the replay's cuts: each window's prediction is new, and
+        # the design batch's bound would cut first
+        monkeypatch.setattr(learner_mod, "_design_bytes", lambda k: 1)
         ratios = replay_ratios(stream, extra)
         assert block_sizes == sizes
         for window, row in zip(windows, ratios.tolist()):
@@ -608,16 +612,89 @@ class TestBlockReplay:
         series = gen_synthetic_series(num_samples=4400, seed=7)
         runs = len(GRID) + 1
         first = _replay_window_bytes(100, k, runs, 100, False)
-        budget = 20 * first
+        budget = _gather_bytes(k) + 20 * first
         monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget)
+        monkeypatch.setattr(learner_mod, "_design_bytes", lambda k: 1)  # the replay's cuts
         sizes = {}
         for stride in (20, 100):
             stream = sliding_windows(series, 100, stride, k, ProblemKind.MAX)
             blocks = learner_mod._blocks(stream, runs, np.zeros(len(stream), dtype=bool))
             sizes[stride] = [stop - start for start, stop in blocks]
             assert sum(sizes[stride]) == len(stream)
-        overlapping = 1 + (budget - first) // _replay_window_bytes(100, k, runs, 20, False)
+        overlapping = 1 + (budget - _gather_bytes(k) - first) // _replay_window_bytes(
+            100, k, runs, 20, False)
         assert sizes[100][0] == 20 < overlapping == sizes[20][0]
+
+    @pytest.mark.parametrize("designs,budget_offset,sizes", [
+        (2, 0, [5, 2]),  # a a b b b | c a
+        (2, -1, [2, 3, 1, 1]),  # one prediction a block
+        (3, 0, [6, 1]),
+        (4, 0, [7]),  # a counts twice, as it follows c
+    ])
+    def test_blocks_cut_at_the_design_budget(self, designs, budget_offset, sizes, monkeypatch):
+        # at k = 50 a prediction's design batch outweighs the replay of all
+        # seven windows, so the batch's bound cuts the blocks
+        base, windows = _stream(7, k=50)
+        a, b, c = (prediction for _, prediction in windows[:3])
+        predictions = [a, a, b, b, b, c, a]
+        stream = stream_of([(prices, p) for (prices, _), p in zip(windows, predictions)], 50,
+                           base.bounds, ProblemKind.MAX)
+        runs = len(GRID) + 1
+        budget = designs * learner_mod._design_bytes(50) + budget_offset
+        assert _gather_bytes(50) + 7 * _replay_window_bytes(100, 50, runs, 100, False) < budget
+        monkeypatch.setattr(learner_mod, "_REPLAY_BLOCK_BYTES", budget)
+        blocks = learner_mod._blocks(stream, runs, np.zeros(7, dtype=bool))
+        assert [hi - lo for lo, hi in blocks] == sizes
+
+
+class TestBlockCounts:
+    """How many blocks a stream of the CLI's shapes replays in: the kernel's
+    fixed cost per call is most of a block's time, so fewer is faster."""
+
+    def test_the_sweep_replays_its_k_100_group_in_at_most_14_blocks(self):
+        # the 5-year feed in windows of 3,024 prices, 432 apart, at error
+        # level 1, a fifth of them hardened, and the 33 grid runs and the
+        # worst case on each: 24 blocks while a run-slot was charged 32 bytes
+        from ksearch import harness as harness_mod
+
+        series = gen_synthetic_series(seed=11)
+        stream = adjust_error(sliding_windows(series, 3024, 432, 100, ProblemKind.MAX), 1.0)
+        hard = np.array(harness_mod._hardening_draws(11, len(stream))) < 0.2
+        assert len(list(learner_mod._blocks(stream, len(GRID) + 1, hard))) <= 14
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_learn_daily_replays_in_no_more_blocks_than_before(self, kind):
+        # 1,239 days of 10-minute prices in windows of 288, 48 apart, k = 10
+        # and the 33 grid runs: 15 blocks a kind at a 32-byte run-slot
+        series = gen_synthetic_series(1239 * 144, seed=11)
+        stream = sliding_windows(series, 288, 48, 10, kind)
+        hard = np.zeros(len(stream), dtype=bool)
+        assert len(list(learner_mod._blocks(stream, len(GRID), hard))) <= 15
+
+
+class TestDesignBatchCharge:
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("k", [5, 10, 100])
+    @pytest.mark.parametrize("count", [1, 4, 16])
+    def test_peak_stays_within_the_charge(self, kind, k, count):
+        # predictions in the band's far half, where nearly every grid row
+        # builds its flat block and i* scan (cases II/III, V/VI)
+        low, high = BOUNDS.p_min, BOUNDS.p_max
+        middle = math.sqrt(low * high)
+        edges = (middle, high) if kind.is_max else (low, middle)
+        predictions = np.geomspace(*edges, count).tolist()
+        tilde_1 = augmented_mod._grid_frame(GRID, BOUNDS, k, kind).tilde_1
+        beyond = [p > tilde_1 if kind.is_max else p <= tilde_1 for p in predictions]
+        assert np.mean(beyond) > 0.9
+        learner_mod._design_grids(predictions, BOUNDS, k, kind)  # the grid frame is cached
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            learner_mod._design_grids(predictions, BOUNDS, k, kind)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * learner_mod._design_bytes(k)
 
 
 class TestRunLearningAndRegret:
