@@ -4,7 +4,12 @@
 Run it on two checkouts and compare the digests: equal digests mean the
 two trees give bit-identical designs (or identical failures) on every point::
 
-    PYTHONPATH=src python3 scripts/design_identity.py
+    PYTHONPATH=src python3 scripts/design_identity.py [--dump DIR]
+
+With ``--dump DIR`` it also writes each section's records to
+``DIR/<section>.txt`` (spaces in the name become hyphens), one a line in
+point order, so the file's SHA-256 is the section's digest and one
+``diff -r`` of two trees' dumps lists every point that moved.
 
 Each ``design`` call is dumped as its threshold reprs, case label, j*, m*,
 i*, sigma*, p~1, p~2, eta, gamma and prediction, and each failure as its
@@ -31,8 +36,11 @@ class and message.  The sections are:
 
 from __future__ import annotations
 
+import argparse
+import contextlib
 import hashlib
 import math
+import pathlib
 import random
 
 import numpy as np
@@ -128,26 +136,38 @@ def worst_case_record(kind, bounds, k) -> str:
                  _outcome(_worst_case, bounds, k, kind), curve))
 
 
-def digest(records) -> str:
+def report(name, records, dump) -> None:
+    """Print the section's digest, the SHA-256 of its records one a line;
+    with a ``dump`` directory, write those lines there too."""
     sha = hashlib.sha256()
-    for record in records:
-        sha.update(record.encode())
-        sha.update(b"\n")
-    return sha.hexdigest()
+    path = None if dump is None else dump / f"{name.replace(' ', '-')}.txt"
+    with contextlib.nullcontext() if path is None else path.open("w") as out:
+        for record in records:
+            line = f"{record}\n"
+            sha.update(line.encode())
+            if out is not None:
+                out.write(line)
+    print(f"{name}: {sha.hexdigest()}", flush=True)
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--dump", type=pathlib.Path, metavar="DIR",
+                        help="also write each section's records to DIR/<section>.txt")
+    dump = parser.parse_args().dump
+    if dump is not None:
+        dump.mkdir(parents=True, exist_ok=True)
     sections = (("design-grid", design_grid_points()), ("random", random_points()))
     for name, points in sections:
-        print(f"{name}: {digest(design_record(*point) for point in points)}", flush=True)
+        report(name, (design_record(*point) for point in points), dump)
         calls = dict.fromkeys((kind, bounds, k, prediction)
                               for kind, bounds, k, _, prediction in points)
-        print(f"{name} rows: {digest(rows_record(*call) for call in calls)}", flush=True)
+        report(f"{name} rows", (rows_record(*call) for call in calls), dump)
     records = (rows_record(*block, raw=True) for block in random_blocks())
-    print(f"random blocks: {digest(records)}", flush=True)
+    report("random blocks", records, dump)
     bands = dict.fromkeys((kind, bounds, k) for _, points in sections
                           for kind, bounds, k, _, _ in points)
-    print(f"worst-case: {digest(worst_case_record(*band) for band in bands)}", flush=True)
+    report("worst-case", (worst_case_record(*band) for band in bands), dump)
 
 
 if __name__ == "__main__":

@@ -38,16 +38,19 @@ A design splits into a frame and the prediction's part.  The frame (the
 target, sigma*, the growth rates and leads, p~1 and p~2) depends only on
 (lambda, band, k, kind); ``design`` keeps frames in a cache of 2,048,
 which holds a sweep of 1,408 (2 kinds x 16 bands x 4 k x 11 lambda, as
-perfbench's design-grid), and per call builds the prefix, flat block,
-pivot, i* scan and tail, and verifies them from one set of left sums.  The
-prefix and the flat block with its eta continuation are each one list
-comprehension over powers taken with Python ``**``, and the i* scan's
-running sums come from one ``itertools.accumulate`` pass.  The three
-index searches stop where their answers are: sigma* tests the junction
-slack only where the ratio could pass, min-search m* steps from its
-closed-form crossing to the first m that passes, and the i* scan runs
-down from k, taking each tail threshold when it gets there.  All of it
-uses the float operations of a threshold-at-a-time loop, in its order.
+perfbench's design-grid).  A frame that fails is kept as its
+ConstructionError's message, and every call at it raises a new error
+with that message, so a failing sigma* scan runs once too.  Per call
+``design`` builds the prefix, flat block, pivot, i* scan and tail, and
+verifies them from one set of left sums.  The prefix and the flat block
+with its eta continuation are each one list comprehension over powers
+taken with Python ``**``, and the i* scan's running sums come from one
+``itertools.accumulate`` pass.  The three index searches stop where
+their answers are: sigma* tests the junction slack only where the ratio
+could pass, min-search m* steps from its closed-form crossing to the
+first m that passes, and the i* scan runs down from k, taking each tail
+threshold when it gets there.  All of it uses the float operations of a
+threshold-at-a-time loop, in its order.
 The tests hold that loop as ``construct_reference`` and the sigma* scan
 as ``sigma_star_reference``, and require every design and failure to
 equal theirs bit for bit.
@@ -710,9 +713,10 @@ def design(
 ) -> AugmentedDesign:
     """Design at the Pareto target implied by confidence lam (harness and CLI entry).
 
-    The frame of (lam, bounds, k, kind) comes from a bounded cache, so a
-    stream of predictions pays for the frontier and sigma* once per
-    confidence.  A ConstructionError raised here carries the call's kind,
+    The frame of (lam, bounds, k, kind), or the failure of building it,
+    comes from a bounded cache, so a stream of predictions pays for sigma*
+    once per confidence, whether the frame builds or not.  A
+    ConstructionError raised here is the call's own and carries its kind,
     bounds, k, lam and snapped prediction, which reproduce it.  Arguments
     of the wrong type raise InvalidInputError before any cache is read.
     """
@@ -730,9 +734,21 @@ def design(
         raise
 
 
-@functools.lru_cache(maxsize=2048, typed=True)  # typed: the target keeps the caller's lam
 def _frame_at(lam: float, bounds: PriceBounds, k: int, kind: ProblemKind) -> _Frame:
-    return _frame(target_point(lam, _frontier(bounds, k, kind)), bounds, k, kind)
+    frame = _frames(lam, bounds, k, kind)
+    if isinstance(frame, str):  # each call gets its own error, to carry its own call
+        raise ConstructionError(frame)
+    return frame
+
+
+@functools.lru_cache(maxsize=2048, typed=True)  # typed: the target keeps the caller's lam
+def _frames(lam: float, bounds: PriceBounds, k: int, kind: ProblemKind) -> _Frame | str:
+    """The frame, or the message of the ConstructionError that building it
+    raised: a kept exception would keep its traceback's frames alive."""
+    try:
+        return _frame(target_point(lam, _frontier(bounds, k, kind)), bounds, k, kind)
+    except ConstructionError as exc:
+        return str(exc)
 
 
 @functools.lru_cache(maxsize=256)

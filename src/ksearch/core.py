@@ -540,7 +540,8 @@ def _descend(table, thr, first, sign, T, voluntary):
 def _early_picks(sel, picked, T: int) -> np.ndarray:
     """How many of each picked run's voluntary selections come before step
     T - k: its entries of ``sel`` below T - k, as every other entry m is at
-    or past T - k + m; a slice of runs at a time, as the totals."""
+    or past T - k + m; a slice of ``_GATHER_ENTRIES // k`` runs (one at
+    least) at a time."""
     k = sel.shape[0]
     chunk = max(1, _GATHER_ENTRIES // k)
     early = np.empty(picked.size, dtype=np.intp)
@@ -610,17 +611,18 @@ def _grouped_totals(sel, voluntary, span, first, T, fill=None, runs=None):
     of them by default) with ``voluntary`` counts, whose windows start at
     ``first`` in the signed span: the voluntary picks' prices, then the
     fill's, added with the same numpy reductions as the per-run oracle, one
-    slice of at most ``_GATHER_ENTRIES // k`` runs (one at least) of equal
-    counts at a time.  The fill is each window's last prices, or, with a
+    slice of runs of equal count m at a time.  A run gathers m picks, then
+    k - m fill prices, so a slice holds ``_GATHER_ENTRIES // max(m, k - m)``
+    runs (one at least).  The fill is each window's last prices, or, with a
     ``fill`` price, that price repeated."""
     k = sel.shape[0]
     totals = np.empty(voluntary.size)
-    chunk = max(1, _GATHER_ENTRIES // k)
     ends = np.lib.stride_tricks.sliding_window_view(span, k)  # each row's last k prices
     # the counts that occur (np.unique would import numpy.ma, ~0.6 MB)
     for m in np.flatnonzero(np.bincount(voluntary)).tolist():
         group = np.flatnonzero(voluntary == m)
         columns = group if runs is None else runs[group]
+        chunk = max(1, _GATHER_ENTRIES // max(m, k - m))
         for lo in range(0, group.size, chunk):
             part = columns[lo:lo + chunk]
             starts = first[part]

@@ -29,8 +29,9 @@ overlapping windows pack more per block than disjoint ones.  The weights
 do not depend on the draws either: the Hedge recurrence runs over the
 matrix rows first, holding one plain list of weights and keeping each
 round's, and one pass then draws every round's grid point from them
-(``_draws``), as ``Generator.choice`` draws it from the round's stream.  Every round's first double comes from one vectorised
-pass of numpy's ``SeedSequence`` and Philox4x64-10 over all the round keys
+(``_draws``), as ``Generator.choice`` draws it from the round's stream.
+Every round's first double comes from one vectorised pass of numpy's
+``SeedSequence`` and Philox4x64-10 over all the round keys
 (``_uniforms``), bit-equal to ``Generator(Philox(key)).random()``, so no
 ``Philox`` is built and ``numpy.random`` is not imported.
 The grid designs of a block's distinct predictions are built together, in

@@ -459,7 +459,7 @@ def test_cache_state_never_changes_a_design(p_min, thetas, ks, lams, spots):
              for k in ks for lam in lams for spot in spots for b in bands
              for kind in ProblemKind]
     expected = [_oracle(call) for call in calls]
-    augmented_mod._frame_at.cache_clear()
+    augmented_mod._frames.cache_clear()
     assert [_outcome(call) for call in calls] == expected  # cold, then warming
     assert [_outcome(call) for call in reversed(calls)] == expected[::-1]  # warm
 
@@ -468,19 +468,19 @@ def test_frame_cache_holds_a_band_sweep():
     """Both kinds x 16 bands x k in {1, 10} x 11 lambdas is 704 frames,
     more than a cache of 256 holds, so an LRU that small hits none of them
     on a second pass in the same order.  Bands stop at theta = 10^3, where
-    every one of these frames builds (a frame that raises is not kept)."""
+    every one of these frames builds."""
     calls = [(PriceBounds(1.0, float(theta)), k, i / 10, kind) for kind in ProblemKind
              for theta in np.logspace(0.25, 3.0, 16) for k in (1, 10) for i in range(11)]
-    augmented_mod._frame_at.cache_clear()
+    augmented_mod._frames.cache_clear()
     for _ in range(2):
         for bounds, k, lam, kind in calls:
             design(bounds.p_max**0.5, lam, bounds, k, kind)
-    info = augmented_mod._frame_at.cache_info()
+    info = augmented_mod._frames.cache_info()
     assert (info.hits, info.misses) == (len(calls), len(calls))
 
 
 def test_target_keeps_the_callers_lambda():
-    augmented_mod._frame_at.cache_clear()
+    augmented_mod._frames.cache_clear()
     for lam in (1.0, 1, 0.0, 0):
         assert type(design(20.0, lam, BOUNDS, K, ProblemKind.MAX).target.lam) is type(lam)
 
@@ -488,7 +488,7 @@ def test_target_keeps_the_callers_lambda():
 def test_failed_frame_raises_the_same_error_on_every_call():
     # sigma* has no feasible block at this (lambda, band, k), whatever P is
     bounds, k, lam = PriceBounds(1.0, 5623.413251903491), 1, 0.3
-    augmented_mod._frame_at.cache_clear()
+    augmented_mod._frames.cache_clear()
     seen = set()
     for prediction in (1.0, 40.0, bounds.p_max, 1.0):
         with pytest.raises(ConstructionError, match="no feasible consistency block") as info:
@@ -502,13 +502,33 @@ def test_failed_frame_raises_the_same_error_on_every_call():
     assert len(seen) == 1
 
 
+def test_failed_frame_is_scanned_once_and_each_call_raises_its_own_error(monkeypatch):
+    bounds, k, lam = PriceBounds(1.0, 5623.413251903491), 1, 0.3
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return sigma_star(*args)
+
+    monkeypatch.setattr(augmented_mod, "sigma_star", counted)
+    augmented_mod._frames.cache_clear()
+    raised = []
+    for prediction in (1.0, 40.0, bounds.p_max, 300.0):
+        with pytest.raises(ConstructionError, match="no feasible consistency block") as info:
+            design(prediction, lam, bounds, k, ProblemKind.MIN)
+        raised.append(info.value)
+    assert len(scans) == 1
+    assert len({id(exc) for exc in raised}) == len(raised)
+    assert [exc.prediction for exc in raised] == [1.0, 40.0, bounds.p_max, 300.0]
+
+
 @pytest.mark.parametrize("k", [10.0, np.int64(10)], ids=["float", "numpy-int"])
 def test_k_that_is_not_an_int_raises_typed_warm_or_cold(k):
     """k is checked before either cache: the frontier cache keys on k
     untyped, so after design(..., 10, ...) it holds a spec that k = 10.0
     would otherwise reach, and sigma*'s ``range`` would reject untyped."""
     bounds = PriceBounds(5.0, 50.0)
-    augmented_mod._frame_at.cache_clear()
+    augmented_mod._frames.cache_clear()
     augmented_mod._frontier.cache_clear()
     with pytest.raises(InvalidInputError, match="k must be a positive integer"):
         design(20.0, 0.5, bounds, k, ProblemKind.MAX)  # cold

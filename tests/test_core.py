@@ -256,7 +256,7 @@ def test_span_replay_equals_ota_total(case):
 @given(start_blocks())
 @settings(max_examples=100)
 def test_span_replay_a_run_or_two_at_a_time_equals_ota_total(case):
-    # the totals and early picks take slices of one run (two at k = 1)
+    # the totals and early picks take slices of one run or two
     with mock.patch.object(core_mod, "_GATHER_ENTRIES", 2):
         check_span_replay(case)
 
@@ -397,8 +397,8 @@ class TestSpanReplay:
     @pytest.mark.parametrize("eager", [False, True], ids=["drawn", "eager"])
     @pytest.mark.parametrize("hardened", [0, 1], ids=["plain", "all-hardened"])
     def test_peak_stays_within_the_charge_at_k_1000(self, kind, eager, hardened):
-        # four windows of 2,000 prices, 34 runs each: the totals and early
-        # picks take four runs (4,000 entries) at a time
+        # four windows of 2,000 prices, 34 runs each: the early picks take
+        # four runs (4,000 entries) at a time, the totals four to eight
         peak, charge = self.traced_block(2000, 1000, 500, 34, count=4, kind=kind,
                                          hardened=hardened, eager=eager)
         assert peak <= charge
@@ -477,6 +477,29 @@ class TestBatchedReplay:
             total, vol = ota_total(schedule, np.asarray(prices[m]))
             assert (totals[m], voluntary[m]) == (total, vol)
             assert vol == (0 if k == horizon else m)
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    def test_groups_several_slices_long_equal_ota_total(self, kind):
+        # window w takes w % (k + 1) random prices above the flat schedule,
+        # then random ones below it; its runs, interleaved with the other
+        # windows', make groups of 3,000 runs, which the totals take in
+        # slices of 4,096 // max(m, k - m) runs: three to four a group
+        k, horizon = 5, 12
+        rng = np.random.default_rng(k)
+        count = 6 * (k + 1)
+        good, bad = (rng.uniform(31.0, 50.0, (count, horizon)),
+                     rng.uniform(5.0, 29.0, (count, horizon)))
+        if not kind.is_max:
+            good, bad = bad, good
+        counts = np.arange(count) % (k + 1)
+        prices = np.where(np.arange(horizon) < counts[:, None], good, bad)
+        rows = rng.permutation(np.repeat(np.arange(count), 500))
+        totals, voluntary = laid_end_to_end(np.full((rows.size, k), 30.0), prices, rows, kind)
+        schedule = ThresholdSchedule(kind, (30.0,) * k, B)
+        expected = [ota_total(schedule, window) for window in prices]
+        assert list(zip(totals, voluntary)) == [expected[row] for row in rows]
+        for m in range(k + 1):
+            assert np.count_nonzero(voluntary == m) > 2 * (4096 // max(m, k - m))
 
     @pytest.mark.parametrize("kind", list(ProblemKind))
     @pytest.mark.parametrize("horizon,k", [
