@@ -75,15 +75,13 @@ import bisect
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .core import (
-    ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, _check_bounds, _check_k, _check_kind,
-    _check_real, left_sum,
+    ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, _instance, _integer, _real, left_sum,
 )
 from .errors import ConstructionError, InvalidInputError
 from .pareto import _CUT_EPS, FrontierSpec, target_point
@@ -128,7 +126,7 @@ def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:
     finally forces compulsory fills at the far bound.  This is the quantity
     the consistency guarantee bounds by eta.
     """
-    return _ratio_at(schedule, _snap_prediction(prediction, schedule.bounds))
+    return _ratio_at(schedule, _snap_prediction(_real("prediction", prediction), schedule.bounds))
 
 
 def _ratio_at(schedule: ThresholdSchedule, prediction: float) -> float:
@@ -720,13 +718,11 @@ def design(
     bounds, k, lam and snapped prediction, which reproduce it.  Arguments
     of the wrong type raise InvalidInputError before any cache is read.
     """
-    _check_kind(kind)
-    _check_k(k)
-    _check_bounds(bounds)
-    if not isinstance(lam, (float, numbers.Real)):  # the frame cache hashes it: no arrays
-        raise InvalidInputError(f"confidence must be a real number, got {lam!r}")
-    _check_real("prediction", prediction)
-    prediction = _snap_prediction(prediction, bounds)  # reject a bad prediction before solving
+    _instance("kind", kind, ProblemKind)
+    k = _integer("k", k, 1)
+    _instance("bounds", bounds, PriceBounds)
+    lam = _real("confidence", lam)
+    prediction = _snap_prediction(_real("prediction", prediction), bounds)  # before any solve
     try:
         return _construct(prediction, _frame_at(lam, bounds, k, kind), bounds, k, kind)
     except ConstructionError as exc:
@@ -741,7 +737,7 @@ def _frame_at(lam: float, bounds: PriceBounds, k: int, kind: ProblemKind) -> _Fr
     return frame
 
 
-@functools.lru_cache(maxsize=2048, typed=True)  # typed: the target keeps the caller's lam
+@functools.lru_cache(maxsize=2048)
 def _frames(lam: float, bounds: PriceBounds, k: int, kind: ProblemKind) -> _Frame | str:
     """The frame, or the message of the ConstructionError that building it
     raised: a kept exception would keep its traceback's frames alive."""

@@ -103,28 +103,40 @@ class ProblemKind(enum.Enum):
 _MAX = ProblemKind.MAX
 
 
-def _check_kind(kind) -> None:
-    if not isinstance(kind, ProblemKind):
-        raise InvalidInputError(f"kind must be a ProblemKind, got {kind!r}")
+def _real(name: str, value) -> float:
+    """``value`` as a float, if it is a real number: a ``numbers.Real``
+    (bools and numpy scalars included) or a 0-d numpy array of one.
+    Anything else, or a real beyond the float range, raises
+    InvalidInputError."""
+    if value.__class__ is float:
+        return value
+    if isinstance(value, (float, int, numbers.Real)) or isinstance(value, np.ndarray) \
+            and value.shape == () and value.dtype.kind in "biuf":
+        try:
+            return float(value)
+        except OverflowError:
+            raise InvalidInputError(f"{name} lies beyond the float range") from None
+    raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
-def _check_bounds(bounds) -> None:
-    if not isinstance(bounds, PriceBounds):
-        raise InvalidInputError(f"bounds must be a PriceBounds, got {bounds!r}")
+def _integer(name: str, value, low=None, high=None) -> int:
+    """``value`` as an int, if it is an integer in [low, high] (an end that
+    is None is open): a Python or numpy integer, by ``operator.index``, but
+    never a bool.  Anything else raises InvalidInputError."""
+    try:
+        number = None if value.__class__ is bool else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or low is not None and number < low or high is not None and number > high:
+        span = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise InvalidInputError(f"{name} must be an integer{span}, got {value!r}")
+    return number
 
 
-def _check_k(k) -> None:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise InvalidInputError(f"k must be a positive integer, got {k!r}")
-
-
-def _check_real(name: str, value) -> None:
-    """Raise InvalidInputError unless value is a real number: a
-    ``numbers.Real`` (bools and numpy scalars included) or a 0-d numpy
-    array of one."""
-    if not (isinstance(value, (float, numbers.Real)) or isinstance(value, np.ndarray)
-            and value.shape == () and value.dtype.kind in "biuf"):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+def _instance(name: str, value, cls) -> None:
+    """Raise InvalidInputError unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -135,18 +147,17 @@ class PriceBounds:
     p_max: float
 
     def __post_init__(self):
-        _check_real("p_min", self.p_min)
-        _check_real("p_max", self.p_max)
-        if not (self.p_min > 0 and math.isfinite(self.p_min)):
-            raise InvalidInputError(f"p_min must be positive and finite, got {self.p_min}")
-        if not (self.p_max >= self.p_min and math.isfinite(self.p_max)):
+        p_min, p_max = _real("p_min", self.p_min), _real("p_max", self.p_max)
+        object.__setattr__(self, "p_min", p_min)
+        object.__setattr__(self, "p_max", p_max)
+        if not (p_min > 0 and math.isfinite(p_min)):
+            raise InvalidInputError(f"p_min must be positive and finite, got {p_min}")
+        if not (p_max >= p_min and math.isfinite(p_max)):
             raise InvalidInputError(
-                f"p_max must satisfy p_max >= p_min > 0, got [{self.p_min}, {self.p_max}]"
+                f"p_max must satisfy p_max >= p_min > 0, got [{p_min}, {p_max}]"
             )
         if not math.isfinite(self.theta):
-            raise InvalidInputError(
-                f"theta = p_max/p_min overflows for [{self.p_min}, {self.p_max}]"
-            )
+            raise InvalidInputError(f"theta = p_max/p_min overflows for [{p_min}, {p_max}]")
 
     @property
     def theta(self) -> float:
@@ -172,17 +183,13 @@ class SearchInstance:
     bounds: PriceBounds
 
     def __post_init__(self):
-        _check_bounds(self.bounds)
+        _instance("bounds", self.bounds, PriceBounds)
         prices = np.array(self.prices, dtype=np.float64)
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
         if prices.ndim != 1 or not prices.size:
             raise InvalidInputError("instance needs a non-empty 1-D sequence of prices")
-        if (not isinstance(self.k, int) or isinstance(self.k, bool)
-                or not 1 <= self.k <= prices.size):
-            raise InvalidInputError(
-                f"budget k={self.k!r} must be an integer in [1, T={prices.size}]"
-            )
+        object.__setattr__(self, "k", _integer("budget k", self.k, 1, prices.size))
         lo, hi = prices.min(), prices.max()  # NaN if any price is NaN
         if not (lo >= self.bounds.p_min and hi <= self.bounds.p_max):
             raise InvalidInputError(
@@ -221,23 +228,21 @@ class WindowStream:
     kind: ProblemKind
 
     def __post_init__(self):
-        prices, horizon, k, bounds = self.prices, self.horizon, self.k, self.bounds
+        prices, bounds = self.prices, self.bounds
         if not (isinstance(prices, np.ndarray) and prices.dtype == np.float64
                 and not prices.flags.writeable):
             prices = np.array(prices, dtype=np.float64)
             prices.flags.writeable = False
         starts, predictions = np.asarray(self.starts), np.asarray(self.predictions, dtype=float)
-        if (prices.ndim != 1 or starts.ndim != 1 or not starts.size
-                or starts.dtype.kind not in "iu"
-                or not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1):
-            raise InvalidInputError("need a 1-D price array, a non-empty 1-D array of integer "
-                                    "window starts and a positive integer horizon")
+        if prices.ndim != 1 or starts.ndim != 1 or not starts.size or starts.dtype.kind not in "iu":
+            raise InvalidInputError("need a 1-D price array and a non-empty 1-D array of integer "
+                                    "window starts")
         if starts.size >= 1 << 20:
             raise InvalidInputError("window streams beyond 2^20 rounds are unsupported")
-        _check_kind(self.kind)
-        _check_bounds(bounds)
-        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= horizon:
-            raise InvalidInputError(f"budget k={k!r} must be an integer in [1, T={horizon}]")
+        horizon = _integer("horizon", self.horizon, 1)
+        _instance("kind", self.kind, ProblemKind)
+        _instance("bounds", bounds, PriceBounds)
+        k = _integer("budget k", self.k, 1, horizon)
         starts = starts.astype(np.intp, copy=False)
         steps = np.diff(starts)
         if steps.size and not (steps[0] > 0 and (steps == steps[0]).all()):
@@ -252,9 +257,9 @@ class WindowStream:
             if not (lo >= bounds.p_min and hi <= bounds.p_max):
                 raise InvalidInputError(f"{what} span [{lo}, {hi}], outside bounds "
                                         f"[{bounds.p_min}, {bounds.p_max}]")
-        object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "starts", starts)
-        object.__setattr__(self, "predictions", predictions)
+        for name, value in (("prices", prices), ("starts", starts), ("horizon", horizon), ("k", k),
+                            ("predictions", predictions)):
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.starts.size
@@ -286,8 +291,8 @@ class ThresholdSchedule:
     bounds: PriceBounds
 
     def __post_init__(self):
-        _check_kind(self.kind)
-        _check_bounds(self.bounds)
+        _instance("kind", self.kind, ProblemKind)
+        _instance("bounds", self.bounds, PriceBounds)
         values = tuple(map(float, self.values))
         object.__setattr__(self, "values", values)
         if not values:
@@ -334,12 +339,14 @@ class ParetoPoint:
     gamma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidInputError(f"confidence must lie in [0,1], got {self.lam}")
-        if not (1.0 - 1e-9 <= self.eta <= self.gamma + 1e-9):
-            raise InvalidInputError(
-                f"need 1 <= eta <= gamma, got eta={self.eta}, gamma={self.gamma}"
-            )
+        lam, eta, gamma = (_real("confidence", self.lam), _real("eta", self.eta),
+                           _real("gamma", self.gamma))
+        for name, value in (("lam", lam), ("eta", eta), ("gamma", gamma)):
+            object.__setattr__(self, name, value)
+        if not 0.0 <= lam <= 1.0:
+            raise InvalidInputError(f"confidence must lie in [0,1], got {lam}")
+        if not (1.0 - 1e-9 <= eta <= gamma + 1e-9):
+            raise InvalidInputError(f"need 1 <= eta <= gamma, got eta={eta}, gamma={gamma}")
 
 
 def run_ota(schedule: ThresholdSchedule, instance: SearchInstance) -> RunTrace:
@@ -420,8 +427,7 @@ def ota_totals(
     of the R runs, followed by those of the runs on hardened windows, in
     run order.
     """
-    if not isinstance(stream, WindowStream):
-        raise InvalidInputError(f"need a WindowStream, got {type(stream).__name__}")
+    _instance("stream", stream, WindowStream)
     T, k, count = stream.horizon, stream.k, len(stream)
     thr = np.asarray(thresholds, dtype=float)
     rows = np.asarray(rows)
@@ -653,7 +659,7 @@ def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
     The k largest signed prices are selected without a full sort and added
     in descending order; negation is exact, so the total is the sum of the
     sorted prices (descending for max, ascending for min) bit for bit."""
-    _check_kind(kind)
+    _instance("kind", kind, ProblemKind)
     signed, k = instance.prices * kind.sign, instance.k
     signed.partition(signed.size - k)
     return kind.sign * left_sum(sorted(signed[signed.size - k:].tolist(), reverse=True))

@@ -46,7 +46,7 @@ from itertools import chain, product
 
 import numpy as np
 
-from .core import ProblemKind
+from .core import ProblemKind, _instance, _integer, _real
 from .errors import ConstructionError, DomainError, InvalidInputError
 from .instances import PriceSeries, WindowStream, adjust_error, scale_theta, sliding_windows
 from .learner import _HARDEN_KEY_OFFSET, GRID, _hedge, _keys, _stream_ratios, _uniforms
@@ -64,6 +64,15 @@ class SweepCell:
     error_level: float
     k: int
     theta_mult: float
+
+    def __post_init__(self):
+        for name, value in (("rho", _real("rho", self.rho)),
+                            ("error_level", _real("error level", self.error_level)),
+                            ("k", _integer("k", self.k)),
+                            ("theta_mult", _real("theta multiplier", self.theta_mult))):
+            object.__setattr__(self, name, value)
+        if not 0.0 <= self.rho <= 1.0:
+            raise DomainError(f"rho must lie in [0, 1], got {self.rho}")
 
 
 @dataclass(frozen=True)
@@ -148,11 +157,6 @@ def _window_results(
     }
 
 
-def _check_rho(rho) -> None:
-    if not (isinstance(rho, (int, float)) and 0.0 <= rho <= 1.0):
-        raise DomainError(f"rho must lie in [0, 1], got {rho}")
-
-
 def _hardening_draws(seed: int, count: int) -> list[float]:
     """The uniform draws of a run's first ``count`` windows."""
     return _uniforms(_keys(seed, _HARDEN_KEY_OFFSET, count)).tolist()
@@ -188,13 +192,12 @@ def run_sweep(
     (cell, algorithm), one copy of a cell's rows for each time the cell is
     given, and is identical for any worker count.
     """
-    if not isinstance(workers, int) or isinstance(workers, bool) or workers < 1:
-        raise InvalidInputError(f"workers must be a positive integer, got {workers}")
+    workers = _integer("workers", workers, 1)
     cells = tuple(cells)
     if not cells:
         raise InvalidInputError("run_sweep needs at least one cell")
     for cell in cells:
-        _check_rho(cell.rho)
+        _instance("cell", cell, SweepCell)
     order = sorted(set(cells))
     by_key = {}
     for cell in order:

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PriceBounds, ProblemKind, WindowStream, _check_kind
+from .core import PriceBounds, ProblemKind, WindowStream, _instance, _integer, _real
 from .errors import DataFormatError, DomainError, InvalidInputError
 
 # canonical windowing parameters: 10-minute sampling, 3-week windows
@@ -119,7 +119,8 @@ def scale_theta(series: PriceSeries, multiplier: float) -> PriceSeries:
     mean and the minimum below it, the output max/min ratio is exactly x
     times the input's.
     """
-    if not (isinstance(multiplier, (int, float)) and multiplier >= 1.0 and math.isfinite(multiplier)):
+    multiplier = _real("theta multiplier", multiplier)
+    if not (multiplier >= 1.0 and math.isfinite(multiplier)):
         raise DomainError(f"theta multiplier must be >= 1, got {multiplier}")
     prices = series.array
     mean = math.fsum(prices.tolist()) / len(series)
@@ -273,9 +274,7 @@ def sliding_windows(
     the feed, not of one window).  The windows are offsets into the series'
     own array: no price is copied.
     """
-    for name, val in (("window_len", window_len), ("stride", stride)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-            raise InvalidInputError(f"{name} must be a positive integer, got {val}")
+    window_len, stride = _integer("window_len", window_len, 1), _integer("stride", stride, 1)
     n = len(series)
     if n < 2 * window_len:
         raise InvalidInputError(
@@ -287,7 +286,7 @@ def sliding_windows(
     # row s views prices[s : s + window_len], read-only like the series
     rows = np.lib.stride_tricks.sliding_window_view(prices, window_len)
     looks_back = rows[: n - 2 * window_len + 1 : stride]
-    _check_kind(kind)
+    _instance("kind", kind, ProblemKind)
     predictions = kind.extreme(looks_back)
     starts = np.arange(window_len, n - window_len + 1, stride)
     return WindowStream(prices, starts, window_len, k, bounds, predictions, kind)
@@ -302,7 +301,8 @@ def adjust_error(stream: WindowStream, level: float) -> WindowStream:
     actual + sign(prediction - actual) * level * eps, clipped to the band:
     level 0 is a perfect prediction, level 1 keeps the original.
     """
-    if not (isinstance(level, (int, float)) and 0.0 <= level <= 1.0):
+    level = _real("error level", level)
+    if not 0.0 <= level <= 1.0:
         raise DomainError(f"error level must lie in [0, 1], got {level}")
     rows = stream.rows()
     actual = stream.kind.extreme(rows)
@@ -323,10 +323,7 @@ def gen_synthetic_series(
     three-week windows explore most of the band without pinning to the
     boundaries.  Deterministic given (num_samples, seed, bounds).
     """
-    if not isinstance(num_samples, int) or isinstance(num_samples, bool) or num_samples < 1:
-        raise InvalidInputError(f"num_samples must be a positive integer, got {num_samples}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InvalidInputError(f"seed must be a non-negative integer, got {seed!r}")
+    num_samples, seed = _integer("num_samples", num_samples, 1), _integer("seed", seed, 0)
     rng = np.random.Generator(np.random.Philox(seed))
     log_lo = math.log(bounds.p_min)
     log_hi = math.log(bounds.p_max)

@@ -60,7 +60,7 @@ import numpy as np
 
 from .augmented import _construct_grid, _snap_prediction, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, WindowStream, ota_totals
-from .core import _gather_bytes, _offline_optima, _replay_window_bytes
+from .core import _gather_bytes, _integer, _offline_optima, _replay_window_bytes
 from .errors import InvalidInputError, KSearchError
 
 DEFAULT_GRID_SIZE = 33
@@ -212,9 +212,7 @@ def _keys(seed, offset: int, count: int) -> range:
     """The Philox keys seed * 2^20 + offset + t of draws t = 0 .. count - 1:
     Hedge's rounds at offset 0, the sweep's windows at ``_HARDEN_KEY_OFFSET``.
     A seed that is not an integer raises InvalidInputError."""
-    if not isinstance(seed, (int, np.integer)):
-        raise InvalidInputError(f"seed must be an integer, got {seed!r}")
-    first = int(seed) * (1 << 20) + offset
+    first = _integer("seed", seed) * (1 << 20) + offset
     return range(first, first + count)
 
 

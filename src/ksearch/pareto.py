@@ -24,11 +24,10 @@ lam=0 full trust (1, theta).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 
-from .core import ParetoPoint, PriceBounds, ProblemKind, _check_real
-from .errors import DomainError, InvalidInputError
+from .core import ParetoPoint, PriceBounds, ProblemKind, _integer, _real
+from .errors import DomainError
 from .worstcase import solve_cr
 
 # integer cutoffs sit at exact balancing identities where the float log
@@ -50,7 +49,8 @@ class FrontierSpec:
     cr_star: float = field(init=False)
 
     def __post_init__(self):
-        # solve_cr validates k
+        # solve_cr checks the band and the kind
+        object.__setattr__(self, "k", _integer("k", self.k, 1))
         object.__setattr__(self, "cr_star", solve_cr(self.bounds, self.k, self.kind))
 
     @property
@@ -60,7 +60,7 @@ class FrontierSpec:
 
 def _checked_gamma(gamma: float, spec: FrontierSpec) -> float:
     """Validate gamma against [cr*, theta] and snap float fuzz onto it."""
-    _check_real("gamma", gamma)
+    gamma = _real("gamma", gamma)
     tol = 1e-9 * max(1.0, spec.theta)
     if not spec.cr_star - tol <= gamma <= spec.theta + tol:  # False for NaN too
         raise DomainError(
@@ -114,7 +114,7 @@ def lower_bound(gamma: float, spec: FrontierSpec) -> float:
 
 def target_point(lam: float, spec: FrontierSpec) -> ParetoPoint:
     """Map a confidence lam onto its Pareto-optimal (eta, gamma) target."""
-    _check_real("confidence", lam)
+    lam = _real("confidence", lam)
     if not 0.0 <= lam <= 1.0:
         raise DomainError(f"confidence must lie in [0,1], got {lam}")
     cr, theta = spec.cr_star, spec.theta
@@ -127,11 +127,6 @@ def target_point(lam: float, spec: FrontierSpec) -> ParetoPoint:
 
 def frontier_curve(spec: FrontierSpec, num_points: int) -> tuple[ParetoPoint, ...]:
     """target_point on a uniform lam grid from 1 (worst-case) down to 0 (full trust)."""
-    try:
-        count = operator.index(num_points)
-    except TypeError:
-        raise InvalidInputError(f"need an integer count of points, got {num_points!r}") from None
-    if count < 2:
-        raise InvalidInputError(f"need at least 2 points, got {num_points!r}")
+    count = _integer("num_points", num_points, 2)
     steps = count - 1
     return tuple(target_point(1.0 - i / steps, spec) for i in range(count))

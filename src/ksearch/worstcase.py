@@ -18,9 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    PriceBounds, ProblemKind, ThresholdSchedule, _check_bounds, _check_k, _check_kind,
-)
+from .core import PriceBounds, ProblemKind, ThresholdSchedule, _instance, _integer
 from .errors import ConstructionError
 
 _BISECT_ITERS = 200
@@ -71,9 +69,9 @@ def _root_above_one(f, theta: float) -> float:
 
 def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
     """Optimal competitive ratio for the given bounds: alpha* (max) or phi* (min)."""
-    _check_kind(kind)
-    _check_k(k)
-    _check_bounds(bounds)
+    _instance("kind", kind, ProblemKind)
+    k = _integer("k", k, 1)
+    _instance("bounds", bounds, PriceBounds)
     theta = bounds.theta
     if theta == 1.0:
         return 1.0
@@ -98,6 +96,7 @@ def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
 
 def worst_case_thresholds(bounds: PriceBounds, k: int, kind: ProblemKind) -> WorstCaseSolution:
     """Schedule whose k+1 per-interval worst-case ratios all equal cr."""
+    k = _integer("k", k, 1)
     cr = solve_cr(bounds, k, kind)
     # thresholds grow away from the near end; min-search's negative lead
     # rounds exactly like the subtraction 1 - (1 - 1/cr) * growth**n

@@ -479,10 +479,12 @@ def test_frame_cache_holds_a_band_sweep():
     assert (info.hits, info.misses) == (len(calls), len(calls))
 
 
-def test_target_keeps_the_callers_lambda():
+def test_target_holds_the_callers_lambda_as_a_float():
+    # an int lambda shares the float's frame: the target holds float(lam)
     augmented_mod._frames.cache_clear()
     for lam in (1.0, 1, 0.0, 0):
-        assert type(design(20.0, lam, BOUNDS, K, ProblemKind.MAX).target.lam) is type(lam)
+        assert type(design(20.0, lam, BOUNDS, K, ProblemKind.MAX).target.lam) is float
+    assert augmented_mod._frames.cache_info().misses == 2
 
 
 def test_failed_frame_raises_the_same_error_on_every_call():
@@ -522,7 +524,7 @@ def test_failed_frame_is_scanned_once_and_each_call_raises_its_own_error(monkeyp
     assert [exc.prediction for exc in raised] == [1.0, 40.0, bounds.p_max, 300.0]
 
 
-@pytest.mark.parametrize("k", [10.0, np.int64(10)], ids=["float", "numpy-int"])
+@pytest.mark.parametrize("k", [10.0, np.float64(10.0)], ids=["float", "numpy-float"])
 def test_k_that_is_not_an_int_raises_typed_warm_or_cold(k):
     """k is checked before either cache: the frontier cache keys on k
     untyped, so after design(..., 10, ...) it holds a spec that k = 10.0
@@ -530,10 +532,10 @@ def test_k_that_is_not_an_int_raises_typed_warm_or_cold(k):
     bounds = PriceBounds(5.0, 50.0)
     augmented_mod._frames.cache_clear()
     augmented_mod._frontier.cache_clear()
-    with pytest.raises(InvalidInputError, match="k must be a positive integer"):
+    with pytest.raises(InvalidInputError, match="k must be an integer >= 1"):
         design(20.0, 0.5, bounds, k, ProblemKind.MAX)  # cold
     design(20.0, 0.5, bounds, 10, ProblemKind.MAX)
-    with pytest.raises(InvalidInputError, match="k must be a positive integer"):
+    with pytest.raises(InvalidInputError, match="k must be an integer >= 1"):
         design(20.0, 0.5, bounds, k, ProblemKind.MAX)  # warm
 
 

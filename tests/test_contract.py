@@ -11,11 +11,15 @@ second region passes one argument of the wrong type (a lambda, gamma,
 price or prediction that is not a real number, a k or point count that is
 not an integer, a kind that is not a ``ProblemKind``, a band that is not a
 ``PriceBounds``) to a public entry, which must raise ``InvalidInputError``.
+The third passes one number of another type (a numpy float or integer
+scalar, a 0-d array) to a public entry, which must give, bit for bit and
+type for type, what the Python number of the same value gives.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import itertools
 import shlex
@@ -29,14 +33,25 @@ from ksearch import (
     FrontierSpec,
     InvalidInputError,
     KSearchError,
+    ParetoPoint,
     PriceBounds,
     ProblemKind,
     SearchInstance,
+    SweepCell,
     ThresholdSchedule,
     WindowStream,
+    adjust_error,
     design,
+    evaluate_windows,
     frontier_curve,
+    gen_synthetic_series,
     lower_bound,
+    offline_opt,
+    prediction_ratio,
+    run_learning,
+    run_sweep,
+    scale_theta,
+    sliding_windows,
     solve_cr,
     target_point,
     worst_case_thresholds,
@@ -207,7 +222,6 @@ def wrong_calls(draw):
 @given(wrong_calls())
 @example(("design confidence", [0.5]))
 @example(("design confidence", "0.5"))
-@example(("design confidence", np.array(0.5)))  # the frame cache cannot hash it
 @example(("design kind", ["max"]))
 @example(("design prediction", "20"))
 @example(("design k", 10.0))
@@ -231,3 +245,134 @@ def test_wrong_typed_arguments_raise_invalid_input(call):
     name, value = call
     with pytest.raises(InvalidInputError):
         ENTRIES[name][1](value)
+
+
+# --------------------------------------------------------------------------
+# third region: numbers of other types
+
+SERIES = gen_synthetic_series(num_samples=600, seed=3)
+STREAM = sliding_windows(SERIES, 100, 50, 3, MAX)
+SCHEDULE = design(20.0, 0.5, BAND, 10, MAX).schedule
+
+
+def sweep(rho=0.5, level=1.0, k=3, mult=1.0, workers=1):
+    return run_sweep(SERIES, (SweepCell(rho, level, k, mult),), MAX, 7, 100, 50, workers)
+
+
+def stream_learned(horizon=5, k=1):
+    stream = WindowStream(np.linspace(6.0, 15.0, 10), np.array([0, 5]), horizon, k, BAND,
+                          np.array([7.0, 8.0]), MAX)
+    return stream.horizon, stream.k, run_learning(stream, 3)
+
+
+# each public entry with one number left open: whether it is real or an
+# integer, what it may be, and the call
+NUMBERS = {
+    "design prediction": ("real", st.floats(5.0, 50.0), lambda x: design(x, 0.5, BAND, 10, MIN)),
+    "design confidence": ("real", st.floats(0.0, 1.0), lambda x: design(20.0, x, BAND, 10, MAX)),
+    "design k": ("integer", st.integers(1, 40), lambda x: design(20.0, 0.5, BAND, x, MAX)),
+    "design band": ("real", st.floats(1.0, 20.0),
+                    lambda x: design(20.0, 0.5, PriceBounds(x, 50.0), 10, MAX)),
+    "target_point confidence": ("real", st.floats(0.0, 1.0), lambda x: target_point(x, SPEC)),
+    "lower_bound gamma": ("real", st.floats(SPEC.cr_star, SPEC.theta),
+                          lambda x: lower_bound(x, SPEC)),
+    "frontier_curve points": ("integer", st.integers(2, 6), lambda x: frontier_curve(SPEC, x)),
+    "FrontierSpec k": ("integer", st.integers(1, 40), lambda x: FrontierSpec(BAND, x, MIN)),
+    "solve_cr k": ("integer", st.integers(1, 40), lambda x: solve_cr(BAND, x, MAX)),
+    "worst_case_thresholds k": ("integer", st.integers(1, 40),
+                                lambda x: worst_case_thresholds(BAND, x, MIN)),
+    "PriceBounds p_max": ("real", st.floats(5.0, 500.0), lambda x: PriceBounds(5.0, x)),
+    "ParetoPoint eta": ("real", st.floats(1.0, 3.0), lambda x: ParetoPoint(0.5, x, 3.0)),
+    "prediction_ratio prediction": ("real", st.floats(5.0, 50.0),
+                                    lambda x: prediction_ratio(SCHEDULE, x)),
+    "SearchInstance k": ("integer", st.integers(1, 4), lambda x: offline_opt(
+        SearchInstance((6.0, 9.0, 7.0, 8.0), x, BAND), MIN)),
+    "WindowStream horizon": ("integer", st.integers(1, 5), lambda x: stream_learned(horizon=x)),
+    "WindowStream k": ("integer", st.integers(1, 5), lambda x: stream_learned(k=x)),
+    "sliding_windows window_len": ("integer", st.integers(60, 300),
+                                   lambda x: sliding_windows(SERIES, x, 50, 3, MIN)),
+    "sliding_windows stride": ("integer", st.integers(1, 300),
+                               lambda x: sliding_windows(SERIES, 100, x, 3, MIN)),
+    "sliding_windows k": ("integer", st.integers(1, 100),
+                          lambda x: sliding_windows(SERIES, 100, 50, x, MIN)),
+    "adjust_error level": ("real", st.floats(0.0, 1.0), lambda x: adjust_error(STREAM, x)),
+    "scale_theta multiplier": ("real", st.floats(1.0, 4.0), lambda x: scale_theta(SERIES, x)),
+    "gen_synthetic_series num_samples": ("integer", st.integers(1, 300),
+                                         lambda x: gen_synthetic_series(x, 3)),
+    "gen_synthetic_series seed": ("integer", st.integers(0, 2**31 - 1),
+                                  lambda x: gen_synthetic_series(50, x)),
+    "run_learning seed": ("integer", st.integers(0, 1000), lambda x: run_learning(STREAM, x)),
+    "evaluate_windows seed": ("integer", st.integers(0, 1000),
+                              lambda x: evaluate_windows(STREAM, x)),
+    "run_sweep workers": ("integer", st.just(1), lambda x: sweep(workers=x)),
+    "SweepCell rho": ("real", st.floats(0.0, 1.0), lambda x: sweep(rho=x)),
+    "SweepCell error level": ("real", st.floats(0.0, 1.0), lambda x: sweep(level=x)),
+    "SweepCell k": ("integer", st.integers(1, 5), lambda x: sweep(k=x)),
+    "SweepCell theta multiplier": ("real", st.floats(1.0, 3.0), lambda x: sweep(mult=x)),
+}
+
+# other types of a number, each with the Python number of its value
+OTHER = {
+    "real": (np.float32, np.float16, np.float64, np.array, lambda x: np.array(x, np.float32),
+             lambda x: np.int64(round(x))),
+    "integer": (np.int64, np.int32, np.uint64, np.intp, np.array),
+}
+PYTHON = {"real": float, "integer": int}
+
+
+def exactly(value):
+    """The value's bits and types, nested values in turn."""
+    if isinstance(value, np.ndarray):
+        return "ndarray", value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(exactly(getattr(value, field.name))
+                                           for field in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(map(exactly, value))
+    if isinstance(value, dict):
+        return "dict", tuple((key, exactly(item)) for key, item in value.items())
+    return type(value).__name__, value
+
+
+def outcome(call, value):
+    """What a call returns, exactly, or the class of its error."""
+    try:
+        return exactly(call(value))
+    except KSearchError as exc:
+        return type(exc).__name__
+
+
+@st.composite
+def other_numbers(draw):
+    """(entry, number, converter): a public entry, a number for its open
+    argument and one of its other types."""
+    name = draw(st.sampled_from(sorted(NUMBERS)))
+    what, numbers, _ = NUMBERS[name]
+    return name, draw(numbers), draw(st.sampled_from(OTHER[what]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(other_numbers())
+# each computed in float32, or rejected, before numbers were converted at the entries
+@example(("design prediction", 20.0, np.float32))
+@example(("lower_bound gamma", 3.0, np.float32))
+@example(("target_point confidence", 0.5, np.float32))
+@example(("design band", 5.0, np.array))
+@example(("design k", 10, np.int64))
+@example(("sliding_windows window_len", 200, np.int64))
+@example(("adjust_error level", 0.5, np.float32))
+@example(("scale_theta multiplier", 1.5, np.float32))
+@example(("SweepCell rho", 0.3, np.float32))
+def test_other_numbers_give_what_the_python_number_gives(case):
+    name, number, convert = case
+    what, _, call = NUMBERS[name]
+    other = convert(number)
+    assert outcome(call, other) == outcome(call, PYTHON[what](other))
+
+
+def test_float32_numbers_compute_in_float64():
+    assert lower_bound(np.float32(3.0), SPEC) == 1.3983655344287382
+    assert target_point(np.float32(0.5), SPEC) == target_point(0.5, SPEC)
+    assert type(target_point(np.float32(0.5), SPEC).gamma) is float

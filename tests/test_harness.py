@@ -126,11 +126,14 @@ class TestHardening:
         assert run_sweep(series, (cell,), kind, 9, 200, 200) == expected
 
     def test_rho_out_of_range(self):
-        for rho in (-0.1, 1.1, float("nan"), float("inf"), None, "0.5"):
+        for rho in (-0.1, 1.1, float("nan"), float("inf")):
             with pytest.raises(DomainError):
-                harness_mod._check_rho(rho)
+                SweepCell(rho, 0.5, 10, 1.0)
+        for rho in (None, "0.5"):
+            with pytest.raises(InvalidInputError):
+                SweepCell(rho, 0.5, 10, 1.0)
         for rho in (0, 0.0, 0.5, 1, 1.0):
-            harness_mod._check_rho(rho)
+            assert type(SweepCell(rho, 0.5, 10, 1.0).rho) is float
 
     def test_deterministic_in_seed(self):
         draws = harness_mod._hardening_draws(42, 500)

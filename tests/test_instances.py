@@ -546,7 +546,10 @@ class TestWindowStream:
     def test_dial_rejects_levels_outside_the_unit_interval(self, level):
         series = gen_synthetic_series(num_samples=300, seed=9)
         stream = sliding_windows(series, 100, 40, 3, ProblemKind.MAX)
-        with pytest.raises(DomainError, match="error level must lie in"):
+        # a level that is no real number is of the wrong type
+        error, message = ((DomainError, "error level must lie in") if isinstance(level, float)
+                          else (InvalidInputError, "error level must be a real number"))
+        with pytest.raises(error, match=message):
             adjust_error(stream, level)
 
     @pytest.mark.parametrize("k", [0, 5, 2.0, True])
@@ -673,7 +676,7 @@ class TestSyntheticSeries:
 
     @pytest.mark.parametrize("seed", [-1, 1.5, "1", None])
     def test_seed_that_is_not_a_non_negative_integer_raises_typed(self, seed):
-        with pytest.raises(InvalidInputError, match="^seed must be a non-negative integer, got "):
+        with pytest.raises(InvalidInputError, match="^seed must be an integer >= 0, got "):
             gen_synthetic_series(num_samples=10, seed=seed)
 
     def test_numpy_integer_seed_is_the_int_seed(self):
