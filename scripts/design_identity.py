@@ -6,13 +6,15 @@ two trees give bit-identical designs (or identical failures) on every point::
 
     PYTHONPATH=src python3 scripts/design_identity.py [--dump DIR]
 
-With ``--dump DIR`` it also writes each section's records to
-``DIR/<section>.txt`` (spaces in the name become hyphens), one a line in
-point order, so the file's SHA-256 is the section's digest and one
-``diff -r`` of two trees' dumps lists every point that moved.
+With ``--dump DIR`` it also writes one line per record to
+``DIR/<section>.txt`` (spaces in the name become hyphens), in point order:
+the record's index, its call's arguments, its outcome (``built``, or the
+failure's class and message) and the SHA-256 of the record the section
+digest hashes.  A tree's dump is about 20 MB, and one ``diff -r`` of two
+trees' dumps names every point that moved.
 
-Each ``design`` call is dumped as its threshold reprs, case label, j*, m*,
-i*, sigma*, p~1, p~2, eta, gamma and prediction, and each failure as its
+Each ``design`` call's record is its threshold reprs, case label, j*, m*,
+i*, sigma*, p~1, p~2, eta, gamma and prediction, and each failure's is its
 class and message.  The sections are:
 
 - ``design-grid``: the 12,672 points of perfbench's ``design-grid`` workload
@@ -94,17 +96,23 @@ def random_blocks():
     return blocks
 
 
-def design_record(kind, bounds, k, lam, prediction) -> str:
+def _failure(exc, *carried) -> tuple[str, str]:
+    """A failure's record, its class and message (and what it carries),
+    with its outcome."""
+    return repr((type(exc).__name__, str(exc), *carried)), f"{type(exc).__name__}: {exc}"
+
+
+def design_record(kind, bounds, k, lam, prediction) -> tuple[str, str]:
     try:
         d = augmented.design(prediction, lam, bounds, k, kind)
     except Exception as exc:  # noqa: BLE001  (the points include failing inputs)
-        return repr((type(exc).__name__, str(exc)))
+        return _failure(exc)
     return repr((d.schedule.values, d.case_label, d.j_star, d.m_star, d.i_star,
                  d.sigma_star, d.p_tilde_1, d.p_tilde_2, d.target.eta, d.target.gamma,
-                 d.prediction))
+                 d.prediction)), "built"
 
 
-def rows_record(kind, bounds, k, *predictions, raw=False) -> str:
+def rows_record(kind, bounds, k, *predictions, raw=False) -> tuple[str, str]:
     """The stacked grid thresholds at the predictions, as their reprs or
     (raw) the SHA-256 of their bytes, or the failure with the call it carries."""
     try:
@@ -112,16 +120,17 @@ def rows_record(kind, bounds, k, *predictions, raw=False) -> str:
     except Exception as exc:  # noqa: BLE001
         carried = (exc.kind, exc.bounds, exc.k, exc.lam, exc.prediction) \
             if hasattr(exc, "lam") else None
-        return repr((type(exc).__name__, str(exc), carried))
-    return hashlib.sha256(rows.tobytes()).hexdigest() if raw else repr(rows.tolist())
+        return _failure(exc, carried)
+    return hashlib.sha256(rows.tobytes()).hexdigest() if raw else repr(rows.tolist()), "built"
 
 
 def _outcome(function, *args):
-    """What a call returns, or the class and message of its failure."""
+    """What a call returns, or the class and message of its failure, with
+    the outcome: ``built`` or that class and message."""
     try:
-        return function(*args)
+        return function(*args), "built"
     except Exception as exc:  # noqa: BLE001  (the bands include failing inputs)
-        return type(exc).__name__, str(exc)
+        return (type(exc).__name__, str(exc)), f"{type(exc).__name__}: {exc}"
 
 
 def _worst_case(bounds, k, kind):
@@ -129,24 +138,34 @@ def _worst_case(bounds, k, kind):
     return solution.cr, solution.schedule.values
 
 
-def worst_case_record(kind, bounds, k) -> str:
-    """The cr, the worst-case schedule and the 33-point frontier of one (band, k, kind)."""
-    curve = _outcome(lambda: pareto.frontier_curve(pareto.FrontierSpec(bounds, k, kind), 33))
-    return repr((_outcome(worstcase.solve_cr, bounds, k, kind),
-                 _outcome(_worst_case, bounds, k, kind), curve))
+def worst_case_record(kind, bounds, k) -> tuple[str, str]:
+    """The cr, the worst-case schedule and the 33-point frontier of one
+    (band, k, kind), with the outcomes of the three."""
+    parts = (_outcome(worstcase.solve_cr, bounds, k, kind), _outcome(_worst_case, bounds, k, kind),
+             _outcome(lambda: pareto.frontier_curve(pareto.FrontierSpec(bounds, k, kind), 33)))
+    return repr(tuple(value for value, _ in parts)), " | ".join(outcome for _, outcome in parts)
 
 
-def report(name, records, dump) -> None:
-    """Print the section's digest, the SHA-256 of its records one a line;
-    with a ``dump`` directory, write those lines there too."""
+def _arguments(call) -> str:
+    """A call's arguments, a kind as its value and a band as [p_min, p_max]."""
+    return " ".join(arg.value if isinstance(arg, ProblemKind)
+                    else f"[{arg.p_min!r}, {arg.p_max!r}]" if isinstance(arg, PriceBounds)
+                    else repr(arg) for arg in call)
+
+
+def report(name, calls, record, dump) -> None:
+    """Print the section's digest, the SHA-256 of the records of its calls
+    one a line; with a ``dump`` directory, write each record's index,
+    arguments, outcome and SHA-256 there, one a line."""
     sha = hashlib.sha256()
     path = None if dump is None else dump / f"{name.replace(' ', '-')}.txt"
     with contextlib.nullcontext() if path is None else path.open("w") as out:
-        for record in records:
-            line = f"{record}\n"
-            sha.update(line.encode())
+        for index, call in enumerate(calls):
+            text, outcome = record(*call)
+            sha.update(f"{text}\n".encode())
             if out is not None:
-                out.write(line)
+                digest = hashlib.sha256(text.encode()).hexdigest()
+                out.write(f"{index}\t{_arguments(call)}\t{outcome}\t{digest}\n")
     print(f"{name}: {sha.hexdigest()}", flush=True)
 
 
@@ -159,15 +178,14 @@ def main() -> None:
         dump.mkdir(parents=True, exist_ok=True)
     sections = (("design-grid", design_grid_points()), ("random", random_points()))
     for name, points in sections:
-        report(name, (design_record(*point) for point in points), dump)
+        report(name, points, design_record, dump)
         calls = dict.fromkeys((kind, bounds, k, prediction)
                               for kind, bounds, k, _, prediction in points)
-        report(f"{name} rows", (rows_record(*call) for call in calls), dump)
-    records = (rows_record(*block, raw=True) for block in random_blocks())
-    report("random blocks", records, dump)
+        report(f"{name} rows", calls, rows_record, dump)
+    report("random blocks", random_blocks(), lambda *block: rows_record(*block, raw=True), dump)
     bands = dict.fromkeys((kind, bounds, k) for _, points in sections
                           for kind, bounds, k, _, _ in points)
-    report("worst-case", (worst_case_record(*band) for band in bands), dump)
+    report("worst-case", bands, worst_case_record, dump)
 
 
 if __name__ == "__main__":
