@@ -72,6 +72,7 @@ reference its rows are tested against bit for bit.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import functools
 import itertools
 import math
@@ -497,9 +498,10 @@ def _min_flat_end(
 class _GridFrame(NamedTuple):
     """The frames of several confidences, one row each, and the schedule parts they fix.
 
-    The powers ``grow ** n`` (n = 0..k) are taken with Python ``**`` and the
-    logs with ``math.log1p``: numpy's ``power`` and ``log1p`` round some of
-    them differently, and ``_construct`` is the reference for every bit.
+    The powers ``grow ** n`` (n = 0..k) are taken with Python ``**`` (inf
+    where one overflows, as no design reads it) and the logs with
+    ``math.log1p``: numpy's ``power`` and ``log1p`` round some of them
+    differently, and ``_construct`` is the reference for every bit.
     """
 
     sigma: np.ndarray  # (R,)
@@ -522,8 +524,8 @@ def _grid_frame(
 ) -> _GridFrame:
     frames = tuple(_frame_at(lam, bounds, k, kind) for lam in lams)
     near, far = kind.near(bounds), kind.far(bounds)
-    pow_eta = np.array([[f.grow_eta**n for n in range(k + 1)] for f in frames])
-    pow_gamma = np.array([[f.grow_gamma**n for n in range(k + 1)] for f in frames])
+    pow_eta = np.array([_powers(f.grow_eta, k) for f in frames])
+    pow_gamma = np.array([_powers(f.grow_gamma, k) for f in frames])
     lead_eta = np.array([[f.lead_eta] for f in frames])
     lead_gamma = np.array([[f.lead_gamma] for f in frames])
     gammas = [f.target.gamma for f in frames]
@@ -544,6 +546,19 @@ def _grid_frame(
         np.array([kind.log_growth(gamma, k) for gamma in gammas]),
         pow_eta, pow_gamma, head, prefix, prefix_sums, succ,
     )
+
+
+def _powers(base: float, k: int) -> list[float]:
+    """``base**n`` for n = 0..k, by Python ``**``, and inf from the first
+    that overflows on: a growth rate is at least 1, so its powers ascend."""
+    try:
+        return [base**n for n in range(k + 1)]
+    except OverflowError:
+        powers = []
+        with contextlib.suppress(OverflowError):
+            for n in range(k + 1):
+                powers.append(base**n)
+        return powers + [math.inf] * (k + 1 - len(powers))
 
 
 def _construct_grid(

@@ -8,7 +8,8 @@ with ``ProblemKind.spread`` and ``ProblemKind.growth``: for max-search
 (alpha - 1)(1 + alpha/k)^k = theta - 1, for min-search
 (1 - 1/phi)(1 + 1/(k*phi))^k = 1 - 1/theta (Lorenz, Panagiotou and
 Steger, Algorithmica 2009).  Its left side strictly increases in cr on
-(1, theta), so bracketed bisection is exact enough.  ``solve_cr`` solves
+(1, theta), so bracketed bisection is exact enough; where max-search's
+power overflows, far above the root, the balance reads inf.  ``solve_cr`` solves
 it, and ``worst_case_thresholds`` builds the matching schedule, which
 balances the per-interval worst-case ratio to exactly cr on every one of
 the k+1 price intervals.
@@ -16,6 +17,7 @@ the k+1 price intervals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, _instance, _integer
@@ -84,7 +86,10 @@ def solve_cr(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
         # so the residual check is meaningful over the whole domain
         spread = x - 1.0 if is_max else 1.0 - 1.0 / x
         growth = 1.0 + x / k if is_max else 1.0 + 1.0 / (x * k)
-        return spread * growth**k - target
+        try:
+            return spread * growth**k - target
+        except OverflowError:  # max-search only, far above the root: the sign is what counts
+            return math.inf
 
     root = _root_above_one(f, theta)
     residual = abs(f(root))

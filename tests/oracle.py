@@ -132,8 +132,12 @@ def construct_reference(
     lead_eta, lead_gamma = frame.lead_eta, frame.lead_gamma
 
     def tail(i: int) -> float:
-        # reserve thresholds so interval ratios decay onto gamma at the far end
-        return near + (far - near) / grow_gamma ** (k - i + 1)
+        # reserve thresholds so interval ratios decay onto gamma at the far end;
+        # a power that overflows puts the threshold at the near end
+        try:
+            return near + (far - near) / grow_gamma ** (k - i + 1)
+        except OverflowError:
+            return near
 
     # a prediction on a case boundary takes the near-side case for
     # max-search and the far-side case for min-search
@@ -301,7 +305,10 @@ def solve_cr_reference(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
     if kind is ProblemKind.MAX:
 
         def f(a: float) -> float:
-            return (a - 1.0) * (1.0 + a / k) ** k - (theta - 1.0)
+            try:
+                return (a - 1.0) * (1.0 + a / k) ** k - (theta - 1.0)
+            except OverflowError:  # far above the root
+                return math.inf
 
         name, scale = "alpha*", max(1.0, theta - 1.0)
     else:

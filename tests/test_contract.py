@@ -1,13 +1,14 @@
-"""The library's contract over its documented domain, in two regions.
+"""The library's contract over its documented domain, in three regions.
 
 Any (kind, band, k, lambda, prediction) gives one of two results: a
 schedule or frontier that passes a check written outside the library, or a
 typed ``KSearchError``; through the CLI, one of the documented exit codes
 with no traceback.  The first region draws p_min = 10^U(-2, 2), theta =
-10^U(0, 3), k log-uniform in [1, 1000], lambda in [0, 1] (0 and 1 drawn
-explicitly) and the prediction log-uniform in the band.  Bands wider than
-theta = 10^3 are left out: max-search at k = 1000 overflows there.  The
-second region passes one argument of the wrong type (a lambda, gamma,
+10^U(0, 4) for max-search and 10^U(0, 3) for min-search, k log-uniform in
+[1, 1000], lambda in [0, 1] (0 and 1 drawn explicitly) and the prediction
+log-uniform in the band.  Min-search bands wider than theta = 10^3 are left
+out: there a worst-case schedule can exceed its own cr past the design
+tolerance.  The second region passes one argument of the wrong type (a lambda, gamma,
 price or prediction that is not a real number, a k or point count that is
 not an integer, a kind that is not a ``ProblemKind``, a band that is not a
 ``PriceBounds``) to a public entry, which must raise ``InvalidInputError``.
@@ -68,7 +69,7 @@ def domain_points(draw):
     """(kind, bounds, k, lam, prediction) of the region."""
     kind = draw(st.sampled_from(list(ProblemKind)))
     p_min = 10.0 ** draw(st.floats(-2.0, 2.0))
-    theta = 10.0 ** draw(st.floats(0.0, 3.0))
+    theta = 10.0 ** draw(st.floats(0.0, 4.0 if kind is ProblemKind.MAX else 3.0))
     k = round(10.0 ** draw(st.floats(0.0, 3.0)))
     lam = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     bounds = PriceBounds(p_min, p_min * theta)

@@ -211,7 +211,7 @@ def _outcome(solve, bounds, k, kind):
     k=st.integers(min_value=1, max_value=5000),
     p_min=st.floats(min_value=1e-2, max_value=1e2),
 )
-# max-search's power overflows here (ROADMAP item 1), in both solvers
+# max-search's power overflows here, far above the root, in both solvers
 @example(kind=ProblemKind.MAX, theta=1e3, k=3000, p_min=1.0)
 def test_solve_cr_is_the_reference_balance(kind, theta, k, p_min):
     """The one balance of ``ProblemKind.spread`` and ``growth`` finds each
