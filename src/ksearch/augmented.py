@@ -105,6 +105,7 @@ def interval_ratios(schedule: ThresholdSchedule) -> np.ndarray:
     compulsory fills at the far bound, while the optimum collects k prices
     at the interval's other end.
     """
+    _instance("schedule", schedule, ThresholdSchedule)
     return _banked_ratios(schedule)[1]
 
 
@@ -127,6 +128,7 @@ def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:
     finally forces compulsory fills at the far bound.  This is the quantity
     the consistency guarantee bounds by eta.
     """
+    _instance("schedule", schedule, ThresholdSchedule)
     return _ratio_at(schedule, _snap_prediction(_real("prediction", prediction), schedule.bounds))
 
 

@@ -133,6 +133,18 @@ def _integer(name: str, value, low=None, high=None) -> int:
     return number
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """A new float64 array of ``values``, if numpy reads them as real
+    numbers (bools and integers included); InvalidInputError otherwise."""
+    try:
+        array = np.array(values)
+    except ValueError:  # a ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise InvalidInputError(f"{name} must be real numbers")
+    return array.astype(np.float64, copy=False)
+
+
 def _instance(name: str, value, cls) -> None:
     """Raise InvalidInputError unless ``value`` is a ``cls``."""
     if not isinstance(value, cls):
@@ -184,7 +196,7 @@ class SearchInstance:
 
     def __post_init__(self):
         _instance("bounds", self.bounds, PriceBounds)
-        prices = np.array(self.prices, dtype=np.float64)
+        prices = _reals("prices", self.prices)
         prices.flags.writeable = False
         object.__setattr__(self, "prices", prices)
         if prices.ndim != 1 or not prices.size:
@@ -231,9 +243,9 @@ class WindowStream:
         prices, bounds = self.prices, self.bounds
         if not (isinstance(prices, np.ndarray) and prices.dtype == np.float64
                 and not prices.flags.writeable):
-            prices = np.array(prices, dtype=np.float64)
+            prices = _reals("prices", prices)
             prices.flags.writeable = False
-        starts, predictions = np.asarray(self.starts), np.asarray(self.predictions, dtype=float)
+        starts, predictions = np.asarray(self.starts), _reals("predictions", self.predictions)
         if prices.ndim != 1 or starts.ndim != 1 or not starts.size or starts.dtype.kind not in "iu":
             raise InvalidInputError("need a 1-D price array and a non-empty 1-D array of integer "
                                     "window starts")
@@ -293,7 +305,12 @@ class ThresholdSchedule:
     def __post_init__(self):
         _instance("kind", self.kind, ProblemKind)
         _instance("bounds", self.bounds, PriceBounds)
-        values = tuple(map(float, self.values))
+        try:
+            values = tuple(self.values)
+        except TypeError:
+            raise InvalidInputError(f"thresholds must be a sequence, got {self.values!r}") from None
+        if not {*map(type, values)} <= {float}:  # any other real number is converted
+            values = tuple(_real("threshold", value) for value in values)
         object.__setattr__(self, "values", values)
         if not values:
             raise InvalidInputError("schedule needs at least one threshold")
@@ -357,6 +374,8 @@ def run_ota(schedule: ThresholdSchedule, instance: SearchInstance) -> RunTrace:
     selects).  The compulsory rule: once the remaining arrivals equal the
     remaining budget, everything left is selected unconditionally.
     """
+    _instance("schedule", schedule, ThresholdSchedule)
+    _instance("instance", instance, SearchInstance)
     if instance.k != schedule.k:
         raise InvalidInputError(
             f"instance budget k={instance.k} != schedule length {schedule.k}"
@@ -659,6 +678,7 @@ def offline_opt(instance: SearchInstance, kind: ProblemKind) -> float:
     The k largest signed prices are selected without a full sort and added
     in descending order; negation is exact, so the total is the sum of the
     sorted prices (descending for max, ascending for min) bit for bit."""
+    _instance("instance", instance, SearchInstance)
     _instance("kind", kind, ProblemKind)
     signed, k = instance.prices * kind.sign, instance.k
     signed.partition(signed.size - k)

@@ -111,6 +111,7 @@ def evaluate_windows(stream: WindowStream, seed: int) -> dict[str, tuple[list[fl
     offline optimum is computed once; ``_window_results`` then reads the
     policies off the ratio matrix.
     """
+    _instance("stream", stream, WindowStream)
     solution = worst_case_thresholds(stream.bounds, stream.k, stream.kind)
     return _window_results(_stream_ratios(stream, (solution.schedule,)), seed, solution)
 
@@ -193,6 +194,7 @@ def run_sweep(
     given, and is identical for any worker count.
     """
     workers = _integer("workers", workers, 1)
+    _instance("series", series, PriceSeries)
     cells = tuple(cells)
     if not cells:
         raise InvalidInputError("run_sweep needs at least one cell")

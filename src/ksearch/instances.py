@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PriceBounds, ProblemKind, WindowStream, _instance, _integer, _real
+from .core import PriceBounds, ProblemKind, WindowStream, _instance, _integer, _real, _reals
 from .errors import DataFormatError, DomainError, InvalidInputError
 
 # canonical windowing parameters: 10-minute sampling, 3-week windows
@@ -68,7 +68,7 @@ class PriceSeries:
     _stamps: np.ndarray | tuple[int, ...] | range | None
 
     def __init__(self, prices, timestamps=None):
-        array = np.array(prices, dtype=np.float64)
+        array = _reals("prices", prices)
         array.flags.writeable = False
         if array.ndim != 1 or not array.size:
             raise InvalidInputError("price series needs a non-empty 1-D sequence of prices")
@@ -119,6 +119,7 @@ def scale_theta(series: PriceSeries, multiplier: float) -> PriceSeries:
     mean and the minimum below it, the output max/min ratio is exactly x
     times the input's.
     """
+    _instance("series", series, PriceSeries)
     multiplier = _real("theta multiplier", multiplier)
     if not (multiplier >= 1.0 and math.isfinite(multiplier)):
         raise DomainError(f"theta multiplier must be >= 1, got {multiplier}")
@@ -274,6 +275,7 @@ def sliding_windows(
     the feed, not of one window).  The windows are offsets into the series'
     own array: no price is copied.
     """
+    _instance("series", series, PriceSeries)
     window_len, stride = _integer("window_len", window_len, 1), _integer("stride", stride, 1)
     n = len(series)
     if n < 2 * window_len:
@@ -301,6 +303,7 @@ def adjust_error(stream: WindowStream, level: float) -> WindowStream:
     actual + sign(prediction - actual) * level * eps, clipped to the band:
     level 0 is a perfect prediction, level 1 keeps the original.
     """
+    _instance("stream", stream, WindowStream)
     level = _real("error level", level)
     if not 0.0 <= level <= 1.0:
         raise DomainError(f"error level must lie in [0, 1], got {level}")
@@ -324,6 +327,7 @@ def gen_synthetic_series(
     boundaries.  Deterministic given (num_samples, seed, bounds).
     """
     num_samples, seed = _integer("num_samples", num_samples, 1), _integer("seed", seed, 0)
+    _instance("bounds", bounds, PriceBounds)
     rng = np.random.Generator(np.random.Philox(seed))
     log_lo = math.log(bounds.p_min)
     log_hi = math.log(bounds.p_max)

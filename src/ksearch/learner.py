@@ -60,7 +60,7 @@ import numpy as np
 
 from .augmented import _construct_grid, _snap_prediction, design
 from .core import PriceBounds, ProblemKind, ThresholdSchedule, WindowStream, ota_totals
-from .core import _gather_bytes, _integer, _offline_optima, _replay_window_bytes
+from .core import _gather_bytes, _instance, _integer, _offline_optima, _replay_window_bytes
 from .errors import InvalidInputError, KSearchError
 
 DEFAULT_GRID_SIZE = 33
@@ -303,6 +303,7 @@ def run_learning(stream: WindowStream, seed: int) -> tuple[tuple[float, ...], Re
     whole (W, G) ratio matrix is replayed first and ``_hedge`` then runs
     the rounds over it.
     """
+    _instance("stream", stream, WindowStream)
     return _hedge(_stream_ratios(stream), seed)
 
 

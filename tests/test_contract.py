@@ -11,7 +11,9 @@ out: there a worst-case schedule can exceed its own cr past the design
 tolerance.  The second region passes one argument of the wrong type (a lambda, gamma,
 price or prediction that is not a real number, a k or point count that is
 not an integer, a kind that is not a ``ProblemKind``, a band that is not a
-``PriceBounds``) to a public entry, which must raise ``InvalidInputError``.
+``PriceBounds``, a series, stream, schedule or instance that is not one,
+or a sequence of prices or thresholds with an entry that is not a real
+number) to a public entry, which must raise ``InvalidInputError``.
 The third passes one number of another type (a numpy float or integer
 scalar, a 0-d array) to a public entry, which must give, bit for bit and
 type for type, what the Python number of the same value gives.
@@ -30,12 +32,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
+import ksearch
 from ksearch import (
     FrontierSpec,
     InvalidInputError,
     KSearchError,
     ParetoPoint,
     PriceBounds,
+    PriceSeries,
     ProblemKind,
     SearchInstance,
     SweepCell,
@@ -50,6 +54,7 @@ from ksearch import (
     offline_opt,
     prediction_ratio,
     run_learning,
+    run_ota,
     run_sweep,
     scale_theta,
     sliding_windows,
@@ -195,6 +200,23 @@ ENTRIES = {
         np.array([6.0, 7.0]), np.array([0]), 2, 1, x, np.array([6.0]), MAX)),
     "PriceBounds p_min": ("real", lambda x: PriceBounds(x, 50.0)),
     "PriceBounds p_max": ("real", lambda x: PriceBounds(5.0, x)),
+    "ParetoPoint confidence": ("real", lambda x: ParetoPoint(x, 1.0, 2.0)),
+    "gen_synthetic_series band": ("band", lambda x: gen_synthetic_series(10, 1, x)),
+    "ThresholdSchedule values": ("contents", lambda x: ThresholdSchedule(MAX, (6.0, x), BAND)),
+    "SearchInstance prices": ("contents", lambda x: SearchInstance((6.0, x), 1, BAND)),
+    "PriceSeries prices": ("contents", lambda x: PriceSeries((6.0, x))),
+    "sliding_windows series": ("object", lambda x: sliding_windows(x, 2, 1, 1, MAX)),
+    "scale_theta series": ("object", lambda x: scale_theta(x, 2.0)),
+    "run_sweep series": ("object", lambda x: run_sweep(
+        x, (SweepCell(0.0, 1.0, 1, 1.0),), MAX, 1, 2, 1)),
+    "adjust_error stream": ("object", lambda x: adjust_error(x, 0.5)),
+    "evaluate_windows stream": ("object", lambda x: evaluate_windows(x, 1)),
+    "run_learning stream": ("object", lambda x: run_learning(x, 1)),
+    "interval_ratios schedule": ("object", ksearch.interval_ratios),
+    "prediction_ratio schedule": ("object", lambda x: prediction_ratio(x, 20.0)),
+    "run_ota schedule": ("object", lambda x: run_ota(x, SearchInstance((6.0,), 1, BAND))),
+    "run_ota instance": ("object", lambda x: run_ota(ThresholdSchedule(MAX, (6.0,), BAND), x)),
+    "offline_opt instance": ("object", lambda x: offline_opt(x, MAX)),
 }
 
 not_a_number = st.one_of(
@@ -209,6 +231,11 @@ WRONG = {
     "band": st.one_of(st.tuples(st.floats(0.1, 100.0), st.floats(0.1, 100.0)),
                       st.lists(st.floats(0.1, 100.0), max_size=2), st.none(),
                       st.text(max_size=4)),
+    # one entry of a sequence of prices or thresholds
+    "contents": not_a_number,
+    # a series, stream, schedule or instance
+    "object": not_a_number | st.lists(st.floats(5.0, 50.0), max_size=4)
+    | st.tuples(st.floats(5.0, 50.0)),
 }
 
 
@@ -242,6 +269,25 @@ def wrong_calls(draw):
 @example(("SearchInstance band", None))
 @example(("WindowStream band", (5.0, 50.0)))
 @example(("WindowStream band", None))
+@example(("ParetoPoint confidence", "a"))
+@example(("gen_synthetic_series band", (5.0, 50.0)))
+@example(("ThresholdSchedule values", "7"))
+@example(("ThresholdSchedule values", None))
+@example(("SearchInstance prices", "a"))
+@example(("SearchInstance prices", [7.0]))
+@example(("PriceSeries prices", "1.5"))
+@example(("PriceSeries prices", None))
+@example(("sliding_windows series", [6.0, 7.0]))
+@example(("scale_theta series", [6.0, 7.0]))
+@example(("run_sweep series", [6.0, 7.0]))
+@example(("adjust_error stream", None))
+@example(("evaluate_windows stream", None))
+@example(("run_learning stream", [6.0]))
+@example(("interval_ratios schedule", (6.0,)))
+@example(("prediction_ratio schedule", None))
+@example(("run_ota schedule", (6.0,)))
+@example(("run_ota instance", (6.0,)))
+@example(("offline_opt instance", [6.0, 7.0]))
 def test_wrong_typed_arguments_raise_invalid_input(call):
     name, value = call
     with pytest.raises(InvalidInputError):

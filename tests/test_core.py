@@ -684,14 +684,15 @@ class TestTypeInvariants:
         assert PriceBounds(5.0, 50.0).theta == 10.0
 
     def test_prices_become_a_read_only_array_and_thresholds_python_floats(self):
-        inst = SearchInstance((5, np.float64(6.5), "7"), 1, B)
+        inst = SearchInstance((5, np.float64(6.5), np.float32(7.0)), 1, B)
         sched = ThresholdSchedule(ProblemKind.MAX, (np.float32(10.0), 20), B)
         assert inst.prices.dtype == np.float64 and inst.prices.ndim == 1
         assert not inst.prices.flags.writeable
         assert inst.prices.tolist() == [5.0, 6.5, 7.0] and sched.values == (10.0, 20.0)
         assert {type(v) for v in sched.values} == {float}
-        with pytest.raises(ValueError):
-            SearchInstance((5.0, "abc"), 1, B)
+        for text in ("7", "abc"):  # a string is no price, whatever it spells
+            with pytest.raises(InvalidInputError, match="^prices must be real numbers$"):
+                SearchInstance((5.0, text), 1, B)
 
     @pytest.mark.parametrize("at", [0, 1, 2])
     def test_nan_price_rejected(self, at):
