@@ -575,8 +575,8 @@ def _construct_grid(
     ``math``), and every check of ``_construct`` and ``_verify`` is applied
     to all rows.  Whenever one of the designs would fail, this raises, but
     its error need not be that design's: the caller reruns ``design`` for
-    it.  It may also raise where every design succeeds (a power no design
-    uses overflowing, say).
+    it.  It may also raise where every design succeeds (on an infinite
+    power no design uses, say).
     """
     grid = _grid_frame(lams, bounds, k, kind)
     index = np.arange(k + 1)

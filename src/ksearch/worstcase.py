@@ -9,10 +9,10 @@ with ``ProblemKind.spread`` and ``ProblemKind.growth``: for max-search
 (1 - 1/phi)(1 + 1/(k*phi))^k = 1 - 1/theta (Lorenz, Panagiotou and
 Steger, Algorithmica 2009).  Its left side strictly increases in cr on
 (1, theta), so bracketed bisection is exact enough; where max-search's
-power overflows, far above the root, the balance reads inf.  ``solve_cr`` solves
-it, and ``worst_case_thresholds`` builds the matching schedule, which
-balances the per-interval worst-case ratio to exactly cr on every one of
-the k+1 price intervals.
+power overflows, far above the root, the balance reads inf.
+``solve_cr`` solves it, and ``worst_case_thresholds`` builds the matching
+schedule, which balances the per-interval worst-case ratio to exactly cr
+on every one of the k+1 price intervals.
 """
 
 from __future__ import annotations
