@@ -58,7 +58,8 @@ ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
 @dataclass(frozen=True, order=True)
 class SweepCell:
     """One point of the stress cross-product, ordered by its fields: rho,
-    error level, k, theta multiplier (the cell key)."""
+    error level, k, theta multiplier (the cell key).  The fields hold
+    floats and an int; a rho outside [0, 1] raises DomainError."""
 
     rho: float
     error_level: float
@@ -184,10 +185,10 @@ def run_sweep(
     """Evaluate every sweep cell, one group of cells at a time, optionally in
     a process pool of at most one worker per group.
 
-    Every cell's rho is checked before any cell runs.  The cells that share
-    (error level, k, theta multiplier) form a group, which ``_run_group``
-    evaluates from one replay; groups run in (error level, k, theta
-    multiplier) order.  Every group runs; then the first failing cell in
+    Every cell is checked to be a ``SweepCell`` (which checks its rho)
+    before any cell runs.  The cells that share (error level, k, theta
+    multiplier) form a group, which ``_run_group`` evaluates from one
+    replay; groups run in (error level, k, theta multiplier) order.  Every group runs; then the first failing cell in
     key order raises, so the error is the one the cells would raise run one
     by one in that order, whatever its type.  The output is sorted by
     (cell, algorithm), one copy of a cell's rows for each time the cell is
