@@ -309,7 +309,7 @@ class ThresholdSchedule:
             values = tuple(self.values)
         except TypeError:
             raise InvalidInputError(f"thresholds must be a sequence, got {self.values!r}") from None
-        if not {*map(type, values)} <= {float}:  # any other real number is converted
+        if operator.countOf(map(type, values), float) != len(values):  # convert any other real
             values = tuple(_real("threshold", value) for value in values)
         object.__setattr__(self, "values", values)
         if not values:

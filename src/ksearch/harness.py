@@ -188,11 +188,12 @@ def run_sweep(
     Every cell is checked to be a ``SweepCell`` (which checks its rho)
     before any cell runs.  The cells that share (error level, k, theta
     multiplier) form a group, which ``_run_group`` evaluates from one
-    replay; groups run in (error level, k, theta multiplier) order.  Every group runs; then the first failing cell in
-    key order raises, so the error is the one the cells would raise run one
-    by one in that order, whatever its type.  The output is sorted by
-    (cell, algorithm), one copy of a cell's rows for each time the cell is
-    given, and is identical for any worker count.
+    replay; groups run in (error level, k, theta multiplier) order.  Every
+    group runs; then the first failing cell in key order raises, so the
+    error is the one the cells would raise run one by one in that order,
+    whatever its type.  The output is sorted by (cell, algorithm), one copy
+    of a cell's rows for each time the cell is given, and is identical for
+    any worker count.
     """
     workers = _integer("workers", workers, 1)
     _instance("series", series, PriceSeries)
