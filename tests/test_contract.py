@@ -8,15 +8,16 @@ with no traceback.  The first region draws p_min = 10^U(-2, 2), theta =
 [1, 1000], lambda in [0, 1] (0 and 1 drawn explicitly) and the prediction
 log-uniform in the band.  Min-search bands wider than theta = 10^3 are left
 out: there a worst-case schedule can exceed its own cr past the design
-tolerance.  The second region passes one argument of the wrong type (a lambda, gamma,
-price or prediction that is not a real number, a k or point count that is
-not an integer, a kind that is not a ``ProblemKind``, a band that is not a
-``PriceBounds``, a series, stream, schedule or instance that is not one,
-or a sequence of prices or thresholds with an entry that is not a real
-number) to a public entry, which must raise ``InvalidInputError``.
-The third passes one number of another type (a numpy float or integer
-scalar, a 0-d array) to a public entry, which must give, bit for bit and
-type for type, what the Python number of the same value gives.
+tolerance.  The second region passes one argument of the wrong type (a
+lambda, gamma, price or prediction that is not a real number, a k or point
+count that is not an integer, a kind that is not a ``ProblemKind``, a band
+that is not a ``PriceBounds``, a series, stream, schedule or instance that
+is not one, or a sequence of prices or thresholds with an entry that is
+not a real number) to a public entry, which must raise
+``InvalidInputError``.  The third passes one number of another type (a
+numpy float or integer scalar, a 0-d array) to a public entry, which must
+give, bit for bit and type for type, what the Python number of the same
+value gives.
 """
 
 from __future__ import annotations
