@@ -553,14 +553,11 @@ def _grid_frame(
 def _powers(base: float, k: int) -> list[float]:
     """``base**n`` for n = 0..k, by Python ``**``, and inf from the first
     that overflows on: a growth rate is at least 1, so its powers ascend."""
-    try:
-        return [base**n for n in range(k + 1)]
-    except OverflowError:
-        powers = []
-        with contextlib.suppress(OverflowError):
-            for n in range(k + 1):
-                powers.append(base**n)
-        return powers + [math.inf] * (k + 1 - len(powers))
+    powers = []
+    with contextlib.suppress(OverflowError):
+        for n in range(k + 1):
+            powers.append(base**n)
+    return powers + [math.inf] * (k + 1 - len(powers))
 
 
 def _construct_grid(

@@ -538,7 +538,7 @@ def _descend(table, thr, first, sign, T, voluntary):
     step = np.empty(runs, dtype=np.intp)  # the skip flags, then the step
     live = np.empty(runs, dtype=bool)
     for m in range(k):
-        np.multiply(thr[:, m] if ids.size == runs else thr[ids, m], sign, out=bar)
+        np.multiply(thr[ids, m], sign, out=bar)
         for level, flat in descent:
             np.less(flat[at], bar, out=step)
             at += step << level
@@ -636,18 +636,18 @@ def _grouped_totals(sel, voluntary, span, first, T, fill=None, runs=None):
     of them by default) with ``voluntary`` counts, whose windows start at
     ``first`` in the signed span: the voluntary picks' prices, then the
     fill's, added with the same numpy reductions as the per-run oracle, one
-    slice of runs of equal count m at a time.  A run gathers m picks, then
-    k - m fill prices, so a slice holds ``_GATHER_ENTRIES // max(m, k - m)``
-    runs (one at least).  The fill is each window's last prices, or, with a
-    ``fill`` price, that price repeated."""
+    slice of ``_GATHER_ENTRIES // k`` runs (one at least) of equal count m
+    at a time: a run gathers m picks, then k - m fill prices.  The fill is
+    each window's last prices, or, with a ``fill`` price, that price
+    repeated."""
     k = sel.shape[0]
+    chunk = max(1, _GATHER_ENTRIES // k)
     totals = np.empty(voluntary.size)
     ends = np.lib.stride_tricks.sliding_window_view(span, k)  # each row's last k prices
     # the counts that occur (np.unique would import numpy.ma, ~0.6 MB)
     for m in np.flatnonzero(np.bincount(voluntary)).tolist():
         group = np.flatnonzero(voluntary == m)
         columns = group if runs is None else runs[group]
-        chunk = max(1, _GATHER_ENTRIES // max(m, k - m))
         for lo in range(0, group.size, chunk):
             part = columns[lo:lo + chunk]
             starts = first[part]

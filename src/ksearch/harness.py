@@ -39,7 +39,7 @@ block (``learner._stream_ratios``), with no copy of its prices.
 
 from __future__ import annotations
 
-import statistics
+import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain, product
@@ -90,15 +90,18 @@ class CellSummary:
 
 
 def summarize(values) -> tuple[float, float, float, float]:
-    """(mean, median, q1, q3) of a non-empty sample, inclusive quartiles."""
+    """(mean, median, q1, q3) of a non-empty sample, bit for bit as
+    ``statistics.fmean`` and ``statistics.quantiles(n=4, method="inclusive")``
+    give them: quartile i interpolates the sorted values at i * (n - 1) / 4."""
     vals = sorted(float(v) for v in values)
     if not vals:
         raise InvalidInputError("cannot summarize an empty sample")
-    if len(vals) == 1:
-        only = vals[0]
-        return only, only, only, only
-    q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive")
-    return statistics.fmean(vals), med, q1, q3
+    n = len(vals)
+    mean = math.fsum(vals) / n
+    vals.append(vals[-1])  # so that one value interpolates to itself
+    q1, med, q3 = ((vals[j] * (4 - d) + vals[j + 1] * d) / 4
+                   for j, d in (divmod(i * (n - 1), 4) for i in (1, 2, 3)))
+    return mean, med, q1, q3
 
 
 def evaluate_windows(stream: WindowStream, seed: int) -> dict[str, tuple[list[float], list[float]]]:

@@ -50,7 +50,6 @@ Regret is reported against the best fixed grid point in hindsight.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from itertools import accumulate
@@ -216,17 +215,12 @@ def _keys(seed, offset: int, count: int) -> range:
     return range(first, first + count)
 
 
-@functools.lru_cache(maxsize=8)  # a run draws one Hedge range and one hardening range
 def _uniforms(keys) -> np.ndarray:
     """The first double of the Philox stream of each key of a range or
     tuple, as ``Generator(Philox(key)).random()`` draws it: the top 53 bits
-    of the stream's first raw output (``_philox_first``), times 2^-53, as a
-    read-only array.  A key is an int in [0, 2^128), which numpy seeds from
-    the same four words as its zero-padded form; any other raises
-    InvalidInputError.
-
-    The draws of the 8 key sets drawn last are kept: the sweep's cells and
-    groups and both kinds of ``learn`` draw the same ranges again."""
+    of the stream's first raw output (``_philox_first``), times 2^-53.  A
+    key is an int in [0, 2^128), which numpy seeds from the same four words
+    as its zero-padded form; any other raises InvalidInputError."""
     try:
         data = b"".join(key.to_bytes(16, "little") for key in keys)
     except (AttributeError, OverflowError):
@@ -235,7 +229,6 @@ def _uniforms(keys) -> np.ndarray:
     words = np.frombuffer(data, dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
     uniform = (_philox_first(words) >> 11).astype(float)
     uniform *= 2.0**-53
-    uniform.flags.writeable = False
     return uniform
 
 

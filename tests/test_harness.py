@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import statistics
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 import ksearch.harness as harness_mod
 from ksearch import (
@@ -58,6 +61,23 @@ class TestSummarize:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             summarize([])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(1.0, 1e6) | st.floats(1.0, 2.0), min_size=1, max_size=600))
+    @example([1.5])
+    @example([2.0, 1.25])
+    @example([1.1, 3.7, 2.3])
+    @example([1.0, 1.0 + 2**-52, 4.5, 1.3, 9.75])
+    @example([1.0 + (i * 0.6180339887) % 3.0 for i in range(577)])
+    def test_is_the_statistics_form_bit_for_bit(self, values):
+        # the mean and inclusive quartiles of the ``statistics`` module, which
+        # the library does not import; one value is its own every summary
+        if len(values) == 1:
+            want = (values[0],) * 4
+        else:
+            q1, median, q3 = statistics.quantiles(sorted(values), n=4, method="inclusive")
+            want = (statistics.fmean(values), median, q1, q3)
+        assert [v.hex() for v in summarize(values)] == [v.hex() for v in want]
 
 
 def _summaries(cell, windows, seed):
