@@ -82,7 +82,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (
-    ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, _instance, _integer, _real, left_sum,
+    ParetoPoint, PriceBounds, ProblemKind, ThresholdSchedule, _instance, _integer, _real, _unit,
+    left_sum,
 )
 from .errors import ConstructionError, InvalidInputError
 from .pareto import _CUT_EPS, FrontierSpec, target_point
@@ -730,12 +731,13 @@ def design(
     once per confidence, whether the frame builds or not.  A
     ConstructionError raised here is the call's own and carries its kind,
     bounds, k, lam and snapped prediction, which reproduce it.  Arguments
-    of the wrong type raise InvalidInputError before any cache is read.
+    of the wrong type raise InvalidInputError, and a lam outside [0, 1]
+    DomainError, before any cache is read.
     """
     _instance("kind", kind, ProblemKind)
     k = _integer("k", k, 1)
     _instance("bounds", bounds, PriceBounds)
-    lam = _real("confidence", lam)
+    lam = _unit("confidence", lam)
     prediction = _snap_prediction(_real("prediction", prediction), bounds)  # before any solve
     try:
         return _construct(prediction, _frame_at(lam, bounds, k, kind), bounds, k, kind)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, InvalidInputError
+from .errors import ConstructionError, DomainError, InvalidInputError
 
 
 class ProblemKind(enum.Enum):
@@ -119,6 +119,15 @@ def _real(name: str, value) -> float:
     raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
+def _unit(name: str, value) -> float:
+    """``_real(name, value)``, if it lies in [0, 1]; DomainError otherwise
+    (NaN included)."""
+    value = _real(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise DomainError(f"{name} must lie in [0, 1], got {value}")
+    return value
+
+
 def _integer(name: str, value, low=None, high=None) -> int:
     """``value`` as an int, if it is an integer in [low, high] (an end that
     is None is open): a Python or numpy integer, by ``operator.index``, but
@@ -135,11 +144,15 @@ def _integer(name: str, value, low=None, high=None) -> int:
 
 def _reals(name: str, values) -> np.ndarray:
     """A new float64 array of ``values``, if numpy reads them as real
-    numbers (bools and integers included); InvalidInputError otherwise."""
+    numbers (bools and integers included) or as objects that are each one
+    for ``_real`` (``Fraction``s, say); InvalidInputError otherwise."""
     try:
         array = np.array(values)
     except ValueError:  # a ragged nesting
         array = None
+    if array is not None and array.dtype == object:
+        entries = [_real(f"an entry of {name}", value) for value in array.flat]
+        array = np.array(entries).reshape(array.shape)
     if array is None or array.dtype.kind not in "biuf":
         raise InvalidInputError(f"{name} must be real numbers")
     return array.astype(np.float64, copy=False)
@@ -149,6 +162,14 @@ def _instance(name: str, value, cls) -> None:
     """Raise InvalidInputError unless ``value`` is a ``cls``."""
     if not isinstance(value, cls):
         raise InvalidInputError(f"{name} must be a {cls.__name__}, got {value!r}")
+
+
+def _within(what: str, lo, hi, bounds) -> None:
+    """Raise InvalidInputError unless [lo, hi] lies in ``bounds``; an end
+    that is NaN does not."""
+    if not (lo >= bounds.p_min and hi <= bounds.p_max):
+        raise InvalidInputError(f"{what} span [{lo}, {hi}], outside bounds "
+                                f"[{bounds.p_min}, {bounds.p_max}]")
 
 
 @dataclass(frozen=True)
@@ -202,12 +223,7 @@ class SearchInstance:
         if prices.ndim != 1 or not prices.size:
             raise InvalidInputError("instance needs a non-empty 1-D sequence of prices")
         object.__setattr__(self, "k", _integer("budget k", self.k, 1, prices.size))
-        lo, hi = prices.min(), prices.max()  # NaN if any price is NaN
-        if not (lo >= self.bounds.p_min and hi <= self.bounds.p_max):
-            raise InvalidInputError(
-                f"prices span [{lo}, {hi}], outside bounds "
-                f"[{self.bounds.p_min}, {self.bounds.p_max}]"
-            )
+        _within("prices", prices.min(), prices.max(), self.bounds)  # NaN if any price is NaN
 
     @property
     def horizon(self) -> int:
@@ -265,10 +281,7 @@ class WindowStream:
             raise InvalidInputError(f"{predictions.size} predictions for {starts.size} windows")
         for what, values in (("window prices", prices[starts[0]:starts[-1] + horizon]),
                              ("predictions", predictions)):
-            lo, hi = values.min(), values.max()  # NaN if any value is NaN
-            if not (lo >= bounds.p_min and hi <= bounds.p_max):
-                raise InvalidInputError(f"{what} span [{lo}, {hi}], outside bounds "
-                                        f"[{bounds.p_min}, {bounds.p_max}]")
+            _within(what, values.min(), values.max(), bounds)  # NaN if any value is NaN
         for name, value in (("prices", prices), ("starts", starts), ("horizon", horizon), ("k", k),
                             ("predictions", predictions)):
             object.__setattr__(self, name, value)
@@ -318,11 +331,7 @@ class ThresholdSchedule:
         if not all(map(operator.le if is_max else operator.ge, values, values[1:])):
             raise InvalidInputError(f"thresholds not monotone for {self.kind}")
         lo, hi = (values[0], values[-1]) if is_max else (values[-1], values[0])
-        if not (lo >= self.bounds.p_min and hi <= self.bounds.p_max):  # False for NaN too
-            raise InvalidInputError(
-                f"thresholds span [{lo}, {hi}], outside bounds "
-                f"[{self.bounds.p_min}, {self.bounds.p_max}]"
-            )
+        _within("thresholds", lo, hi, self.bounds)
 
     @property
     def k(self) -> int:
@@ -349,19 +358,18 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class ParetoPoint:
-    """A (consistency, robustness) pair indexed by the confidence lam in [0,1]."""
+    """A (consistency, robustness) pair indexed by the confidence lam in
+    [0, 1]; a lam outside it raises DomainError."""
 
     lam: float
     eta: float
     gamma: float
 
     def __post_init__(self):
-        lam, eta, gamma = (_real("confidence", self.lam), _real("eta", self.eta),
+        lam, eta, gamma = (_unit("confidence", self.lam), _real("eta", self.eta),
                            _real("gamma", self.gamma))
         for name, value in (("lam", lam), ("eta", eta), ("gamma", gamma)):
             object.__setattr__(self, name, value)
-        if not 0.0 <= lam <= 1.0:
-            raise InvalidInputError(f"confidence must lie in [0,1], got {lam}")
         if not (1.0 - 1e-9 <= eta <= gamma + 1e-9):
             raise InvalidInputError(f"need 1 <= eta <= gamma, got eta={eta}, gamma={gamma}")
 

@@ -1,8 +1,11 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: invalid input / domain problems are
-usage errors (exit 2), data-file problems are data errors (exit 3), and
-a failed internal design verification is exit 4.
+A ``DomainError`` is an ``InvalidInputError``, so one ``except`` catches
+every bad argument.  The CLI maps errors onto exit codes by where they
+arise: a bad flag, or any ``KSearchError`` from the checks that span
+several flags, exits 2; once a command runs, a ``ConstructionError``
+exits 4, and any other ``KSearchError`` (an ``InvalidInputError`` for a
+feed too short for one window, say) or ``OSError`` exits 3.
 """
 
 
@@ -14,7 +17,7 @@ class InvalidInputError(KSearchError):
     """An argument violates a documented precondition (shape, sign, range)."""
 
 
-class DomainError(KSearchError):
+class DomainError(InvalidInputError):
     """A numeric parameter lies outside the mathematical domain of an operation."""
 
 

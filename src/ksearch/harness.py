@@ -46,8 +46,8 @@ from itertools import chain, product
 
 import numpy as np
 
-from .core import ProblemKind, _instance, _integer, _real
-from .errors import ConstructionError, DomainError, InvalidInputError
+from .core import ProblemKind, _instance, _integer, _real, _unit
+from .errors import ConstructionError, InvalidInputError
 from .instances import PriceSeries, WindowStream, adjust_error, scale_theta, sliding_windows
 from .learner import _HARDEN_KEY_OFFSET, GRID, _hedge, _keys, _stream_ratios, _uniforms
 from .worstcase import WorstCaseSolution, worst_case_thresholds
@@ -67,13 +67,11 @@ class SweepCell:
     theta_mult: float
 
     def __post_init__(self):
-        for name, value in (("rho", _real("rho", self.rho)),
+        for name, value in (("rho", _unit("rho", self.rho)),
                             ("error_level", _real("error level", self.error_level)),
                             ("k", _integer("k", self.k)),
                             ("theta_mult", _real("theta multiplier", self.theta_mult))):
             object.__setattr__(self, name, value)
-        if not 0.0 <= self.rho <= 1.0:
-            raise DomainError(f"rho must lie in [0, 1], got {self.rho}")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import PriceBounds, ProblemKind, WindowStream, _instance, _integer, _real, _reals
+from .core import PriceBounds, ProblemKind, WindowStream, _instance, _integer, _real, _reals, _unit
 from .errors import DataFormatError, DomainError, InvalidInputError
 
 # canonical windowing parameters: 10-minute sampling, 3-week windows
@@ -304,9 +304,7 @@ def adjust_error(stream: WindowStream, level: float) -> WindowStream:
     level 0 is a perfect prediction, level 1 keeps the original.
     """
     _instance("stream", stream, WindowStream)
-    level = _real("error level", level)
-    if not 0.0 <= level <= 1.0:
-        raise DomainError(f"error level must lie in [0, 1], got {level}")
+    level = _unit("error level", level)
     rows = stream.rows()
     actual = stream.kind.extreme(rows)
     moved = actual + level * (stream.predictions - actual)

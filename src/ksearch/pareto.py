@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import ParetoPoint, PriceBounds, ProblemKind, _integer, _real
+from .core import ParetoPoint, PriceBounds, ProblemKind, _integer, _real, _unit
 from .errors import DomainError
 from .worstcase import solve_cr
 
@@ -114,9 +114,7 @@ def lower_bound(gamma: float, spec: FrontierSpec) -> float:
 
 def target_point(lam: float, spec: FrontierSpec) -> ParetoPoint:
     """Map a confidence lam onto its Pareto-optimal (eta, gamma) target."""
-    lam = _real("confidence", lam)
-    if not 0.0 <= lam <= 1.0:
-        raise DomainError(f"confidence must lie in [0,1], got {lam}")
+    lam = _unit("confidence", lam)
     cr, theta = spec.cr_star, spec.theta
     gamma = cr + (1.0 - lam) * (theta - cr)
     gamma = min(max(gamma, cr), theta)

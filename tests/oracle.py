@@ -32,6 +32,9 @@ on its own, max-search's (a - 1)(1 + a/k)^k = theta - 1 and min-search's
 ``ProblemKind.spread`` and ``ProblemKind.growth``, and must return the same
 root bit for bit or raise the same class of error.
 
+``balance_root_reference`` is the true root of the same balance, to 60
+digits: a ``decimal`` bisection, which the float roots are judged against.
+
 ``harden_reference`` is the sweep's tail hardening one window at a time,
 from the public API: its own ``Generator(Philox(key)).random()`` draw per
 window and its own tail.  ``run_sweep`` hardens inside its cell groups, from
@@ -42,6 +45,7 @@ floats; ``ksearch.adjust_error`` dials a whole stream in one numpy pass and
 must give the same predictions bit for bit.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -324,6 +328,31 @@ def solve_cr_reference(bounds: PriceBounds, k: int, kind: ProblemKind) -> float:
     if not residual < 1e-10 * scale:
         raise ConstructionError(f"{name}={root} leaves balance residual {residual}")
     return root
+
+
+def balance_root_reference(theta: float, k: int, kind: ProblemKind) -> decimal.Decimal:
+    """The worst-case ratio at fluctuation ratio theta and budget k, to 60
+    digits: the root of max-search's (a - 1)(1 + a/k)^k = theta - 1 or
+    min-search's (1 - 1/p)(1 + 1/(kp))^k = 1 - 1/theta, by 190 halvings of
+    [1, theta] in 60-digit ``decimal`` arithmetic.  Both left sides
+    increase in the ratio, so the midpoint of the last bracket is within
+    theta * 2^-191 of the root (under 1e-51 for theta up to 1e6)."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        one, theta, k = decimal.Decimal(1), decimal.Decimal(theta), decimal.Decimal(k)
+        if kind is ProblemKind.MAX:
+            def balance(a):
+                return (a - one) * (one + a / k) ** k - (theta - one)
+        else:
+            def balance(p):
+                return (one - one / p) * (one + one / (k * p)) ** k - (one - one / theta)
+        lo, hi = one, theta
+        for _ in range(190):
+            mid = (lo + hi) / 2
+            if balance(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        return (lo + hi) / 2
 
 
 def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, int]:

@@ -1,4 +1,4 @@
-"""The library's contract over its documented domain, in three regions.
+"""The library's contract over its documented domain, in four regions.
 
 Any (kind, band, k, lambda, prediction) gives one of two results: a
 schedule or frontier that passes a check written outside the library, or a
@@ -15,17 +15,21 @@ that is not a ``PriceBounds``, a series, stream, schedule or instance that
 is not one, or a sequence of prices or thresholds with an entry that is
 not a real number) to a public entry, which must raise
 ``InvalidInputError``.  The third passes one number of another type (a
-numpy float or integer scalar, a 0-d array) to a public entry, which must
-give, bit for bit and type for type, what the Python number of the same
-value gives.
+numpy float or integer scalar, a 0-d array, a ``Fraction``) to a public
+entry, which must give, bit for bit and type for type, what the
+Python number of the same value gives.  The fourth passes a confidence,
+error level or rho outside [0, 1], or NaN, which must raise
+``DomainError`` before any design cache is read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import fractions
 import io
 import itertools
+import math
 import shlex
 
 import hypothesis.strategies as st
@@ -35,6 +39,7 @@ from hypothesis import example, given, settings
 
 import ksearch
 from ksearch import (
+    DomainError,
     FrontierSpec,
     InvalidInputError,
     KSearchError,
@@ -63,6 +68,7 @@ from ksearch import (
     target_point,
     worst_case_thresholds,
 )
+from ksearch import augmented
 from ksearch.cli import main
 
 # the library's guarantee tolerance, with its ulp-scale cushion for sums
@@ -357,12 +363,17 @@ NUMBERS = {
     "SweepCell error level": ("real", st.floats(0.0, 1.0), lambda x: sweep(level=x)),
     "SweepCell k": ("integer", st.integers(1, 5), lambda x: sweep(k=x)),
     "SweepCell theta multiplier": ("real", st.floats(1.0, 3.0), lambda x: sweep(mult=x)),
+    "SearchInstance price": ("real", st.floats(5.0, 50.0),
+                             lambda x: SearchInstance((6.0, x), 1, BAND)),
+    "PriceSeries price": ("real", st.floats(0.5, 50.0), lambda x: PriceSeries((6.0, x)).array),
+    "WindowStream prediction": ("real", st.floats(5.0, 50.0), lambda x: WindowStream(
+        np.array([6.0, 7.0]), np.array([0]), 2, 1, BAND, [x], MAX)),
 }
 
 # other types of a number, each with the Python number of its value
 OTHER = {
     "real": (np.float32, np.float16, np.float64, np.array, lambda x: np.array(x, np.float32),
-             lambda x: np.int64(round(x))),
+             lambda x: np.int64(round(x)), fractions.Fraction),
     "integer": (np.int64, np.int32, np.uint64, np.intp, np.array),
 }
 PYTHON = {"real": float, "integer": int}
@@ -413,6 +424,10 @@ def other_numbers(draw):
 @example(("adjust_error level", 0.5, np.float32))
 @example(("scale_theta multiplier", 1.5, np.float32))
 @example(("SweepCell rho", 0.3, np.float32))
+# held by numpy as objects, which were rejected before each became a float
+@example(("SearchInstance price", 6.5, fractions.Fraction))
+@example(("PriceSeries price", 0.1, fractions.Fraction))
+@example(("WindowStream prediction", 7.3, fractions.Fraction))
 def test_other_numbers_give_what_the_python_number_gives(case):
     name, number, convert = case
     what, _, call = NUMBERS[name]
@@ -424,3 +439,35 @@ def test_float32_numbers_compute_in_float64():
     assert lower_bound(np.float32(3.0), SPEC) == 1.3983655344287382
     assert target_point(np.float32(0.5), SPEC) == target_point(0.5, SPEC)
     assert type(target_point(np.float32(0.5), SPEC).gamma) is float
+
+
+# --------------------------------------------------------------------------
+# fourth region: a confidence, error level or rho outside [0, 1]
+
+UNIT = {
+    "design confidence": lambda x: design(20.0, x, BAND, 10, MAX),
+    "target_point confidence": lambda x: target_point(x, SPEC),
+    "ParetoPoint confidence": lambda x: ParetoPoint(x, 1.0, 2.0),
+    "adjust_error level": lambda x: adjust_error(STREAM, x),
+    "SweepCell rho": lambda x: SweepCell(x, 1.0, 3, 1.0),
+    "run_sweep error level": lambda x: sweep(level=x),
+}
+DESIGN_CACHES = (augmented._frames, augmented._frontier, augmented._grid_frame)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(UNIT)),
+       st.floats(allow_nan=True).filter(lambda x: not 0.0 <= x <= 1.0),
+       st.sampled_from([float, np.float64, np.array]))
+@example("design confidence", 1.5, float)
+@example("design confidence", math.nan, float)
+@example("target_point confidence", 1.5, float)
+@example("ParetoPoint confidence", 1.5, float)
+@example("adjust_error level", -0.5, float)
+@example("SweepCell rho", math.nan, float)
+@example("run_sweep error level", 1.5, float)
+def test_values_outside_the_unit_interval_raise_domain_error(name, value, convert):
+    before = [cache.cache_info() for cache in DESIGN_CACHES]
+    with pytest.raises(DomainError, match=r" must lie in \[0, 1\], got "):
+        UNIT[name](convert(value))
+    assert [cache.cache_info() for cache in DESIGN_CACHES] == before

@@ -1,5 +1,6 @@
 """Fixed-point solvers and worst-case-optimal threshold schedules."""
 
+import decimal
 import math
 import time
 
@@ -16,7 +17,7 @@ from ksearch import (
 )
 from ksearch.augmented import interval_ratios
 from ksearch.worstcase import _bisect
-from oracle import solve_cr_reference
+from oracle import balance_root_reference, solve_cr_reference
 
 GRID = [
     (theta, k)
@@ -218,3 +219,32 @@ def test_solve_cr_is_the_reference_balance(kind, theta, k, p_min):
     kind's spelled-out root bit for bit, or fails with the same class."""
     bounds = bounds_for(theta, p_min)
     assert _outcome(solve_cr, bounds, k, kind) == _outcome(solve_cr_reference, bounds, k, kind)
+
+
+@st.composite
+def balance_regions(draw):
+    """(kind, bounds, k): max-search over theta in [1, 1e6] and k up to
+    3,162, min-search over theta up to 30 and k up to 100, the workloads'
+    region (beyond it the float min-search root drifts, ROADMAP item 14)."""
+    kind = draw(st.sampled_from(list(ProblemKind)))
+    top, most = (6.0, 3.5) if kind is ProblemKind.MAX else (math.log10(30.0), 2.0)
+    theta = 10.0 ** draw(st.floats(0.0, top))
+    k = round(10.0 ** draw(st.floats(0.0, most)))
+    return kind, bounds_for(theta, draw(st.floats(1e-2, 1e2))), k
+
+
+@settings(max_examples=200, deadline=None)
+@given(balance_regions())
+@example((ProblemKind.MAX, bounds_for(1e6), 3162))
+@example((ProblemKind.MAX, bounds_for(10.0), 1))
+@example((ProblemKind.MIN, bounds_for(30.0), 100))
+@example((ProblemKind.MIN, bounds_for(1.0 + 1e-9), 1))
+def test_solve_cr_is_within_1e_12_of_the_true_root(region):
+    kind, bounds, k = region
+    try:
+        root = solve_cr(bounds, k, kind)
+    except ConstructionError:  # max-search beyond the solver's domain
+        assert kind is ProblemKind.MAX
+        return
+    true = balance_root_reference(bounds.theta, k, kind)
+    assert abs(decimal.Decimal(root) - true) <= decimal.Decimal("1e-12") * true
