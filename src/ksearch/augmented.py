@@ -42,7 +42,9 @@ perfbench's design-grid).  A frame that fails is kept as its
 ConstructionError's message, and every call at it raises a new error
 with that message, so a failing sigma* scan runs once too.  Per call
 ``design`` builds the prefix, flat block, pivot, i* scan and tail, and
-verifies them from one set of left sums.  The prefix and the flat block
+verifies them from one set of left sums, taken over the float64 array
+that ``ThresholdSchedule`` makes of the thresholds once, when it checks
+their order.  The prefix and the flat block
 with its eta continuation are each one list comprehension over powers
 taken with Python ``**``, and the i* scan's running sums come from one
 ``itertools.accumulate`` pass.  The three index searches stop where
@@ -112,12 +114,14 @@ def interval_ratios(schedule: ThresholdSchedule) -> np.ndarray:
 
 def _banked_ratios(schedule: ThresholdSchedule) -> tuple[np.ndarray, np.ndarray]:
     """The left sums of the first 0..k thresholds, added as ``left_sum``
-    adds them, and ``interval_ratios``."""
-    k, bounds, kind = schedule.k, schedule.bounds, schedule.kind
-    extended = np.array(schedule.values + (kind.far(bounds),))  # interval k + 1 ends far
+    adds them, and ``interval_ratios``, from the schedule's float64 array."""
+    k, bounds, kind, values = schedule.k, schedule.bounds, schedule.kind, schedule._array
     banked = np.zeros(k + 1)
-    np.cumsum(extended[:k], out=banked[1:])
-    return banked, kind.ratio(banked + (k - np.arange(k + 1)) * kind.near(bounds), k * extended)
+    np.add.accumulate(values, out=banked[1:])  # np.cumsum without its Python wrapper
+    optimum = np.empty(k + 1)
+    np.multiply(values, k, out=optimum[:k])
+    optimum[k] = k * kind.far(bounds)  # interval k + 1 ends far
+    return banked, kind.ratio(banked + np.arange(k, -1, -1) * kind.near(bounds), optimum)
 
 
 def prediction_ratio(schedule: ThresholdSchedule, prediction: float) -> float:
@@ -189,10 +193,13 @@ def _verify(design: AugmentedDesign) -> AugmentedDesign:
 
     Robustness: every interval ratio at most gamma.  Consistency: the
     accurate-prediction worst case at most eta, and the eta-balanced block
-    (pivot through i*) individually at most eta.  One set of left sums
-    serves both: the interval ratios' banked totals, and the accurate
-    prediction's, which is ``_ratio_at``'s total bit for bit (``np.cumsum``
-    adds left to right, as ``left_sum`` does).
+    (pivot through i*) individually at most eta.  One set of left sums,
+    taken over the schedule's float64 array, serves both: the interval
+    ratios' banked totals, and the accurate prediction's, which is
+    ``_ratio_at``'s total bit for bit (``np.add.accumulate`` adds left to
+    right, as ``left_sum`` does).  The covered intervals are tested by one
+    mask, in which a NaN ratio is never over eta, as in a test one interval
+    at a time.
     """
     target, schedule, prediction = design.target, design.schedule, design.prediction
     # nominal tolerance plus an ulp-scale cushion: summing k thresholds for a
@@ -217,9 +224,9 @@ def _verify(design: AugmentedDesign) -> AugmentedDesign:
             f"eta {target.eta} (case {design.case_label}, P={design.prediction})"
         )
     first = 1 if design.case_label in ("I", "IV") else design.m_star + 2
-    over = (ratios[first - 1 : design.i_star] > eta_cap).nonzero()[0]
-    if over.size:
-        i = first + int(over[0])
+    over = ratios[first - 1 : design.i_star] > eta_cap
+    if np.count_nonzero(over):
+        i = first + int(over.argmax())
         raise ConstructionError(
             f"consistency violated on interval {i}: ratio {ratios[i - 1]} > "
             f"eta {target.eta} (case {design.case_label})"

@@ -305,10 +305,15 @@ class WindowStream:
 class ThresholdSchedule:
     """k reservation prices, monotone in the direction dictated by the kind.
 
-    The order is checked first, and then the band at the two ends, which
-    are the lowest and highest thresholds once the order holds.  A NaN
-    fails the order check from k = 2 on and the band check at k = 1, so a
-    schedule out of order and out of band is reported as not monotone.
+    The thresholds are held twice: ``values``, a tuple of Python floats,
+    and ``_array``, the same floats as one read-only float64 array, made
+    once here.  The array is no field, so it stays out of equality,
+    hashing and repr, and a pickle or copy rebuilds it by the constructor.
+    The order is checked on the array first, and then the band at the two
+    ends, which are the lowest and highest thresholds once the order
+    holds.  A NaN fails the order check from k = 2 on and the band check
+    at k = 1, so a schedule out of order and out of band is reported as
+    not monotone.
     """
 
     kind: ProblemKind
@@ -325,13 +330,22 @@ class ThresholdSchedule:
         if operator.countOf(map(type, values), float) != len(values):  # convert any other real
             values = tuple(_real("threshold", value) for value in values)
         object.__setattr__(self, "values", values)
-        if not values:
+        k = len(values)
+        if not k:
             raise InvalidInputError("schedule needs at least one threshold")
+        array = np.fromiter(values, float, k)
+        array.flags.writeable = False
+        object.__setattr__(self, "_array", array)
         is_max = self.kind.is_max
-        if not all(map(operator.le if is_max else operator.ge, values, values[1:])):
+        ordered = array[:-1] <= array[1:] if is_max else array[:-1] >= array[1:]
+        if np.count_nonzero(ordered) != k - 1:
             raise InvalidInputError(f"thresholds not monotone for {self.kind}")
         lo, hi = (values[0], values[-1]) if is_max else (values[-1], values[0])
         _within("thresholds", lo, hi, self.bounds)
+
+    def __reduce__(self):
+        # rebuilt by the constructor, so a copy's array is read-only too
+        return self.__class__, (self.kind, self.values, self.bounds)
 
     @property
     def k(self) -> int:

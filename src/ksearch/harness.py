@@ -46,9 +46,11 @@ from itertools import chain, product
 
 import numpy as np
 
-from .core import ProblemKind, _instance, _integer, _real, _unit
+from .core import ProblemKind, _instance, _integer, _unit
 from .errors import ConstructionError, InvalidInputError
-from .instances import PriceSeries, WindowStream, adjust_error, scale_theta, sliding_windows
+from .instances import (
+    PriceSeries, WindowStream, _theta_multiplier, adjust_error, scale_theta, sliding_windows,
+)
 from .learner import _HARDEN_KEY_OFFSET, GRID, _hedge, _keys, _stream_ratios, _uniforms
 from .worstcase import WorstCaseSolution, worst_case_thresholds
 
@@ -59,7 +61,9 @@ ALGORITHMS = ("ota-on", "ota-hindsight", "ota-learned")
 class SweepCell:
     """One point of the stress cross-product, ordered by its fields: rho,
     error level, k, theta multiplier (the cell key).  The fields hold
-    floats and an int; a rho outside [0, 1] raises DomainError."""
+    floats and an int, each checked here: a rho or error level outside
+    [0, 1], or a theta multiplier that is not finite and >= 1, raises
+    DomainError, and a k that is not an integer >= 1 InvalidInputError."""
 
     rho: float
     error_level: float
@@ -68,9 +72,9 @@ class SweepCell:
 
     def __post_init__(self):
         for name, value in (("rho", _unit("rho", self.rho)),
-                            ("error_level", _real("error level", self.error_level)),
-                            ("k", _integer("k", self.k)),
-                            ("theta_mult", _real("theta multiplier", self.theta_mult))):
+                            ("error_level", _unit("error level", self.error_level)),
+                            ("k", _integer("k", self.k, 1)),
+                            ("theta_mult", _theta_multiplier(self.theta_mult))):
             object.__setattr__(self, name, value)
 
 
@@ -186,15 +190,15 @@ def run_sweep(
     """Evaluate every sweep cell, one group of cells at a time, optionally in
     a process pool of at most one worker per group.
 
-    Every cell is checked to be a ``SweepCell`` (which checks its rho)
-    before any cell runs.  The cells that share (error level, k, theta
-    multiplier) form a group, which ``_run_group`` evaluates from one
-    replay; groups run in (error level, k, theta multiplier) order.  Every
-    group runs; then the first failing cell in key order raises, so the
-    error is the one the cells would raise run one by one in that order,
-    whatever its type.  The output is sorted by (cell, algorithm), one copy
-    of a cell's rows for each time the cell is given, and is identical for
-    any worker count.
+    Every cell is checked to be a ``SweepCell`` (which checks every field
+    when it is made) before any cell runs.  The cells that share (error
+    level, k, theta multiplier) form a group, which ``_run_group``
+    evaluates from one replay; groups run in (error level, k, theta
+    multiplier) order.  Every group runs; then the first failing cell in
+    key order raises, so the error is the one the cells would raise run
+    one by one in that order, whatever its type.  The output is sorted by
+    (cell, algorithm), one copy of a cell's rows for each time the cell is
+    given, and is identical for any worker count.
     """
     workers = _integer("workers", workers, 1)
     _instance("series", series, PriceSeries)

@@ -111,6 +111,15 @@ class PriceSeries:
         return self.array.size
 
 
+def _theta_multiplier(value) -> float:
+    """``_real("theta multiplier", value)``, if it is finite and >= 1;
+    DomainError otherwise (NaN included)."""
+    multiplier = _real("theta multiplier", value)
+    if not (multiplier >= 1.0 and math.isfinite(multiplier)):
+        raise DomainError(f"theta multiplier must be >= 1, got {multiplier}")
+    return multiplier
+
+
 def scale_theta(series: PriceSeries, multiplier: float) -> PriceSeries:
     """Widen the fluctuation ratio of a series by the given factor.
 
@@ -120,9 +129,7 @@ def scale_theta(series: PriceSeries, multiplier: float) -> PriceSeries:
     times the input's.
     """
     _instance("series", series, PriceSeries)
-    multiplier = _real("theta multiplier", multiplier)
-    if not (multiplier >= 1.0 and math.isfinite(multiplier)):
-        raise DomainError(f"theta multiplier must be >= 1, got {multiplier}")
+    multiplier = _theta_multiplier(multiplier)
     prices = series.array
     mean = math.fsum(prices.tolist()) / len(series)
     up = math.sqrt(multiplier)
