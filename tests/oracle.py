@@ -19,6 +19,16 @@ its index searches where their answers are, with the same float
 operations in the same order, so its designs, indices and failures must
 equal this one's bit for bit.
 
+``interval_ratios_reference`` gives each interval's worst-case ratio from
+the thresholds alone, one interval at a time in Python floats: the
+independent reference for ``ksearch.interval_ratios``, which must equal it
+bit for bit, and the ratios ``verify_reference`` checks.
+``exact_interval_ratios`` gives the same ratios as ``Fraction``s, exactly,
+which the float ones are judged against.  ``schedule_check_reference`` is
+``ThresholdSchedule``'s order and band check on the tuple of Python floats,
+as it was made before the schedule held a float64 array; the array's check
+must give the same message for every input.
+
 ``sigma_star_reference`` is the sigma* scan of either kind the plain way:
 from sigma = k down, each junction ratio tested against gamma plus its
 own ``_junction_slack``.  ``ksearch.augmented.sigma_star`` skips the
@@ -46,7 +56,9 @@ must give the same predictions bit for bit.
 """
 
 import decimal
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -71,7 +83,6 @@ from ksearch.augmented import (
     _prefix_length,
     _ratio_at,
     _snap_prediction,
-    interval_ratios,
 )
 from ksearch.core import left_sum
 
@@ -251,8 +262,8 @@ def verify_reference(design: AugmentedDesign) -> AugmentedDesign:
     # an exact equality (e.g. degenerate spans where theta - 1 == _RATIO_TOL)
     gamma_cap = target.gamma + _RATIO_TOL + 1e-11 * target.gamma
     eta_cap = target.eta + _RATIO_TOL + 1e-11 * target.eta
-    ratios = interval_ratios(design.schedule)
-    worst = float(ratios.max())
+    ratios = interval_ratios_reference(design.schedule)
+    worst = max(ratios)
     if worst > gamma_cap:
         raise ConstructionError(
             f"robustness violated: max ratio {worst} > gamma {target.gamma} "
@@ -275,6 +286,48 @@ def verify_reference(design: AugmentedDesign) -> AugmentedDesign:
                 f"eta {target.eta} (case {design.case_label})"
             )
     return design
+
+
+def interval_ratios_reference(schedule: ThresholdSchedule, number=float) -> list:
+    """Each of the k + 1 price intervals' worst-case ratio, from the
+    thresholds alone: an adversary stops prices just short of threshold i,
+    so the search banks thresholds 1 .. i - 1 and fills the rest at the
+    band's worst price, while the optimum takes k prices at threshold i
+    (the band's far end for interval k + 1).  Every threshold and band end
+    is taken as ``number`` of its float, and the arithmetic is that type's."""
+    kind, values, bounds, k = schedule.kind, schedule.values, schedule.bounds, schedule.k
+    is_max = kind is ProblemKind.MAX
+    ends = [number(v) for v in (*values, bounds.p_max if is_max else bounds.p_min)]
+    banked = itertools.accumulate(ends[:k], initial=number(0))
+    worst = number(bounds.p_min if is_max else bounds.p_max)
+    ratios = []
+    for i, (end, bank) in enumerate(zip(ends, banked)):
+        online = bank + (k - i) * worst
+        ratios.append(k * end / online if is_max else online / (k * end))
+    return ratios
+
+
+def exact_interval_ratios(schedule: ThresholdSchedule) -> list[Fraction]:
+    """``interval_ratios_reference`` in exact arithmetic: each ratio of the
+    thresholds' ``Fraction``s, with every sum, product and quotient exact."""
+    return interval_ratios_reference(schedule, Fraction)
+
+
+def schedule_check_reference(kind: ProblemKind, values: tuple, bounds: PriceBounds):
+    """The message of the InvalidInputError that ``ThresholdSchedule``'s
+    order and band checks raise for a tuple of Python floats, or None if
+    both pass: the order by Python comparisons of neighbours (a NaN is
+    never in order), then the band at the two ends."""
+    if not values:
+        return "schedule needs at least one threshold"
+    is_max = kind is ProblemKind.MAX
+    if not all(a <= b if is_max else a >= b for a, b in zip(values, values[1:])):
+        return f"thresholds not monotone for {kind}"
+    lo, hi = (values[0], values[-1]) if is_max else (values[-1], values[0])
+    if not (lo >= bounds.p_min and hi <= bounds.p_max):
+        return (f"thresholds span [{lo}, {hi}], outside bounds "
+                f"[{bounds.p_min}, {bounds.p_max}]")
+    return None
 
 
 def _bisect_reference(f, lo: float, hi: float) -> float:

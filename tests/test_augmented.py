@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,7 +36,14 @@ from ksearch.augmented import (
     sigma_star,
 )
 from conftest import band_cases, band_prediction
-from oracle import construct_reference, design_for_target, sigma_star_reference, verify_reference
+from oracle import (
+    construct_reference,
+    design_for_target,
+    exact_interval_ratios,
+    interval_ratios_reference,
+    sigma_star_reference,
+    verify_reference,
+)
 
 BOUNDS = PriceBounds(5.0, 50.0)
 K = 20
@@ -63,6 +71,58 @@ def test_ratio_beta_flat_ceiling_schedule():
 def test_ratio_alpha_first_interval_is_first_threshold_over_floor():
     sched = ThresholdSchedule(ProblemKind.MAX, (7.0, 20.0, 30.0), PriceBounds(5.0, 50.0))
     assert interval_ratios(sched)[0] == pytest.approx(7.0 / 5.0)
+
+
+@st.composite
+def schedule_points(draw, tops):
+    """(kind, bounds, k, lam, prediction): p_min = 10^U(-2, 2), theta =
+    10^U(0, a) and k = round(10^U(0, b)) for (a, b) = tops[kind], lam in
+    [0, 1] and the prediction in the band."""
+    kind = draw(st.sampled_from(list(ProblemKind)))
+    p_min = 10.0 ** draw(st.floats(-2.0, 2.0))
+    top_theta, top_k = tops[kind]
+    theta = 10.0 ** draw(st.floats(0.0, top_theta))
+    k = round(10.0 ** draw(st.floats(0.0, top_k)))
+    bounds = PriceBounds(p_min, p_min * theta)
+    prediction = min(max(p_min * bounds.theta ** draw(st.floats(0.0, 1.0)), bounds.p_min),
+                     bounds.p_max)
+    return kind, bounds, k, draw(st.floats(0.0, 1.0)), prediction
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedule_points({ProblemKind.MAX: (4.0, 3.0), ProblemKind.MIN: (3.0, 3.0)}),
+       st.booleans())
+@example((ProblemKind.MAX, PriceBounds(1.0, 1e4), 1000, 0.5, 30.0), False)
+@example((ProblemKind.MIN, PriceBounds(1.0, 1e3), 1000, 0.5, 30.0), True)
+def test_interval_ratios_are_the_reference_bit_for_bit(point, worst_case):
+    kind, bounds, k, lam, prediction = point
+    try:
+        schedule = (worst_case_thresholds(bounds, k, kind) if worst_case
+                    else design(prediction, lam, bounds, k, kind)).schedule
+    except KSearchError:
+        return
+    reference = np.array(interval_ratios_reference(schedule))
+    assert interval_ratios(schedule).tobytes() == reference.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(schedule_points({ProblemKind.MAX: (4.0, 3.0), ProblemKind.MIN: (math.log10(30.0), 2.0)}))
+@example((ProblemKind.MAX, PriceBounds(1.0, 1e4), 1000, 0.5, 30.0))
+@example((ProblemKind.MAX, PriceBounds(1.0, 1e4), 1000, 1.0, 1.0))
+@example((ProblemKind.MIN, PriceBounds(1.0, 30.0), 100, 0.5, 3.0))
+@example((ProblemKind.MIN, PriceBounds(1.0, 30.0), 100, 1.0, 30.0))
+def test_design_interval_ratios_are_within_1e_13_of_the_exact_ones(point):
+    """Max-search over theta up to 1e4 and k up to 1,000, min-search over
+    theta up to 30 and k up to 100 (beyond it min-search's float root
+    drifts, ROADMAP item 14)."""
+    kind, bounds, k, lam, prediction = point
+    try:
+        schedule = design(prediction, lam, bounds, k, kind).schedule
+    except KSearchError:
+        return
+    for ratio, exact in zip(interval_ratios(schedule).tolist(), exact_interval_ratios(schedule),
+                            strict=True):
+        assert abs(Fraction(ratio) - exact) <= Fraction(1e-13) * exact
 
 
 # --------------------------------------------------------------------------

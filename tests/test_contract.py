@@ -28,7 +28,6 @@ import contextlib
 import dataclasses
 import fractions
 import io
-import itertools
 import math
 import shlex
 
@@ -70,6 +69,7 @@ from ksearch import (
 )
 from ksearch import augmented
 from ksearch.cli import main
+from oracle import interval_ratios_reference
 
 # the library's guarantee tolerance, with its ulp-scale cushion for sums
 _TOL = 1e-9
@@ -90,24 +90,6 @@ def domain_points(draw):
     return kind, bounds, k, lam, prediction
 
 
-def interval_ratios(schedule) -> list[float]:
-    """Each of the k + 1 price intervals' worst-case ratio, from the
-    thresholds alone: an adversary stops prices just short of threshold i,
-    so the search banks thresholds 1 .. i - 1 and fills the rest at the
-    band's worst price, while the optimum takes k prices at threshold i
-    (the band's far end for interval k + 1)."""
-    kind, values, bounds, k = schedule.kind, schedule.values, schedule.bounds, schedule.k
-    is_max = kind is ProblemKind.MAX
-    ends = (*values, bounds.p_max if is_max else bounds.p_min)
-    banked = itertools.accumulate(values, initial=0.0)
-    worst = bounds.p_min if is_max else bounds.p_max
-    ratios = []
-    for i, (end, bank) in enumerate(zip(ends, banked)):
-        online = bank + (k - i) * worst
-        ratios.append(k * end / online if is_max else online / (k * end))
-    return ratios
-
-
 def within(value: float, bound: float) -> bool:
     return value <= bound + _TOL + _CUSHION * bound
 
@@ -123,7 +105,7 @@ def test_library_returns_a_checked_result_or_a_typed_error(point):
         pass
     else:
         assert 1.0 <= solution.cr and within(solution.cr, theta)
-        assert all(within(r, solution.cr) for r in interval_ratios(solution.schedule))
+        assert all(within(r, solution.cr) for r in interval_ratios_reference(solution.schedule))
     try:
         spec = FrontierSpec(bounds, k, kind)
         curve = frontier_curve(spec, 3)
@@ -142,7 +124,7 @@ def test_library_returns_a_checked_result_or_a_typed_error(point):
         gamma = found.target.gamma
         assert found.target.lam == lam and found.schedule.k == k
         assert within(gamma, theta)
-        assert all(within(r, gamma) for r in interval_ratios(found.schedule))
+        assert all(within(r, gamma) for r in interval_ratios_reference(found.schedule))
 
 
 def run(argv: list[str]) -> tuple[int, str]:

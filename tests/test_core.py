@@ -2,10 +2,13 @@
 
 import ast
 import copy
+import dataclasses
 import itertools
 import math
 import pathlib
+import pickle
 import re
+import struct
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +20,7 @@ from hypothesis import given, settings
 import ksearch
 from ksearch import core as core_mod
 from conftest import kinds, price_bounds, schedule_and_instance
-from oracle import ota_total
+from oracle import ota_total, schedule_check_reference
 from ksearch import (
     FrontierSpec,
     InvalidInputError,
@@ -731,6 +734,60 @@ class TestTypeInvariants:
     def test_flat_schedule_at_a_band_end_accepted(self, kind, k):
         for end in (B.p_min, B.p_max):
             assert ThresholdSchedule(kind, (end,) * k, B).values == (end,) * k
+
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_thresholds_are_also_one_read_only_float64_array(self, kind, k):
+        values = np.linspace(10.0, 40.0, k).tolist()
+        values = values if kind.is_max else values[::-1]
+        schedule = ThresholdSchedule(kind, (np.float32(values[0]), *values[1:]), B)
+        array = schedule._array
+        assert array.dtype == np.float64 and array.shape == (k,)
+        assert array.tobytes() == struct.pack(f"{k}d", *schedule.values)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 20.0
+
+    def test_the_array_is_no_field(self):
+        one = ThresholdSchedule(ProblemKind.MAX, (10.0, 20.0), B)
+        other = ThresholdSchedule(ProblemKind.MAX, [10, np.float64(20.0)], B)
+        assert one == other and one._array is not other._array
+        assert hash(one) == hash(other) == hash((one.kind, one.values, one.bounds))
+        assert repr(one) == (f"ThresholdSchedule(kind={one.kind!r}, values={one.values!r}, "
+                             f"bounds={one.bounds!r})")
+        assert [field.name for field in dataclasses.fields(one)] == ["kind", "values", "bounds"]
+
+    @pytest.mark.parametrize("clone", [
+        lambda s: pickle.loads(pickle.dumps(s)),
+        lambda s: pickle.loads(pickle.dumps(s, protocol=2)),
+        copy.copy,
+        copy.deepcopy,
+        dataclasses.replace,
+        lambda s: dataclasses.replace(s, values=(15.0, 30.0)),
+    ], ids=["pickle", "pickle-2", "copy", "deepcopy", "replace", "replace-values"])
+    def test_a_copy_holds_a_read_only_array_of_its_values(self, clone):
+        schedule = ThresholdSchedule(ProblemKind.MAX, (10.0, 20.0), B)
+        copied = clone(schedule)
+        assert not copied._array.flags.writeable
+        assert copied._array.tobytes() == struct.pack("2d", *copied.values)
+        assert copied.values in (schedule.values, (15.0, 30.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(kinds, st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, B.p_min,
+                                            B.p_max, 20.0, 60.0]) | st.floats(), max_size=6),
+           st.sampled_from(["as drawn", "ascending", "descending"]))
+    def test_order_and_band_messages_are_the_tuple_checks(self, kind, values, order):
+        """The array's order check and the band check raise what the checks
+        on a tuple of Python floats raised, for NaN, infinities, -0.0 and
+        values in any order."""
+        if order != "as drawn":
+            values = sorted(values, reverse=order == "descending")
+        try:
+            ThresholdSchedule(kind, tuple(values), B)
+            message = None
+        except InvalidInputError as exc:
+            message = str(exc)
+        assert message == schedule_check_reference(kind, tuple(values), B)
 
     def test_non_monotone_schedule_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
+import math
+import re
 import statistics
 
 import hypothesis.strategies as st
@@ -154,6 +156,31 @@ class TestHardening:
                 SweepCell(rho, 0.5, 10, 1.0)
         for rho in (0, 0.0, 0.5, 1, 1.0):
             assert type(SweepCell(rho, 0.5, 10, 1.0).rho) is float
+
+    @pytest.mark.parametrize("fields, error, message", [
+        ((0.0, 1.5, 3, 0.5), DomainError, "error level must lie in [0, 1], got 1.5"),
+        ((0.0, math.nan, 3, 1.0), DomainError, "error level must lie in [0, 1], got nan"),
+        ((0.0, 0.5, 0, 1.0), InvalidInputError, "k must be an integer >= 1, got 0"),
+        ((0.0, 0.5, 3, 0.5), DomainError, "theta multiplier must be >= 1, got 0.5"),
+        ((0.0, 0.5, 3, math.inf), DomainError, "theta multiplier must be >= 1, got inf"),
+        ((0.0, 0.5, 3, math.nan), DomainError, "theta multiplier must be >= 1, got nan"),
+    ])
+    def test_a_bad_cell_raises_before_any_group_runs(self, monkeypatch, fields, error, message):
+        groups = []
+        monkeypatch.setattr(harness_mod, "_run_group", lambda *args: groups.append(args))
+        series = gen_synthetic_series(num_samples=2200, seed=3)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            run_sweep(series, (SweepCell(0.0, 1.0, 5, 1.0), SweepCell(*fields)),
+                      ProblemKind.MAX, 7, 200, 200)
+        assert groups == []
+
+    @pytest.mark.parametrize("mult", [0.5, -1.0, math.inf, math.nan])
+    def test_a_cell_rejects_a_theta_multiplier_as_scale_theta_does(self, mult):
+        with pytest.raises(DomainError) as from_cell:
+            SweepCell(0.0, 0.5, 3, mult)
+        with pytest.raises(DomainError) as from_scale:
+            scale_theta(gen_synthetic_series(num_samples=100, seed=3), mult)
+        assert str(from_cell.value) == str(from_scale.value)
 
     def test_deterministic_in_seed(self):
         draws = harness_mod._hardening_draws(42, 500)
