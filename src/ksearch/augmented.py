@@ -41,13 +41,16 @@ which holds a sweep of 1,408 (2 kinds x 16 bands x 4 k x 11 lambda, as
 perfbench's design-grid).  A frame that fails is kept as its
 ConstructionError's message, and every call at it raises a new error
 with that message, so a failing sigma* scan runs once too.  Per call
-``design`` builds the prefix, flat block, pivot, i* scan and tail, and
-verifies them from one set of left sums, taken over the float64 array
-that ``ThresholdSchedule`` makes of the thresholds once, when it checks
-their order.  The prefix and the flat block
-with its eta continuation are each one list comprehension over powers
-taken with Python ``**``, and the i* scan's running sums come from one
-``itertools.accumulate`` pass.  The three index searches stop where
+``design`` builds the thresholds of any case in one float64 array of k
+entries from list comprehensions over powers taken with Python ``**``.
+Case I/IV makes it from its two pieces by one ``np.fromiter``; cases
+II/III and V/VI write each piece that is not empty into it by one
+assignment: the prefix, the flat block (one fill) and the eta
+continuation.  The i* scan reads its running sums from one
+``np.add.accumulate`` over that array, which adds left to right as
+``left_sum`` does, and writes the tail it keeps into the same array.
+``ThresholdSchedule`` copies the array once, and ``_verify`` checks the
+copy from one set of left sums.  The three index searches stop where
 their answers are: sigma* tests the junction slack only where the ratio
 could pass, min-search m* steps from its closed-form crossing to the
 first m that passes, and the i* scan runs down from k, taking each tail
@@ -76,7 +79,6 @@ from __future__ import annotations
 import bisect
 import contextlib
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -235,11 +237,11 @@ def _verify(design: AugmentedDesign) -> AugmentedDesign:
 
 
 def _snap_prediction(prediction: float, bounds: PriceBounds) -> float:
-    """Clamp roundoff-level boundary overshoot; reject anything larger."""
-    tol = 1e-12 * bounds.p_max
-    if bounds.p_max < prediction <= bounds.p_max + tol:
+    """Clamp roundoff-level boundary overshoot, up to 1e-12 of the band end
+    overshot; reject anything larger."""
+    if bounds.p_max < prediction <= bounds.p_max + 1e-12 * bounds.p_max:
         return bounds.p_max
-    if bounds.p_min - tol <= prediction < bounds.p_min:
+    if bounds.p_min - 1e-12 * bounds.p_min <= prediction < bounds.p_min:
         return bounds.p_min
     if not bounds.contains(prediction):
         raise InvalidInputError(
@@ -374,15 +376,19 @@ def _construct(
     # frame (sigma = k, lead 0, growth 1) makes case I/IV the flat schedule
     if _degenerate(bounds) or ((prediction <= tilde_1) if is_max else (prediction > tilde_1)):
         label, j_star, m_star, i_star = labels[0], 0, 0, sigma
-        values = [near + lead_eta * grow_eta**n for n in range(sigma)]
-        values += [near + reach / grow_gamma**n for n in range(k - sigma, 0, -1)]
+        values = np.fromiter([near + lead_eta * grow_eta**n for n in range(sigma)]
+                             + [near + reach / grow_gamma**n for n in range(k - sigma, 0, -1)],
+                             float, k)
     else:
+        values = np.empty(k)
         if (prediction <= tilde_2) if is_max else (prediction > tilde_2):
             label, j_star = labels[1], 0
         else:
             label, j_star = labels[2], _prefix_length(prediction, gamma, bounds, k, kind)
         prefix = [near + lead_gamma * grow_gamma**n for n in range(j_star)]
         prefix_sum = left_sum(prefix)
+        if j_star:
+            values[:j_star] = prefix
         # m*: the smallest flat-block end that lets the pivot reach P
         if is_max:
             if label == "II":
@@ -412,35 +418,36 @@ def _construct(
 
         # thresholds j*+1..k: the flat block at P, then the eta continuation
         rise = pivot - near
-        block = [prediction] * (m_star - j_star)
-        block += [near + rise * grow_eta**n for n in range(k - m_star)]
+        if m_star > j_star:
+            values[j_star:m_star] = prediction
+        if m_star < k:
+            values[m_star:] = [near + rise * grow_eta**n for n in range(k - m_star)]
         # the i* scan: the largest i in j*..k whose successor ratio (the
         # tail threshold i+1, or the far bound at i = k) still meets the
         # robustness budget with thresholds 1..i banked.  It runs down from
         # i = k and takes each tail threshold when it gets there, so the
         # thresholds it takes are the tail i*+1..k that the schedule keeps.
+        # running[i - 1] is the left sum of thresholds 1..i, as left_sum adds
+        # them: np.add.accumulate adds left to right.
         budget = gamma + _RATIO_TOL / 2
-        running = list(itertools.accumulate(block, initial=prefix_sum))
-        top = cut = k - j_star  # cut = i - j*
-        kept, succ = [], far  # kept: the tail thresholds k, k-1, ... the scan has taken
+        running = np.add.accumulate(values)
+        i_star, succ = k, far
         while True:
-            banked = running[cut] + (top - cut) * near
+            banked = (running.item(i_star - 1) if i_star else 0.0) + (k - i_star) * near
             if (k * succ <= budget * banked) if is_max else (banked <= budget * k * succ):
                 break
-            if not cut:
+            if i_star == j_star:
                 raise ConstructionError(
                     f"no feasible consistency endpoint for eta={eta}, gamma={gamma}, "
                     f"P={prediction}"
                 )
-            cut -= 1
-            succ = near + reach / grow_gamma ** (top - cut)
-            kept.append(succ)
-        i_star = j_star + cut
+            i_star -= 1
+            succ = near + reach / grow_gamma ** (k - i_star)
+            values[i_star] = succ
         m_star = min(m_star, i_star)
-        values = prefix + block[:cut] + kept[::-1]
 
     try:
-        schedule = ThresholdSchedule(kind, tuple(values), bounds)
+        schedule = ThresholdSchedule(kind, values, bounds)
     except InvalidInputError as exc:  # the construction's fault, not the caller's
         raise ConstructionError(f"designed {exc}") from exc
     return _verify(

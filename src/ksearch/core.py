@@ -149,11 +149,11 @@ def _reals(name: str, values) -> np.ndarray:
     try:
         array = np.array(values)
     except ValueError:  # a ragged nesting
-        array = None
-    if array is not None and array.dtype == object:
+        raise InvalidInputError(f"{name} must be real numbers") from None
+    if array.dtype.kind == "O":
         entries = [_real(f"an entry of {name}", value) for value in array.flat]
         array = np.array(entries).reshape(array.shape)
-    if array is None or array.dtype.kind not in "biuf":
+    if array.dtype.kind not in "biuf":
         raise InvalidInputError(f"{name} must be real numbers")
     return array.astype(np.float64, copy=False)
 
@@ -305,11 +305,12 @@ class WindowStream:
 class ThresholdSchedule:
     """k reservation prices, monotone in the direction dictated by the kind.
 
-    The thresholds are held twice: ``values``, a tuple of Python floats,
-    and ``_array``, the same floats as one read-only float64 array, made
-    once here.  The array is no field, so it stays out of equality,
-    hashing and repr, and a pickle or copy rebuilds it by the constructor.
-    The order is checked on the array first, and then the band at the two
+    The thresholds are converted once, by ``_reals`` (an iterable that is
+    no array is made a tuple first), into one new read-only 1-D float64
+    array, ``_array``, and ``values`` is that array as a tuple of Python
+    floats.  The array is no field, so it stays out of equality, hashing
+    and repr, and a pickle or copy rebuilds it by the constructor.  The
+    order is checked on the array first, and then the band at the two
     ends, which are the lowest and highest thresholds once the order
     holds.  A NaN fails the order check from k = 2 on and the band check
     at k = 1, so a schedule out of order and out of band is reported as
@@ -323,18 +324,21 @@ class ThresholdSchedule:
     def __post_init__(self):
         _instance("kind", self.kind, ProblemKind)
         _instance("bounds", self.bounds, PriceBounds)
-        try:
-            values = tuple(self.values)
-        except TypeError:
-            raise InvalidInputError(f"thresholds must be a sequence, got {self.values!r}") from None
-        if operator.countOf(map(type, values), float) != len(values):  # convert any other real
-            values = tuple(_real("threshold", value) for value in values)
-        object.__setattr__(self, "values", values)
-        k = len(values)
+        values = self.values
+        if not isinstance(values, np.ndarray):
+            try:
+                values = tuple(values)
+            except TypeError:
+                raise InvalidInputError(f"thresholds must be a sequence, got {values!r}") from None
+        array = _reals("thresholds", values)
+        if array.ndim != 1:
+            raise InvalidInputError(f"thresholds must be one sequence, got shape {array.shape}")
+        k = array.size
         if not k:
             raise InvalidInputError("schedule needs at least one threshold")
-        array = np.fromiter(values, float, k)
-        array.flags.writeable = False
+        array.setflags(write=False)  # a third of the time of flags.writeable = False
+        values = tuple(array.tolist())
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_array", array)
         is_max = self.kind.is_max
         ordered = array[:-1] <= array[1:] if is_max else array[:-1] >= array[1:]

@@ -45,6 +45,11 @@ root bit for bit or raise the same class of error.
 ``balance_root_reference`` is the true root of the same balance, to 60
 digits: a ``decimal`` bisection, which the float roots are judged against.
 
+``lower_bound_reference`` is ``pareto.lower_bound``'s Gamma (max) or
+Lambda (min) to 60 digits: the module's formulas in ``decimal``, at the
+float's own sweep count and unclamped, which the float bound is judged
+against.
+
 ``harden_reference`` is the sweep's tail hardening one window at a time,
 from the public API: its own ``Generator(Philox(key)).random()`` draw per
 window and its own tail.  ``run_sweep`` hardens inside its cell groups, from
@@ -85,6 +90,7 @@ from ksearch.augmented import (
     _snap_prediction,
 )
 from ksearch.core import left_sum
+from ksearch.pareto import FrontierSpec, _checked_gamma, _sweep_count
 
 
 def design_for_target(
@@ -406,6 +412,25 @@ def balance_root_reference(theta: float, k: int, kind: ProblemKind) -> decimal.D
             else:
                 hi = mid
         return (lo + hi) / 2
+
+
+def lower_bound_reference(gamma: float, spec: FrontierSpec) -> decimal.Decimal:
+    """Gamma(gamma) = theta / ([1 + (gamma-1)(1+gamma/k)^xi]/gamma + (theta-1)(1 - xi/k))
+    for max-search, or Lambda(gamma) = theta[gamma - (gamma-1)(1+1/(gamma k))^zeta]
+    - (theta-1)(1 - zeta/k) for min-search, in 60-digit ``decimal`` from
+    the float gamma (snapped onto [cr*, theta] as ``lower_bound`` snaps it)
+    and the float theta, at ``_sweep_count``'s xi* or zeta*, and not
+    clamped to [1, cr*]."""
+    gamma, count = _checked_gamma(gamma, spec), _sweep_count(gamma, spec)
+    if spec.theta == 1.0:
+        return decimal.Decimal(1)
+    with decimal.localcontext(decimal.Context(prec=60)):
+        one, g = decimal.Decimal(1), decimal.Decimal(gamma)
+        theta, k = decimal.Decimal(spec.theta), decimal.Decimal(spec.k)
+        unswept = (theta - one) * (one - count / k)
+        if spec.kind is ProblemKind.MAX:
+            return theta / ((one + (g - one) * (one + g / k) ** count) / g + unswept)
+        return theta * (g - (g - one) * (one + one / (g * k)) ** count) - unswept
 
 
 def ota_total(schedule: ThresholdSchedule, prices: np.ndarray) -> tuple[float, int]:

@@ -29,6 +29,7 @@ from ksearch import (
 )
 from ksearch import augmented as augmented_mod
 from ksearch.learner import GRID
+from ksearch.core import left_sum
 from ksearch.augmented import (
     _construct,
     _frame,
@@ -162,6 +163,20 @@ def test_prediction_ratio_rejects_out_of_bounds():
     sched = worst_case_thresholds(BOUNDS, K, ProblemKind.MAX).schedule
     with pytest.raises(InvalidInputError):
         prediction_ratio(sched, 4.9)
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_predictions_snap_by_a_tolerance_of_their_own_band_end(kind):
+    """A prediction within 1e-12 (relative) past a band end is that end;
+    one further out is rejected, on the p_min side too, where a wide band's
+    p_max would allow a millionth."""
+    bounds = PriceBounds(1.0, 1e6)
+    for outside in (0.999999, 1.0 - 2e-12, 1e6 * (1.0 + 2e-12)):
+        with pytest.raises(InvalidInputError, match="^prediction .* outside"):
+            design(outside, 0.5, bounds, 10, kind)
+    for end, step in ((bounds.p_min, -math.inf), (bounds.p_max, math.inf)):
+        assert augmented_mod._snap_prediction(math.nextafter(end, step), bounds) == end
+    assert design(math.nextafter(1.0, 0.0), 0.5, bounds, 10, ProblemKind.MAX).prediction == 1.0
 
 
 # --------------------------------------------------------------------------
@@ -723,6 +738,10 @@ def test_construct_is_the_reference_construction(case):
     # the slowest design-grid points of each kind
     (ProblemKind.MIN, 100.0, 1000, 0.6, 3.1622776601683795, None),
     (ProblemKind.MAX, 316.2277660168379, 1000, 0.1, 17.78279410038923, None),
+    # a flat block of 1,000 copies of P (cases II and V), whose pairwise
+    # np.sum differs from the left sum the i* scan must take
+    (ProblemKind.MAX, 1.7782794100389228, 1000, 0.0, 1.0746078283213174, None),
+    (ProblemKind.MIN, 1.7782794100389228, 1000, 0.0, 1.0746078283213174, None),
 ])
 def test_construct_is_the_reference_on_design_grid_points(
         kind, theta, k, lam, prediction, failure):
@@ -731,6 +750,18 @@ def test_construct_is_the_reference_on_design_grid_points(
         assert got[1] in ("I", "II", "III", "IV", "V", "VI")
     else:
         assert got[0] is ConstructionError and got[1].startswith(failure)
+
+
+@pytest.mark.parametrize("kind", list(ProblemKind))
+def test_the_long_flat_block_tells_a_left_sum_from_a_pairwise_one(kind):
+    """The pinned flat-block points above hold 1,000 copies of P, and there
+    a pairwise sum of them rounds otherwise than the left sum."""
+    prediction = 1.0746078283213174
+    got = design(prediction, 0.0, PriceBounds(1.0, 1.7782794100389228), 1000, kind)
+    assert (got.case_label, got.j_star, got.m_star) == ("II" if kind.is_max else "V", 0, 1000)
+    assert got.schedule.values == (prediction,) * 1000
+    flat = np.full(1000, prediction)
+    assert np.sum(flat) != left_sum(flat.tolist()) == np.add.accumulate(flat)[-1]
 
 
 # the last or first prediction at an i* of a band, where the scan's test is

@@ -3,6 +3,7 @@
 import ast
 import copy
 import dataclasses
+from fractions import Fraction
 import itertools
 import math
 import pathlib
@@ -757,6 +758,62 @@ class TestTypeInvariants:
                              f"bounds={one.bounds!r})")
         assert [field.name for field in dataclasses.fields(one)] == ["kind", "values", "bounds"]
 
+    @pytest.mark.parametrize("kind", list(ProblemKind))
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_an_array_gives_the_schedule_of_its_tuple(self, kind, k):
+        values = np.linspace(10.0, 40.0, k)
+        values = values if kind.is_max else values[::-1]
+        from_array = ThresholdSchedule(kind, values, B)
+        from_tuple = ThresholdSchedule(kind, tuple(values.tolist()), B)
+        assert {type(v) for v in from_array.values} == {float}
+        assert (struct.pack(f"{k}d", *from_array.values)
+                == struct.pack(f"{k}d", *from_tuple.values) == values.tobytes())
+        assert from_array._array.tobytes() == from_tuple._array.tobytes()
+        assert from_array == from_tuple and hash(from_array) == hash(from_tuple)
+        assert repr(from_array) == repr(from_tuple)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.array([10.0, 20.0, 30.0]),
+        lambda: np.array([10.0, 99.0, 20.0, 99.0, 30.0])[::2],  # a strided view
+        lambda: np.array([10.0, 20.0, 30.0], dtype=np.float32),
+    ], ids=["float64", "view", "float32"])
+    def test_writing_the_callers_array_leaves_the_schedule(self, make):
+        values = make()
+        schedule = ThresholdSchedule(ProblemKind.MAX, values, B)
+        assert not np.shares_memory(schedule._array, values)
+        values[:] = 45.0
+        assert schedule.values == (10.0, 20.0, 30.0)
+        assert schedule._array.tolist() == [10.0, 20.0, 30.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(kinds, st.lists(st.one_of(
+        st.integers(2**53, 2**70), st.just(True), st.floats(1e-3, 1e30).map(np.float32),
+        st.fractions(Fraction(1, 1000), Fraction(10**25)), st.floats(1e-3, 1e25),
+    ), min_size=1, max_size=6), st.sampled_from([tuple, list, iter, np.array]))
+    def test_mixed_entries_are_their_floats_bit_for_bit(self, kind, entries, container):
+        """Ints above 2^53, bools, float32s and Fractions, in any mix and
+        in any container, hold ``float(v)`` of each entry."""
+        entries = sorted(entries, key=float, reverse=not kind.is_max)
+        floats = [float(v) for v in entries]
+        bounds = PriceBounds(min(floats), max(floats))
+        schedule = ThresholdSchedule(kind, container(entries), bounds)
+        assert struct.pack(f"{len(floats)}d", *schedule.values) == struct.pack(
+            f"{len(floats)}d", *floats) == schedule._array.tobytes()
+
+    def test_a_list_and_a_generator_are_accepted(self):
+        assert ThresholdSchedule(ProblemKind.MAX, [10, 20.0], B).values == (10.0, 20.0)
+        assert ThresholdSchedule(ProblemKind.MAX, (v for v in (10, 20.0)), B).values == (10.0, 20.0)
+
+    @pytest.mark.parametrize("values", [
+        (10.0, (20.0, 30.0)), ((10.0,), (20.0,)), [[10.0, 20.0]], np.array([[10.0, 20.0]]),
+        np.array(10.0), (10.0, "20"), (10.0, None), [None], "10", 10.0, None,
+        (10.0, 10**400), (10.0, 1 + 2j),
+    ], ids=["ragged", "nested", "nested-list", "2-d", "0-d", "string", "none", "none-only",
+            "text", "float", "no-sequence", "huge-int", "complex"])
+    def test_thresholds_that_are_no_sequence_of_reals_raise(self, values):
+        with pytest.raises(InvalidInputError, match="^(an entry of )?thresholds "):
+            ThresholdSchedule(ProblemKind.MAX, values, B)
+
     @pytest.mark.parametrize("clone", [
         lambda s: pickle.loads(pickle.dumps(s)),
         lambda s: pickle.loads(pickle.dumps(s, protocol=2)),
@@ -775,15 +832,15 @@ class TestTypeInvariants:
     @settings(max_examples=300, deadline=None)
     @given(kinds, st.lists(st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, B.p_min,
                                             B.p_max, 20.0, 60.0]) | st.floats(), max_size=6),
-           st.sampled_from(["as drawn", "ascending", "descending"]))
-    def test_order_and_band_messages_are_the_tuple_checks(self, kind, values, order):
+           st.sampled_from(["as drawn", "ascending", "descending"]), st.booleans())
+    def test_order_and_band_messages_are_the_tuple_checks(self, kind, values, order, as_array):
         """The array's order check and the band check raise what the checks
         on a tuple of Python floats raised, for NaN, infinities, -0.0 and
-        values in any order."""
+        values in any order, given as a tuple or as a float64 array."""
         if order != "as drawn":
             values = sorted(values, reverse=order == "descending")
         try:
-            ThresholdSchedule(kind, tuple(values), B)
+            ThresholdSchedule(kind, np.array(values, dtype=float) if as_array else tuple(values), B)
             message = None
         except InvalidInputError as exc:
             message = str(exc)

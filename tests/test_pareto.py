@@ -1,10 +1,11 @@
 """Consistency-robustness frontier: integer crossings, bounds, lambda targets."""
 
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ksearch import (
     DomainError,
@@ -20,7 +21,7 @@ from ksearch import (
 )
 from ksearch.pareto import _sweep_count
 from ksearch.augmented import prediction_ratio
-from oracle import design_for_target
+from oracle import design_for_target, lower_bound_reference
 
 THETA_K_GRID = [
     (theta, k)
@@ -120,6 +121,40 @@ def test_bounds_stay_between_one_and_cr_star(theta, k):
     for gamma in np.linspace(smin.cr_star, theta, 61):
         v = lower_bound(float(gamma), smin)
         assert 1.0 - 1e-12 <= v <= smin.cr_star + 1e-12
+
+
+@st.composite
+def frontier_points(draw):
+    """(spec, gamma): max-search over theta up to 1e4 and k up to 1,000,
+    min-search over theta up to 30 and k up to 100 (beyond it min-search's
+    float cr* drifts, ROADMAP item 14), gamma anywhere in [cr*, theta]."""
+    kind = draw(st.sampled_from(list(ProblemKind)))
+    top, most = (4.0, 3.0) if kind is ProblemKind.MAX else (math.log10(30.0), 2.0)
+    theta = 10.0 ** draw(st.floats(0.0, top))
+    k = round(10.0 ** draw(st.floats(0.0, most)))
+    p_min = draw(st.floats(1e-2, 1e2))
+    spec = FrontierSpec(PriceBounds(p_min, p_min * theta), k, kind)
+    return spec, spec.cr_star + draw(st.floats(0.0, 1.0)) * (spec.theta - spec.cr_star)
+
+
+def _corner(kind, theta, k, share):
+    spec = FrontierSpec(PriceBounds(1.0, theta), k, kind)
+    return spec, spec.cr_star + share * (spec.theta - spec.cr_star)
+
+
+@settings(max_examples=200, deadline=None)
+@given(frontier_points())
+@example(_corner(ProblemKind.MAX, 1e4, 1000, 0.5))
+@example(_corner(ProblemKind.MAX, 1e4, 1000, 0.0))
+@example(_corner(ProblemKind.MIN, 30.0, 100, 0.5))
+@example(_corner(ProblemKind.MIN, 30.0, 100, 1.0))
+def test_lower_bound_is_within_1e_12_of_the_exact_one(point):
+    """The float Gamma or Lambda against its 60-digit value at the same
+    sweep count, unclamped: ``lower_bound``'s clamp to [1, cr*] only takes
+    off float noise at the ends of [cr*, theta]."""
+    spec, gamma = point
+    exact = lower_bound_reference(gamma, spec)
+    assert abs(decimal.Decimal(lower_bound(gamma, spec)) - exact) <= decimal.Decimal("1e-12") * exact
 
 
 def test_min_bound_achievable_at_lower_boundary():
